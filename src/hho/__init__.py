@@ -12,14 +12,6 @@ from .mesh import (
     shape_parameter,
     write_mesh_file,
 )
-from .polyquad import (
-    CellBasis,
-    FaceBasis,
-    QuadratureRule,
-    UnsupportedDegreeError,
-    mass_matrix,
-    quad_for_degree,
-    stiffness_matrix,
-)
+from .polyquad import QuadratureRule, UnsupportedDegreeError, quad_for_degree
 
 __version__ = "0.1.0"

@@ -114,30 +114,21 @@ class PiecewisePolyFunction:
 
 
 class ManufacturedCase:
-    """Exact solution, load, mesh family and expected rates for one problem.
+    """Exact solution, load and mesh family for one problem.
 
-    `level_kind` is 'resolution' (level = grid parameter n) or 'refinement'
-    (level = number of red refinements of a fixed base mesh).
+    `mesh_for(level)` builds the mesh of one level; `level_check(level)`
+    raises ValueError for levels the case cannot use (by default none).
     """
 
     def __init__(self, name, u, grad_u, load, mesh_for, regularity,
-                 h1_rate, l2_rate, level_kind="resolution", level_check=None):
+                 level_check=lambda level: None):
         self.name = name
         self.u = u
         self.grad_u = grad_u
         self.load = load
         self.mesh_for = mesh_for
         self.regularity = regularity
-        self._h1_rate = h1_rate
-        self._l2_rate = l2_rate
-        self.level_kind = level_kind
         self.level_check = level_check
-
-    def expected_h1_rate(self, p):
-        return self._h1_rate(p)
-
-    def expected_l2_rate(self, p):
-        return self._l2_rate(p)
 
     def validate(self, seed=0):
         """Check the load/solution consistency at sample points."""
@@ -192,7 +183,6 @@ def smooth_sine_case():
     return ManufacturedCase(
         "smooth-sine", u, grad_u, LoadFunctional(f0=f0), build_unit_square,
         regularity="smooth",
-        h1_rate=lambda p: p + 1.0, l2_rate=lambda p: p + 2.0,
     )
 
 
@@ -210,8 +200,6 @@ def poly_consistency_case(p, base_n=2):
     return ManufacturedCase(
         "poly-consistency", u, u.gradient, LoadFunctional(g=u.gradient),
         mesh_for=_refiner(base), regularity="smooth",
-        h1_rate=lambda p_: np.inf, l2_rate=lambda p_: np.inf,
-        level_kind="refinement",
     )
 
 
@@ -249,9 +237,7 @@ def kink_aligned_case():
 
     return ManufacturedCase(
         "kink-aligned", u, grad_u, LoadFunctional(g=grad_u), build_unit_square,
-        regularity="kink-aligned",
-        h1_rate=lambda p: p + 1.0, l2_rate=lambda p: p + 2.0,
-        level_check=check,
+        regularity="kink-aligned", level_check=check,
     )
 
 
@@ -288,28 +274,30 @@ def corner_singular_case():
     return ManufacturedCase(
         "corner-singular", u, grad_u, LoadFunctional(g=grad_u), build_lshape,
         regularity="corner-singular",
-        h1_rate=lambda p: 2.0 / 3.0, l2_rate=lambda p: 4.0 / 3.0,
     )
+
+
+# case name -> builder for degree p
+CASES = {
+    "smooth-sine": lambda p: smooth_sine_case(),
+    "poly-consistency": poly_consistency_case,
+    "kink-aligned": lambda p: kink_aligned_case(),
+    "corner-singular": lambda p: corner_singular_case(),
+}
 
 
 def builtin_cases(p):
     """All built-in manufactured cases for degree p, self-validated."""
-    cases = [
-        smooth_sine_case(),
-        poly_consistency_case(p),
-        kink_aligned_case(),
-        corner_singular_case(),
-    ]
-    for case in cases:
-        case.validate()
-    return cases
+    return [get_case(name, p) for name in CASES]
 
 
 def get_case(name, p):
-    for case in builtin_cases(p):
-        if case.name == name:
-            return case
-    raise KeyError(f"unknown case {name!r}")
+    """The named built-in case for degree p, self-validated."""
+    if name not in CASES:
+        raise KeyError(f"unknown case {name!r}")
+    case = CASES[name](p)
+    case.validate()
+    return case
 
 
 class ConvergenceReport:
@@ -384,8 +372,7 @@ def run_convergence(case, p, levels, method="smoothed", averaging="mean",
         raise ValueError("convergence study needs at least 2 levels")
     rows = []
     for level in levels:
-        if case.level_check is not None:
-            case.level_check(level)
+        case.level_check(level)
         mesh = case.mesh_for(level)
         space = HHOSpace(mesh, p, quad_extra=quad_extra)
         system = assemble(space)
@@ -413,13 +400,12 @@ def run_convergence(case, p, levels, method="smoothed", averaging="mean",
             "eoc_H1": float("nan"),
             "eoc_L2": float("nan"),
         })
-    hs = [row["h"] for row in rows]
-    energies = [np.hypot(r["e_H1"], r["e_stab"]) for r in rows]
-    l2s = [row["e_L2"] for row in rows]
-    for i, (r_h1, r_l2) in enumerate(zip(eoc(energies, hs), eoc(l2s, hs))):
-        rows[i + 1]["eoc_H1"] = r_h1
-        rows[i + 1]["eoc_L2"] = r_l2
-    return ConvergenceReport(case.name, p, method, averaging, rows)
+    report = ConvergenceReport(case.name, p, method, averaging, rows)
+    hs = report.column("h")
+    orders = zip(eoc(report.energy_errors(), hs), eoc(report.column("e_L2"), hs))
+    for row, (r_h1, r_l2) in zip(rows[1:], orders):
+        row["eoc_H1"], row["eoc_L2"] = r_h1, r_l2
+    return report
 
 
 def quasi_optimality_ratio(report):

@@ -1,7 +1,7 @@
 """Batch driver: verification suites, convergence studies, single solves.
 
-Usage: hho {verify | converge | solve} --config cfg.json [--threads N]
-           [--out DIR] [--mesh PATH]
+Usage: hho {verify | converge | solve} --config cfg.json [--out DIR]
+           [--mesh PATH]
 
 The JSON config supplies the run parameters (see README for the schema); the
 flags override the corresponding config keys. All file outputs use '.' as the
@@ -17,12 +17,13 @@ import sys
 
 import numpy as np
 
-from .analysis import get_case, run_convergence
+from .analysis import CASES, get_case, run_convergence
 from .local_ops import HHOSpace
 from .mesh import MeshError, read_mesh_file
 from .polyquad import UnsupportedDegreeError
-from .smoothing import Smoother, lattice_multis
+from .smoothing import AVERAGING_VARIANTS, Smoother, lattice_multis
 from .system import (
+    SOLVER_METHODS,
     LoadFunctional,
     MethodNotApplicableError,
     assemble,
@@ -35,6 +36,8 @@ from .verify import run_verification
 EXIT_OK = 0
 EXIT_CHECK_FAILURE = 1
 EXIT_CONFIG_ERROR = 2
+
+METHODS = ("classical", "smoothed")
 
 
 class ConfigError(ValueError):
@@ -61,6 +64,16 @@ def _get(config, key, default=None, required=False, kind=None):
     value = config[key]
     if kind is not None and not isinstance(value, kind):
         raise ConfigError(f"config field '{key}' has the wrong type")
+    return value
+
+
+def _choice(config, key, choices, default=None):
+    """A string field that must be one of `choices`; required without default."""
+    value = _get(config, key, default, required=default is None, kind=str)
+    if value not in choices:
+        raise ConfigError(
+            f"config field '{key}' is {value!r}; expected one of {', '.join(choices)}"
+        )
     return value
 
 
@@ -122,18 +135,27 @@ def cmd_verify(args, config):
     return EXIT_OK if report["passed"] else EXIT_CHECK_FAILURE
 
 
+def _check_level(case, level):
+    try:
+        case.level_check(level)
+    except ValueError as exc:
+        raise ConfigError(f"level {level}: {exc}") from None
+
+
 def cmd_converge(args, config):
-    case_name = _get(config, "case", required=True, kind=str)
+    case_name = _choice(config, "case", CASES)
     degree = _get(config, "degree", required=True, kind=int)
     levels = _get(config, "levels", required=True, kind=list)
     if len(levels) < 2:
         raise ConfigError("converge needs at least 2 levels")
-    method = _get(config, "method", "smoothed", kind=str)
-    averaging = _get(config, "averaging", "mean", kind=str)
-    solver_cfg = _get(config, "solver", {}, kind=dict)
-    solver = solver_cfg.get("method", "direct")
+    method = _choice(config, "method", METHODS, "smoothed")
+    averaging = _choice(config, "averaging", AVERAGING_VARIANTS, "mean")
+    solver = _choice(_get(config, "solver", {}, kind=dict), "method",
+                     SOLVER_METHODS, "direct")
 
     case = get_case(case_name, degree)
+    for level in levels:
+        _check_level(case, level)
     if method == "classical" and case.load.has_divergence_part:
         raise ConfigError(
             f"case '{case_name}' supplies its load in divergence form; the "
@@ -163,12 +185,12 @@ def cmd_converge(args, config):
 
 
 def cmd_solve(args, config):
-    case_name = _get(config, "case", required=True, kind=str)
+    case_name = _choice(config, "case", CASES)
     degree = _get(config, "degree", required=True, kind=int)
     level = _get(config, "level", 8, kind=int)
-    method = _get(config, "method", "smoothed", kind=str)
-    averaging = _get(config, "averaging", "mean", kind=str)
-    load_kind = _get(config, "load", "case", kind=str)
+    method = _choice(config, "method", METHODS, "smoothed")
+    averaging = _choice(config, "averaging", AVERAGING_VARIANTS, "mean")
+    load_kind = _choice(config, "load", ("case", "zero"), "case")
 
     case = get_case(case_name, degree)
     if args.mesh:
@@ -177,23 +199,20 @@ def cmd_solve(args, config):
         except MeshError as exc:
             raise ConfigError(f"--mesh {args.mesh}: {exc}") from exc
     else:
+        _check_level(case, level)
         mesh = case.mesh_for(level)
     space = HHOSpace(mesh, degree, quad_extra=_quad_extra(config))
     system = assemble(space)
 
     if load_kind == "zero":
         load = LoadFunctional(f0=lambda x: np.zeros(x.shape[:-1]))
-    elif load_kind == "case":
-        load = case.load
     else:
-        raise ConfigError(f"unknown load kind {load_kind!r}")
+        load = case.load
 
     if method == "classical":
         rhs = rhs_classical(space, load)
-    elif method == "smoothed":
-        rhs = rhs_smoothed(space, Smoother(space, averaging=averaging), load)
     else:
-        raise ConfigError(f"unknown method {method!r}")
+        rhs = rhs_smoothed(space, Smoother(space, averaging=averaging), load)
     field = solve(system, rhs)
     recon = space.reconstruct(field)
 
@@ -224,8 +243,6 @@ def build_parser():
                      ("solve", cmd_solve)):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON config file")
-        p.add_argument("--threads", type=int, default=1,
-                       help="cap on worker count (execution is serial in v1)")
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--mesh", default=None,
                        help="external mesh file (node/element format)")
@@ -236,9 +253,6 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.threads < 1:
-        print("hho: --threads must be >= 1", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
     try:
         config = _load_config(args.config)
         return args.handler(args, config)

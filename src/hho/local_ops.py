@@ -16,8 +16,6 @@ All local matrices are pure functions of immutable mesh/basis data; any set
 of cells may be processed concurrently.
 """
 
-import logging
-
 import numpy as np
 from scipy import sparse
 
@@ -34,8 +32,6 @@ from .polyquad import (
     space_dimension,
     symmetrize,
 )
-
-log = logging.getLogger(__name__)
 
 P_MAX = 3
 
@@ -165,8 +161,6 @@ class HHOSpace:
         self.stiff1 = symmetrize(np.einsum("tq,tqid,tqjd->tij", w, gphi1, gphi1))
         self.ints1 = np.einsum("tq,tqi->ti", w, phi1)
         self.mass_p = self.mass1[:, : self.nc, : self.nc]
-        cond = np.linalg.cond(self.mass1 / self.mesh.volumes[:, None, None])
-        log.debug("cell Gram condition numbers: max %.3e", cond.max())
         self._phi1 = phi1
 
     def _build_face_tables(self):
@@ -380,16 +374,6 @@ class HHOSpace:
 
     # -- norms -------------------------------------------------------------
 
-    def l2_norm_broken(self, bp):
-        pts, w = cell_quadrature(self.mesh, self.rule_cell_proj)
-        vals = bp.values_at(pts)
-        return float(np.sqrt(np.einsum("tq,tq->", w, vals ** 2)))
-
-    def h1_seminorm_broken(self, bp):
-        pts, w = cell_quadrature(self.mesh, self.rule_cell_proj)
-        grads = bp.gradients_at(pts)
-        return float(np.sqrt(np.einsum("tq,tqd->", w, grads ** 2)))
-
     def energy_norm(self, field):
         return float(np.sqrt(self.bilinear_b(field, field)))
 
@@ -409,14 +393,22 @@ class HHOSpace:
         return assemble_bilinear(self, H)
 
 
+def scatter_blocks(blocks, row_ids, col_ids, shape):
+    """Sum dense blocks (B, r, c) into a CSR matrix of the given shape.
+
+    Block b lands at global rows row_ids[b] (r,) and columns col_ids[b] (c,);
+    entries with a negative row or column id (unknowns that do not exist,
+    such as boundary faces) are dropped and repeated positions are summed.
+    """
+    rows = np.broadcast_to(row_ids[:, :, None], blocks.shape)
+    cols = np.broadcast_to(col_ids[:, None, :], blocks.shape)
+    keep = (rows >= 0) & (cols >= 0)
+    return sparse.coo_matrix(
+        (blocks[keep], (rows[keep], cols[keep])), shape=shape
+    ).tocsr()
+
+
 def assemble_bilinear(space, local_mats):
     """Scatter per-cell local matrices (T, nloc, nloc) into a global CSR matrix."""
     ids = space.local_dof_ids
-    rows = np.repeat(ids[:, :, None], space.nloc, axis=2)
-    cols = np.repeat(ids[:, None, :], space.nloc, axis=1)
-    mask = (rows >= 0) & (cols >= 0)
-    mat = sparse.coo_matrix(
-        (local_mats[mask], (rows[mask], cols[mask])),
-        shape=(space.num_dofs, space.num_dofs),
-    )
-    return mat.tocsr()
+    return scatter_blocks(local_mats, ids, ids, (space.num_dofs, space.num_dofs))

@@ -11,13 +11,9 @@ Gauss-Jacobi on the collapsed square) on triangles. Both have strictly
 positive weights and are exact to the requested degree.
 """
 
-import logging
-
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.special import roots_jacobi
-
-log = logging.getLogger(__name__)
 
 MAX_DEGREE = 20
 
@@ -208,86 +204,3 @@ def reference_face_mass(degree):
             if m % 2 == 0:
                 M[k, l] = 0.5 ** m / (m + 1)
     return M
-
-
-class CellBasis:
-    """Scaled monomial basis of P^degree on one cell."""
-
-    def __init__(self, mesh, cell, degree):
-        if degree > MAX_DEGREE:
-            raise UnsupportedDegreeError(f"basis degree {degree} beyond maximum")
-        self.mesh = mesh
-        self.cell = int(cell)
-        self.degree = degree
-        self.exponents = cell_exponents(degree)
-        self.center = mesh.barycenters[self.cell]
-        self.scale = mesh.h_cell[self.cell]
-
-    @property
-    def dim(self):
-        return space_dimension(self.degree)
-
-    def values(self, points):
-        pts = np.asarray(points, dtype=float)[None]
-        return cell_basis_values(
-            self.mesh, self.degree, pts, cells=np.array([self.cell])
-        )[0]
-
-    def gradients(self, points):
-        pts = np.asarray(points, dtype=float)[None]
-        return cell_basis_gradients(
-            self.mesh, self.degree, pts, cells=np.array([self.cell])
-        )[0]
-
-
-class FaceBasis:
-    """Scaled monomial basis of P^degree on one face."""
-
-    def __init__(self, mesh, face, degree):
-        if degree > MAX_DEGREE:
-            raise UnsupportedDegreeError(f"basis degree {degree} beyond maximum")
-        self.mesh = mesh
-        self.face = int(face)
-        self.degree = degree
-        self.midpoint = mesh.face_midpoints[self.face]
-        self.tangent = mesh.face_tangents[self.face]
-        self.scale = mesh.h_face[self.face]
-
-    @property
-    def dim(self):
-        return self.degree + 1
-
-    def values(self, points):
-        pts = np.asarray(points, dtype=float)[None]
-        return face_basis_values(
-            self.mesh, self.degree, np.array([self.face]), pts
-        )[0]
-
-
-def mass_matrix(basis, rule=None):
-    """Gram matrix of the basis on its entity; SPD."""
-    if isinstance(basis, CellBasis):
-        rule = rule or quad_for_degree(2, min(2 * basis.degree, MAX_DEGREE))
-        pts, w = cell_quadrature(basis.mesh, rule, cells=np.array([basis.cell]))
-        vals = basis.values(pts[0])
-        M = symmetrize(np.einsum("q,qi,qj->ij", w[0], vals, vals))
-    elif isinstance(basis, FaceBasis):
-        rule = rule or quad_for_degree(1, min(2 * basis.degree, MAX_DEGREE))
-        pts, w = face_quadrature(basis.mesh, rule, np.array([basis.face]))
-        vals = basis.values(pts[0])
-        M = symmetrize(np.einsum("q,qi,qj->ij", w[0], vals, vals))
-    else:
-        raise TypeError("mass_matrix expects a CellBasis or FaceBasis")
-    cond = np.linalg.cond(M)
-    log.debug("mass matrix cond=%.3e (degree %d)", cond, basis.degree)
-    return M
-
-
-def stiffness_matrix(basis, rule=None):
-    """Stiffness matrix of a cell basis; PSD with the constants as kernel."""
-    if not isinstance(basis, CellBasis):
-        raise TypeError("stiffness_matrix expects a CellBasis")
-    rule = rule or quad_for_degree(2, min(max(2 * basis.degree - 2, 0), MAX_DEGREE))
-    pts, w = cell_quadrature(basis.mesh, rule, cells=np.array([basis.cell]))
-    grads = basis.gradients(pts[0])
-    return symmetrize(np.einsum("q,qid,qjd->ij", w[0], grads, grads))

@@ -6,23 +6,28 @@ that restore the cell moments up to degree p-1 and the interior-face moments
 up to degree p. Element bubbles are 27*l1*l2*l3, face bubbles 4*la*lb on each
 of the two cells sharing the face; both are 1 at the respective barycenter.
 
-Everything is linear with one-ring-local supports, so the whole smoother is
-assembled once as a sparse matrix from HHO unknowns to broken polynomial
-coefficients of degree 2 + max(p, 1). Cell and face solves are independent
-per entity; the assembly loop is the only sequential part.
+Everything is linear with one-ring-local supports, so the smoother is kept
+as a short product of sparse factors from HHO unknowns to broken polynomial
+coefficients of degree 2 + max(p, 1); the full matrix is formed only on
+request. Cell and face solves are independent per entity.
 """
 
 import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
-from .local_ops import BrokenPoly, assemble_bilinear
+from .local_ops import BrokenPoly, assemble_bilinear, scatter_blocks
 from .polyquad import (
+    cell_basis_gradients,
     cell_basis_values,
+    face_basis_values,
+    face_quadrature,
     reference_face_mass,
     space_dimension,
     symmetrize,
 )
+
+AVERAGING_VARIANTS = ("mean", "scott-zhang")
 
 
 def lattice_multis(degree):
@@ -57,7 +62,8 @@ class LagrangeLayer:
     Node ids: vertices first (gid == vertex id), then degree-1 nodes per
     face ordered from the lower-index vertex to the higher one, then cell
     interior nodes. Provides per-cell lattice-to-global maps, node
-    coordinates, boundary flags and incidence counts.
+    coordinates (global, and per cell as computed from that cell's vertices),
+    boundary flags and incidence counts.
     """
 
     def __init__(self, mesh, degree):
@@ -98,8 +104,10 @@ class LagrangeLayer:
         self.cell_nodes = cell_nodes
 
         coords = np.empty((self.num_nodes, 2))
-        phys = np.einsum("la,tad->tld", self.lattice_bary, mesh.cell_vertices())
-        coords[cell_nodes.ravel()] = phys.reshape(-1, 2)
+        self.cell_coords = np.einsum(
+            "la,tad->tld", self.lattice_bary, mesh.cell_vertices()
+        )
+        coords[cell_nodes.ravel()] = self.cell_coords.reshape(-1, 2)
         self.coords = coords
 
         boundary = np.zeros(self.num_nodes, dtype=bool)
@@ -139,34 +147,18 @@ class LagrangeLayer:
         return out
 
 
-class BubbleSet:
-    """Element and face bubbles, normalized to 1 at the barycenters."""
+def _bubbles(bary):
+    """Cell bubble 27*l0*l1*l2 and the face bubbles 4*la*lb at barycentric points.
 
-    def __init__(self, mesh):
-        self.mesh = mesh
-
-    @staticmethod
-    def cell_bubble(bary):
-        """27 * l0 * l1 * l2 at barycentric points (..., 3)."""
-        return 27.0 * bary[..., 0] * bary[..., 1] * bary[..., 2]
-
-    def face_bubble(self, cell, face, bary):
-        """4 * la * lb on `cell`, la/lb the barycentric weights of `face` ends."""
-        i = int(np.nonzero(self.mesh.cell_faces[cell] == face)[0][0])
-        la, lb = (i + 1) % 3, (i + 2) % 3
-        return 4.0 * bary[..., la] * bary[..., lb]
-
-
-def _face_bubble_weighted_mass(degree):
-    """int_{-1/2}^{1/2} s^(m+m') (1 - 4 s^2) ds, exact."""
-    n = degree + 1
-    W = np.zeros((n, n))
-    for k in range(n):
-        for l in range(n):
-            a = k + l
-            if a % 2 == 0:
-                W[k, l] = 0.5 ** a * (1.0 / (a + 1) - 1.0 / (a + 3))
-    return W
+    bary has shape (..., 3); returns the cell values (...) and the face
+    values (3, ...), face i being the one opposite local vertex i. All are 1
+    at the barycenter of their entity.
+    """
+    cell = 27.0 * bary[..., 0] * bary[..., 1] * bary[..., 2]
+    faces = np.stack(
+        [4.0 * bary[..., (i + 1) % 3] * bary[..., (i + 2) % 3] for i in range(3)]
+    )
+    return cell, faces
 
 
 def lagrange_interpolant(mesh, degree, func, zero_boundary=True):
@@ -180,14 +172,30 @@ def lagrange_interpolant(mesh, degree, func, zero_boundary=True):
     nodal = np.asarray(func(layer.coords), dtype=float)
     if zero_boundary:
         nodal = np.where(layer.boundary, 0.0, nodal)
-    phys = np.einsum("la,tad->tld", layer.lattice_bary, mesh.cell_vertices())
-    V = cell_basis_values(mesh, degree, phys)
+    V = cell_basis_values(mesh, degree, layer.cell_coords)
     coeffs = np.linalg.solve(V, nodal[layer.cell_nodes][..., None])[..., 0]
     return BrokenPoly(mesh, degree, coeffs)
 
 
 class Smoother:
-    """Stabilized bubble smoother for one space, assembled as a sparse matrix.
+    """Stabilized bubble smoother for one space, as an ordered list of sparse factors.
+
+    S_H = F5 F4 F3 F2 F1 maps an HHO dof vector x = (x_M, x_Sigma) to the
+    broken degree-D coefficients of the smoothed function:
+
+    * F1 = [R; I]: the reconstruction R x, with x carried along,
+    * F2 = blockdiag(avg, I): nodal averaging on interior degree-(p+1) nodes,
+    * F3 = blockdiag(expand, I): back to broken coefficients, the averaged
+      reconstruction a,
+    * F4: (a, x) -> (a, v_Sigma, v_M), padded to degree D where needed, with
+      the face residual v_Sigma = x_Sigma - tr a and the cell residual
+      v_M = x_M - a,
+    * F5 = [I | B_Sigma - B_M B_Sigma | B_M]: a plus the bubble correction
+      B_Sigma v_Sigma + B_M (v_M - B_Sigma v_Sigma).
+
+    At p = 0 no cell moments are restored: F4 drops v_M and F5 = [I | B_Sigma].
+    Every application (forward, transpose, matrix) is derived from the list;
+    the leaf matrices live only inside the factors, except B_Sigma.
 
     Parameters
     ----------
@@ -198,96 +206,58 @@ class Smoother:
     """
 
     def __init__(self, space, averaging="mean"):
-        if averaging not in ("mean", "scott-zhang"):
+        if averaging not in AVERAGING_VARIANTS:
             raise ValueError(f"unknown averaging variant {averaging!r}")
         self.space = space
         self.averaging_variant = averaging
-        mesh, p = space.mesh, space.p
         self.degree = space.degree_star
         self.nD = space_dimension(self.degree)
 
         self._build_lattice_tables()
-        self._build_reconstruction_matrix()
-        self._build_averaging_matrices()
-        self._build_face_trace_matrix()
-        self._build_face_bubble_matrix()
-        if p >= 1:
-            self._build_cell_bubble_matrix()
-        self._compose()
+        self.layer1 = LagrangeLayer(space.mesh, space.p + 1)
+        self.face_bubble_matrix = self._face_bubble_matrix()
+        self.factors = self._factors()
+        self._matrix = None
 
     # -- reference and per-cell tables ------------------------------------
 
     def _build_lattice_tables(self):
-        space, mesh = self.space, self.space.mesh
+        mesh = self.space.mesh
         D = self.degree
         self.lat_bary = lattice_multis(D) / D
-        phys = np.einsum("la,tad->tld", self.lat_bary, mesh.cell_vertices())
-        V = cell_basis_values(mesh, D, phys)
-        self.invV_D = np.linalg.inv(V)
-        self.phiK_lat = BubbleSet.cell_bubble(self.lat_bary)  # (nD,)
-        self.phiF_lat = np.stack(
-            [4.0 * self.lat_bary[:, (i + 1) % 3] * self.lat_bary[:, (i + 2) % 3]
-             for i in range(3)]
-        )  # (3, nD)
+        self.lat_coords = np.einsum("la,tad->tld", self.lat_bary, mesh.cell_vertices())
+        self.invV_D = np.linalg.inv(cell_basis_values(mesh, D, self.lat_coords))
+        self.phiK_lat, self.phiF_lat = _bubbles(self.lat_bary)  # (nD,), (3, nD)
 
-        lat1 = lattice_multis(space.p + 1) / (space.p + 1)
-        phys1 = np.einsum("la,tad->tld", lat1, mesh.cell_vertices())
-        V1 = cell_basis_values(mesh, space.p + 1, phys1)
-        self.invV_1 = np.linalg.inv(V1)
-
-    def _build_reconstruction_matrix(self):
-        """HHO dof vector -> broken degree-(p+1) coefficients of R."""
-        space = self.space
-        T, n1, nloc = space.mesh.num_cells, space.n1, space.nloc
-        rows = np.broadcast_to(
-            (np.arange(T)[:, None] * n1 + np.arange(n1))[:, :, None],
-            (T, n1, nloc),
-        )
-        cols = np.broadcast_to(space.local_dof_ids[:, None, :], (T, n1, nloc))
-        mask = cols >= 0
-        self.recon_matrix = sparse.coo_matrix(
-            (space.G[mask], (rows[mask], cols[mask])),
-            shape=(T * n1, space.num_dofs),
-        ).tocsr()
-
-    def _build_averaging_matrices(self):
+    def _averaging_matrices(self):
         """Nodal averaging on interior degree-(p+1) nodes, then re-expansion."""
-        space, mesh = self.space, self.space.mesh
+        space, mesh, layer = self.space, self.space.mesh, self.layer1
         T, n1 = mesh.num_cells, space.n1
-        layer = LagrangeLayer(mesh, space.p + 1)
-        self.layer1 = layer
-        gids = layer.cell_nodes  # (T, n1)
-        cell_ids = np.broadcast_to(np.arange(T)[:, None], gids.shape)
+        gids = layer.cell_nodes  # (T, n1), lattice order of lattice_multis
+        node_ids = layer.interior_index[gids]  # -1 on the boundary
+        coeff_ids = np.arange(T * n1).reshape(T, n1)
 
-        interior = ~layer.boundary[gids]
+        # basis values at the cell's own lattice nodes (Vandermonde); its
+        # inverse maps nodal values to coefficients
+        V1 = cell_basis_values(mesh, space.p + 1, layer.cell_coords)  # (T, n1, n1)
+
         if self.averaging_variant == "mean":
             weight = 1.0 / layer.counts[gids]
-            take = interior
+            rows = node_ids
         else:
             weight = np.ones_like(gids, dtype=float)
-            take = interior & (cell_ids == layer.min_cell[gids])
-
-        # rows: interior node rank, cols: broken p+1 coefficients of the cell
-        phys = layer.coords[gids]  # (T, n1, 2)
-        basis_at_nodes = cell_basis_values(mesh, space.p + 1, phys)  # (T,n1,n1)
-        t_idx, l_idx = np.nonzero(take)
-        rows = np.repeat(layer.interior_index[gids[t_idx, l_idx]], n1)
-        cols = (t_idx[:, None] * n1 + np.arange(n1)).ravel()
-        data = (basis_at_nodes[t_idx, l_idx] * weight[t_idx, l_idx, None]).ravel()
-        self._avg = sparse.coo_matrix(
-            (data, (rows, cols)), shape=(layer.num_interior, T * n1)
-        ).tocsr()
-
+            cell_ids = np.arange(T)[:, None]
+            rows = np.where(cell_ids == layer.min_cell[gids], node_ids, -1)
+        avg = scatter_blocks(
+            V1 * weight[:, :, None], rows, coeff_ids, (layer.num_interior, T * n1)
+        )
         # nodal values (zero on the boundary) back to broken p+1 coefficients
-        t_idx, l_idx = np.nonzero(interior)
-        rows = (t_idx[:, None] * n1 + np.arange(n1)).ravel()
-        cols = np.repeat(layer.interior_index[gids[t_idx, l_idx]], n1)
-        data = self.invV_1[t_idx, :, l_idx].ravel()
-        self._expand = sparse.coo_matrix(
-            (data, (rows, cols)), shape=(T * n1, layer.num_interior)
-        ).tocsr()
+        expand = scatter_blocks(
+            np.linalg.inv(V1), coeff_ids, node_ids, (T * n1, layer.num_interior)
+        )
+        return avg, expand
 
-    def _build_face_trace_matrix(self):
+    def _face_trace_matrix(self):
         """Broken p+1 coefficients -> degree-(p+1) face coefficients of the trace."""
         space, mesh = self.space, self.space.mesh
         p = space.p
@@ -300,21 +270,14 @@ class Smoother:
         pts = mesh.face_midpoints[faces][:, None, :] + s[None, :, None] * span[:, None, :]
         vf_inv = np.linalg.inv(s[:, None] ** np.arange(nf1))
         cell_vals = cell_basis_values(mesh, p + 1, pts, cells=k1)  # (Ei,nf1,n1)
-        blocks = np.einsum("mn,fnj->fmj", vf_inv, cell_vals)
-        rows = np.broadcast_to(
-            (np.arange(Ei)[:, None] * nf1 + np.arange(nf1))[:, :, None],
-            blocks.shape,
+        return scatter_blocks(
+            np.einsum("mn,fnj->fmj", vf_inv, cell_vals),
+            np.arange(Ei * nf1).reshape(Ei, nf1),
+            k1[:, None] * space.n1 + np.arange(space.n1),
+            (Ei * nf1, mesh.num_cells * space.n1),
         )
-        cols = np.broadcast_to(
-            (k1[:, None] * space.n1 + np.arange(space.n1))[:, None, :],
-            blocks.shape,
-        )
-        self.trace_matrix = sparse.coo_matrix(
-            (blocks.ravel(), (rows.ravel(), cols.ravel())),
-            shape=(Ei * nf1, mesh.num_cells * space.n1),
-        ).tocsr()
 
-    def _build_face_bubble_matrix(self):
+    def _face_bubble_matrix(self):
         """Degree-(p+1) face data -> broken degree-D coefficients of B_Sigma."""
         space, mesh = self.space, self.space.mesh
         p, nD = space.p, self.nD
@@ -323,30 +286,28 @@ class Smoother:
         Ei = len(faces)
 
         # B_F solve in the scaled arclength coordinate; h_F cancels between
-        # the bubble-weighted mass and the moment matrix
-        what_inv = np.linalg.inv(_face_bubble_weighted_mass(p))
-        beta_mat = what_inv @ reference_face_mass(p + 1)[: p + 1, :]  # (p+1, nf1)
+        # the bubble-weighted mass int s^(k+l) (1 - 4 s^2) ds and the moment
+        # matrix, both read off the exact monomial integrals
+        mass = reference_face_mass(p + 1)
+        what_inv = np.linalg.inv(mass[:-1, :-1] - 4.0 * mass[1:, 1:])
+        beta_mat = what_inv @ mass[:-1, :]  # (p+1, nf1)
 
         if p >= 1:
             layer_p = LagrangeLayer(mesh, p)
-            self.layer_p = layer_p
             lp_lat = lagrange_basis_values(p, self.lat_bary)  # (nD, nlat_p)
             s_nodes = np.arange(p + 1) / p - 0.5
             eval_nodes = s_nodes[:, None] ** np.arange(p + 1)  # (p+1, p+1)
             nodal_mat = eval_nodes @ beta_mat  # (p+1, nf1)
             gids_f = layer_p.face_nodes(faces)  # (Ei, p+1)
 
-        data, rows, cols = [], [], []
-        col_base = (np.arange(Ei)[:, None, None] * nf1 + np.arange(nf1)).repeat(
-            nD, axis=1
-        )
+        blocks, rows = [], []
         for side in (0, 1):
             K = mesh.face_cells[faces, side]
             il = np.argmax(mesh.cell_faces[K] == faces[:, None], axis=1)
             phiF = self.phiF_lat[il]  # (Ei, nD)
             if p == 0:
                 coeff = np.einsum("fab,fb->fa", self.invV_D[K], phiF)
-                blocks = coeff[:, :, None] * beta_mat[0][None, None, :]
+                blocks.append(coeff[:, :, None] * beta_mat[0][None, None, :])
             else:
                 cn = layer_p.cell_nodes[K]  # (Ei, nlat_p)
                 match = cn[:, :, None] == gids_f[:, None, :]
@@ -354,26 +315,20 @@ class Smoother:
                 zvals = (
                     lp_lat[:, lpos].transpose(1, 0, 2) * phiF[:, :, None]
                 )  # (Ei, nD, p+1)
-                blocks = np.einsum(
-                    "fab,fbz,zl->fal", self.invV_D[K], zvals, nodal_mat
-                )
-            row_base = K[:, None, None] * nD + np.arange(nD)[None, :, None]
-            rows.append(np.broadcast_to(row_base, blocks.shape).ravel())
-            cols.append(np.broadcast_to(col_base, blocks.shape).ravel())
-            data.append(blocks.ravel())
-        self.face_bubble_matrix = sparse.coo_matrix(
-            (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(mesh.num_cells * nD, Ei * nf1),
-        ).tocsr()
+                blocks.append(self.invV_D[K] @ zvals @ nodal_mat)
+            rows.append(K[:, None] * nD + np.arange(nD))
+        cols = np.arange(Ei * nf1).reshape(Ei, nf1)
+        return scatter_blocks(
+            np.concatenate(blocks), np.concatenate(rows), np.concatenate([cols, cols]),
+            (mesh.num_cells * nD, Ei * nf1),
+        )
 
-    def _build_cell_bubble_matrix(self):
+    def _cell_bubble_matrix(self):
         """Broken degree-D data -> broken degree-D coefficients of B_M (p >= 1)."""
         space, mesh = self.space, self.space.mesh
         p, nD, D = space.p, self.nD, self.degree
-        npm1 = space_dimension(p - 1)
         w = space.cell_qw
-        bary = space.rule_cell.points
-        phiK_q = BubbleSet.cell_bubble(bary)  # (Q,)
+        phiK_q, _ = _bubbles(space.rule_cell.points)  # (Q,)
         phi_pm1 = cell_basis_values(mesh, p - 1, space.cell_qp)
         phiD = cell_basis_values(mesh, D, space.cell_qp)
         W = symmetrize(
@@ -382,58 +337,55 @@ class Smoother:
         mom = np.einsum("tq,tqm,tqn->tmn", w, phi_pm1, phiD)
         sol = np.linalg.solve(W, mom)  # (T, npm1, nD)
 
-        phys = np.einsum("la,tad->tld", self.lat_bary, mesh.cell_vertices())
-        phi_pm1_lat = cell_basis_values(mesh, p - 1, phys)  # (T, nD, npm1)
+        phi_pm1_lat = cell_basis_values(mesh, p - 1, self.lat_coords)  # (T, nD, npm1)
         lat_vals = phi_pm1_lat * self.phiK_lat[None, :, None]
-        blocks = np.einsum("tab,tbm,tmn->tan", self.invV_D, lat_vals, sol)
+        blocks = self.invV_D @ lat_vals @ sol
+        ids = np.arange(mesh.num_cells * nD).reshape(-1, nD)
+        return scatter_blocks(blocks, ids, ids, (ids.size, ids.size))
 
-        T = mesh.num_cells
-        rows = np.broadcast_to(
-            (np.arange(T)[:, None] * nD + np.arange(nD))[:, :, None], blocks.shape
-        )
-        cols = np.broadcast_to(
-            (np.arange(T)[:, None] * nD + np.arange(nD))[:, None, :], blocks.shape
-        )
-        self.cell_bubble_matrix = sparse.coo_matrix(
-            (blocks.ravel(), (rows.ravel(), cols.ravel())),
-            shape=(T * nD, T * nD),
-        ).tocsr()
+    def _factors(self):
+        """The factor list [F1, ..., F5] of S_H (see the class docstring)."""
+        space = self.space
+        T, Ei, p = space.mesh.num_cells, space.mesh.num_interior_faces, space.p
+        nc, nD = space.nc, self.nD
 
-    def _compose(self):
-        space, mesh = self.space, self.space.mesh
-        T, p = mesh.num_cells, space.p
-        n1, nc, nf = space.n1, space.nc, space.nf
-        Ei = mesh.num_interior_faces
-        nf1 = p + 2
+        def pad(count, small, big):
+            # zero-pad each of `count` coefficient blocks from `small` to `big`
+            return sparse.kron(sparse.identity(count), sparse.eye(big, small)).tocsr()
 
-        def pad(n_small, n_big):
-            return sparse.eye(n_big, n_small, format="csr")
-
-        self._pad_cell = sparse.kron(sparse.eye(T), pad(nc, n1), format="csr")
-        self._pad_1D = sparse.kron(sparse.eye(T), pad(n1, self.nD), format="csr")
-        self._pad_face = sparse.kron(sparse.eye(Ei), pad(nf, nf1), format="csr")
-        self._cell_sel = sparse.eye(T * nc, space.num_dofs, format="csr")
-        self._face_sel = sparse.eye(
-            Ei * nf, space.num_dofs, k=space.num_cell_dofs, format="csr"
-        )
-        self._matrix = None
+        pad_1D = pad(T, space.n1, nD)
+        identity = sparse.identity(space.num_dofs, format="csr")
+        avg, expand = self._averaging_matrices()
+        # block columns: a, x_M, x_Sigma; the explicit zero block sizes the x_M
+        # column at p = 0, where the v_M row is absent
+        residuals = [
+            [pad_1D, None, None],
+            [-self._face_trace_matrix(), sparse.csr_matrix((Ei * (p + 2), T * nc)),
+             pad(Ei, space.nf, p + 2)],
+        ]
+        bubbles = [sparse.identity(T * nD, format="csr"), self.face_bubble_matrix]
+        if p >= 1:
+            cell_bubble = self._cell_bubble_matrix()
+            residuals.append([-pad_1D, pad(T, nc, nD), None])
+            bubbles[1] = bubbles[1] - cell_bubble @ bubbles[1]
+            bubbles.append(cell_bubble)
+        return [
+            sparse.vstack(
+                [reconstruction_matrix(space, space.p + 1), identity], format="csr"
+            ),
+            sparse.block_diag([avg, identity], format="csr"),
+            sparse.block_diag([expand, identity], format="csr"),
+            sparse.bmat(residuals, format="csr"),
+            sparse.hstack(bubbles, format="csr"),
+        ]
 
     # -- application -------------------------------------------------------
 
-    def _averaging_vec(self, vec):
-        """Broken p+1 coefficients of the averaged reconstruction."""
-        return self._expand @ (self._avg @ (self.recon_matrix @ vec))
-
     def apply_vector(self, vec):
         """Broken degree-D coefficients of S_H applied to a dof vector."""
-        a = self._averaging_vec(vec)
-        vsig = self._pad_face @ (self._face_sel @ vec) - self.trace_matrix @ a
-        bsig = self.face_bubble_matrix @ vsig
-        out = self._pad_1D @ a + bsig
-        if self.space.p >= 1:
-            vm = self._pad_cell @ (self._cell_sel @ vec) - a
-            out = out + self.cell_bubble_matrix @ (self._pad_1D @ vm - bsig)
-        return out
+        for factor in self.factors:
+            vec = factor @ vec
+        return vec
 
     def apply_transpose(self, fvec):
         """S_H^T applied to a broken functional vector (load pullback).
@@ -441,32 +393,18 @@ class Smoother:
         Same one-ring locality as the forward map, evaluated without forming
         the full smoother matrix.
         """
-        u = self._pad_1D.T @ fvec            # weight hitting the averaging term
-        g = self.face_bubble_matrix.T @ fvec  # weight hitting the face data
-        out = np.zeros(self.space.num_dofs)
-        if self.space.p >= 1:
-            m = self.cell_bubble_matrix.T @ fvec
-            u2 = self._pad_1D.T @ m
-            g = g - self.face_bubble_matrix.T @ m
-            u = u - u2
-            out += self._cell_sel.T @ (self._pad_cell.T @ u2)
-        out += self._face_sel.T @ (self._pad_face.T @ g)
-        w = u - self.trace_matrix.T @ g
-        out += self.recon_matrix.T @ (self._avg.T @ (self._expand.T @ w))
-        return out
+        for factor in reversed(self.factors):
+            fvec = factor.T @ fvec
+        return fvec
 
     @property
     def matrix(self):
         """Full sparse smoother matrix (composed on first use and cached)."""
         if self._matrix is None:
-            a = self._expand @ self._avg @ self.recon_matrix
-            vsig = self._pad_face @ self._face_sel - self.trace_matrix @ a
-            bsig = self.face_bubble_matrix @ vsig
-            m = self._pad_1D @ a + bsig
-            if self.space.p >= 1:
-                vm = self._pad_cell @ self._cell_sel - a
-                m = m + self.cell_bubble_matrix @ (self._pad_1D @ vm - bsig)
-            self._matrix = m.tocsr()
+            product = self.factors[0]
+            for factor in self.factors[1:]:
+                product = factor @ product
+            self._matrix = product.tocsr()
         return self._matrix
 
     def apply(self, field):
@@ -477,26 +415,28 @@ class Smoother:
 
     def averaging(self, field):
         """Averaged reconstruction: continuous piecewise P^{p+1}, zero on walls."""
-        vec = self.space.vector_from_field(field)
-        coeffs = self._averaging_vec(vec).reshape(-1, self.space.n1)
-        return BrokenPoly(self.space.mesh, self.space.p + 1, coeffs)
+        return self.nodal_average(self.space.reconstruct(field))
 
     def nodal_average(self, bp):
-        """Averaging applied to an arbitrary degree-(p+1) broken polynomial."""
+        """Averaging applied to an arbitrary degree-(p+1) broken polynomial.
+
+        expand @ avg, read off the leading blocks of F3 and F2.
+        """
         if bp.degree != self.space.p + 1:
             raise ValueError("nodal_average expects a degree-(p+1) broken polynomial")
-        coeffs = (self._expand @ (self._avg @ bp.coeffs.ravel())).reshape(
-            -1, self.space.n1
-        )
+        n, ni = bp.coeffs.size, self.layer1.num_interior
+        nodal = self.factors[1][:ni, :n] @ bp.coeffs.ravel()
+        coeffs = (self.factors[2][:n, :ni] @ nodal).reshape(bp.coeffs.shape)
         return BrokenPoly(self.space.mesh, self.space.p + 1, coeffs)
 
     def bubble_cell(self, v):
-        """B_M v: element-bubble correction with cell moments of v up to p-1."""
-        if self.space.p == 0:
-            return BrokenPoly.zero(self.space.mesh, self.degree)
-        vD = self.space.project_cell(v, degree=self.degree)
-        coeffs = (self.cell_bubble_matrix @ vD.coeffs.ravel()).reshape(-1, self.nD)
-        return BrokenPoly(self.space.mesh, self.degree, coeffs)
+        """B_M v (F5's last block column): keeps the cell moments of v up to p-1."""
+        space, size = self.space, self.space.mesh.num_cells * self.nD
+        if space.p == 0:
+            return BrokenPoly.zero(space.mesh, self.degree)
+        vD = space.project_cell(v, degree=self.degree).coeffs.ravel()
+        coeffs = self.factors[-1][:, -size:] @ vD
+        return BrokenPoly(space.mesh, self.degree, coeffs.reshape(-1, self.nD))
 
     def bubble_face(self, v):
         """B_Sigma v: face-bubble lift preserving interior-face moments up to p."""
@@ -505,97 +445,67 @@ class Smoother:
         return BrokenPoly(self.space.mesh, self.degree, coeffs)
 
     def bubble_smoother(self, v_cell, v_face):
-        """B(v_M, v_Sigma) = B_Sigma v_Sigma + B_M(v_M - B_Sigma v_Sigma)."""
-        bsig = self.bubble_face(v_face)
-        if self.space.p == 0:
-            return bsig
-        vD = self.space.project_cell(v_cell, degree=self.degree)
-        diff = vD.coeffs.ravel() - bsig.coeffs.ravel()
-        corr = (self.cell_bubble_matrix @ diff).reshape(-1, self.nD)
-        return BrokenPoly(self.space.mesh, self.degree, bsig.coeffs + corr)
+        """B(v_M, v_Sigma) = B_Sigma v_Sigma + B_M(v_M - B_Sigma v_Sigma).
+
+        The last factor applied to (0, v_Sigma, v_M); v_M is unused at p = 0,
+        where no cell moments are restored.
+        """
+        space, mesh = self.space, self.space.mesh
+        parts = [np.zeros(mesh.num_cells * self.nD),
+                 space.project_face(v_face, degree=space.p + 1).ravel()]
+        if space.p >= 1:
+            parts.append(space.project_cell(v_cell, degree=self.degree).coeffs.ravel())
+        coeffs = self.factors[-1] @ np.concatenate(parts)
+        return BrokenPoly(mesh, self.degree, coeffs.reshape(-1, self.nD))
 
 
-def conformity_residual(mesh, bp, samples=5):
-    """Max trace mismatch across interior faces plus max boundary trace.
-
-    The computable content of mapping into H1_0: jumps vanish and the trace
-    on the domain boundary is zero.
-    """
-    ts = (np.arange(samples) + 0.5) / samples
-    worst = 0.0
-    for boundary in (False, True):
-        faces = (
-            np.nonzero(mesh.boundary_face_mask)[0] if boundary else mesh.interior_faces
-        )
-        if not len(faces):
-            continue
-        ends = mesh.vertices[mesh.faces[faces]]
-        pts = ends[:, None, 0, :] + ts[None, :, None] * (
-            ends[:, 1, :] - ends[:, 0, :]
-        )[:, None, :]
-        v1 = bp.values_at(pts, cells=mesh.face_cells[faces, 0])
-        if boundary:
-            worst = max(worst, float(np.abs(v1).max()))
-        else:
-            v2 = bp.values_at(pts, cells=mesh.face_cells[faces, 1])
-            worst = max(worst, float(np.abs(v1 - v2).max()))
-    return worst
+def reconstruction_matrix(space, degree):
+    """HHO dof vector -> broken degree-`degree` coefficients of R (degree >= p+1)."""
+    T, n = space.mesh.num_cells, space_dimension(degree)
+    return scatter_blocks(
+        space.G, np.arange(T)[:, None] * n + np.arange(space.n1),
+        space.local_dof_ids, (T * n, space.num_dofs),
+    )
 
 
 def jump_matrix(mesh, degree, samples=5):
-    """Sparse map from broken coefficients to face jumps and boundary traces."""
+    """Sparse map from broken coefficients to face jumps and boundary traces.
+
+    Each interior face (first cell minus second), then each boundary face,
+    is sampled at `samples` equispaced points.
+    """
     n = space_dimension(degree)
     ts = (np.arange(samples) + 0.5) / samples
-    rows, cols, data = [], [], []
+    blocks, rows, cols = [], [], []
     row0 = 0
-    for boundary in (False, True):
-        faces = (
-            np.nonzero(mesh.boundary_face_mask)[0] if boundary else mesh.interior_faces
-        )
-        if not len(faces):
-            continue
+    for faces, sides in ((mesh.interior_faces, (0, 1)),
+                         (np.nonzero(mesh.boundary_face_mask)[0], (0,))):
         ends = mesh.vertices[mesh.faces[faces]]
         pts = ends[:, None, 0, :] + ts[None, :, None] * (
             ends[:, 1, :] - ends[:, 0, :]
         )[:, None, :]
-        sides = (0,) if boundary else (0, 1)
+        face_rows = row0 + np.arange(len(faces) * samples).reshape(-1, samples)
         for side in sides:
             K = mesh.face_cells[faces, side]
             vals = cell_basis_values(mesh, degree, pts, cells=K)  # (F, s, n)
-            sign = 1.0 if side == 0 else -1.0
-            r = (row0 + np.arange(len(faces))[:, None, None] * samples
-                 + np.arange(samples)[None, :, None])
-            c = (K[:, None, None] * n + np.arange(n)[None, None, :])
-            rows.append(np.broadcast_to(r, vals.shape).ravel())
-            cols.append(np.broadcast_to(c, vals.shape).ravel())
-            data.append(sign * vals.ravel())
+            blocks.append(vals if side == 0 else -vals)
+            rows.append(face_rows)
+            cols.append(K[:, None] * n + np.arange(n))
         row0 += len(faces) * samples
-    return sparse.coo_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(row0, mesh.num_cells * n),
-    ).tocsr()
+    return scatter_blocks(
+        np.concatenate(blocks), np.concatenate(rows), np.concatenate(cols),
+        (row0, mesh.num_cells * n),
+    )
 
 
 def broken_stiffness_matrix(space, degree):
     """Block-diagonal stiffness of the broken degree-`degree` basis."""
-    mesh = space.mesh
-    from .polyquad import cell_basis_gradients
-
-    n = space_dimension(degree)
-    grads = cell_basis_gradients(mesh, degree, space.cell_qp)
+    grads = cell_basis_gradients(space.mesh, degree, space.cell_qp)
     blocks = symmetrize(
         np.einsum("tq,tqid,tqjd->tij", space.cell_qw, grads, grads)
     )
-    T = mesh.num_cells
-    rows = np.broadcast_to(
-        (np.arange(T)[:, None] * n + np.arange(n))[:, :, None], blocks.shape
-    )
-    cols = np.broadcast_to(
-        (np.arange(T)[:, None] * n + np.arange(n))[:, None, :], blocks.shape
-    )
-    return sparse.coo_matrix(
-        (blocks.ravel(), (rows.ravel(), cols.ravel())), shape=(T * n, T * n)
-    ).tocsr()
+    ids = np.arange(blocks.shape[0] * blocks.shape[1]).reshape(blocks.shape[:2])
+    return scatter_blocks(blocks, ids, ids, (ids.size, ids.size))
 
 
 def moment_residuals(smoother, field):
@@ -619,8 +529,6 @@ def moment_residuals(smoother, field):
 
     # face moments, evaluated from the first adjacent cell
     faces = mesh.interior_faces
-    from .polyquad import face_basis_values, face_quadrature
-
     pts, w = face_quadrature(mesh, space.rule_face, faces)
     k1 = mesh.face_cells[faces, 0]
     psi = face_basis_values(mesh, p, faces, pts)
@@ -639,7 +547,7 @@ def orthogonality_residual(space, smoother):
     The computable content of the algebraic-consistency identity: the broken
     gradient of R is orthogonal to R - S_H for every pair of basis fields.
     """
-    RD = smoother._pad_1D @ smoother.recon_matrix
+    RD = reconstruction_matrix(space, smoother.degree)
     stiff = broken_stiffness_matrix(space, smoother.degree)
     C = RD.T @ (stiff @ (RD - smoother.matrix))
     return float(np.abs(C.data).max()) if C.nnz else 0.0
@@ -647,7 +555,7 @@ def orthogonality_residual(space, smoother):
 
 def consistency_constant(space, smoother, bform=None, seed=0, maxiter=400):
     """Smallest C with ||grad(R s - S_H s)|| <= C ||s||_b, by power iteration."""
-    RD = smoother._pad_1D @ smoother.recon_matrix
+    RD = reconstruction_matrix(space, smoother.degree)
     stiff = broken_stiffness_matrix(space, smoother.degree)
     D = RD - smoother.matrix
     A = (D.T @ (stiff @ D)).tocsc()

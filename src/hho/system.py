@@ -11,16 +11,21 @@ acts on interior-face unknowns only. Basis ordering is cells then interior
 faces, each by index, so golden vectors are reproducible.
 """
 
+from functools import cached_property
+
 import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import cg, splu
 
-from .local_ops import assemble_bilinear
+from .local_ops import assemble_bilinear, scatter_blocks
 from .polyquad import (
     cell_basis_gradients,
     cell_basis_values,
     cell_quadrature,
 )
+
+
+SOLVER_METHODS = ("direct", "cg")
 
 
 class MethodNotApplicableError(RuntimeError):
@@ -58,8 +63,7 @@ class CondensedSystem:
 
     def __init__(self, space):
         self.space = space
-        mesh, nc = space.mesh, space.nc
-        self.full_matrix = assemble_bilinear(space, space.A_loc)
+        nc = space.nc
 
         A_tt = space.A_loc[:, :nc, :nc]
         A_tf = space.A_loc[:, :nc, nc:]
@@ -70,15 +74,16 @@ class CondensedSystem:
         )
 
         ids = space.local_dof_ids[:, nc:] - space.num_cell_dofs
-        rows = np.repeat(ids[:, :, None], ids.shape[1], axis=2)
-        cols = np.repeat(ids[:, None, :], ids.shape[1], axis=1)
-        mask = (rows >= 0) & (cols >= 0)
-        self.face_matrix = sparse.coo_matrix(
-            (S_loc[mask], (rows[mask], cols[mask])),
-            shape=(space.num_face_dofs, space.num_face_dofs),
-        ).tocsr()
+        self.face_matrix = scatter_blocks(
+            S_loc, ids, ids, (space.num_face_dofs, space.num_face_dofs)
+        )
         self._face_ids = ids
         self._face_lu = None
+
+    @cached_property
+    def full_matrix(self):
+        """Uncondensed global matrix, assembled on first use."""
+        return assemble_bilinear(self.space, self.space.A_loc)
 
     def condense_rhs(self, rhs):
         """Eliminate the cell block of a full rhs vector."""

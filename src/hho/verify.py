@@ -9,7 +9,7 @@ given seed.
 import numpy as np
 from scipy import linalg as dla
 
-from .analysis import poly_consistency_case
+from .analysis import poly_consistency_case, smooth_sine_case
 from .local_ops import HHOSpace, assemble_bilinear
 from .mesh import (
     build_unit_square,
@@ -25,7 +25,7 @@ from .smoothing import (
     moment_residuals,
     orthogonality_residual,
 )
-from .system import LoadFunctional, assemble, rhs_smoothed, solve, solve_full
+from .system import assemble, rhs_smoothed, solve, solve_full
 
 TOLERANCES = {
     "mesh-matching": 0.0,
@@ -46,17 +46,6 @@ TOLERANCES = {
 }
 
 GREATER_IS_PASS = {"coercivity-min-eig"}
-
-
-def _sine(x):
-    return np.sin(np.pi * x[..., 0]) * np.sin(np.pi * x[..., 1])
-
-
-def _sine_grad(x):
-    return np.stack([
-        np.pi * np.cos(np.pi * x[..., 0]) * np.sin(np.pi * x[..., 1]),
-        np.pi * np.sin(np.pi * x[..., 0]) * np.cos(np.pi * x[..., 1]),
-    ], axis=-1)
 
 
 class _Report:
@@ -112,9 +101,10 @@ def _external_mesh_checks(report, mesh_path):
 def _space_checks(report, space, n, rng, random_fields, variants):
     p = space.p
     mesh = space.mesh
+    sine = smooth_sine_case()
 
-    recon = space.reconstruct(space.interpolate(_sine))
-    proj = space.elliptic_project(_sine, _sine_grad)
+    recon = space.reconstruct(space.interpolate(sine.u))
+    proj = space.elliptic_project(sine.u, sine.grad_u)
     scale = np.abs(proj.coeffs).max()
     report.add(
         "reconstruction-identity",
@@ -157,8 +147,7 @@ def _space_checks(report, space, n, rng, random_fields, variants):
     # condensation exactness on a smooth load
     system = assemble(space)
     smoother = Smoother(space)
-    load = LoadFunctional(f0=lambda x: 2 * np.pi ** 2 * _sine(x))
-    rhs = rhs_smoothed(space, smoother, load)
+    rhs = rhs_smoothed(space, smoother, sine.load)
     u_cond = space.vector_from_field(solve(system, rhs))
     u_full = space.vector_from_field(solve_full(system, rhs))
     report.add(

@@ -1,19 +1,11 @@
 import numpy as np
 
+from hho.analysis import smooth_sine_case
 
-def sine(x):
-    return np.sin(np.pi * x[..., 0]) * np.sin(np.pi * x[..., 1])
-
-
-def sine_grad(x):
-    return np.stack([
-        np.pi * np.cos(np.pi * x[..., 0]) * np.sin(np.pi * x[..., 1]),
-        np.pi * np.sin(np.pi * x[..., 0]) * np.cos(np.pi * x[..., 1]),
-    ], axis=-1)
-
-
-def sine_f0(x):
-    return 2.0 * np.pi ** 2 * sine(x)
+_SINE = smooth_sine_case()
+sine = _SINE.u
+sine_grad = _SINE.grad_u
+sine_f0 = _SINE.load.f0
 
 
 def hat_profile(x):

@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from hho.cli import main
 
@@ -77,7 +78,23 @@ def test_config_errors_exit_2(tmp_path):
                             degree=7, levels=[2, 4])
     assert main(["converge", "--config", too_high]) == 2
 
-    assert main(["verify", "--config", no_field, "--threads", "0"]) == 2
+
+@pytest.mark.parametrize("fields", [
+    {"case": "no-such-case"},
+    {"method": "galerkin"},
+    {"averaging": "median"},
+    {"solver": {"method": "gmres"}},
+    {"case": "kink-aligned", "levels": [3, 6]},
+], ids=["case", "method", "averaging", "solver", "odd-kink-level"])
+def test_converge_bad_choice_exits_2_before_work(tmp_path, capsys, fields):
+    config = {"case": "smooth-sine", "degree": 0, "levels": [2, 4]}
+    config.update(fields)
+    cfg = write_config(tmp_path / "c.json", **config)
+    out = tmp_path / "out"
+    assert main(["converge", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("hho: config error:") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_converge_writes_reports(tmp_path):
@@ -122,6 +139,16 @@ def test_solve_zero_load_writes_zero_dump(tmp_path):
     first = (out / "solution.csv").read_bytes()
     assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
     assert (out / "solution.csv").read_bytes() == first
+
+
+def test_solve_odd_kink_level_exits_2_before_work(tmp_path, capsys):
+    # x = 1/2 is a mesh line of the kink-aligned grids only at even levels
+    cfg = write_config(tmp_path / "s.json", case="kink-aligned", degree=0, level=3)
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("hho: config error: level 3:") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_solve_smooth_case_max_norm_sanity(tmp_path):

@@ -3,10 +3,9 @@ from math import factorial
 import numpy as np
 import pytest
 
+from hho.local_ops import HHOSpace
 from hho.mesh import SimplicialMesh, build_unit_square, refine_red
 from hho.polyquad import (
-    CellBasis,
-    FaceBasis,
     UnsupportedDegreeError,
     cell_basis_gradients,
     cell_basis_laplacians,
@@ -15,10 +14,8 @@ from hho.polyquad import (
     cell_quadrature,
     face_basis_values,
     face_quadrature,
-    mass_matrix,
     quad_for_degree,
     reference_face_mass,
-    stiffness_matrix,
 )
 
 
@@ -123,16 +120,20 @@ def test_basis_laplacians_match_finite_differences():
     assert np.abs(lap - fd).max() < 1e-5
 
 
+# cell Gram and stiffness matrices are checked on the tables HHOSpace builds
+# for every cell at once: mass1/stiff1 hold the degree-(p+1) basis
+
+
 def test_mass_matrix_constant_basis_is_area():
     m = build_unit_square(1)
-    M = mass_matrix(CellBasis(m, 0, 0))
-    assert M.shape == (1, 1)
-    assert M[0, 0] == pytest.approx(m.volumes[0], rel=1e-14)
+    M = HHOSpace(m, 0).mass_p
+    assert M.shape == (m.num_cells, 1, 1)
+    assert M[:, 0, 0] == pytest.approx(m.volumes, rel=1e-14)
 
 
 def test_mass_matrix_symmetry_exact():
     m = build_unit_square(2)
-    M = mass_matrix(CellBasis(m, 3, 2))
+    M = HHOSpace(m, 1).mass1[3]  # degree 2
     assert np.array_equal(M, M.T)
 
 
@@ -145,20 +146,22 @@ def test_mass_matrix_spd_on_random_triangles():
         if abs(e1[0] * e2[1] - e1[1] * e2[0]) < 0.1:
             continue
         m = SimplicialMesh(verts, np.array([[0, 1, 2]]))
-        M = mass_matrix(CellBasis(m, 0, 2))
+        M = HHOSpace(m, 1).mass1[0]  # degree 2
         assert np.linalg.eigvalsh(M).min() > 0.0
 
 
 def test_face_mass_matrix_matches_reference():
     m = build_unit_square(2)
-    f = int(m.interior_faces[0])
-    M = mass_matrix(FaceBasis(m, f, 2))
-    assert np.allclose(M, m.h_face[f] * reference_face_mass(2), rtol=1e-14)
+    f = m.interior_faces[:1]
+    pts, w = face_quadrature(m, quad_for_degree(1, 4), f)
+    psi = face_basis_values(m, 2, f, pts)[0]
+    M = np.einsum("q,qi,qj->ij", w[0], psi, psi)
+    assert np.allclose(M, m.h_face[f[0]] * reference_face_mass(2), rtol=1e-14)
 
 
 def test_stiffness_constant_row_zero_and_kernel_dimension():
     m = build_unit_square(1)
-    K = stiffness_matrix(CellBasis(m, 0, 2))
+    K = HHOSpace(m, 1).stiff1[0]  # degree 2
     assert np.allclose(K[0], 0.0) and np.allclose(K[:, 0], 0.0)
     eigs = np.linalg.eigvalsh(K)
     assert np.sum(np.abs(eigs) < 1e-12) == 1
@@ -169,7 +172,7 @@ def test_stiffness_p1_reference_triangle_hand_values():
     # h = sqrt(2), |K| = 1/2, so the two gradient entries give |K|/h^2 = 1/4
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     m = SimplicialMesh(verts, np.array([[0, 1, 2]]))
-    K = stiffness_matrix(CellBasis(m, 0, 1))
+    K = HHOSpace(m, 0).stiff1[0]  # degree 1
     expected = np.array([[0.0, 0.0, 0.0], [0.0, 0.25, 0.0], [0.0, 0.0, 0.25]])
     assert np.allclose(K, expected, atol=1e-15)
 
@@ -180,7 +183,7 @@ def test_gram_conditioning_stable_under_refinement():
     m = build_unit_square(1)
     conds = []
     for _ in range(3):
-        M = mass_matrix(CellBasis(m, 0, 3))
+        M = HHOSpace(m, 2).mass1[0]  # degree 3
         conds.append(np.linalg.cond(M / m.volumes[0]))
         m = refine_red(m)
     assert max(conds) / min(conds) < 1.01

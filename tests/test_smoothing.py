@@ -13,11 +13,12 @@ from hho.polyquad import (
     space_dimension,
 )
 from hho.smoothing import (
-    BubbleSet,
+    AVERAGING_VARIANTS,
     LagrangeLayer,
     Smoother,
-    conformity_residual,
+    _bubbles,
     consistency_constant,
+    jump_matrix,
     lagrange_basis_values,
     lagrange_interpolant,
     lattice_multis,
@@ -29,6 +30,19 @@ from hho.smoothing import (
 def single_triangle_mesh():
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.2, 0.9]])
     return SimplicialMesh(verts, np.array([[0, 1, 2]]))
+
+
+def conformity_residual(bp):
+    """Max face jump and boundary trace of a broken polynomial, sampled."""
+    return np.abs(jump_matrix(bp.mesh, bp.degree) @ bp.coeffs.ravel()).max()
+
+
+def bubble_poly(sm, cells, lattice_values):
+    """Degree-D polynomials on `cells` interpolating the Smoother's lattice
+    bubble values (one row of lattice values per cell)."""
+    coeffs = np.zeros((sm.space.mesh.num_cells, sm.nD))
+    coeffs[cells] = np.einsum("tab,tb->ta", sm.invV_D[cells], lattice_values)
+    return BrokenPoly(sm.space.mesh, sm.degree, coeffs)
 
 
 def test_lagrange_basis_delta_and_partition_of_unity():
@@ -74,30 +88,48 @@ def test_cell_bubble_normalization_and_bounds():
     mesh = single_triangle_mesh()
     rng = np.random.default_rng(1)
     bary = rng.dirichlet((1, 1, 1), size=200)
-    vals = BubbleSet.cell_bubble(bary)
-    assert np.all(vals >= 0.0) and np.all(vals <= 1.0 + 1e-12)
-    assert BubbleSet.cell_bubble(np.array([1 / 3, 1 / 3, 1 / 3])) == pytest.approx(1.0)
     edge = np.array([[0.0, 0.3, 0.7], [0.5, 0.0, 0.5], [0.4, 0.6, 0.0]])
-    assert np.abs(BubbleSet.cell_bubble(edge)).max() == 0.0
+    # the closed form the Smoother tabulates, exactly
+    vals = _bubbles(bary)[0]
+    assert np.all(vals >= 0.0) and np.all(vals <= 1.0 + 1e-12)
+    assert _bubbles(np.array([1 / 3, 1 / 3, 1 / 3]))[0] == pytest.approx(1.0)
+    assert np.abs(_bubbles(edge)[0]).max() == 0.0
+    # the degree-D polynomial the Smoother builds from its lattice table
+    sm = Smoother(HHOSpace(mesh, 1))
+    bubble = bubble_poly(sm, [0], sm.phiK_lat[None, :])
+    vals = bubble.values_at((bary @ mesh.vertices[mesh.cells[0]])[None])
+    assert np.all(vals >= -1e-12) and np.all(vals <= 1.0 + 1e-12)
+    center = bubble.values_at(mesh.barycenters[:, None, :])[0, 0]
+    assert center == pytest.approx(1.0, rel=1e-12)
+    edge_pts = (edge @ mesh.vertices[mesh.cells[0]])[None]
+    assert np.abs(bubble.values_at(edge_pts)).max() < 1e-12
 
 
 def test_face_bubble_normalization_and_continuity():
     mesh = build_unit_square(1)
-    bubbles = BubbleSet(mesh)
+    sm = Smoother(HHOSpace(mesh, 0))
     f = int(mesh.interior_faces[0])
-    k1, k2 = mesh.face_cells[f]
-    mid = mesh.face_midpoints[f]
-    for k in (k1, k2):
-        lam = mesh.barycentric_coordinates(np.array([k]), mid[None, None, :])[0, 0]
-        assert bubbles.face_bubble(k, f, lam) == pytest.approx(1.0, abs=1e-13)
-    # continuity at sampled points along the shared face
+    cells = mesh.face_cells[f]
+    local = [int(np.nonzero(mesh.cell_faces[k] == f)[0][0]) for k in cells]
+    bubble = bubble_poly(sm, cells, sm.phiF_lat[local])
+    mid = mesh.face_midpoints[f][None, None, :]
     ts = np.linspace(0.15, 0.85, 7)
     ends = mesh.vertices[mesh.faces[f]]
-    pts = ends[0] + ts[:, None] * (ends[1] - ends[0])
-    v = []
-    for k in (k1, k2):
-        lam = mesh.barycentric_coordinates(np.full(len(ts), k), pts)
-        v.append(bubbles.face_bubble(k, f, lam))
+    pts = (ends[0] + ts[:, None] * (ends[1] - ends[0]))[None]
+    # the closed form the Smoother tabulates, evaluated from each side
+    exact = []
+    for k, i in zip(cells, local):
+        lam = mesh.barycentric_coordinates(np.array([k]), mid)[0, 0]
+        assert _bubbles(lam)[1][i] == pytest.approx(1.0, abs=1e-13)
+        lam = mesh.barycentric_coordinates(np.full(len(ts), k), pts[0])
+        exact.append(_bubbles(lam)[1][i])
+    assert np.abs(exact[0] - exact[1]).max() < 1e-13
+    # the degree-D polynomials the Smoother builds from its lattice table
+    for k in cells:
+        val = bubble.values_at(mid, cells=np.array([k]))[0, 0]
+        assert val == pytest.approx(1.0, abs=1e-13)
+    # continuity at sampled points along the shared face
+    v = [bubble.values_at(pts, cells=np.array([k]))[0] for k in cells]
     assert np.abs(v[0] - v[1]).max() < 1e-13
 
 
@@ -154,7 +186,7 @@ def test_bubble_face_zero_and_conformity():
         zero = sm.bubble_face(lambda x: np.zeros(x.shape[:-1]))
         assert np.abs(zero.coeffs).max() == 0.0
         out = sm.bubble_face(lambda x: np.sin(3.0 * x[..., 0]) + x[..., 1])
-        assert conformity_residual(sp.mesh, out) < 1e-11
+        assert conformity_residual(out) < 1e-11
 
 
 def test_bubble_face_moment_identity():
@@ -201,7 +233,7 @@ def test_bubble_smoother_unit_pair_moments():
         "fq,fqm,fq->fm", fw, psi, out.values_at(fpts, cells=k1) - 1.0
     )
     assert np.abs(fresid).max() < 1e-11
-    assert conformity_residual(sp.mesh, out) < 1e-11
+    assert conformity_residual(out) < 1e-11
 
 
 def test_bubble_smoother_local_stability_ratio_bounded():
@@ -288,7 +320,7 @@ def test_smoother_conformity_random_fields():
         sm = Smoother(sp)
         for _ in range(3):
             out = sm.apply(sp.random_field(rng))
-            assert conformity_residual(sp.mesh, out) < 1e-10
+            assert conformity_residual(out) < 1e-10
 
 
 def test_smoother_orthogonality_consistency():
@@ -342,7 +374,7 @@ def test_scott_zhang_variant_contracts():
     d = np.abs(sz.averaging(field).coeffs - mean.averaging(field).coeffs).max()
     assert d > 1e-6
     # smoothed output remains conforming
-    assert conformity_residual(sp.mesh, sz.apply(field)) < 1e-10
+    assert conformity_residual(sz.apply(field)) < 1e-10
 
 
 def test_unknown_variant_rejected():
@@ -360,3 +392,19 @@ def test_consistency_constant_stable_across_refinements():
         mesh = refine_red(mesh)
     spread = (max(values) - min(values)) / min(values)
     assert spread < 0.25
+
+
+@pytest.mark.parametrize("variant", AVERAGING_VARIANTS)
+@pytest.mark.parametrize("p", [0, 1, 2, 3])
+def test_factor_list_forward_transpose_and_matrix_agree(p, variant):
+    # the forward map, its transpose and the assembled matrix all derive
+    # from the one factor list; they must describe the same operator
+    sp = HHOSpace(build_unit_square(3), p)
+    sm = Smoother(sp, averaging=variant)
+    rng = np.random.default_rng(p)
+    x = rng.standard_normal(sp.num_dofs)
+    y = rng.standard_normal(sp.mesh.num_cells * sm.nD)
+    sx = sm.apply_vector(x)
+    forward, backward = y @ sx, sm.apply_transpose(y) @ x
+    assert abs(forward - backward) <= 1e-12 * abs(forward)
+    assert np.abs(sm.matrix @ x - sx).max() <= 1e-12 * np.abs(sx).max()
