@@ -108,6 +108,22 @@ def _evaluate(v, points, cells=None):
     return np.asarray(v(points), dtype=float)
 
 
+def _t(a):
+    """Batched transpose of the last two axes."""
+    return a.swapaxes(-1, -2)
+
+
+def _tmul(a, b):
+    """Batched a^T b over the second-to-last axis: (T, Q, m), (T, Q, n) -> (T, m, n)."""
+    return _t(a) @ b
+
+
+def _grad_rows(grads):
+    """Basis gradients (T, Q, n, 2) as rows (T, n, 2Q) over (point, direction)."""
+    T, Q, n, _ = grads.shape
+    return grads.transpose(0, 2, 1, 3).reshape(T, n, 2 * Q)
+
+
 class HHOSpace:
     """Discrete HHO space of degree p on a mesh, with cached local operators.
 
@@ -157,11 +173,14 @@ class HHOSpace:
         phi1 = cell_basis_values(mesh, self.p + 1, self.cell_qp)
         gphi1 = cell_basis_gradients(mesh, self.p + 1, self.cell_qp)
         w = self.cell_qw
-        self.mass1 = symmetrize(np.einsum("tq,tqi,tqj->tij", w, phi1, phi1))
-        self.stiff1 = symmetrize(np.einsum("tq,tqid,tqjd->tij", w, gphi1, gphi1))
-        self.ints1 = np.einsum("tq,tqi->ti", w, phi1)
+        wphi1 = w[..., None] * phi1  # (T, Q, n1)
+        self.mass1 = symmetrize(_tmul(wphi1, phi1))
+        # the gradient axis joins the quadrature axis: (T, n1, 2Q)
+        g = _grad_rows(gphi1)
+        self.stiff1 = symmetrize(_grad_rows(w[..., None, None] * gphi1) @ _t(g))
+        self.ints1 = wphi1.sum(axis=1)
         self.mass_p = self.mass1[:, : self.nc, : self.nc]
-        self._phi1 = phi1
+        self._wphi_p = wphi1[..., : self.nc]
 
     def _build_face_tables(self):
         mesh, p = self.mesh, self.p
@@ -169,7 +188,6 @@ class HHOSpace:
         self.mhat_p = reference_face_mass(p)
         self.mhat_p_inv = np.linalg.inv(self.mhat_p)
         self.Ntr = []     # int_F psi_m phi_j, psi of degree p      (T, nf, n1)
-        self.Ntr1 = []    # same with psi of degree p+1             (T, p+2, n1)
         self.Bflux = []   # int_F psi_m grad(phi_j) . n_K           (T, nf, n1)
         self.Fcc = []     # int_F phi_i phi_j, cell basis degree p  (T, nc, nc)
         for i in range(3):
@@ -177,33 +195,25 @@ class HHOSpace:
             pts, w = face_quadrature(mesh, self.rule_face, faces_i)
             phi1 = cell_basis_values(mesh, p + 1, pts)
             gphi1 = cell_basis_gradients(mesh, p + 1, pts)
-            psi = face_basis_values(mesh, p, faces_i, pts)
-            psi1 = face_basis_values(mesh, p + 1, faces_i, pts)
-            n = mesh.normals[:, i]
-            self.Ntr.append(np.einsum("tq,tqm,tqj->tmj", w, psi, phi1))
-            self.Ntr1.append(np.einsum("tq,tqm,tqj->tmj", w, psi1, phi1))
-            self.Bflux.append(
-                np.einsum("tq,tqm,tqjd,td->tmj", w, psi, gphi1, n)
-            )
+            wpsi = w[..., None] * face_basis_values(mesh, p, faces_i, pts)
+            dphi_n = (gphi1 @ mesh.normals[:, i, None, :, None])[..., 0]
+            self.Ntr.append(_tmul(wpsi, phi1))
+            self.Bflux.append(_tmul(wpsi, dphi_n))
             phi_p = phi1[..., : self.nc]
-            self.Fcc.append(
-                symmetrize(np.einsum("tq,tqi,tqj->tij", w, phi_p, phi_p))
-            )
+            self.Fcc.append(symmetrize(_tmul(w[..., None] * phi_p, phi_p)))
 
     def _build_local_operators(self):
         T, nc, n1, nf, nloc = (
             self.mesh.num_cells, self.nc, self.n1, self.nf, self.nloc,
         )
-        w = self.cell_qw
         lphi1 = cell_basis_laplacians(self.mesh, self.p + 1, self.cell_qp)
-        phi_p = self._phi1[..., :nc]
 
         # right-hand side of the local Neumann problem, test function phi_j
         B = np.zeros((T, n1, nloc))
-        B[:, :, :nc] = -np.einsum("tq,tqm,tqj->tjm", w, phi_p, lphi1)
+        B[:, :, :nc] = -_tmul(lphi1, self._wphi_p)
         for i in range(3):
             cols = slice(nc + i * nf, nc + (i + 1) * nf)
-            B[:, :, cols] = self.Bflux[i].transpose(0, 2, 1)
+            B[:, :, cols] = _t(self.Bflux[i])
 
         # solve on the mean-zero complement, then fix the constant by the
         # cell-average condition
@@ -213,15 +223,14 @@ class HHOSpace:
         int_row = np.zeros((T, nloc))
         int_row[:, :nc] = self.ints1[:, :nc]
         G[:, 0, :] = (
-            int_row - np.einsum("ti,tij->tj", self.ints1[:, 1:], Gred)
+            int_row - (self.ints1[:, None, 1:] @ Gred)[:, 0]
         ) / self.mesh.volumes[:, None]
         self.G = G
 
         # stabilization operator S = s_M + (Id - Pi_M) R
         Pi = np.linalg.solve(self.mass_p, self.mass1[:, :nc, :])  # (T, nc, n1)
-        self.Pi = Pi
         S = G.copy()
-        S[:, :nc, :] = G[:, :nc, :] - np.einsum("tmi,tij->tmj", Pi, G)
+        S[:, :nc, :] -= Pi @ G
         idx = np.arange(nc)
         S[:, idx, idx] += 1.0
         self.S = S
@@ -229,20 +238,24 @@ class HHOSpace:
         # face-residual traces T_i = FaceSel_i - Pi_Sigma(S .)|_F
         Tmats = np.empty((T, 3, nf, nloc))
         for i in range(3):
-            Qi = np.einsum("mn,tnj->tmj", self.mhat_p_inv, self.Ntr[i])
+            Qi = self.mhat_p_inv @ self.Ntr[i]
             Qi /= self.hf_loc[:, i, None, None]
-            Ti = -np.einsum("tmj,tjl->tml", Qi, S)
+            Ti = -(Qi @ S)
             cols = slice(nc + i * nf, nc + (i + 1) * nf)
             Ti[:, :, cols] += np.eye(nf)
             Tmats[:, i] = Ti
         self.Tmats = Tmats
 
         # local bilinear blocks: grad(R .) . grad(R .) plus stabilization;
-        # the h_F^{-1} weight cancels the h_F inside the face mass matrix
-        stab_loc = np.einsum("tfml,mn,tfnk->tlk", Tmats, self.mhat_p, Tmats)
-        recon_loc = np.einsum("til,tij,tjk->tlk", G, self.stiff1, G)
+        # the h_F^{-1} weight cancels the h_F inside the face mass matrix.
+        # Sum over the three faces: one (T, 3 nf, nloc) product.
+        stab_loc = _tmul(
+            Tmats.reshape(T, 3 * nf, nloc),
+            (self.mhat_p @ Tmats).reshape(T, 3 * nf, nloc),
+        )
+        recon_loc = _t(G) @ (self.stiff1 @ G)
         self.A_loc = symmetrize(recon_loc + stab_loc)
-        del self._phi1
+        del self._wphi_p
 
     def _build_dof_maps(self):
         mesh = self.mesh

@@ -99,7 +99,7 @@ def cell_quadrature(mesh, rule, cells=None):
     else:
         verts = mesh.vertices[mesh.cells[cells]]
         vols = mesh.volumes[cells]
-    points = np.einsum("qa,tad->tqd", rule.points, verts)
+    points = rule.points @ verts
     weights = 2.0 * vols[:, None] * rule.weights[None, :]
     return points, weights
 
@@ -107,7 +107,7 @@ def cell_quadrature(mesh, rule, cells=None):
 def face_quadrature(mesh, rule, faces):
     """Physical quadrature points (F, Q, 2) and weights (F, Q) on faces."""
     verts = mesh.vertices[mesh.faces[faces]]
-    points = np.einsum("qa,fad->fqd", rule.points, verts)
+    points = rule.points @ verts
     weights = mesh.h_face[faces][:, None] * rule.weights[None, :]
     return points, weights
 

@@ -508,36 +508,40 @@ def broken_stiffness_matrix(space, degree):
     return scatter_blocks(blocks, ids, ids, (ids.size, ids.size))
 
 
-def moment_residuals(smoother, field):
-    """Max violation of the preserved cell and face moments for one field."""
+def moment_residuals(smoother, fields):
+    """Max violation of the preserved cell and face moments, per field.
+
+    All fields go through the smoother as one (num_dofs, k) block and share
+    one tabulation; returns the cell and face residuals as arrays of shape (k,).
+    """
     space, mesh = smoother.space, smoother.space.mesh
     p = space.p
-    y = smoother.apply_vector(space.vector_from_field(field)).reshape(-1, smoother.nD)
+    X = np.empty((space.num_dofs, len(fields)))
+    for j, field in enumerate(fields):
+        X[:, j] = space.vector_from_field(field)
+    Y = smoother.apply_vector(X).reshape(mesh.num_cells, smoother.nD, -1)
 
-    cell_res = 0.0
+    cell_res = np.zeros(len(fields))
     if p >= 1:
         npm1 = space_dimension(p - 1)
         phi_pm1 = cell_basis_values(mesh, p - 1, space.cell_qp)
         phiD = cell_basis_values(mesh, smoother.degree, space.cell_qp)
-        mom_smooth = np.einsum(
-            "tq,tqm,tqn,tn->tm", space.cell_qw, phi_pm1, phiD, y
-        )
-        mom_target = np.einsum(
-            "tmn,tn->tm", space.mass1[:, :npm1, : space.nc], field.cell_coeffs
-        )
-        cell_res = float(np.abs(mom_smooth - mom_target).max())
+        wphi = space.cell_qw[..., None] * phi_pm1
+        mom_smooth = (wphi.transpose(0, 2, 1) @ phiD) @ Y
+        cells = X[: space.num_cell_dofs].reshape(mesh.num_cells, space.nc, -1)
+        mom_target = space.mass1[:, :npm1, : space.nc] @ cells
+        cell_res = np.abs(mom_smooth - mom_target).max(axis=(0, 1), initial=0.0)
 
     # face moments, evaluated from the first adjacent cell
     faces = mesh.interior_faces
     pts, w = face_quadrature(mesh, space.rule_face, faces)
     k1 = mesh.face_cells[faces, 0]
-    psi = face_basis_values(mesh, p, faces, pts)
-    smooth_vals = BrokenPoly(mesh, smoother.degree, y).values_at(pts, cells=k1)
-    mom_smooth = np.einsum("fq,fqm,fq->fm", w, psi, smooth_vals)
-    mom_target = (
-        mesh.h_face[faces][:, None] * (field.face_coeffs @ space.mhat_p.T)
-    )
-    face_res = float(np.abs(mom_smooth - mom_target).max())
+    wpsi = w[..., None] * face_basis_values(mesh, p, faces, pts)
+    phiD = cell_basis_values(mesh, smoother.degree, pts, cells=k1)
+    mom_smooth = (wpsi.transpose(0, 2, 1) @ phiD) @ Y[k1]
+    face_coeffs = X[space.num_cell_dofs:].reshape(len(faces), space.nf, -1)
+    mom_target = mesh.h_face[faces][:, None, None] * (space.mhat_p @ face_coeffs)
+    face_res = np.abs(mom_smooth - mom_target).max(axis=(0, 1), initial=0.0)
     return cell_res, face_res
 
 

@@ -65,13 +65,11 @@ class CondensedSystem:
         self.space = space
         nc = space.nc
 
-        A_tt = space.A_loc[:, :nc, :nc]
-        A_tf = space.A_loc[:, :nc, nc:]
-        self.inv_tt = np.linalg.inv(A_tt)
-        self.A_tf = A_tf
-        S_loc = space.A_loc[:, nc:, nc:] - np.einsum(
-            "tij,tjk,tkl->til", A_tf.transpose(0, 2, 1), self.inv_tt, A_tf
-        )
+        # cell elimination A_tt^{-1} A_tf by factor-and-solve, no inverse
+        self.A_tt = space.A_loc[:, :nc, :nc]
+        self.A_tf = space.A_loc[:, :nc, nc:]
+        self.elim = np.linalg.solve(self.A_tt, self.A_tf)
+        S_loc = space.A_loc[:, nc:, nc:] - space.A_loc[:, nc:, :nc] @ self.elim
 
         ids = space.local_dof_ids[:, nc:] - space.num_cell_dofs
         self.face_matrix = scatter_blocks(
@@ -90,9 +88,7 @@ class CondensedSystem:
         space = self.space
         b_t = rhs[: space.num_cell_dofs].reshape(space.mesh.num_cells, space.nc)
         b_f = rhs[space.num_cell_dofs:].copy()
-        corr = np.einsum(
-            "tij,tjk,tk->ti", self.A_tf.transpose(0, 2, 1), self.inv_tt, b_t
-        )
+        corr = (b_t[:, None, :] @ self.elim)[:, 0]  # elim^T b_t
         ids = self._face_ids
         np.add.at(b_f, ids[ids >= 0], -corr[ids >= 0])
         return b_f
@@ -102,8 +98,8 @@ class CondensedSystem:
         b_t = rhs[: space.num_cell_dofs].reshape(space.mesh.num_cells, space.nc)
         ids = self._face_ids
         u_loc = np.where(ids >= 0, face_vec[np.maximum(ids, 0)], 0.0)
-        rhs_t = b_t - np.einsum("tij,tj->ti", self.A_tf, u_loc)
-        return np.einsum("tij,tj->ti", self.inv_tt, rhs_t)
+        rhs_t = b_t - (self.A_tf @ u_loc[..., None])[..., 0]
+        return np.linalg.solve(self.A_tt, rhs_t[..., None])[..., 0]
 
 
 def assemble(space):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import hat_profile, sine, sine_grad
+from conftest import hat_profile, jittered_square, sine, sine_grad
 from hho.local_ops import BrokenPoly, HHOField, HHOSpace, assemble_bilinear
 from hho.mesh import build_unit_square, refine_red
 from hho.polyquad import (
@@ -13,6 +13,7 @@ from hho.polyquad import (
     face_basis_values,
     face_quadrature,
     quad_for_degree,
+    reference_face_mass,
     space_dimension,
 )
 from hho.smoothing import lagrange_interpolant
@@ -325,3 +326,83 @@ def test_broken_poly_pad_and_shapes(space):
     assert padded.coeffs.shape[1] == space_dimension(space.p + 1)
     pts, _ = cell_quadrature(space.mesh, space.rule_cell)
     assert np.allclose(padded.values_at(pts), bp.values_at(pts))
+
+
+def _einsum_kernels(space):
+    """Reference tables and operators: the plain einsum formulas, term by term.
+
+    The local solves and the G^T K G product take the space's own `stiff1`
+    and `mass1`, which are checked against their formulas on their own: the
+    local condition numbers (about 1e6 and 4e9 at p = 3) would otherwise turn
+    last-bit differences in those tables into 1e-12 differences in G.
+    """
+    mesh, p, nc, nf = space.mesh, space.p, space.nc, space.nf
+    T, n1, nloc = mesh.num_cells, space.n1, space.nloc
+    pts, w = cell_quadrature(mesh, space.rule_cell)
+    phi1 = cell_basis_values(mesh, p + 1, pts)
+    gphi1 = cell_basis_gradients(mesh, p + 1, pts)
+    lphi1 = cell_basis_laplacians(mesh, p + 1, pts)
+    ref = {
+        "mass1": np.einsum("tq,tqi,tqj->tij", w, phi1, phi1),
+        "stiff1": np.einsum("tq,tqid,tqjd->tij", w, gphi1, gphi1),
+        "Ntr": [],
+        "Bflux": [],
+    }
+    for i in range(3):
+        faces_i = mesh.cell_faces[:, i]
+        fpts, fw = face_quadrature(mesh, space.rule_face, faces_i)
+        fphi1 = cell_basis_values(mesh, p + 1, fpts)
+        fgphi1 = cell_basis_gradients(mesh, p + 1, fpts)
+        psi = face_basis_values(mesh, p, faces_i, fpts)
+        ref["Ntr"].append(np.einsum("tq,tqm,tqj->tmj", fw, psi, fphi1))
+        ref["Bflux"].append(np.einsum(
+            "tq,tqm,tqjd,td->tmj", fw, psi, fgphi1, mesh.normals[:, i]
+        ))
+
+    B = np.zeros((T, n1, nloc))
+    B[:, :, :nc] = -np.einsum("tq,tqm,tqj->tjm", w, phi1[..., :nc], lphi1)
+    for i in range(3):
+        B[:, :, nc + i * nf: nc + (i + 1) * nf] = ref["Bflux"][i].transpose(0, 2, 1)
+    stiff1, mass1 = space.stiff1, space.mass1
+    Gred = np.linalg.solve(stiff1[:, 1:, 1:], B[:, 1:, :])
+    ints1 = np.einsum("tq,tqi->ti", w, phi1)
+    int_row = np.zeros((T, nloc))
+    int_row[:, :nc] = ints1[:, :nc]
+    G = np.zeros((T, n1, nloc))
+    G[:, 1:, :] = Gred
+    G[:, 0, :] = (int_row - np.einsum("ti,tij->tj", ints1[:, 1:], Gred)) \
+        / mesh.volumes[:, None]
+
+    Pi = np.linalg.solve(mass1[:, :nc, :nc], mass1[:, :nc, :])
+    S = G.copy()
+    S[:, :nc, :] -= np.einsum("tmi,tij->tmj", Pi, G)
+    S[:, np.arange(nc), np.arange(nc)] += 1.0
+    mhat = reference_face_mass(p)
+    Tmats = np.empty((T, 3, nf, nloc))
+    for i in range(3):
+        Qi = np.einsum("mn,tnj->tmj", np.linalg.inv(mhat), ref["Ntr"][i])
+        Tmats[:, i] = -np.einsum("tmj,tjl->tml", Qi, S) \
+            / space.hf_loc[:, i, None, None]
+        Tmats[:, i, :, nc + i * nf: nc + (i + 1) * nf] += np.eye(nf)
+    ref["G"] = G
+    ref["A_loc"] = (np.einsum("tfml,mn,tfnk->tlk", Tmats, mhat, Tmats)
+                    + np.einsum("til,tij,tjk->tlk", G, stiff1, G))
+    return ref
+
+
+def _assert_blocks_close(actual, expected, rtol):
+    """Per-cell blocks agree to rtol relative to each block's max entry."""
+    err = np.abs(actual - expected).max(axis=(-2, -1))
+    scale = np.abs(expected).max(axis=(-2, -1))
+    assert np.all(err <= rtol * scale), float((err / scale).max())
+
+
+@pytest.mark.parametrize("p", [0, 1, 2, 3])
+def test_batched_kernels_match_einsum_on_jittered_mesh(p):
+    space = HHOSpace(jittered_square(4), p)
+    ref = _einsum_kernels(space)
+    for name in ("mass1", "stiff1", "G", "A_loc"):
+        _assert_blocks_close(getattr(space, name), ref[name], 1e-12)
+    for name in ("Ntr", "Bflux"):
+        for i in range(3):
+            _assert_blocks_close(getattr(space, name)[i], ref[name][i], 1e-12)

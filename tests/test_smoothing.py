@@ -307,10 +307,41 @@ def test_smoother_moment_preservation_random_fields():
         sp = HHOSpace(build_unit_square(3), p)
         for variant in ("mean", "scott-zhang"):
             sm = Smoother(sp, averaging=variant)
-            for _ in range(20):
-                field = sp.random_field(rng)
-                cell_res, face_res = moment_residuals(sm, field)
-                assert cell_res < 1e-11 and face_res < 1e-11
+            fields = [sp.random_field(rng) for _ in range(20)]
+            cell_res, face_res = moment_residuals(sm, fields)
+            assert cell_res.shape == face_res.shape == (20,)
+            assert cell_res.max() < 1e-11 and face_res.max() < 1e-11
+
+
+class _ShiftedSmoother:
+    """A smoother whose output is moved by a fixed dense map, so that the
+    preserved moments break by O(1) amounts."""
+
+    def __init__(self, smoother, shift):
+        self.space, self.nD, self.degree = smoother.space, smoother.nD, smoother.degree
+        self._smoother, self._shift = smoother, shift
+
+    def apply_vector(self, vec):
+        return self._smoother.apply_vector(vec) + self._shift @ vec
+
+
+def test_moment_residuals_batch_matches_per_field_loop():
+    rng = np.random.default_rng(9)
+    for p in (0, 1, 2):
+        sp = HHOSpace(build_unit_square(3), p)
+        for variant in ("mean", "scott-zhang"):
+            sm = Smoother(sp, averaging=variant)
+            shift = rng.standard_normal((sp.mesh.num_cells * sm.nD, sp.num_dofs))
+            shifted = _ShiftedSmoother(sm, 1e-3 * shift)
+            fields = [sp.random_field(rng) for _ in range(6)]
+            cell_res, face_res = moment_residuals(shifted, fields)
+            assert face_res.min() > 1e-4 and (p == 0 or cell_res.min() > 1e-4)
+            for j, field in enumerate(fields):
+                cell_j, face_j = moment_residuals(shifted, [field])
+                assert cell_j[0] == pytest.approx(cell_res[j], rel=1e-12, abs=0)
+                assert face_j[0] == pytest.approx(face_res[j], rel=1e-12, abs=0)
+            empty = moment_residuals(sm, [])
+            assert empty[0].shape == empty[1].shape == (0,)
 
 
 def test_smoother_conformity_random_fields():

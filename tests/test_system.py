@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import hat_profile, sine_f0
+from conftest import hat_profile, jittered_square, sine_f0
 from hho.local_ops import HHOSpace
 from hho.mesh import build_unit_square
 from hho.polyquad import cell_basis_values, cell_quadrature, quad_for_degree
@@ -57,6 +57,17 @@ def test_condensed_solution_matches_full_solve():
         u_c = sp.vector_from_field(solve(system, rhs))
         u_f = sp.vector_from_field(solve_full(system, rhs))
         assert np.abs(u_c - u_f).max() < 1e-10
+
+
+@pytest.mark.parametrize("p", [0, 1, 2, 3])
+def test_face_matrix_is_dense_schur_complement_on_jittered_mesh(p):
+    sp = HHOSpace(jittered_square(4), p)
+    system = assemble(sp)
+    K = system.full_matrix.toarray()
+    nt = sp.num_cell_dofs
+    schur = K[nt:, nt:] - K[nt:, :nt] @ np.linalg.solve(K[:nt, :nt], K[:nt, nt:])
+    S = system.face_matrix.toarray()
+    assert np.abs(S - schur).max() <= 1e-12 * np.abs(schur).max()
 
 
 def test_rhs_classical_zero_load():
