@@ -13,7 +13,7 @@ import numpy as np
 
 from .local_ops import HHOSpace
 from .mesh import build_lshape, build_unit_square
-from .polyquad import cell_basis_gradients, cell_basis_values, cell_quadrature, quad_for_degree
+from .polyquad import cell_quadrature, quad_for_degree
 from .smoothing import Smoother, lagrange_interpolant
 from .system import LoadFunctional, assemble, rhs_classical, rhs_smoothed, solve
 
@@ -77,40 +77,24 @@ class PiecewisePolyFunction:
 
     def __init__(self, bp):
         self.bp = bp
-        self.mesh = bp.mesh
 
     def locate(self, points):
         pts = points.reshape(-1, 2)
-        out = np.full(len(pts), -1, dtype=np.int64)
-        remaining = np.arange(len(pts))
-        for k in range(self.mesh.num_cells):
-            if not len(remaining):
-                break
-            lam = self.mesh.barycentric_coordinates(
-                np.full(len(remaining), k), pts[remaining]
-            )
-            inside = np.all(lam >= -1e-12, axis=1)
-            out[remaining[inside]] = k
-            remaining = remaining[~inside]
-        if len(remaining):
+        point, cell = self.bp.mesh.containing_cells(pts, 1e-12)
+        found, first = np.unique(point, return_index=True)
+        if len(found) < len(pts):
             raise ValueError("point outside the mesh of the piecewise polynomial")
-        return out
+        return cell[first]
 
     def __call__(self, points):
         points = np.asarray(points, dtype=float)
-        cells = self.locate(points)
-        flat = points.reshape(-1, 2)[:, None, :]
-        vals = cell_basis_values(self.mesh, self.bp.degree, flat, cells=cells)
-        out = np.einsum("pqi,pi->pq", vals, self.bp.coeffs[cells])[:, 0]
-        return out.reshape(points.shape[:-1])
+        vals = self.bp.values_at(points.reshape(-1, 1, 2), cells=self.locate(points))
+        return vals.reshape(points.shape[:-1])
 
     def gradient(self, points):
         points = np.asarray(points, dtype=float)
-        cells = self.locate(points)
-        flat = points.reshape(-1, 2)[:, None, :]
-        grads = cell_basis_gradients(self.mesh, self.bp.degree, flat, cells=cells)
-        out = np.einsum("pqid,pi->pqd", grads, self.bp.coeffs[cells])[:, 0]
-        return out.reshape(points.shape)
+        grads = self.bp.gradients_at(points.reshape(-1, 1, 2), cells=self.locate(points))
+        return grads.reshape(points.shape)
 
 
 class ManufacturedCase:

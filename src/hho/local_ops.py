@@ -124,6 +124,15 @@ def _grad_rows(grads):
     return grads.transpose(0, 2, 1, 3).reshape(T, n, 2 * Q)
 
 
+def stiffness_blocks(w, grads):
+    """Stiffness blocks sum_q w grad phi_i . grad phi_j per cell, (T, n, n).
+
+    Weights (T, Q), gradients (T, Q, n, 2); the gradient axis joins the
+    quadrature axis as rows (T, n, 2Q)."""
+    g = _grad_rows(grads)
+    return symmetrize(_grad_rows(w[..., None, None] * grads) @ _t(g))
+
+
 class HHOSpace:
     """Discrete HHO space of degree p on a mesh, with cached local operators.
 
@@ -175,9 +184,7 @@ class HHOSpace:
         w = self.cell_qw
         wphi1 = w[..., None] * phi1  # (T, Q, n1)
         self.mass1 = symmetrize(_tmul(wphi1, phi1))
-        # the gradient axis joins the quadrature axis: (T, n1, 2Q)
-        g = _grad_rows(gphi1)
-        self.stiff1 = symmetrize(_grad_rows(w[..., None, None] * gphi1) @ _t(g))
+        self.stiff1 = stiffness_blocks(w, gphi1)
         self.ints1 = wphi1.sum(axis=1)
         self.mass_p = self.mass1[:, : self.nc, : self.nc]
         self._wphi_p = wphi1[..., : self.nc]

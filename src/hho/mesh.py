@@ -68,6 +68,8 @@ class SimplicialMesh:
             raise UnsupportedDimensionError("d = 3 meshes are not implemented in v1")
         if vertices.shape[1] != 2:
             raise MeshError(f"unsupported vertex dimension {vertices.shape[1]}")
+        if not np.all(np.isfinite(vertices)):
+            raise MeshError("vertex coordinates must be finite")
         if cells.ndim != 2 or cells.shape[1] != 3:
             raise MeshError("cells must be a (T, 3) array of vertex indices")
         if cells.min(initial=0) < 0 or cells.max(initial=-1) >= len(vertices):
@@ -193,6 +195,29 @@ class SimplicialMesh:
         lam0 = 1.0 - lam12.sum(axis=-1)
         return np.concatenate([lam0[..., None], lam12], axis=-1)
 
+    def containing_cells(self, points, tol):
+        """(point, cell) index pairs, sorted by point then cell, for the points
+        (N, 2) in each cell's closure: all barycentric coordinates >= -tol.
+
+        Candidates are pruned by bounding box (points sorted by x, each cell's
+        x-range bisected, then filtered on y) before one batched test."""
+        points = np.asarray(points, dtype=float).reshape(-1, 2)
+        p = self.vertices[self.cells]
+        # passing points lie within 2 tol * extent of the box; 4 covers rounding
+        pad = 4.0 * tol * np.ptp(p, axis=1)
+        lo, hi = p.min(axis=1) - pad, p.max(axis=1) + pad
+        by_x = np.argsort(points[:, 0], kind="stable")
+        start = np.searchsorted(points[by_x, 0], lo[:, 0])
+        counts = np.searchsorted(points[by_x, 0], hi[:, 0], side="right") - start
+        cell = np.repeat(np.arange(self.num_cells), counts)
+        offset = np.repeat(start - np.cumsum(counts) + counts, counts)
+        point = by_x[np.arange(len(cell)) + offset]
+        keep = (lo[cell, 1] <= points[point, 1]) & (points[point, 1] <= hi[cell, 1])
+        point, cell = point[keep], cell[keep]
+        inside = (self.barycentric_coordinates(cell, points[point]) >= -tol).all(axis=1)
+        order = np.lexsort((cell[inside], point[inside]))
+        return point[inside][order], cell[inside][order]
+
     def __repr__(self):
         return (
             f"SimplicialMesh(d={self.dim}, {self.num_vertices} vertices, "
@@ -298,13 +323,11 @@ def check_matching(mesh, tol=1e-12):
     if counts.min(initial=2) < 1 or counts.max(initial=0) > 2:
         problems.append("face incidence count outside {1, 2}")
 
-    for f in mesh.interior_faces:
-        k1, k2 = mesh.face_cells[f]
-        i1 = int(np.nonzero(mesh.cell_faces[k1] == f)[0][0])
-        i2 = int(np.nonzero(mesh.cell_faces[k2] == f)[0][0])
-        if np.linalg.norm(mesh.normals[k1, i1] + mesh.normals[k2, i2]) > tol:
-            problems.append(f"normals on interior face {f} are not opposite")
-            break
+    n_sum = np.zeros((mesh.num_faces, 2))
+    np.add.at(n_sum, mesh.cell_faces, mesh.normals)  # n_K1 + n_K2 on interior faces
+    bad = mesh.interior_faces[np.linalg.norm(n_sum[mesh.interior_faces], axis=1) > tol]
+    if len(bad):
+        problems.append(f"normals on interior face {bad[0]} are not opposite")
 
     if np.any(mesh.volumes <= 0.0):
         problems.append("non-positive cell volume")
@@ -319,18 +342,13 @@ def check_matching(mesh, tol=1e-12):
         problems.append("sum of |F| n_K over cell faces does not vanish")
 
     # hanging vertices: every vertex inside closure(K) must be a vertex of K
-    for k in range(mesh.num_cells):
-        lam = mesh.barycentric_coordinates(
-            np.full(mesh.num_vertices, k), mesh.vertices
+    vertex, cell = mesh.containing_cells(mesh.vertices, 1e-9)
+    hanging = np.flatnonzero(np.all(mesh.cells[cell] != vertex[:, None], axis=1))
+    if len(hanging):
+        i = hanging[np.argmin(cell[hanging])]  # lowest cell, then its lowest vertex
+        problems.append(
+            f"vertex {vertex[i]} hangs on cell {cell[i]} (mesh is not matching)"
         )
-        inside = np.all(lam >= -1e-9, axis=1)
-        inside[mesh.cells[k]] = False
-        hanging = np.nonzero(inside)[0]
-        if len(hanging):
-            problems.append(
-                f"vertex {hanging[0]} hangs on cell {k} (mesh is not matching)"
-            )
-            break
     return problems
 
 

@@ -16,7 +16,13 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
-from .local_ops import BrokenPoly, assemble_bilinear, scatter_blocks
+from .local_ops import (
+    BrokenPoly,
+    _tmul,
+    assemble_bilinear,
+    scatter_blocks,
+    stiffness_blocks,
+)
 from .polyquad import (
     cell_basis_gradients,
     cell_basis_values,
@@ -331,10 +337,9 @@ class Smoother:
         phiK_q, _ = _bubbles(space.rule_cell.points)  # (Q,)
         phi_pm1 = cell_basis_values(mesh, p - 1, space.cell_qp)
         phiD = cell_basis_values(mesh, D, space.cell_qp)
-        W = symmetrize(
-            np.einsum("tq,q,tqm,tqn->tmn", w, phiK_q, phi_pm1, phi_pm1)
-        )
-        mom = np.einsum("tq,tqm,tqn->tmn", w, phi_pm1, phiD)
+        wphi = w[..., None] * phi_pm1
+        W = symmetrize(_tmul(phiK_q[:, None] * wphi, phi_pm1))
+        mom = _tmul(wphi, phiD)
         sol = np.linalg.solve(W, mom)  # (T, npm1, nD)
 
         phi_pm1_lat = cell_basis_values(mesh, p - 1, self.lat_coords)  # (T, nD, npm1)
@@ -501,9 +506,7 @@ def jump_matrix(mesh, degree, samples=5):
 def broken_stiffness_matrix(space, degree):
     """Block-diagonal stiffness of the broken degree-`degree` basis."""
     grads = cell_basis_gradients(space.mesh, degree, space.cell_qp)
-    blocks = symmetrize(
-        np.einsum("tq,tqid,tqjd->tij", space.cell_qw, grads, grads)
-    )
+    blocks = stiffness_blocks(space.cell_qw, grads)
     ids = np.arange(blocks.shape[0] * blocks.shape[1]).reshape(blocks.shape[:2])
     return scatter_blocks(blocks, ids, ids, (ids.size, ids.size))
 

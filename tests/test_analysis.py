@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import sine, sine_grad
+from conftest import jittered_square, sine, sine_grad
 from hho.analysis import (
     PiecewisePolyFunction,
     best_error_h1,
@@ -130,6 +130,41 @@ def test_piecewise_poly_function_matches_broken_poly():
     # gradient shape and chain rule sanity
     g = f.gradient(pts)
     assert g.shape == (50, 2)
+
+
+def _first_cell_brute_force(mesh, points):
+    """The per-cell scan: each point takes the first cell whose closure holds it."""
+    out = np.full(len(points), -1, dtype=np.int64)
+    remaining = np.arange(len(points))
+    for k in range(mesh.num_cells):
+        lam = mesh.barycentric_coordinates(np.full(len(remaining), k), points[remaining])
+        inside = np.all(lam >= -1e-12, axis=1)
+        out[remaining[inside]] = k
+        remaining = remaining[~inside]
+    return out
+
+
+def test_locate_takes_lowest_cell_on_jittered_mesh():
+    mesh = jittered_square(8)
+    f = PiecewisePolyFunction(BrokenPoly.zero(mesh, 1))
+    rng = np.random.default_rng(1)
+    for points in (mesh.vertices, mesh.face_midpoints,
+                   rng.uniform(0.0, 1.0, size=(500, 2))):
+        want = _first_cell_brute_force(mesh, points)
+        assert np.all(want >= 0)
+        assert np.array_equal(f.locate(points), want)
+    # shapes (..., 2) are located point by point
+    grid = mesh.vertices[:60].reshape(3, 20, 2)
+    want = _first_cell_brute_force(mesh, mesh.vertices[:60])
+    assert np.array_equal(f.locate(grid), want)
+
+
+def test_locate_outside_the_mesh_raises():
+    f = PiecewisePolyFunction(BrokenPoly.zero(build_unit_square(2), 1))
+    with pytest.raises(ValueError, match="outside the mesh"):
+        f.locate(np.array([[0.5, 0.5], [1.0 + 1e-6, 0.5]]))
+    with pytest.raises(ValueError, match="outside the mesh"):
+        f(np.array([[-0.25, 0.5]]))
 
 
 def test_run_convergence_requires_two_levels():

@@ -180,6 +180,27 @@ def test_solve_with_external_mesh(tmp_path):
     assert len(lines) == 1 + 18 * 3  # 18 cells, 3 lattice points at degree 1
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_non_finite_mesh_file_is_refused(tmp_path, capsys, bad):
+    mesh_path = tmp_path / "bad.mesh"
+    mesh_path.write_text(f"4 2\n0 0\n1 0\n1 {bad}\n0 1\n0 1 2\n0 2 3\n")
+    cfg = write_config(tmp_path / "s.json", case="smooth-sine", degree=0)
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg, "--out", str(out),
+                 "--mesh", str(mesh_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("hho: config error: --mesh") and err.count("\n") == 1
+    assert "finite" in err
+    assert not out.exists()
+
+    cfg = write_config(tmp_path / "v.json", degrees=[0], resolutions=[2],
+                       random_fields=2)
+    assert main(["verify", "--config", cfg, "--out", str(out),
+                 "--mesh", str(mesh_path)]) == 1
+    assert "verify: mesh check failed" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_quad_extra_env_override(tmp_path, monkeypatch):
     cfg = write_config(
         tmp_path / "s.json", case="smooth-sine", degree=0, level=2,

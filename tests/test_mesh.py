@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import hho
+from conftest import jittered_square
 from hho.mesh import (
     MeshError,
     SimplicialMesh,
@@ -175,3 +181,87 @@ def test_lshape_area():
 def test_unit_square_rejects_bad_n():
     with pytest.raises(MeshError):
         build_unit_square(0)
+
+
+def _brute_force_pairs(mesh, points, tol):
+    """Every (point, cell) pair with all barycentric coordinates >= -tol."""
+    pairs = []
+    for k in range(mesh.num_cells):
+        lam = mesh.barycentric_coordinates(np.full(len(points), k), points)
+        pairs += [(i, k) for i in np.nonzero(np.all(lam >= -tol, axis=1))[0]]
+    return np.array(sorted(pairs), dtype=np.int64).reshape(-1, 2)
+
+
+@pytest.mark.parametrize("tol", [1e-12, 1e-9])
+def test_containing_cells_matches_brute_force(tol):
+    m = jittered_square(8)
+    rng = np.random.default_rng(3)
+    x = rng.uniform(0.0, 1.0, 20)
+    points = np.concatenate([
+        m.vertices,
+        m.face_midpoints,
+        rng.uniform(0.0, 1.0, (200, 2)),
+        # just outside the bottom edge: inside the slack for one tol only
+        np.stack([x, np.full(20, -1e-13)], axis=1),
+        np.stack([x, np.full(20, -1e-10)], axis=1),
+        [[1.5, 0.5], [-0.5, -0.5]],
+    ])
+    point, cell = m.containing_cells(points, tol)
+    want = _brute_force_pairs(m, points, tol)
+    assert np.array_equal(np.stack([point, cell], axis=1), want)
+    outside = np.unique(point[point >= len(points) - 42])
+    assert len(outside) == (20 if tol == 1e-12 else 40)
+
+
+def _with_stray_vertices(*stray):
+    m = build_unit_square(2)
+    return SimplicialMesh(np.concatenate([m.vertices, stray]), m.cells)
+
+
+def _bisected_square():
+    verts = np.array(
+        [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [0.5, 0.5]]
+    )
+    return SimplicialMesh(verts, np.array([[0, 1, 4], [1, 2, 4], [0, 2, 3]]))
+
+
+def _doubled_triangle():
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    return SimplicialMesh(verts, np.array([[0, 1, 2], [0, 1, 2]]))
+
+
+@pytest.mark.parametrize("make, expected", [
+    (_bisected_square, ["vertex 4 hangs on cell 2 (mesh is not matching)"]),
+    (_doubled_triangle, ["normals on interior face 0 are not opposite"]),
+    (lambda: _with_stray_vertices([0.25, 0.25], [0.75, 0.75]),
+     ["vertex 9 hangs on cell 0 (mesh is not matching)"]),
+    # the lowest cell wins over the lowest vertex
+    (lambda: _with_stray_vertices([0.75, 0.75], [0.25, 0.25]),
+     ["vertex 10 hangs on cell 0 (mesh is not matching)"]),
+    (lambda: jittered_square(8), []),
+], ids=["bisected-square", "doubled-triangle", "stray-vertices",
+        "stray-vertices-reversed", "jittered"])
+def test_check_matching_exact_messages(make, expected):
+    assert check_matching(make()) == expected
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_coordinates_rejected(tmp_path, bad):
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    verts[2, 1] = bad
+    with pytest.raises(MeshError, match="finite"):
+        SimplicialMesh(verts, np.array([[0, 1, 2]]))
+    path = tmp_path / "bad.mesh"
+    path.write_text(f"3 1\n0 0\n1 0\n0 {bad}\n0 1 2\n")
+    with pytest.raises(MeshError, match="finite"):
+        read_mesh_file(path)
+
+
+def test_import_does_not_load_scipy_spatial():
+    # scipy.spatial would add about a quarter to the time of a fresh `import hho`
+    src = os.path.dirname(os.path.dirname(hho.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, hho; print('scipy.spatial' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60)
+    assert out.stdout.strip() == "False"

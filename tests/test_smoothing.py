@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from conftest import hat_profile
+from conftest import hat_profile, jittered_square
 from hho.local_ops import BrokenPoly, HHOSpace
 from hho.mesh import SimplicialMesh, build_unit_square, refine_red
 from hho.polyquad import (
+    cell_basis_gradients,
     cell_basis_values,
     cell_quadrature,
     face_basis_values,
@@ -17,6 +18,7 @@ from hho.smoothing import (
     LagrangeLayer,
     Smoother,
     _bubbles,
+    broken_stiffness_matrix,
     consistency_constant,
     jump_matrix,
     lagrange_basis_values,
@@ -439,3 +441,34 @@ def test_factor_list_forward_transpose_and_matrix_agree(p, variant):
     forward, backward = y @ sx, sm.apply_transpose(y) @ x
     assert abs(forward - backward) <= 1e-12 * abs(forward)
     assert np.abs(sm.matrix @ x - sx).max() <= 1e-12 * np.abs(sx).max()
+
+
+def _diagonal_blocks(matrix, n):
+    """The (T, n, n) diagonal blocks of a block-diagonal sparse matrix."""
+    T = matrix.shape[0] // n
+    assert matrix.nnz <= T * n * n
+    return matrix.toarray().reshape(T, n, T, n)[np.arange(T), :, np.arange(T), :]
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_cell_bubble_and_broken_stiffness_match_einsum(p):
+    sp = HHOSpace(jittered_square(4), p)
+    sm = Smoother(sp)
+    mesh, w, D = sp.mesh, sp.cell_qw, sm.degree
+
+    phiK_q, _ = _bubbles(sp.rule_cell.points)
+    phi_pm1 = cell_basis_values(mesh, p - 1, sp.cell_qp)
+    phiD = cell_basis_values(mesh, D, sp.cell_qp)
+    W = np.einsum("tq,q,tqm,tqn->tmn", w, phiK_q, phi_pm1, phi_pm1)
+    mom = np.einsum("tq,tqm,tqn->tmn", w, phi_pm1, phiD)
+    lat = cell_basis_values(mesh, p - 1, sm.lat_coords) * sm.phiK_lat[None, :, None]
+    want = sm.invV_D @ lat @ np.linalg.solve(W, mom)
+    got = _diagonal_blocks(sm._cell_bubble_matrix(), sm.nD)
+    scale = np.abs(want).max(axis=(1, 2))
+    assert np.all(np.abs(got - want).max(axis=(1, 2)) <= 1e-12 * scale)
+
+    grads = cell_basis_gradients(mesh, D, sp.cell_qp)
+    want = np.einsum("tq,tqid,tqjd->tij", w, grads, grads)
+    got = _diagonal_blocks(broken_stiffness_matrix(sp, D), want.shape[1])
+    scale = np.abs(want).max(axis=(1, 2))
+    assert np.all(np.abs(got - want).max(axis=(1, 2)) <= 1e-12 * scale)
