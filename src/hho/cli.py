@@ -19,7 +19,7 @@ import numpy as np
 
 from .analysis import CASES, get_case, run_convergence
 from .local_ops import HHOSpace
-from .mesh import MeshError, read_mesh_file
+from .mesh import MeshError, check_matching, read_mesh_file
 from .polyquad import UnsupportedDegreeError
 from .smoothing import AVERAGING_VARIANTS, Smoother, lattice_multis
 from .system import (
@@ -198,6 +198,9 @@ def cmd_solve(args, config):
             mesh = read_mesh_file(args.mesh)
         except MeshError as exc:
             raise ConfigError(f"--mesh {args.mesh}: {exc}") from exc
+        problems = check_matching(mesh)
+        if problems:
+            raise ConfigError(f"--mesh {args.mesh}: {problems[0]}")
     else:
         _check_level(case, level)
         mesh = case.mesh_for(level)

@@ -310,14 +310,16 @@ def shape_parameter(mesh):
     return float(np.min(mesh.h_cell / mesh.r_cell))
 
 
-def check_matching(mesh, tol=1e-12):
+def check_matching(mesh):
     """Verify the matching-mesh invariants; return a list of violations.
 
     Checks: face incidence counts, opposite normals on interior faces,
     positive volumes and inradii, h_F <= h_K, the divergence-theorem closure
     sum_F |F| n_K(F) = 0 per cell, and hanging vertices (a vertex lying in
-    the closure of a cell without being one of its vertices).
+    the closure of a cell without being one of its vertices). The geometric
+    identities hold to a slack of 1e-12, vertex containment to 1e-9.
     """
+    tol = 1e-12
     problems = []
     counts = np.bincount(mesh.cell_faces.ravel(), minlength=mesh.num_faces)
     if counts.min(initial=2) < 1 or counts.max(initial=0) > 2:

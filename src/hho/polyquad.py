@@ -87,20 +87,14 @@ def quad_for_degree(dim, degree):
     return rule
 
 
-def cell_quadrature(mesh, rule, cells=None):
-    """Physical quadrature points and weights on (a subset of) the cells.
+def cell_quadrature(mesh, rule):
+    """Physical quadrature points and weights on every cell.
 
     Returns ``points`` of shape (T, Q, 2) and ``weights`` of shape (T, Q);
     weights sum to the cell area.
     """
-    if cells is None:
-        verts = mesh.cell_vertices()
-        vols = mesh.volumes
-    else:
-        verts = mesh.vertices[mesh.cells[cells]]
-        vols = mesh.volumes[cells]
-    points = rule.points @ verts
-    weights = 2.0 * vols[:, None] * rule.weights[None, :]
+    points = rule.points @ mesh.cell_vertices()
+    weights = 2.0 * mesh.volumes[:, None] * rule.weights[None, :]
     return points, weights
 
 

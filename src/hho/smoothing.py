@@ -136,22 +136,6 @@ class LagrangeLayer:
         self.interior_index[ids] = np.arange(len(ids))
         self.num_interior = len(ids)
 
-    def face_nodes(self, faces):
-        """Node gids on each face, ordered from the lower vertex to the higher.
-
-        Shape (len(faces), degree + 1).
-        """
-        mesh, q = self.mesh, self.degree
-        out = np.empty((len(faces), q + 1), dtype=np.int64)
-        out[:, 0] = mesh.faces[faces, 0]
-        out[:, -1] = mesh.faces[faces, 1]
-        if q > 1:
-            out[:, 1:-1] = (
-                mesh.num_vertices + np.asarray(faces)[:, None] * (q - 1)
-                + np.arange(q - 1)
-            )
-        return out
-
 
 def _bubbles(bary):
     """Cell bubble 27*l0*l1*l2 and the face bubbles 4*la*lb at barycentric points.
@@ -167,17 +151,14 @@ def _bubbles(bary):
     return cell, faces
 
 
-def lagrange_interpolant(mesh, degree, func, zero_boundary=True):
+def lagrange_interpolant(mesh, degree, func):
     """Continuous piecewise-P^degree interpolant of `func` at the Lagrange nodes.
 
-    With zero_boundary the boundary nodal values are forced to 0, producing an
-    H1_0-conforming piecewise polynomial. Returns a BrokenPoly (continuous by
-    construction).
+    The boundary nodal values are forced to 0, producing an H1_0-conforming
+    piecewise polynomial. Returns a BrokenPoly (continuous by construction).
     """
     layer = LagrangeLayer(mesh, degree)
-    nodal = np.asarray(func(layer.coords), dtype=float)
-    if zero_boundary:
-        nodal = np.where(layer.boundary, 0.0, nodal)
+    nodal = np.where(layer.boundary, 0.0, np.asarray(func(layer.coords), dtype=float))
     V = cell_basis_values(mesh, degree, layer.cell_coords)
     coeffs = np.linalg.solve(V, nodal[layer.cell_nodes][..., None])[..., 0]
     return BrokenPoly(mesh, degree, coeffs)
@@ -199,9 +180,9 @@ class Smoother:
     * F5 = [I | B_Sigma - B_M B_Sigma | B_M]: a plus the bubble correction
       B_Sigma v_Sigma + B_M (v_M - B_Sigma v_Sigma).
 
-    At p = 0 no cell moments are restored: F4 drops v_M and F5 = [I | B_Sigma].
-    Every application (forward, transpose, matrix) is derived from the list;
-    the leaf matrices live only inside the factors, except B_Sigma.
+    B_M is empty at p = 0 (P^{-1} = {0}). Every application (forward,
+    transpose, matrix) is derived from the list; the leaf matrices live only
+    inside the factors, except B_Sigma.
 
     Parameters
     ----------
@@ -298,30 +279,32 @@ class Smoother:
         what_inv = np.linalg.inv(mass[:-1, :-1] - 4.0 * mass[1:, 1:])
         beta_mat = what_inv @ mass[:-1, :]  # (p+1, nf1)
 
-        if p >= 1:
-            layer_p = LagrangeLayer(mesh, p)
-            lp_lat = lagrange_basis_values(p, self.lat_bary)  # (nD, nlat_p)
-            s_nodes = np.arange(p + 1) / p - 0.5
-            eval_nodes = s_nodes[:, None] ** np.arange(p + 1)  # (p+1, p+1)
-            nodal_mat = eval_nodes @ beta_mat  # (p+1, nf1)
-            gids_f = layer_p.face_nodes(faces)  # (Ei, p+1)
+        # B_F v is interpolated at the p+1 equispaced degree-p lattice nodes of
+        # the face, ordered from its lower global vertex to its higher one
+        s_nodes = np.arange(p + 1) / max(p, 1) - 0.5
+        nodal_mat = (s_nodes[:, None] ** np.arange(p + 1)) @ beta_mat  # (p+1, nf1)
+        lp_lat = lagrange_basis_values(p, self.lat_bary)  # (nD, nlat_p)
+        multis = lattice_multis(p)
+        lattice_pos = np.empty((p + 1, p + 1), dtype=np.int64)
+        lattice_pos[multis[:, 0], multis[:, 1]] = np.arange(len(multis))
+        steps = np.arange(p + 1)
+        weights = np.stack([p - steps, steps], axis=1)  # (p+1, 2): lower, higher
 
         blocks, rows = [], []
         for side in (0, 1):
             K = mesh.face_cells[faces, side]
-            il = np.argmax(mesh.cell_faces[K] == faces[:, None], axis=1)
-            phiF = self.phiF_lat[il]  # (Ei, nD)
-            if p == 0:
-                coeff = np.einsum("fab,fb->fa", self.invV_D[K], phiF)
-                blocks.append(coeff[:, :, None] * beta_mat[0][None, None, :])
-            else:
-                cn = layer_p.cell_nodes[K]  # (Ei, nlat_p)
-                match = cn[:, :, None] == gids_f[:, None, :]
-                lpos = np.argmax(match, axis=1)  # (Ei, p+1)
-                zvals = (
-                    lp_lat[:, lpos].transpose(1, 0, 2) * phiF[:, :, None]
-                )  # (Ei, nD, p+1)
-                blocks.append(self.invV_D[K] @ zvals @ nodal_mat)
+            # local vertices of the face's lower and higher global vertex; the
+            # face is the one opposite the third
+            ends = np.argmax(
+                mesh.cells[K][:, None, :] == mesh.faces[faces][:, :, None], axis=2
+            )  # (Ei, 2)
+            il = 3 - ends.sum(axis=1)
+            multi = weights @ (ends[:, :, None] == np.arange(3))  # (Ei, p+1, 3)
+            lpos = lattice_pos[multi[..., 0], multi[..., 1]]  # (Ei, p+1)
+            zvals = (
+                lp_lat[:, lpos].transpose(1, 0, 2) * self.phiF_lat[il][:, :, None]
+            )  # (Ei, nD, p+1)
+            blocks.append(self.invV_D[K] @ zvals @ nodal_mat)
             rows.append(K[:, None] * nD + np.arange(nD))
         cols = np.arange(Ei * nf1).reshape(Ei, nf1)
         return scatter_blocks(
@@ -330,9 +313,15 @@ class Smoother:
         )
 
     def _cell_bubble_matrix(self):
-        """Broken degree-D data -> broken degree-D coefficients of B_M (p >= 1)."""
+        """Broken degree-D data -> broken degree-D coefficients of B_M.
+
+        Empty at p = 0: P^{-1} = {0} leaves no cell moment to restore.
+        """
         space, mesh = self.space, self.space.mesh
         p, nD, D = space.p, self.nD, self.degree
+        size = mesh.num_cells * nD
+        if space_dimension(p - 1) == 0:
+            return sparse.csr_matrix((size, size))
         w = space.cell_qw
         phiK_q, _ = _bubbles(space.rule_cell.points)  # (Q,)
         phi_pm1 = cell_basis_values(mesh, p - 1, space.cell_qp)
@@ -345,8 +334,8 @@ class Smoother:
         phi_pm1_lat = cell_basis_values(mesh, p - 1, self.lat_coords)  # (T, nD, npm1)
         lat_vals = phi_pm1_lat * self.phiK_lat[None, :, None]
         blocks = self.invV_D @ lat_vals @ sol
-        ids = np.arange(mesh.num_cells * nD).reshape(-1, nD)
-        return scatter_blocks(blocks, ids, ids, (ids.size, ids.size))
+        ids = np.arange(size).reshape(-1, nD)
+        return scatter_blocks(blocks, ids, ids, (size, size))
 
     def _factors(self):
         """The factor list [F1, ..., F5] of S_H (see the class docstring)."""
@@ -361,19 +350,15 @@ class Smoother:
         pad_1D = pad(T, space.n1, nD)
         identity = sparse.identity(space.num_dofs, format="csr")
         avg, expand = self._averaging_matrices()
-        # block columns: a, x_M, x_Sigma; the explicit zero block sizes the x_M
-        # column at p = 0, where the v_M row is absent
+        face_bubble, cell_bubble = self.face_bubble_matrix, self._cell_bubble_matrix()
+        # block columns: a, x_M, x_Sigma
         residuals = [
             [pad_1D, None, None],
-            [-self._face_trace_matrix(), sparse.csr_matrix((Ei * (p + 2), T * nc)),
-             pad(Ei, space.nf, p + 2)],
+            [-self._face_trace_matrix(), None, pad(Ei, space.nf, p + 2)],
+            [-pad_1D, pad(T, nc, nD), None],
         ]
-        bubbles = [sparse.identity(T * nD, format="csr"), self.face_bubble_matrix]
-        if p >= 1:
-            cell_bubble = self._cell_bubble_matrix()
-            residuals.append([-pad_1D, pad(T, nc, nD), None])
-            bubbles[1] = bubbles[1] - cell_bubble @ bubbles[1]
-            bubbles.append(cell_bubble)
+        bubbles = [sparse.identity(T * nD, format="csr"),
+                   face_bubble - cell_bubble @ face_bubble, cell_bubble]
         return [
             sparse.vstack(
                 [reconstruction_matrix(space, space.p + 1), identity], format="csr"
@@ -437,8 +422,6 @@ class Smoother:
     def bubble_cell(self, v):
         """B_M v (F5's last block column): keeps the cell moments of v up to p-1."""
         space, size = self.space, self.space.mesh.num_cells * self.nD
-        if space.p == 0:
-            return BrokenPoly.zero(space.mesh, self.degree)
         vD = space.project_cell(v, degree=self.degree).coeffs.ravel()
         coeffs = self.factors[-1][:, -size:] @ vD
         return BrokenPoly(space.mesh, self.degree, coeffs.reshape(-1, self.nD))
@@ -452,14 +435,13 @@ class Smoother:
     def bubble_smoother(self, v_cell, v_face):
         """B(v_M, v_Sigma) = B_Sigma v_Sigma + B_M(v_M - B_Sigma v_Sigma).
 
-        The last factor applied to (0, v_Sigma, v_M); v_M is unused at p = 0,
-        where no cell moments are restored.
+        The last factor applied to (0, v_Sigma, v_M); B_M is empty at p = 0
+        (P^{-1} = {0}), so v_M then contributes nothing.
         """
         space, mesh = self.space, self.space.mesh
         parts = [np.zeros(mesh.num_cells * self.nD),
-                 space.project_face(v_face, degree=space.p + 1).ravel()]
-        if space.p >= 1:
-            parts.append(space.project_cell(v_cell, degree=self.degree).coeffs.ravel())
+                 space.project_face(v_face, degree=space.p + 1).ravel(),
+                 space.project_cell(v_cell, degree=self.degree).coeffs.ravel()]
         coeffs = self.factors[-1] @ np.concatenate(parts)
         return BrokenPoly(mesh, self.degree, coeffs.reshape(-1, self.nD))
 
@@ -473,13 +455,14 @@ def reconstruction_matrix(space, degree):
     )
 
 
-def jump_matrix(mesh, degree, samples=5):
+def jump_matrix(mesh, degree):
     """Sparse map from broken coefficients to face jumps and boundary traces.
 
     Each interior face (first cell minus second), then each boundary face,
-    is sampled at `samples` equispaced points.
+    is sampled at 5 equispaced points.
     """
     n = space_dimension(degree)
+    samples = 5
     ts = (np.arange(samples) + 0.5) / samples
     blocks, rows, cols = [], [], []
     row0 = 0
@@ -524,16 +507,15 @@ def moment_residuals(smoother, fields):
         X[:, j] = space.vector_from_field(field)
     Y = smoother.apply_vector(X).reshape(mesh.num_cells, smoother.nD, -1)
 
-    cell_res = np.zeros(len(fields))
-    if p >= 1:
-        npm1 = space_dimension(p - 1)
-        phi_pm1 = cell_basis_values(mesh, p - 1, space.cell_qp)
-        phiD = cell_basis_values(mesh, smoother.degree, space.cell_qp)
-        wphi = space.cell_qw[..., None] * phi_pm1
-        mom_smooth = (wphi.transpose(0, 2, 1) @ phiD) @ Y
-        cells = X[: space.num_cell_dofs].reshape(mesh.num_cells, space.nc, -1)
-        mom_target = space.mass1[:, :npm1, : space.nc] @ cells
-        cell_res = np.abs(mom_smooth - mom_target).max(axis=(0, 1), initial=0.0)
+    # cell moments against P^{p-1}, the leading columns of the graded degree-D
+    # basis (none at p = 0)
+    npm1 = space_dimension(p - 1)
+    phiD = cell_basis_values(mesh, smoother.degree, space.cell_qp)
+    wphi = space.cell_qw[..., None] * phiD[..., :npm1]
+    mom_smooth = (wphi.transpose(0, 2, 1) @ phiD) @ Y
+    cells = X[: space.num_cell_dofs].reshape(mesh.num_cells, space.nc, -1)
+    mom_target = space.mass1[:, :npm1, : space.nc] @ cells
+    cell_res = np.abs(mom_smooth - mom_target).max(axis=(0, 1), initial=0.0)
 
     # face moments, evaluated from the first adjacent cell
     faces = mesh.interior_faces
@@ -560,18 +542,21 @@ def orthogonality_residual(space, smoother):
     return float(np.abs(C.data).max()) if C.nnz else 0.0
 
 
-def consistency_constant(space, smoother, bform=None, seed=0, maxiter=400):
-    """Smallest C with ||grad(R s - S_H s)|| <= C ||s||_b, by power iteration."""
+def consistency_constant(space, smoother):
+    """Smallest C with ||grad(R s - S_H s)|| <= C ||s||_b, by power iteration.
+
+    b is the HHO bilinear form; the iteration starts from a seed-0 random
+    vector and stops after 400 steps or at relative change 1e-10.
+    """
     RD = reconstruction_matrix(space, smoother.degree)
     stiff = broken_stiffness_matrix(space, smoother.degree)
     D = RD - smoother.matrix
     A = (D.T @ (stiff @ D)).tocsc()
-    B = bform if bform is not None else assemble_bilinear(space, space.A_loc)
+    B = assemble_bilinear(space, space.A_loc)
     lu = splu(B.tocsc())
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal(space.num_dofs)
+    x = np.random.default_rng(0).standard_normal(space.num_dofs)
     lam = 0.0
-    for _ in range(maxiter):
+    for _ in range(400):
         y = lu.solve(A @ x)
         norm = np.sqrt(y @ (B @ y))
         if norm == 0.0:

@@ -21,7 +21,6 @@ from .mesh import (
 from .smoothing import (
     Smoother,
     jump_matrix,
-    lagrange_interpolant,
     moment_residuals,
     orthogonality_residual,
 )
@@ -112,10 +111,10 @@ def _space_checks(report, space, n, rng, random_fields, variants):
         degree=p, resolution=n,
     )
 
-    hat = lagrange_interpolant(
-        mesh, p + 1, lambda x: (1 - np.abs(2 * x[..., 0] - 1))
-        * (1 - np.abs(2 * x[..., 1] - 1))
-    )
+    # the case's piecewise-P^{p+1} hat profile lives on build_unit_square(n),
+    # the mesh of `space`
+    case = poly_consistency_case(p, base_n=n)
+    hat = case.u.bp
     i_hat = space.interpolate(hat)
     report.add("kernel-stab", space.stab_form(i_hat, i_hat), degree=p, resolution=n)
     r_hat = space.reconstruct(i_hat)
@@ -126,6 +125,7 @@ def _space_checks(report, space, n, rng, random_fields, variants):
     )
 
     smoothers = {}
+    jump = jump_matrix(mesh, space.degree_star)
     for variant in variants:
         smoother = smoothers[variant] = Smoother(space, averaging=variant)
         fields = [space.random_field(rng) for _ in range(random_fields)]
@@ -135,7 +135,7 @@ def _space_checks(report, space, n, rng, random_fields, variants):
         report.add("moment-face", face_res.max(initial=0.0),
                    degree=p, resolution=n, variant=variant)
 
-        jumps = jump_matrix(mesh, smoother.degree) @ smoother.matrix
+        jumps = jump @ smoother.matrix
         conf = np.abs(jumps.data).max() if jumps.nnz else 0.0
         report.add("conformity", conf, degree=p, resolution=n, variant=variant)
         report.add(
@@ -154,15 +154,10 @@ def _space_checks(report, space, n, rng, random_fields, variants):
     )
 
     # discrete consistency: piecewise-polynomial solution, divergence load
-    case = poly_consistency_case(p, base_n=n)
-    c_space = HHOSpace(case.mesh_for(0), p)
-    c_sys = assemble(c_space)
-    c_sm = Smoother(c_space)
-    u_disc = solve(c_sys, rhs_smoothed(c_space, c_sm, case.load))
-    i_u = c_space.interpolate(case.u)
+    u_disc = solve(system, rhs_smoothed(space, smoother, case.load))
     resid = max(
-        np.abs(u_disc.cell_coeffs - i_u.cell_coeffs).max(),
-        np.abs(u_disc.face_coeffs - i_u.face_coeffs).max(),
+        np.abs(u_disc.cell_coeffs - i_hat.cell_coeffs).max(),
+        np.abs(u_disc.face_coeffs - i_hat.face_coeffs).max(),
     )
     report.add("discrete-consistency", resid, degree=p, resolution=n)
 

@@ -180,6 +180,24 @@ def test_solve_with_external_mesh(tmp_path):
     assert len(lines) == 1 + 18 * 3  # 18 cells, 3 lattice points at degree 1
 
 
+@pytest.mark.parametrize("text, problem", [
+    (T_JUNCTION_MESH, "vertex 4 hangs on cell 2 (mesh is not matching)"),
+    # one cell listed twice, and a vertex no cell uses
+    ("4 2\n0 0\n1 0\n0 1\n5 5\n0 1 2\n0 1 2\n",
+     "normals on interior face 0 are not opposite"),
+], ids=["t-junction", "duplicate-cell"])
+def test_solve_non_matching_mesh_is_refused(tmp_path, capsys, text, problem):
+    mesh_path = tmp_path / "bad.mesh"
+    mesh_path.write_text(text)
+    cfg = write_config(tmp_path / "s.json", case="smooth-sine", degree=0)
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg, "--out", str(out),
+                 "--mesh", str(mesh_path)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"hho: config error: --mesh {mesh_path}: {problem}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("bad", ["nan", "inf"])
 def test_non_finite_mesh_file_is_refused(tmp_path, capsys, bad):
     mesh_path = tmp_path / "bad.mesh"

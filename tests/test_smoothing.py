@@ -11,6 +11,7 @@ from hho.polyquad import (
     face_basis_values,
     face_quadrature,
     quad_for_degree,
+    reference_face_mass,
     space_dimension,
 )
 from hho.smoothing import (
@@ -472,3 +473,102 @@ def test_cell_bubble_and_broken_stiffness_match_einsum(p):
     got = _diagonal_blocks(broken_stiffness_matrix(sp, D), want.shape[1])
     scale = np.abs(want).max(axis=(1, 2))
     assert np.all(np.abs(got - want).max(axis=(1, 2)) <= 1e-12 * scale)
+
+
+def relabelled(mesh, seed=0):
+    """The same mesh with its vertices numbered in a random order."""
+    perm = np.random.default_rng(seed).permutation(mesh.num_vertices)
+    verts = np.empty_like(mesh.vertices)
+    verts[perm] = mesh.vertices
+    return SimplicialMesh(verts, perm[mesh.cells])
+
+
+def reference_face_bubble_matrix(sm):
+    """Dense B_Sigma by the gid-matching construction, as the reference.
+
+    p >= 1: a degree-p LagrangeLayer numbers the face nodes (vertex gids at
+    the ends, then the p - 1 interior nodes of face F at gids
+    NV + F (p - 1) + j, from the lower vertex to the higher), and each face
+    node is found in the adjacent cell's lattice by matching gids. p = 0: the
+    face bubble times the single face coefficient.
+    """
+    sp, mesh = sm.space, sm.space.mesh
+    p, nD = sp.p, sm.nD
+    faces = mesh.interior_faces
+    Ei = len(faces)
+    mass = reference_face_mass(p + 1)
+    beta_mat = np.linalg.inv(mass[:-1, :-1] - 4.0 * mass[1:, 1:]) @ mass[:-1, :]
+    if p >= 1:
+        layer = LagrangeLayer(mesh, p)
+        gids_f = np.empty((Ei, p + 1), dtype=np.int64)
+        gids_f[:, 0], gids_f[:, -1] = mesh.faces[faces, 0], mesh.faces[faces, 1]
+        gids_f[:, 1:-1] = (
+            mesh.num_vertices + faces[:, None] * (p - 1) + np.arange(p - 1)
+        )
+        lp_lat = lagrange_basis_values(p, sm.lat_bary)
+        s_nodes = np.arange(p + 1) / p - 0.5
+        nodal_mat = (s_nodes[:, None] ** np.arange(p + 1)) @ beta_mat
+    dense = np.zeros((mesh.num_cells * nD, Ei * (p + 2)))
+    cols = np.arange(Ei * (p + 2)).reshape(Ei, p + 2)
+    for side in (0, 1):
+        K = mesh.face_cells[faces, side]
+        il = np.argmax(mesh.cell_faces[K] == faces[:, None], axis=1)
+        phiF = sm.phiF_lat[il]
+        if p == 0:
+            coeff = np.einsum("fab,fb->fa", sm.invV_D[K], phiF)
+            blocks = coeff[:, :, None] * beta_mat[0][None, None, :]
+        else:
+            match = layer.cell_nodes[K][:, :, None] == gids_f[:, None, :]
+            assert np.all(match.sum(axis=1) == 1)
+            lpos = np.argmax(match, axis=1)
+            zvals = lp_lat[:, lpos].transpose(1, 0, 2) * phiF[:, :, None]
+            blocks = sm.invV_D[K] @ zvals @ nodal_mat
+        rows = K[:, None] * nD + np.arange(nD)
+        dense[rows[:, :, None], cols[:, None, :]] = blocks
+    return dense
+
+
+@pytest.mark.parametrize("make", [
+    lambda: jittered_square(4), lambda: relabelled(jittered_square(4)),
+], ids=["jittered", "relabelled"])
+@pytest.mark.parametrize("p", [0, 1, 2, 3])
+def test_face_bubble_matrix_matches_gid_matching(p, make):
+    mesh = make()
+    # both orientations occur: the face's higher global vertex sits at local
+    # vertex il+1 in some adjacent cells and at il+2 in others
+    faces = mesh.interior_faces
+    K = mesh.face_cells[faces].ravel()
+    F = np.repeat(faces, 2)
+    il = np.argmax(mesh.cell_faces[K] == F[:, None], axis=1)
+    hi = np.argmax(mesh.cells[K] == mesh.faces[F, 1][:, None], axis=1)
+    assert set((hi - il) % 3) == {1, 2}
+
+    sm = Smoother(HHOSpace(mesh, p))
+    got = sm.face_bubble_matrix.toarray()
+    want = reference_face_bubble_matrix(sm)
+    if p >= 1:
+        assert np.array_equal(got, want)
+    else:
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("p", [0, 1, 2, 3])
+def test_factor_blocks_same_for_every_degree(p):
+    # F4 always carries (a, v_Sigma, v_M) and F5 always reads all three;
+    # at p = 0 B_M is empty (P^{-1} = {0}) rather than left out
+    sp = HHOSpace(build_unit_square(2), p)
+    sm = Smoother(sp)
+    T, Ei = sp.mesh.num_cells, sp.mesh.num_interior_faces
+    blocks = [T * sm.nD, Ei * (p + 2), T * sm.nD]
+    F4, F5 = sm.factors[3], sm.factors[4]
+    assert F4.shape == (sum(blocks), T * sp.n1 + sp.num_dofs)
+    assert F5.shape == (T * sm.nD, sum(blocks))
+    cell_bubble = F5[:, -blocks[2]:]
+    assert (cell_bubble.nnz == 0) == (p == 0)
+    assert (sm._cell_bubble_matrix().nnz == 0) == (p == 0)
+    k = 4
+    rng = np.random.default_rng(p)
+    cell_res, face_res = moment_residuals(sm, [sp.random_field(rng) for _ in range(k)])
+    assert cell_res.shape == face_res.shape == (k,)
+    if p == 0:
+        assert np.array_equal(cell_res, np.zeros(k))
