@@ -100,23 +100,30 @@ class PiecewisePolyFunction:
 class ManufacturedCase:
     """Exact solution, load and mesh family for one problem.
 
-    `mesh_for(level)` builds the mesh of one level; `level_check(level)`
-    raises ValueError for levels the case cannot use (by default none).
+    `mesh_for(level)` builds the mesh of one level. `level_check(level)`
+    raises ValueError for levels the case cannot use: anything but an
+    integer, and any integer for which `level_rule(level)` returns a
+    reason (by default, levels below 1).
     """
 
-    def __init__(self, name, u, grad_u, load, mesh_for, regularity,
-                 level_check=lambda level: None):
+    def __init__(self, name, u, grad_u, load, mesh_for,
+                 level_rule=lambda level: _at_least(level, 1)):
         self.name = name
         self.u = u
         self.grad_u = grad_u
         self.load = load
         self.mesh_for = mesh_for
-        self.regularity = regularity
-        self.level_check = level_check
+        self.level_rule = level_rule
 
-    def validate(self, seed=0):
+    def level_check(self, level):
+        integral = isinstance(level, (int, np.integer)) and not isinstance(level, bool)
+        reason = self.level_rule(level) if integral else "an integer level"
+        if reason:
+            raise ValueError(f"{self.name} needs {reason}")
+
+    def validate(self):
         """Check the load/solution consistency at sample points."""
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(0)
         pts = self._sample_points(rng)
         if self.load.g is not None:
             got = np.asarray(self.load.g(pts))
@@ -147,6 +154,10 @@ class ManufacturedCase:
         return pts
 
 
+def _at_least(level, low):
+    return f"an integer level >= {low}" if level < low else None
+
+
 def _hat(t):
     return 1.0 - np.abs(2.0 * t - 1.0)
 
@@ -166,7 +177,6 @@ def smooth_sine_case():
 
     return ManufacturedCase(
         "smooth-sine", u, grad_u, LoadFunctional(f0=f0), build_unit_square,
-        regularity="smooth",
     )
 
 
@@ -183,7 +193,7 @@ def poly_consistency_case(p, base_n=2):
     u = PiecewisePolyFunction(profile)
     return ManufacturedCase(
         "poly-consistency", u, u.gradient, LoadFunctional(g=u.gradient),
-        mesh_for=_refiner(base), regularity="smooth",
+        mesh_for=_refiner(base), level_rule=lambda level: _at_least(level, 0),
     )
 
 
@@ -215,13 +225,12 @@ def kink_aligned_case():
 
     def check(level):
         if level % 2 != 0:
-            raise ValueError(
-                "kink-aligned needs an even grid so x = 1/2 is a mesh line"
-            )
+            return "an even grid so x = 1/2 is a mesh line"
+        return _at_least(level, 1)
 
     return ManufacturedCase(
         "kink-aligned", u, grad_u, LoadFunctional(g=grad_u), build_unit_square,
-        regularity="kink-aligned", level_check=check,
+        level_rule=check,
     )
 
 
@@ -257,7 +266,6 @@ def corner_singular_case():
 
     return ManufacturedCase(
         "corner-singular", u, grad_u, LoadFunctional(g=grad_u), build_lshape,
-        regularity="corner-singular",
     )
 
 
@@ -391,9 +399,3 @@ def run_convergence(case, p, levels, method="smoothed", averaging="mean",
         row["eoc_H1"], row["eoc_L2"] = r_h1, r_l2
     return report
 
-
-def quasi_optimality_ratio(report):
-    """Per-level energy/best ratios and whether they grow monotonically."""
-    ratios = report.column("ratio")
-    growing = all(b > a for a, b in zip(ratios, ratios[1:])) and len(ratios) > 1
-    return ratios, growing

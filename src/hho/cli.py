@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from .analysis import CASES, get_case, run_convergence
-from .local_ops import HHOSpace
+from .local_ops import P_MAX, HHOSpace
 from .mesh import MeshError, check_matching, read_mesh_file
 from .polyquad import UnsupportedDegreeError
 from .smoothing import AVERAGING_VARIANTS, Smoother, lattice_multis
@@ -97,14 +97,37 @@ def _fmt(x):
     return f"{x:.17g}"
 
 
+def _int_list(config, key, default, low, high=None):
+    """A non-empty list of integers in [low, high] (no upper bound if None)."""
+    values = _get(config, key, default, kind=list)
+    if not values or any(
+        type(v) is not int or v < low or (high is not None and v > high)
+        for v in values
+    ):
+        bound = f"in [{low}, {high}]" if high is not None else f">= {low}"
+        raise ConfigError(
+            f"config field '{key}' must be a non-empty list of integers {bound}"
+        )
+    return values
+
+
 def cmd_verify(args, config):
-    degrees = _get(config, "degrees", [0, 1, 2], kind=list)
-    resolutions = _get(config, "resolutions", [2, 4, 8], kind=list)
+    degrees = _int_list(config, "degrees", [0, 1, 2], 0, P_MAX)
+    resolutions = _int_list(config, "resolutions", [2, 4, 8], 1)
     seed = _get(config, "seed", 20180608, kind=int)
     random_fields = _get(config, "random_fields", 100, kind=int)
+    if random_fields < 1:
+        raise ConfigError("config field 'random_fields' must be at least 1")
     variants = _get(config, "averaging", ["mean", "scott-zhang"])
     if isinstance(variants, str):
         variants = [variants]
+    if not isinstance(variants, list) or not variants or any(
+        v not in AVERAGING_VARIANTS for v in variants
+    ):
+        raise ConfigError(
+            "config field 'averaging' must name one or more of "
+            + ", ".join(AVERAGING_VARIANTS)
+        )
     mesh_path = args.mesh or _get(config, "mesh")
 
     try:

@@ -48,10 +48,6 @@ class BrokenPoly:
         self.degree = degree
         self.coeffs = coeffs
 
-    @classmethod
-    def zero(cls, mesh, degree):
-        return cls(mesh, degree, np.zeros((mesh.num_cells, space_dimension(degree))))
-
     def values_at(self, points, cells=None):
         """Cell-wise values at points (T, Q, 2) aligned with `cells`."""
         vals = cell_basis_values(self.mesh, self.degree, points, cells=cells)
@@ -63,14 +59,6 @@ class BrokenPoly:
         grads = cell_basis_gradients(self.mesh, self.degree, points, cells=cells)
         coeffs = self.coeffs if cells is None else self.coeffs[cells]
         return np.einsum("tqid,ti->tqd", grads, coeffs)
-
-    def pad_to(self, degree):
-        """Embed into a higher degree (graded bases nest as prefixes)."""
-        if degree < self.degree:
-            raise ValueError("pad_to cannot lower the degree")
-        out = np.zeros((self.mesh.num_cells, space_dimension(degree)))
-        out[:, : self.coeffs.shape[1]] = self.coeffs
-        return BrokenPoly(self.mesh, degree, out)
 
 
 class HHOField:
@@ -87,18 +75,6 @@ class HHOField:
         self.p = p
         self.cell_coeffs = cell_coeffs
         self.face_coeffs = face_coeffs
-
-    @classmethod
-    def zero(cls, mesh, p):
-        return cls(
-            mesh,
-            p,
-            np.zeros((mesh.num_cells, space_dimension(p))),
-            np.zeros((mesh.num_interior_faces, p + 1)),
-        )
-
-    def cell_component(self):
-        return BrokenPoly(self.mesh, self.p, self.cell_coeffs)
 
 
 def _evaluate(v, points, cells=None):
@@ -282,15 +258,12 @@ class HHOSpace:
 
     # -- field plumbing ---------------------------------------------------
 
-    def zero_field(self):
-        return HHOField.zero(self.mesh, self.p)
-
-    def random_field(self, rng, scale=1.0):
+    def random_field(self, rng):
         return HHOField(
             self.mesh,
             self.p,
-            scale * rng.standard_normal((self.mesh.num_cells, self.nc)),
-            scale * rng.standard_normal((self.mesh.num_interior_faces, self.nf)),
+            rng.standard_normal((self.mesh.num_cells, self.nc)),
+            rng.standard_normal((self.mesh.num_interior_faces, self.nf)),
         )
 
     def vector_from_field(self, field):
@@ -322,26 +295,24 @@ class HHOSpace:
 
     # -- projections and local operators ----------------------------------
 
-    def project_cell(self, v, degree=None):
-        """L2 projection onto P^degree(M); degree defaults to p."""
-        degree = self.p if degree is None else degree
+    def project_cell(self, v):
+        """L2 projection onto P^p(M)."""
         pts, w = cell_quadrature(self.mesh, self.rule_cell_proj)
-        basis = cell_basis_values(self.mesh, degree, pts)
+        basis = cell_basis_values(self.mesh, self.p, pts)
         fv = _evaluate(v, pts)
         rhs = np.einsum("tq,tqi,tq->ti", w, basis, fv)
         M = symmetrize(np.einsum("tq,tqi,tqj->tij", w, basis, basis))
         coeffs = np.linalg.solve(M, rhs[..., None])[..., 0]
-        return BrokenPoly(self.mesh, degree, coeffs)
+        return BrokenPoly(self.mesh, self.p, coeffs)
 
-    def project_face(self, v, degree=None):
-        """L2 projection onto P^degree(F) per interior face -> (Ei, degree+1)."""
-        degree = self.p if degree is None else degree
+    def project_face(self, v):
+        """L2 projection onto P^p(F) per interior face -> (Ei, p+1)."""
         faces = self.mesh.interior_faces
         pts, w = face_quadrature(self.mesh, self.rule_face_proj, faces)
-        psi = face_basis_values(self.mesh, degree, faces, pts)
+        psi = face_basis_values(self.mesh, self.p, faces, pts)
         fv = _evaluate(v, pts, cells=self.mesh.face_cells[faces, 0])
         rhs = np.einsum("fq,fqm,fq->fm", w, psi, fv)
-        mhat_inv = np.linalg.inv(reference_face_mass(degree))
+        mhat_inv = np.linalg.inv(reference_face_mass(self.p))
         return rhs @ mhat_inv.T / self.mesh.h_face[faces][:, None]
 
     def interpolate(self, v):
@@ -355,13 +326,6 @@ class HHOSpace:
         x = self.local_coeffs(field)
         return BrokenPoly(
             self.mesh, self.p + 1, np.einsum("tij,tj->ti", self.G, x)
-        )
-
-    def stab_operator(self, field):
-        """S = s_M + (Id - Pi_M) R, a degree-(p+1) broken polynomial."""
-        x = self.local_coeffs(field)
-        return BrokenPoly(
-            self.mesh, self.p + 1, np.einsum("tij,tj->ti", self.S, x)
         )
 
     def stab_form(self, a, b):
@@ -385,17 +349,7 @@ class HHOSpace:
         coeffs = np.concatenate([c0[:, None], cred], axis=1)
         return BrokenPoly(self.mesh, self.p + 1, coeffs)
 
-    def bilinear_b(self, a, b):
-        """HHO bilinear form: broken gradients of reconstructions plus stabilization."""
-        ra = np.einsum("tij,tj->ti", self.G, self.local_coeffs(a))
-        rb = np.einsum("tij,tj->ti", self.G, self.local_coeffs(b))
-        grad_part = float(np.einsum("ti,tij,tj->", ra, self.stiff1, rb))
-        return grad_part + self.stab_form(a, b)
-
     # -- norms -------------------------------------------------------------
-
-    def energy_norm(self, field):
-        return float(np.sqrt(self.bilinear_b(field, field)))
 
     def hho_norm_matrix(self):
         """Matrix of the coercivity norm: broken H1 of s_M plus face penalties."""

@@ -45,9 +45,6 @@ class QuadratureRule:
         self.points = points
         self.weights = weights
 
-    def __len__(self):
-        return len(self.weights)
-
 
 _RULE_CACHE = {}
 
@@ -133,10 +130,8 @@ def _relative(mesh, cells, points):
 def _power_tables(rel, degree):
     """Cumulative powers of the relative coordinates up to `degree`."""
     shape = rel.shape[:-1] + (degree + 1,)
-    px = np.empty(shape)
-    py = np.empty(shape)
-    px[..., 0] = 1.0
-    py[..., 0] = 1.0
+    px = np.ones(shape)
+    py = np.ones(shape)
     for k in range(1, degree + 1):
         px[..., k] = px[..., k - 1] * rel[..., 0]
         py[..., k] = py[..., k - 1] * rel[..., 1]

@@ -181,8 +181,8 @@ class Smoother:
       B_Sigma v_Sigma + B_M (v_M - B_Sigma v_Sigma).
 
     B_M is empty at p = 0 (P^{-1} = {0}). Every application (forward,
-    transpose, matrix) is derived from the list; the leaf matrices live only
-    inside the factors, except B_Sigma.
+    transpose, matrix) is derived from the list; every leaf matrix lives
+    only inside the factors.
 
     Parameters
     ----------
@@ -201,8 +201,6 @@ class Smoother:
         self.nD = space_dimension(self.degree)
 
         self._build_lattice_tables()
-        self.layer1 = LagrangeLayer(space.mesh, space.p + 1)
-        self.face_bubble_matrix = self._face_bubble_matrix()
         self.factors = self._factors()
         self._matrix = None
 
@@ -218,7 +216,8 @@ class Smoother:
 
     def _averaging_matrices(self):
         """Nodal averaging on interior degree-(p+1) nodes, then re-expansion."""
-        space, mesh, layer = self.space, self.space.mesh, self.layer1
+        space, mesh = self.space, self.space.mesh
+        layer = LagrangeLayer(mesh, space.p + 1)
         T, n1 = mesh.num_cells, space.n1
         gids = layer.cell_nodes  # (T, n1), lattice order of lattice_multis
         node_ids = layer.interior_index[gids]  # -1 on the boundary
@@ -350,7 +349,7 @@ class Smoother:
         pad_1D = pad(T, space.n1, nD)
         identity = sparse.identity(space.num_dofs, format="csr")
         avg, expand = self._averaging_matrices()
-        face_bubble, cell_bubble = self.face_bubble_matrix, self._cell_bubble_matrix()
+        face_bubble, cell_bubble = self._face_bubble_matrix(), self._cell_bubble_matrix()
         # block columns: a, x_M, x_Sigma
         residuals = [
             [pad_1D, None, None],
@@ -396,54 +395,6 @@ class Smoother:
                 product = factor @ product
             self._matrix = product.tocsr()
         return self._matrix
-
-    def apply(self, field):
-        """Smoothed field: H1_0-conforming broken polynomial of degree 2+max(p,1)."""
-        vec = self.space.vector_from_field(field)
-        coeffs = self.apply_vector(vec).reshape(self.space.mesh.num_cells, self.nD)
-        return BrokenPoly(self.space.mesh, self.degree, coeffs)
-
-    def averaging(self, field):
-        """Averaged reconstruction: continuous piecewise P^{p+1}, zero on walls."""
-        return self.nodal_average(self.space.reconstruct(field))
-
-    def nodal_average(self, bp):
-        """Averaging applied to an arbitrary degree-(p+1) broken polynomial.
-
-        expand @ avg, read off the leading blocks of F3 and F2.
-        """
-        if bp.degree != self.space.p + 1:
-            raise ValueError("nodal_average expects a degree-(p+1) broken polynomial")
-        n, ni = bp.coeffs.size, self.layer1.num_interior
-        nodal = self.factors[1][:ni, :n] @ bp.coeffs.ravel()
-        coeffs = (self.factors[2][:n, :ni] @ nodal).reshape(bp.coeffs.shape)
-        return BrokenPoly(self.space.mesh, self.space.p + 1, coeffs)
-
-    def bubble_cell(self, v):
-        """B_M v (F5's last block column): keeps the cell moments of v up to p-1."""
-        space, size = self.space, self.space.mesh.num_cells * self.nD
-        vD = space.project_cell(v, degree=self.degree).coeffs.ravel()
-        coeffs = self.factors[-1][:, -size:] @ vD
-        return BrokenPoly(space.mesh, self.degree, coeffs.reshape(-1, self.nD))
-
-    def bubble_face(self, v):
-        """B_Sigma v: face-bubble lift preserving interior-face moments up to p."""
-        vS = self.space.project_face(v, degree=self.space.p + 1)
-        coeffs = (self.face_bubble_matrix @ vS.ravel()).reshape(-1, self.nD)
-        return BrokenPoly(self.space.mesh, self.degree, coeffs)
-
-    def bubble_smoother(self, v_cell, v_face):
-        """B(v_M, v_Sigma) = B_Sigma v_Sigma + B_M(v_M - B_Sigma v_Sigma).
-
-        The last factor applied to (0, v_Sigma, v_M); B_M is empty at p = 0
-        (P^{-1} = {0}), so v_M then contributes nothing.
-        """
-        space, mesh = self.space, self.space.mesh
-        parts = [np.zeros(mesh.num_cells * self.nD),
-                 space.project_face(v_face, degree=space.p + 1).ravel(),
-                 space.project_cell(v_cell, degree=self.degree).coeffs.ravel()]
-        coeffs = self.factors[-1] @ np.concatenate(parts)
-        return BrokenPoly(mesh, self.degree, coeffs.reshape(-1, self.nD))
 
 
 def reconstruction_matrix(space, degree):

@@ -48,12 +48,6 @@ class LoadFunctional:
         self.g = g
 
     @property
-    def variant(self):
-        if self.f0 is not None and self.g is not None:
-            return "composite"
-        return "l2-density" if self.f0 is not None else "divergence-form"
-
-    @property
     def has_divergence_part(self):
         return self.g is not None
 
@@ -148,12 +142,12 @@ def rhs_smoothed(space, smoother, load):
     return smoother.apply_transpose(fvec)
 
 
-def solve(system, rhs, method="direct", rtol=1e-12):
+def solve(system, rhs, method="direct"):
     """Solve via static condensation; return the HHO field.
 
     method 'direct' factorizes the condensed SPD matrix once (reused across
     right-hand sides); 'cg' runs Jacobi-preconditioned conjugate gradients to
-    the given relative residual.
+    relative residual 1e-12.
     """
     space = system.space
     b_f = system.condense_rhs(rhs)
@@ -165,7 +159,7 @@ def solve(system, rhs, method="direct", rtol=1e-12):
         u_f = system._face_lu.solve(b_f)
     elif method == "cg":
         M = sparse.diags(1.0 / system.face_matrix.diagonal())
-        u_f, info = cg(system.face_matrix, b_f, rtol=rtol, atol=0.0, M=M,
+        u_f, info = cg(system.face_matrix, b_f, rtol=1e-12, atol=0.0, M=M,
                        maxiter=20 * max(len(b_f), 1))
         if info != 0:
             raise RuntimeError(f"CG failed to converge (info={info})")

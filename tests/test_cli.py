@@ -45,6 +45,24 @@ def test_verify_passes_and_is_reproducible(tmp_path):
             "condensation", "discrete-consistency"} <= names
 
 
+@pytest.mark.parametrize("fields", [
+    {"averaging": ["median"]},
+    {"averaging": []},
+    {"degrees": ["a"]},
+    {"resolutions": [0]},
+    {"resolutions": []},
+    {"random_fields": 0},
+], ids=["averaging", "no-averaging", "degree-type", "resolution-zero",
+        "no-resolutions", "no-random-fields"])
+def test_verify_bad_config_exits_2_before_work(tmp_path, capsys, fields):
+    cfg = write_config(tmp_path / "v.json", **fields)
+    out = tmp_path / "out"
+    assert main(["verify", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("hho: config error:") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_verify_corrupted_mesh_fails_matching(tmp_path):
     mesh_path = tmp_path / "bad.mesh"
     mesh_path.write_text(T_JUNCTION_MESH)
@@ -85,7 +103,13 @@ def test_config_errors_exit_2(tmp_path):
     {"averaging": "median"},
     {"solver": {"method": "gmres"}},
     {"case": "kink-aligned", "levels": [3, 6]},
-], ids=["case", "method", "averaging", "solver", "odd-kink-level"])
+    {"levels": [2, -1]},
+    {"levels": [2, "a"]},
+    {"levels": [2, True]},
+    {"case": "poly-consistency", "levels": [-1, 0]},
+], ids=["case", "method", "averaging", "solver", "odd-kink-level",
+        "negative-level", "non-integer-level", "boolean-level",
+        "negative-refinement"])
 def test_converge_bad_choice_exits_2_before_work(tmp_path, capsys, fields):
     config = {"case": "smooth-sine", "degree": 0, "levels": [2, 4]}
     config.update(fields)
@@ -148,6 +172,15 @@ def test_solve_odd_kink_level_exits_2_before_work(tmp_path, capsys):
     assert main(["solve", "--config", cfg, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("hho: config error: level 3:") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_solve_level_the_mesh_family_cannot_build_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path / "s.json", case="smooth-sine", degree=0, level=0)
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("hho: config error: level 0:") and err.count("\n") == 1
     assert not out.exists()
 
 

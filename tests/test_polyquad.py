@@ -52,7 +52,7 @@ def test_triangle_rule_degree5_x2y3():
 @pytest.mark.parametrize("k", range(1, 8))
 def test_edge_gauss_exact_to_2k_minus_1(k):
     rule = quad_for_degree(1, 2 * k - 1)
-    assert len(rule) == k
+    assert len(rule.weights) == k
     t = rule.points[:, 1]
     for m in range(2 * k):
         val = np.sum(rule.weights * t ** m)
@@ -89,6 +89,16 @@ def test_basis_first_function_is_one():
     pts, _ = cell_quadrature(m, rule)
     vals = cell_basis_values(m, 2, pts)
     assert np.allclose(vals[..., 0], 1.0)
+
+
+def test_degree_minus_one_tables_are_empty():
+    # P^{-1} = {0}: no basis functions, but tables of the usual leading shape
+    m = build_unit_square(1)
+    pts, _ = cell_quadrature(m, quad_for_degree(2, 4))
+    T, Q = pts.shape[:2]
+    assert cell_basis_values(m, -1, pts).shape == (T, Q, 0)
+    assert cell_basis_gradients(m, -1, pts).shape == (T, Q, 0, 2)
+    assert cell_basis_laplacians(m, -1, pts).shape == (T, Q, 0)
 
 
 def test_basis_gradients_match_finite_differences():
