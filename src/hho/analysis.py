@@ -30,8 +30,9 @@ def _error_rule(p):
 def error_h1_broken(space, grad_u, field):
     """(broken H1 seminorm error of the reconstruction, sqrt of stab form)."""
     recon = space.reconstruct(field)
-    pts, w = cell_quadrature(space.mesh, _error_rule(space.p))
-    diff = np.asarray(grad_u(pts), dtype=float) - recon.gradients_at(pts)
+    rule = _error_rule(space.p)
+    pts, w = cell_quadrature(space.mesh, rule)
+    diff = np.asarray(grad_u(pts), dtype=float) - recon.gradients_on(rule.points)
     seminorm = float(np.sqrt(np.einsum("tq,tqd->", w, diff ** 2)))
     stab = float(np.sqrt(max(space.stab_form(field, field), 0.0)))
     return seminorm, stab
@@ -40,8 +41,9 @@ def error_h1_broken(space, grad_u, field):
 def error_l2(space, u, field):
     """L2 error of the reconstruction."""
     recon = space.reconstruct(field)
-    pts, w = cell_quadrature(space.mesh, _error_rule(space.p))
-    diff = np.asarray(u(pts), dtype=float) - recon.values_at(pts)
+    rule = _error_rule(space.p)
+    pts, w = cell_quadrature(space.mesh, rule)
+    diff = np.asarray(u(pts), dtype=float) - recon.values_on(rule.points)
     return float(np.sqrt(np.einsum("tq,tq->", w, diff ** 2)))
 
 
@@ -55,8 +57,9 @@ def supercloseness(space, u, field):
 def best_error_h1(space, u, grad_u):
     """Broken H1 best error: the elliptic projection realizes the cell infima."""
     proj = space.elliptic_project(u, grad_u)
-    pts, w = cell_quadrature(space.mesh, _error_rule(space.p))
-    diff = np.asarray(grad_u(pts), dtype=float) - proj.gradients_at(pts)
+    rule = _error_rule(space.p)
+    pts, w = cell_quadrature(space.mesh, rule)
+    diff = np.asarray(grad_u(pts), dtype=float) - proj.gradients_on(rule.points)
     return float(np.sqrt(np.einsum("tq,tqd->", w, diff ** 2)))
 
 

@@ -62,7 +62,10 @@ def _get(config, key, default=None, required=False, kind=None):
             raise ConfigError(f"config field '{key}' is required")
         return default
     value = config[key]
-    if kind is not None and not isinstance(value, kind):
+    # bool subclasses int, but a JSON true or false is no integer
+    if kind is not None and (
+        not isinstance(value, kind) or (kind is int and isinstance(value, bool))
+    ):
         raise ConfigError(f"config field '{key}' has the wrong type")
     return value
 
@@ -244,7 +247,7 @@ def cmd_solve(args, config):
 
     bary = lattice_multis(degree + 1) / (degree + 1)
     pts = np.einsum("la,tad->tld", bary, mesh.cell_vertices())
-    vals = recon.values_at(pts)
+    vals = recon.values_on(bary)
 
     out = _out_dir(args, config)
     path = os.path.join(out, "solution.csv")

@@ -25,6 +25,7 @@ from .polyquad import (
     cell_basis_laplacians,
     cell_basis_values,
     cell_quadrature,
+    face_barycentric,
     face_basis_values,
     face_quadrature,
     quad_for_degree,
@@ -37,7 +38,7 @@ P_MAX = 3
 
 
 class BrokenPoly:
-    """Piecewise polynomial on the mesh: per-cell scaled-monomial coefficients."""
+    """Piecewise polynomial on the mesh: per-cell coefficients in the cell basis."""
 
     def __init__(self, mesh, degree, coeffs):
         coeffs = np.asarray(coeffs, dtype=float)
@@ -48,17 +49,39 @@ class BrokenPoly:
         self.degree = degree
         self.coeffs = coeffs
 
+    def _pull_back(self, points, cells):
+        """Cells (T,) and barycentric coordinates (T, Q, 3) of points (T, Q, 2)."""
+        if cells is None:
+            cells = np.arange(self.mesh.num_cells)
+        return cells, self.mesh.barycentric_coordinates(cells[:, None], points)
+
     def values_at(self, points, cells=None):
-        """Cell-wise values at points (T, Q, 2) aligned with `cells`."""
-        vals = cell_basis_values(self.mesh, self.degree, points, cells=cells)
-        coeffs = self.coeffs if cells is None else self.coeffs[cells]
-        return np.einsum("tqi,ti->tq", vals, coeffs)
+        """Cell-wise values at physical points (T, Q, 2) aligned with `cells`."""
+        cells, bary = self._pull_back(points, cells)
+        vals = cell_basis_values(self.degree, bary)
+        return (vals @ self.coeffs[cells][..., None])[..., 0]
 
     def gradients_at(self, points, cells=None):
-        """Broken gradient at points (T, Q, 2) -> (T, Q, 2)."""
-        grads = cell_basis_gradients(self.mesh, self.degree, points, cells=cells)
-        coeffs = self.coeffs if cells is None else self.coeffs[cells]
-        return np.einsum("tqid,ti->tqd", grads, coeffs)
+        """Broken gradient at physical points (T, Q, 2) -> (T, Q, 2)."""
+        cells, bary = self._pull_back(points, cells)
+        grads = cell_basis_gradients(self.degree, bary)
+        ref = (self.coeffs[cells][:, None, None, :] @ grads)[..., 0, :]
+        return ref @ self.mesh.inverse_jacobians[cells]
+
+    def values_on(self, bary):
+        """Values at the same barycentric points (Q, 3) of every cell -> (T, Q)."""
+        return self.coeffs @ cell_basis_values(self.degree, bary).T
+
+    def gradients_on(self, bary):
+        """Gradients at the same barycentric points (Q, 3) of every cell -> (T, Q, 2).
+
+        The coefficients are contracted with the reference table first; only
+        the (T, Q, 2) result is mapped by J_K^{-1}.
+        """
+        grads = cell_basis_gradients(self.degree, bary)  # (Q, n, 2)
+        Q, n, _ = grads.shape
+        ref = self.coeffs @ grads.transpose(1, 0, 2).reshape(n, 2 * Q)
+        return ref.reshape(-1, Q, 2) @ self.mesh.inverse_jacobians
 
 
 class HHOField:
@@ -94,19 +117,35 @@ def _tmul(a, b):
     return _t(a) @ b
 
 
-def _grad_rows(grads):
-    """Basis gradients (T, Q, n, 2) as rows (T, n, 2Q) over (point, direction)."""
-    T, Q, n, _ = grads.shape
-    return grads.transpose(0, 2, 1, 3).reshape(T, n, 2 * Q)
+def metric(mesh):
+    """Entries (G11, G12, G22) of the metric G = J^{-1} J^{-T} per cell, (T, 3)."""
+    jinv = mesh.inverse_jacobians
+    G = jinv @ _t(jinv)
+    return G[:, [0, 0, 1], [0, 1, 1]]
 
 
-def stiffness_blocks(w, grads):
-    """Stiffness blocks sum_q w grad phi_i . grad phi_j per cell, (T, n, n).
+def stiffness_blocks(mesh, degree, rule):
+    """Stiffness blocks int_K grad phi_i . grad phi_j per cell, (T, n, n).
 
-    Weights (T, Q), gradients (T, Q, n, 2); the gradient axis joins the
-    quadrature axis as rows (T, n, 2Q)."""
-    g = _grad_rows(grads)
-    return symmetrize(_grad_rows(w[..., None, None] * grads) @ _t(g))
+    2|K| sum_ab G_ab S_ab with the metric G and three reference matrices
+    S_11, S_12 + S_21, S_22 tabulated once on the rule."""
+    g = cell_basis_gradients(degree, rule.points)  # (Q, n, 2)
+    S = np.einsum("qia,qjb->abij", rule.weights[:, None, None] * g, g)
+    S = np.stack([S[0, 0], S[0, 1] + S[1, 0], S[1, 1]])
+    coef = 2.0 * mesh.volumes[:, None] * metric(mesh)
+    n = g.shape[1]
+    return symmetrize((coef @ S.reshape(3, n * n)).reshape(-1, n, n))
+
+
+def gradient_moments(mesh, degree, rule, wg):
+    """int_K g . grad phi_i per cell (T, n) from weighted data wg (T, Q, 2).
+
+    The data is mapped to J_K^{-1} g and contracted with one reference
+    gradient table at the rule's points."""
+    mapped = wg @ _t(mesh.inverse_jacobians)
+    grads = cell_basis_gradients(degree, rule.points)  # (Q, n, 2)
+    Q, n, _ = grads.shape
+    return mapped.reshape(-1, 2 * Q) @ grads.transpose(0, 2, 1).reshape(2 * Q, n)
 
 
 class HHOSpace:
@@ -153,47 +192,61 @@ class HHOSpace:
     # -- construction ---------------------------------------------------
 
     def _build_cell_tables(self):
-        mesh = self.mesh
-        self.cell_qp, self.cell_qw = cell_quadrature(mesh, self.rule_cell)
-        phi1 = cell_basis_values(mesh, self.p + 1, self.cell_qp)
-        gphi1 = cell_basis_gradients(mesh, self.p + 1, self.cell_qp)
-        w = self.cell_qw
-        wphi1 = w[..., None] * phi1  # (T, Q, n1)
-        self.mass1 = symmetrize(_tmul(wphi1, phi1))
-        self.stiff1 = stiffness_blocks(w, gphi1)
-        self.ints1 = wphi1.sum(axis=1)
+        mesh, rule = self.mesh, self.rule_cell
+        phi1 = cell_basis_values(self.p + 1, rule.points)  # (Q, n1)
+        wphi1 = rule.weights[:, None] * phi1
+        # every cell table is 2|K| times a reference table
+        area2 = 2.0 * mesh.volumes
+        self.mass_hat = symmetrize(_t(wphi1) @ phi1)
+        self.mass1 = area2[:, None, None] * self.mass_hat
+        self.stiff1 = stiffness_blocks(mesh, self.p + 1, rule)
+        self.ints1 = area2[:, None] * wphi1.sum(axis=0)
         self.mass_p = self.mass1[:, : self.nc, : self.nc]
-        self._wphi_p = wphi1[..., : self.nc]
 
     def _build_face_tables(self):
-        mesh, p = self.mesh, self.p
+        mesh, p, rule = self.mesh, self.p, self.rule_face
         self.hf_loc = mesh.h_face[mesh.cell_faces]  # (T, 3)
         self.mhat_p = reference_face_mass(p)
         self.mhat_p_inv = np.linalg.inv(self.mhat_p)
+        # reference tables per (local face, orientation); rule points run
+        # from the face's lower-index vertex, so s = t - 1/2
+        t = rule.points[:, 1]
+        bary = face_barycentric(t)  # (3, 2, Q, 3)
+        wpsi = rule.weights[:, None] * face_basis_values(p, t - 0.5)  # (Q, nf)
+        phi1 = cell_basis_values(p + 1, bary)  # (3, 2, Q, n1)
+        gphi1 = cell_basis_gradients(p + 1, bary)  # (3, 2, Q, n1, 2)
+        ntr_hat = _t(wpsi) @ phi1  # (3, 2, nf, n1)
+        flux_hat = _t(wpsi) @ np.moveaxis(gphi1, -1, 2)  # (3, 2, 2, nf, n1)
+        phi_p = phi1[:, 0, :, : self.nc]  # the face integral ignores orientation
+        fcc_hat = symmetrize(_tmul(rule.weights[:, None] * phi_p, phi_p))
+
+        # grad phi . n_K = grad_hat phi . (J^{-1} n_K)
+        jn = mesh.normals @ _t(mesh.inverse_jacobians)  # (T, 3, 2)
+        T, nf, n1 = mesh.num_cells, self.nf, self.n1
         self.Ntr = []     # int_F psi_m phi_j, psi of degree p      (T, nf, n1)
         self.Bflux = []   # int_F psi_m grad(phi_j) . n_K           (T, nf, n1)
         self.Fcc = []     # int_F phi_i phi_j, cell basis degree p  (T, nc, nc)
         for i in range(3):
-            faces_i = mesh.cell_faces[:, i]
-            pts, w = face_quadrature(mesh, self.rule_face, faces_i)
-            phi1 = cell_basis_values(mesh, p + 1, pts)
-            gphi1 = cell_basis_gradients(mesh, p + 1, pts)
-            wpsi = w[..., None] * face_basis_values(mesh, p, faces_i, pts)
-            dphi_n = (gphi1 @ mesh.normals[:, i, None, :, None])[..., 0]
-            self.Ntr.append(_tmul(wpsi, phi1))
-            self.Bflux.append(_tmul(wpsi, dphi_n))
-            phi_p = phi1[..., : self.nc]
-            self.Fcc.append(symmetrize(_tmul(w[..., None] * phi_p, phi_p)))
+            o = mesh.face_flips[:, i]
+            h = self.hf_loc[:, i, None, None]
+            flux = jn[:, i, None, :] @ flux_hat[i, o].reshape(T, 2, nf * n1)
+            self.Ntr.append(h * ntr_hat[i, o])
+            self.Bflux.append(h * flux.reshape(T, nf, n1))
+            self.Fcc.append(h * fcc_hat[i])
 
     def _build_local_operators(self):
-        T, nc, n1, nf, nloc = (
-            self.mesh.num_cells, self.nc, self.n1, self.nf, self.nloc,
-        )
-        lphi1 = cell_basis_laplacians(self.mesh, self.p + 1, self.cell_qp)
+        mesh = self.mesh
+        T, nc, n1, nf, nloc = mesh.num_cells, self.nc, self.n1, self.nf, self.nloc
 
-        # right-hand side of the local Neumann problem, test function phi_j
+        # right-hand side of the local Neumann problem, test function phi_j;
+        # the Laplacian block -int (lap phi_j) q_i from three reference matrices
+        rule = self.rule_cell
+        wphi_p = rule.weights[:, None] * cell_basis_values(self.p, rule.points)
+        lap = cell_basis_laplacians(self.p + 1, rule.points)  # (Q, n1, 3)
+        lap_hat = lap.transpose(2, 1, 0) @ wphi_p  # (3, n1, nc)
+        coef = 2.0 * mesh.volumes[:, None] * metric(mesh)
         B = np.zeros((T, n1, nloc))
-        B[:, :, :nc] = -_tmul(lphi1, self._wphi_p)
+        B[:, :, :nc] = -(coef @ lap_hat.reshape(3, n1 * nc)).reshape(T, n1, nc)
         for i in range(3):
             cols = slice(nc + i * nf, nc + (i + 1) * nf)
             B[:, :, cols] = _t(self.Bflux[i])
@@ -207,11 +260,12 @@ class HHOSpace:
         int_row[:, :nc] = self.ints1[:, :nc]
         G[:, 0, :] = (
             int_row - (self.ints1[:, None, 1:] @ Gred)[:, 0]
-        ) / self.mesh.volumes[:, None]
+        ) / mesh.volumes[:, None]
         self.G = G
 
-        # stabilization operator S = s_M + (Id - Pi_M) R
-        Pi = np.linalg.solve(self.mass_p, self.mass1[:, :nc, :])  # (T, nc, n1)
+        # stabilization operator S = s_M + (Id - Pi_M) R; Pi_M is one
+        # reference matrix since the mass is 2|K| times mass_hat
+        Pi = np.linalg.solve(self.mass_hat[:nc, :nc], self.mass_hat[:nc, :])
         S = G.copy()
         S[:, :nc, :] -= Pi @ G
         idx = np.arange(nc)
@@ -238,7 +292,6 @@ class HHOSpace:
         )
         recon_loc = _t(G) @ (self.stiff1 @ G)
         self.A_loc = symmetrize(recon_loc + stab_loc)
-        del self._wphi_p
 
     def _build_dof_maps(self):
         mesh = self.mesh
@@ -297,23 +350,22 @@ class HHOSpace:
 
     def project_cell(self, v):
         """L2 projection onto P^p(M)."""
-        pts, w = cell_quadrature(self.mesh, self.rule_cell_proj)
-        basis = cell_basis_values(self.mesh, self.p, pts)
-        fv = _evaluate(v, pts)
-        rhs = np.einsum("tq,tqi,tq->ti", w, basis, fv)
-        M = symmetrize(np.einsum("tq,tqi,tqj->tij", w, basis, basis))
-        coeffs = np.linalg.solve(M, rhs[..., None])[..., 0]
-        return BrokenPoly(self.mesh, self.p, coeffs)
+        rule = self.rule_cell_proj
+        pts, w = cell_quadrature(self.mesh, rule)
+        rhs = (w * _evaluate(v, pts)) @ cell_basis_values(self.p, rule.points)
+        nc = self.nc
+        coeffs = np.linalg.solve(self.mass_hat[:nc, :nc], rhs.T).T
+        return BrokenPoly(self.mesh, self.p, coeffs / (2.0 * self.mesh.volumes[:, None]))
 
     def project_face(self, v):
         """L2 projection onto P^p(F) per interior face -> (Ei, p+1)."""
         faces = self.mesh.interior_faces
-        pts, w = face_quadrature(self.mesh, self.rule_face_proj, faces)
-        psi = face_basis_values(self.mesh, self.p, faces, pts)
+        rule = self.rule_face_proj
+        pts, w = face_quadrature(self.mesh, rule, faces)
+        psi = face_basis_values(self.p, rule.points[:, 1] - 0.5)
         fv = _evaluate(v, pts, cells=self.mesh.face_cells[faces, 0])
-        rhs = np.einsum("fq,fqm,fq->fm", w, psi, fv)
-        mhat_inv = np.linalg.inv(reference_face_mass(self.p))
-        return rhs @ mhat_inv.T / self.mesh.h_face[faces][:, None]
+        rhs = (w * fv) @ psi
+        return rhs @ self.mhat_p_inv.T / self.mesh.h_face[faces][:, None]
 
     def interpolate(self, v):
         """HHO interpolant: cell and face L2 projections of v."""
@@ -338,12 +390,12 @@ class HHOSpace:
 
     def elliptic_project(self, v, grad_v):
         """Broken elliptic projection onto P^{p+1}(M)."""
-        pts, w = cell_quadrature(self.mesh, self.rule_cell_proj)
-        gphi = cell_basis_gradients(self.mesh, self.p + 1, pts)
-        gv = np.asarray(grad_v(pts), dtype=float)
-        rhs = np.einsum("tq,tqjd,tqd->tj", w, gphi[:, :, 1:, :], gv)
-        cred = np.linalg.solve(self.stiff1[:, 1:, 1:], rhs[..., None])[..., 0]
-        ints_v = np.einsum("tq,tq->t", w, _evaluate(v, pts))
+        rule = self.rule_cell_proj
+        pts, w = cell_quadrature(self.mesh, rule)
+        wg = w[..., None] * np.asarray(grad_v(pts), dtype=float)
+        rhs = gradient_moments(self.mesh, self.p + 1, rule, wg)
+        cred = np.linalg.solve(self.stiff1[:, 1:, 1:], rhs[:, 1:, None])[..., 0]
+        ints_v = (w * _evaluate(v, pts)).sum(axis=1)
         c0 = (ints_v - np.einsum("ti,ti->t", self.ints1[:, 1:], cred))
         c0 /= self.mesh.volumes
         coeffs = np.concatenate([c0[:, None], cred], axis=1)

@@ -46,6 +46,12 @@ class SimplicialMesh:
         Global indices of interior faces, ascending.
     face_interior_index : (E,) int array
         Rank within `interior_faces`, -1 for boundary faces.
+    face_local : (E, 2) int array
+        Local index of the face in each cell of `face_cells`, -1 where that
+        cell is missing.
+    face_flips : (T, 3) int array
+        1 where the lower-index global vertex of local face i is local
+        vertex i+2, 0 where it is local vertex i+1 (indices mod 3).
     volumes, h_cell, r_cell : (T,) float arrays
         Cell areas, diameters, inradii.
     h_face : (E,) float array
@@ -54,6 +60,9 @@ class SimplicialMesh:
         Unit outward normal per (cell, local face).
     barycenters : (T, 2), face_midpoints : (E, 2), face_tangents : (E, 2)
         The tangent points from the lower-index vertex to the higher one.
+    inverse_jacobians : (T, 2, 2) float array
+        J_K^{-1} of the affine map x = v_0 + J_K (l1, l2) from barycentric
+        coordinates, J_K = [v_1 - v_0, v_2 - v_0].
 
     The mesh is never mutated after construction and is safe for concurrent
     reads.
@@ -120,6 +129,13 @@ class SimplicialMesh:
         face_cells[ff[first], 0] = fc[first]
         face_cells[ff[~first], 1] = fc[~first]
         self.face_cells = face_cells
+        face_local = np.full((num_faces, 2), -1, dtype=np.int64)
+        face_local[ff[first], 0] = order[first] % 3
+        face_local[ff[~first], 1] = order[~first] % 3
+        self.face_local = face_local
+        self.face_flips = np.stack(
+            [c[:, (i + 1) % 3] > c[:, (i + 2) % 3] for i in range(3)], axis=1
+        ).astype(np.int64)
 
         self.boundary_face_mask = counts == 1
         self.interior_faces = np.nonzero(counts == 2)[0]
@@ -134,6 +150,9 @@ class SimplicialMesh:
         if np.any(self.volumes <= 0.0):
             raise MeshError("non-positive cell volume after orientation")
         self.barycenters = p.mean(axis=1)
+        self.inverse_jacobians = np.linalg.inv(
+            np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]], axis=-1)
+        )
 
         fv = self.vertices[self.faces]
         self.h_face = np.linalg.norm(fv[:, 1] - fv[:, 0], axis=1)
@@ -186,12 +205,13 @@ class SimplicialMesh:
         return self.vertices[self.cells]
 
     def barycentric_coordinates(self, cells, points):
-        """Barycentric coordinates of `points` (..., 2) w.r.t. `cells`."""
-        p = self.vertices[self.cells[cells]]  # (..., 3, 2)
-        v0 = p[..., 0, :]
-        T = np.stack([p[..., 1, :] - v0, p[..., 2, :] - v0], axis=-1)
-        rhs = points - v0
-        lam12 = np.linalg.solve(T, rhs[..., None])[..., 0]
+        """Barycentric coordinates (..., 3) of `points` (..., 2) in `cells`.
+
+        The shape of `cells` broadcasts against ``points.shape[:-1]``: pass
+        (N,) cells for N points, or (T, 1) cells for (T, Q) points.
+        """
+        v0 = self.vertices[self.cells[cells, 0]]
+        lam12 = np.einsum("...ij,...j->...i", self.inverse_jacobians[cells], points - v0)
         lam0 = 1.0 - lam12.sum(axis=-1)
         return np.concatenate([lam0[..., None], lam12], axis=-1)
 

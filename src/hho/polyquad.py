@@ -1,10 +1,17 @@
-"""Polynomial bases on cells and faces, and simplex quadrature.
+"""Polynomial bases on the reference triangle and faces, and simplex quadrature.
 
-Cell bases are scaled monomials ((x - m_K)/h_K)^alpha in graded order, so the
-degree-q basis is a prefix of the degree-(q+1) basis and the first function is
-the constant 1. Face bases are scaled monomials in the arclength coordinate
-s = (x - m_F) . t_F / h_F, with the tangent t_F pointing from the lower-index
-vertex to the higher one; s runs over [-1/2, 1/2].
+Every cell K is the image of the reference triangle under its affine map
+x = v_0 + J_K (l1, l2), (l0, l1, l2) the barycentric coordinates of x. The
+cell basis is the graded monomials (l1 - 1/3)^a (l2 - 1/3)^b in the centred
+reference coordinates, so it is defined once, here: the degree-q basis is a
+prefix of the degree-(q+1) basis, the first function is the constant 1 and
+every other one vanishes at the barycentre. Tables are tabulated once per
+(degree, rule) at barycentric points and mapped per cell: values need no
+map, gradients are the reference gradients times J_K^{-1} (as rows), and the
+Laplacian contracts the reference second derivatives with the metric
+J_K^{-1} J_K^{-T}. Face bases are monomials in the arclength coordinate
+s = (x - m_F) . t_F / h_F, with the tangent t_F pointing from the
+lower-index vertex to the higher one; s runs over [-1/2, 1/2].
 
 Quadrature: Gauss-Legendre on edges, conical-product rules (Gauss-Legendre x
 Gauss-Jacobi on the collapsed square) on triangles. Both have strictly
@@ -116,71 +123,75 @@ def cell_exponents(degree):
     return np.array(exps, dtype=np.int64).reshape(-1, 2)
 
 
-def _relative(mesh, cells, points):
-    if cells is None:
-        centers = mesh.barycenters
-        h = mesh.h_cell
-    else:
-        centers = mesh.barycenters[cells]
-        h = mesh.h_cell[cells]
-    rel = (points - centers[:, None, :]) / h[:, None, None]
-    return rel, h
-
-
-def _power_tables(rel, degree):
-    """Cumulative powers of the relative coordinates up to `degree`."""
-    shape = rel.shape[:-1] + (degree + 1,)
+def _power_tables(bary, degree):
+    """Cumulative powers of the centred reference coordinates up to `degree`."""
+    bary = np.asarray(bary, dtype=float)
+    shape = bary.shape[:-1] + (degree + 1,)
     px = np.ones(shape)
     py = np.ones(shape)
     for k in range(1, degree + 1):
-        px[..., k] = px[..., k - 1] * rel[..., 0]
-        py[..., k] = py[..., k - 1] * rel[..., 1]
+        px[..., k] = px[..., k - 1] * (bary[..., 1] - 1.0 / 3.0)
+        py[..., k] = py[..., k - 1] * (bary[..., 2] - 1.0 / 3.0)
     return px, py
 
 
-def cell_basis_values(mesh, degree, points, cells=None):
-    """Scaled-monomial values at physical points (T, Q, 2) -> (T, Q, n)."""
-    rel, _ = _relative(mesh, cells, points)
+def cell_basis_values(degree, bary):
+    """Basis values at barycentric points (..., 3) -> (..., n); the same in every cell."""
     exps = cell_exponents(degree)
-    px, py = _power_tables(rel, degree)
+    px, py = _power_tables(bary, degree)
     return px[..., exps[:, 0]] * py[..., exps[:, 1]]
 
 
-def cell_basis_gradients(mesh, degree, points, cells=None):
-    """Gradients at physical points -> (T, Q, n, 2)."""
-    rel, h = _relative(mesh, cells, points)
+def cell_basis_gradients(degree, bary):
+    """Reference gradients d/d(l1, l2) at barycentric points -> (..., n, 2).
+
+    On cell K the gradient is this table times J_K^{-1}: rows (..., n, 2) @
+    ``mesh.inverse_jacobians[K]``.
+    """
     exps = cell_exponents(degree)
     ax, ay = exps[:, 0], exps[:, 1]
-    px, py = _power_tables(rel, degree)
+    px, py = _power_tables(bary, degree)
     dx = ax * px[..., np.maximum(ax - 1, 0)] * py[..., ay]
     dy = ay * px[..., ax] * py[..., np.maximum(ay - 1, 0)]
-    grad = np.stack([dx, dy], axis=-1)
-    return grad / h[:, None, None, None]
+    return np.stack([dx, dy], axis=-1)
 
 
-def cell_basis_laplacians(mesh, degree, points, cells=None):
-    """Laplacians at physical points -> (T, Q, n)."""
-    rel, h = _relative(mesh, cells, points)
+def cell_basis_laplacians(degree, bary):
+    """Reference second derivatives (d11, 2 d12, d22) at barycentric points -> (..., n, 3).
+
+    On cell K the Laplacian is this table contracted with the entries
+    (G11, G12, G22) of the metric G = J_K^{-1} J_K^{-T}.
+    """
     exps = cell_exponents(degree)
     ax, ay = exps[:, 0], exps[:, 1]
-    px, py = _power_tables(rel, degree)
+    px, py = _power_tables(bary, degree)
     dxx = ax * (ax - 1) * px[..., np.maximum(ax - 2, 0)] * py[..., ay]
+    dxy = 2 * ax * ay * px[..., np.maximum(ax - 1, 0)] * py[..., np.maximum(ay - 1, 0)]
     dyy = ay * (ay - 1) * px[..., ax] * py[..., np.maximum(ay - 2, 0)]
-    return (dxx + dyy) / (h ** 2)[:, None, None]
+    return np.stack([dxx, dxy, dyy], axis=-1)
 
 
-def face_arclength(mesh, faces, points):
-    """Scaled arclength coordinate s in [-1/2, 1/2] of points (F, Q, 2)."""
-    mids = mesh.face_midpoints[faces]
-    tang = mesh.face_tangents[faces]
-    h = mesh.h_face[faces]
-    return np.einsum("fqd,fd->fq", points - mids[:, None, :], tang) / h[:, None]
+def face_barycentric(t):
+    """Cell barycentric coordinates of face points, shape (3, 2, ..., 3).
+
+    Entry [i, o] places the face parameters t in [0, 1] on the face opposite
+    local vertex i, measured from its lower-index global vertex: local
+    vertex i+1 when o = 0, local vertex i+2 when o = 1 (o is
+    ``mesh.face_flips[K, i]``). Tables at these points are the reference
+    face tables per (local face, orientation).
+    """
+    t = np.asarray(t, dtype=float)
+    out = np.zeros((3, 2) + t.shape + (3,))
+    for i in range(3):
+        a, b = (i + 1) % 3, (i + 2) % 3
+        out[i, 0, ..., a] = out[i, 1, ..., b] = 1.0 - t
+        out[i, 0, ..., b] = out[i, 1, ..., a] = t
+    return out
 
 
-def face_basis_values(mesh, degree, faces, points):
-    """Scaled-monomial values on faces: (F, Q, 2) -> (F, Q, degree+1)."""
-    s = face_arclength(mesh, faces, points)
-    return s[..., None] ** np.arange(degree + 1)
+def face_basis_values(degree, s):
+    """Face monomials at arclength coordinates s (...) -> (..., degree+1)."""
+    return np.asarray(s, dtype=float)[..., None] ** np.arange(degree + 1)
 
 
 def reference_face_mass(degree):

@@ -24,14 +24,14 @@ from .local_ops import (
     stiffness_blocks,
 )
 from .polyquad import (
-    cell_basis_gradients,
     cell_basis_values,
+    face_barycentric,
     face_basis_values,
-    face_quadrature,
     reference_face_mass,
     space_dimension,
     symmetrize,
 )
+from .system import SPD_LU
 
 AVERAGING_VARIANTS = ("mean", "scott-zhang")
 
@@ -68,8 +68,7 @@ class LagrangeLayer:
     Node ids: vertices first (gid == vertex id), then degree-1 nodes per
     face ordered from the lower-index vertex to the higher one, then cell
     interior nodes. Provides per-cell lattice-to-global maps, node
-    coordinates (global, and per cell as computed from that cell's vertices),
-    boundary flags and incidence counts.
+    coordinates, boundary flags and incidence counts.
     """
 
     def __init__(self, mesh, degree):
@@ -110,10 +109,8 @@ class LagrangeLayer:
         self.cell_nodes = cell_nodes
 
         coords = np.empty((self.num_nodes, 2))
-        self.cell_coords = np.einsum(
-            "la,tad->tld", self.lattice_bary, mesh.cell_vertices()
-        )
-        coords[cell_nodes.ravel()] = self.cell_coords.reshape(-1, 2)
+        cell_coords = np.einsum("la,tad->tld", self.lattice_bary, mesh.cell_vertices())
+        coords[cell_nodes.ravel()] = cell_coords.reshape(-1, 2)
         self.coords = coords
 
         boundary = np.zeros(self.num_nodes, dtype=bool)
@@ -159,8 +156,8 @@ def lagrange_interpolant(mesh, degree, func):
     """
     layer = LagrangeLayer(mesh, degree)
     nodal = np.where(layer.boundary, 0.0, np.asarray(func(layer.coords), dtype=float))
-    V = cell_basis_values(mesh, degree, layer.cell_coords)
-    coeffs = np.linalg.solve(V, nodal[layer.cell_nodes][..., None])[..., 0]
+    V = cell_basis_values(degree, layer.lattice_bary)  # the same in every cell
+    coeffs = np.linalg.solve(V, nodal[layer.cell_nodes].T).T
     return BrokenPoly(mesh, degree, coeffs)
 
 
@@ -180,9 +177,11 @@ class Smoother:
     * F5 = [I | B_Sigma - B_M B_Sigma | B_M]: a plus the bubble correction
       B_Sigma v_Sigma + B_M (v_M - B_Sigma v_Sigma).
 
-    B_M is empty at p = 0 (P^{-1} = {0}). Every application (forward,
-    transpose, matrix) is derived from the list; every leaf matrix lives
-    only inside the factors.
+    B_M is one reference block on every cell, and zero at p = 0
+    (P^{-1} = {0}); B_Sigma - B_M B_Sigma is scattered from the face-bubble
+    blocks with (I - B_M) applied. Every application (forward, transpose,
+    matrix) is derived from the list; every leaf matrix lives only inside
+    the factors.
 
     Parameters
     ----------
@@ -204,14 +203,14 @@ class Smoother:
         self.factors = self._factors()
         self._matrix = None
 
-    # -- reference and per-cell tables ------------------------------------
+    # -- reference tables ----------------------------------------------------
 
     def _build_lattice_tables(self):
-        mesh = self.space.mesh
         D = self.degree
         self.lat_bary = lattice_multis(D) / D
-        self.lat_coords = np.einsum("la,tad->tld", self.lat_bary, mesh.cell_vertices())
-        self.invV_D = np.linalg.inv(cell_basis_values(mesh, D, self.lat_coords))
+        # the Lagrange basis is affine invariant: one Vandermonde inverse
+        # maps degree-D lattice values to coefficients in every cell
+        self.invV_D = np.linalg.inv(cell_basis_values(D, self.lat_bary))
         self.phiK_lat, self.phiF_lat = _bubbles(self.lat_bary)  # (nD,), (3, nD)
 
     def _averaging_matrices(self):
@@ -223,9 +222,9 @@ class Smoother:
         node_ids = layer.interior_index[gids]  # -1 on the boundary
         coeff_ids = np.arange(T * n1).reshape(T, n1)
 
-        # basis values at the cell's own lattice nodes (Vandermonde); its
-        # inverse maps nodal values to coefficients
-        V1 = cell_basis_values(mesh, space.p + 1, layer.cell_coords)  # (T, n1, n1)
+        # basis values at the lattice nodes (Vandermonde), the same in every
+        # cell; its inverse maps nodal values to coefficients
+        V1 = cell_basis_values(space.p + 1, layer.lattice_bary)  # (n1, n1)
 
         if self.averaging_variant == "mean":
             weight = 1.0 / layer.counts[gids]
@@ -239,32 +238,34 @@ class Smoother:
         )
         # nodal values (zero on the boundary) back to broken p+1 coefficients
         expand = scatter_blocks(
-            np.linalg.inv(V1), coeff_ids, node_ids, (T * n1, layer.num_interior)
+            np.broadcast_to(np.linalg.inv(V1), (T, n1, n1)), coeff_ids, node_ids,
+            (T * n1, layer.num_interior),
         )
         return avg, expand
 
     def _face_trace_matrix(self):
         """Broken p+1 coefficients -> degree-(p+1) face coefficients of the trace."""
         space, mesh = self.space, self.space.mesh
-        p = space.p
-        nf1 = p + 2
+        nf1 = space.p + 2
         faces = mesh.interior_faces
         Ei = len(faces)
         k1 = mesh.face_cells[faces, 0]
-        s = np.linspace(-0.5, 0.5, nf1)
-        span = mesh.h_face[faces][:, None] * mesh.face_tangents[faces]
-        pts = mesh.face_midpoints[faces][:, None, :] + s[None, :, None] * span[:, None, :]
-        vf_inv = np.linalg.inv(s[:, None] ** np.arange(nf1))
-        cell_vals = cell_basis_values(mesh, p + 1, pts, cells=k1)  # (Ei,nf1,n1)
+        # interpolate the trace at nf1 equispaced points of each face: one
+        # reference matrix per (local face, orientation) of the first cell
+        t = np.linspace(0.0, 1.0, nf1)
+        vf_inv = np.linalg.inv(face_basis_values(nf1 - 1, t - 0.5))
+        trace_hat = vf_inv @ cell_basis_values(space.p + 1, face_barycentric(t))
         return scatter_blocks(
-            np.einsum("mn,fnj->fmj", vf_inv, cell_vals),
+            on_faces(trace_hat, mesh, faces, 0),
             np.arange(Ei * nf1).reshape(Ei, nf1),
             k1[:, None] * space.n1 + np.arange(space.n1),
             (Ei * nf1, mesh.num_cells * space.n1),
         )
 
-    def _face_bubble_matrix(self):
-        """Degree-(p+1) face data -> broken degree-D coefficients of B_Sigma."""
+    def _face_bubble_matrix(self, left):
+        """Degree-(p+1) face data -> broken degree-D coefficients of `left` B_Sigma,
+        for an (nD, nD) matrix `left` acting on every cell (the identity
+        gives B_Sigma itself)."""
         space, mesh = self.space, self.space.mesh
         p, nD = space.p, self.nD
         nf1 = p + 2
@@ -279,62 +280,48 @@ class Smoother:
         beta_mat = what_inv @ mass[:-1, :]  # (p+1, nf1)
 
         # B_F v is interpolated at the p+1 equispaced degree-p lattice nodes of
-        # the face, ordered from its lower global vertex to its higher one
-        s_nodes = np.arange(p + 1) / max(p, 1) - 0.5
-        nodal_mat = (s_nodes[:, None] ** np.arange(p + 1)) @ beta_mat  # (p+1, nf1)
-        lp_lat = lagrange_basis_values(p, self.lat_bary)  # (nD, nlat_p)
+        # the face, ordered from its lower global vertex to its higher one;
+        # per (local face, orientation) those nodes are cell lattice nodes
+        t_nodes = np.arange(p + 1) / max(p, 1)
+        nodal_mat = face_basis_values(p, t_nodes - 0.5) @ beta_mat  # (p+1, nf1)
+        multi = np.rint(p * face_barycentric(t_nodes)).astype(np.int64)
         multis = lattice_multis(p)
         lattice_pos = np.empty((p + 1, p + 1), dtype=np.int64)
         lattice_pos[multis[:, 0], multis[:, 1]] = np.arange(len(multis))
-        steps = np.arange(p + 1)
-        weights = np.stack([p - steps, steps], axis=1)  # (p+1, 2): lower, higher
+        lpos = lattice_pos[multi[..., 0], multi[..., 1]]  # (3, 2, p+1)
+        lp_lat = lagrange_basis_values(p, self.lat_bary)  # (nD, nlat_p)
+        zvals = (
+            np.moveaxis(lp_lat[:, lpos], 0, 2) * self.phiF_lat[:, None, :, None]
+        )  # (3, 2, nD, p+1)
+        bubble_hat = left @ self.invV_D @ zvals @ nodal_mat  # (3, 2, nD, nf1)
 
-        blocks, rows = [], []
-        for side in (0, 1):
-            K = mesh.face_cells[faces, side]
-            # local vertices of the face's lower and higher global vertex; the
-            # face is the one opposite the third
-            ends = np.argmax(
-                mesh.cells[K][:, None, :] == mesh.faces[faces][:, :, None], axis=2
-            )  # (Ei, 2)
-            il = 3 - ends.sum(axis=1)
-            multi = weights @ (ends[:, :, None] == np.arange(3))  # (Ei, p+1, 3)
-            lpos = lattice_pos[multi[..., 0], multi[..., 1]]  # (Ei, p+1)
-            zvals = (
-                lp_lat[:, lpos].transpose(1, 0, 2) * self.phiF_lat[il][:, :, None]
-            )  # (Ei, nD, p+1)
-            blocks.append(self.invV_D[K] @ zvals @ nodal_mat)
-            rows.append(K[:, None] * nD + np.arange(nD))
         cols = np.arange(Ei * nf1).reshape(Ei, nf1)
+        sides = (0, 1)
         return scatter_blocks(
-            np.concatenate(blocks), np.concatenate(rows), np.concatenate([cols, cols]),
+            np.concatenate([on_faces(bubble_hat, mesh, faces, s) for s in sides]),
+            np.concatenate([mesh.face_cells[faces, s][:, None] * nD + np.arange(nD)
+                            for s in sides]),
+            np.concatenate([cols, cols]),
             (mesh.num_cells * nD, Ei * nf1),
         )
 
-    def _cell_bubble_matrix(self):
-        """Broken degree-D data -> broken degree-D coefficients of B_M.
+    def _cell_bubble_block(self):
+        """The (nD, nD) block of B_M on every cell: broken degree-D data to
+        degree-D coefficients.
 
-        Empty at p = 0: P^{-1} = {0} leaves no cell moment to restore.
+        The bubble-weighted mass and the moments are both 2|K| times
+        reference matrices, so one block serves every cell. It is zero at
+        p = 0: P^{-1} = {0} leaves no cell moment to restore.
         """
-        space, mesh = self.space, self.space.mesh
-        p, nD, D = space.p, self.nD, self.degree
-        size = mesh.num_cells * nD
-        if space_dimension(p - 1) == 0:
-            return sparse.csr_matrix((size, size))
-        w = space.cell_qw
-        phiK_q, _ = _bubbles(space.rule_cell.points)  # (Q,)
-        phi_pm1 = cell_basis_values(mesh, p - 1, space.cell_qp)
-        phiD = cell_basis_values(mesh, D, space.cell_qp)
-        wphi = w[..., None] * phi_pm1
+        p, D = self.space.p, self.degree
+        rule = self.space.rule_cell
+        phiK_q, _ = _bubbles(rule.points)  # (Q,)
+        phi_pm1 = cell_basis_values(p - 1, rule.points)
+        wphi = rule.weights[:, None] * phi_pm1
         W = symmetrize(_tmul(phiK_q[:, None] * wphi, phi_pm1))
-        mom = _tmul(wphi, phiD)
-        sol = np.linalg.solve(W, mom)  # (T, npm1, nD)
-
-        phi_pm1_lat = cell_basis_values(mesh, p - 1, self.lat_coords)  # (T, nD, npm1)
-        lat_vals = phi_pm1_lat * self.phiK_lat[None, :, None]
-        blocks = self.invV_D @ lat_vals @ sol
-        ids = np.arange(size).reshape(-1, nD)
-        return scatter_blocks(blocks, ids, ids, (size, size))
+        sol = np.linalg.solve(W, _tmul(wphi, cell_basis_values(D, rule.points)))
+        lat_vals = cell_basis_values(p - 1, self.lat_bary) * self.phiK_lat[:, None]
+        return self.invV_D @ lat_vals @ sol
 
     def _factors(self):
         """The factor list [F1, ..., F5] of S_H (see the class docstring)."""
@@ -349,7 +336,7 @@ class Smoother:
         pad_1D = pad(T, space.n1, nD)
         identity = sparse.identity(space.num_dofs, format="csr")
         avg, expand = self._averaging_matrices()
-        face_bubble, cell_bubble = self._face_bubble_matrix(), self._cell_bubble_matrix()
+        cell_block = self._cell_bubble_block()
         # block columns: a, x_M, x_Sigma
         residuals = [
             [pad_1D, None, None],
@@ -357,7 +344,8 @@ class Smoother:
             [-pad_1D, pad(T, nc, nD), None],
         ]
         bubbles = [sparse.identity(T * nD, format="csr"),
-                   face_bubble - cell_bubble @ face_bubble, cell_bubble]
+                   self._face_bubble_matrix(np.eye(nD) - cell_block),
+                   sparse.kron(sparse.identity(T), cell_block, format="csr")]
         return [
             sparse.vstack(
                 [reconstruction_matrix(space, space.p + 1), identity], format="csr"
@@ -397,6 +385,14 @@ class Smoother:
         return self._matrix
 
 
+def on_faces(table, mesh, faces, side):
+    """Per-face blocks of a reference face table (3, 2, ...), read in cell
+    ``face_cells[faces, side]`` at its local face and orientation."""
+    K = mesh.face_cells[faces, side]
+    local = mesh.face_local[faces, side]
+    return table[local, mesh.face_flips[K, local]]
+
+
 def reconstruction_matrix(space, degree):
     """HHO dof vector -> broken degree-`degree` coefficients of R (degree >= p+1)."""
     T, n = space.mesh.num_cells, space_dimension(degree)
@@ -415,18 +411,15 @@ def jump_matrix(mesh, degree):
     n = space_dimension(degree)
     samples = 5
     ts = (np.arange(samples) + 0.5) / samples
+    vals_hat = cell_basis_values(degree, face_barycentric(ts))  # (3, 2, s, n)
     blocks, rows, cols = [], [], []
     row0 = 0
     for faces, sides in ((mesh.interior_faces, (0, 1)),
                          (np.nonzero(mesh.boundary_face_mask)[0], (0,))):
-        ends = mesh.vertices[mesh.faces[faces]]
-        pts = ends[:, None, 0, :] + ts[None, :, None] * (
-            ends[:, 1, :] - ends[:, 0, :]
-        )[:, None, :]
         face_rows = row0 + np.arange(len(faces) * samples).reshape(-1, samples)
         for side in sides:
             K = mesh.face_cells[faces, side]
-            vals = cell_basis_values(mesh, degree, pts, cells=K)  # (F, s, n)
+            vals = on_faces(vals_hat, mesh, faces, side)  # (F, s, n)
             blocks.append(vals if side == 0 else -vals)
             rows.append(face_rows)
             cols.append(K[:, None] * n + np.arange(n))
@@ -439,8 +432,7 @@ def jump_matrix(mesh, degree):
 
 def broken_stiffness_matrix(space, degree):
     """Block-diagonal stiffness of the broken degree-`degree` basis."""
-    grads = cell_basis_gradients(space.mesh, degree, space.cell_qp)
-    blocks = stiffness_blocks(space.cell_qw, grads)
+    blocks = stiffness_blocks(space.mesh, degree, space.rule_cell)
     ids = np.arange(blocks.shape[0] * blocks.shape[1]).reshape(blocks.shape[:2])
     return scatter_blocks(blocks, ids, ids, (ids.size, ids.size))
 
@@ -459,24 +451,28 @@ def moment_residuals(smoother, fields):
     Y = smoother.apply_vector(X).reshape(mesh.num_cells, smoother.nD, -1)
 
     # cell moments against P^{p-1}, the leading columns of the graded degree-D
-    # basis (none at p = 0)
+    # basis (none at p = 0): 2|K| times one reference matrix
+    rule = space.rule_cell
     npm1 = space_dimension(p - 1)
-    phiD = cell_basis_values(mesh, smoother.degree, space.cell_qp)
-    wphi = space.cell_qw[..., None] * phiD[..., :npm1]
-    mom_smooth = (wphi.transpose(0, 2, 1) @ phiD) @ Y
+    phiD = cell_basis_values(smoother.degree, rule.points)
+    mom_hat = _tmul(rule.weights[:, None] * phiD[:, :npm1], phiD)
+    mom_smooth = 2.0 * mesh.volumes[:, None, None] * (mom_hat @ Y)
     cells = X[: space.num_cell_dofs].reshape(mesh.num_cells, space.nc, -1)
     mom_target = space.mass1[:, :npm1, : space.nc] @ cells
     cell_res = np.abs(mom_smooth - mom_target).max(axis=(0, 1), initial=0.0)
 
-    # face moments, evaluated from the first adjacent cell
+    # face moments, evaluated from the first adjacent cell: h_F times one
+    # reference matrix per (local face, orientation)
     faces = mesh.interior_faces
-    pts, w = face_quadrature(mesh, space.rule_face, faces)
+    rule = space.rule_face
+    t = rule.points[:, 1]
+    wpsi = rule.weights[:, None] * face_basis_values(p, t - 0.5)
+    mom_hat = _tmul(wpsi, cell_basis_values(smoother.degree, face_barycentric(t)))
     k1 = mesh.face_cells[faces, 0]
-    wpsi = w[..., None] * face_basis_values(mesh, p, faces, pts)
-    phiD = cell_basis_values(mesh, smoother.degree, pts, cells=k1)
-    mom_smooth = (wpsi.transpose(0, 2, 1) @ phiD) @ Y[k1]
+    h = mesh.h_face[faces][:, None, None]
+    mom_smooth = h * (on_faces(mom_hat, mesh, faces, 0) @ Y[k1])
     face_coeffs = X[space.num_cell_dofs:].reshape(len(faces), space.nf, -1)
-    mom_target = mesh.h_face[faces][:, None, None] * (space.mhat_p @ face_coeffs)
+    mom_target = h * (space.mhat_p @ face_coeffs)
     face_res = np.abs(mom_smooth - mom_target).max(axis=(0, 1), initial=0.0)
     return cell_res, face_res
 
@@ -504,7 +500,7 @@ def consistency_constant(space, smoother):
     D = RD - smoother.matrix
     A = (D.T @ (stiff @ D)).tocsc()
     B = assemble_bilinear(space, space.A_loc)
-    lu = splu(B.tocsc())
+    lu = splu(B.tocsc(), **SPD_LU)
     x = np.random.default_rng(0).standard_normal(space.num_dofs)
     lam = 0.0
     for _ in range(400):

@@ -17,15 +17,16 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import cg, splu
 
-from .local_ops import assemble_bilinear, scatter_blocks
-from .polyquad import (
-    cell_basis_gradients,
-    cell_basis_values,
-    cell_quadrature,
-)
+from .local_ops import assemble_bilinear, gradient_moments, scatter_blocks
+from .polyquad import cell_basis_values, cell_quadrature
 
 
 SOLVER_METHODS = ("direct", "cg")
+
+# SuperLU settings for an SPD matrix: a minimum-degree ordering of A^T + A
+# applied symmetrically, with the diagonal pivots kept (no row interchanges)
+SPD_LU = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+              options={"SymmetricMode": True})
 
 
 class MethodNotApplicableError(RuntimeError):
@@ -112,13 +113,11 @@ def rhs_classical(space, load):
             "classical right-hand side is undefined for divergence-form loads; "
             "use the smoothed method"
         )
-    pts, w = cell_quadrature(space.mesh, space.rule_cell_load)
-    basis = cell_basis_values(space.mesh, space.p, pts)
-    fv = np.asarray(load.f0(pts), dtype=float)
+    rule = space.rule_cell_load
+    pts, w = cell_quadrature(space.mesh, rule)
+    wf = w * np.asarray(load.f0(pts), dtype=float)
     rhs = np.zeros(space.num_dofs)
-    rhs[: space.num_cell_dofs] = np.einsum(
-        "tq,tq,tqi->ti", w, fv, basis
-    ).ravel()
+    rhs[: space.num_cell_dofs] = (wf @ cell_basis_values(space.p, rule.points)).ravel()
     return rhs
 
 
@@ -126,27 +125,27 @@ def rhs_smoothed(space, smoother, load):
     """Right-hand side of the smoothed method: <f, S_H sigma>.
 
     The load functional is evaluated on the broken basis underlying the
-    smoother output and pulled back through the (one-ring local) smoother
+    smoother output (against reference tables; the divergence part g is
+    mapped to J^{-1} g) and pulled back through the (one-ring local) smoother
     matrix.
     """
-    pts, w = cell_quadrature(space.mesh, space.rule_cell_load)
+    rule = space.rule_cell_load
+    pts, w = cell_quadrature(space.mesh, rule)
     fvec = np.zeros(space.mesh.num_cells * smoother.nD)
     if load.f0 is not None:
-        basis = cell_basis_values(space.mesh, smoother.degree, pts)
-        fv = np.asarray(load.f0(pts), dtype=float)
-        fvec += np.einsum("tq,tq,tqi->ti", w, fv, basis).ravel()
+        wf = w * np.asarray(load.f0(pts), dtype=float)
+        fvec += (wf @ cell_basis_values(smoother.degree, rule.points)).ravel()
     if load.g is not None:
-        grads = cell_basis_gradients(space.mesh, smoother.degree, pts)
-        gv = np.asarray(load.g(pts), dtype=float)
-        fvec += np.einsum("tq,tqd,tqid->ti", w, gv, grads).ravel()
+        wg = w[..., None] * np.asarray(load.g(pts), dtype=float)
+        fvec += gradient_moments(space.mesh, smoother.degree, rule, wg).ravel()
     return smoother.apply_transpose(fvec)
 
 
 def solve(system, rhs, method="direct"):
     """Solve via static condensation; return the HHO field.
 
-    method 'direct' factorizes the condensed SPD matrix once (reused across
-    right-hand sides); 'cg' runs Jacobi-preconditioned conjugate gradients to
+    method 'direct' factorizes the condensed SPD matrix once with a symmetric
+    fill-reducing ordering (reused across right-hand sides); 'cg' runs Jacobi-preconditioned conjugate gradients to
     relative residual 1e-12.
     """
     space = system.space
@@ -155,7 +154,7 @@ def solve(system, rhs, method="direct"):
         u_f = np.zeros(0)
     elif method == "direct":
         if system._face_lu is None:
-            system._face_lu = splu(system.face_matrix.tocsc())
+            system._face_lu = splu(system.face_matrix.tocsc(), **SPD_LU)
         u_f = system._face_lu.solve(b_f)
     elif method == "cg":
         M = sparse.diags(1.0 / system.face_matrix.diagonal())
@@ -172,7 +171,7 @@ def solve(system, rhs, method="direct"):
 
 def solve_full(system, rhs):
     """Solve the uncondensed system directly (testing aid)."""
-    vec = splu(system.full_matrix.tocsc()).solve(rhs)
+    vec = splu(system.full_matrix.tocsc(), **SPD_LU).solve(rhs)
     return system.space.field_from_vector(vec)
 
 

@@ -6,6 +6,8 @@ seeded and iterate in a fixed order, so a report is bit-reproducible for a
 given seed.
 """
 
+import os
+
 import numpy as np
 from scipy import linalg as dla
 
@@ -93,8 +95,10 @@ def _mesh_checks(report, resolutions):
 
 
 def _external_mesh_checks(report, mesh_path):
+    # the file's base name, so the report does not depend on where it was run
     mesh = read_mesh_file(mesh_path)
-    report.add("mesh-matching", len(check_matching(mesh)), variant=str(mesh_path))
+    report.add("mesh-matching", len(check_matching(mesh)),
+               variant=os.path.basename(mesh_path))
 
 
 def _space_checks(report, space, n, rng, random_fields, variants):

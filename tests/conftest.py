@@ -2,6 +2,7 @@ import numpy as np
 
 from hho.analysis import smooth_sine_case
 from hho.mesh import SimplicialMesh, build_unit_square
+from hho.polyquad import cell_basis_gradients, cell_basis_laplacians, cell_basis_values
 
 _SINE = smooth_sine_case()
 sine = _SINE.u
@@ -23,3 +24,18 @@ def jittered_square(n, jitter=0.15, seed=0):
     rng = np.random.default_rng(seed)
     verts[interior] += rng.uniform(-jitter, jitter, (interior.sum(), 2)) / n
     return SimplicialMesh(verts, mesh.cells)
+
+
+def basis_at(mesh, degree, points, cells=None):
+    """Cell-basis values (T, Q, n), gradients (T, Q, n, 2) and Laplacians
+    (T, Q, n) at physical points (T, Q, 2), point by point: the points are
+    pulled back to each cell's barycentric coordinates and the derivatives
+    mapped with that cell's J^{-1}."""
+    cells = np.arange(mesh.num_cells) if cells is None else np.asarray(cells)
+    bary = mesh.barycentric_coordinates(cells[:, None], points)
+    jinv = mesh.inverse_jacobians[cells][:, None]  # (T, 1, 2, 2)
+    metric = (jinv @ jinv.swapaxes(-1, -2))[..., [0, 0, 1], [0, 1, 1]]
+    vals = cell_basis_values(degree, bary)
+    grads = cell_basis_gradients(degree, bary) @ jinv
+    laps = (cell_basis_laplacians(degree, bary) @ metric[..., None])[..., 0]
+    return vals, grads, laps

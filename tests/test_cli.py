@@ -26,6 +26,18 @@ T_JUNCTION_MESH = """\
 """
 
 
+SQUARE_MESH = """\
+# unit square, two triangles
+4 2
+0 0
+1 0
+1 1
+0 1
+0 1 2
+0 2 3
+"""
+
+
 def test_verify_passes_and_is_reproducible(tmp_path):
     cfg = write_config(
         tmp_path / "v.json", degrees=[0], resolutions=[2, 4],
@@ -75,6 +87,52 @@ def test_verify_corrupted_mesh_fails_matching(tmp_path):
     report = json.loads((tmp_path / "o" / "verify_report.json").read_text())
     failed = [c for c in report["checks"] if not c["passed"]]
     assert any(c["name"] == "mesh-matching" for c in failed)
+
+
+def test_verify_report_names_the_mesh_file_not_its_path(tmp_path):
+    # the same mesh checked from two directories gives the same report
+    cfg = write_config(
+        tmp_path / "v.json", degrees=[0], resolutions=[2], random_fields=2,
+    )
+    reports = []
+    for name in ("a", "b"):
+        where = tmp_path / name
+        where.mkdir()
+        (where / "square.mesh").write_text(SQUARE_MESH)
+        out = where / "out"
+        assert main(["verify", "--config", cfg, "--out", str(out),
+                     "--mesh", str(where / "square.mesh")]) == 0
+        reports.append((out / "verify_report.json").read_bytes())
+    assert reports[0] == reports[1]
+    record = json.loads(reports[0])["checks"][0]
+    assert record["name"] == "mesh-matching"
+    assert record["variant"] == "square.mesh"
+
+
+@pytest.mark.parametrize("command, fields", [
+    ("converge", {"degree": True}),
+    ("converge", {"quad_extra": True}),
+    ("solve", {"degree": True}),
+    ("solve", {"level": True}),
+    ("solve", {"quad_extra": False}),
+    ("verify", {"seed": True}),
+    ("verify", {"random_fields": True}),
+], ids=["converge-degree", "converge-quad-extra", "solve-degree", "solve-level",
+        "solve-quad-extra", "verify-seed", "verify-random-fields"])
+def test_boolean_for_an_integer_field_exits_2(tmp_path, capsys, command, fields):
+    # bool subclasses int in Python; a JSON boolean is still no integer
+    config = {
+        "converge": {"case": "smooth-sine", "degree": 0, "levels": [2, 4]},
+        "solve": {"case": "smooth-sine", "degree": 0, "level": 2},
+        "verify": {"degrees": [0], "resolutions": [2], "random_fields": 2},
+    }[command]
+    config.update(fields)
+    cfg = write_config(tmp_path / "c.json", **config)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("hho: config error:") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_config_errors_exit_2(tmp_path):

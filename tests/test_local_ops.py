@@ -1,13 +1,11 @@
 import numpy as np
 import pytest
 
-from conftest import hat_profile, jittered_square, sine, sine_grad
+from conftest import basis_at, hat_profile, jittered_square, sine, sine_grad
 from hho.local_ops import BrokenPoly, HHOField, HHOSpace, assemble_bilinear
 from hho.mesh import build_unit_square, refine_red
 from hho.polyquad import (
     UnsupportedDegreeError,
-    cell_basis_gradients,
-    cell_basis_laplacians,
     cell_basis_values,
     cell_quadrature,
     face_basis_values,
@@ -75,8 +73,8 @@ def test_project_face_idempotent_on_traces(space):
     coeffs = space.project_face(lambda x: 1.0 + x[..., 0] - 0.5 * x[..., 1])
     faces = space.mesh.interior_faces
     pts, _ = face_quadrature(space.mesh, space.rule_face, faces)
-    psi = face_basis_values(space.mesh, space.p, faces, pts)
-    got = np.einsum("fqm,fm->fq", psi, coeffs)
+    psi = face_basis_values(space.p, space.rule_face.points[:, 1] - 0.5)
+    got = np.einsum("qm,fm->fq", psi, coeffs)
     want = 1.0 + pts[..., 0] - 0.5 * pts[..., 1]
     assert np.abs(got - want).max() < 1e-12
 
@@ -95,7 +93,7 @@ def test_interpolate_moments_match_quadrature_oracle(space):
     field = space.interpolate(sine)
     rule = quad_for_degree(2, 18)
     pts, w = cell_quadrature(space.mesh, rule)
-    basis = cell_basis_values(space.mesh, space.p, pts)
+    basis = basis_at(space.mesh, space.p, pts)[0]
     proj_vals = (basis @ field.cell_coeffs[..., None])[..., 0]
     residual = np.einsum("tq,tqi,tq->ti", w, basis, proj_vals - sine(pts))
     assert np.abs(residual).max() < 1e-12
@@ -133,22 +131,21 @@ def test_reconstruct_defining_equations_residual(space):
     rule = quad_for_degree(2, 14)
     pts, w = cell_quadrature(mesh, rule)
     n1 = space.n1
-    grads = cell_basis_gradients(mesh, space.p + 1, pts)
+    _, grads, laps = basis_at(mesh, space.p + 1, pts)
     lhs = np.einsum("tq,tqd,tqjd->tj", w, recon.gradients_at(pts), grads)
-    laps = cell_basis_laplacians(mesh, space.p + 1, pts)
-    cell_vals = (cell_basis_values(mesh, space.p, pts) @ field.cell_coeffs[..., None])
+    cell_vals = (basis_at(mesh, space.p, pts)[0] @ field.cell_coeffs[..., None])
     rhs = -np.einsum("tq,tq,tqj->tj", w, cell_vals[..., 0], laps)
     frule = quad_for_degree(1, 14)
     for i in range(3):
         faces_i = mesh.cell_faces[:, i]
         fpts, fw = face_quadrature(mesh, frule, faces_i)
-        gphi = cell_basis_gradients(mesh, space.p + 1, fpts)
-        psi = face_basis_values(mesh, space.p, faces_i, fpts)
+        gphi = basis_at(mesh, space.p + 1, fpts)[1]
+        psi = face_basis_values(space.p, frule.points[:, 1] - 0.5)
         fidx = mesh.face_interior_index[faces_i]
         coef = np.where(
             (fidx >= 0)[:, None], field.face_coeffs[np.maximum(fidx, 0)], 0.0
         )
-        svals = np.einsum("fqm,fm->fq", psi, coef)
+        svals = np.einsum("qm,fm->fq", psi, coef)
         rhs += np.einsum(
             "tq,tq,tqjd,td->tj", fw, svals, gphi, mesh.normals[:, i]
         )
@@ -232,7 +229,7 @@ def test_elliptic_project_minimizes_gradient_error(space):
     # normal-equations oracle: per-cell least squares over P^{p+1}
     proj = space.elliptic_project(sine, sine_grad)
     pts, w = cell_quadrature(space.mesh, space.rule_cell_proj)
-    grads = cell_basis_gradients(space.mesh, space.p + 1, pts)
+    grads = basis_at(space.mesh, space.p + 1, pts)[1]
     gv = sine_grad(pts)
     err_proj = np.einsum("tq,tqd->t", w, (gv - proj.gradients_at(pts)) ** 2)
     G = np.einsum("tq,tqid,tqjd->tij", w, grads[..., 1:, :], grads[..., 1:, :])
@@ -321,15 +318,16 @@ def test_field_vector_roundtrip(space):
 def test_broken_poly_pad_and_shapes(space):
     # graded bases nest as prefixes: a degree-q table is the leading columns
     # of the degree-(q+1) table, so zero-padded coefficients keep their values
-    pts, _ = cell_quadrature(space.mesh, space.rule_cell)
-    low = cell_basis_values(space.mesh, space.p, pts)
-    high = cell_basis_values(space.mesh, space.p + 1, pts)
-    assert high.shape == low.shape[:2] + (space_dimension(space.p + 1),)
+    bary = space.rule_cell.points
+    low = cell_basis_values(space.p, bary)
+    high = cell_basis_values(space.p + 1, bary)
+    assert high.shape == low.shape[:1] + (space_dimension(space.p + 1),)
     assert np.array_equal(high[..., : space.nc], low)
 
 
 def _einsum_kernels(space):
-    """Reference tables and operators: the plain einsum formulas, term by term.
+    """Cell tables and operators: the plain einsum formulas, term by term,
+    over basis tables evaluated cell by cell at the physical quadrature points.
 
     The local solves and the G^T K G product take the space's own `stiff1`
     and `mass1`, which are checked against their formulas on their own: the
@@ -339,9 +337,7 @@ def _einsum_kernels(space):
     mesh, p, nc, nf = space.mesh, space.p, space.nc, space.nf
     T, n1, nloc = mesh.num_cells, space.n1, space.nloc
     pts, w = cell_quadrature(mesh, space.rule_cell)
-    phi1 = cell_basis_values(mesh, p + 1, pts)
-    gphi1 = cell_basis_gradients(mesh, p + 1, pts)
-    lphi1 = cell_basis_laplacians(mesh, p + 1, pts)
+    phi1, gphi1, lphi1 = basis_at(mesh, p + 1, pts)
     ref = {
         "mass1": np.einsum("tq,tqi,tqj->tij", w, phi1, phi1),
         "stiff1": np.einsum("tq,tqid,tqjd->tij", w, gphi1, gphi1),
@@ -351,12 +347,11 @@ def _einsum_kernels(space):
     for i in range(3):
         faces_i = mesh.cell_faces[:, i]
         fpts, fw = face_quadrature(mesh, space.rule_face, faces_i)
-        fphi1 = cell_basis_values(mesh, p + 1, fpts)
-        fgphi1 = cell_basis_gradients(mesh, p + 1, fpts)
-        psi = face_basis_values(mesh, p, faces_i, fpts)
-        ref["Ntr"].append(np.einsum("tq,tqm,tqj->tmj", fw, psi, fphi1))
+        fphi1, fgphi1, _ = basis_at(mesh, p + 1, fpts)
+        psi = face_basis_values(p, space.rule_face.points[:, 1] - 0.5)
+        ref["Ntr"].append(np.einsum("tq,qm,tqj->tmj", fw, psi, fphi1))
         ref["Bflux"].append(np.einsum(
-            "tq,tqm,tqjd,td->tmj", fw, psi, fgphi1, mesh.normals[:, i]
+            "tq,qm,tqjd,td->tmj", fw, psi, fgphi1, mesh.normals[:, i]
         ))
 
     B = np.zeros((T, n1, nloc))
@@ -406,3 +401,26 @@ def test_batched_kernels_match_einsum_on_jittered_mesh(p):
     for name in ("Ntr", "Bflux"):
         for i in range(3):
             _assert_blocks_close(getattr(space, name)[i], ref[name][i], 1e-12)
+
+
+@pytest.mark.parametrize("degree", [1, 2, 4])
+def test_broken_poly_gradients_match_central_differences(degree):
+    # arbitrary points on a jittered mesh: gradients_at maps the reference
+    # gradients by J^{-1}, values_at only pulls the points back
+    mesh = jittered_square(3)
+    rng = np.random.default_rng(degree)
+    bp = BrokenPoly(mesh, degree,
+                    rng.standard_normal((mesh.num_cells, space_dimension(degree))))
+    bary = rng.dirichlet((2, 2, 2), size=(mesh.num_cells, 4))
+    pts = bary @ mesh.cell_vertices()
+    eps = 1e-6
+    grads = bp.gradients_at(pts)
+    for d in range(2):
+        shift = np.zeros(2)
+        shift[d] = eps
+        fd = (bp.values_at(pts + shift) - bp.values_at(pts - shift)) / (2 * eps)
+        assert np.abs(grads[..., d] - fd).max() < 1e-7 * max(np.abs(grads).max(), 1.0)
+    # the same values and gradients at shared barycentric points
+    shared = bary[0] @ mesh.cell_vertices()
+    assert np.abs(bp.values_on(bary[0]) - bp.values_at(shared)).max() < 1e-13
+    assert np.abs(bp.gradients_on(bary[0]) - bp.gradients_at(shared)).max() < 1e-11

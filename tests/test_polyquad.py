@@ -3,6 +3,7 @@ from math import factorial
 import numpy as np
 import pytest
 
+from conftest import basis_at, jittered_square
 from hho.local_ops import HHOSpace
 from hho.mesh import SimplicialMesh, build_unit_square, refine_red
 from hho.polyquad import (
@@ -12,6 +13,7 @@ from hho.polyquad import (
     cell_basis_values,
     cell_exponents,
     cell_quadrature,
+    face_barycentric,
     face_basis_values,
     face_quadrature,
     quad_for_degree,
@@ -84,35 +86,36 @@ def test_exponent_order_graded_prefix():
 
 
 def test_basis_first_function_is_one():
-    m = build_unit_square(1)
     rule = quad_for_degree(2, 4)
-    pts, _ = cell_quadrature(m, rule)
-    vals = cell_basis_values(m, 2, pts)
+    vals = cell_basis_values(2, rule.points)
     assert np.allclose(vals[..., 0], 1.0)
+    # every other function vanishes at the barycentre
+    centre = cell_basis_values(3, np.full(3, 1.0 / 3.0))
+    assert np.array_equal(centre, np.eye(len(centre))[0])
 
 
 def test_degree_minus_one_tables_are_empty():
     # P^{-1} = {0}: no basis functions, but tables of the usual leading shape
     m = build_unit_square(1)
     pts, _ = cell_quadrature(m, quad_for_degree(2, 4))
+    bary = m.barycentric_coordinates(np.arange(m.num_cells)[:, None], pts)
     T, Q = pts.shape[:2]
-    assert cell_basis_values(m, -1, pts).shape == (T, Q, 0)
-    assert cell_basis_gradients(m, -1, pts).shape == (T, Q, 0, 2)
-    assert cell_basis_laplacians(m, -1, pts).shape == (T, Q, 0)
+    assert cell_basis_values(-1, bary).shape == (T, Q, 0)
+    assert cell_basis_gradients(-1, bary).shape == (T, Q, 0, 2)
+    assert cell_basis_laplacians(-1, bary).shape == (T, Q, 0, 3)
 
 
 def test_basis_gradients_match_finite_differences():
     m = build_unit_square(1)
     rng = np.random.default_rng(7)
     pts = rng.uniform(0.05, 0.4, size=(m.num_cells, 4, 2))
-    grads = cell_basis_gradients(m, 3, pts)
+    grads = basis_at(m, 3, pts)[1]
     eps = 1e-6
     for d in range(2):
         shift = np.zeros(2)
         shift[d] = eps
         fd = (
-            cell_basis_values(m, 3, pts + shift)
-            - cell_basis_values(m, 3, pts - shift)
+            basis_at(m, 3, pts + shift)[0] - basis_at(m, 3, pts - shift)[0]
         ) / (2 * eps)
         assert np.abs(grads[..., d] - fd).max() < 1e-8
 
@@ -121,11 +124,11 @@ def test_basis_laplacians_match_finite_differences():
     m = build_unit_square(1)
     pts = np.full((m.num_cells, 1, 2), 0.3)
     pts[1] = 0.6
-    lap = cell_basis_laplacians(m, 3, pts)
+    lap = basis_at(m, 3, pts)[2]
     eps = 1e-5
-    fd = -4.0 * cell_basis_values(m, 3, pts)
+    fd = -4.0 * basis_at(m, 3, pts)[0]
     for shift in ([eps, 0], [-eps, 0], [0, eps], [0, -eps]):
-        fd += cell_basis_values(m, 3, pts + np.asarray(shift))
+        fd += basis_at(m, 3, pts + np.asarray(shift))[0]
     fd /= eps ** 2
     assert np.abs(lap - fd).max() < 1e-5
 
@@ -163,8 +166,9 @@ def test_mass_matrix_spd_on_random_triangles():
 def test_face_mass_matrix_matches_reference():
     m = build_unit_square(2)
     f = m.interior_faces[:1]
-    pts, w = face_quadrature(m, quad_for_degree(1, 4), f)
-    psi = face_basis_values(m, 2, f, pts)[0]
+    rule = quad_for_degree(1, 4)
+    _, w = face_quadrature(m, rule, f)
+    psi = face_basis_values(2, rule.points[:, 1] - 0.5)
     M = np.einsum("q,qi,qj->ij", w[0], psi, psi)
     assert np.allclose(M, m.h_face[f[0]] * reference_face_mass(2), rtol=1e-14)
 
@@ -178,18 +182,22 @@ def test_stiffness_constant_row_zero_and_kernel_dimension():
 
 
 def test_stiffness_p1_reference_triangle_hand_values():
-    # basis {1, (x-m)/h, (y-m)/h} on the unit reference triangle:
-    # h = sqrt(2), |K| = 1/2, so the two gradient entries give |K|/h^2 = 1/4
+    # the stiffness form of the polynomials x and y on the unit reference
+    # triangle, whatever the basis: int grad x . grad y = 0 and
+    # int |grad x|^2 = int |grad y|^2 = |K| = 1/2
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     m = SimplicialMesh(verts, np.array([[0, 1, 2]]))
     K = HHOSpace(m, 0).stiff1[0]  # degree 1
-    expected = np.array([[0.0, 0.0, 0.0], [0.0, 0.25, 0.0], [0.0, 0.0, 0.25]])
-    assert np.allclose(K, expected, atol=1e-15)
+    # coefficients of x and y interpolated at the three vertices
+    V = cell_basis_values(1, np.eye(3))
+    coeffs = np.linalg.solve(V, verts)  # columns: x, y
+    expected = np.array([[0.5, 0.0], [0.0, 0.5]])
+    assert np.allclose(coeffs.T @ K @ coeffs, expected, atol=1e-15)
 
 
 def test_gram_conditioning_stable_under_refinement():
-    # scaled monomials: the Gram matrix is translation and scale invariant,
-    # so its condition number is identical across red refinements
+    # an affine-mapped basis: the Gram matrix is 2|K| times one reference
+    # matrix, so its condition number is identical across red refinements
     m = build_unit_square(1)
     conds = []
     for _ in range(3):
@@ -200,11 +208,38 @@ def test_gram_conditioning_stable_under_refinement():
 
 
 def test_face_basis_arclength_values():
-    m = build_unit_square(1)
-    f = int(m.interior_faces[0])
-    ends = m.vertices[m.faces[f]]
-    pts = np.linspace(0, 1, 5)[:, None] * (ends[1] - ends[0]) + ends[0]
-    vals = face_basis_values(m, 2, np.array([f]), pts[None])[0]
-    s = np.linspace(-0.5, 0.5, 5)
-    assert np.allclose(vals[:, 1], s, atol=1e-14)
-    assert np.allclose(vals[:, 2], s ** 2, atol=1e-14)
+    # face rule points run from the lower-index vertex: their arclength
+    # coordinate (x - m_F) . t_F / h_F is the rule parameter minus 1/2
+    m = jittered_square(3)
+    faces = np.arange(m.num_faces)
+    rule = quad_for_degree(1, 6)
+    pts, _ = face_quadrature(m, rule, faces)
+    s = np.einsum("fqd,fd->fq", pts - m.face_midpoints[:, None, :], m.face_tangents)
+    s /= m.h_face[:, None]
+    assert np.allclose(s, rule.points[:, 1] - 0.5, atol=1e-14)
+    vals = face_basis_values(2, rule.points[:, 1] - 0.5)
+    assert np.allclose(vals[:, 1], s[0], atol=1e-14)
+    assert np.allclose(vals[:, 2], s[0] ** 2, atol=1e-14)
+
+
+@pytest.mark.parametrize("p", [0, 1, 2, 3])
+def test_mass_is_one_reference_matrix_on_every_cell(p):
+    # an affine-mapped basis: mass1[K] / (2 |K|) does not depend on K
+    sp = HHOSpace(jittered_square(4), p)
+    ref = sp.mass1 / (2.0 * sp.mesh.volumes[:, None, None])
+    assert np.abs(ref - ref[0]).max() <= 1e-14 * np.abs(ref[0]).max()
+
+
+def test_face_barycentric_places_points_on_local_faces():
+    # entry [i, o] lies on the face opposite local vertex i and starts at
+    # the local vertex i+1+o; the mesh's flips pick the lower global vertex
+    m = jittered_square(3)
+    t = np.array([0.0, 0.25, 1.0])
+    bary = face_barycentric(t)
+    for i in range(3):
+        assert np.all(bary[i, :, :, i] == 0.0)
+        for o in (0, 1):
+            assert bary[i, o, 0, (i + 1 + o) % 3] == 1.0
+        start = (i + 1 + m.face_flips[:, i]) % 3
+        lower = m.faces[m.cell_faces[:, i], 0]
+        assert np.array_equal(m.cells[np.arange(m.num_cells), start], lower)

@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from conftest import hat_profile, jittered_square
+from conftest import basis_at, hat_profile, jittered_square
 from hho.local_ops import BrokenPoly, HHOSpace
 from hho.mesh import SimplicialMesh, build_unit_square, refine_red
 from hho.polyquad import (
-    cell_basis_gradients,
     cell_basis_values,
     cell_quadrature,
     face_basis_values,
@@ -44,7 +43,7 @@ def bubble_poly(sm, cells, lattice_values):
     """Degree-D polynomials on `cells` interpolating the Smoother's lattice
     bubble values (one row of lattice values per cell)."""
     coeffs = np.zeros((sm.space.mesh.num_cells, sm.nD))
-    coeffs[cells] = np.einsum("tab,tb->ta", sm.invV_D[cells], lattice_values)
+    coeffs[cells] = lattice_values @ sm.invV_D.T
     return BrokenPoly(sm.space.mesh, sm.degree, coeffs)
 
 
@@ -165,8 +164,8 @@ def test_bubble_cell_constant_single_triangle():
     mesh = single_triangle_mesh()
     sp = HHOSpace(mesh, 1)
     sm = Smoother(sp)
-    coeffs = sm._cell_bubble_matrix() @ unit_cell_data(sm)
-    out = BrokenPoly(mesh, sm.degree, coeffs.reshape(-1, sm.nD))
+    coeffs = unit_cell_data(sm).reshape(-1, sm.nD) @ sm._cell_bubble_block().T
+    out = BrokenPoly(mesh, sm.degree, coeffs)
     val = out.values_at(mesh.barycenters[:, None, :])[0, 0]
     assert val == pytest.approx(20.0 / 9.0, rel=1e-12)
 
@@ -179,12 +178,11 @@ def test_bubble_cell_moment_identity():
         sm = Smoother(sp)
         v = BrokenPoly(sp.mesh, sm.degree,
                        rng.standard_normal((sp.mesh.num_cells, sm.nD)))
-        coeffs = sm._cell_bubble_matrix() @ v.coeffs.ravel()
-        out = BrokenPoly(sp.mesh, sm.degree, coeffs.reshape(-1, sm.nD))
+        out = BrokenPoly(sp.mesh, sm.degree, v.coeffs @ sm._cell_bubble_block().T)
         rule = quad_for_degree(2, 16)
         pts, w = cell_quadrature(sp.mesh, rule)
-        q = cell_basis_values(sp.mesh, p - 1, pts)
-        resid = np.einsum("tq,tqm,tq->tm", w, q,
+        q = cell_basis_values(p - 1, rule.points)
+        resid = np.einsum("tq,qm,tq->tm", w, q,
                           out.values_at(pts) - v.values_at(pts))
         assert np.abs(resid).max() < 1e-11
 
@@ -194,7 +192,7 @@ def test_bubble_face_constant_value_three_halves():
     # (B_F 1) Phi_F at the face midpoint is (1 / (2/3)) * 1 = 3/2
     sp = HHOSpace(build_unit_square(1), 0)
     sm = Smoother(sp)
-    coeffs = sm._face_bubble_matrix() @ unit_face_data(sp, 0)
+    coeffs = sm._face_bubble_matrix(np.eye(sm.nD)) @ unit_face_data(sp, 0)
     out = BrokenPoly(sp.mesh, sm.degree, coeffs.reshape(-1, sm.nD))
     f = int(sp.mesh.interior_faces[0])
     mid = sp.mesh.face_midpoints[f][None, None, :]
@@ -208,7 +206,7 @@ def test_bubble_face_zero_and_conformity():
     for p in (0, 1, 2):
         sp = HHOSpace(build_unit_square(2), p)
         sm = Smoother(sp)
-        face_bubble = sm._face_bubble_matrix()
+        face_bubble = sm._face_bubble_matrix(np.eye(sm.nD))
         assert np.abs(face_bubble @ np.zeros(face_bubble.shape[1])).max() == 0.0
         out = face_bubble @ rng.standard_normal(face_bubble.shape[1])
         assert conformity_residual(sm, out) < 1e-11
@@ -222,15 +220,15 @@ def test_bubble_face_moment_identity():
         sm = Smoother(sp)
         faces = sp.mesh.interior_faces
         vS = rng.standard_normal((len(faces), p + 2))
-        coeffs = sm._face_bubble_matrix() @ vS.ravel()
+        coeffs = sm._face_bubble_matrix(np.eye(sm.nD)) @ vS.ravel()
         out = BrokenPoly(sp.mesh, sm.degree, coeffs.reshape(-1, sm.nD))
         rule = quad_for_degree(1, 16)
         pts, w = face_quadrature(sp.mesh, rule, faces)
-        psi = face_basis_values(sp.mesh, p + 1, faces, pts)
-        v = np.einsum("fqm,fm->fq", psi, vS)
+        psi = face_basis_values(p + 1, rule.points[:, 1] - 0.5)
+        v = np.einsum("qm,fm->fq", psi, vS)
         k1 = sp.mesh.face_cells[faces, 0]
         resid = np.einsum(
-            "fq,fqm,fq->fm", w, psi[..., : p + 1], out.values_at(pts, cells=k1) - v
+            "fq,qm,fq->fm", w, psi[..., : p + 1], out.values_at(pts, cells=k1) - v
         )
         assert np.abs(resid).max() < 1e-11
 
@@ -258,16 +256,16 @@ def test_bubble_smoother_unit_pair_moments():
     out = BrokenPoly(sp.mesh, sm.degree, coeffs.reshape(-1, sm.nD))
     rule = quad_for_degree(2, 12)
     pts, w = cell_quadrature(sp.mesh, rule)
-    cells_q = cell_basis_values(sp.mesh, 0, pts)
-    resid = np.einsum("tq,tqm,tq->tm", w, cells_q, out.values_at(pts) - 1.0)
+    cells_q = cell_basis_values(0, rule.points)
+    resid = np.einsum("tq,qm,tq->tm", w, cells_q, out.values_at(pts) - 1.0)
     assert np.abs(resid).max() < 1e-11
     faces = sp.mesh.interior_faces
     frule = quad_for_degree(1, 12)
     fpts, fw = face_quadrature(sp.mesh, frule, faces)
-    psi = face_basis_values(sp.mesh, 1, faces, fpts)
+    psi = face_basis_values(1, frule.points[:, 1] - 0.5)
     k1 = sp.mesh.face_cells[faces, 0]
     fresid = np.einsum(
-        "fq,fqm,fq->fm", fw, psi, out.values_at(fpts, cells=k1) - 1.0
+        "fq,qm,fq->fm", fw, psi, out.values_at(fpts, cells=k1) - 1.0
     )
     assert np.abs(fresid).max() < 1e-11
     assert conformity_residual(sm, coeffs) < 1e-11
@@ -302,8 +300,8 @@ def test_bubble_smoother_local_stability_ratio_bounded():
         for i in range(3):
             faces_i = mesh.cell_faces[:, i]
             fpts, fw = face_quadrature(mesh, sp.rule_face, faces_i)
-            psi = face_basis_values(mesh, sp.p + 1, faces_i, fpts)
-            vals = np.einsum("fqm,fm->fq", psi, v_s[faces_i])
+            psi = face_basis_values(sp.p + 1, sp.rule_face.points[:, 1] - 0.5)
+            vals = np.einsum("qm,fm->fq", psi, v_s[faces_i])
             fnorm = np.sqrt(np.einsum("fq,fq->f", fw, vals ** 2))
             scale = scale + fnorm / np.sqrt(mesh.h_face[faces_i])
         ratios.append((grad_norm / scale).max())
@@ -512,22 +510,27 @@ def _diagonal_blocks(matrix, n):
 
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_cell_bubble_and_broken_stiffness_match_einsum(p):
+    # per-cell oracle: tables at each cell's physical quadrature points and
+    # lattice nodes, and one Vandermonde inverse per cell
     sp = HHOSpace(jittered_square(4), p)
     sm = Smoother(sp)
-    mesh, w, D = sp.mesh, sp.cell_qw, sm.degree
+    mesh, D = sp.mesh, sm.degree
+    pts, w = cell_quadrature(mesh, sp.rule_cell)
 
     phiK_q, _ = _bubbles(sp.rule_cell.points)
-    phi_pm1 = cell_basis_values(mesh, p - 1, sp.cell_qp)
-    phiD = cell_basis_values(mesh, D, sp.cell_qp)
+    phi_pm1 = basis_at(mesh, p - 1, pts)[0]
+    phiD = basis_at(mesh, D, pts)[0]
     W = np.einsum("tq,q,tqm,tqn->tmn", w, phiK_q, phi_pm1, phi_pm1)
     mom = np.einsum("tq,tqm,tqn->tmn", w, phi_pm1, phiD)
-    lat = cell_basis_values(mesh, p - 1, sm.lat_coords) * sm.phiK_lat[None, :, None]
-    want = sm.invV_D @ lat @ np.linalg.solve(W, mom)
-    got = _diagonal_blocks(sm._cell_bubble_matrix(), sm.nD)
+    lat_coords = np.einsum("la,tad->tld", sm.lat_bary, mesh.cell_vertices())
+    lat = basis_at(mesh, p - 1, lat_coords)[0] * sm.phiK_lat[None, :, None]
+    invV_D = np.linalg.inv(basis_at(mesh, D, lat_coords)[0])
+    want = invV_D @ lat @ np.linalg.solve(W, mom)
+    got = sm._cell_bubble_block()
     scale = np.abs(want).max(axis=(1, 2))
     assert np.all(np.abs(got - want).max(axis=(1, 2)) <= 1e-12 * scale)
 
-    grads = cell_basis_gradients(mesh, D, sp.cell_qp)
+    grads = basis_at(mesh, D, pts)[1]
     want = np.einsum("tq,tqid,tqjd->tij", w, grads, grads)
     got = _diagonal_blocks(broken_stiffness_matrix(sp, D), want.shape[1])
     scale = np.abs(want).max(axis=(1, 2))
@@ -574,14 +577,14 @@ def reference_face_bubble_matrix(sm):
         il = np.argmax(mesh.cell_faces[K] == faces[:, None], axis=1)
         phiF = sm.phiF_lat[il]
         if p == 0:
-            coeff = np.einsum("fab,fb->fa", sm.invV_D[K], phiF)
+            coeff = phiF @ sm.invV_D.T
             blocks = coeff[:, :, None] * beta_mat[0][None, None, :]
         else:
             match = layer.cell_nodes[K][:, :, None] == gids_f[:, None, :]
             assert np.all(match.sum(axis=1) == 1)
             lpos = np.argmax(match, axis=1)
             zvals = lp_lat[:, lpos].transpose(1, 0, 2) * phiF[:, :, None]
-            blocks = sm.invV_D[K] @ zvals @ nodal_mat
+            blocks = sm.invV_D @ zvals @ nodal_mat
         rows = K[:, None] * nD + np.arange(nD)
         dense[rows[:, :, None], cols[:, None, :]] = blocks
     return dense
@@ -603,7 +606,7 @@ def test_face_bubble_matrix_matches_gid_matching(p, make):
     assert set((hi - il) % 3) == {1, 2}
 
     sm = Smoother(HHOSpace(mesh, p))
-    got = sm._face_bubble_matrix().toarray()
+    got = sm._face_bubble_matrix(np.eye(sm.nD)).toarray()
     want = reference_face_bubble_matrix(sm)
     if p >= 1:
         assert np.array_equal(got, want)
@@ -614,7 +617,7 @@ def test_face_bubble_matrix_matches_gid_matching(p, make):
 @pytest.mark.parametrize("p", [0, 1, 2, 3])
 def test_factor_blocks_same_for_every_degree(p):
     # F4 always carries (a, v_Sigma, v_M) and F5 always reads all three;
-    # at p = 0 B_M is empty (P^{-1} = {0}) rather than left out
+    # at p = 0 B_M is zero (P^{-1} = {0}) rather than left out
     sp = HHOSpace(build_unit_square(2), p)
     sm = Smoother(sp)
     T, Ei = sp.mesh.num_cells, sp.mesh.num_interior_faces
@@ -624,7 +627,14 @@ def test_factor_blocks_same_for_every_degree(p):
     assert F5.shape == (T * sm.nD, sum(blocks))
     cell_bubble = F5[:, -blocks[2]:]
     assert (cell_bubble.nnz == 0) == (p == 0)
-    assert (sm._cell_bubble_matrix().nnz == 0) == (p == 0)
+    assert (np.abs(sm._cell_bubble_block()).max() == 0.0) == (p == 0)
+    # the middle block is B_Sigma - B_M B_Sigma, with B_M the cell block on
+    # every cell
+    face_bubble = sm._face_bubble_matrix(np.eye(sm.nD)).toarray()
+    cell_bubble = np.kron(np.eye(T), sm._cell_bubble_block())
+    want = face_bubble - cell_bubble @ face_bubble
+    got = F5[:, blocks[0]: blocks[0] + blocks[1]].toarray()
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
     k = 4
     rng = np.random.default_rng(p)
     cell_res, face_res = moment_residuals(sm, [sp.random_field(rng) for _ in range(k)])
