@@ -27,30 +27,30 @@ def _error_rule(p):
     return quad_for_degree(2, 2 * (p + 2) + 4)
 
 
-def error_h1_broken(space, grad_u, field):
+def error_h1_broken(space, grad_u, vec):
     """(broken H1 seminorm error of the reconstruction, sqrt of stab form)."""
-    recon = space.reconstruct(field)
+    recon = space.reconstruct(vec)
     rule = _error_rule(space.p)
     pts, w = cell_quadrature(space.mesh, rule)
     diff = np.asarray(grad_u(pts), dtype=float) - recon.gradients_on(rule.points)
     seminorm = float(np.sqrt(np.einsum("tq,tqd->", w, diff ** 2)))
-    stab = float(np.sqrt(max(space.stab_form(field, field), 0.0)))
+    stab = float(np.sqrt(max(space.stab_form(vec, vec), 0.0)))
     return seminorm, stab
 
 
-def error_l2(space, u, field):
+def error_l2(space, u, vec):
     """L2 error of the reconstruction."""
-    recon = space.reconstruct(field)
+    recon = space.reconstruct(vec)
     rule = _error_rule(space.p)
     pts, w = cell_quadrature(space.mesh, rule)
     diff = np.asarray(u(pts), dtype=float) - recon.values_on(rule.points)
     return float(np.sqrt(np.einsum("tq,tq->", w, diff ** 2)))
 
 
-def supercloseness(space, u, field):
+def supercloseness(space, u, vec):
     """||U_M - Pi_M u||: the cell component against the L2 projection of u."""
     proj = space.project_cell(u)
-    diff = field.cell_coeffs - proj.coeffs
+    diff = space.split(vec)[0] - proj.coeffs
     return float(np.sqrt(np.einsum("ti,tij,tj->", diff, space.mass_p, diff)))
 
 
@@ -378,9 +378,9 @@ def run_convergence(case, p, levels, method="smoothed", averaging="mean",
             rhs = rhs_smoothed(space, smoother, case.load)
         else:
             raise ValueError(f"unknown method {method!r}")
-        field = solve(system, rhs, method=solver)
+        vec = solve(system, rhs, method=solver)
 
-        semi, stab = error_h1_broken(space, case.grad_u, field)
+        semi, stab = error_h1_broken(space, case.grad_u, vec)
         best = best_error_h1(space, case.u, case.grad_u)
         energy = float(np.hypot(semi, stab))
         rows.append({
@@ -388,8 +388,8 @@ def run_convergence(case, p, levels, method="smoothed", averaging="mean",
             "h": float(mesh.h_cell.max()),
             "e_H1": semi,
             "e_stab": stab,
-            "e_L2": error_l2(space, case.u, field),
-            "e_super": supercloseness(space, case.u, field),
+            "e_L2": error_l2(space, case.u, vec),
+            "e_super": supercloseness(space, case.u, vec),
             "best_H1": best,
             "ratio": energy / best if best > 0.0 else float("nan"),
             "eoc_H1": float("nan"),

@@ -7,7 +7,8 @@ The JSON config supplies the run parameters (see README for the schema); the
 flags override the corresponding config keys. All file outputs use '.' as the
 decimal separator and 17 significant digits, and fixed iteration orders make
 reruns byte-identical for a given seed. Exit codes: 0 success, 1 check
-failure, 2 config error.
+failure, 2 config error, inapplicable method or solver error (CG did not
+converge).
 """
 
 import argparse
@@ -26,6 +27,7 @@ from .system import (
     SOLVER_METHODS,
     LoadFunctional,
     MethodNotApplicableError,
+    SolverError,
     assemble,
     rhs_classical,
     rhs_smoothed,
@@ -242,8 +244,7 @@ def cmd_solve(args, config):
         rhs = rhs_classical(space, load)
     else:
         rhs = rhs_smoothed(space, Smoother(space, averaging=averaging), load)
-    field = solve(system, rhs)
-    recon = space.reconstruct(field)
+    recon = space.reconstruct(solve(system, rhs))
 
     bary = lattice_multis(degree + 1) / (degree + 1)
     pts = np.einsum("la,tad->tld", bary, mesh.cell_vertices())
@@ -290,6 +291,9 @@ def main(argv=None):
         return EXIT_CONFIG_ERROR
     except MethodNotApplicableError as exc:
         print(f"hho: method not applicable: {exc}", file=sys.stderr)
+        return EXIT_CONFIG_ERROR
+    except SolverError as exc:
+        print(f"hho: solver error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
 
 

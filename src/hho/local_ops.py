@@ -1,9 +1,11 @@
 """Cell-local HHO operators and the discrete space.
 
-A field of degree p is a pair: polynomial coefficients of degree p per cell
-plus coefficients of degree p per interior face (boundary faces carry no
-unknowns; their data is structurally zero). :class:`HHOSpace` precomputes,
-for every cell at once,
+A discrete function of degree p is a pair: polynomial coefficients of degree
+p per cell plus coefficients of degree p per interior face (boundary faces
+carry no unknowns; their data is structurally zero). It is stored as one dof
+vector, the cell blocks first and then the interior-face blocks, each by
+index; this module owns that layout (`HHOSpace.local_dof_ids`,
+`HHOSpace.split`). :class:`HHOSpace` precomputes, for every cell at once,
 
 * the reconstruction matrix mapping local (cell, face) coefficients to the
   degree-(p+1) reconstruction, obtained from the local Neumann problem solved
@@ -82,22 +84,6 @@ class BrokenPoly:
         Q, n, _ = grads.shape
         ref = self.coeffs @ grads.transpose(1, 0, 2).reshape(n, 2 * Q)
         return ref.reshape(-1, Q, 2) @ self.mesh.inverse_jacobians
-
-
-class HHOField:
-    """HHO unknowns: degree-p cell blocks plus degree-p interior-face blocks."""
-
-    def __init__(self, mesh, p, cell_coeffs, face_coeffs):
-        cell_coeffs = np.asarray(cell_coeffs, dtype=float)
-        face_coeffs = np.asarray(face_coeffs, dtype=float)
-        if cell_coeffs.shape != (mesh.num_cells, space_dimension(p)):
-            raise ValueError("cell coefficient block has wrong shape")
-        if face_coeffs.shape != (mesh.num_interior_faces, p + 1):
-            raise ValueError("face coefficient block has wrong shape")
-        self.mesh = mesh
-        self.p = p
-        self.cell_coeffs = cell_coeffs
-        self.face_coeffs = face_coeffs
 
 
 def _evaluate(v, points, cells=None):
@@ -309,42 +295,28 @@ class HHOSpace:
             ids[:, nc + i * nf: nc + (i + 1) * nf] = block
         self.local_dof_ids = ids
 
-    # -- field plumbing ---------------------------------------------------
+    # -- dof-vector layout -------------------------------------------------
 
-    def random_field(self, rng):
-        return HHOField(
-            self.mesh,
-            self.p,
-            rng.standard_normal((self.mesh.num_cells, self.nc)),
-            rng.standard_normal((self.mesh.num_interior_faces, self.nf)),
-        )
+    def _checked(self, vec):
+        vec = np.asarray(vec)
+        if len(vec) != self.num_dofs:
+            raise ValueError(
+                f"dof vector has length {len(vec)}, expected {self.num_dofs}"
+            )
+        return vec
 
-    def vector_from_field(self, field):
-        return np.concatenate(
-            [field.cell_coeffs.ravel(), field.face_coeffs.ravel()]
-        )
+    def split(self, vec):
+        """Cell view (T, nc, ...) and interior-face view (Ei, nf, ...) of a
+        dof vector, or of a (num_dofs, ...) block of them."""
+        vec = self._checked(vec)
+        n, rest = self.num_cell_dofs, vec.shape[1:]
+        return (vec[:n].reshape(self.mesh.num_cells, self.nc, *rest),
+                vec[n:].reshape(self.mesh.num_interior_faces, self.nf, *rest))
 
-    def field_from_vector(self, vec):
-        vec = np.asarray(vec, dtype=float)
-        if vec.shape != (self.num_dofs,):
-            raise ValueError("dof vector has wrong length")
-        cells = vec[: self.num_cell_dofs].reshape(self.mesh.num_cells, self.nc)
-        faces = vec[self.num_cell_dofs:].reshape(-1, self.nf)
-        return HHOField(self.mesh, self.p, cells, faces)
-
-    def local_coeffs(self, field):
+    def local_coeffs(self, vec):
         """Per-cell local dof vectors (T, nloc); boundary faces padded with 0."""
-        mesh = self.mesh
-        fidx = mesh.face_interior_index[mesh.cell_faces]
-        gathered = np.where(
-            (fidx >= 0)[:, :, None],
-            field.face_coeffs[fidx],
-            0.0,
-        )
-        return np.concatenate(
-            [field.cell_coeffs, gathered.reshape(mesh.num_cells, 3 * self.nf)],
-            axis=1,
-        )
+        ids = self.local_dof_ids
+        return np.where(ids >= 0, self._checked(vec)[ids], 0.0)
 
     # -- projections and local operators ----------------------------------
 
@@ -368,20 +340,20 @@ class HHOSpace:
         return rhs @ self.mhat_p_inv.T / self.mesh.h_face[faces][:, None]
 
     def interpolate(self, v):
-        """HHO interpolant: cell and face L2 projections of v."""
-        return HHOField(
-            self.mesh, self.p, self.project_cell(v).coeffs, self.project_face(v)
+        """HHO interpolant: dof vector of the cell and face L2 projections of v."""
+        return np.concatenate(
+            [self.project_cell(v).coeffs.ravel(), self.project_face(v).ravel()]
         )
 
-    def reconstruct(self, field):
+    def reconstruct(self, vec):
         """Degree-(p+1) potential reconstruction, cell by cell."""
-        x = self.local_coeffs(field)
+        x = self.local_coeffs(vec)
         return BrokenPoly(
             self.mesh, self.p + 1, np.einsum("tij,tj->ti", self.G, x)
         )
 
     def stab_form(self, a, b):
-        """Face-penalty stabilization form (h_F^{-1}-weighted)."""
+        """Face-penalty stabilization form of two dof vectors (h_F^{-1}-weighted)."""
         xa = self.local_coeffs(a)
         xb = self.local_coeffs(b)
         ra = np.einsum("tfml,tl->tfm", self.Tmats, xa)

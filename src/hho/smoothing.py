@@ -437,17 +437,16 @@ def broken_stiffness_matrix(space, degree):
     return scatter_blocks(blocks, ids, ids, (ids.size, ids.size))
 
 
-def moment_residuals(smoother, fields):
-    """Max violation of the preserved cell and face moments, per field.
+def moment_residuals(smoother, X):
+    """Max violation of the preserved cell and face moments, per column of X.
 
-    All fields go through the smoother as one (num_dofs, k) block and share
-    one tabulation; returns the cell and face residuals as arrays of shape (k,).
+    The k dof vectors of the (num_dofs, k) block X go through the smoother at
+    once and share one tabulation; returns the cell and face residuals as
+    arrays of shape (k,).
     """
     space, mesh = smoother.space, smoother.space.mesh
     p = space.p
-    X = np.empty((space.num_dofs, len(fields)))
-    for j, field in enumerate(fields):
-        X[:, j] = space.vector_from_field(field)
+    x_cells, x_faces = space.split(X)
     Y = smoother.apply_vector(X).reshape(mesh.num_cells, smoother.nD, -1)
 
     # cell moments against P^{p-1}, the leading columns of the graded degree-D
@@ -457,8 +456,7 @@ def moment_residuals(smoother, fields):
     phiD = cell_basis_values(smoother.degree, rule.points)
     mom_hat = _tmul(rule.weights[:, None] * phiD[:, :npm1], phiD)
     mom_smooth = 2.0 * mesh.volumes[:, None, None] * (mom_hat @ Y)
-    cells = X[: space.num_cell_dofs].reshape(mesh.num_cells, space.nc, -1)
-    mom_target = space.mass1[:, :npm1, : space.nc] @ cells
+    mom_target = space.mass1[:, :npm1, : space.nc] @ x_cells
     cell_res = np.abs(mom_smooth - mom_target).max(axis=(0, 1), initial=0.0)
 
     # face moments, evaluated from the first adjacent cell: h_F times one
@@ -471,8 +469,7 @@ def moment_residuals(smoother, fields):
     k1 = mesh.face_cells[faces, 0]
     h = mesh.h_face[faces][:, None, None]
     mom_smooth = h * (on_faces(mom_hat, mesh, faces, 0) @ Y[k1])
-    face_coeffs = X[space.num_cell_dofs:].reshape(len(faces), space.nf, -1)
-    mom_target = h * (space.mhat_p @ face_coeffs)
+    mom_target = h * (space.mhat_p @ x_faces)
     face_res = np.abs(mom_smooth - mom_target).max(axis=(0, 1), initial=0.0)
     return cell_res, face_res
 

@@ -7,8 +7,9 @@ the load on the smoothed test functions and accepts any load of the form
 f0 - div g.
 
 Cell unknowns are eliminated locally (static condensation); the global solve
-acts on interior-face unknowns only. Basis ordering is cells then interior
-faces, each by index, so golden vectors are reproducible.
+acts on interior-face unknowns only. Right-hand sides and solutions are dof
+vectors in the layout of `HHOSpace` (cells, then interior faces, each by
+index), so golden vectors are reproducible.
 """
 
 from functools import cached_property
@@ -31,6 +32,10 @@ SPD_LU = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
 
 class MethodNotApplicableError(RuntimeError):
     """The classical L2 right-hand side met a divergence-form load."""
+
+
+class SolverError(RuntimeError):
+    """The iterative solver stopped before reaching its tolerance."""
 
 
 class LoadFunctional:
@@ -71,7 +76,11 @@ class CondensedSystem:
             S_loc, ids, ids, (space.num_face_dofs, space.num_face_dofs)
         )
         self._face_ids = ids
-        self._face_lu = None
+
+    @cached_property
+    def face_lu(self):
+        """Symmetric-ordering LU factors of the face matrix, on first use."""
+        return splu(self.face_matrix.tocsc(), **SPD_LU)
 
     @cached_property
     def full_matrix(self):
@@ -80,17 +89,15 @@ class CondensedSystem:
 
     def condense_rhs(self, rhs):
         """Eliminate the cell block of a full rhs vector."""
-        space = self.space
-        b_t = rhs[: space.num_cell_dofs].reshape(space.mesh.num_cells, space.nc)
-        b_f = rhs[space.num_cell_dofs:].copy()
+        b_t, b_f = self.space.split(rhs)
+        b_f = b_f.flatten()
         corr = (b_t[:, None, :] @ self.elim)[:, 0]  # elim^T b_t
         ids = self._face_ids
         np.add.at(b_f, ids[ids >= 0], -corr[ids >= 0])
         return b_f
 
     def recover_cells(self, rhs, face_vec):
-        space = self.space
-        b_t = rhs[: space.num_cell_dofs].reshape(space.mesh.num_cells, space.nc)
+        b_t = self.space.split(rhs)[0]
         ids = self._face_ids
         u_loc = np.where(ids >= 0, face_vec[np.maximum(ids, 0)], 0.0)
         rhs_t = b_t - (self.A_tf @ u_loc[..., None])[..., 0]
@@ -100,6 +107,20 @@ class CondensedSystem:
 def assemble(space):
     """Assemble the HHO system with static-condensation data."""
     return CondensedSystem(space)
+
+
+def _load_values(load, name, pts):
+    """load.f0 or load.g at the points (T, Q, 2), checked before use.
+
+    f0 must return shape (T, Q) and g shape (T, Q, 2), all values finite.
+    """
+    shape = pts.shape[:-1] if name == "f0" else pts.shape
+    vals = np.asarray(getattr(load, name)(pts), dtype=float)
+    if vals.shape != shape:
+        raise ValueError(f"load {name} returned shape {vals.shape}, expected {shape}")
+    if not np.isfinite(vals).all():
+        raise ValueError(f"load {name} returned non-finite values")
+    return vals
 
 
 def rhs_classical(space, load):
@@ -115,9 +136,9 @@ def rhs_classical(space, load):
         )
     rule = space.rule_cell_load
     pts, w = cell_quadrature(space.mesh, rule)
-    wf = w * np.asarray(load.f0(pts), dtype=float)
+    wf = w * _load_values(load, "f0", pts)
     rhs = np.zeros(space.num_dofs)
-    rhs[: space.num_cell_dofs] = (wf @ cell_basis_values(space.p, rule.points)).ravel()
+    space.split(rhs)[0][:] = wf @ cell_basis_values(space.p, rule.points)
     return rhs
 
 
@@ -133,16 +154,16 @@ def rhs_smoothed(space, smoother, load):
     pts, w = cell_quadrature(space.mesh, rule)
     fvec = np.zeros(space.mesh.num_cells * smoother.nD)
     if load.f0 is not None:
-        wf = w * np.asarray(load.f0(pts), dtype=float)
+        wf = w * _load_values(load, "f0", pts)
         fvec += (wf @ cell_basis_values(smoother.degree, rule.points)).ravel()
     if load.g is not None:
-        wg = w[..., None] * np.asarray(load.g(pts), dtype=float)
+        wg = w[..., None] * _load_values(load, "g", pts)
         fvec += gradient_moments(space.mesh, smoother.degree, rule, wg).ravel()
     return smoother.apply_transpose(fvec)
 
 
 def solve(system, rhs, method="direct"):
-    """Solve via static condensation; return the HHO field.
+    """Solve via static condensation; return the dof vector.
 
     method 'direct' factorizes the condensed SPD matrix once with a symmetric
     fill-reducing ordering (reused across right-hand sides); 'cg' runs Jacobi-preconditioned conjugate gradients to
@@ -153,29 +174,24 @@ def solve(system, rhs, method="direct"):
     if space.num_face_dofs == 0:
         u_f = np.zeros(0)
     elif method == "direct":
-        if system._face_lu is None:
-            system._face_lu = splu(system.face_matrix.tocsc(), **SPD_LU)
-        u_f = system._face_lu.solve(b_f)
+        u_f = system.face_lu.solve(b_f)
     elif method == "cg":
         M = sparse.diags(1.0 / system.face_matrix.diagonal())
         u_f, info = cg(system.face_matrix, b_f, rtol=1e-12, atol=0.0, M=M,
                        maxiter=20 * max(len(b_f), 1))
         if info != 0:
-            raise RuntimeError(f"CG failed to converge (info={info})")
+            raise SolverError(f"CG failed to converge (info={info})")
     else:
         raise ValueError(f"unknown solver method {method!r}")
     u_t = system.recover_cells(rhs, u_f)
-    vec = np.concatenate([u_t.ravel(), u_f])
-    return space.field_from_vector(vec)
+    return np.concatenate([u_t.ravel(), u_f])
 
 
 def solve_full(system, rhs):
-    """Solve the uncondensed system directly (testing aid)."""
-    vec = splu(system.full_matrix.tocsc(), **SPD_LU).solve(rhs)
-    return system.space.field_from_vector(vec)
+    """Solve the uncondensed system directly (testing aid); return the dof vector."""
+    return splu(system.full_matrix.tocsc(), **SPD_LU).solve(rhs)
 
 
-def residual_inf(system, field, rhs):
-    """Max-norm discrete residual ||b_H(U, .) - rhs||_inf."""
-    vec = system.space.vector_from_field(field)
+def residual_inf(system, vec, rhs):
+    """Max-norm discrete residual ||b_H(U, .) - rhs||_inf of a dof vector."""
     return float(np.abs(system.full_matrix @ vec - rhs).max())

@@ -207,6 +207,20 @@ def test_converge_classical_on_divergence_load_is_config_error(tmp_path):
     assert main(["converge", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
 
+def test_cg_non_convergence_is_one_solver_error_line(tmp_path, capsys, monkeypatch):
+    import hho.system
+
+    monkeypatch.setattr(hho.system, "cg", lambda A, b, **kw: (np.zeros_like(b), 1))
+    cfg = write_config(
+        tmp_path / "c.json", case="smooth-sine", degree=0, levels=[2, 4],
+        method="classical", solver={"method": "cg"},
+    )
+    assert main(["converge", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err == "hho: solver error: CG failed to converge (info=1)\n"
+    assert "Traceback" not in err
+
+
 def test_solve_zero_load_writes_zero_dump(tmp_path):
     cfg = write_config(
         tmp_path / "s.json", case="smooth-sine", degree=1, level=2,

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import basis_at, hat_profile, jittered_square, sine, sine_grad
-from hho.local_ops import BrokenPoly, HHOField, HHOSpace, assemble_bilinear
+from hho.local_ops import BrokenPoly, HHOSpace, assemble_bilinear
 from hho.mesh import build_unit_square, refine_red
 from hho.polyquad import (
     UnsupportedDegreeError,
@@ -80,21 +80,21 @@ def test_project_face_idempotent_on_traces(space):
 
 
 def test_interpolate_zero_and_components(space):
-    field = space.interpolate(lambda x: np.zeros(x.shape[:-1]))
-    assert np.abs(field.cell_coeffs).max() == 0.0
-    assert np.abs(field.face_coeffs).max() == 0.0
-    field = space.interpolate(sine)
-    assert np.allclose(field.cell_coeffs, space.project_cell(sine).coeffs)
-    assert np.allclose(field.face_coeffs, space.project_face(sine))
+    cells, faces = space.split(space.interpolate(lambda x: np.zeros(x.shape[:-1])))
+    assert np.abs(cells).max() == 0.0
+    assert np.abs(faces).max() == 0.0
+    cells, faces = space.split(space.interpolate(sine))
+    assert np.allclose(cells, space.project_cell(sine).coeffs)
+    assert np.allclose(faces, space.project_face(sine))
 
 
 def test_interpolate_moments_match_quadrature_oracle(space):
     # int_K q (Pi_M v - v) = 0 for q in P^p, checked with an independent rule
-    field = space.interpolate(sine)
+    cells = space.split(space.interpolate(sine))[0]
     rule = quad_for_degree(2, 18)
     pts, w = cell_quadrature(space.mesh, rule)
     basis = basis_at(space.mesh, space.p, pts)[0]
-    proj_vals = (basis @ field.cell_coeffs[..., None])[..., 0]
+    proj_vals = (basis @ cells[..., None])[..., 0]
     residual = np.einsum("tq,tqi,tq->ti", w, basis, proj_vals - sine(pts))
     assert np.abs(residual).max() < 1e-12
 
@@ -110,12 +110,11 @@ def test_reconstruct_constant_field(space):
     # (R s)|K depends only on the local data; on cells whose faces are all
     # interior the pair (c, c) is locally constant data and R returns c.
     # Boundary faces carry the structural zero, so boundary cells differ.
-    cell = np.zeros((space.mesh.num_cells, space.nc))
+    vec = np.zeros(space.num_dofs)
+    cell, face = space.split(vec)
     cell[:, 0] = 2.5
-    face = np.zeros((space.mesh.num_interior_faces, space.nf))
     face[:, 0] = 2.5
-    field = HHOField(space.mesh, space.p, cell, face)
-    recon = space.reconstruct(field)
+    recon = space.reconstruct(vec)
     inner = np.all(space.mesh.face_interior_index[space.mesh.cell_faces] >= 0, axis=1)
     assert inner.any()
     assert np.allclose(recon.coeffs[inner, 0], 2.5, atol=1e-12)
@@ -125,15 +124,16 @@ def test_reconstruct_constant_field(space):
 def test_reconstruct_defining_equations_residual(space):
     # residual oracle: both defining conditions checked by direct quadrature
     rng = np.random.default_rng(7)
-    field = space.random_field(rng)
-    recon = space.reconstruct(field)
+    vec = rng.standard_normal(space.num_dofs)
+    cells, faces = space.split(vec)
+    recon = space.reconstruct(vec)
     mesh = space.mesh
     rule = quad_for_degree(2, 14)
     pts, w = cell_quadrature(mesh, rule)
     n1 = space.n1
     _, grads, laps = basis_at(mesh, space.p + 1, pts)
     lhs = np.einsum("tq,tqd,tqjd->tj", w, recon.gradients_at(pts), grads)
-    cell_vals = (basis_at(mesh, space.p, pts)[0] @ field.cell_coeffs[..., None])
+    cell_vals = (basis_at(mesh, space.p, pts)[0] @ cells[..., None])
     rhs = -np.einsum("tq,tq,tqj->tj", w, cell_vals[..., 0], laps)
     frule = quad_for_degree(1, 14)
     for i in range(3):
@@ -143,7 +143,7 @@ def test_reconstruct_defining_equations_residual(space):
         psi = face_basis_values(space.p, frule.points[:, 1] - 0.5)
         fidx = mesh.face_interior_index[faces_i]
         coef = np.where(
-            (fidx >= 0)[:, None], field.face_coeffs[np.maximum(fidx, 0)], 0.0
+            (fidx >= 0)[:, None], faces[np.maximum(fidx, 0)], 0.0
         )
         svals = np.einsum("qm,fm->fq", psi, coef)
         rhs += np.einsum(
@@ -152,7 +152,7 @@ def test_reconstruct_defining_equations_residual(space):
     scale = max(np.abs(lhs).max(), 1.0)
     assert np.abs(lhs - rhs).max() / scale < 1e-11
     means = np.einsum("tq,tq->t", w, recon.values_at(pts))
-    target = np.einsum("ti,ti->t", space.ints1[:, : space.nc], field.cell_coeffs)
+    target = np.einsum("ti,ti->t", space.ints1[:, : space.nc], cells)
     assert np.abs(means - target).max() < 1e-12
 
 
@@ -173,17 +173,18 @@ def test_stab_operator_fixes_polynomial_reconstructions(space):
     if space.p == 0:
         pytest.skip("needs a non-constant global polynomial of degree <= p")
     g = lambda x: x[..., 0] - 0.25 * x[..., 1]
-    field = space.interpolate(g)
-    s_op = (space.S @ space.local_coeffs(field)[..., None])[..., 0]
+    vec = space.interpolate(g)
+    s_op = (space.S @ space.local_coeffs(vec)[..., None])[..., 0]
     inner = np.all(space.mesh.face_interior_index[space.mesh.cell_faces] >= 0, axis=1)
-    assert np.abs(s_op[inner, : space.nc] - field.cell_coeffs[inner]).max() < 1e-12
+    cells = space.split(vec)[0]
+    assert np.abs(s_op[inner, : space.nc] - cells[inner]).max() < 1e-12
     assert np.abs(s_op[inner, space.nc:]).max() < 1e-12
 
 
 def test_stab_form_symmetric_and_psd(space):
     rng = np.random.default_rng(3)
-    a = space.random_field(rng)
-    b = space.random_field(rng)
+    a = rng.standard_normal(space.num_dofs)
+    b = rng.standard_normal(space.num_dofs)
     sab = space.stab_form(a, b)
     assert sab == pytest.approx(space.stab_form(b, a), rel=1e-13)
     assert space.stab_form(a, a) >= 0.0
@@ -199,10 +200,9 @@ def test_stab_form_hand_value_p0_two_triangles():
     # independent quadrature oracle on the 2-triangle mesh
     sp = HHOSpace(build_unit_square(1), 0)
     mesh = sp.mesh
-    cell = np.array([[1.0], [-2.0]])
-    face = np.array([[0.5]])
-    field = HHOField(mesh, 0, cell, face)
-    s_op = BrokenPoly(mesh, 1, (sp.S @ sp.local_coeffs(field)[..., None])[..., 0])
+    vec = np.array([1.0, -2.0, 0.5])  # two cells, then the one interior face
+    face = sp.split(vec)[1]
+    s_op = BrokenPoly(mesh, 1, (sp.S @ sp.local_coeffs(vec)[..., None])[..., 0])
     rule = quad_for_degree(1, 8)
     total = 0.0
     for k in range(mesh.num_cells):
@@ -214,7 +214,7 @@ def test_stab_form_hand_value_p0_two_triangles():
                 if mesh.face_interior_index[f] >= 0 else 0.0
             mean_residual = np.sum(w[0] * (s_sigma - s_vals)) / mesh.h_face[f]
             total += mean_residual ** 2 * mesh.h_face[f] / mesh.h_face[f]
-    assert sp.stab_form(field, field) == pytest.approx(total, rel=1e-11)
+    assert sp.stab_form(vec, vec) == pytest.approx(total, rel=1e-11)
 
 
 def test_elliptic_project_reproduces_polynomials(space):
@@ -248,7 +248,7 @@ def test_reconstruction_identity_RI_equals_E(space):
 
 def test_bilinear_b_on_interpolant_equals_gradient_norm(space):
     q = lagrange_interpolant(space.mesh, space.p + 1, hat_profile)
-    x = space.vector_from_field(space.interpolate(q))
+    x = space.interpolate(q)
     pts, w = cell_quadrature(space.mesh, space.rule_cell)
     grad_sq = np.einsum("tq,tqd->", w, q.gradients_at(pts) ** 2)
     assert x @ assemble(space).full_matrix @ x == pytest.approx(grad_sq, rel=1e-11)
@@ -306,13 +306,36 @@ def test_interpolation_error_benchmark_ratio_bounded():
 
 
 def test_field_vector_roundtrip(space):
+    # split views the dof vector as its cell and interior-face blocks
     rng = np.random.default_rng(9)
-    field = space.random_field(rng)
-    vec = space.vector_from_field(field)
-    assert vec.shape == (space.num_dofs,)
-    back = space.field_from_vector(vec)
-    assert np.array_equal(back.cell_coeffs, field.cell_coeffs)
-    assert np.array_equal(back.face_coeffs, field.face_coeffs)
+    vec = rng.standard_normal(space.num_dofs)
+    cells, faces = space.split(vec)
+    assert cells.shape == (space.mesh.num_cells, space.nc)
+    assert faces.shape == (space.mesh.num_interior_faces, space.nf)
+    assert np.array_equal(np.concatenate([cells.ravel(), faces.ravel()]), vec)
+    block = np.stack([vec, 2.0 * vec], axis=1)
+    cells, faces = space.split(block)
+    assert cells.shape == (space.mesh.num_cells, space.nc, 2)
+    assert faces.shape == (space.mesh.num_interior_faces, space.nf, 2)
+    for bad in (vec[:-1], np.append(vec, 0.0)):
+        with pytest.raises(ValueError, match="dof vector has length"):
+            space.split(bad)
+        with pytest.raises(ValueError, match="dof vector has length"):
+            space.reconstruct(bad)
+
+
+@pytest.mark.parametrize("p", [0, 1, 2, 3])
+def test_local_gather_is_transpose_of_assembly_scatter(p):
+    # x^T (sum_K scatter(A_K)) y = sum_K x_K^T A_K y_K: the gather
+    # local_coeffs is the transpose of the scatter in assemble_bilinear,
+    # boundary faces included
+    sp = HHOSpace(jittered_square(4), p)
+    rng = np.random.default_rng(p)
+    x, y = rng.standard_normal((2, sp.num_dofs))
+    glob = x @ (assemble_bilinear(sp, sp.A_loc) @ y)
+    xl, yl = sp.local_coeffs(x), sp.local_coeffs(y)
+    loc = np.einsum("ti,tij,tj->", xl, sp.A_loc, yl)
+    assert loc == pytest.approx(glob, rel=1e-12)
 
 
 def test_broken_poly_pad_and_shapes(space):

@@ -337,8 +337,7 @@ def test_averaging_reproduces_continuous_reconstructions():
         F1, F2, F3 = sm.factors[:3]
         n = sp.mesh.num_cells * sp.n1
         q = lagrange_interpolant(sp.mesh, p + 1, hat_profile)
-        X = np.stack([sp.vector_from_field(sp.interpolate(q)),
-                      np.zeros(sp.num_dofs)], axis=1)
+        X = np.stack([sp.interpolate(q), np.zeros(sp.num_dofs)], axis=1)
         a, zero = (F3 @ (F2 @ (F1 @ X)))[:n].T
         assert np.abs(a.reshape(q.coeffs.shape) - q.coeffs).max() < 1e-11
         assert np.abs(zero).max() == 0.0
@@ -349,7 +348,7 @@ def test_smoother_reproduces_conforming_interpolants():
         sp = HHOSpace(build_unit_square(4), p)
         sm = Smoother(sp)
         q = lagrange_interpolant(sp.mesh, p + 1, hat_profile)
-        out = sm.apply_vector(sp.vector_from_field(sp.interpolate(q)))
+        out = sm.apply_vector(sp.interpolate(q))
         out = out.reshape(sp.mesh.num_cells, sm.nD)
         assert np.abs(out[:, : sp.n1] - q.coeffs).max() < 1e-10
         assert np.abs(out[:, sp.n1:]).max() < 1e-10
@@ -361,8 +360,8 @@ def test_smoother_moment_preservation_random_fields():
         sp = HHOSpace(build_unit_square(3), p)
         for variant in ("mean", "scott-zhang"):
             sm = Smoother(sp, averaging=variant)
-            fields = [sp.random_field(rng) for _ in range(20)]
-            cell_res, face_res = moment_residuals(sm, fields)
+            X = rng.standard_normal((20, sp.num_dofs)).T
+            cell_res, face_res = moment_residuals(sm, X)
             assert cell_res.shape == face_res.shape == (20,)
             assert cell_res.max() < 1e-11 and face_res.max() < 1e-11
 
@@ -387,14 +386,14 @@ def test_moment_residuals_batch_matches_per_field_loop():
             sm = Smoother(sp, averaging=variant)
             shift = rng.standard_normal((sp.mesh.num_cells * sm.nD, sp.num_dofs))
             shifted = _ShiftedSmoother(sm, 1e-3 * shift)
-            fields = [sp.random_field(rng) for _ in range(6)]
-            cell_res, face_res = moment_residuals(shifted, fields)
+            X = rng.standard_normal((6, sp.num_dofs)).T
+            cell_res, face_res = moment_residuals(shifted, X)
             assert face_res.min() > 1e-4 and (p == 0 or cell_res.min() > 1e-4)
-            for j, field in enumerate(fields):
-                cell_j, face_j = moment_residuals(shifted, [field])
+            for j in range(X.shape[1]):
+                cell_j, face_j = moment_residuals(shifted, X[:, j:j + 1])
                 assert cell_j[0] == pytest.approx(cell_res[j], rel=1e-12, abs=0)
                 assert face_j[0] == pytest.approx(face_res[j], rel=1e-12, abs=0)
-            empty = moment_residuals(sm, [])
+            empty = moment_residuals(sm, np.empty((sp.num_dofs, 0)))
             assert empty[0].shape == empty[1].shape == (0,)
 
 
@@ -404,7 +403,7 @@ def test_smoother_conformity_random_fields():
         sp = HHOSpace(build_unit_square(3), p)
         sm = Smoother(sp)
         for _ in range(3):
-            out = sm.apply_vector(sp.vector_from_field(sp.random_field(rng)))
+            out = sm.apply_vector(rng.standard_normal(sp.num_dofs))
             assert conformity_residual(sm, out) < 1e-10
 
 
@@ -451,9 +450,7 @@ def test_scott_zhang_variant_contracts():
     mean = Smoother(sp, averaging="mean")
     sz = Smoother(sp, averaging="scott-zhang")
     q = lagrange_interpolant(sp.mesh, 2, hat_profile)
-    field = sp.random_field(rng)
-    X = np.stack([sp.vector_from_field(sp.interpolate(q)),
-                  sp.vector_from_field(field)], axis=1)
+    X = np.stack([sp.interpolate(q), rng.standard_normal(sp.num_dofs)], axis=1)
     # the averaged reconstructions: the leading T n1 rows of F3 F2 F1 X
     n = sp.mesh.num_cells * sp.n1
     F1, F2, F3 = mean.factors[:3]
@@ -637,7 +634,7 @@ def test_factor_blocks_same_for_every_degree(p):
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
     k = 4
     rng = np.random.default_rng(p)
-    cell_res, face_res = moment_residuals(sm, [sp.random_field(rng) for _ in range(k)])
+    cell_res, face_res = moment_residuals(sm, rng.standard_normal((k, sp.num_dofs)).T)
     assert cell_res.shape == face_res.shape == (k,)
     if p == 0:
         assert np.array_equal(cell_res, np.zeros(k))
