@@ -11,7 +11,7 @@ import json
 
 import numpy as np
 
-from .local_ops import HHOSpace
+from .local_ops import HHOSpace, checked_values
 from .mesh import build_lshape, build_unit_square
 from .polyquad import cell_quadrature, quad_for_degree
 from .smoothing import Smoother, lagrange_interpolant
@@ -32,7 +32,8 @@ def error_h1_broken(space, grad_u, vec):
     recon = space.reconstruct(vec)
     rule = _error_rule(space.p)
     pts, w = cell_quadrature(space.mesh, rule)
-    diff = np.asarray(grad_u(pts), dtype=float) - recon.gradients_on(rule.points)
+    exact = checked_values(grad_u, pts, "grad_u", gradient=True)
+    diff = exact - recon.gradients_on(rule.points)
     seminorm = float(np.sqrt(np.einsum("tq,tqd->", w, diff ** 2)))
     stab = float(np.sqrt(max(space.stab_form(vec, vec), 0.0)))
     return seminorm, stab
@@ -43,7 +44,7 @@ def error_l2(space, u, vec):
     recon = space.reconstruct(vec)
     rule = _error_rule(space.p)
     pts, w = cell_quadrature(space.mesh, rule)
-    diff = np.asarray(u(pts), dtype=float) - recon.values_on(rule.points)
+    diff = checked_values(u, pts, "u") - recon.values_on(rule.points)
     return float(np.sqrt(np.einsum("tq,tq->", w, diff ** 2)))
 
 
@@ -59,7 +60,8 @@ def best_error_h1(space, u, grad_u):
     proj = space.elliptic_project(u, grad_u)
     rule = _error_rule(space.p)
     pts, w = cell_quadrature(space.mesh, rule)
-    diff = np.asarray(grad_u(pts), dtype=float) - proj.gradients_on(rule.points)
+    exact = checked_values(grad_u, pts, "grad_u", gradient=True)
+    diff = exact - proj.gradients_on(rule.points)
     return float(np.sqrt(np.einsum("tq,tqd->", w, diff ** 2)))
 
 

@@ -86,11 +86,27 @@ class BrokenPoly:
         return ref.reshape(-1, Q, 2) @ self.mesh.inverse_jacobians
 
 
+def checked_values(fn, points, name, gradient=False):
+    """fn(points) for points (..., 2), checked before use.
+
+    Scalar values must have shape points.shape[:-1], gradients (gradient=True)
+    points.shape, and every value must be finite; anything else raises
+    ValueError naming `name`.
+    """
+    shape = points.shape if gradient else points.shape[:-1]
+    vals = np.asarray(fn(points), dtype=float)
+    if vals.shape != shape:
+        raise ValueError(f"{name} returned shape {vals.shape}, expected {shape}")
+    if not np.isfinite(vals).all():
+        raise ValueError(f"{name} returned non-finite values")
+    return vals
+
+
 def _evaluate(v, points, cells=None):
     """Evaluate a callable (vectorized over trailing coordinate axis) or BrokenPoly."""
     if isinstance(v, BrokenPoly):
         return v.values_at(points, cells=cells)
-    return np.asarray(v(points), dtype=float)
+    return checked_values(v, points, "function v")
 
 
 def _t(a):
@@ -364,7 +380,8 @@ class HHOSpace:
         """Broken elliptic projection onto P^{p+1}(M)."""
         rule = self.rule_cell_proj
         pts, w = cell_quadrature(self.mesh, rule)
-        wg = w[..., None] * np.asarray(grad_v(pts), dtype=float)
+        grads = checked_values(grad_v, pts, "gradient grad_v", gradient=True)
+        wg = w[..., None] * grads
         rhs = gradient_moments(self.mesh, self.p + 1, rule, wg)
         cred = np.linalg.solve(self.stiff1[:, 1:, 1:], rhs[:, 1:, None])[..., 0]
         ints_v = (w * _evaluate(v, pts)).sum(axis=1)

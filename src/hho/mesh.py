@@ -335,9 +335,11 @@ def check_matching(mesh):
 
     Checks: face incidence counts, opposite normals on interior faces,
     positive volumes and inradii, h_F <= h_K, the divergence-theorem closure
-    sum_F |F| n_K(F) = 0 per cell, and hanging vertices (a vertex lying in
-    the closure of a cell without being one of its vertices). The geometric
-    identities hold to a slack of 1e-12, vertex containment to 1e-9.
+    sum_F |F| n_K(F) = 0 per cell, hanging vertices (a vertex lying in
+    the closure of a cell without being one of its vertices) and unused
+    vertices (one that no cell refers to and no cell contains). The
+    geometric identities hold to a slack of 1e-12, vertex containment to
+    1e-9.
     """
     tol = 1e-12
     problems = []
@@ -371,6 +373,12 @@ def check_matching(mesh):
         problems.append(
             f"vertex {vertex[i]} hangs on cell {cell[i]} (mesh is not matching)"
         )
+
+    # unused vertices outside every cell (an unused one inside a cell hangs)
+    unused = np.bincount(mesh.cells.ravel(), minlength=mesh.num_vertices) == 0
+    unused[vertex] = False
+    if unused.any():
+        problems.append(f"vertex {np.flatnonzero(unused)[0]} is used by no cell")
     return problems
 
 

@@ -18,7 +18,12 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import cg, splu
 
-from .local_ops import assemble_bilinear, gradient_moments, scatter_blocks
+from .local_ops import (
+    assemble_bilinear,
+    checked_values,
+    gradient_moments,
+    scatter_blocks,
+)
 from .polyquad import cell_basis_values, cell_quadrature
 
 
@@ -87,6 +92,11 @@ class CondensedSystem:
         """Uncondensed global matrix, assembled on first use."""
         return assemble_bilinear(self.space, self.space.A_loc)
 
+    @cached_property
+    def full_lu(self):
+        """Symmetric-ordering LU factors of the full matrix, on first use."""
+        return splu(self.full_matrix.tocsc(), **SPD_LU)
+
     def condense_rhs(self, rhs):
         """Eliminate the cell block of a full rhs vector."""
         b_t, b_f = self.space.split(rhs)
@@ -114,13 +124,8 @@ def _load_values(load, name, pts):
 
     f0 must return shape (T, Q) and g shape (T, Q, 2), all values finite.
     """
-    shape = pts.shape[:-1] if name == "f0" else pts.shape
-    vals = np.asarray(getattr(load, name)(pts), dtype=float)
-    if vals.shape != shape:
-        raise ValueError(f"load {name} returned shape {vals.shape}, expected {shape}")
-    if not np.isfinite(vals).all():
-        raise ValueError(f"load {name} returned non-finite values")
-    return vals
+    return checked_values(getattr(load, name), pts, f"load {name}",
+                          gradient=name == "g")
 
 
 def rhs_classical(space, load):
@@ -189,7 +194,7 @@ def solve(system, rhs, method="direct"):
 
 def solve_full(system, rhs):
     """Solve the uncondensed system directly (testing aid); return the dof vector."""
-    return splu(system.full_matrix.tocsc(), **SPD_LU).solve(rhs)
+    return system.full_lu.solve(rhs)
 
 
 def residual_inf(system, vec, rhs):

@@ -54,6 +54,20 @@ def test_error_functions_match_quadrature_oracle():
     assert stab == pytest.approx(np.sqrt(sp.stab_form(vec, vec)), rel=1e-12)
 
 
+@pytest.mark.parametrize("error, name", [
+    (lambda sp, v: error_l2(sp, lambda x: np.where(x[..., 0] < 0.5, np.nan, 1.0), v),
+     "u"),
+    (lambda sp, v: error_h1_broken(sp, sine, v), "grad_u"),
+    # refused by the elliptic projection best_error_h1 starts with
+    (lambda sp, v: best_error_h1(sp, sine, lambda x: np.full(x.shape, np.inf)),
+     "gradient grad_v"),
+], ids=["nan-u", "scalar-grad_u", "inf-best-grad_u"])
+def test_bad_exact_solution_values_are_refused(error, name):
+    sp = HHOSpace(build_unit_square(4), 1)
+    with pytest.raises(ValueError, match=f"^{name} returned"):
+        error(sp, np.zeros(sp.num_dofs))
+
+
 def test_error_halving_ratio_smooth_case_p1():
     case = smooth_sine_case()
     rep = run_convergence(case, 1, [8, 16], method="classical")

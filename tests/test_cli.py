@@ -38,6 +38,19 @@ SQUARE_MESH = """\
 """
 
 
+UNUSED_VERTEX_MESH = """\
+# unit square, two triangles, and a vertex at (2, 2) that no cell uses
+5 2
+0 0
+1 0
+1 1
+0 1
+2 2
+0 1 2
+0 2 3
+"""
+
+
 def test_verify_passes_and_is_reproducible(tmp_path):
     cfg = write_config(
         tmp_path / "v.json", degrees=[0], resolutions=[2, 4],
@@ -290,7 +303,8 @@ def test_solve_with_external_mesh(tmp_path):
     # one cell listed twice, and a vertex no cell uses
     ("4 2\n0 0\n1 0\n0 1\n5 5\n0 1 2\n0 1 2\n",
      "normals on interior face 0 are not opposite"),
-], ids=["t-junction", "duplicate-cell"])
+    (UNUSED_VERTEX_MESH, "vertex 4 is used by no cell"),
+], ids=["t-junction", "duplicate-cell", "unused-vertex"])
 def test_solve_non_matching_mesh_is_refused(tmp_path, capsys, text, problem):
     mesh_path = tmp_path / "bad.mesh"
     mesh_path.write_text(text)
@@ -301,6 +315,20 @@ def test_solve_non_matching_mesh_is_refused(tmp_path, capsys, text, problem):
     err = capsys.readouterr().err
     assert err == f"hho: config error: --mesh {mesh_path}: {problem}\n"
     assert not out.exists()
+
+
+def test_verify_mesh_with_unused_vertex_fails_matching(tmp_path):
+    mesh_path = tmp_path / "unused.mesh"
+    mesh_path.write_text(UNUSED_VERTEX_MESH)
+    cfg = write_config(tmp_path / "v.json", degrees=[0], resolutions=[2],
+                       random_fields=2)
+    out = tmp_path / "out"
+    assert main(["verify", "--config", cfg, "--out", str(out),
+                 "--mesh", str(mesh_path)]) == 1
+    report = json.loads((out / "verify_report.json").read_text())
+    failed = [c for c in report["checks"] if not c["passed"]]
+    assert [(c["name"], c["variant"], c["residual"]) for c in failed] == [
+        ("mesh-matching", "unused.mesh", 1.0)]
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf"])

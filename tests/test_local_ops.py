@@ -88,6 +88,21 @@ def test_interpolate_zero_and_components(space):
     assert np.allclose(faces, space.project_face(sine))
 
 
+@pytest.mark.parametrize("apply, name", [
+    # NaN on half the domain
+    (lambda sp: sp.interpolate(lambda x: np.where(x[..., 0] < 0.5, np.nan, 1.0)),
+     "function v"),
+    # the point axis is missing: (E,) instead of (E, Q)
+    (lambda sp: sp.project_face(lambda x: x[:, 0, 0]), "function v"),
+    # a scalar where the gradient belongs
+    (lambda sp: sp.elliptic_project(sine, sine), "gradient grad_v"),
+], ids=["nan-interpolate", "face-values-without-point-axis", "scalar-gradient"])
+def test_bad_function_values_are_refused(apply, name):
+    sp = HHOSpace(build_unit_square(4), 1)
+    with pytest.raises(ValueError, match=f"{name} returned"):
+        apply(sp)
+
+
 def test_interpolate_moments_match_quadrature_oracle(space):
     # int_K q (Pi_M v - v) = 0 for q in P^p, checked with an independent rule
     cells = space.split(space.interpolate(sine))[0]
