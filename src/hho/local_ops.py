@@ -114,6 +114,14 @@ def _t(a):
     return a.swapaxes(-1, -2)
 
 
+def _gather(vec, ids):
+    """Rows vec[ids] of a (n, ...) array, zero where an id is negative."""
+    out = np.zeros(ids.shape + vec.shape[1:])
+    keep = ids >= 0
+    out[keep] = vec[ids[keep]]
+    return out
+
+
 def _tmul(a, b):
     """Batched a^T b over the second-to-last axis: (T, Q, m), (T, Q, n) -> (T, m, n)."""
     return _t(a) @ b
@@ -330,9 +338,9 @@ class HHOSpace:
                 vec[n:].reshape(self.mesh.num_interior_faces, self.nf, *rest))
 
     def local_coeffs(self, vec):
-        """Per-cell local dof vectors (T, nloc); boundary faces padded with 0."""
-        ids = self.local_dof_ids
-        return np.where(ids >= 0, self._checked(vec)[ids], 0.0)
+        """Per-cell local dof vectors (T, nloc, ...) of a dof vector or of a
+        (num_dofs, ...) block of them; boundary faces padded with 0."""
+        return _gather(self._checked(vec), self.local_dof_ids)
 
     # -- projections and local operators ----------------------------------
 
@@ -421,6 +429,24 @@ def scatter_blocks(blocks, row_ids, col_ids, shape):
     return sparse.coo_matrix(
         (blocks[keep], (rows[keep], cols[keep])), shape=shape
     ).tocsr()
+
+
+def scatter_add(values, ids, size):
+    """Sum rows of values (*ids.shape, ...) into a (size, ...) array at ids.
+
+    The counterpart of :func:`scatter_blocks` for applying blocks to data:
+    entries with a negative id are dropped and repeated ids are summed in
+    a fixed order, as one product with the (size, ids.size) 0/1 incidence
+    matrix of ids (one entry per row of values, not per block entry).
+    """
+    rest = values.shape[ids.ndim:]
+    flat = ids.ravel()
+    keep = np.flatnonzero(flat >= 0)
+    incidence = sparse.csr_matrix(
+        (np.ones(len(keep)), (flat[keep], keep)), shape=(size, flat.size)
+    )
+    out = incidence @ values.reshape(flat.size, int(np.prod(rest)))
+    return out.reshape((size,) + rest)
 
 
 def assemble_bilinear(space, local_mats):

@@ -6,11 +6,15 @@ that restore the cell moments up to degree p-1 and the interior-face moments
 up to degree p. Element bubbles are 27*l1*l2*l3, face bubbles 4*la*lb on each
 of the two cells sharing the face; both are 1 at the respective barycenter.
 
-Everything is linear with one-ring-local supports, so the smoother is kept
-as a short product of sparse factors from HHO unknowns to broken polynomial
-coefficients of degree 2 + max(p, 1); the full matrix is formed only on
-request. Cell and face solves are independent per entity.
+Everything is linear with one-ring-local supports, so the smoother, from
+HHO unknowns to broken polynomial coefficients of degree 2 + max(p, 1), is
+kept as dense per-cell and per-face blocks with their index maps and applied
+entity by entity (forward and transposed); sparse factors and the full
+matrix are scattered from the same blocks only on request. Cell and face
+solves are independent per entity.
 """
+
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -18,8 +22,11 @@ from scipy.sparse.linalg import splu
 
 from .local_ops import (
     BrokenPoly,
+    _gather,
+    _t,
     _tmul,
     assemble_bilinear,
+    scatter_add,
     scatter_blocks,
     stiffness_blocks,
 )
@@ -162,26 +169,30 @@ def lagrange_interpolant(mesh, degree, func):
 
 
 class Smoother:
-    """Stabilized bubble smoother for one space, as an ordered list of sparse factors.
+    """Stabilized bubble smoother for one space, kept as per-entity blocks.
 
-    S_H = F5 F4 F3 F2 F1 maps an HHO dof vector x = (x_M, x_Sigma) to the
-    broken degree-D coefficients of the smoothed function:
+    S_H maps an HHO dof vector x = (x_M, x_Sigma) to the broken degree-D
+    coefficients of the smoothed function in five linear steps:
 
-    * F1 = [R; I]: the reconstruction R x, with x carried along,
-    * F2 = blockdiag(avg, I): nodal averaging on interior degree-(p+1) nodes,
-    * F3 = blockdiag(expand, I): back to broken coefficients, the averaged
-      reconstruction a,
-    * F4: (a, x) -> (a, v_Sigma, v_M), padded to degree D where needed, with
-      the face residual v_Sigma = x_Sigma - tr a and the cell residual
-      v_M = x_M - a,
-    * F5 = [I | B_Sigma - B_M B_Sigma | B_M]: a plus the bubble correction
-      B_Sigma v_Sigma + B_M (v_M - B_Sigma v_Sigma).
+    * the reconstruction r = R x, from ``space.G`` on every cell,
+    * nodal averaging of r on the interior degree-(p+1) Lagrange nodes: the
+      per-cell blocks V1 times the nodal weight (`avg_blocks`), summed at
+      `avg_ids`,
+    * re-expansion into broken coefficients, the averaged reconstruction
+      a: one block inv(V1) on every cell, read at `node_ids` (zero on
+      boundary nodes),
+    * the face residual v_Sigma = x_Sigma - tr a, the trace taken from the
+      first cell of each interior face (`trace`), and the cell residual
+      v_M = x_M - a, padded to degree D where needed,
+    * a plus the bubble correction B_Sigma v_Sigma + B_M (v_M - B_Sigma v_Sigma):
+      (I - B_M) B_Sigma is one block per interior face and side
+      (`face_bubble`, landing in `face_cells`), B_M one (nD, nD) block on
+      every cell (`cell_block`), zero at p = 0 since P^{-1} = {0}.
 
-    B_M is one reference block on every cell, and zero at p = 0
-    (P^{-1} = {0}); B_Sigma - B_M B_Sigma is scattered from the face-bubble
-    blocks with (I - B_M) applied. Every application (forward, transpose,
-    matrix) is derived from the list; every leaf matrix lives only inside
-    the factors.
+    The blocks and their index maps are the one description of S_H.
+    `apply_vector` and `apply_transpose` contract them entity by entity;
+    `factors` scatters the same blocks into sparse factors and `matrix`
+    multiplies those out, both on first use only.
 
     Parameters
     ----------
@@ -200,10 +211,13 @@ class Smoother:
         self.nD = space_dimension(self.degree)
 
         self._build_lattice_tables()
-        self.factors = self._factors()
+        self._build_averaging()
+        self._build_face_trace()
+        self.cell_block = self._cell_bubble_block()
+        self.face_bubble = self._face_bubble_blocks(np.eye(self.nD) - self.cell_block)
         self._matrix = None
 
-    # -- reference tables ----------------------------------------------------
+    # -- blocks ------------------------------------------------------------
 
     def _build_lattice_tables(self):
         D = self.degree
@@ -213,77 +227,63 @@ class Smoother:
         self.invV_D = np.linalg.inv(cell_basis_values(D, self.lat_bary))
         self.phiK_lat, self.phiF_lat = _bubbles(self.lat_bary)  # (nD,), (3, nD)
 
-    def _averaging_matrices(self):
+    def _build_averaging(self):
         """Nodal averaging on interior degree-(p+1) nodes, then re-expansion."""
         space, mesh = self.space, self.space.mesh
         layer = LagrangeLayer(mesh, space.p + 1)
-        T, n1 = mesh.num_cells, space.n1
         gids = layer.cell_nodes  # (T, n1), lattice order of lattice_multis
-        node_ids = layer.interior_index[gids]  # -1 on the boundary
-        coeff_ids = np.arange(T * n1).reshape(T, n1)
+        self.num_nodes = layer.num_interior
+        self.node_ids = layer.interior_index[gids]  # -1 on the boundary
 
         # basis values at the lattice nodes (Vandermonde), the same in every
         # cell; its inverse maps nodal values to coefficients
         V1 = cell_basis_values(space.p + 1, layer.lattice_bary)  # (n1, n1)
-
+        self.invV1 = np.linalg.inv(V1)
         if self.averaging_variant == "mean":
             weight = 1.0 / layer.counts[gids]
-            rows = node_ids
+            self.avg_ids = self.node_ids
         else:
             weight = np.ones_like(gids, dtype=float)
-            cell_ids = np.arange(T)[:, None]
-            rows = np.where(cell_ids == layer.min_cell[gids], node_ids, -1)
-        avg = scatter_blocks(
-            V1 * weight[:, :, None], rows, coeff_ids, (layer.num_interior, T * n1)
-        )
-        # nodal values (zero on the boundary) back to broken p+1 coefficients
-        expand = scatter_blocks(
-            np.broadcast_to(np.linalg.inv(V1), (T, n1, n1)), coeff_ids, node_ids,
-            (T * n1, layer.num_interior),
-        )
-        return avg, expand
+            cell_ids = np.arange(mesh.num_cells)[:, None]
+            self.avg_ids = np.where(
+                cell_ids == layer.min_cell[gids], self.node_ids, -1
+            )
+        self.avg_blocks = V1 * weight[:, :, None]  # (T, n1, n1)
 
-    def _face_trace_matrix(self):
-        """Broken p+1 coefficients -> degree-(p+1) face coefficients of the trace."""
+    def _build_face_trace(self):
+        """Broken p+1 coefficients of the first cell -> degree-(p+1) face
+        coefficients of the trace, one block per interior face."""
         space, mesh = self.space, self.space.mesh
-        nf1 = space.p + 2
         faces = mesh.interior_faces
-        Ei = len(faces)
-        k1 = mesh.face_cells[faces, 0]
-        # interpolate the trace at nf1 equispaced points of each face: one
+        self.face_cells = mesh.face_cells[faces].T  # (2, Ei): first, second
+        # interpolate the trace at p+2 equispaced points of each face: one
         # reference matrix per (local face, orientation) of the first cell
-        t = np.linspace(0.0, 1.0, nf1)
-        vf_inv = np.linalg.inv(face_basis_values(nf1 - 1, t - 0.5))
+        t = np.linspace(0.0, 1.0, space.p + 2)
+        vf_inv = np.linalg.inv(face_basis_values(space.p + 1, t - 0.5))
         trace_hat = vf_inv @ cell_basis_values(space.p + 1, face_barycentric(t))
-        return scatter_blocks(
-            on_faces(trace_hat, mesh, faces, 0),
-            np.arange(Ei * nf1).reshape(Ei, nf1),
-            k1[:, None] * space.n1 + np.arange(space.n1),
-            (Ei * nf1, mesh.num_cells * space.n1),
-        )
+        self.trace = on_faces(trace_hat, mesh, faces, 0)  # (Ei, p+2, n1)
 
-    def _face_bubble_matrix(self, left):
-        """Degree-(p+1) face data -> broken degree-D coefficients of `left` B_Sigma,
+    def _face_bubble_blocks(self, left):
+        """Per-side blocks (2, Ei, nD, p+2) of `left` B_Sigma: degree-(p+1)
+        face data -> broken degree-D coefficients in cell face_cells[side],
         for an (nD, nD) matrix `left` acting on every cell (the identity
         gives B_Sigma itself)."""
         space, mesh = self.space, self.space.mesh
-        p, nD = space.p, self.nD
-        nf1 = p + 2
+        p = space.p
         faces = mesh.interior_faces
-        Ei = len(faces)
 
         # B_F solve in the scaled arclength coordinate; h_F cancels between
         # the bubble-weighted mass int s^(k+l) (1 - 4 s^2) ds and the moment
         # matrix, both read off the exact monomial integrals
         mass = reference_face_mass(p + 1)
         what_inv = np.linalg.inv(mass[:-1, :-1] - 4.0 * mass[1:, 1:])
-        beta_mat = what_inv @ mass[:-1, :]  # (p+1, nf1)
+        beta_mat = what_inv @ mass[:-1, :]  # (p+1, p+2)
 
         # B_F v is interpolated at the p+1 equispaced degree-p lattice nodes of
         # the face, ordered from its lower global vertex to its higher one;
         # per (local face, orientation) those nodes are cell lattice nodes
         t_nodes = np.arange(p + 1) / max(p, 1)
-        nodal_mat = face_basis_values(p, t_nodes - 0.5) @ beta_mat  # (p+1, nf1)
+        nodal_mat = face_basis_values(p, t_nodes - 0.5) @ beta_mat  # (p+1, p+2)
         multi = np.rint(p * face_barycentric(t_nodes)).astype(np.int64)
         multis = lattice_multis(p)
         lattice_pos = np.empty((p + 1, p + 1), dtype=np.int64)
@@ -293,17 +293,8 @@ class Smoother:
         zvals = (
             np.moveaxis(lp_lat[:, lpos], 0, 2) * self.phiF_lat[:, None, :, None]
         )  # (3, 2, nD, p+1)
-        bubble_hat = left @ self.invV_D @ zvals @ nodal_mat  # (3, 2, nD, nf1)
-
-        cols = np.arange(Ei * nf1).reshape(Ei, nf1)
-        sides = (0, 1)
-        return scatter_blocks(
-            np.concatenate([on_faces(bubble_hat, mesh, faces, s) for s in sides]),
-            np.concatenate([mesh.face_cells[faces, s][:, None] * nD + np.arange(nD)
-                            for s in sides]),
-            np.concatenate([cols, cols]),
-            (mesh.num_cells * nD, Ei * nf1),
-        )
+        bubble_hat = left @ self.invV_D @ zvals @ nodal_mat  # (3, 2, nD, p+2)
+        return np.stack([on_faces(bubble_hat, mesh, faces, s) for s in (0, 1)])
 
     def _cell_bubble_block(self):
         """The (nD, nD) block of B_M on every cell: broken degree-D data to
@@ -323,29 +314,115 @@ class Smoother:
         lat_vals = cell_basis_values(p - 1, self.lat_bary) * self.phiK_lat[:, None]
         return self.invV_D @ lat_vals @ sol
 
-    def _factors(self):
-        """The factor list [F1, ..., F5] of S_H (see the class docstring)."""
+    # -- application -------------------------------------------------------
+
+    def apply_vector(self, vec):
+        """Broken degree-D coefficients of S_H applied to a dof vector, or to
+        a (num_dofs, k) block of them (the five steps, entity by entity)."""
+        space = self.space
+        T, nc, nf, n1 = space.mesh.num_cells, space.nc, space.nf, space.n1
+        vec = np.asarray(vec, dtype=float)
+        X = vec.reshape(len(vec), -1)
+        x_cells, x_faces = space.split(X)
+
+        r = space.G @ space.local_coeffs(X)  # (T, n1, k)
+        nodal = scatter_add(self.avg_blocks @ r, self.avg_ids, self.num_nodes)
+        a = self.invV1 @ _gather(nodal, self.node_ids)
+        v_faces = -(self.trace @ a[self.face_cells[0]])
+        v_faces[:, :nf] += x_faces
+        out = np.zeros((T, self.nD, X.shape[1]))
+        out[:, :nc] = x_cells
+        out[:, :n1] -= a  # v_M = x_M - a
+        out = self.cell_block @ out
+        out[:, :n1] += a
+        for side in (0, 1):  # one side at a time halves the largest temporary
+            out += scatter_add(
+                self.face_bubble[side] @ v_faces, self.face_cells[side], T
+            )
+        return out.reshape((T * self.nD,) + vec.shape[1:])
+
+    def apply_transpose(self, fvec):
+        """S_H^T applied to a broken functional vector (load pullback), or to
+        a (T nD, k) block of them.
+
+        The steps of :meth:`apply_vector` in reverse order with every block
+        transposed; one-ring local, without forming any global matrix.
+        """
+        space = self.space
+        fvec = np.asarray(fvec, dtype=float)
+        T, nc, nf, n1 = space.mesh.num_cells, space.nc, space.nf, space.n1
+        Y = fvec.reshape(T, self.nD, -1)
+
+        g_cells = self.cell_block.T @ Y  # adjoint of v_M
+        g_faces = (_t(self.face_bubble) @ Y[self.face_cells]).sum(axis=0)
+        g_a = Y[:, :n1] - g_cells[:, :n1] - scatter_add(
+            _t(self.trace) @ g_faces, self.face_cells[0], T
+        )
+        g_nodal = scatter_add(self.invV1.T @ g_a, self.node_ids, self.num_nodes)
+        g_r = _t(self.avg_blocks) @ _gather(g_nodal, self.avg_ids)
+        out = scatter_add(_t(space.G) @ g_r, space.local_dof_ids, space.num_dofs)
+        out_cells, out_faces = space.split(out)
+        out_cells += g_cells[:, :nc]
+        out_faces += g_faces[:, :nf]
+        return out.reshape((space.num_dofs,) + fvec.shape[1:])
+
+    # -- sparse forms --------------------------------------------------------
+
+    def _face_bubble_matrix(self, blocks):
+        """Scatter per-side face-bubble blocks (2, Ei, nD, p+2) into the
+        (T nD, Ei (p+2)) matrix."""
+        _, Ei, nD, nf1 = blocks.shape
+        rows = self.face_cells[..., None] * nD + np.arange(nD)
+        cols = np.arange(Ei * nf1).reshape(Ei, nf1)
+        return scatter_blocks(
+            blocks.reshape(2 * Ei, nD, nf1), rows.reshape(2 * Ei, nD),
+            np.concatenate([cols, cols]),
+            (self.space.mesh.num_cells * nD, Ei * nf1),
+        )
+
+    @cached_property
+    def factors(self):
+        """S_H = F5 F4 F3 F2 F1 as sparse factors, scattered from the blocks:
+
+        * F1 = [R; I]: the reconstruction R x, with x carried along,
+        * F2 = blockdiag(avg, I): nodal averaging on interior degree-(p+1) nodes,
+        * F3 = blockdiag(expand, I): back to broken coefficients, the averaged
+          reconstruction a,
+        * F4: (a, x) -> (a, v_Sigma, v_M), padded to degree D where needed,
+        * F5 = [I | B_Sigma - B_M B_Sigma | B_M].
+        """
         space = self.space
         T, Ei, p = space.mesh.num_cells, space.mesh.num_interior_faces, space.p
-        nc, nD = space.nc, self.nD
+        nc, n1, nD, nf1 = space.nc, space.n1, self.nD, p + 2
 
         def pad(count, small, big):
             # zero-pad each of `count` coefficient blocks from `small` to `big`
             return sparse.kron(sparse.identity(count), sparse.eye(big, small)).tocsr()
 
-        pad_1D = pad(T, space.n1, nD)
+        coeff_ids = np.arange(T)[:, None] * n1 + np.arange(n1)
+        avg = scatter_blocks(
+            self.avg_blocks, self.avg_ids, coeff_ids, (self.num_nodes, T * n1)
+        )
+        # nodal values (zero on the boundary) back to broken p+1 coefficients
+        expand = scatter_blocks(
+            np.broadcast_to(self.invV1, (T, n1, n1)), coeff_ids, self.node_ids,
+            (T * n1, self.num_nodes),
+        )
+        trace = scatter_blocks(
+            self.trace, np.arange(Ei * nf1).reshape(Ei, nf1),
+            coeff_ids[self.face_cells[0]], (Ei * nf1, T * n1),
+        )
+        pad_1D = pad(T, n1, nD)
         identity = sparse.identity(space.num_dofs, format="csr")
-        avg, expand = self._averaging_matrices()
-        cell_block = self._cell_bubble_block()
         # block columns: a, x_M, x_Sigma
         residuals = [
             [pad_1D, None, None],
-            [-self._face_trace_matrix(), None, pad(Ei, space.nf, p + 2)],
+            [-trace, None, pad(Ei, space.nf, nf1)],
             [-pad_1D, pad(T, nc, nD), None],
         ]
         bubbles = [sparse.identity(T * nD, format="csr"),
-                   self._face_bubble_matrix(np.eye(nD) - cell_block),
-                   sparse.kron(sparse.identity(T), cell_block, format="csr")]
+                   self._face_bubble_matrix(self.face_bubble),
+                   sparse.kron(sparse.identity(T), self.cell_block, format="csr")]
         return [
             sparse.vstack(
                 [reconstruction_matrix(space, space.p + 1), identity], format="csr"
@@ -355,24 +432,6 @@ class Smoother:
             sparse.bmat(residuals, format="csr"),
             sparse.hstack(bubbles, format="csr"),
         ]
-
-    # -- application -------------------------------------------------------
-
-    def apply_vector(self, vec):
-        """Broken degree-D coefficients of S_H applied to a dof vector."""
-        for factor in self.factors:
-            vec = factor @ vec
-        return vec
-
-    def apply_transpose(self, fvec):
-        """S_H^T applied to a broken functional vector (load pullback).
-
-        Same one-ring locality as the forward map, evaluated without forming
-        the full smoother matrix.
-        """
-        for factor in reversed(self.factors):
-            fvec = factor.T @ fvec
-        return fvec
 
     @property
     def matrix(self):

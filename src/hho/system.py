@@ -152,8 +152,8 @@ def rhs_smoothed(space, smoother, load):
 
     The load functional is evaluated on the broken basis underlying the
     smoother output (against reference tables; the divergence part g is
-    mapped to J^{-1} g) and pulled back through the (one-ring local) smoother
-    matrix.
+    mapped to J^{-1} g) and pulled back by S_H^T, applied block by block
+    without forming any smoother matrix.
     """
     rule = space.rule_cell_load
     pts, w = cell_quadrature(space.mesh, rule)

@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import hho.smoothing
 from conftest import basis_at, hat_profile, jittered_square
+from hho.analysis import get_case, run_convergence
 from hho.local_ops import BrokenPoly, HHOSpace
-from hho.mesh import SimplicialMesh, build_unit_square, refine_red
+from hho.mesh import SimplicialMesh, build_lshape, build_unit_square, refine_red
 from hho.polyquad import (
     cell_basis_values,
     cell_quadrature,
@@ -27,6 +31,7 @@ from hho.smoothing import (
     moment_residuals,
     orthogonality_residual,
 )
+from hho.system import rhs_smoothed
 
 
 def single_triangle_mesh():
@@ -45,6 +50,11 @@ def bubble_poly(sm, cells, lattice_values):
     coeffs = np.zeros((sm.space.mesh.num_cells, sm.nD))
     coeffs[cells] = lattice_values @ sm.invV_D.T
     return BrokenPoly(sm.space.mesh, sm.degree, coeffs)
+
+
+def face_bubble_matrix(sm):
+    """B_Sigma alone, scattered from the Smoother's per-side face blocks."""
+    return sm._face_bubble_matrix(sm._face_bubble_blocks(np.eye(sm.nD)))
 
 
 def test_lagrange_basis_delta_and_partition_of_unity():
@@ -192,7 +202,7 @@ def test_bubble_face_constant_value_three_halves():
     # (B_F 1) Phi_F at the face midpoint is (1 / (2/3)) * 1 = 3/2
     sp = HHOSpace(build_unit_square(1), 0)
     sm = Smoother(sp)
-    coeffs = sm._face_bubble_matrix(np.eye(sm.nD)) @ unit_face_data(sp, 0)
+    coeffs = face_bubble_matrix(sm) @ unit_face_data(sp, 0)
     out = BrokenPoly(sp.mesh, sm.degree, coeffs.reshape(-1, sm.nD))
     f = int(sp.mesh.interior_faces[0])
     mid = sp.mesh.face_midpoints[f][None, None, :]
@@ -206,7 +216,7 @@ def test_bubble_face_zero_and_conformity():
     for p in (0, 1, 2):
         sp = HHOSpace(build_unit_square(2), p)
         sm = Smoother(sp)
-        face_bubble = sm._face_bubble_matrix(np.eye(sm.nD))
+        face_bubble = face_bubble_matrix(sm)
         assert np.abs(face_bubble @ np.zeros(face_bubble.shape[1])).max() == 0.0
         out = face_bubble @ rng.standard_normal(face_bubble.shape[1])
         assert conformity_residual(sm, out) < 1e-11
@@ -220,7 +230,7 @@ def test_bubble_face_moment_identity():
         sm = Smoother(sp)
         faces = sp.mesh.interior_faces
         vS = rng.standard_normal((len(faces), p + 2))
-        coeffs = sm._face_bubble_matrix(np.eye(sm.nD)) @ vS.ravel()
+        coeffs = face_bubble_matrix(sm) @ vS.ravel()
         out = BrokenPoly(sp.mesh, sm.degree, coeffs.reshape(-1, sm.nD))
         rule = quad_for_degree(1, 16)
         pts, w = face_quadrature(sp.mesh, rule, faces)
@@ -485,8 +495,9 @@ def test_consistency_constant_stable_across_refinements():
 @pytest.mark.parametrize("variant", AVERAGING_VARIANTS)
 @pytest.mark.parametrize("p", [0, 1, 2, 3])
 def test_factor_list_forward_transpose_and_matrix_agree(p, variant):
-    # the forward map, its transpose and the assembled matrix all derive
-    # from the one factor list; they must describe the same operator
+    # the forward map and its transpose contract the blocks, the matrix
+    # multiplies out the factors scattered from them; all three must
+    # describe the same operator
     sp = HHOSpace(build_unit_square(3), p)
     sm = Smoother(sp, averaging=variant)
     rng = np.random.default_rng(p)
@@ -496,6 +507,68 @@ def test_factor_list_forward_transpose_and_matrix_agree(p, variant):
     forward, backward = y @ sx, sm.apply_transpose(y) @ x
     assert abs(forward - backward) <= 1e-12 * abs(forward)
     assert np.abs(sm.matrix @ x - sx).max() <= 1e-12 * np.abs(sx).max()
+
+
+def _assert_close(got, want):
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("variant", AVERAGING_VARIANTS)
+@pytest.mark.parametrize("p", [0, 1, 2, 3])
+@pytest.mark.parametrize("make", [
+    lambda: jittered_square(4), lambda: build_lshape(2), single_triangle_mesh,
+], ids=["jittered", "lshape", "single"])
+def test_matrix_free_apply_matches_factor_product(make, p, variant):
+    # apply_vector and apply_transpose contract the blocks entity by entity;
+    # the factors scatter the same blocks. On a vector and on a block of
+    # three, both evaluations must give the same operator and its transpose
+    # (the single triangle has no interior face and, at p = 0, no interior
+    # Lagrange node)
+    sp = HHOSpace(make(), p)
+    sm = Smoother(sp, averaging=variant)
+    rng = np.random.default_rng(p)
+    X = rng.standard_normal((sp.num_dofs, 3))
+    Y = rng.standard_normal((sp.mesh.num_cells * sm.nD, 3))
+    for x, y in ((X[:, 0], Y[:, 0]), (X, Y)):
+        want = x
+        for factor in sm.factors:
+            want = factor @ want
+        _assert_close(sm.apply_vector(x), want)
+        want = y
+        for factor in reversed(sm.factors):
+            want = factor.T @ want
+        _assert_close(sm.apply_transpose(y), want)
+
+
+def test_converge_path_assembles_no_smoother_factor(monkeypatch):
+    # the smoothed load needs S_H^T on one vector: neither a converge run nor
+    # a direct pullback may scatter the sparse factors
+    sp = HHOSpace(build_unit_square(3), 2)
+    sm = Smoother(sp)
+    rhs_smoothed(sp, sm, get_case("smooth-sine", 2).load)
+    assert "factors" not in sm.__dict__
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a smoother factor was assembled")
+
+    monkeypatch.setattr(hho.smoothing, "scatter_blocks", refuse)
+    report = run_convergence(get_case("smooth-sine", 1), 1, [2, 4], method="smoothed")
+    assert len(report.rows) == 2
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), p=st.integers(0, 3),
+       variant=st.sampled_from(AVERAGING_VARIANTS))
+def test_transpose_is_adjoint_on_jittered_meshes(seed, p, variant):
+    # <S_H x, y> = <x, S_H^T y> on a randomly jittered mesh
+    sp = HHOSpace(jittered_square(3, seed=seed), p)
+    sm = Smoother(sp, averaging=variant)
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(sp.num_dofs)
+    y = rng.standard_normal(sp.mesh.num_cells * sm.nD)
+    forward, backward = y @ sm.apply_vector(x), sm.apply_transpose(y) @ x
+    assert abs(forward - backward) <= 1e-12 * abs(forward)
 
 
 def _diagonal_blocks(matrix, n):
@@ -603,7 +676,7 @@ def test_face_bubble_matrix_matches_gid_matching(p, make):
     assert set((hi - il) % 3) == {1, 2}
 
     sm = Smoother(HHOSpace(mesh, p))
-    got = sm._face_bubble_matrix(np.eye(sm.nD)).toarray()
+    got = face_bubble_matrix(sm).toarray()
     want = reference_face_bubble_matrix(sm)
     if p >= 1:
         assert np.array_equal(got, want)
@@ -627,7 +700,7 @@ def test_factor_blocks_same_for_every_degree(p):
     assert (np.abs(sm._cell_bubble_block()).max() == 0.0) == (p == 0)
     # the middle block is B_Sigma - B_M B_Sigma, with B_M the cell block on
     # every cell
-    face_bubble = sm._face_bubble_matrix(np.eye(sm.nD)).toarray()
+    face_bubble = face_bubble_matrix(sm).toarray()
     cell_bubble = np.kron(np.eye(T), sm._cell_bubble_block())
     want = face_bubble - cell_bubble @ face_bubble
     got = F5[:, blocks[0]: blocks[0] + blocks[1]].toarray()
