@@ -17,6 +17,8 @@ from .polyquad import cell_quadrature, quad_for_degree
 from .smoothing import Smoother, lagrange_interpolant
 from .system import LoadFunctional, assemble, rhs_classical, rhs_smoothed, solve
 
+METHODS = ("classical", "smoothed")
+
 REPORT_COLUMNS = [
     "level", "h", "e_H1", "e_stab", "e_L2", "e_super",
     "best_H1", "ratio", "eoc_H1", "eoc_L2",
@@ -49,10 +51,15 @@ def error_l2(space, u, vec):
 
 
 def supercloseness(space, u, vec):
-    """||U_M - Pi_M u||: the cell component against the L2 projection of u."""
+    """||U_M - Pi_M u||: the cell component against the L2 projection of u.
+
+    The cell mass of the degree-p basis is 2|K| times the leading block of
+    the reference table `mass_hat`."""
     proj = space.project_cell(u)
     diff = space.split(vec)[0] - proj.coeffs
-    return float(np.sqrt(np.einsum("ti,tij,tj->", diff, space.mass_p, diff)))
+    nc = space.nc
+    mass = 2.0 * space.mesh.volumes[:, None, None] * space.mass_hat[:nc, :nc]
+    return float(np.sqrt(np.einsum("ti,tij,tj->", diff, mass, diff)))
 
 
 def best_error_h1(space, u, grad_u):
@@ -70,6 +77,20 @@ def eoc(errors, hs):
     errors = np.asarray(errors, dtype=float)
     hs = np.asarray(hs, dtype=float)
     return list(np.log(errors[:-1] / errors[1:]) / np.log(hs[:-1] / hs[1:]))
+
+
+def repeated_level(levels):
+    """The first level that occurs twice in `levels`, or None.
+
+    A repeated level gives two rows with the same h, where the empirical
+    order divides by log(1) = 0.
+    """
+    seen = set()
+    for level in levels:
+        if level in seen:
+            return level
+        seen.add(level)
+    return None
 
 
 class PiecewisePolyFunction:
@@ -362,45 +383,64 @@ class ConvergenceReport:
         return paths
 
 
+def _solve_level(case, p, level, method, averaging, quad_extra, solver):
+    """Errors of one level, as a report row without its orders.
+
+    Every array of the level dies when this returns. The smoothed
+    right-hand side is computed before the system is assembled, so the
+    smoother is freed before the face matrix is factored, and the system
+    is dropped before the errors are evaluated.
+    """
+    mesh = case.mesh_for(level)
+    space = HHOSpace(mesh, p, quad_extra=quad_extra)
+    if method == "classical":
+        rhs = rhs_classical(space, case.load)
+    else:
+        smoother = Smoother(space, averaging=averaging)
+        rhs = rhs_smoothed(space, smoother, case.load)
+        del smoother
+    system = assemble(space)
+    vec = solve(system, rhs, method=solver)
+    del system
+
+    semi, stab = error_h1_broken(space, case.grad_u, vec)
+    best = best_error_h1(space, case.u, case.grad_u)
+    energy = float(np.hypot(semi, stab))
+    return {
+        "level": level,
+        "h": float(mesh.h_cell.max()),
+        "e_H1": semi,
+        "e_stab": stab,
+        "e_L2": error_l2(space, case.u, vec),
+        "e_super": supercloseness(space, case.u, vec),
+        "best_H1": best,
+        "ratio": energy / best if best > 0.0 else float("nan"),
+        "eoc_H1": float("nan"),
+        "eoc_L2": float("nan"),
+    }
+
+
 def run_convergence(case, p, levels, method="smoothed", averaging="mean",
                     quad_extra=2, solver="direct"):
-    """Solve the case on each level and report errors, ratios and orders."""
+    """Solve the case on each level and report errors, ratios and orders.
+
+    The levels are solved one at a time: at most one level's space, smoother
+    and system are alive at once.
+    """
     if len(levels) < 2:
         raise ValueError("convergence study needs at least 2 levels")
-    rows = []
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}")
     for level in levels:
         case.level_check(level)
-        mesh = case.mesh_for(level)
-        space = HHOSpace(mesh, p, quad_extra=quad_extra)
-        system = assemble(space)
-        if method == "classical":
-            rhs = rhs_classical(space, case.load)
-        elif method == "smoothed":
-            smoother = Smoother(space, averaging=averaging)
-            rhs = rhs_smoothed(space, smoother, case.load)
-        else:
-            raise ValueError(f"unknown method {method!r}")
-        vec = solve(system, rhs, method=solver)
-
-        semi, stab = error_h1_broken(space, case.grad_u, vec)
-        best = best_error_h1(space, case.u, case.grad_u)
-        energy = float(np.hypot(semi, stab))
-        rows.append({
-            "level": level,
-            "h": float(mesh.h_cell.max()),
-            "e_H1": semi,
-            "e_stab": stab,
-            "e_L2": error_l2(space, case.u, vec),
-            "e_super": supercloseness(space, case.u, vec),
-            "best_H1": best,
-            "ratio": energy / best if best > 0.0 else float("nan"),
-            "eoc_H1": float("nan"),
-            "eoc_L2": float("nan"),
-        })
+    repeated = repeated_level(levels)
+    if repeated is not None:
+        raise ValueError(f"level {repeated} is repeated")
+    rows = [_solve_level(case, p, level, method, averaging, quad_extra, solver)
+            for level in levels]
     report = ConvergenceReport(case.name, p, method, averaging, rows)
     hs = report.column("h")
     orders = zip(eoc(report.energy_errors(), hs), eoc(report.column("e_L2"), hs))
     for row, (r_h1, r_l2) in zip(rows[1:], orders):
         row["eoc_H1"], row["eoc_L2"] = r_h1, r_l2
     return report
-

@@ -18,7 +18,7 @@ import sys
 
 import numpy as np
 
-from .analysis import CASES, get_case, run_convergence
+from .analysis import CASES, METHODS, get_case, repeated_level, run_convergence
 from .local_ops import P_MAX, HHOSpace
 from .mesh import MeshError, check_matching, read_mesh_file
 from .polyquad import UnsupportedDegreeError
@@ -38,8 +38,6 @@ from .verify import run_verification
 EXIT_OK = 0
 EXIT_CHECK_FAILURE = 1
 EXIT_CONFIG_ERROR = 2
-
-METHODS = ("classical", "smoothed")
 
 
 class ConfigError(ValueError):
@@ -184,6 +182,9 @@ def cmd_converge(args, config):
     case = get_case(case_name, degree)
     for level in levels:
         _check_level(case, level)
+    repeated = repeated_level(levels)
+    if repeated is not None:
+        raise ConfigError(f"level {repeated} is repeated in 'levels'")
     if method == "classical" and case.load.has_divergence_part:
         raise ConfigError(
             f"case '{case_name}' supplies its load in divergence form; the "

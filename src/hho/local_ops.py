@@ -10,9 +10,16 @@ index; this module owns that layout (`HHOSpace.local_dof_ids`,
 * the reconstruction matrix mapping local (cell, face) coefficients to the
   degree-(p+1) reconstruction, obtained from the local Neumann problem solved
   on the mean-zero complement with the constant fixed by the cell average,
-* the stabilization operator and the face-residual trace matrices behind the
-  stabilization form (with the h_F^{-1} face weight), and
+* the face-residual trace matrices behind the stabilization form (with the
+  h_F^{-1} face weight), built from the stabilization operator, and
 * the local bilinear blocks assembled by the `system` module.
+
+Per cell it stores only these three, the stiffness and integrals of the
+degree-(p+1) basis, the local face diameters and the dof map. A cell table
+that is a reference-triangle table times a per-cell scale (2|K| for the
+cell mass, h_F for the face traces and face masses) is kept once, in its
+reference form; the stabilization operator and the local Neumann data are
+temporaries of the build, freed after their last use.
 
 All local matrices are pure functions of immutable mesh/basis data; any set
 of cells may be processed concurrently.
@@ -161,6 +168,25 @@ def gradient_moments(mesh, degree, rule, wg):
 class HHOSpace:
     """Discrete HHO space of degree p on a mesh, with cached local operators.
 
+    Stored per cell (leading axis T) is only what the solver reads: the
+    reconstruction `G` (T, n1, nloc), the local bilinear blocks `A_loc`
+    (T, nloc, nloc), the face-residual traces `Tmats` (T, 3, nf, nloc), the
+    degree-(p+1) stiffness `stiff1` (T, n1, n1) and integrals `ints1`
+    (T, n1), the local face diameters `hf_loc` (T, 3) and the dof map
+    `local_dof_ids` (T, nloc). Every other cell table is a reference table
+    times a per-cell scale and is kept only in reference form:
+
+    * the degree-(p+1) cell mass is 2|K| `mass_hat` (n1, n1),
+    * the face trace int_F psi_m phi_j on local face i is
+      h_F `ntr_hat[i, face_flips[:, i]]`, with `ntr_hat` (3, 2, nf, n1) per
+      (local face, orientation),
+    * the degree-p face mass int_F phi_i phi_j on local face i is
+      h_F `fcc_hat[i]`, with `fcc_hat` (3, nc, nc), and
+    * the face-basis mass is h_F `mhat_p` (nf, nf).
+
+    The stabilization operator and the local Neumann data behind `G` are
+    temporaries of the construction.
+
     Parameters
     ----------
     mesh : SimplicialMesh
@@ -195,8 +221,8 @@ class HHOSpace:
         self.rule_cell_load = quad_for_degree(2, self.degree_star + self.quad_extra)
 
         self._build_cell_tables()
-        self._build_face_tables()
-        self._build_local_operators()
+        flux_hat = self._build_face_tables()
+        self._build_local_operators(flux_hat)
         self._build_dof_maps()
 
     # -- construction ---------------------------------------------------
@@ -205,15 +231,12 @@ class HHOSpace:
         mesh, rule = self.mesh, self.rule_cell
         phi1 = cell_basis_values(self.p + 1, rule.points)  # (Q, n1)
         wphi1 = rule.weights[:, None] * phi1
-        # every cell table is 2|K| times a reference table
-        area2 = 2.0 * mesh.volumes
         self.mass_hat = symmetrize(_t(wphi1) @ phi1)
-        self.mass1 = area2[:, None, None] * self.mass_hat
         self.stiff1 = stiffness_blocks(mesh, self.p + 1, rule)
-        self.ints1 = area2[:, None] * wphi1.sum(axis=0)
-        self.mass_p = self.mass1[:, : self.nc, : self.nc]
+        self.ints1 = (2.0 * mesh.volumes)[:, None] * wphi1.sum(axis=0)
 
     def _build_face_tables(self):
+        """Reference face tables; returns the flux table only the build reads."""
         mesh, p, rule = self.mesh, self.p, self.rule_face
         self.hf_loc = mesh.h_face[mesh.cell_faces]  # (T, 3)
         self.mhat_p = reference_face_mass(p)
@@ -225,31 +248,20 @@ class HHOSpace:
         wpsi = rule.weights[:, None] * face_basis_values(p, t - 0.5)  # (Q, nf)
         phi1 = cell_basis_values(p + 1, bary)  # (3, 2, Q, n1)
         gphi1 = cell_basis_gradients(p + 1, bary)  # (3, 2, Q, n1, 2)
-        ntr_hat = _t(wpsi) @ phi1  # (3, 2, nf, n1)
-        flux_hat = _t(wpsi) @ np.moveaxis(gphi1, -1, 2)  # (3, 2, 2, nf, n1)
+        self.ntr_hat = _t(wpsi) @ phi1  # (3, 2, nf, n1)
         phi_p = phi1[:, 0, :, : self.nc]  # the face integral ignores orientation
-        fcc_hat = symmetrize(_tmul(rule.weights[:, None] * phi_p, phi_p))
+        self.fcc_hat = symmetrize(_tmul(rule.weights[:, None] * phi_p, phi_p))
+        return _t(wpsi) @ np.moveaxis(gphi1, -1, 2)  # (3, 2, 2, nf, n1)
 
-        # grad phi . n_K = grad_hat phi . (J^{-1} n_K)
-        jn = mesh.normals @ _t(mesh.inverse_jacobians)  # (T, 3, 2)
-        T, nf, n1 = mesh.num_cells, self.nf, self.n1
-        self.Ntr = []     # int_F psi_m phi_j, psi of degree p      (T, nf, n1)
-        self.Bflux = []   # int_F psi_m grad(phi_j) . n_K           (T, nf, n1)
-        self.Fcc = []     # int_F phi_i phi_j, cell basis degree p  (T, nc, nc)
-        for i in range(3):
-            o = mesh.face_flips[:, i]
-            h = self.hf_loc[:, i, None, None]
-            flux = jn[:, i, None, :] @ flux_hat[i, o].reshape(T, 2, nf * n1)
-            self.Ntr.append(h * ntr_hat[i, o])
-            self.Bflux.append(h * flux.reshape(T, nf, n1))
-            self.Fcc.append(h * fcc_hat[i])
-
-    def _build_local_operators(self):
+    def _build_local_operators(self, flux_hat):
         mesh = self.mesh
         T, nc, n1, nf, nloc = mesh.num_cells, self.nc, self.n1, self.nf, self.nloc
+        cols = [slice(nc + i * nf, nc + (i + 1) * nf) for i in range(3)]
 
         # right-hand side of the local Neumann problem, test function phi_j;
-        # the Laplacian block -int (lap phi_j) q_i from three reference matrices
+        # the Laplacian block -int (lap phi_j) q_i from three reference
+        # matrices, the face columns int_F psi_m grad(phi_j) . n_K with
+        # grad phi . n_K = grad_hat phi . (J^{-1} n_K)
         rule = self.rule_cell
         wphi_p = rule.weights[:, None] * cell_basis_values(self.p, rule.points)
         lap = cell_basis_laplacians(self.p + 1, rule.points)  # (Q, n1, 3)
@@ -257,13 +269,17 @@ class HHOSpace:
         coef = 2.0 * mesh.volumes[:, None] * metric(mesh)
         B = np.zeros((T, n1, nloc))
         B[:, :, :nc] = -(coef @ lap_hat.reshape(3, n1 * nc)).reshape(T, n1, nc)
+        jn = mesh.normals @ _t(mesh.inverse_jacobians)  # (T, 3, 2)
         for i in range(3):
-            cols = slice(nc + i * nf, nc + (i + 1) * nf)
-            B[:, :, cols] = _t(self.Bflux[i])
+            o = mesh.face_flips[:, i]
+            h = self.hf_loc[:, i, None, None]
+            flux = jn[:, i, None, :] @ flux_hat[i, o].reshape(T, 2, nf * n1)
+            B[:, :, cols[i]] = _t(h * flux.reshape(T, nf, n1))
 
         # solve on the mean-zero complement, then fix the constant by the
         # cell-average condition
         Gred = np.linalg.solve(self.stiff1[:, 1:, 1:], B[:, 1:, :])
+        del B
         G = np.zeros((T, n1, nloc))
         G[:, 1:, :] = Gred
         int_row = np.zeros((T, nloc))
@@ -271,6 +287,7 @@ class HHOSpace:
         G[:, 0, :] = (
             int_row - (self.ints1[:, None, 1:] @ Gred)[:, 0]
         ) / mesh.volumes[:, None]
+        del Gred
         self.G = G
 
         # stabilization operator S = s_M + (Id - Pi_M) R; Pi_M is one
@@ -280,28 +297,31 @@ class HHOSpace:
         S[:, :nc, :] -= Pi @ G
         idx = np.arange(nc)
         S[:, idx, idx] += 1.0
-        self.S = S
 
-        # face-residual traces T_i = FaceSel_i - Pi_Sigma(S .)|_F
+        # face-residual traces T_i = FaceSel_i - Pi_Sigma(S .)|_F, from the
+        # face trace h_F ntr_hat and the face mass h_F mhat_p
         Tmats = np.empty((T, 3, nf, nloc))
         for i in range(3):
-            Qi = self.mhat_p_inv @ self.Ntr[i]
-            Qi /= self.hf_loc[:, i, None, None]
-            Ti = -(Qi @ S)
-            cols = slice(nc + i * nf, nc + (i + 1) * nf)
-            Ti[:, :, cols] += np.eye(nf)
-            Tmats[:, i] = Ti
+            h = self.hf_loc[:, i, None, None]
+            Qi = self.mhat_p_inv @ (h * self.ntr_hat[i, mesh.face_flips[:, i]])
+            Qi /= h
+            Tmats[:, i] = -(Qi @ S)
+            Tmats[:, i, :, cols[i]] += np.eye(nf)
+        del S
         self.Tmats = Tmats
 
         # local bilinear blocks: grad(R .) . grad(R .) plus stabilization;
         # the h_F^{-1} weight cancels the h_F inside the face mass matrix.
-        # Sum over the three faces: one (T, 3 nf, nloc) product.
-        stab_loc = _tmul(
+        # Sum over the three faces: one (T, 3 nf, nloc) product, added in
+        # place; the upper triangle is then mirrored (exact symmetry).
+        A = _t(G) @ (self.stiff1 @ G)
+        A += _tmul(
             Tmats.reshape(T, 3 * nf, nloc),
             (self.mhat_p @ Tmats).reshape(T, 3 * nf, nloc),
         )
-        recon_loc = _t(G) @ (self.stiff1 @ G)
-        self.A_loc = symmetrize(recon_loc + stab_loc)
+        lower = np.tril_indices(nloc, -1)
+        A[:, lower[0], lower[1]] = A[:, lower[1], lower[0]]
+        self.A_loc = A
 
     def _build_dof_maps(self):
         mesh = self.mesh
@@ -401,18 +421,22 @@ class HHOSpace:
     # -- norms -------------------------------------------------------------
 
     def hho_norm_matrix(self):
-        """Matrix of the coercivity norm: broken H1 of s_M plus face penalties."""
-        T, nc, nf, nloc = self.mesh.num_cells, self.nc, self.nf, self.nloc
+        """Matrix of the coercivity norm: broken H1 of s_M plus face penalties.
+
+        The h_F^{-1} face weight cancels the h_F of every face table, so the
+        face terms are the reference tables `fcc_hat`, `ntr_hat` and `mhat_p`.
+        """
+        mesh = self.mesh
+        T, nc, nf, nloc = mesh.num_cells, self.nc, self.nf, self.nloc
         H = np.zeros((T, nloc, nloc))
         H[:, :nc, :nc] = self.stiff1[:, :nc, :nc]
-        hinv = 1.0 / self.hf_loc
         for i in range(3):
             cols = slice(nc + i * nf, nc + (i + 1) * nf)
-            Ncs = self.Ntr[i][:, :, :nc]
-            H[:, :nc, :nc] += hinv[:, i, None, None] * self.Fcc[i]
-            H[:, cols, cols] += self.mhat_p  # h_F^{-1} times h_F Mhat
-            H[:, cols, :nc] -= hinv[:, i, None, None] * Ncs
-            H[:, :nc, cols] -= hinv[:, i, None, None] * Ncs.transpose(0, 2, 1)
+            Ncs = self.ntr_hat[i, mesh.face_flips[:, i], :, :nc]
+            H[:, :nc, :nc] += self.fcc_hat[i]
+            H[:, cols, cols] += self.mhat_p
+            H[:, cols, :nc] -= Ncs
+            H[:, :nc, cols] -= _t(Ncs)
         return assemble_bilinear(self, H)
 
 

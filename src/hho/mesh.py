@@ -58,8 +58,8 @@ class SimplicialMesh:
         Face diameters.
     normals : (T, 3, 2) float array
         Unit outward normal per (cell, local face).
-    barycenters : (T, 2), face_midpoints : (E, 2), face_tangents : (E, 2)
-        The tangent points from the lower-index vertex to the higher one.
+    face_midpoints : (E, 2) float array
+        Face midpoints.
     inverse_jacobians : (T, 2, 2) float array
         J_K^{-1} of the affine map x = v_0 + J_K (l1, l2) from barycentric
         coordinates, J_K = [v_1 - v_0, v_2 - v_0].
@@ -149,7 +149,6 @@ class SimplicialMesh:
         self.volumes = 0.5 * _cross2(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
         if np.any(self.volumes <= 0.0):
             raise MeshError("non-positive cell volume after orientation")
-        self.barycenters = p.mean(axis=1)
         self.inverse_jacobians = np.linalg.inv(
             np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]], axis=-1)
         )
@@ -159,7 +158,6 @@ class SimplicialMesh:
         if np.any(self.h_face == 0.0):
             raise MeshError("zero-length face")
         self.face_midpoints = 0.5 * (fv[:, 0] + fv[:, 1])
-        self.face_tangents = (fv[:, 1] - fv[:, 0]) / self.h_face[:, None]
 
         edge_len = np.stack(
             [np.linalg.norm(p[:, (i + 2) % 3] - p[:, (i + 1) % 3], axis=1)

@@ -85,7 +85,6 @@ class LagrangeLayer:
         self.degree = degree
         q = degree
         multis = lattice_multis(q)
-        self.multis = multis
         self.lattice_bary = multis / q
 
         T = mesh.num_cells
@@ -514,8 +513,9 @@ def moment_residuals(smoother, X):
     npm1 = space_dimension(p - 1)
     phiD = cell_basis_values(smoother.degree, rule.points)
     mom_hat = _tmul(rule.weights[:, None] * phiD[:, :npm1], phiD)
-    mom_smooth = 2.0 * mesh.volumes[:, None, None] * (mom_hat @ Y)
-    mom_target = space.mass1[:, :npm1, : space.nc] @ x_cells
+    area2 = 2.0 * mesh.volumes[:, None, None]
+    mom_smooth = area2 * (mom_hat @ Y)
+    mom_target = (area2 * space.mass_hat[:npm1, : space.nc]) @ x_cells
     cell_res = np.abs(mom_smooth - mom_target).max(axis=(0, 1), initial=0.0)
 
     # face moments, evaluated from the first adjacent cell: h_F times one

@@ -185,6 +185,45 @@ def test_run_convergence_requires_two_levels():
         run_convergence(smooth_sine_case(), 0, [4], method="classical")
 
 
+def test_run_convergence_refuses_repeated_levels():
+    with pytest.raises(ValueError, match="level 2 is repeated"):
+        run_convergence(smooth_sine_case(), 0, [2, 4, 2], method="classical")
+
+
+def test_run_convergence_keeps_one_level_alive(monkeypatch):
+    # every space and smoother of a level is freed (by reference counting
+    # alone: the cycle collector is off) before the next level's space is
+    # built
+    import gc
+    import weakref
+
+    import hho.analysis
+
+    built, alive_at_build = [], []
+
+    class TrackedSpace(HHOSpace):
+        def __init__(self, *args, **kwargs):
+            alive_at_build.append(sum(ref() is not None for ref in built))
+            super().__init__(*args, **kwargs)
+            built.append(weakref.ref(self))
+
+    class TrackedSmoother(hho.analysis.Smoother):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(weakref.ref(self))
+
+    monkeypatch.setattr(hho.analysis, "HHOSpace", TrackedSpace)
+    monkeypatch.setattr(hho.analysis, "Smoother", TrackedSmoother)
+    gc.collect()
+    gc.disable()
+    try:
+        run_convergence(smooth_sine_case(), 1, [2, 4, 8])
+    finally:
+        gc.enable()
+    assert len(built) == 6
+    assert alive_at_build == [0, 0, 0]
+
+
 def test_report_outputs_deterministic(tmp_path):
     case = smooth_sine_case()
     rep = run_convergence(case, 0, [2, 4], method="classical")

@@ -192,6 +192,17 @@ def test_converge_bad_choice_exits_2_before_work(tmp_path, capsys, fields):
     assert not out.exists()
 
 
+def test_converge_repeated_level_is_config_error(tmp_path, capsys):
+    # two rows with the same h would give an empirical order of 0/0
+    cfg = write_config(tmp_path / "c.json", case="smooth-sine", degree=0,
+                       levels=[4, 4])
+    out = tmp_path / "out"
+    assert main(["converge", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "hho: config error: level 4 is repeated in 'levels'\n"
+    assert not out.exists()
+
+
 def test_converge_writes_reports(tmp_path):
     cfg = write_config(
         tmp_path / "c.json", case="smooth-sine", degree=0, levels=[2, 4],

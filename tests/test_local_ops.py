@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,48 @@ def space(request):
     return HHOSpace(build_unit_square(3), request.param)
 
 
+def stab_operator(space):
+    """Stabilization operator S = s_M + (Id - Pi_M) R per cell (T, n1, nloc).
+
+    Rebuilt from the stored `G` and the reference mass `mass_hat` (Pi_M is
+    one reference matrix); it must reproduce the stored face-residual traces
+    T_i = FaceSel_i - Pi_F(S .)|_F, where the face projection is the
+    reference table pair (ntr_hat, mhat_p) since h_F cancels.
+    """
+    nc, nf = space.nc, space.nf
+    Pi = np.linalg.solve(space.mass_hat[:nc, :nc], space.mass_hat[:nc, :])
+    S = space.G.copy()
+    S[:, :nc, :] -= np.einsum("mi,tij->tmj", Pi, space.G)
+    S[:, np.arange(nc), np.arange(nc)] += 1.0
+    for i in range(3):
+        trace = space.ntr_hat[i, space.mesh.face_flips[:, i]]  # (T, nf, n1)
+        Ti = -np.einsum("mn,tnj,tjl->tml", np.linalg.inv(space.mhat_p), trace, S)
+        Ti[:, :, nc + i * nf: nc + (i + 1) * nf] += np.eye(nf)
+        _assert_blocks_close(space.Tmats[:, i], Ti, 1e-12)
+    return S
+
+
+def test_space_stores_per_cell_only_what_the_solver_reads():
+    # p = 3: held and peak memory of the build per cell, and the per-cell
+    # arrays (leading axis T) it keeps; every other cell table is a
+    # reference table times a per-cell scale
+    mesh = build_unit_square(8)
+    HHOSpace(mesh, 3)  # fill the rule and tabulation caches first
+    tracemalloc.start()
+    try:
+        space = HHOSpace(mesh, 3)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    T = mesh.num_cells
+    assert held <= 12 * 1024 * T, held / T
+    assert peak <= 24 * 1024 * T, peak / T
+    per_cell = {name for name, value in vars(space).items()
+                if isinstance(value, np.ndarray) and value.shape[:1] == (T,)}
+    assert per_cell == {"G", "A_loc", "Tmats", "stiff1", "ints1", "hf_loc",
+                        "local_dof_ids"}
+
+
 def test_degree_guard():
     with pytest.raises(UnsupportedDegreeError):
         HHOSpace(build_unit_square(2), 4)
@@ -39,7 +83,8 @@ def test_project_cell_idempotent_on_polynomials(space):
 def test_project_cell_p0_is_barycenter_value():
     sp = HHOSpace(build_unit_square(2), 0)
     proj = sp.project_cell(lambda x: x[..., 0])
-    assert np.allclose(proj.coeffs[:, 0], sp.mesh.barycenters[:, 0], atol=1e-13)
+    barycenters = sp.mesh.cell_vertices().mean(axis=1)
+    assert np.allclose(proj.coeffs[:, 0], barycenters[:, 0], atol=1e-13)
 
 
 def test_project_cell_is_l2_contraction(space):
@@ -173,7 +218,8 @@ def test_reconstruct_defining_equations_residual(space):
 
 def test_stab_operator_identity_on_interpolants(space):
     # S I v = E v + Pi_M(v - E v), both sides computed independently
-    s_iv = (space.S @ space.local_coeffs(space.interpolate(sine))[..., None])[..., 0]
+    S = stab_operator(space)
+    s_iv = (S @ space.local_coeffs(space.interpolate(sine))[..., None])[..., 0]
     ev = space.elliptic_project(sine, sine_grad)
     rhs = ev.coeffs.copy()
     rhs[:, : space.nc] += (
@@ -189,7 +235,7 @@ def test_stab_operator_fixes_polynomial_reconstructions(space):
         pytest.skip("needs a non-constant global polynomial of degree <= p")
     g = lambda x: x[..., 0] - 0.25 * x[..., 1]
     vec = space.interpolate(g)
-    s_op = (space.S @ space.local_coeffs(vec)[..., None])[..., 0]
+    s_op = (stab_operator(space) @ space.local_coeffs(vec)[..., None])[..., 0]
     inner = np.all(space.mesh.face_interior_index[space.mesh.cell_faces] >= 0, axis=1)
     cells = space.split(vec)[0]
     assert np.abs(s_op[inner, : space.nc] - cells[inner]).max() < 1e-12
@@ -217,7 +263,8 @@ def test_stab_form_hand_value_p0_two_triangles():
     mesh = sp.mesh
     vec = np.array([1.0, -2.0, 0.5])  # two cells, then the one interior face
     face = sp.split(vec)[1]
-    s_op = BrokenPoly(mesh, 1, (sp.S @ sp.local_coeffs(vec)[..., None])[..., 0])
+    S = stab_operator(sp)
+    s_op = BrokenPoly(mesh, 1, (S @ sp.local_coeffs(vec)[..., None])[..., 0])
     rule = quad_for_degree(1, 8)
     total = 0.0
     for k in range(mesh.num_cells):
@@ -368,9 +415,10 @@ def _einsum_kernels(space):
     over basis tables evaluated cell by cell at the physical quadrature points.
 
     The local solves and the G^T K G product take the space's own `stiff1`
-    and `mass1`, which are checked against their formulas on their own: the
-    local condition numbers (about 1e6 and 4e9 at p = 3) would otherwise turn
-    last-bit differences in those tables into 1e-12 differences in G.
+    and cell mass 2|K| `mass_hat`, which are checked against their formulas
+    on their own: the local condition numbers (about 1e6 and 4e9 at p = 3)
+    would otherwise turn last-bit differences in those tables into 1e-12
+    differences in G.
     """
     mesh, p, nc, nf = space.mesh, space.p, space.nc, space.nf
     T, n1, nloc = mesh.num_cells, space.n1, space.nloc
@@ -381,6 +429,7 @@ def _einsum_kernels(space):
         "stiff1": np.einsum("tq,tqid,tqjd->tij", w, gphi1, gphi1),
         "Ntr": [],
         "Bflux": [],
+        "Fcc": [],
     }
     for i in range(3):
         faces_i = mesh.cell_faces[:, i]
@@ -391,12 +440,14 @@ def _einsum_kernels(space):
         ref["Bflux"].append(np.einsum(
             "tq,qm,tqjd,td->tmj", fw, psi, fgphi1, mesh.normals[:, i]
         ))
+        fphi = fphi1[..., :nc]
+        ref["Fcc"].append(np.einsum("tq,tqi,tqj->tij", fw, fphi, fphi))
 
     B = np.zeros((T, n1, nloc))
     B[:, :, :nc] = -np.einsum("tq,tqm,tqj->tjm", w, phi1[..., :nc], lphi1)
     for i in range(3):
         B[:, :, nc + i * nf: nc + (i + 1) * nf] = ref["Bflux"][i].transpose(0, 2, 1)
-    stiff1, mass1 = space.stiff1, space.mass1
+    stiff1, mass1 = space.stiff1, cell_mass(space)
     Gred = np.linalg.solve(stiff1[:, 1:, 1:], B[:, 1:, :])
     ints1 = np.einsum("tq,tqi->ti", w, phi1)
     int_row = np.zeros((T, nloc))
@@ -423,6 +474,11 @@ def _einsum_kernels(space):
     return ref
 
 
+def cell_mass(space):
+    """Degree-(p+1) cell mass (T, n1, n1): 2|K| times the reference table."""
+    return 2.0 * space.mesh.volumes[:, None, None] * space.mass_hat
+
+
 def _assert_blocks_close(actual, expected, rtol):
     """Per-cell blocks agree to rtol relative to each block's max entry."""
     err = np.abs(actual - expected).max(axis=(-2, -1))
@@ -434,11 +490,16 @@ def _assert_blocks_close(actual, expected, rtol):
 def test_batched_kernels_match_einsum_on_jittered_mesh(p):
     space = HHOSpace(jittered_square(4), p)
     ref = _einsum_kernels(space)
-    for name in ("mass1", "stiff1", "G", "A_loc"):
+    _assert_blocks_close(cell_mass(space), ref["mass1"], 1e-12)
+    for name in ("stiff1", "G", "A_loc"):
         _assert_blocks_close(getattr(space, name), ref[name], 1e-12)
-    for name in ("Ntr", "Bflux"):
-        for i in range(3):
-            _assert_blocks_close(getattr(space, name)[i], ref[name][i], 1e-12)
+    # face tables: h_F times one reference table per (local face,
+    # orientation); the flux table enters only through G, checked above
+    for i in range(3):
+        h = space.hf_loc[:, i, None, None]
+        trace = space.ntr_hat[i, space.mesh.face_flips[:, i]]
+        _assert_blocks_close(h * trace, ref["Ntr"][i], 1e-12)
+        _assert_blocks_close(h * space.fcc_hat[i], ref["Fcc"][i], 1e-12)
 
 
 @pytest.mark.parametrize("degree", [1, 2, 4])

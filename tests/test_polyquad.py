@@ -133,20 +133,34 @@ def test_basis_laplacians_match_finite_differences():
     assert np.abs(lap - fd).max() < 1e-5
 
 
-# cell Gram and stiffness matrices are checked on the tables HHOSpace builds
-# for every cell at once: mass1/stiff1 hold the degree-(p+1) basis
+# cell Gram and stiffness matrices are checked on the tables HHOSpace builds:
+# stiff1 per cell and the reference mass mass_hat, both of the degree-(p+1)
+# basis; the Gram matrix of cell K is 2|K| mass_hat
+
+
+def _cell_mass(mesh, p):
+    """Degree-(p+1) Gram matrices (T, n1, n1) from the space's reference table."""
+    return 2.0 * mesh.volumes[:, None, None] * HHOSpace(mesh, p).mass_hat
+
+
+def _physical_mass(mesh, degree):
+    """Degree-`degree` Gram matrices (T, n, n), einsum over the basis
+    evaluated cell by cell at the physical quadrature points."""
+    pts, w = cell_quadrature(mesh, quad_for_degree(2, 2 * degree))
+    vals = basis_at(mesh, degree, pts)[0]
+    return np.einsum("tq,tqi,tqj->tij", w, vals, vals)
 
 
 def test_mass_matrix_constant_basis_is_area():
     m = build_unit_square(1)
-    M = HHOSpace(m, 0).mass_p
+    M = _cell_mass(m, 0)[:, :1, :1]  # degree 0
     assert M.shape == (m.num_cells, 1, 1)
     assert M[:, 0, 0] == pytest.approx(m.volumes, rel=1e-14)
 
 
 def test_mass_matrix_symmetry_exact():
     m = build_unit_square(2)
-    M = HHOSpace(m, 1).mass1[3]  # degree 2
+    M = _cell_mass(m, 1)[3]  # degree 2
     assert np.array_equal(M, M.T)
 
 
@@ -159,7 +173,7 @@ def test_mass_matrix_spd_on_random_triangles():
         if abs(e1[0] * e2[1] - e1[1] * e2[0]) < 0.1:
             continue
         m = SimplicialMesh(verts, np.array([[0, 1, 2]]))
-        M = HHOSpace(m, 1).mass1[0]  # degree 2
+        M = _cell_mass(m, 1)[0]  # degree 2
         assert np.linalg.eigvalsh(M).min() > 0.0
 
 
@@ -201,7 +215,7 @@ def test_gram_conditioning_stable_under_refinement():
     m = build_unit_square(1)
     conds = []
     for _ in range(3):
-        M = HHOSpace(m, 2).mass1[0]  # degree 3
+        M = _physical_mass(m, 3)[0]
         conds.append(np.linalg.cond(M / m.volumes[0]))
         m = refine_red(m)
     assert max(conds) / min(conds) < 1.01
@@ -214,7 +228,9 @@ def test_face_basis_arclength_values():
     faces = np.arange(m.num_faces)
     rule = quad_for_degree(1, 6)
     pts, _ = face_quadrature(m, rule, faces)
-    s = np.einsum("fqd,fd->fq", pts - m.face_midpoints[:, None, :], m.face_tangents)
+    fv = m.vertices[m.faces]  # from the lower-index vertex to the higher one
+    tangents = (fv[:, 1] - fv[:, 0]) / m.h_face[:, None]
+    s = np.einsum("fqd,fd->fq", pts - m.face_midpoints[:, None, :], tangents)
     s /= m.h_face[:, None]
     assert np.allclose(s, rule.points[:, 1] - 0.5, atol=1e-14)
     vals = face_basis_values(2, rule.points[:, 1] - 0.5)
@@ -224,10 +240,11 @@ def test_face_basis_arclength_values():
 
 @pytest.mark.parametrize("p", [0, 1, 2, 3])
 def test_mass_is_one_reference_matrix_on_every_cell(p):
-    # an affine-mapped basis: mass1[K] / (2 |K|) does not depend on K
+    # an affine-mapped basis: the Gram matrix of cell K, integrated at its
+    # physical points, is 2|K| times the space's reference table mass_hat
     sp = HHOSpace(jittered_square(4), p)
-    ref = sp.mass1 / (2.0 * sp.mesh.volumes[:, None, None])
-    assert np.abs(ref - ref[0]).max() <= 1e-14 * np.abs(ref[0]).max()
+    ref = _physical_mass(sp.mesh, p + 1) / (2.0 * sp.mesh.volumes[:, None, None])
+    assert np.abs(ref - sp.mass_hat).max() <= 1e-14 * np.abs(sp.mass_hat).max()
 
 
 def test_face_barycentric_places_points_on_local_faces():

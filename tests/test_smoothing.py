@@ -111,7 +111,7 @@ def test_cell_bubble_normalization_and_bounds():
     bubble = bubble_poly(sm, [0], sm.phiK_lat[None, :])
     vals = bubble.values_at((bary @ mesh.vertices[mesh.cells[0]])[None])
     assert np.all(vals >= -1e-12) and np.all(vals <= 1.0 + 1e-12)
-    center = bubble.values_at(mesh.barycenters[:, None, :])[0, 0]
+    center = bubble.values_at(mesh.cell_vertices().mean(axis=1)[:, None, :])[0, 0]
     assert center == pytest.approx(1.0, rel=1e-12)
     edge_pts = (edge @ mesh.vertices[mesh.cells[0]])[None]
     assert np.abs(bubble.values_at(edge_pts)).max() < 1e-12
@@ -176,7 +176,7 @@ def test_bubble_cell_constant_single_triangle():
     sm = Smoother(sp)
     coeffs = unit_cell_data(sm).reshape(-1, sm.nD) @ sm._cell_bubble_block().T
     out = BrokenPoly(mesh, sm.degree, coeffs)
-    val = out.values_at(mesh.barycenters[:, None, :])[0, 0]
+    val = out.values_at(mesh.cell_vertices().mean(axis=1)[:, None, :])[0, 0]
     assert val == pytest.approx(20.0 / 9.0, rel=1e-12)
 
 

@@ -1,4 +1,5 @@
-"""Every definition in the package has a caller inside the package.
+"""Every definition and every stored attribute in the package has a reader
+inside the package.
 
 A top-level function, class or method of `src/hho` that no other code in
 `src/hho` names exists only for the tests; the tests should assert on the
@@ -6,6 +7,11 @@ stored operators the solver reads instead. Names the benchmark traces
 (perfbench/spans.py LAYERS) count as used, since the benchmark names them.
 A re-export from hho/__init__.py is not a use: each name public for its own
 sake is listed in ALLOWED with its reason.
+
+The same holds for instance attributes: a `self.x` assigned in a class of
+`src/hho` that no code in `src/hho` reads is kept only for the tests (and
+is held in memory for as long as its object lives). Tests compute such
+values themselves.
 """
 
 import ast
@@ -100,3 +106,69 @@ def unused_definitions():
 
 def test_every_definition_is_used_in_the_package():
     assert unused_definitions() == []
+
+
+def _attribute_reads(tree):
+    """Attributes read in the tree, as a set of keys.
+
+    `self.x` read inside class C is keyed (C, x), any other `obj.x` and a
+    `getattr(obj, "x")` with a literal name ("", x). Writing into an
+    attribute's items (`self.x[i] = ...`) is not a read.
+    """
+    written_into = {id(node.value) for node in ast.walk(tree)
+                    if isinstance(node, ast.Subscript)
+                    and isinstance(node.ctx, ast.Store)}
+    reads = set()
+
+    def visit(node, owner):
+        if isinstance(node, ast.ClassDef):
+            owner = node.name
+        if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                and id(node) not in written_into):
+            on_self = isinstance(node.value, ast.Name) and node.value.id == "self"
+            reads.add((owner if on_self else "", node.attr))
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "getattr" and len(node.args) >= 2
+                and isinstance(node.args[1], ast.Constant)):
+            reads.add(("", node.args[1].value))
+        for sub in ast.iter_child_nodes(node):
+            visit(sub, owner)
+
+    visit(tree, None)
+    return reads
+
+
+def _attribute_writes(tree, module):
+    """(qualified name, class, attribute) of every `self.x = ...` in the
+    top-level classes of the module."""
+    for node in tree.body:
+        if not isinstance(node, ast.ClassDef):
+            continue
+        names = {sub.attr for sub in ast.walk(node)
+                 if isinstance(sub, ast.Attribute)
+                 and isinstance(sub.ctx, ast.Store)
+                 and isinstance(sub.value, ast.Name) and sub.value.id == "self"}
+        for attr in sorted(names):
+            yield f"{module}:{node.name}.{attr}", node.name, attr
+
+
+def unread_attributes():
+    """Instance attributes assigned in src/hho that no src/hho code reads."""
+    trees = {f"hho.{path.stem}": ast.parse(path.read_text())
+             for path in sorted(SRC.glob("*.py"))}
+    reads = set()
+    for module, tree in trees.items():
+        if module != "hho.__init__":
+            reads |= _attribute_reads(tree)
+    unread = []
+    for module, tree in trees.items():
+        for qualified, owner, attr in _attribute_writes(tree, module):
+            if qualified in ALLOWED:
+                continue
+            if (owner, attr) not in reads and ("", attr) not in reads:
+                unread.append(qualified)
+    return sorted(unread)
+
+
+def test_every_stored_attribute_is_read_in_the_package():
+    assert unread_attributes() == []
