@@ -1,10 +1,13 @@
 """Moment-preserving smoothers mapping HHO fields into H1_0-conforming functions.
 
-The stabilized smoother combines a nodal averaging of the reconstruction
-(continuous piecewise P^{p+1}, zero on the boundary) with bubble corrections
-that restore the cell moments up to degree p-1 and the interior-face moments
-up to degree p. Element bubbles are 27*l1*l2*l3, face bubbles 4*la*lb on each
-of the two cells sharing the face; both are 1 at the respective barycenter.
+The stabilized smoother combines an averaging of the reconstruction at the
+interior vertices, re-expanded with the hat functions (continuous piecewise
+P1, zero on the boundary), with bubble corrections that restore the cell
+moments up to degree p-1 and the interior-face moments up to degree p. The
+bubbles reproduce every degree-(p+1) Lagrange function of an edge-interior
+or cell-interior node, so averaging at those nodes would give the same
+operator. Element bubbles are 27*l1*l2*l3, face bubbles 4*la*lb on each of
+the two cells sharing the face; both are 1 at the respective barycenter.
 
 Everything is linear with one-ring-local supports, so the smoother, from
 HHO unknowns to broken polynomial coefficients of degree 2 + max(p, 1), is
@@ -69,77 +72,6 @@ def lagrange_basis_values(degree, bary):
     return vals
 
 
-class LagrangeLayer:
-    """Global Lagrange nodes of a given degree on a matching simplicial mesh.
-
-    Node ids: vertices first (gid == vertex id), then degree-1 nodes per
-    face ordered from the lower-index vertex to the higher one, then cell
-    interior nodes. Provides per-cell lattice-to-global maps, node
-    coordinates, boundary flags and incidence counts.
-    """
-
-    def __init__(self, mesh, degree):
-        if degree < 1:
-            raise ValueError("Lagrange layer needs degree >= 1")
-        self.mesh = mesh
-        self.degree = degree
-        q = degree
-        multis = lattice_multis(q)
-        self.lattice_bary = multis / q
-
-        T = mesh.num_cells
-        NV, E = mesh.num_vertices, mesh.num_faces
-        n_edge = q - 1
-        n_int = (q - 1) * (q - 2) // 2
-        self.num_nodes = NV + E * n_edge + T * n_int
-
-        cell_nodes = np.empty((T, len(multis)), dtype=np.int64)
-        interior_rank = 0
-        for l, nu in enumerate(multis):
-            zeros = [c for c in range(3) if nu[c] == 0]
-            if len(zeros) == 2:
-                v = int(np.argmax(nu))
-                cell_nodes[:, l] = mesh.cells[:, v]
-            elif len(zeros) == 1:
-                i = zeros[0]  # node lies on the face opposite local vertex i
-                la, lb = (i + 1) % 3, (i + 2) % 3
-                F = mesh.cell_faces[:, i]
-                hi_is_lb = mesh.faces[F, 1] == mesh.cells[:, lb]
-                w_hi = np.where(hi_is_lb, nu[lb], nu[la])
-                cell_nodes[:, l] = NV + F * n_edge + (w_hi - 1)
-            else:
-                cell_nodes[:, l] = (
-                    NV + E * n_edge + np.arange(T) * n_int + interior_rank
-                )
-                interior_rank += 1
-        self.cell_nodes = cell_nodes
-
-        coords = np.empty((self.num_nodes, 2))
-        cell_coords = np.einsum("la,tad->tld", self.lattice_bary, mesh.cell_vertices())
-        coords[cell_nodes.ravel()] = cell_coords.reshape(-1, 2)
-        self.coords = coords
-
-        boundary = np.zeros(self.num_nodes, dtype=bool)
-        bfaces = np.nonzero(mesh.boundary_face_mask)[0]
-        boundary[mesh.faces[bfaces].ravel()] = True
-        if n_edge:
-            edge_ids = NV + bfaces[:, None] * n_edge + np.arange(n_edge)
-            boundary[edge_ids.ravel()] = True
-        self.boundary = boundary
-
-        self.counts = np.bincount(cell_nodes.ravel(), minlength=self.num_nodes)
-        min_cell = np.full(self.num_nodes, T, dtype=np.int64)
-        np.minimum.at(
-            min_cell, cell_nodes.ravel(), np.repeat(np.arange(T), len(multis))
-        )
-        self.min_cell = min_cell
-
-        self.interior_index = np.full(self.num_nodes, -1, dtype=np.int64)
-        ids = np.nonzero(~boundary)[0]
-        self.interior_index[ids] = np.arange(len(ids))
-        self.num_interior = len(ids)
-
-
 def _bubbles(bary):
     """Cell bubble 27*l0*l1*l2 and the face bubbles 4*la*lb at barycentric points.
 
@@ -154,16 +86,37 @@ def _bubbles(bary):
     return cell, faces
 
 
+def boundary_vertices(mesh):
+    """Mask (NV,) of the vertices on a boundary face."""
+    mask = np.zeros(mesh.num_vertices, dtype=bool)
+    mask[mesh.faces[mesh.boundary_face_mask]] = True
+    return mask
+
+
 def lagrange_interpolant(mesh, degree, func):
     """Continuous piecewise-P^degree interpolant of `func` at the Lagrange nodes.
 
-    The boundary nodal values are forced to 0, producing an H1_0-conforming
-    piecewise polynomial. Returns a BrokenPoly (continuous by construction).
+    `func` is evaluated at each cell's lattice points; a node shared by
+    several cells gets bitwise the same coordinates from each of them (its
+    barycentric weights have at most two nonzero terms). The values at the
+    nodes on a boundary face or at a boundary vertex are forced to 0,
+    producing an H1_0-conforming piecewise polynomial. Returns a BrokenPoly
+    (continuous by construction).
     """
-    layer = LagrangeLayer(mesh, degree)
-    nodal = np.where(layer.boundary, 0.0, np.asarray(func(layer.coords), dtype=float))
-    V = cell_basis_values(degree, layer.lattice_bary)  # the same in every cell
-    coeffs = np.linalg.solve(V, nodal[layer.cell_nodes].T).T
+    if degree < 1:
+        raise ValueError("Lagrange interpolant needs degree >= 1")
+    multis = lattice_multis(degree)
+    lattice_bary = multis / degree
+    coords = np.einsum("la,tad->tld", lattice_bary, mesh.cell_vertices())
+    nodal = np.asarray(func(coords.reshape(-1, 2)), dtype=float)
+    nodal = nodal.reshape(coords.shape[:2])
+    # node l lies on local face i when multis[l, i] == 0, and is local
+    # vertex v when multis[l, v] == degree
+    on_face = mesh.boundary_face_mask[mesh.cell_faces][:, None, :] & (multis == 0)
+    at_vertex = boundary_vertices(mesh)[mesh.cells][:, None, :] & (multis == degree)
+    nodal[(on_face | at_vertex).any(axis=-1)] = 0.0
+    V = cell_basis_values(degree, lattice_bary)  # the same in every cell
+    coeffs = np.linalg.solve(V, nodal.T).T
     return BrokenPoly(mesh, degree, coeffs)
 
 
@@ -174,15 +127,16 @@ class Smoother:
     coefficients of the smoothed function in five linear steps:
 
     * the reconstruction r = R x, from ``space.G`` on every cell,
-    * nodal averaging of r on the interior degree-(p+1) Lagrange nodes: the
-      per-cell blocks V1 times the nodal weight (`avg_blocks`), summed at
-      `avg_ids`,
-    * re-expansion into broken coefficients, the averaged reconstruction
-      a: one block inv(V1) on every cell, read at `node_ids` (zero on
-      boundary nodes),
-    * the face residual v_Sigma = x_Sigma - tr a, the trace taken from the
-      first cell of each interior face (`trace`), and the cell residual
-      v_M = x_M - a, padded to degree D where needed,
+    * averaging of r at the interior vertices: per cell the degree-(p+1)
+      basis values at the three corners times the vertex weight
+      (`avg_blocks`, (T, 3, n1)), summed at `avg_ids`,
+    * hat re-expansion into the averaged reconstruction a, continuous
+      piecewise P1 and zero on the boundary: one (3, 3) block `hat` on every
+      cell maps the vertex values read at `node_ids` to the three P1
+      coefficients, the leading ones of every larger basis,
+    * the face residual v_Sigma = x_Sigma - tr a, the linear trace taken
+      from the first cell of each interior face (`trace`, (Ei, 2, 3)), and
+      the cell residual v_M = x_M - a, both padded where needed,
     * a plus the bubble correction B_Sigma v_Sigma + B_M (v_M - B_Sigma v_Sigma):
       (I - B_M) B_Sigma is one block per interior face and side
       (`face_bubble`, landing in `face_cells`), B_M one (nD, nD) block on
@@ -197,8 +151,8 @@ class Smoother:
     ----------
     space : HHOSpace
     averaging : {'mean', 'scott-zhang'}
-        Nodal rule of the averaging operator: arithmetic mean over the cells
-        containing the node, or the single lowest-index cell.
+        Vertex rule of the averaging operator: arithmetic mean over the
+        cells containing the vertex, or the single lowest-index cell.
     """
 
     def __init__(self, space, averaging="mean"):
@@ -227,40 +181,46 @@ class Smoother:
         self.phiK_lat, self.phiF_lat = _bubbles(self.lat_bary)  # (nD,), (3, nD)
 
     def _build_averaging(self):
-        """Nodal averaging on interior degree-(p+1) nodes, then re-expansion."""
+        """Averaging at the interior vertices, then hat re-expansion."""
         space, mesh = self.space, self.space.mesh
-        layer = LagrangeLayer(mesh, space.p + 1)
-        gids = layer.cell_nodes  # (T, n1), lattice order of lattice_multis
-        self.num_nodes = layer.num_interior
-        self.node_ids = layer.interior_index[gids]  # -1 on the boundary
+        T, cells = mesh.num_cells, mesh.cells
+        interior = ~boundary_vertices(mesh)
+        self.num_nodes = int(interior.sum())
+        node_index = np.full(mesh.num_vertices, -1, dtype=np.int64)
+        node_index[interior] = np.arange(self.num_nodes)
+        self.node_ids = node_index[cells]  # (T, 3), -1 on the boundary
 
-        # basis values at the lattice nodes (Vandermonde), the same in every
-        # cell; its inverse maps nodal values to coefficients
-        V1 = cell_basis_values(space.p + 1, layer.lattice_bary)  # (n1, n1)
-        self.invV1 = np.linalg.inv(V1)
+        # degree-(p+1) basis values at the corners, the same in every cell;
+        # the P1 basis is its prefix, so the leading (3, 3) block inverts to
+        # the hat functions
+        corners = cell_basis_values(space.p + 1, np.eye(3))  # (3, n1)
+        self.hat = np.linalg.inv(corners[:, :3])
         if self.averaging_variant == "mean":
-            weight = 1.0 / layer.counts[gids]
+            counts = np.bincount(cells.ravel(), minlength=mesh.num_vertices)
+            weight = 1.0 / counts[cells]
             self.avg_ids = self.node_ids
         else:
-            weight = np.ones_like(gids, dtype=float)
-            cell_ids = np.arange(mesh.num_cells)[:, None]
+            weight = np.ones(cells.shape)
+            min_cell = np.full(mesh.num_vertices, T, dtype=np.int64)
+            np.minimum.at(min_cell, cells.ravel(), np.repeat(np.arange(T), 3))
+            cell_ids = np.arange(T)[:, None]
             self.avg_ids = np.where(
-                cell_ids == layer.min_cell[gids], self.node_ids, -1
+                cell_ids == min_cell[cells], self.node_ids, -1
             )
-        self.avg_blocks = V1 * weight[:, :, None]  # (T, n1, n1)
+        self.avg_blocks = corners * weight[:, :, None]  # (T, 3, n1)
 
     def _build_face_trace(self):
-        """Broken p+1 coefficients of the first cell -> degree-(p+1) face
-        coefficients of the trace, one block per interior face."""
-        space, mesh = self.space, self.space.mesh
+        """P1 coefficients of the first cell -> linear face coefficients of
+        the trace, one block per interior face."""
+        mesh = self.space.mesh
         faces = mesh.interior_faces
         self.face_cells = mesh.face_cells[faces].T  # (2, Ei): first, second
-        # interpolate the trace at p+2 equispaced points of each face: one
-        # reference matrix per (local face, orientation) of the first cell
-        t = np.linspace(0.0, 1.0, space.p + 2)
-        vf_inv = np.linalg.inv(face_basis_values(space.p + 1, t - 0.5))
-        trace_hat = vf_inv @ cell_basis_values(space.p + 1, face_barycentric(t))
-        self.trace = on_faces(trace_hat, mesh, faces, 0)  # (Ei, p+2, n1)
+        # interpolate the trace at the two ends of each face: one reference
+        # matrix per (local face, orientation) of the first cell
+        t = np.array([0.0, 1.0])
+        vf_inv = np.linalg.inv(face_basis_values(1, t - 0.5))
+        trace_hat = vf_inv @ cell_basis_values(1, face_barycentric(t))
+        self.trace = on_faces(trace_hat, mesh, faces, 0)  # (Ei, 2, 3)
 
     def _face_bubble_blocks(self, left):
         """Per-side blocks (2, Ei, nD, p+2) of `left` B_Sigma: degree-(p+1)
@@ -319,21 +279,22 @@ class Smoother:
         """Broken degree-D coefficients of S_H applied to a dof vector, or to
         a (num_dofs, k) block of them (the five steps, entity by entity)."""
         space = self.space
-        T, nc, nf, n1 = space.mesh.num_cells, space.nc, space.nf, space.n1
+        T, nc, nf = space.mesh.num_cells, space.nc, space.nf
         vec = np.asarray(vec, dtype=float)
         X = vec.reshape(len(vec), -1)
         x_cells, x_faces = space.split(X)
 
         r = space.G @ space.local_coeffs(X)  # (T, n1, k)
         nodal = scatter_add(self.avg_blocks @ r, self.avg_ids, self.num_nodes)
-        a = self.invV1 @ _gather(nodal, self.node_ids)
-        v_faces = -(self.trace @ a[self.face_cells[0]])
-        v_faces[:, :nf] += x_faces
+        a = self.hat @ _gather(nodal, self.node_ids)  # (T, 3, k)
+        v_faces = np.zeros((len(self.trace), space.p + 2, X.shape[1]))
+        v_faces[:, :nf] = x_faces
+        v_faces[:, :2] -= self.trace @ a[self.face_cells[0]]
         out = np.zeros((T, self.nD, X.shape[1]))
         out[:, :nc] = x_cells
-        out[:, :n1] -= a  # v_M = x_M - a
+        out[:, :3] -= a  # v_M = x_M - a
         out = self.cell_block @ out
-        out[:, :n1] += a
+        out[:, :3] += a
         for side in (0, 1):  # one side at a time halves the largest temporary
             out += scatter_add(
                 self.face_bubble[side] @ v_faces, self.face_cells[side], T
@@ -349,15 +310,15 @@ class Smoother:
         """
         space = self.space
         fvec = np.asarray(fvec, dtype=float)
-        T, nc, nf, n1 = space.mesh.num_cells, space.nc, space.nf, space.n1
+        T, nc, nf = space.mesh.num_cells, space.nc, space.nf
         Y = fvec.reshape(T, self.nD, -1)
 
         g_cells = self.cell_block.T @ Y  # adjoint of v_M
         g_faces = (_t(self.face_bubble) @ Y[self.face_cells]).sum(axis=0)
-        g_a = Y[:, :n1] - g_cells[:, :n1] - scatter_add(
-            _t(self.trace) @ g_faces, self.face_cells[0], T
+        g_a = Y[:, :3] - g_cells[:, :3] - scatter_add(
+            _t(self.trace) @ g_faces[:, :2], self.face_cells[0], T
         )
-        g_nodal = scatter_add(self.invV1.T @ g_a, self.node_ids, self.num_nodes)
+        g_nodal = scatter_add(self.hat.T @ g_a, self.node_ids, self.num_nodes)
         g_r = _t(self.avg_blocks) @ _gather(g_nodal, self.avg_ids)
         out = scatter_add(_t(space.G) @ g_r, space.local_dof_ids, space.num_dofs)
         out_cells, out_faces = space.split(out)
@@ -384,10 +345,11 @@ class Smoother:
         """S_H = F5 F4 F3 F2 F1 as sparse factors, scattered from the blocks:
 
         * F1 = [R; I]: the reconstruction R x, with x carried along,
-        * F2 = blockdiag(avg, I): nodal averaging on interior degree-(p+1) nodes,
-        * F3 = blockdiag(expand, I): back to broken coefficients, the averaged
-          reconstruction a,
-        * F4: (a, x) -> (a, v_Sigma, v_M), padded to degree D where needed,
+        * F2 = blockdiag(avg, I): averaging at the interior vertices,
+        * F3 = blockdiag(expand, I): hat re-expansion into the T 3 P1
+          coefficients of the averaged reconstruction a,
+        * F4: (a, x) -> (a, v_Sigma, v_M), a padded from 3 to nD
+          coefficients and the rest where needed,
         * F5 = [I | B_Sigma - B_M B_Sigma | B_M].
         """
         space = self.space
@@ -402,16 +364,18 @@ class Smoother:
         avg = scatter_blocks(
             self.avg_blocks, self.avg_ids, coeff_ids, (self.num_nodes, T * n1)
         )
-        # nodal values (zero on the boundary) back to broken p+1 coefficients
+        # vertex values (zero on the boundary) to broken P1 coefficients
+        hat_ids = np.arange(T)[:, None] * 3 + np.arange(3)
         expand = scatter_blocks(
-            np.broadcast_to(self.invV1, (T, n1, n1)), coeff_ids, self.node_ids,
-            (T * n1, self.num_nodes),
+            np.broadcast_to(self.hat, (T, 3, 3)), hat_ids, self.node_ids,
+            (T * 3, self.num_nodes),
         )
+        # the linear trace fills the leading two of the p+2 face coefficients
         trace = scatter_blocks(
-            self.trace, np.arange(Ei * nf1).reshape(Ei, nf1),
-            coeff_ids[self.face_cells[0]], (Ei * nf1, T * n1),
+            self.trace, np.arange(Ei * nf1).reshape(Ei, nf1)[:, :2],
+            hat_ids[self.face_cells[0]], (Ei * nf1, T * 3),
         )
-        pad_1D = pad(T, n1, nD)
+        pad_1D = pad(T, 3, nD)
         identity = sparse.identity(space.num_dofs, format="csr")
         # block columns: a, x_M, x_Sigma
         residuals = [

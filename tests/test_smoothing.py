@@ -6,20 +6,19 @@ from hypothesis import strategies as st
 import hho.smoothing
 from conftest import basis_at, hat_profile, jittered_square
 from hho.analysis import get_case, run_convergence
-from hho.local_ops import BrokenPoly, HHOSpace
+from hho.local_ops import BrokenPoly, HHOSpace, _gather, scatter_add
 from hho.mesh import SimplicialMesh, build_lshape, build_unit_square, refine_red
 from hho.polyquad import (
     cell_basis_values,
     cell_quadrature,
+    face_barycentric,
     face_basis_values,
     face_quadrature,
     quad_for_degree,
     reference_face_mass,
-    space_dimension,
 )
 from hho.smoothing import (
     AVERAGING_VARIANTS,
-    LagrangeLayer,
     Smoother,
     _bubbles,
     broken_stiffness_matrix,
@@ -29,6 +28,7 @@ from hho.smoothing import (
     lagrange_interpolant,
     lattice_multis,
     moment_residuals,
+    on_faces,
     orthogonality_residual,
 )
 from hho.system import rhs_smoothed
@@ -67,33 +67,52 @@ def test_lagrange_basis_delta_and_partition_of_unity():
         assert np.allclose(lagrange_basis_values(q, pts).sum(axis=-1), 1.0)
 
 
-def test_lagrange_layer_counts_and_boundary():
+def test_lagrange_interpolant_refuses_degree_below_one():
     mesh = build_unit_square(2)
-    for q in (1, 2, 3):
-        layer = LagrangeLayer(mesh, q)
-        expected = (
-            mesh.num_vertices
-            + mesh.num_faces * (q - 1)
-            + mesh.num_cells * ((q - 1) * (q - 2) // 2)
-        )
-        assert layer.num_nodes == expected
-        assert layer.cell_nodes.shape == (mesh.num_cells, space_dimension(q))
-        # nodes on the unit-square boundary are flagged
-        on_wall = (
-            np.isclose(layer.coords[:, 0], 0.0)
-            | np.isclose(layer.coords[:, 0], 1.0)
-            | np.isclose(layer.coords[:, 1], 0.0)
-            | np.isclose(layer.coords[:, 1], 1.0)
-        )
-        assert np.array_equal(layer.boundary, on_wall)
+    for degree in (0, -1):
+        with pytest.raises(ValueError, match="degree >= 1"):
+            lagrange_interpolant(mesh, degree, hat_profile)
 
 
-def test_lagrange_layer_center_vertex_incidence():
-    # with the fixed diagonal, the center vertex of the 2x2 grid sits in 6 cells
-    mesh = build_unit_square(2)
-    layer = LagrangeLayer(mesh, 1)
-    center = int(np.argmin(np.abs(layer.coords - 0.5).sum(axis=1)))
-    assert layer.counts[center] == 6
+def on_domain_boundary(mesh, points):
+    """Mask of the points (..., 2) within 1e-12 of a boundary face segment."""
+    ends = mesh.vertices[mesh.faces[mesh.boundary_face_mask]]  # (B, 2, 2)
+    a, e = ends[:, 0], ends[:, 1] - ends[:, 0]
+    d = points[..., None, :] - a  # (..., B, 2)
+    t = np.clip((d * e).sum(axis=-1) / (e * e).sum(axis=-1), 0.0, 1.0)
+    dist = np.linalg.norm(d - t[..., None] * e, axis=-1)
+    return (dist < 1e-12).any(axis=-1)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: build_unit_square(4), lambda: build_lshape(2), lambda: jittered_square(4),
+], ids=["square", "lshape", "jittered"])
+@pytest.mark.parametrize("q", [1, 2, 3, 4])
+def test_lagrange_interpolant_zero_on_boundary_and_continuous(make, q):
+    mesh = make()
+    # on each mesh 10 cells touch the boundary only at a vertex, where they
+    # must be zeroed too
+    bface = mesh.boundary_face_mask[mesh.cell_faces].any(axis=1)
+    bvert = on_domain_boundary(mesh, mesh.cell_vertices()).any(axis=1)
+    assert (bvert & ~bface).sum() == 10
+
+    def func(x):
+        # NaN on the boundary: a boundary node that is evaluated instead of
+        # zeroed poisons the coefficients of every cell holding it
+        return np.where(on_domain_boundary(mesh, x), np.nan,
+                        1.0 + x[..., 0] + np.sin(3.0 * x[..., 1]))
+
+    coeffs = lagrange_interpolant(mesh, q, func).coeffs
+    assert np.all(np.isfinite(coeffs))
+    coords = np.einsum("la,tad->tld", lattice_multis(q) / q, mesh.cell_vertices())
+    values = BrokenPoly(mesh, q, coeffs).values_at(coords)  # (T, L)
+    boundary = on_domain_boundary(mesh, coords)
+    assert boundary.any() and not boundary.all()
+    assert np.abs(values[boundary]).max() <= 1e-14
+    interior = coords[~boundary]
+    want = 1.0 + interior[:, 0] + np.sin(3.0 * interior[:, 1])
+    assert np.abs(values[~boundary] - want).max() <= 1e-13
+    assert np.abs(jump_matrix(mesh, q) @ coeffs.ravel()).max() <= 1e-13
 
 
 def test_cell_bubble_normalization_and_bounds():
@@ -321,36 +340,43 @@ def test_bubble_smoother_local_stability_ratio_bounded():
 
 def test_nodal_average_is_arithmetic_mean():
     # center vertex of the 2x2 grid belongs to 6 triangles; feeding per-cell
-    # constants 1..6 must average to 3.5 at that node
+    # constants 1..6 must average to 3.5 at that vertex
     mesh = build_unit_square(2)
     sp = HHOSpace(mesh, 0)
     sm = Smoother(sp)
-    coeffs = np.zeros((mesh.num_cells, sp.n1))
-    layer = LagrangeLayer(mesh, sp.p + 1)
-    center = int(np.argmin(np.abs(layer.coords - 0.5).sum(axis=1)))
-    cells = np.nonzero((layer.cell_nodes == center).any(axis=1))[0]
-    coeffs[cells, 0] = np.arange(1.0, 7.0)
-    # expand @ avg: the leading blocks of F3 and F2
-    n, ni = coeffs.size, layer.num_interior
-    F2, F3 = sm.factors[1], sm.factors[2]
-    avg = (F3[:n, :ni] @ (F2[:ni, :n] @ coeffs.ravel())).reshape(coeffs.shape)
-    avg = BrokenPoly(mesh, sp.p + 1, avg)
-    val = avg.values_at(np.full((mesh.num_cells, 1, 2), 0.5))[cells[0], 0]
-    assert val == pytest.approx(3.5, rel=1e-13)
+    center = int(np.argmin(np.abs(mesh.vertices - 0.5).sum(axis=1)))
+    cells = np.nonzero((mesh.cells == center).any(axis=1))[0]
+    assert len(cells) == 6
+    coeffs = np.zeros((mesh.num_cells, sp.n1, 1))
+    coeffs[cells, 0, 0] = np.arange(1.0, 7.0)
+    # the averaging blocks summed at avg_ids, re-expanded by the hat matrix
+    nodal = scatter_add(sm.avg_blocks @ coeffs, sm.avg_ids, sm.num_nodes)
+    avg = BrokenPoly(mesh, 1, (sm.hat @ _gather(nodal, sm.node_ids))[..., 0])
+    vals = avg.values_at(np.full((mesh.num_cells, 1, 2), 0.5))[cells, 0]
+    assert vals == pytest.approx(np.full(6, 3.5), rel=1e-13)
+
+
+def averaged_reconstruction(sm, X):
+    """The averaged reconstruction a: the leading T 3 rows of F3 F2 F1 X,
+    as broken P1 coefficients (T, 3, k)."""
+    F1, F2, F3 = sm.factors[:3]
+    T = sm.space.mesh.num_cells
+    return (F3 @ (F2 @ (F1 @ X)))[: T * 3].reshape(T, 3, -1)
 
 
 def test_averaging_reproduces_continuous_reconstructions():
-    # the averaged reconstruction is the leading T n1 rows of F3 F2 F1 x
+    # on a continuous reconstruction the averaged reconstruction is its P1
+    # vertex interpolant, whatever the vertex rule
     for p in (0, 1, 2):
         sp = HHOSpace(build_unit_square(2), p)
-        sm = Smoother(sp)
-        F1, F2, F3 = sm.factors[:3]
-        n = sp.mesh.num_cells * sp.n1
         q = lagrange_interpolant(sp.mesh, p + 1, hat_profile)
         X = np.stack([sp.interpolate(q), np.zeros(sp.num_dofs)], axis=1)
-        a, zero = (F3 @ (F2 @ (F1 @ X)))[:n].T
-        assert np.abs(a.reshape(q.coeffs.shape) - q.coeffs).max() < 1e-11
-        assert np.abs(zero).max() == 0.0
+        corners = sp.mesh.cell_vertices()
+        for variant in AVERAGING_VARIANTS:
+            a = averaged_reconstruction(Smoother(sp, averaging=variant), X)
+            got = BrokenPoly(sp.mesh, 1, a[..., 0]).values_at(corners)
+            assert np.abs(got - q.values_at(corners)).max() < 1e-11
+            assert np.abs(a[..., 1]).max() == 0.0
 
 
 def test_smoother_reproduces_conforming_interpolants():
@@ -461,16 +487,12 @@ def test_scott_zhang_variant_contracts():
     sz = Smoother(sp, averaging="scott-zhang")
     q = lagrange_interpolant(sp.mesh, 2, hat_profile)
     X = np.stack([sp.interpolate(q), rng.standard_normal(sp.num_dofs)], axis=1)
-    # the averaged reconstructions: the leading T n1 rows of F3 F2 F1 X
-    n = sp.mesh.num_cells * sp.n1
-    F1, F2, F3 = mean.factors[:3]
-    a_mean = (F3 @ (F2 @ (F1 @ X)))[:n]
-    F1, F2, F3 = sz.factors[:3]
-    a_sz = (F3 @ (F2 @ (F1 @ X)))[:n]
+    a_mean = averaged_reconstruction(mean, X)
+    a_sz = averaged_reconstruction(sz, X)
     # same contract on continuous reconstructions
-    assert np.abs(a_sz[:, 0] - a_mean[:, 0]).max() < 1e-11
+    assert np.abs(a_sz[..., 0] - a_mean[..., 0]).max() < 1e-11
     # generally different on discontinuous reconstructions
-    assert np.abs(a_sz[:, 1] - a_mean[:, 1]).max() > 1e-6
+    assert np.abs(a_sz[..., 1] - a_mean[..., 1]).max() > 1e-6
     # smoothed output remains conforming
     assert conformity_residual(sz, sz.apply_vector(X[:, 1])) < 1e-10
 
@@ -615,14 +637,29 @@ def relabelled(mesh, seed=0):
     return SimplicialMesh(verts, perm[mesh.cells])
 
 
+def lattice_node_keys(mesh, degree):
+    """Global ids (T, L) of the degree-`degree` lattice nodes of every cell
+    and the id of each key: a node is keyed by its sorted (global vertex id,
+    lattice weight) pairs with nonzero weight, the same from every cell
+    holding it."""
+    multis = lattice_multis(degree)
+    table = {}
+    ids = np.empty((mesh.num_cells, len(multis)), dtype=np.int64)
+    for t, cell in enumerate(mesh.cells.tolist()):
+        for l, nu in enumerate(multis.tolist()):
+            key = tuple(sorted((v, w) for v, w in zip(cell, nu) if w))
+            ids[t, l] = table.setdefault(key, len(table))
+    return ids, table
+
+
 def reference_face_bubble_matrix(sm):
     """Dense B_Sigma by the gid-matching construction, as the reference.
 
-    p >= 1: a degree-p LagrangeLayer numbers the face nodes (vertex gids at
-    the ends, then the p - 1 interior nodes of face F at gids
-    NV + F (p - 1) + j, from the lower vertex to the higher), and each face
-    node is found in the adjacent cell's lattice by matching gids. p = 0: the
-    face bubble times the single face coefficient.
+    p >= 1: the degree-p face nodes of face F = (lo, hi) are keyed by their
+    (global vertex id, lattice weight) pairs, node j having weight p - j at
+    lo and j at hi, and each face node is found in the adjacent cell's
+    lattice by matching keys. p = 0: the face bubble times the single face
+    coefficient.
     """
     sp, mesh = sm.space, sm.space.mesh
     p, nD = sp.p, sm.nD
@@ -631,12 +668,12 @@ def reference_face_bubble_matrix(sm):
     mass = reference_face_mass(p + 1)
     beta_mat = np.linalg.inv(mass[:-1, :-1] - 4.0 * mass[1:, 1:]) @ mass[:-1, :]
     if p >= 1:
-        layer = LagrangeLayer(mesh, p)
-        gids_f = np.empty((Ei, p + 1), dtype=np.int64)
-        gids_f[:, 0], gids_f[:, -1] = mesh.faces[faces, 0], mesh.faces[faces, 1]
-        gids_f[:, 1:-1] = (
-            mesh.num_vertices + faces[:, None] * (p - 1) + np.arange(p - 1)
-        )
+        cell_nodes, table = lattice_node_keys(mesh, p)
+        gids_f = np.array([
+            [table[tuple((v, w) for v, w in ((lo, p - j), (hi, j)) if w)]
+             for j in range(p + 1)]
+            for lo, hi in mesh.faces[faces].tolist()
+        ])
         lp_lat = lagrange_basis_values(p, sm.lat_bary)
         s_nodes = np.arange(p + 1) / p - 0.5
         nodal_mat = (s_nodes[:, None] ** np.arange(p + 1)) @ beta_mat
@@ -650,7 +687,7 @@ def reference_face_bubble_matrix(sm):
             coeff = phiF @ sm.invV_D.T
             blocks = coeff[:, :, None] * beta_mat[0][None, None, :]
         else:
-            match = layer.cell_nodes[K][:, :, None] == gids_f[:, None, :]
+            match = cell_nodes[K][:, :, None] == gids_f[:, None, :]
             assert np.all(match.sum(axis=1) == 1)
             lpos = np.argmax(match, axis=1)
             zvals = lp_lat[:, lpos].transpose(1, 0, 2) * phiF[:, :, None]
@@ -686,14 +723,15 @@ def test_face_bubble_matrix_matches_gid_matching(p, make):
 
 @pytest.mark.parametrize("p", [0, 1, 2, 3])
 def test_factor_blocks_same_for_every_degree(p):
-    # F4 always carries (a, v_Sigma, v_M) and F5 always reads all three;
-    # at p = 0 B_M is zero (P^{-1} = {0}) rather than left out
+    # F4 always carries (a, v_Sigma, v_M), a read as T 3 P1 coefficients,
+    # and F5 always reads all three; at p = 0 B_M is zero (P^{-1} = {0})
+    # rather than left out
     sp = HHOSpace(build_unit_square(2), p)
     sm = Smoother(sp)
     T, Ei = sp.mesh.num_cells, sp.mesh.num_interior_faces
     blocks = [T * sm.nD, Ei * (p + 2), T * sm.nD]
     F4, F5 = sm.factors[3], sm.factors[4]
-    assert F4.shape == (sum(blocks), T * sp.n1 + sp.num_dofs)
+    assert F4.shape == (sum(blocks), T * 3 + sp.num_dofs)
     assert F5.shape == (T * sm.nD, sum(blocks))
     cell_bubble = F5[:, -blocks[2]:]
     assert (cell_bubble.nnz == 0) == (p == 0)
@@ -711,3 +749,88 @@ def test_factor_blocks_same_for_every_degree(p):
     assert cell_res.shape == face_res.shape == (k,)
     if p == 0:
         assert np.array_equal(cell_res, np.zeros(k))
+
+
+def nodal_averaging_oracle(sm, X):
+    """S_H X with the averaging at every interior degree-(p+1) Lagrange node
+    (X a (num_dofs, k) block), as the reference for the vertex averaging.
+
+    The global nodes are keyed by sorted (vertex id, lattice weight) pairs; a
+    node is on the boundary when its only vertex is on a boundary face or its
+    two vertices span one. The averaged degree-(p+1) reconstruction is
+    interpolated at the lattice, its trace at p+2 points of each face, and
+    S_H is finished with the smoother's own bubble blocks.
+    """
+    sp, mesh = sm.space, sm.space.mesh
+    p, T, nc, nf, n1 = sp.p, mesh.num_cells, sp.nc, sp.nf, sp.n1
+    keys, table = lattice_node_keys(mesh, p + 1)
+    bfaces = {tuple(f) for f in mesh.faces[mesh.boundary_face_mask].tolist()}
+    bverts = {v for f in bfaces for v in f}
+    boundary = np.zeros(len(table), dtype=bool)
+    for key, gid in table.items():
+        vs = tuple(v for v, _ in key)
+        boundary[gid] = vs in bfaces if len(vs) == 2 else (
+            len(vs) == 1 and vs[0] in bverts)
+    counts = np.bincount(keys.ravel())
+    first = np.full(len(table), T)
+    np.minimum.at(first, keys, np.arange(T)[:, None])
+    if sm.averaging_variant == "mean":
+        weight = 1.0 / counts[keys]
+    else:
+        weight = (np.arange(T)[:, None] == first[keys]).astype(float)
+
+    V1 = cell_basis_values(p + 1, lattice_multis(p + 1) / (p + 1))
+    r = sp.G @ sp.local_coeffs(X)  # (T, n1, k)
+    nodal = np.zeros((len(table), X.shape[1]))
+    np.add.at(nodal, keys, weight[..., None] * (V1 @ r))
+    nodal[boundary] = 0.0
+    a = np.linalg.solve(V1, nodal[keys])  # (T, n1, k)
+
+    t = np.linspace(0.0, 1.0, p + 2)
+    trace_hat = np.linalg.solve(
+        face_basis_values(p + 1, t - 0.5), cell_basis_values(p + 1, face_barycentric(t))
+    )
+    faces = mesh.interior_faces
+    x_cells, x_faces = sp.split(X)
+    v_faces = -(on_faces(trace_hat, mesh, faces, 0) @ a[sm.face_cells[0]])
+    v_faces[:, :nf] += x_faces
+    v_cells = np.zeros((T, sm.nD, X.shape[1]))
+    v_cells[:, :nc] = x_cells
+    v_cells[:, :n1] -= a
+    out = sm.cell_block @ v_cells
+    out[:, :n1] += a
+    for side in (0, 1):
+        np.add.at(out, sm.face_cells[side], sm.face_bubble[side] @ v_faces)
+    return out.reshape(T * sm.nD, -1)
+
+
+def assert_matches_nodal_averaging(sm, rng):
+    """apply_vector and apply_transpose against the dense oracle matrix."""
+    sp = sm.space
+    M = nodal_averaging_oracle(sm, np.eye(sp.num_dofs))
+    X = rng.standard_normal((sp.num_dofs, 3))
+    Y = rng.standard_normal((M.shape[0], 3))
+    for x, y in ((X[:, 0], Y[:, 0]), (X, Y)):
+        _assert_close(sm.apply_vector(x), M @ x)
+        _assert_close(sm.apply_transpose(y), M.T @ y)
+
+
+@pytest.mark.parametrize("variant", AVERAGING_VARIANTS)
+@pytest.mark.parametrize("p", [0, 1, 2, 3])
+@pytest.mark.parametrize("make", [
+    lambda: jittered_square(4), lambda: build_lshape(2), single_triangle_mesh,
+], ids=["jittered", "lshape", "single"])
+def test_vertex_averaging_matches_nodal_averaging(make, p, variant):
+    # the bubbles reproduce every degree-(p+1) Lagrange function of an
+    # edge-interior or cell-interior node, so averaging at the vertices
+    # gives the operator of the averaging at every Lagrange node
+    sm = Smoother(HHOSpace(make(), p), averaging=variant)
+    assert_matches_nodal_averaging(sm, np.random.default_rng(p))
+
+
+@settings(max_examples=8, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), p=st.integers(0, 3),
+       variant=st.sampled_from(AVERAGING_VARIANTS))
+def test_vertex_averaging_matches_nodal_averaging_on_jittered_meshes(seed, p, variant):
+    sm = Smoother(HHOSpace(jittered_square(3, seed=seed), p), averaging=variant)
+    assert_matches_nodal_averaging(sm, np.random.default_rng(seed))
