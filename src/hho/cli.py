@@ -1,7 +1,7 @@
 """Batch driver: verification suites, convergence studies, single solves.
 
-Usage: hho {verify | converge | solve} --config cfg.json [--out DIR]
-           [--mesh PATH]
+Usage: hho {verify | solve} --config cfg.json [--out DIR] [--mesh PATH]
+       hho converge --config cfg.json [--out DIR]
 
 The JSON config supplies the run parameters (see README for the schema); the
 flags override the corresponding config keys. All file outputs use '.' as the
@@ -47,13 +47,16 @@ class ConfigError(ValueError):
 def _load_config(path):
     try:
         with open(path) as fh:
-            return json.load(fh)
+            config = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"config {path}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    if not isinstance(config, dict):
+        raise ConfigError(f"config {path}: the top level must be a JSON object")
+    return config
 
 
 def _get(config, key, default=None, required=False, kind=None):
@@ -118,6 +121,8 @@ def cmd_verify(args, config):
     degrees = _int_list(config, "degrees", [0, 1, 2], 0, P_MAX)
     resolutions = _int_list(config, "resolutions", [2, 4, 8], 1)
     seed = _get(config, "seed", 20180608, kind=int)
+    if seed < 0:
+        raise ConfigError("config field 'seed' must be non-negative")
     random_fields = _get(config, "random_fields", 100, kind=int)
     if random_fields < 1:
         raise ConfigError("config field 'random_fields' must be at least 1")
@@ -132,6 +137,8 @@ def cmd_verify(args, config):
             + ", ".join(AVERAGING_VARIANTS)
         )
     mesh_path = args.mesh or _get(config, "mesh")
+    if mesh_path is not None and not isinstance(mesh_path, str):
+        raise ConfigError("config field 'mesh' must be a file name or null")
 
     try:
         report = run_verification(
@@ -275,8 +282,9 @@ def build_parser():
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON config file")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--mesh", default=None,
-                       help="external mesh file (node/element format)")
+        if name != "converge":
+            p.add_argument("--mesh", default=None,
+                           help="external mesh file (node/element format)")
         p.set_defaults(handler=fn)
     return parser
 

@@ -387,8 +387,12 @@ def read_mesh_file(path):
     (coordinates), then one cell per line (0-based vertex indices).
     Blank lines and ``#`` comments are ignored.
     """
-    with open(path) as fh:
-        raw = fh.readlines()
+    try:
+        with open(path) as fh:
+            raw = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise MeshError(f"{path}: cannot read: {reason}") from exc
     lines = []
     for lineno, text in enumerate(raw, start=1):
         stripped = text.split("#", 1)[0].strip()

@@ -12,12 +12,10 @@ the two cells sharing the face; both are 1 at the respective barycenter.
 Everything is linear with one-ring-local supports, so the smoother, from
 HHO unknowns to broken polynomial coefficients of degree 2 + max(p, 1), is
 kept as dense per-cell and per-face blocks with their index maps and applied
-entity by entity (forward and transposed); sparse factors and the full
-matrix are scattered from the same blocks only on request. Cell and face
-solves are independent per entity.
+entity by entity (forward and transposed); the sparse matrix is scattered
+from the same blocks, in one pass, only on request. Cell and face solves
+are independent per entity.
 """
-
-from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -144,8 +142,7 @@ class Smoother:
 
     The blocks and their index maps are the one description of S_H.
     `apply_vector` and `apply_transpose` contract them entity by entity;
-    `factors` scatters the same blocks into sparse factors and `matrix`
-    multiplies those out, both on first use only.
+    `matrix` scatters the same blocks into S_H = C + Q W on first use only.
 
     Parameters
     ----------
@@ -326,84 +323,57 @@ class Smoother:
         out_faces += g_faces[:, :nf]
         return out.reshape((space.num_dofs,) + fvec.shape[1:])
 
-    # -- sparse forms --------------------------------------------------------
-
-    def _face_bubble_matrix(self, blocks):
-        """Scatter per-side face-bubble blocks (2, Ei, nD, p+2) into the
-        (T nD, Ei (p+2)) matrix."""
-        _, Ei, nD, nf1 = blocks.shape
-        rows = self.face_cells[..., None] * nD + np.arange(nD)
-        cols = np.arange(Ei * nf1).reshape(Ei, nf1)
-        return scatter_blocks(
-            blocks.reshape(2 * Ei, nD, nf1), rows.reshape(2 * Ei, nD),
-            np.concatenate([cols, cols]),
-            (self.space.mesh.num_cells * nD, Ei * nf1),
-        )
-
-    @cached_property
-    def factors(self):
-        """S_H = F5 F4 F3 F2 F1 as sparse factors, scattered from the blocks:
-
-        * F1 = [R; I]: the reconstruction R x, with x carried along,
-        * F2 = blockdiag(avg, I): averaging at the interior vertices,
-        * F3 = blockdiag(expand, I): hat re-expansion into the T 3 P1
-          coefficients of the averaged reconstruction a,
-        * F4: (a, x) -> (a, v_Sigma, v_M), a padded from 3 to nD
-          coefficients and the rest where needed,
-        * F5 = [I | B_Sigma - B_M B_Sigma | B_M].
-        """
-        space = self.space
-        T, Ei, p = space.mesh.num_cells, space.mesh.num_interior_faces, space.p
-        nc, n1, nD, nf1 = space.nc, space.n1, self.nD, p + 2
-
-        def pad(count, small, big):
-            # zero-pad each of `count` coefficient blocks from `small` to `big`
-            return sparse.kron(sparse.identity(count), sparse.eye(big, small)).tocsr()
-
-        coeff_ids = np.arange(T)[:, None] * n1 + np.arange(n1)
-        avg = scatter_blocks(
-            self.avg_blocks, self.avg_ids, coeff_ids, (self.num_nodes, T * n1)
-        )
-        # vertex values (zero on the boundary) to broken P1 coefficients
-        hat_ids = np.arange(T)[:, None] * 3 + np.arange(3)
-        expand = scatter_blocks(
-            np.broadcast_to(self.hat, (T, 3, 3)), hat_ids, self.node_ids,
-            (T * 3, self.num_nodes),
-        )
-        # the linear trace fills the leading two of the p+2 face coefficients
-        trace = scatter_blocks(
-            self.trace, np.arange(Ei * nf1).reshape(Ei, nf1)[:, :2],
-            hat_ids[self.face_cells[0]], (Ei * nf1, T * 3),
-        )
-        pad_1D = pad(T, 3, nD)
-        identity = sparse.identity(space.num_dofs, format="csr")
-        # block columns: a, x_M, x_Sigma
-        residuals = [
-            [pad_1D, None, None],
-            [-trace, None, pad(Ei, space.nf, nf1)],
-            [-pad_1D, pad(T, nc, nD), None],
-        ]
-        bubbles = [sparse.identity(T * nD, format="csr"),
-                   self._face_bubble_matrix(self.face_bubble),
-                   sparse.kron(sparse.identity(T), self.cell_block, format="csr")]
-        return [
-            sparse.vstack(
-                [reconstruction_matrix(space, space.p + 1), identity], format="csr"
-            ),
-            sparse.block_diag([avg, identity], format="csr"),
-            sparse.block_diag([expand, identity], format="csr"),
-            sparse.bmat(residuals, format="csr"),
-            sparse.hstack(bubbles, format="csr"),
-        ]
+    # -- sparse form ---------------------------------------------------------
 
     @property
     def matrix(self):
-        """Full sparse smoother matrix (composed on first use and cached)."""
+        """Full sparse smoother matrix S_H = C + Q W (built on first use and
+        cached), scattered from the blocks:
+
+        * W: dofs -> averaged values at the interior vertices, the per-cell
+          blocks avg_blocks G,
+        * Q: vertex values -> broken degree-D coefficients, the hat
+          re-expansion a through (I - B_M) on every cell and through the
+          face bubbles of the trace residual -tr a,
+        * C: the parts that read the dofs directly, B_M on the cell dofs and
+          (I - B_M) B_Sigma on the face dofs, both per cell.
+        """
         if self._matrix is None:
-            product = self.factors[0]
-            for factor in self.factors[1:]:
-                product = factor @ product
-            self._matrix = product.tocsr()
+            space, mesh = self.space, self.space.mesh
+            T, nD, nc, nf = mesh.num_cells, self.nD, space.nc, space.nf
+            rows = np.arange(T)[:, None] * nD + np.arange(nD)
+            W = scatter_blocks(
+                self.avg_blocks @ space.G, self.avg_ids, space.local_dof_ids,
+                (self.num_nodes, space.num_dofs),
+            )
+            # a enters each cell through (I - B_M), and the trace residual
+            # -tr a, read in the first cell of a face, through both face sides
+            cell_hat = (np.eye(nD) - self.cell_block)[:, :3] @ self.hat
+            face_hat = -self.face_bubble[..., :2] @ (self.trace @ self.hat)
+            first_nodes = self.node_ids[self.face_cells[0]]
+            Q = scatter_blocks(
+                np.concatenate([np.broadcast_to(cell_hat, (T, nD, 3)), *face_hat]),
+                np.concatenate([rows, *rows[self.face_cells]]),
+                np.concatenate([self.node_ids, first_nodes, first_nodes]),
+                (T * nD, self.num_nodes),
+            )
+            # the face blocks land at their cell's local face dofs
+            direct = np.zeros((T, nD, space.nloc))
+            direct[:, :, :nc] = self.cell_block[:, :nc]
+            faces = mesh.interior_faces
+            for side in (0, 1):
+                cols = nc + mesh.face_local[faces, side, None] * nf + np.arange(nf)
+                direct[self.face_cells[side][:, None], :, cols] = _t(
+                    self.face_bubble[side][..., :nf]
+                )
+            C = scatter_blocks(direct, rows, space.local_dof_ids,
+                               (T * nD, space.num_dofs))
+            # C + Q W as the one product [C Q] [I; W]: no second copy of
+            # the full-size result for the sum
+            identity = sparse.identity(space.num_dofs, format="csr")
+            self._matrix = sparse.hstack([C, Q], format="csr") @ sparse.vstack(
+                [identity, W], format="csr"
+            )
         return self._matrix
 
 
@@ -502,10 +472,19 @@ def orthogonality_residual(space, smoother):
 
     The computable content of the algebraic-consistency identity: the broken
     gradient of R is orthogonal to R - S_H for every pair of basis fields.
+    With the degree-D stiffness K per cell and R reading G into its leading
+    n1 coefficients, this is the assembled G^T K_11 G minus the per-cell
+    blocks G^T K[:n1, :] applied to S_H.
     """
-    RD = reconstruction_matrix(space, smoother.degree)
-    stiff = broken_stiffness_matrix(space, smoother.degree)
-    C = RD.T @ (stiff @ (RD - smoother.matrix))
+    T, n1 = space.mesh.num_cells, space.n1
+    K = stiffness_blocks(space.mesh, smoother.degree, space.rule_cell)
+    GtK = _t(space.G) @ K[:, :n1]  # (T, nloc, nD)
+    nD = K.shape[1]
+    B = scatter_blocks(
+        GtK, space.local_dof_ids, np.arange(T)[:, None] * nD + np.arange(nD),
+        (space.num_dofs, T * nD),
+    )
+    C = assemble_bilinear(space, GtK[..., :n1] @ space.G) - B @ smoother.matrix
     return float(np.abs(C.data).max()) if C.nnz else 0.0
 
 

@@ -77,8 +77,10 @@ def test_verify_passes_and_is_reproducible(tmp_path):
     {"resolutions": [0]},
     {"resolutions": []},
     {"random_fields": 0},
+    {"seed": -3},
+    {"mesh": 5},
 ], ids=["averaging", "no-averaging", "degree-type", "resolution-zero",
-        "no-resolutions", "no-random-fields"])
+        "no-resolutions", "no-random-fields", "negative-seed", "mesh-type"])
 def test_verify_bad_config_exits_2_before_work(tmp_path, capsys, fields):
     cfg = write_config(tmp_path / "v.json", **fields)
     out = tmp_path / "out"
@@ -166,6 +168,34 @@ def test_config_errors_exit_2(tmp_path):
     too_high = write_config(tmp_path / "p.json", case="smooth-sine",
                             degree=7, levels=[2, 4])
     assert main(["converge", "--config", too_high]) == 2
+
+
+@pytest.mark.parametrize("command", ["verify", "converge", "solve"])
+@pytest.mark.parametrize("text", ["[1, 2]", '"verify"', "null"],
+                         ids=["list", "string", "null"])
+def test_config_that_is_not_an_object_exits_2(tmp_path, capsys, command, text):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"hho: config error: config {cfg}: the top level must be a JSON object\n"
+    assert not out.exists()
+
+
+def test_converge_refuses_the_mesh_flag(tmp_path, capsys):
+    # converge always solves on the case's own mesh family
+    mesh_path = tmp_path / "square.mesh"
+    mesh_path.write_text(SQUARE_MESH)
+    cfg = write_config(tmp_path / "c.json", case="smooth-sine", degree=0,
+                       levels=[2, 4])
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["converge", "--config", cfg, "--out", str(out),
+              "--mesh", str(mesh_path)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --mesh" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("fields", [
@@ -360,6 +390,31 @@ def test_non_finite_mesh_file_is_refused(tmp_path, capsys, bad):
     assert main(["verify", "--config", cfg, "--out", str(out),
                  "--mesh", str(mesh_path)]) == 1
     assert "verify: mesh check failed" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+def test_unreadable_mesh_file_is_refused(tmp_path, capsys, kind):
+    mesh_path = tmp_path / "meshes"
+    if kind == "directory":
+        mesh_path.mkdir()
+    reason = {"missing": "No such file or directory",
+              "directory": "Is a directory"}[kind]
+    cfg = write_config(tmp_path / "s.json", case="smooth-sine", degree=0)
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg, "--out", str(out),
+                 "--mesh", str(mesh_path)]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"hho: config error: --mesh {mesh_path}: {mesh_path}: "
+                   f"cannot read: {reason}\n")
+    assert not out.exists()
+
+    cfg = write_config(tmp_path / "v.json", degrees=[0], resolutions=[2],
+                       random_fields=2)
+    assert main(["verify", "--config", cfg, "--out", str(out),
+                 "--mesh", str(mesh_path)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"verify: mesh check failed: {mesh_path}: cannot read: {reason}\n"
     assert not out.exists()
 
 

@@ -172,6 +172,16 @@ def test_mesh_file_errors(tmp_path):
         read_mesh_file(three_d)
 
 
+def test_unreadable_mesh_file_is_a_mesh_error(tmp_path):
+    # a missing file, a directory and bytes that are not text all fail as
+    # MeshError naming the path
+    binary = tmp_path / "binary.mesh"
+    binary.write_bytes(b"\xff\xfe\x00\x80")
+    for path in (tmp_path / "missing.mesh", tmp_path, binary):
+        with pytest.raises(MeshError, match="cannot read"):
+            read_mesh_file(path)
+
+
 def test_lshape_area():
     m = build_lshape(2)
     assert m.volumes.sum() == pytest.approx(3.0, abs=1e-12)

@@ -1,12 +1,15 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 import hho.smoothing
 from conftest import basis_at, hat_profile, jittered_square
 from hho.analysis import get_case, run_convergence
-from hho.local_ops import BrokenPoly, HHOSpace, _gather, scatter_add
+from hho.local_ops import BrokenPoly, HHOSpace, _gather, scatter_add, scatter_blocks
 from hho.mesh import SimplicialMesh, build_lshape, build_unit_square, refine_red
 from hho.polyquad import (
     cell_basis_values,
@@ -30,6 +33,7 @@ from hho.smoothing import (
     moment_residuals,
     on_faces,
     orthogonality_residual,
+    reconstruction_matrix,
 )
 from hho.system import rhs_smoothed
 
@@ -52,9 +56,70 @@ def bubble_poly(sm, cells, lattice_values):
     return BrokenPoly(sm.space.mesh, sm.degree, coeffs)
 
 
-def face_bubble_matrix(sm):
-    """B_Sigma alone, scattered from the Smoother's per-side face blocks."""
-    return sm._face_bubble_matrix(sm._face_bubble_blocks(np.eye(sm.nD)))
+def face_bubble_matrix(sm, blocks=None):
+    """Per-side face-bubble blocks (2, Ei, nD, p+2) scattered into the
+    (T nD, Ei (p+2)) matrix; by default B_Sigma alone."""
+    if blocks is None:
+        blocks = sm._face_bubble_blocks(np.eye(sm.nD))
+    _, Ei, nD, nf1 = blocks.shape
+    rows = sm.face_cells[..., None] * nD + np.arange(nD)
+    cols = np.arange(Ei * nf1).reshape(Ei, nf1)
+    return scatter_blocks(
+        blocks.reshape(2 * Ei, nD, nf1), rows.reshape(2 * Ei, nD),
+        np.concatenate([cols, cols]), (sm.space.mesh.num_cells * nD, Ei * nf1),
+    )
+
+
+def five_factor_oracle(sm):
+    """S_H = F5 F4 F3 F2 F1 as sparse factors scattered from the Smoother's
+    blocks, the five steps one at a time:
+
+    * F1 = [R; I]: the reconstruction R x, with x carried along,
+    * F2 = blockdiag(avg, I): averaging at the interior vertices,
+    * F3 = blockdiag(expand, I): hat re-expansion into the T 3 P1
+      coefficients of the averaged reconstruction a,
+    * F4: (a, x) -> (a, v_Sigma, v_M), a padded from 3 to nD coefficients
+      and the rest where needed,
+    * F5 = [I | B_Sigma - B_M B_Sigma | B_M].
+    """
+    space = sm.space
+    T, Ei, p = space.mesh.num_cells, space.mesh.num_interior_faces, space.p
+    nc, n1, nD, nf1 = space.nc, space.n1, sm.nD, p + 2
+
+    def pad(count, small, big):
+        # zero-pad each of `count` coefficient blocks from `small` to `big`
+        return sparse.kron(sparse.identity(count), sparse.eye(big, small)).tocsr()
+
+    coeff_ids = np.arange(T)[:, None] * n1 + np.arange(n1)
+    avg = scatter_blocks(sm.avg_blocks, sm.avg_ids, coeff_ids, (sm.num_nodes, T * n1))
+    # vertex values (zero on the boundary) to broken P1 coefficients
+    hat_ids = np.arange(T)[:, None] * 3 + np.arange(3)
+    expand = scatter_blocks(
+        np.broadcast_to(sm.hat, (T, 3, 3)), hat_ids, sm.node_ids, (T * 3, sm.num_nodes)
+    )
+    # the linear trace fills the leading two of the p+2 face coefficients
+    trace = scatter_blocks(
+        sm.trace, np.arange(Ei * nf1).reshape(Ei, nf1)[:, :2],
+        hat_ids[sm.face_cells[0]], (Ei * nf1, T * 3),
+    )
+    pad_1D = pad(T, 3, nD)
+    identity = sparse.identity(space.num_dofs, format="csr")
+    # block columns: a, x_M, x_Sigma
+    residuals = [
+        [pad_1D, None, None],
+        [-trace, None, pad(Ei, space.nf, nf1)],
+        [-pad_1D, pad(T, nc, nD), None],
+    ]
+    bubbles = [sparse.identity(T * nD, format="csr"),
+               face_bubble_matrix(sm, sm.face_bubble),
+               sparse.kron(sparse.identity(T), sm.cell_block, format="csr")]
+    return [
+        sparse.vstack([reconstruction_matrix(space, p + 1), identity], format="csr"),
+        sparse.block_diag([avg, identity], format="csr"),
+        sparse.block_diag([expand, identity], format="csr"),
+        sparse.bmat(residuals, format="csr"),
+        sparse.hstack(bubbles, format="csr"),
+    ]
 
 
 def test_lagrange_basis_delta_and_partition_of_unity():
@@ -182,7 +247,7 @@ def test_bubble_cell_p0_is_zero():
     sp = HHOSpace(build_unit_square(2), 0)
     sm = Smoother(sp)
     size = sp.mesh.num_cells * sm.nD
-    out = sm.factors[-1][:, -size:] @ unit_cell_data(sm)
+    out = five_factor_oracle(sm)[-1][:, -size:] @ unit_cell_data(sm)
     assert np.abs(out).max() == 0.0
 
 
@@ -266,7 +331,7 @@ def test_bubble_smoother_zero_pair():
     # the last factor maps (a, 0, 0) to a: no correction without residuals
     sp = HHOSpace(build_unit_square(2), 1)
     sm = Smoother(sp)
-    F5 = sm.factors[-1]
+    F5 = five_factor_oracle(sm)[-1]
     size = sp.mesh.num_cells * sm.nD
     assert np.abs(F5 @ np.zeros(F5.shape[1])).max() == 0.0
     a = np.random.default_rng(2).standard_normal(size)
@@ -281,7 +346,7 @@ def test_bubble_smoother_unit_pair_moments():
     vM = np.zeros((sp.mesh.num_cells, sm.nD))
     vM[:, 0] = 1.0
     x = np.concatenate([np.zeros(size), unit_face_data(sp, 1), vM.ravel()])
-    coeffs = sm.factors[-1] @ x
+    coeffs = five_factor_oracle(sm)[-1] @ x
     out = BrokenPoly(sp.mesh, sm.degree, coeffs.reshape(-1, sm.nD))
     rule = quad_for_degree(2, 12)
     pts, w = cell_quadrature(sp.mesh, rule)
@@ -321,7 +386,8 @@ def test_bubble_smoother_local_stability_ratio_bounded():
             v_s[mesh.interior_faces].ravel(),
             v_m.coeffs.ravel(),
         ])
-        out = BrokenPoly(mesh, sm.degree, (sm.factors[-1] @ x).reshape(-1, sm.nD))
+        F5 = five_factor_oracle(sm)[-1]
+        out = BrokenPoly(mesh, sm.degree, (F5 @ x).reshape(-1, sm.nD))
         pts, w = cell_quadrature(mesh, sp.rule_cell)
         grad_norm = np.sqrt(np.einsum("tq,tqd->t", w, out.gradients_at(pts) ** 2))
         vm_norm = np.sqrt(np.einsum("tq,tq->t", w, v_m.values_at(pts) ** 2))
@@ -359,7 +425,7 @@ def test_nodal_average_is_arithmetic_mean():
 def averaged_reconstruction(sm, X):
     """The averaged reconstruction a: the leading T 3 rows of F3 F2 F1 X,
     as broken P1 coefficients (T, 3, k)."""
-    F1, F2, F3 = sm.factors[:3]
+    F1, F2, F3 = five_factor_oracle(sm)[:3]
     T = sm.space.mesh.num_cells
     return (F3 @ (F2 @ (F1 @ X)))[: T * 3].reshape(T, 3, -1)
 
@@ -517,8 +583,8 @@ def test_consistency_constant_stable_across_refinements():
 @pytest.mark.parametrize("variant", AVERAGING_VARIANTS)
 @pytest.mark.parametrize("p", [0, 1, 2, 3])
 def test_factor_list_forward_transpose_and_matrix_agree(p, variant):
-    # the forward map and its transpose contract the blocks, the matrix
-    # multiplies out the factors scattered from them; all three must
+    # the forward map and its transpose contract the blocks, the matrix is
+    # scattered from them; all three must
     # describe the same operator
     sp = HHOSpace(build_unit_square(3), p)
     sm = Smoother(sp, averaging=variant)
@@ -543,7 +609,7 @@ def _assert_close(got, want):
 ], ids=["jittered", "lshape", "single"])
 def test_matrix_free_apply_matches_factor_product(make, p, variant):
     # apply_vector and apply_transpose contract the blocks entity by entity;
-    # the factors scatter the same blocks. On a vector and on a block of
+    # the five-factor oracle scatters the same blocks. On a vector and on a block of
     # three, both evaluations must give the same operator and its transpose
     # (the single triangle has no interior face and, at p = 0, no interior
     # Lagrange node)
@@ -552,24 +618,68 @@ def test_matrix_free_apply_matches_factor_product(make, p, variant):
     rng = np.random.default_rng(p)
     X = rng.standard_normal((sp.num_dofs, 3))
     Y = rng.standard_normal((sp.mesh.num_cells * sm.nD, 3))
+    factors = five_factor_oracle(sm)
     for x, y in ((X[:, 0], Y[:, 0]), (X, Y)):
         want = x
-        for factor in sm.factors:
+        for factor in factors:
             want = factor @ want
         _assert_close(sm.apply_vector(x), want)
         want = y
-        for factor in reversed(sm.factors):
+        for factor in reversed(factors):
             want = factor.T @ want
         _assert_close(sm.apply_transpose(y), want)
 
 
+@pytest.mark.parametrize("variant", AVERAGING_VARIANTS)
+@pytest.mark.parametrize("p", [0, 1, 2, 3])
+@pytest.mark.parametrize("make", [
+    lambda: jittered_square(4), lambda: build_lshape(2), single_triangle_mesh,
+], ids=["jittered", "lshape", "single"])
+def test_matrix_matches_dense_apply_and_five_factor_oracle(make, p, variant):
+    # the one-pass C + Q W scatter against S_H probed on the identity and
+    # against the product of the five factors
+    sm = Smoother(HHOSpace(make(), p), averaging=variant)
+    got = sm.matrix.toarray()
+    _assert_close(got, sm.apply_vector(np.eye(sm.space.num_dofs)))
+    product = np.eye(sm.space.num_dofs)
+    for factor in five_factor_oracle(sm):
+        product = factor @ product
+    _assert_close(got, product)
+
+
+@pytest.mark.parametrize("variant", AVERAGING_VARIANTS)
+@pytest.mark.parametrize("p", [0, 1, 2, 3])
+@pytest.mark.parametrize("make", [
+    lambda: jittered_square(4), lambda: build_lshape(2), single_triangle_mesh,
+], ids=["jittered", "lshape", "single"])
+def test_orthogonality_residual_matches_dense_oracle(make, p, variant):
+    # dense R_D^T K (R_D - S_H) with S_H probed on the identity. On the
+    # smoother both are round-off, so the comparison is repeated with S_H
+    # moved by a sparse random shift, which makes the maximum entry O(1)
+    sp = HHOSpace(make(), p)
+    sm = Smoother(sp, averaging=variant)
+    RD = reconstruction_matrix(sp, sm.degree).toarray()
+    K = broken_stiffness_matrix(sp, sm.degree).toarray()
+    S = sm.apply_vector(np.eye(sp.num_dofs))
+    scale = np.abs(RD.T @ K @ RD).max()
+    rng = np.random.default_rng(p)
+    shift = np.where(rng.random(S.shape) < 0.05, rng.standard_normal(S.shape), 0.0)
+    shifted = SimpleNamespace(degree=sm.degree, matrix=sm.matrix + sparse.csr_matrix(shift))
+    for smoother, dense in ((sm, S), (shifted, S + shift)):
+        want = np.abs(RD.T @ K @ (RD - dense)).max()
+        assert abs(orthogonality_residual(sp, smoother) - want) <= 1e-12 * scale
+    assert np.abs(RD.T @ K @ (RD - S)).max() <= 1e-10
+    # the lone p = 0 triangle has R = 0, and both residuals are exactly 0
+    assert want > 1e-3 * scale or scale == 0.0
+
+
 def test_converge_path_assembles_no_smoother_factor(monkeypatch):
     # the smoothed load needs S_H^T on one vector: neither a converge run nor
-    # a direct pullback may scatter the sparse factors
+    # a direct pullback may scatter the sparse matrix
     sp = HHOSpace(build_unit_square(3), 2)
     sm = Smoother(sp)
     rhs_smoothed(sp, sm, get_case("smooth-sine", 2).load)
-    assert "factors" not in sm.__dict__
+    assert sm._matrix is None
 
     def refuse(*args, **kwargs):
         raise AssertionError("a smoother factor was assembled")
@@ -730,7 +840,7 @@ def test_factor_blocks_same_for_every_degree(p):
     sm = Smoother(sp)
     T, Ei = sp.mesh.num_cells, sp.mesh.num_interior_faces
     blocks = [T * sm.nD, Ei * (p + 2), T * sm.nD]
-    F4, F5 = sm.factors[3], sm.factors[4]
+    F4, F5 = five_factor_oracle(sm)[3:]
     assert F4.shape == (sum(blocks), T * 3 + sp.num_dofs)
     assert F5.shape == (T * sm.nD, sum(blocks))
     cell_bubble = F5[:, -blocks[2]:]
