@@ -79,17 +79,17 @@ def eoc(errors, hs):
     return list(np.log(errors[:-1] / errors[1:]) / np.log(hs[:-1] / hs[1:]))
 
 
-def repeated_level(levels):
-    """The first level that occurs twice in `levels`, or None.
+def first_repeat(values):
+    """The first entry that occurs twice in `values`, or None.
 
-    A repeated level gives two rows with the same h, where the empirical
-    order divides by log(1) = 0.
+    A repeated convergence level gives two rows with the same h, where the
+    empirical order divides by log(1) = 0.
     """
     seen = set()
-    for level in levels:
-        if level in seen:
-            return level
-        seen.add(level)
+    for value in values:
+        if value in seen:
+            return value
+        seen.add(value)
     return None
 
 
@@ -433,7 +433,7 @@ def run_convergence(case, p, levels, method="smoothed", averaging="mean",
         raise ValueError(f"unknown method {method!r}")
     for level in levels:
         case.level_check(level)
-    repeated = repeated_level(levels)
+    repeated = first_repeat(levels)
     if repeated is not None:
         raise ValueError(f"level {repeated} is repeated")
     rows = [_solve_level(case, p, level, method, averaging, quad_extra, solver)

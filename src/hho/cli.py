@@ -18,7 +18,7 @@ import sys
 
 import numpy as np
 
-from .analysis import CASES, METHODS, get_case, repeated_level, run_convergence
+from .analysis import CASES, METHODS, first_repeat, get_case, run_convergence
 from .local_ops import P_MAX, HHOSpace
 from .mesh import MeshError, check_matching, read_mesh_file
 from .polyquad import UnsupportedDegreeError
@@ -87,10 +87,15 @@ def _quad_extra(config):
     env = os.environ.get("HHO_QUAD_EXTRA")
     if env is not None:
         try:
-            return int(env)
+            value, source = int(env), f"HHO_QUAD_EXTRA={env!r}"
         except ValueError:
             raise ConfigError(f"HHO_QUAD_EXTRA={env!r} is not an integer") from None
-    return _get(config, "quad_extra", 2, kind=int)
+    else:
+        value = _get(config, "quad_extra", 2, kind=int)
+        source = "config field 'quad_extra'"
+    if value < 0:
+        raise ConfigError(f"{source} must be non-negative")
+    return value
 
 
 def _out_dir(args, config):
@@ -103,8 +108,16 @@ def _fmt(x):
     return f"{x:.17g}"
 
 
+def _refuse_repeats(key, values):
+    """A repeated entry would give records with the same key twice."""
+    repeated = first_repeat(values)
+    if repeated is not None:
+        raise ConfigError(f"{repeated!r} is repeated in '{key}'")
+
+
 def _int_list(config, key, default, low, high=None):
-    """A non-empty list of integers in [low, high] (no upper bound if None)."""
+    """A non-empty list of distinct integers in [low, high] (no upper bound
+    if None)."""
     values = _get(config, key, default, kind=list)
     if not values or any(
         type(v) is not int or v < low or (high is not None and v > high)
@@ -114,6 +127,7 @@ def _int_list(config, key, default, low, high=None):
         raise ConfigError(
             f"config field '{key}' must be a non-empty list of integers {bound}"
         )
+    _refuse_repeats(key, values)
     return values
 
 
@@ -136,6 +150,7 @@ def cmd_verify(args, config):
             "config field 'averaging' must name one or more of "
             + ", ".join(AVERAGING_VARIANTS)
         )
+    _refuse_repeats("averaging", variants)
     mesh_path = args.mesh or _get(config, "mesh")
     if mesh_path is not None and not isinstance(mesh_path, str):
         raise ConfigError("config field 'mesh' must be a file name or null")
@@ -185,11 +200,12 @@ def cmd_converge(args, config):
     averaging = _choice(config, "averaging", AVERAGING_VARIANTS, "mean")
     solver = _choice(_get(config, "solver", {}, kind=dict), "method",
                      SOLVER_METHODS, "direct")
+    quad_extra = _quad_extra(config)
 
     case = get_case(case_name, degree)
     for level in levels:
         _check_level(case, level)
-    repeated = repeated_level(levels)
+    repeated = first_repeat(levels)
     if repeated is not None:
         raise ConfigError(f"level {repeated} is repeated in 'levels'")
     if method == "classical" and case.load.has_divergence_part:
@@ -199,7 +215,7 @@ def cmd_converge(args, config):
         )
     report = run_convergence(
         case, degree, levels, method=method, averaging=averaging,
-        quad_extra=_quad_extra(config), solver=solver,
+        quad_extra=quad_extra, solver=solver,
     )
 
     out = _out_dir(args, config)
@@ -227,6 +243,7 @@ def cmd_solve(args, config):
     method = _choice(config, "method", METHODS, "smoothed")
     averaging = _choice(config, "averaging", AVERAGING_VARIANTS, "mean")
     load_kind = _choice(config, "load", ("case", "zero"), "case")
+    quad_extra = _quad_extra(config)
 
     case = get_case(case_name, degree)
     if args.mesh:
@@ -240,7 +257,7 @@ def cmd_solve(args, config):
     else:
         _check_level(case, level)
         mesh = case.mesh_for(level)
-    space = HHOSpace(mesh, degree, quad_extra=_quad_extra(config))
+    space = HHOSpace(mesh, degree, quad_extra=quad_extra)
     system = assemble(space)
 
     if load_kind == "zero":

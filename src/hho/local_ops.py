@@ -194,13 +194,17 @@ class HHOSpace:
         Polynomial degree of cell and face unknowns, 0 <= p <= 3.
     quad_extra : int
         Extra quadrature exactness for load integrands (callables are
-        generally non-polynomial); the single source of quadrature error in
-        rough-load runs.
+        generally non-polynomial), at least 0; the single source of
+        quadrature error in rough-load runs.
     """
 
     def __init__(self, mesh, p, quad_extra=2):
         if not 0 <= p <= P_MAX:
             raise UnsupportedDegreeError(f"degree p={p} outside [0, {P_MAX}]")
+        if quad_extra < 0:
+            # fewer points than the smoothed test functions need would
+            # under-integrate the load without any visible failure
+            raise ValueError(f"quad_extra={quad_extra} must be non-negative")
         self.mesh = mesh
         self.p = p
         self.quad_extra = int(quad_extra)
@@ -420,11 +424,18 @@ class HHOSpace:
 
     # -- norms -------------------------------------------------------------
 
-    def hho_norm_matrix(self):
-        """Matrix of the coercivity norm: broken H1 of s_M plus face penalties.
+    def hho_norm_blocks(self):
+        """Per-cell blocks H_K (T, nloc, nloc) of the coercivity norm: the
+        broken H1 seminorm of the cell unknown plus the h_F^{-1}-weighted
+        face penalties ||v_F - v_K||_F^2. The assembled matrix is
+        `assemble_bilinear(space, space.hho_norm_blocks())`.
 
         The h_F^{-1} face weight cancels the h_F of every face table, so the
         face terms are the reference tables `fcc_hat`, `ntr_hat` and `mhat_p`.
+        Like each `A_loc` block, every H_K vanishes exactly on the local
+        constant (1 at cell dof 0 and at the first dof of each face) and is
+        positive definite on its complement, which is what the element-by-
+        element eigenvalue bound of Fried (J. Sound Vib. 22, 1972) needs.
         """
         mesh = self.mesh
         T, nc, nf, nloc = mesh.num_cells, self.nc, self.nf, self.nloc
@@ -437,7 +448,7 @@ class HHOSpace:
             H[:, cols, cols] += self.mhat_p
             H[:, cols, :nc] -= Ncs
             H[:, :nc, cols] -= _t(Ncs)
-        return assemble_bilinear(self, H)
+        return H
 
 
 def scatter_blocks(blocks, row_ids, col_ids, shape):

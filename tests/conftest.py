@@ -26,6 +26,11 @@ def jittered_square(n, jitter=0.15, seed=0):
     return SimplicialMesh(verts, mesh.cells)
 
 
+def single_triangle_mesh():
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.2, 0.9]])
+    return SimplicialMesh(verts, np.array([[0, 1, 2]]))
+
+
 def basis_at(mesh, degree, points, cells=None):
     """Cell-basis values (T, Q, n), gradients (T, Q, n, 2) and Laplacians
     (T, Q, n) at physical points (T, Q, 2), point by point: the points are

@@ -79,8 +79,12 @@ def test_verify_passes_and_is_reproducible(tmp_path):
     {"random_fields": 0},
     {"seed": -3},
     {"mesh": 5},
+    {"degrees": [1, 1]},
+    {"resolutions": [2, 2]},
+    {"averaging": ["mean", "mean"]},
 ], ids=["averaging", "no-averaging", "degree-type", "resolution-zero",
-        "no-resolutions", "no-random-fields", "negative-seed", "mesh-type"])
+        "no-resolutions", "no-random-fields", "negative-seed", "mesh-type",
+        "repeated-degree", "repeated-resolution", "repeated-averaging"])
 def test_verify_bad_config_exits_2_before_work(tmp_path, capsys, fields):
     cfg = write_config(tmp_path / "v.json", **fields)
     out = tmp_path / "out"
@@ -415,6 +419,29 @@ def test_unreadable_mesh_file_is_refused(tmp_path, capsys, kind):
                  "--mesh", str(mesh_path)]) == 1
     err = capsys.readouterr().err
     assert err == f"verify: mesh check failed: {mesh_path}: cannot read: {reason}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["converge", "solve"])
+@pytest.mark.parametrize("source", ["config", "env"])
+def test_negative_quad_extra_exits_2_before_work(tmp_path, capsys, monkeypatch,
+                                                 command, source):
+    # fewer load points than the smoothed test functions need would
+    # under-integrate the load and still exit 0
+    config = {
+        "converge": {"case": "smooth-sine", "degree": 1, "levels": [4, 8]},
+        "solve": {"case": "smooth-sine", "degree": 1, "level": 4},
+    }[command]
+    if source == "config":
+        config["quad_extra"] = -3
+        want = "config field 'quad_extra' must be non-negative"
+    else:
+        monkeypatch.setenv("HHO_QUAD_EXTRA", "-3")
+        want = "HHO_QUAD_EXTRA='-3' must be non-negative"
+    cfg = write_config(tmp_path / "c.json", **config)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"hho: config error: {want}\n"
     assert not out.exists()
 
 

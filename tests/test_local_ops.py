@@ -72,6 +72,14 @@ def test_degree_guard():
         HHOSpace(build_unit_square(2), 4)
 
 
+def test_negative_quad_extra_is_refused():
+    # fewer load points than the smoothed test functions need would
+    # under-integrate the load silently
+    with pytest.raises(ValueError, match="quad_extra"):
+        HHOSpace(build_unit_square(2), 1, quad_extra=-1)
+    assert HHOSpace(build_unit_square(2), 1, quad_extra=0).quad_extra == 0
+
+
 def test_project_cell_idempotent_on_polynomials(space):
     rng = np.random.default_rng(0)
     coeffs = rng.standard_normal((space.mesh.num_cells, space.nc))
@@ -328,7 +336,7 @@ def test_coercivity_against_hho_norm(space):
     from scipy.linalg import eigh
 
     B = assemble_bilinear(space, space.A_loc).toarray()
-    H = space.hho_norm_matrix().toarray()
+    H = assemble_bilinear(space, space.hho_norm_blocks()).toarray()
     lam_min = eigh(B, H, eigvals_only=True, subset_by_index=[0, 0])[0]
     assert lam_min > 1e-8
 
@@ -341,10 +349,27 @@ def test_coercivity_constant_stable_under_refinement():
     for _ in range(3):
         sp = HHOSpace(mesh, 1)
         B = assemble_bilinear(sp, sp.A_loc).toarray()
-        H = sp.hho_norm_matrix().toarray()
+        H = assemble_bilinear(sp, sp.hho_norm_blocks()).toarray()
         lams.append(eigh(B, H, eigvals_only=True, subset_by_index=[0, 0])[0])
         mesh = refine_red(mesh)
     assert (max(lams) - min(lams)) / max(lams) < 0.2
+
+
+@pytest.mark.parametrize("p", [0, 1, 2, 3])
+def test_local_blocks_share_exactly_the_local_constant_kernel(p):
+    # both bases start with the constant 1, so the local constant is 1 at
+    # cell dof 0 and at the first dof of each face
+    space = HHOSpace(jittered_square(3), p)
+    nc, nf = space.nc, space.nf
+    c = np.zeros(space.nloc)
+    c[[0, nc, nc + nf, nc + 2 * nf]] = 1.0
+    for blocks in (space.A_loc, space.hho_norm_blocks()):
+        scale = np.abs(blocks).max(axis=(1, 2))
+        assert np.abs(blocks @ c).max(axis=1).max() <= 1e-12 * scale.max()
+        # and nothing else: one zero eigenvalue per cell
+        eigs = np.linalg.eigvalsh(blocks)
+        assert np.all(np.abs(eigs[:, 0]) <= 1e-12 * scale)
+        assert np.all(eigs[:, 1] > 1e-8 * scale)
 
 
 def test_interpolation_error_benchmark_ratio_bounded():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 import hho.smoothing
-from conftest import basis_at, hat_profile, jittered_square
+from conftest import basis_at, hat_profile, jittered_square, single_triangle_mesh
 from hho.analysis import get_case, run_convergence
 from hho.local_ops import BrokenPoly, HHOSpace, _gather, scatter_add, scatter_blocks
 from hho.mesh import SimplicialMesh, build_lshape, build_unit_square, refine_red
@@ -36,11 +36,6 @@ from hho.smoothing import (
     reconstruction_matrix,
 )
 from hho.system import rhs_smoothed
-
-
-def single_triangle_mesh():
-    verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.2, 0.9]])
-    return SimplicialMesh(verts, np.array([[0, 1, 2]]))
 
 
 def conformity_residual(sm, coeffs):
