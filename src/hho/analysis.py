@@ -8,11 +8,12 @@ by the elliptic-projection best error, which is a true lower bound.
 """
 
 import json
+import os
 
 import numpy as np
 
 from .local_ops import HHOSpace, checked_values
-from .mesh import build_lshape, build_unit_square
+from .mesh import build_lshape, build_unit_square, refine_red
 from .polyquad import cell_quadrature, quad_for_degree
 from .smoothing import Smoother, lagrange_interpolant
 from .system import LoadFunctional, assemble, rhs_classical, rhs_smoothed, solve
@@ -224,8 +225,6 @@ def poly_consistency_case(p, base_n=2):
 
 
 def _refiner(base):
-    from .mesh import refine_red
-
     def mesh_for(level):
         mesh = base
         for _ in range(int(level)):
@@ -364,8 +363,6 @@ class ConvergenceReport:
 
     def write_gnuplot(self, directory, stem):
         """Two-column (h, error) files per norm, gnuplot-compatible."""
-        import os
-
         series = {
             "h1": self.energy_errors(),
             "l2": self.column("e_L2"),

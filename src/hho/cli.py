@@ -131,6 +131,16 @@ def _int_list(config, key, default, low, high=None):
     return values
 
 
+def _degree(config):
+    """The required 'degree', checked before a case builds anything from it."""
+    degree = _get(config, "degree", required=True, kind=int)
+    if not 0 <= degree <= P_MAX:
+        raise ConfigError(
+            f"config field 'degree' must be an integer in [0, {P_MAX}]"
+        )
+    return degree
+
+
 def cmd_verify(args, config):
     degrees = _int_list(config, "degrees", [0, 1, 2], 0, P_MAX)
     resolutions = _int_list(config, "resolutions", [2, 4, 8], 1)
@@ -192,7 +202,7 @@ def _check_level(case, level):
 
 def cmd_converge(args, config):
     case_name = _choice(config, "case", CASES)
-    degree = _get(config, "degree", required=True, kind=int)
+    degree = _degree(config)
     levels = _get(config, "levels", required=True, kind=list)
     if len(levels) < 2:
         raise ConfigError("converge needs at least 2 levels")
@@ -238,7 +248,7 @@ def cmd_converge(args, config):
 
 def cmd_solve(args, config):
     case_name = _choice(config, "case", CASES)
-    degree = _get(config, "degree", required=True, kind=int)
+    degree = _degree(config)
     level = _get(config, "level", 8, kind=int)
     method = _choice(config, "method", METHODS, "smoothed")
     averaging = _choice(config, "averaging", AVERAGING_VARIANTS, "mean")

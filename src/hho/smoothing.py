@@ -19,7 +19,7 @@ are independent per entity.
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .local_ops import (
     BrokenPoly,
@@ -39,7 +39,7 @@ from .polyquad import (
     space_dimension,
     symmetrize,
 )
-from .system import SPD_LU
+from .system import assemble
 
 AVERAGING_VARIANTS = ("mean", "scott-zhang")
 
@@ -385,15 +385,6 @@ def on_faces(table, mesh, faces, side):
     return table[local, mesh.face_flips[K, local]]
 
 
-def reconstruction_matrix(space, degree):
-    """HHO dof vector -> broken degree-`degree` coefficients of R (degree >= p+1)."""
-    T, n = space.mesh.num_cells, space_dimension(degree)
-    return scatter_blocks(
-        space.G, np.arange(T)[:, None] * n + np.arange(space.n1),
-        space.local_dof_ids, (T * n, space.num_dofs),
-    )
-
-
 def jump_matrix(mesh, degree):
     """Sparse map from broken coefficients to face jumps and boundary traces.
 
@@ -420,13 +411,6 @@ def jump_matrix(mesh, degree):
         np.concatenate(blocks), np.concatenate(rows), np.concatenate(cols),
         (row0, mesh.num_cells * n),
     )
-
-
-def broken_stiffness_matrix(space, degree):
-    """Block-diagonal stiffness of the broken degree-`degree` basis."""
-    blocks = stiffness_blocks(space.mesh, degree, space.rule_cell)
-    ids = np.arange(blocks.shape[0] * blocks.shape[1]).reshape(blocks.shape[:2])
-    return scatter_blocks(blocks, ids, ids, (ids.size, ids.size))
 
 
 def moment_residuals(smoother, X):
@@ -489,28 +473,34 @@ def orthogonality_residual(space, smoother):
 
 
 def consistency_constant(space, smoother):
-    """Smallest C with ||grad(R s - S_H s)|| <= C ||s||_b, by power iteration.
+    """Smallest C with ||grad(R s - S_H s)|| <= C ||s||_b over dof vectors s.
 
-    b is the HHO bilinear form; the iteration starts from a seed-0 random
-    vector and stops after 400 steps or at relative change 1e-10.
+    C^2 is the largest eigenvalue of the pencil (D^T K D, B): D = R - S_H, K
+    the broken degree-D stiffness, B the matrix of the HHO form b. One
+    Lanczos run (ARPACK, default tolerance) finds it from blocks alone, with
+    no matrix for D or K: G and the per-cell K give R and its transpose, the
+    smoother's own blocks give S_H, and the factor `full_lu` gives B^{-1}.
     """
-    RD = reconstruction_matrix(space, smoother.degree)
-    stiff = broken_stiffness_matrix(space, smoother.degree)
-    D = RD - smoother.matrix
-    A = (D.T @ (stiff @ D)).tocsc()
-    B = assemble_bilinear(space, space.A_loc)
-    lu = splu(B.tocsc(), **SPD_LU)
-    x = np.random.default_rng(0).standard_normal(space.num_dofs)
-    lam = 0.0
-    for _ in range(400):
-        y = lu.solve(A @ x)
-        norm = np.sqrt(y @ (B @ y))
-        if norm == 0.0:
-            return 0.0
-        x_new = y / norm
-        lam_new = (x_new @ (A @ x_new)) / (x_new @ (B @ x_new))
-        if abs(lam_new - lam) <= 1e-10 * max(lam_new, 1e-30):
-            lam = lam_new
-            break
-        x, lam = x_new, lam_new
+    T, n1, n = space.mesh.num_cells, space.n1, space.num_dofs
+    K = stiffness_blocks(space.mesh, smoother.degree, space.rule_cell)
+    G = space.G
+
+    def normal_op(x):  # D^T K D x, on a (num_dofs, 1) block
+        x = x.reshape(n, 1)
+        d = -smoother.apply_vector(x).reshape(T, smoother.nD, 1)
+        d[:, :n1] += G @ space.local_coeffs(x)
+        y = K @ d
+        return (scatter_add(_t(G) @ y[:, :n1], space.local_dof_ids, n)
+                - smoother.apply_transpose(y.reshape(-1, 1)))
+
+    system = assemble(space)
+    if n == 1:  # too few dofs for ARPACK: the pencil is 1 x 1
+        lam = normal_op(np.ones(1))[0, 0] / system.full_matrix[0, 0]
+    else:
+        lam = eigsh(
+            LinearOperator((n, n), matvec=normal_op, dtype=float), k=1,
+            M=system.full_matrix, which="LA", v0=np.ones(n),
+            Minv=LinearOperator((n, n), matvec=system.full_lu.solve, dtype=float),
+            return_eigenvectors=False,
+        )[0]
     return float(np.sqrt(max(lam, 0.0)))

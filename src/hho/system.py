@@ -19,6 +19,7 @@ from scipy import sparse
 from scipy.sparse.linalg import cg, splu
 
 from .local_ops import (
+    _gather,
     assemble_bilinear,
     checked_values,
     gradient_moments,
@@ -108,8 +109,7 @@ class CondensedSystem:
 
     def recover_cells(self, rhs, face_vec):
         b_t = self.space.split(rhs)[0]
-        ids = self._face_ids
-        u_loc = np.where(ids >= 0, face_vec[np.maximum(ids, 0)], 0.0)
+        u_loc = _gather(face_vec, self._face_ids)
         rhs_t = b_t - (self.A_tf @ u_loc[..., None])[..., 0]
         return np.linalg.solve(self.A_tt, rhs_t[..., None])[..., 0]
 
@@ -193,7 +193,8 @@ def solve(system, rhs, method="direct"):
 
 
 def solve_full(system, rhs):
-    """Solve the uncondensed system directly (testing aid); return the dof vector."""
+    """Solve the uncondensed system directly with `full_lu`; return the dof
+    vector."""
     return system.full_lu.solve(rhs)
 
 

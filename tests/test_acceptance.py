@@ -190,8 +190,8 @@ def test_criterion_5_h_minus_one_load_headline(averaging):
 
 
 def test_criterion_6_smoother_stability_constant():
-    """Measured C_H (Rayleigh-quotient maximization) varies by less than 25%
-    across three refinements at fixed p."""
+    """Measured C_H (the largest eigenvalue of the pencil (D^T K D, B) by
+    Lanczos) varies by less than 25% across three refinements at fixed p."""
     lines = []
     for p in DEGREES:
         values = []

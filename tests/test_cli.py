@@ -454,3 +454,23 @@ def test_quad_extra_env_override(tmp_path, monkeypatch):
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
     monkeypatch.setenv("HHO_QUAD_EXTRA", "lots")
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("command", ["converge", "solve"])
+@pytest.mark.parametrize("case", ["poly-consistency", "smooth-sine"])
+@pytest.mark.parametrize("degree", [-1, 4])
+def test_degree_out_of_range_exits_2_before_work(tmp_path, capsys, command,
+                                                 case, degree):
+    # the poly-consistency case builds its degree-(p+1) interpolant from the
+    # degree, so the range is checked before the case is made
+    config = {
+        "converge": {"case": case, "degree": degree, "levels": [1, 2]},
+        "solve": {"case": case, "degree": degree, "level": 1},
+    }[command]
+    cfg = write_config(tmp_path / "c.json", **config)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "hho: config error: config field 'degree' must be an integer in [0, 3]\n"
+    )
+    assert not out.exists()

@@ -5,11 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
+from scipy.linalg import block_diag, eigh
 
 import hho.smoothing
 from conftest import basis_at, hat_profile, jittered_square, single_triangle_mesh
 from hho.analysis import get_case, run_convergence
-from hho.local_ops import BrokenPoly, HHOSpace, _gather, scatter_add, scatter_blocks
+from hho.local_ops import (
+    BrokenPoly,
+    HHOSpace,
+    _gather,
+    scatter_add,
+    scatter_blocks,
+    stiffness_blocks,
+)
 from hho.mesh import SimplicialMesh, build_lshape, build_unit_square, refine_red
 from hho.polyquad import (
     cell_basis_values,
@@ -19,12 +27,12 @@ from hho.polyquad import (
     face_quadrature,
     quad_for_degree,
     reference_face_mass,
+    space_dimension,
 )
 from hho.smoothing import (
     AVERAGING_VARIANTS,
     Smoother,
     _bubbles,
-    broken_stiffness_matrix,
     consistency_constant,
     jump_matrix,
     lagrange_basis_values,
@@ -33,14 +41,28 @@ from hho.smoothing import (
     moment_residuals,
     on_faces,
     orthogonality_residual,
-    reconstruction_matrix,
 )
-from hho.system import rhs_smoothed
+from hho.system import assemble, rhs_smoothed
 
 
 def conformity_residual(sm, coeffs):
     """Max face jump and boundary trace of broken degree-D coefficients, sampled."""
     return np.abs(jump_matrix(sm.space.mesh, sm.degree) @ coeffs).max()
+
+
+def reconstruction_oracle(space, degree):
+    """R as a sparse matrix: dofs -> broken degree-`degree` coefficients, G
+    in the leading n1 coefficients of each cell (degree >= p+1)."""
+    T, n = space.mesh.num_cells, space_dimension(degree)
+    return scatter_blocks(
+        space.G, np.arange(T)[:, None] * n + np.arange(space.n1),
+        space.local_dof_ids, (T * n, space.num_dofs),
+    )
+
+
+def dense_broken_stiffness(space, degree):
+    """Block-diagonal broken degree-`degree` stiffness, dense."""
+    return block_diag(*stiffness_blocks(space.mesh, degree, space.rule_cell))
 
 
 def bubble_poly(sm, cells, lattice_values):
@@ -109,7 +131,7 @@ def five_factor_oracle(sm):
                face_bubble_matrix(sm, sm.face_bubble),
                sparse.kron(sparse.identity(T), sm.cell_block, format="csr")]
     return [
-        sparse.vstack([reconstruction_matrix(space, p + 1), identity], format="csr"),
+        sparse.vstack([reconstruction_oracle(space, p + 1), identity], format="csr"),
         sparse.block_diag([avg, identity], format="csr"),
         sparse.block_diag([expand, identity], format="csr"),
         sparse.bmat(residuals, format="csr"),
@@ -575,6 +597,33 @@ def test_consistency_constant_stable_across_refinements():
     assert spread < 0.25
 
 
+@pytest.mark.parametrize("p", [0, 1, 2])
+@pytest.mark.parametrize("make", [
+    lambda: build_unit_square(8), lambda: jittered_square(4),
+    lambda: build_lshape(2), single_triangle_mesh,
+], ids=["square8", "jittered", "lshape", "single"])
+def test_consistency_constant_matches_dense_eigh(make, p):
+    # C_H^2 is the largest eigenvalue of the pencil (D^T K D, B), D = R_D - S_H,
+    # here from a dense generalized eigh (the lone p = 0 triangle has one dof
+    # and R = 0, so both are exactly 0)
+    sp = HHOSpace(make(), p)
+    sm = Smoother(sp)
+    D = (reconstruction_oracle(sp, sm.degree).toarray()
+         - sm.apply_vector(np.eye(sp.num_dofs)))
+    K = dense_broken_stiffness(sp, sm.degree)
+    B = assemble(sp).full_matrix.toarray()
+    want = np.sqrt(max(eigh(D.T @ K @ D, B, eigvals_only=True)[-1], 0.0))
+    assert abs(consistency_constant(sp, sm) - want) <= 1e-9 * want
+
+
+def test_consistency_constant_assembles_no_smoother_matrix():
+    # the constant needs only products with the smoother's blocks
+    sp = HHOSpace(build_unit_square(3), 1)
+    sm = Smoother(sp)
+    assert consistency_constant(sp, sm) > 0.0
+    assert sm._matrix is None
+
+
 @pytest.mark.parametrize("variant", AVERAGING_VARIANTS)
 @pytest.mark.parametrize("p", [0, 1, 2, 3])
 def test_factor_list_forward_transpose_and_matrix_agree(p, variant):
@@ -653,8 +702,8 @@ def test_orthogonality_residual_matches_dense_oracle(make, p, variant):
     # moved by a sparse random shift, which makes the maximum entry O(1)
     sp = HHOSpace(make(), p)
     sm = Smoother(sp, averaging=variant)
-    RD = reconstruction_matrix(sp, sm.degree).toarray()
-    K = broken_stiffness_matrix(sp, sm.degree).toarray()
+    RD = reconstruction_oracle(sp, sm.degree).toarray()
+    K = dense_broken_stiffness(sp, sm.degree)
     S = sm.apply_vector(np.eye(sp.num_dofs))
     scale = np.abs(RD.T @ K @ RD).max()
     rng = np.random.default_rng(p)
@@ -698,13 +747,6 @@ def test_transpose_is_adjoint_on_jittered_meshes(seed, p, variant):
     assert abs(forward - backward) <= 1e-12 * abs(forward)
 
 
-def _diagonal_blocks(matrix, n):
-    """The (T, n, n) diagonal blocks of a block-diagonal sparse matrix."""
-    T = matrix.shape[0] // n
-    assert matrix.nnz <= T * n * n
-    return matrix.toarray().reshape(T, n, T, n)[np.arange(T), :, np.arange(T), :]
-
-
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_cell_bubble_and_broken_stiffness_match_einsum(p):
     # per-cell oracle: tables at each cell's physical quadrature points and
@@ -729,7 +771,7 @@ def test_cell_bubble_and_broken_stiffness_match_einsum(p):
 
     grads = basis_at(mesh, D, pts)[1]
     want = np.einsum("tq,tqid,tqjd->tij", w, grads, grads)
-    got = _diagonal_blocks(broken_stiffness_matrix(sp, D), want.shape[1])
+    got = stiffness_blocks(mesh, D, sp.rule_cell)
     scale = np.abs(want).max(axis=(1, 2))
     assert np.all(np.abs(got - want).max(axis=(1, 2)) <= 1e-12 * scale)
 
