@@ -18,21 +18,12 @@ import sys
 
 import numpy as np
 
-from .analysis import CASES, METHODS, first_repeat, get_case, run_convergence
+from .analysis import CASES, METHODS, first_repeat, get_case, run_convergence, solve_load
 from .local_ops import P_MAX, HHOSpace
 from .mesh import MeshError, check_matching, read_mesh_file
 from .polyquad import UnsupportedDegreeError
-from .smoothing import AVERAGING_VARIANTS, Smoother, lattice_multis
-from .system import (
-    SOLVER_METHODS,
-    LoadFunctional,
-    MethodNotApplicableError,
-    SolverError,
-    assemble,
-    rhs_classical,
-    rhs_smoothed,
-    solve,
-)
+from .smoothing import AVERAGING_VARIANTS, lattice_multis
+from .system import SOLVER_METHODS, LoadFunctional, MethodNotApplicableError, SolverError
 from .verify import run_verification
 
 EXIT_OK = 0
@@ -268,18 +259,12 @@ def cmd_solve(args, config):
         _check_level(case, level)
         mesh = case.mesh_for(level)
     space = HHOSpace(mesh, degree, quad_extra=quad_extra)
-    system = assemble(space)
 
     if load_kind == "zero":
         load = LoadFunctional(f0=lambda x: np.zeros(x.shape[:-1]))
     else:
         load = case.load
-
-    if method == "classical":
-        rhs = rhs_classical(space, load)
-    else:
-        rhs = rhs_smoothed(space, Smoother(space, averaging=averaging), load)
-    recon = space.reconstruct(solve(system, rhs))
+    recon = space.reconstruct(solve_load(space, load, method, averaging))
 
     bary = lattice_multis(degree + 1) / (degree + 1)
     pts = np.einsum("la,tad->tld", bary, mesh.cell_vertices())

@@ -29,6 +29,7 @@ import numpy as np
 from scipy import sparse
 
 from .polyquad import (
+    MAX_DEGREE,
     UnsupportedDegreeError,
     cell_basis_gradients,
     cell_basis_laplacians,
@@ -109,9 +110,19 @@ def checked_values(fn, points, name, gradient=False):
     return vals
 
 
-def _evaluate(v, points, cells=None):
-    """Evaluate a callable (vectorized over trailing coordinate axis) or BrokenPoly."""
+def _evaluate(v, mesh, points, cells=None):
+    """Evaluate a callable (vectorized over trailing coordinate axis) or a
+    BrokenPoly at points of `mesh`; a BrokenPoly must live on `mesh` (the
+    same vertices and cells), since its coefficients are read by cell index."""
     if isinstance(v, BrokenPoly):
+        if v.mesh is not mesh and not (
+            np.array_equal(v.mesh.vertices, mesh.vertices)
+            and np.array_equal(v.mesh.cells, mesh.cells)
+        ):
+            raise ValueError(
+                f"BrokenPoly is defined on another mesh ({v.mesh.num_cells} "
+                f"cells) than the space ({mesh.num_cells} cells)"
+            )
         return v.values_at(points, cells=cells)
     return checked_values(v, points, "function v")
 
@@ -217,11 +228,10 @@ class HHOSpace:
 
         self.rule_cell = quad_for_degree(2, 2 * (p + 3))
         self.rule_face = quad_for_degree(1, 2 * (p + 3))
-        # projections of general (transcendental) fields: hot enough that the
-        # structural identities hold to 1e-10 already on the coarsest meshes
-        proj_degree = max(2 * (p + 2) + 4, 16)
-        self.rule_cell_proj = quad_for_degree(2, proj_degree)
-        self.rule_face_proj = quad_for_degree(1, proj_degree)
+        # projections of general (transcendental) fields: the highest rule,
+        # so the structural identities hold to 1e-10 even on the 1 x 1 grid
+        self.rule_cell_proj = quad_for_degree(2, MAX_DEGREE)
+        self.rule_face_proj = quad_for_degree(1, MAX_DEGREE)
         self.rule_cell_load = quad_for_degree(2, self.degree_star + self.quad_extra)
 
         self._build_cell_tables()
@@ -372,7 +382,8 @@ class HHOSpace:
         """L2 projection onto P^p(M)."""
         rule = self.rule_cell_proj
         pts, w = cell_quadrature(self.mesh, rule)
-        rhs = (w * _evaluate(v, pts)) @ cell_basis_values(self.p, rule.points)
+        fv = _evaluate(v, self.mesh, pts)
+        rhs = (w * fv) @ cell_basis_values(self.p, rule.points)
         nc = self.nc
         coeffs = np.linalg.solve(self.mass_hat[:nc, :nc], rhs.T).T
         return BrokenPoly(self.mesh, self.p, coeffs / (2.0 * self.mesh.volumes[:, None]))
@@ -383,7 +394,7 @@ class HHOSpace:
         rule = self.rule_face_proj
         pts, w = face_quadrature(self.mesh, rule, faces)
         psi = face_basis_values(self.p, rule.points[:, 1] - 0.5)
-        fv = _evaluate(v, pts, cells=self.mesh.face_cells[faces, 0])
+        fv = _evaluate(v, self.mesh, pts, cells=self.mesh.face_cells[faces, 0])
         rhs = (w * fv) @ psi
         return rhs @ self.mhat_p_inv.T / self.mesh.h_face[faces][:, None]
 
@@ -416,7 +427,7 @@ class HHOSpace:
         wg = w[..., None] * grads
         rhs = gradient_moments(self.mesh, self.p + 1, rule, wg)
         cred = np.linalg.solve(self.stiff1[:, 1:, 1:], rhs[:, 1:, None])[..., 0]
-        ints_v = (w * _evaluate(v, pts)).sum(axis=1)
+        ints_v = (w * _evaluate(v, self.mesh, pts)).sum(axis=1)
         c0 = (ints_v - np.einsum("ti,ti->t", self.ints1[:, 1:], cred))
         c0 /= self.mesh.volumes
         coeffs = np.concatenate([c0[:, None], cred], axis=1)

@@ -171,23 +171,23 @@ def solve(system, rhs, method="direct"):
     """Solve via static condensation; return the dof vector.
 
     method 'direct' factorizes the condensed SPD matrix once with a symmetric
-    fill-reducing ordering (reused across right-hand sides); 'cg' runs Jacobi-preconditioned conjugate gradients to
-    relative residual 1e-12.
+    fill-reducing ordering (reused across right-hand sides); 'cg' runs
+    Jacobi-preconditioned conjugate gradients to relative residual 1e-12. Any
+    other method raises ValueError.
     """
-    space = system.space
+    if method not in SOLVER_METHODS:
+        raise ValueError(f"unknown solver method {method!r}")
     b_f = system.condense_rhs(rhs)
-    if space.num_face_dofs == 0:
+    if system.space.num_face_dofs == 0:
         u_f = np.zeros(0)
     elif method == "direct":
         u_f = system.face_lu.solve(b_f)
-    elif method == "cg":
+    else:
         M = sparse.diags(1.0 / system.face_matrix.diagonal())
         u_f, info = cg(system.face_matrix, b_f, rtol=1e-12, atol=0.0, M=M,
                        maxiter=20 * max(len(b_f), 1))
         if info != 0:
             raise SolverError(f"CG failed to converge (info={info})")
-    else:
-        raise ValueError(f"unknown solver method {method!r}")
     u_t = system.recover_cells(rhs, u_f)
     return np.concatenate([u_t.ravel(), u_f])
 

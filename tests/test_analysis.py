@@ -5,6 +5,7 @@ import pytest
 
 from conftest import jittered_square, sine, sine_grad
 from hho.analysis import (
+    CASES,
     PiecewisePolyFunction,
     best_error_h1,
     builtin_cases,
@@ -16,12 +17,19 @@ from hho.analysis import (
     poly_consistency_case,
     run_convergence,
     smooth_sine_case,
+    solve_load,
 )
 from hho.local_ops import BrokenPoly, HHOSpace
 from hho.mesh import build_unit_square
 from hho.polyquad import cell_quadrature, quad_for_degree
-from hho.smoothing import lagrange_interpolant
-from hho.system import MethodNotApplicableError, rhs_classical
+from hho.smoothing import Smoother, lagrange_interpolant
+from hho.system import (
+    MethodNotApplicableError,
+    assemble,
+    rhs_classical,
+    rhs_smoothed,
+    solve,
+)
 
 
 def test_eoc_hand_values():
@@ -107,6 +115,83 @@ def test_builtin_cases_validate_and_lookup():
     assert get_case("kink-aligned", 0).name == "kink-aligned"
     with pytest.raises(KeyError):
         get_case("unknown", 0)
+
+
+def _points_inside_cells(mesh):
+    """Four points per cell, each at least a fifth of the way from every
+    edge: the built-in gradients jump only across mesh lines (the kink at
+    x = 1/2, the base mesh of poly-consistency) and blow up only at the
+    re-entrant corner, a mesh vertex."""
+    bary = np.array([[1.0, 1.0, 1.0], [3.0, 1.0, 1.0], [1.0, 3.0, 1.0],
+                     [1.0, 1.0, 3.0]])
+    bary /= bary.sum(axis=1, keepdims=True)
+    return np.einsum("la,tad->tld", bary, mesh.cell_vertices())
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_case_gradient_matches_central_differences(name):
+    case = get_case(name, 3)
+    pts = _points_inside_cells(case.mesh_for(2))
+    h = 1e-5
+    fd = np.stack([(case.u(pts + e) - case.u(pts - e)) / (2.0 * h)
+                   for e in h * np.eye(2)], axis=-1)
+    grad = case.grad_u(pts)
+    assert np.abs(grad - fd).max() < 1e-7 * max(1.0, np.abs(grad).max())
+
+
+def test_smooth_sine_load_is_minus_laplacian():
+    case = smooth_sine_case()
+    pts = _points_inside_cells(case.mesh_for(2))
+    h = 1e-4
+    lap = sum(case.u(pts + e) + case.u(pts - e) for e in h * np.eye(2))
+    lap = (lap - 4.0 * case.u(pts)) / h ** 2
+    f0 = case.load.f0(pts)
+    assert np.abs(lap + f0).max() < 1e-6 * np.abs(f0).max()
+
+
+@pytest.mark.parametrize("method", ["classical", "smoothed"])
+def test_solve_load_solves_the_method_right_hand_side(method):
+    sp = HHOSpace(jittered_square(3), 1)
+    load = smooth_sine_case().load
+    rhs = (rhs_classical(sp, load) if method == "classical"
+           else rhs_smoothed(sp, Smoother(sp, averaging="scott-zhang"), load))
+    got = solve_load(sp, load, method, averaging="scott-zhang")
+    assert np.array_equal(got, solve(assemble(sp), rhs))
+
+
+def test_solve_load_frees_the_smoother_before_assembly(monkeypatch):
+    import gc
+    import weakref
+
+    import hho.analysis
+
+    smoothers, alive_at_assembly = [], []
+
+    class TrackedSmoother(Smoother):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            smoothers.append(weakref.ref(self))
+
+    def tracked_assemble(space):
+        alive_at_assembly.append(sum(ref() is not None for ref in smoothers))
+        return assemble(space)
+
+    monkeypatch.setattr(hho.analysis, "Smoother", TrackedSmoother)
+    monkeypatch.setattr(hho.analysis, "assemble", tracked_assemble)
+    gc.collect()
+    gc.disable()
+    try:
+        solve_load(HHOSpace(build_unit_square(2), 1), smooth_sine_case().load)
+    finally:
+        gc.enable()
+    assert len(smoothers) == 1
+    assert alive_at_assembly == [0]
+
+
+def test_solve_load_refuses_an_unknown_method():
+    sp = HHOSpace(build_unit_square(2), 0)
+    with pytest.raises(ValueError, match="unknown method 'smooth'"):
+        solve_load(sp, smooth_sine_case().load, "smooth")
 
 
 def test_kink_case_refuses_classical_method():

@@ -156,6 +156,26 @@ def test_bad_function_values_are_refused(apply, name):
         apply(sp)
 
 
+@pytest.mark.parametrize("apply", [
+    HHOSpace.project_cell, HHOSpace.project_face, HHOSpace.interpolate,
+], ids=["project_cell", "project_face", "interpolate"])
+@pytest.mark.parametrize("make_mesh", [
+    lambda: jittered_square(2), lambda: build_unit_square(3),
+], ids=["same-cell-count", "other-cell-count"])
+def test_broken_poly_on_another_mesh_is_refused(make_mesh, apply):
+    bp = HHOSpace(build_unit_square(2), 2).project_cell(sine)
+    with pytest.raises(ValueError, match="another mesh"):
+        apply(HHOSpace(make_mesh(), 1), bp)
+
+
+def test_broken_poly_on_an_equal_mesh_is_accepted():
+    # a separately built copy of the space's mesh holds the same cells
+    bp = HHOSpace(build_unit_square(2), 2).project_cell(sine)
+    sp = HHOSpace(build_unit_square(2), 1)
+    own = BrokenPoly(sp.mesh, bp.degree, bp.coeffs)
+    assert np.array_equal(sp.interpolate(bp), sp.interpolate(own))
+
+
 def test_interpolate_moments_match_quadrature_oracle(space):
     # int_K q (Pi_M v - v) = 0 for q in P^p, checked with an independent rule
     cells = space.split(space.interpolate(sine))[0]

@@ -18,7 +18,7 @@ import ast
 from collections import Counter
 from pathlib import Path
 
-from test_spans import load_layers
+from test_spans import load_perfbench
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "hho"
 
@@ -74,7 +74,8 @@ def unused_definitions():
 
     A definition named only inside unused definitions is unused as well.
     """
-    kept = {name for names in load_layers().values() for name in names}
+    kept = {name for names in load_perfbench("spans").LAYERS.values()
+            for name in names}
     kept.update(ALLOWED)
     trees = {f"hho.{path.stem}": ast.parse(path.read_text())
              for path in sorted(SRC.glob("*.py"))}

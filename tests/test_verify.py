@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from scipy.linalg import eigh
@@ -5,6 +7,7 @@ from scipy.linalg import eigh
 import hho.system
 import hho.verify
 from conftest import jittered_square, single_triangle_mesh
+from hho.cli import main
 from hho.local_ops import HHOSpace, assemble_bilinear
 from hho.mesh import SimplicialMesh, build_lshape, build_unit_square
 from hho.system import assemble
@@ -130,3 +133,15 @@ def test_coercivity_check_factors_only_the_shifted_matrix(monkeypatch):
 def test_default_suite_never_takes_the_dense_eigensolve(monkeypatch):
     monkeypatch.setattr(hho.verify.dla, "eigh", _raise)
     assert run_verification(random_fields=2)["passed"]
+
+
+def test_one_by_one_grid_passes_at_every_degree(tmp_path):
+    # the 1 x 1 grid has cells of diameter sqrt(2): the projection rule must
+    # integrate the sine to 1e-10 there too, at every degree the CLI accepts
+    cfg = tmp_path / "v.json"
+    cfg.write_text(json.dumps(
+        {"degrees": [0, 1, 2, 3], "resolutions": [1], "random_fields": 2}
+    ))
+    assert main(["verify", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "verify_report.json").read_text())
+    assert report["passed"], [c for c in report["checks"] if not c["passed"]]
