@@ -127,9 +127,9 @@ class ManufacturedCase:
     """Exact solution, load and mesh family for one problem.
 
     `mesh_for(level)` builds the mesh of one level. `level_check(level)`
-    raises ValueError for levels the case cannot use: anything but an
-    integer, and any integer for which `level_rule(level)` returns a
-    reason (by default, levels below 1).
+    raises ValueError, naming the level, for levels the case cannot use:
+    anything but an integer, and any integer for which `level_rule(level)`
+    returns a reason (by default, levels below 1).
     """
 
     def __init__(self, name, u, grad_u, load, mesh_for,
@@ -145,7 +145,7 @@ class ManufacturedCase:
         integral = isinstance(level, (int, np.integer)) and not isinstance(level, bool)
         reason = self.level_rule(level) if integral else "an integer level"
         if reason:
-            raise ValueError(f"{self.name} needs {reason}")
+            raise ValueError(f"level {level}: {self.name} needs {reason}")
 
 
 def _at_least(level, low):
@@ -389,6 +389,18 @@ def _solve_level(case, p, level, method, averaging, quad_extra, solver):
     }
 
 
+def check_levels(case, levels):
+    """Refuse a level list a convergence study cannot use: fewer than two
+    levels, a level the case cannot use, or a repeated level."""
+    if len(levels) < 2:
+        raise ValueError("converge needs at least 2 levels")
+    for level in levels:
+        case.level_check(level)
+    repeated = first_repeat(levels)
+    if repeated is not None:
+        raise ValueError(f"level {repeated} is repeated in 'levels'")
+
+
 def run_convergence(case, p, levels, method="smoothed", averaging="mean",
                     quad_extra=2, solver="direct"):
     """Solve the case on each level and report errors, ratios and orders.
@@ -396,13 +408,7 @@ def run_convergence(case, p, levels, method="smoothed", averaging="mean",
     The levels are solved one at a time: at most one level's space, smoother
     and system are alive at once.
     """
-    if len(levels) < 2:
-        raise ValueError("convergence study needs at least 2 levels")
-    for level in levels:
-        case.level_check(level)
-    repeated = first_repeat(levels)
-    if repeated is not None:
-        raise ValueError(f"level {repeated} is repeated")
+    check_levels(case, levels)
     rows = [_solve_level(case, p, level, method, averaging, quad_extra, solver)
             for level in levels]
     report = ConvergenceReport(case.name, p, method, averaging, rows)

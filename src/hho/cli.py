@@ -18,13 +18,15 @@ import sys
 
 import numpy as np
 
-from .analysis import CASES, METHODS, first_repeat, get_case, run_convergence, solve_load
+from .analysis import (
+    CASES, METHODS, check_levels, first_repeat, get_case, run_convergence, solve_load,
+)
 from .local_ops import P_MAX, HHOSpace
 from .mesh import MeshError, check_matching, read_mesh_file
 from .polyquad import UnsupportedDegreeError
 from .smoothing import AVERAGING_VARIANTS, lattice_multis
 from .system import SOLVER_METHODS, LoadFunctional, MethodNotApplicableError, SolverError
-from .verify import run_verification
+from .verify import SUITE_DEFAULTS, run_verification
 
 EXIT_OK = 0
 EXIT_CHECK_FAILURE = 1
@@ -89,10 +91,17 @@ def _quad_extra(config):
     return value
 
 
-def _out_dir(args, config):
-    out = args.out or _get(config, "out", ".")
-    os.makedirs(out, exist_ok=True)
-    return out
+def _out(args, config):
+    """The output directory, read before any work and created after it."""
+    return args.out or _get(config, "out", ".", kind=str)
+
+
+def _refuse(check, *args):
+    """Run a check of the analysis layer; its ValueError is a config error."""
+    try:
+        check(*args)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _fmt(x):
@@ -133,18 +142,19 @@ def _degree(config):
 
 
 def cmd_verify(args, config):
-    degrees = _int_list(config, "degrees", [0, 1, 2], 0, P_MAX)
-    resolutions = _int_list(config, "resolutions", [2, 4, 8], 1)
-    seed = _get(config, "seed", 20180608, kind=int)
+    default = SUITE_DEFAULTS
+    degrees = _int_list(config, "degrees", default["degrees"], 0, P_MAX)
+    resolutions = _int_list(config, "resolutions", default["resolutions"], 1)
+    seed = _get(config, "seed", default["seed"], kind=int)
     if seed < 0:
         raise ConfigError("config field 'seed' must be non-negative")
-    random_fields = _get(config, "random_fields", 100, kind=int)
+    random_fields = _get(config, "random_fields", default["random_fields"], kind=int)
     if random_fields < 1:
         raise ConfigError("config field 'random_fields' must be at least 1")
-    variants = _get(config, "averaging", ["mean", "scott-zhang"])
+    variants = _get(config, "averaging", default["variants"])
     if isinstance(variants, str):
         variants = [variants]
-    if not isinstance(variants, list) or not variants or any(
+    if not isinstance(variants, (list, tuple)) or not variants or any(
         v not in AVERAGING_VARIANTS for v in variants
     ):
         raise ConfigError(
@@ -155,6 +165,7 @@ def cmd_verify(args, config):
     mesh_path = args.mesh or _get(config, "mesh")
     if mesh_path is not None and not isinstance(mesh_path, str):
         raise ConfigError("config field 'mesh' must be a file name or null")
+    out = _out(args, config)
 
     try:
         report = run_verification(
@@ -165,7 +176,7 @@ def cmd_verify(args, config):
         print(f"verify: mesh check failed: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILURE
 
-    out = _out_dir(args, config)
+    os.makedirs(out, exist_ok=True)
     path = os.path.join(out, "verify_report.json")
     with open(path, "w") as fh:
         json.dump(report, fh, indent=2)
@@ -184,43 +195,30 @@ def cmd_verify(args, config):
     return EXIT_OK if report["passed"] else EXIT_CHECK_FAILURE
 
 
-def _check_level(case, level):
-    try:
-        case.level_check(level)
-    except ValueError as exc:
-        raise ConfigError(f"level {level}: {exc}") from None
+def _problem(config):
+    """The fields `converge` and `solve` share, read and checked before any
+    work: the case, its degree, `quad_extra` and the options of `solve_load`."""
+    case_name = _choice(config, "case", CASES)
+    degree = _degree(config)
+    options = {
+        "method": _choice(config, "method", METHODS, "smoothed"),
+        "averaging": _choice(config, "averaging", AVERAGING_VARIANTS, "mean"),
+        "solver": _choice(_get(config, "solver", {}, kind=dict), "method",
+                          SOLVER_METHODS, "direct"),
+    }
+    quad_extra = _quad_extra(config)
+    return get_case(case_name, degree), degree, quad_extra, options
 
 
 def cmd_converge(args, config):
-    case_name = _choice(config, "case", CASES)
-    degree = _degree(config)
+    case, degree, quad_extra, options = _problem(config)
     levels = _get(config, "levels", required=True, kind=list)
-    if len(levels) < 2:
-        raise ConfigError("converge needs at least 2 levels")
-    method = _choice(config, "method", METHODS, "smoothed")
-    averaging = _choice(config, "averaging", AVERAGING_VARIANTS, "mean")
-    solver = _choice(_get(config, "solver", {}, kind=dict), "method",
-                     SOLVER_METHODS, "direct")
-    quad_extra = _quad_extra(config)
+    out = _out(args, config)
+    _refuse(check_levels, case, levels)
+    report = run_convergence(case, degree, levels, quad_extra=quad_extra, **options)
 
-    case = get_case(case_name, degree)
-    for level in levels:
-        _check_level(case, level)
-    repeated = first_repeat(levels)
-    if repeated is not None:
-        raise ConfigError(f"level {repeated} is repeated in 'levels'")
-    if method == "classical" and case.load.has_divergence_part:
-        raise ConfigError(
-            f"case '{case_name}' supplies its load in divergence form; the "
-            "classical right-hand side is undefined for it (method-inapplicable)"
-        )
-    report = run_convergence(
-        case, degree, levels, method=method, averaging=averaging,
-        quad_extra=quad_extra, solver=solver,
-    )
-
-    out = _out_dir(args, config)
-    stem = f"{case_name}_p{degree}_{method}"
+    os.makedirs(out, exist_ok=True)
+    stem = f"{case.name}_p{degree}_{options['method']}"
     csv_path = os.path.join(out, stem + ".csv")
     report.write_csv(csv_path)
     report.write_json(os.path.join(out, stem + ".json"))
@@ -238,15 +236,10 @@ def cmd_converge(args, config):
 
 
 def cmd_solve(args, config):
-    case_name = _choice(config, "case", CASES)
-    degree = _degree(config)
+    case, degree, quad_extra, options = _problem(config)
     level = _get(config, "level", 8, kind=int)
-    method = _choice(config, "method", METHODS, "smoothed")
-    averaging = _choice(config, "averaging", AVERAGING_VARIANTS, "mean")
     load_kind = _choice(config, "load", ("case", "zero"), "case")
-    quad_extra = _quad_extra(config)
-
-    case = get_case(case_name, degree)
+    out = _out(args, config)
     if args.mesh:
         try:
             mesh = read_mesh_file(args.mesh)
@@ -256,7 +249,7 @@ def cmd_solve(args, config):
         if problems:
             raise ConfigError(f"--mesh {args.mesh}: {problems[0]}")
     else:
-        _check_level(case, level)
+        _refuse(case.level_check, level)
         mesh = case.mesh_for(level)
     space = HHOSpace(mesh, degree, quad_extra=quad_extra)
 
@@ -264,13 +257,13 @@ def cmd_solve(args, config):
         load = LoadFunctional(f0=lambda x: np.zeros(x.shape[:-1]))
     else:
         load = case.load
-    recon = space.reconstruct(solve_load(space, load, method, averaging))
+    recon = space.reconstruct(solve_load(space, load, **options))
 
     bary = lattice_multis(degree + 1) / (degree + 1)
     pts = np.einsum("la,tad->tld", bary, mesh.cell_vertices())
     vals = recon.values_on(bary)
 
-    out = _out_dir(args, config)
+    os.makedirs(out, exist_ok=True)
     path = os.path.join(out, "solution.csv")
     with open(path, "w") as fh:
         fh.write("x,y,value\n")

@@ -232,9 +232,18 @@ def _min_eigenvalue(system):
     )
 
 
-def run_verification(degrees=(0, 1, 2), resolutions=(2, 4, 8), seed=20180608,
-                     random_fields=100, variants=("mean", "scott-zhang"),
-                     mesh_path=None):
+# The default suite, the one `hho verify` runs for an empty config.
+SUITE_DEFAULTS = {
+    "degrees": (0, 1, 2), "resolutions": (2, 4, 8), "seed": 20180608,
+    "random_fields": 100, "variants": ("mean", "scott-zhang"),
+}
+
+
+def run_verification(degrees=SUITE_DEFAULTS["degrees"],
+                     resolutions=SUITE_DEFAULTS["resolutions"],
+                     seed=SUITE_DEFAULTS["seed"],
+                     random_fields=SUITE_DEFAULTS["random_fields"],
+                     variants=SUITE_DEFAULTS["variants"], mesh_path=None):
     """Run the full structural suite; returns a JSON-serializable report."""
     report = _Report(seed)
     if mesh_path is not None:

@@ -24,7 +24,7 @@ from hho.system import (
     rhs_smoothed,
     solve,
 )
-from hho.verify import run_verification
+from hho.verify import SUITE_DEFAULTS, run_verification
 
 DEGREES = (0, 1, 2)
 LEVELS = [8, 16, 32, 64]
@@ -45,10 +45,8 @@ def converged(case_factory, p, method, averaging="mean"):
 
 def verification_report():
     if "report" not in _verify_cache:
-        _verify_cache["report"] = run_verification(
-            degrees=DEGREES, resolutions=(2, 4, 8), seed=20180608,
-            random_fields=100, variants=VARIANTS,
-        )
+        # the default suite, the one `hho verify` runs for an empty config
+        _verify_cache["report"] = run_verification()
     return _verify_cache["report"]
 
 
@@ -235,6 +233,6 @@ def test_verification_suite_remaining_checks():
     assert report["passed"], [c for c in report["checks"] if not c["passed"]]
     _passline(
         "verification suite",
-        f"{len(report['checks'])} checks green at p in {DEGREES}, "
-        "n in (2, 4, 8)",
+        f"{len(report['checks'])} checks green at p in "
+        f"{SUITE_DEFAULTS['degrees']}, n in {SUITE_DEFAULTS['resolutions']}",
     )

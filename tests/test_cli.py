@@ -1,9 +1,14 @@
+import inspect
 import json
+import os
 
 import numpy as np
 import pytest
 
+import hho.cli
+from hho.analysis import get_case, run_convergence
 from hho.cli import main
+from hho.verify import SUITE_DEFAULTS
 
 
 def write_config(path, **kwargs):
@@ -237,6 +242,25 @@ def test_converge_repeated_level_is_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("case, levels, message", [
+    ("smooth-sine", [4], "converge needs at least 2 levels"),
+    ("kink-aligned", [4, 5],
+     "level 5: kink-aligned needs an even grid so x = 1/2 is a mesh line"),
+    ("smooth-sine", [2, 4, 2], "level 2 is repeated in 'levels'"),
+], ids=["too-few", "odd-kink-level", "repeated"])
+def test_run_convergence_and_converge_refuse_levels_alike(tmp_path, capsys, case,
+                                                         levels, message):
+    # one level-list check serves the library and the command line
+    with pytest.raises(ValueError) as exc:
+        run_convergence(get_case(case, 0), 0, levels)
+    assert str(exc.value) == message
+    cfg = write_config(tmp_path / "c.json", case=case, degree=0, levels=levels)
+    out = tmp_path / "out"
+    assert main(["converge", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"hho: config error: {message}\n"
+    assert not out.exists()
+
+
 def test_converge_writes_reports(tmp_path):
     cfg = write_config(
         tmp_path / "c.json", case="smooth-sine", degree=0, levels=[2, 4],
@@ -277,6 +301,101 @@ def test_cg_non_convergence_is_one_solver_error_line(tmp_path, capsys, monkeypat
     err = capsys.readouterr().err
     assert err == "hho: solver error: CG failed to converge (info=1)\n"
     assert "Traceback" not in err
+
+
+def test_solve_cg_non_convergence_is_one_solver_error_line(tmp_path, capsys,
+                                                          monkeypatch):
+    monkeypatch.setattr(hho.system, "cg", lambda A, b, **kw: (np.zeros_like(b), 1))
+    cfg = write_config(
+        tmp_path / "s.json", case="smooth-sine", degree=0, level=2,
+        method="classical", solver={"method": "cg"},
+    )
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "hho: solver error: CG failed to converge (info=1)\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("solver", [{"method": "gmres"}, 5],
+                         ids=["unknown-method", "not-an-object"])
+def test_solve_bad_solver_exits_2_before_work(tmp_path, capsys, solver):
+    cfg = write_config(tmp_path / "s.json", case="smooth-sine", degree=1,
+                       level=4, solver=solver)
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("hho: config error:") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, config", [
+    ("converge", {"levels": [2, 4]}),
+    ("solve", {"level": 2}),
+], ids=["converge", "solve"])
+def test_classical_on_divergence_load_is_one_inapplicable_line(tmp_path, capsys,
+                                                              command, config):
+    # the classical right-hand side refuses the load itself, after the
+    # (first) space is built and before any output is written
+    config.update(case="kink-aligned", degree=0, method="classical")
+    cfg = write_config(tmp_path / "c.json", **config)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "hho: method not applicable: classical right-hand side is undefined "
+        "for divergence-form loads; use the smoothed method\n"
+    )
+    assert not out.exists()
+
+
+def test_solve_classical_with_zero_load_on_divergence_case(tmp_path):
+    # the refusal follows the load actually solved for, not the case
+    cfg = write_config(tmp_path / "s.json", case="kink-aligned", degree=0,
+                       level=2, method="classical", load="zero")
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+    assert (out / "solution.csv").exists()
+
+
+@pytest.mark.parametrize("command, config, work", [
+    ("verify", {"degrees": [0], "resolutions": [1], "random_fields": 1,
+                "out": 5}, "run_verification"),
+    ("converge", {"case": "smooth-sine", "degree": 0, "levels": [2, 4],
+                  "out": ["x"]}, "run_convergence"),
+    ("solve", {"case": "smooth-sine", "degree": 0, "level": 2, "out": 5},
+     "HHOSpace"),
+], ids=["verify", "converge", "solve"])
+def test_non_string_out_exits_2_before_work(tmp_path, capsys, monkeypatch,
+                                            command, config, work):
+    def no_work(*args, **kwargs):
+        raise AssertionError(f"{work} ran")
+
+    monkeypatch.setattr(hho.cli, work, no_work)
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path / "c.json", **config)
+    assert main([command, "--config", cfg]) == 2
+    assert capsys.readouterr().err == (
+        "hho: config error: config field 'out' has the wrong type\n"
+    )
+    assert os.listdir(tmp_path) == ["c.json"]
+
+
+def test_empty_verify_config_runs_the_default_suite(tmp_path, monkeypatch):
+    # `hho verify` with {} and run_verification() read the one default suite;
+    # the suite itself is not run
+    calls = []
+
+    def record(**kwargs):
+        calls.append(kwargs)
+        return {"checks": [], "passed": True}
+
+    monkeypatch.setattr(hho.cli, "run_verification", record)
+    cfg = write_config(tmp_path / "v.json")
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    assert calls == [{**SUITE_DEFAULTS, "mesh_path": None}]
+    params = inspect.signature(hho.verify.run_verification).parameters
+    assert {key: params[key].default for key in SUITE_DEFAULTS} == SUITE_DEFAULTS
 
 
 def test_solve_zero_load_writes_zero_dump(tmp_path):
