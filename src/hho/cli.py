@@ -52,26 +52,29 @@ def _load_config(path):
     return config
 
 
-def _get(config, key, default=None, required=False, kind=None):
+def _get(config, key, default=None, required=False, kind=None, prefix=""):
+    """`config[key]`; `prefix` names the enclosing object in messages."""
     if key not in config:
         if required:
-            raise ConfigError(f"config field '{key}' is required")
+            raise ConfigError(f"config field '{prefix}{key}' is required")
         return default
     value = config[key]
     # bool subclasses int, but a JSON true or false is no integer
     if kind is not None and (
         not isinstance(value, kind) or (kind is int and isinstance(value, bool))
     ):
-        raise ConfigError(f"config field '{key}' has the wrong type")
+        raise ConfigError(f"config field '{prefix}{key}' has the wrong type")
     return value
 
 
-def _choice(config, key, choices, default=None):
+def _choice(config, key, choices, default=None, prefix=""):
     """A string field that must be one of `choices`; required without default."""
-    value = _get(config, key, default, required=default is None, kind=str)
+    value = _get(config, key, default, required=default is None, kind=str,
+                 prefix=prefix)
     if value not in choices:
         raise ConfigError(
-            f"config field '{key}' is {value!r}; expected one of {', '.join(choices)}"
+            f"config field '{prefix}{key}' is {value!r}; "
+            f"expected one of {', '.join(choices)}"
         )
     return value
 
@@ -92,8 +95,20 @@ def _quad_extra(config):
 
 
 def _out(args, config):
-    """The output directory, read before any work and created after it."""
-    return args.out or _get(config, "out", ".", kind=str)
+    """The output directory, checked before any work and created after it:
+    a non-empty path whose nearest existing ancestor is a directory."""
+    if args.out is not None:
+        out, source = args.out, "--out"
+    else:
+        out, source = _get(config, "out", ".", kind=str), "config field 'out'"
+    if not out:
+        raise ConfigError(f"{source} must not be empty")
+    existing = os.path.abspath(out)
+    while not os.path.lexists(existing):
+        existing = os.path.dirname(existing)
+    if not os.path.isdir(existing):
+        raise ConfigError(f"{source} {out!r}: {existing} is not a directory")
+    return out
 
 
 def _refuse(check, *args):
@@ -204,7 +219,7 @@ def _problem(config):
         "method": _choice(config, "method", METHODS, "smoothed"),
         "averaging": _choice(config, "averaging", AVERAGING_VARIANTS, "mean"),
         "solver": _choice(_get(config, "solver", {}, kind=dict), "method",
-                          SOLVER_METHODS, "direct"),
+                          SOLVER_METHODS, "direct", prefix="solver."),
     }
     quad_extra = _quad_extra(config)
     return get_case(case_name, degree), degree, quad_extra, options

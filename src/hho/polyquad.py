@@ -15,12 +15,13 @@ lower-index vertex to the higher one; s runs over [-1/2, 1/2].
 
 Quadrature: Gauss-Legendre on edges, conical-product rules (Gauss-Legendre x
 Gauss-Jacobi on the collapsed square) on triangles. Both have strictly
-positive weights and are exact to the requested degree.
+positive weights and are exact to the requested degree. The Gauss-Jacobi
+rule for the weight (1 - x) is computed here (Golub-Welsch eigenvalues plus
+one Newton step), so no special-function library is loaded.
 """
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import roots_jacobi
 
 MAX_DEGREE = 20
 
@@ -56,6 +57,38 @@ class QuadratureRule:
 _RULE_CACHE = {}
 
 
+def _jacobi_10(k, x):
+    """P_k^(1,0) and its derivative at x, by the three-term recurrence."""
+    p_prev, p = np.zeros_like(x), np.ones_like(x)
+    dp_prev, dp = np.zeros_like(x), np.zeros_like(x)
+    for n in range(1, k + 1):
+        # (n+1)(2n-1) P_n = ((2n+1)(2n-1) x + 1) P_{n-1} - (n-1)(2n+1) P_{n-2}
+        c, e = (2 * n + 1) * (2 * n - 1), (n - 1) * (2 * n + 1)
+        s = (n + 1) * (2 * n - 1)
+        a = c * x + 1.0
+        p_new = (a * p - e * p_prev) / s
+        dp_new = (c * p + a * dp - e * dp_prev) / s
+        p_prev, p, dp_prev, dp = p, p_new, dp, dp_new
+    return p, dp
+
+
+def _gauss_jacobi(k):
+    """k-point Gauss rule for the weight (1 - x) on [-1, 1], nodes ascending.
+
+    Nodes are the eigenvalues of the Jacobi matrix of the monic recurrence
+    (Golub-Welsch), refined by one Newton step on P_k^(1,0); the weights are
+    w_i = 4 / ((1 - x_i^2) P_k'(x_i)^2), whose Gamma prefactor is 1 here.
+    """
+    n = np.arange(k)
+    diag = -1.0 / ((2 * n + 1) * (2 * n + 3))
+    off = np.sqrt(n[1:] * (n[1:] + 1.0)) / (2 * n[1:] + 1)
+    x = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    p, dp = _jacobi_10(k, x)
+    x = x - p / dp
+    _, dp = _jacobi_10(k, x)
+    return x, 4.0 / ((1.0 - x * x) * dp * dp)
+
+
 def quad_for_degree(dim, degree):
     """Rule exact for all polynomials of total degree <= `degree`."""
     if degree < 0 or degree > MAX_DEGREE:
@@ -78,7 +111,7 @@ def quad_for_degree(dim, degree):
         xi, wxi = leggauss(k)
         xi = 0.5 * (xi + 1.0)
         wxi = 0.5 * wxi
-        xj, wj = roots_jacobi(k, 1.0, 0.0)
+        xj, wj = _gauss_jacobi(k)
         eta = 0.5 * (xj + 1.0)
         weta = 0.25 * wj
         XI, ETA = np.meshgrid(xi, eta, indexing="ij")

@@ -334,6 +334,21 @@ def test_solve_bad_solver_exits_2_before_work(tmp_path, capsys, solver):
     ("converge", {"levels": [2, 4]}),
     ("solve", {"level": 2}),
 ], ids=["converge", "solve"])
+def test_unknown_solver_method_names_the_nested_field(tmp_path, capsys,
+                                                      command, config):
+    config.update(case="smooth-sine", degree=0, solver={"method": "gmres"})
+    cfg = write_config(tmp_path / "c.json", **config)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == (
+        "hho: config error: config field 'solver.method' is 'gmres'; "
+        "expected one of direct, cg\n"
+    )
+
+
+@pytest.mark.parametrize("command, config", [
+    ("converge", {"levels": [2, 4]}),
+    ("solve", {"level": 2}),
+], ids=["converge", "solve"])
 def test_classical_on_divergence_load_is_one_inapplicable_line(tmp_path, capsys,
                                                               command, config):
     # the classical right-hand side refuses the load itself, after the
@@ -358,6 +373,23 @@ def test_solve_classical_with_zero_load_on_divergence_case(tmp_path):
     assert (out / "solution.csv").exists()
 
 
+# each command with a config it accepts, and the first call that does work
+COMMANDS_AND_WORK = [
+    ("verify", {"degrees": [0], "resolutions": [1], "random_fields": 1},
+     "run_verification"),
+    ("converge", {"case": "smooth-sine", "degree": 0, "levels": [2, 4]},
+     "run_convergence"),
+    ("solve", {"case": "smooth-sine", "degree": 0, "level": 2}, "HHOSpace"),
+]
+
+
+def refuse_work(monkeypatch, work):
+    def no_work(*args, **kwargs):
+        raise AssertionError(f"{work} ran")
+
+    monkeypatch.setattr(hho.cli, work, no_work)
+
+
 @pytest.mark.parametrize("command, config, work", [
     ("verify", {"degrees": [0], "resolutions": [1], "random_fields": 1,
                 "out": 5}, "run_verification"),
@@ -368,10 +400,7 @@ def test_solve_classical_with_zero_load_on_divergence_case(tmp_path):
 ], ids=["verify", "converge", "solve"])
 def test_non_string_out_exits_2_before_work(tmp_path, capsys, monkeypatch,
                                             command, config, work):
-    def no_work(*args, **kwargs):
-        raise AssertionError(f"{work} ran")
-
-    monkeypatch.setattr(hho.cli, work, no_work)
+    refuse_work(monkeypatch, work)
     monkeypatch.chdir(tmp_path)
     cfg = write_config(tmp_path / "c.json", **config)
     assert main([command, "--config", cfg]) == 2
@@ -379,6 +408,50 @@ def test_non_string_out_exits_2_before_work(tmp_path, capsys, monkeypatch,
         "hho: config error: config field 'out' has the wrong type\n"
     )
     assert os.listdir(tmp_path) == ["c.json"]
+
+
+@pytest.mark.parametrize("command, config, work", COMMANDS_AND_WORK,
+                         ids=["verify", "converge", "solve"])
+def test_empty_out_exits_2_before_work(tmp_path, capsys, monkeypatch,
+                                       command, config, work):
+    # os.makedirs("") would fail only after the work
+    refuse_work(monkeypatch, work)
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path / "c.json", **config, out="")
+    assert main([command, "--config", cfg]) == 2
+    assert main([command, "--config", cfg, "--out", ""]) == 2
+    assert capsys.readouterr().err == (
+        "hho: config error: config field 'out' must not be empty\n"
+        "hho: config error: --out must not be empty\n"
+    )
+    assert os.listdir(tmp_path) == ["c.json"]
+
+
+@pytest.mark.parametrize("command, config, work", COMMANDS_AND_WORK,
+                         ids=["verify", "converge", "solve"])
+@pytest.mark.parametrize("out, culprit", [
+    ("afile", "afile"),
+    (os.path.join("afile", "sub"), "afile"),
+    ("alink", "alink"),
+], ids=["the-file", "below-the-file", "dangling-link"])
+def test_out_that_names_a_file_exits_2_before_work(tmp_path, capsys, monkeypatch,
+                                                   command, config, work, out,
+                                                   culprit):
+    # os.makedirs would fail only after the work
+    refuse_work(monkeypatch, work)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "afile").write_text("kept\n")
+    os.symlink("missing", tmp_path / "alink")
+    cfg = write_config(tmp_path / "c.json", **config, out=out)
+    assert main([command, "--config", cfg]) == 2
+    assert main([command, "--config", cfg, "--out", out]) == 2
+    message = f"{out!r}: {tmp_path / culprit} is not a directory\n"
+    assert capsys.readouterr().err == (
+        f"hho: config error: config field 'out' {message}"
+        f"hho: config error: --out {message}"
+    )
+    assert sorted(os.listdir(tmp_path)) == ["afile", "alink", "c.json"]
+    assert (tmp_path / "afile").read_text() == "kept\n"
 
 
 def test_empty_verify_config_runs_the_default_suite(tmp_path, monkeypatch):

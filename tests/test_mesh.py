@@ -275,3 +275,14 @@ def test_import_does_not_load_scipy_spatial():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=60)
     assert out.stdout.strip() == "False"
+
+
+def test_import_does_not_load_scipy_special():
+    # the Gauss-Jacobi rule is computed in hho.polyquad; scipy.special would
+    # add about 50 ms and 4 MB to every hho command
+    src = os.path.dirname(os.path.dirname(hho.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, hho.cli; print('scipy.special' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60)
+    assert out.stdout.strip() == "False"

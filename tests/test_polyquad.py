@@ -7,6 +7,7 @@ from conftest import basis_at, jittered_square
 from hho.local_ops import HHOSpace
 from hho.mesh import SimplicialMesh, build_unit_square, refine_red
 from hho.polyquad import (
+    MAX_DEGREE,
     UnsupportedDegreeError,
     cell_basis_gradients,
     cell_basis_laplacians,
@@ -32,7 +33,7 @@ def test_triangle_rule_degree1_barycentric_mean():
     assert val == pytest.approx(0.5 / 3.0, abs=1e-16)
 
 
-@pytest.mark.parametrize("degree", range(0, 15))
+@pytest.mark.parametrize("degree", range(0, MAX_DEGREE + 1))
 def test_triangle_rule_exactness(degree):
     rule = quad_for_degree(2, degree)
     assert np.all(rule.weights > 0.0)
@@ -42,6 +43,43 @@ def test_triangle_rule_exactness(degree):
             val = np.sum(rule.weights * x ** a * y ** b)
             exact = exact_triangle_monomial(a, b)
             assert abs(val - exact) <= 1e-14 * max(1.0, abs(exact) * 10)
+
+
+def gauss_jacobi_of_triangle_rule(k):
+    """The k-point Gauss-Jacobi rule for the weight (1 - x) on [-1, 1] that
+    the degree-(2k-2) triangle rule collapses onto its second coordinate."""
+    rule = quad_for_degree(2, 2 * k - 2)
+    eta = rule.points[:k, 2]
+    weta = rule.weights.reshape(k, k).sum(axis=0)  # the edge weights sum to 1
+    return 2.0 * eta - 1.0, 4.0 * weta
+
+
+@pytest.mark.parametrize("k", range(1, 12))
+def test_gauss_jacobi_exact_to_2k_minus_1(k):
+    x, w = gauss_jacobi_of_triangle_rule(k)
+    assert len(x) == k
+    for j in range(2 * k):
+        # int_{-1}^{1} (1 - x) x^j dx: the even one of x^j, x^(j+1) survives
+        exact = 2.0 / (j + 1) if j % 2 == 0 else -2.0 / (j + 2)
+        assert abs(np.sum(w * x ** j) - exact) <= 4e-15
+
+
+@pytest.mark.parametrize("k", range(1, 12))
+def test_gauss_jacobi_positive_weights_ascending_interior_nodes(k):
+    x, w = gauss_jacobi_of_triangle_rule(k)
+    assert np.all(w > 0.0)
+    assert np.all(np.diff(x) > 0.0)
+    assert -1.0 < x[0] and x[-1] < 1.0
+
+
+@pytest.mark.parametrize("k", range(1, 12))
+def test_gauss_jacobi_agrees_with_scipy(k):
+    from scipy.special import roots_jacobi
+
+    x, w = gauss_jacobi_of_triangle_rule(k)
+    x_ref, w_ref = roots_jacobi(k, 1.0, 0.0)
+    assert np.allclose(x, x_ref, rtol=5e-14, atol=0.0)
+    assert np.allclose(w, w_ref, rtol=5e-14, atol=0.0)
 
 
 def test_triangle_rule_degree5_x2y3():
