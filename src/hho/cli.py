@@ -111,6 +111,22 @@ def _out(args, config):
     return out
 
 
+def _mesh_path(args, config=None):
+    """The external mesh file, or None for the built-in meshes: `--mesh`,
+    else config field 'mesh' when `config` is given. An empty name is
+    refused before any work."""
+    if args.mesh is not None:
+        path, source = args.mesh, "--mesh"
+    else:
+        path = None if config is None else _get(config, "mesh")
+        source = "config field 'mesh'"
+        if path is not None and not isinstance(path, str):
+            raise ConfigError(f"{source} must be a file name or null")
+    if path == "":
+        raise ConfigError(f"{source} must not be empty")
+    return path
+
+
 def _refuse(check, *args):
     """Run a check of the analysis layer; its ValueError is a config error."""
     try:
@@ -177,9 +193,7 @@ def cmd_verify(args, config):
             + ", ".join(AVERAGING_VARIANTS)
         )
     _refuse_repeats("averaging", variants)
-    mesh_path = args.mesh or _get(config, "mesh")
-    if mesh_path is not None and not isinstance(mesh_path, str):
-        raise ConfigError("config field 'mesh' must be a file name or null")
+    mesh_path = _mesh_path(args, config)
     out = _out(args, config)
 
     try:
@@ -254,15 +268,16 @@ def cmd_solve(args, config):
     case, degree, quad_extra, options = _problem(config)
     level = _get(config, "level", 8, kind=int)
     load_kind = _choice(config, "load", ("case", "zero"), "case")
+    mesh_path = _mesh_path(args)
     out = _out(args, config)
-    if args.mesh:
+    if mesh_path is not None:
         try:
-            mesh = read_mesh_file(args.mesh)
+            mesh = read_mesh_file(mesh_path)
         except MeshError as exc:
-            raise ConfigError(f"--mesh {args.mesh}: {exc}") from exc
+            raise ConfigError(f"--mesh {mesh_path}: {exc}") from exc
         problems = check_matching(mesh)
         if problems:
-            raise ConfigError(f"--mesh {args.mesh}: {problems[0]}")
+            raise ConfigError(f"--mesh {mesh_path}: {problems[0]}")
     else:
         _refuse(case.level_check, level)
         mesh = case.mesh_for(level)

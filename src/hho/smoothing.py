@@ -12,9 +12,10 @@ the two cells sharing the face; both are 1 at the respective barycenter.
 Everything is linear with one-ring-local supports, so the smoother, from
 HHO unknowns to broken polynomial coefficients of degree 2 + max(p, 1), is
 kept as dense per-cell and per-face blocks with their index maps and applied
-entity by entity (forward and transposed); the sparse matrix is scattered
-from the same blocks, in one pass, only on request. Cell and face solves
-are independent per entity.
+entity by entity (forward and transposed). The conformity and orthogonality
+checks read the two sparse factors C and Q of S_H = C + Q W, scattered from
+the same blocks; neither forms the averaging W or S_H itself. Cell and face
+solves are independent per entity.
 """
 
 import numpy as np
@@ -142,7 +143,9 @@ class Smoother:
 
     The blocks and their index maps are the one description of S_H.
     `apply_vector` and `apply_transpose` contract them entity by entity;
-    `matrix` scatters the same blocks into S_H = C + Q W on first use only.
+    `_factors` scatters the same blocks into the sparse C and Q of
+    S_H = C + Q W, which the checks read, and `matrix` (read by no solver
+    path or check) multiplies them out on first use only.
 
     Parameters
     ----------
@@ -325,49 +328,59 @@ class Smoother:
 
     # -- sparse form ---------------------------------------------------------
 
+    def _factors(self):
+        """The two sparse factors of S_H = C + Q W, scattered from the blocks:
+
+        * C (T nD, num_dofs): the parts that read the dofs directly, B_M on
+          the cell dofs and (I - B_M) B_Sigma on the face dofs, both per cell,
+        * Q (T nD, num_nodes): interior vertex values -> broken degree-D
+          coefficients, the hat re-expansion a through (I - B_M) on every
+          cell and through the face bubbles of the trace residual -tr a.
+
+        W, the averaging of R x at the vertices, is not formed here.
+        """
+        space, mesh = self.space, self.space.mesh
+        T, nD, nc, nf = mesh.num_cells, self.nD, space.nc, space.nf
+        rows = np.arange(T)[:, None] * nD + np.arange(nD)
+        # a enters each cell through (I - B_M), and the trace residual
+        # -tr a, read in the first cell of a face, through both face sides
+        cell_hat = (np.eye(nD) - self.cell_block)[:, :3] @ self.hat
+        face_hat = -self.face_bubble[..., :2] @ (self.trace @ self.hat)
+        first_nodes = self.node_ids[self.face_cells[0]]
+        Q = scatter_blocks(
+            np.concatenate([np.broadcast_to(cell_hat, (T, nD, 3)), *face_hat]),
+            np.concatenate([rows, *rows[self.face_cells]]),
+            np.concatenate([self.node_ids, first_nodes, first_nodes]),
+            (T * nD, self.num_nodes),
+        )
+        # the face blocks land at their cell's local face dofs
+        direct = np.zeros((T, nD, space.nloc))
+        direct[:, :, :nc] = self.cell_block[:, :nc]
+        faces = mesh.interior_faces
+        for side in (0, 1):
+            cols = nc + mesh.face_local[faces, side, None] * nf + np.arange(nf)
+            direct[self.face_cells[side][:, None], :, cols] = _t(
+                self.face_bubble[side][..., :nf]
+            )
+        C = scatter_blocks(direct, rows, space.local_dof_ids,
+                           (T * nD, space.num_dofs))
+        return C, Q
+
     @property
     def matrix(self):
         """Full sparse smoother matrix S_H = C + Q W (built on first use and
-        cached), scattered from the blocks:
-
-        * W: dofs -> averaged values at the interior vertices, the per-cell
-          blocks avg_blocks G,
-        * Q: vertex values -> broken degree-D coefficients, the hat
-          re-expansion a through (I - B_M) on every cell and through the
-          face bubbles of the trace residual -tr a,
-        * C: the parts that read the dofs directly, B_M on the cell dofs and
-          (I - B_M) B_Sigma on the face dofs, both per cell.
+        cached), with C and Q from :meth:`_factors` and W: dofs -> averaged
+        values at the interior vertices, the per-cell blocks avg_blocks G.
+        No solver path or check reads it: it stays only because
+        perfbench/spans.py and the test oracles name it.
         """
         if self._matrix is None:
-            space, mesh = self.space, self.space.mesh
-            T, nD, nc, nf = mesh.num_cells, self.nD, space.nc, space.nf
-            rows = np.arange(T)[:, None] * nD + np.arange(nD)
+            space = self.space
+            C, Q = self._factors()
             W = scatter_blocks(
                 self.avg_blocks @ space.G, self.avg_ids, space.local_dof_ids,
                 (self.num_nodes, space.num_dofs),
             )
-            # a enters each cell through (I - B_M), and the trace residual
-            # -tr a, read in the first cell of a face, through both face sides
-            cell_hat = (np.eye(nD) - self.cell_block)[:, :3] @ self.hat
-            face_hat = -self.face_bubble[..., :2] @ (self.trace @ self.hat)
-            first_nodes = self.node_ids[self.face_cells[0]]
-            Q = scatter_blocks(
-                np.concatenate([np.broadcast_to(cell_hat, (T, nD, 3)), *face_hat]),
-                np.concatenate([rows, *rows[self.face_cells]]),
-                np.concatenate([self.node_ids, first_nodes, first_nodes]),
-                (T * nD, self.num_nodes),
-            )
-            # the face blocks land at their cell's local face dofs
-            direct = np.zeros((T, nD, space.nloc))
-            direct[:, :, :nc] = self.cell_block[:, :nc]
-            faces = mesh.interior_faces
-            for side in (0, 1):
-                cols = nc + mesh.face_local[faces, side, None] * nf + np.arange(nf)
-                direct[self.face_cells[side][:, None], :, cols] = _t(
-                    self.face_bubble[side][..., :nf]
-                )
-            C = scatter_blocks(direct, rows, space.local_dof_ids,
-                               (T * nD, space.num_dofs))
             # C + Q W as the one product [C Q] [I; W]: no second copy of
             # the full-size result for the sum
             identity = sparse.identity(space.num_dofs, format="csr")
@@ -451,25 +464,52 @@ def moment_residuals(smoother, X):
     return cell_res, face_res
 
 
-def orthogonality_residual(space, smoother):
-    """Max entry of grad(R .)^T (grad R - grad S_H) over all basis pairs.
+def _max_entry(matrix):
+    """Largest absolute entry of a sparse matrix (0 when it has none)."""
+    return float(np.abs(matrix.data).max()) if matrix.nnz else 0.0
+
+
+def conformity_residual(jump, C, Q):
+    """Max face jump and boundary trace of every column of C and of Q.
+
+    `jump` is :func:`jump_matrix` at the smoother's degree, (C, Q) the pair
+    of ``Smoother._factors``. For any vertex vector a, Q a (the hat
+    re-expansion and its bubble corrections) is continuous and zero on the
+    boundary, and so is C x; both zero means jump @ (C + Q W) = 0 for every
+    averaging W, without forming W or S_H. So a defect in the averaging
+    weights (`avg_blocks`, `avg_ids`) passes this check: only the
+    convergence orders and `consistency_constant` see it.
+    """
+    return max(_max_entry(jump @ C), _max_entry(jump @ Q))
+
+
+def orthogonality_residual(space, C, Q):
+    """Max entry of grad(R .)^T grad(R - C) and of grad(R .)^T grad Q over
+    all basis pairs, for the factors (C, Q) of ``Smoother._factors``.
 
     The computable content of the algebraic-consistency identity: the broken
     gradient of R is orthogonal to R - S_H for every pair of basis fields.
     With the degree-D stiffness K per cell and R reading G into its leading
-    n1 coefficients, this is the assembled G^T K_11 G minus the per-cell
-    blocks G^T K[:n1, :] applied to S_H.
+    n1 coefficients, the check is the assembled G^T K_11 G minus B C, and
+    B Q, with B the per-cell blocks G^T K[:n1, :]. Q a has zero preserved
+    cell and face moments for any vertex vector a, and C x the moments of x,
+    so both vanish exactly; together they imply G^T K (R - S_H) = 0 for
+    every averaging W, without forming W or S_H. So, as for
+    :func:`conformity_residual`, a defect in the averaging weights passes
+    this check.
     """
     T, n1 = space.mesh.num_cells, space.n1
-    K = stiffness_blocks(space.mesh, smoother.degree, space.rule_cell)
+    K = stiffness_blocks(space.mesh, space.degree_star, space.rule_cell)
     GtK = _t(space.G) @ K[:, :n1]  # (T, nloc, nD)
     nD = K.shape[1]
     B = scatter_blocks(
         GtK, space.local_dof_ids, np.arange(T)[:, None] * nD + np.arange(nD),
         (space.num_dofs, T * nD),
     )
-    C = assemble_bilinear(space, GtK[..., :n1] @ space.G) - B @ smoother.matrix
-    return float(np.abs(C.data).max()) if C.nnz else 0.0
+    return max(
+        _max_entry(assemble_bilinear(space, GtK[..., :n1] @ space.G) - B @ C),
+        _max_entry(B @ Q),
+    )
 
 
 def consistency_constant(space, smoother):

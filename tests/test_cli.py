@@ -427,6 +427,28 @@ def test_empty_out_exits_2_before_work(tmp_path, capsys, monkeypatch,
     assert os.listdir(tmp_path) == ["c.json"]
 
 
+@pytest.mark.parametrize("command, args, config, work, source", [
+    ("solve", ["--mesh", ""], {"case": "smooth-sine", "degree": 0, "level": 2},
+     "HHOSpace", "--mesh"),
+    ("verify", ["--mesh", ""], {"degrees": [0], "resolutions": [1]},
+     "run_verification", "--mesh"),
+    ("verify", [], {"degrees": [0], "resolutions": [1], "mesh": ""},
+     "run_verification", "config field 'mesh'"),
+], ids=["solve-flag", "verify-flag", "verify-config"])
+def test_empty_mesh_exits_2_before_work(tmp_path, capsys, monkeypatch, command,
+                                        args, config, work, source):
+    # an empty name was once skipped (the built-in meshes ran) or read as a
+    # file that cannot be read
+    refuse_work(monkeypatch, work)
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path / "c.json", **config)
+    assert main([command, "--config", cfg, *args]) == 2
+    assert capsys.readouterr().err == (
+        f"hho: config error: {source} must not be empty\n"
+    )
+    assert os.listdir(tmp_path) == ["c.json"]
+
+
 @pytest.mark.parametrize("command, config, work", COMMANDS_AND_WORK,
                          ids=["verify", "converge", "solve"])
 @pytest.mark.parametrize("out, culprit", [

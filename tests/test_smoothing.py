@@ -1,4 +1,4 @@
-from types import SimpleNamespace
+import copy
 
 import numpy as np
 import pytest
@@ -33,6 +33,7 @@ from hho.smoothing import (
     AVERAGING_VARIANTS,
     Smoother,
     _bubbles,
+    conformity_residual,
     consistency_constant,
     jump_matrix,
     lagrange_basis_values,
@@ -45,7 +46,7 @@ from hho.smoothing import (
 from hho.system import assemble, rhs_smoothed
 
 
-def conformity_residual(sm, coeffs):
+def max_jump(sm, coeffs):
     """Max face jump and boundary trace of broken degree-D coefficients, sampled."""
     return np.abs(jump_matrix(sm.space.mesh, sm.degree) @ coeffs).max()
 
@@ -320,7 +321,7 @@ def test_bubble_face_zero_and_conformity():
         face_bubble = face_bubble_matrix(sm)
         assert np.abs(face_bubble @ np.zeros(face_bubble.shape[1])).max() == 0.0
         out = face_bubble @ rng.standard_normal(face_bubble.shape[1])
-        assert conformity_residual(sm, out) < 1e-11
+        assert max_jump(sm, out) < 1e-11
 
 
 def test_bubble_face_moment_identity():
@@ -379,7 +380,7 @@ def test_bubble_smoother_unit_pair_moments():
         "fq,qm,fq->fm", fw, psi, out.values_at(fpts, cells=k1) - 1.0
     )
     assert np.abs(fresid).max() < 1e-11
-    assert conformity_residual(sm, coeffs) < 1e-11
+    assert max_jump(sm, coeffs) < 1e-11
 
 
 def test_bubble_smoother_local_stability_ratio_bounded():
@@ -523,15 +524,15 @@ def test_smoother_conformity_random_fields():
         sm = Smoother(sp)
         for _ in range(3):
             out = sm.apply_vector(rng.standard_normal(sp.num_dofs))
-            assert conformity_residual(sm, out) < 1e-10
+            assert max_jump(sm, out) < 1e-10
 
 
 def test_smoother_orthogonality_consistency():
     for p in (0, 1, 2):
         sp = HHOSpace(build_unit_square(3), p)
         for variant in ("mean", "scott-zhang"):
-            sm = Smoother(sp, averaging=variant)
-            assert orthogonality_residual(sp, sm) < 1e-10
+            C, Q = Smoother(sp, averaging=variant)._factors()
+            assert orthogonality_residual(sp, C, Q) < 1e-10
 
 
 def test_smoother_locality_one_ring():
@@ -577,7 +578,7 @@ def test_scott_zhang_variant_contracts():
     # generally different on discontinuous reconstructions
     assert np.abs(a_sz[..., 1] - a_mean[..., 1]).max() > 1e-6
     # smoothed output remains conforming
-    assert conformity_residual(sz, sz.apply_vector(X[:, 1])) < 1e-10
+    assert max_jump(sz, sz.apply_vector(X[:, 1])) < 1e-10
 
 
 def test_unknown_variant_rejected():
@@ -691,30 +692,84 @@ def test_matrix_matches_dense_apply_and_five_factor_oracle(make, p, variant):
     _assert_close(got, product)
 
 
-@pytest.mark.parametrize("variant", AVERAGING_VARIANTS)
-@pytest.mark.parametrize("p", [0, 1, 2, 3])
-@pytest.mark.parametrize("make", [
+def dense_factor_oracle(sm):
+    """Dense C and Q of S_H = C + Q W from the five-factor oracle: F5 F4 F3
+    maps (vertex values, dofs) to broken coefficients, and F2 F1 x = (W x, x)."""
+    F3, F4, F5 = five_factor_oracle(sm)[2:]
+    M = (F5 @ F4 @ F3).toarray()
+    return M[:, sm.num_nodes:], M[:, :sm.num_nodes]
+
+
+def planted_defects(sm, rng):
+    """(block name, copy of sm with that block moved by O(1), whether the
+    block enters C or Q on this mesh) for the hat, face-bubble and
+    cell-bubble blocks. The single triangle has no interior vertex and no
+    interior face, so only its cell block enters the factors."""
+    for name, enters in (("hat", sm.num_nodes > 0),
+                         ("face_bubble", sm.face_bubble.size > 0),
+                         ("cell_block", True)):
+        block = getattr(sm, name)
+        defect = copy.copy(sm)
+        setattr(defect, name, block + rng.standard_normal(block.shape))
+        yield name, defect, enters
+
+
+FACTOR_MESHES = pytest.mark.parametrize("make", [
     lambda: jittered_square(4), lambda: build_lshape(2), single_triangle_mesh,
 ], ids=["jittered", "lshape", "single"])
+
+
+@pytest.mark.parametrize("variant", AVERAGING_VARIANTS)
+@pytest.mark.parametrize("p", [0, 1, 2, 3])
+@FACTOR_MESHES
 def test_orthogonality_residual_matches_dense_oracle(make, p, variant):
-    # dense R_D^T K (R_D - S_H) with S_H probed on the identity. On the
-    # smoother both are round-off, so the comparison is repeated with S_H
-    # moved by a sparse random shift, which makes the maximum entry O(1)
+    # dense R_D^T K (R_D - C) and R_D^T K Q, the split identity, with C and Q
+    # from the five-factor oracle. On the smoother both are round-off, so the
+    # comparison is repeated with one smoother block moved at a time, which
+    # makes the maximum entry O(1)
     sp = HHOSpace(make(), p)
     sm = Smoother(sp, averaging=variant)
     RD = reconstruction_oracle(sp, sm.degree).toarray()
-    K = dense_broken_stiffness(sp, sm.degree)
-    S = sm.apply_vector(np.eye(sp.num_dofs))
-    scale = np.abs(RD.T @ K @ RD).max()
+    RtK = RD.T @ dense_broken_stiffness(sp, sm.degree)
+    scale = np.abs(RtK @ RD).max()
+
+    def want(smoother):
+        C, Q = dense_factor_oracle(smoother)
+        return max(np.abs(RtK @ (RD - C)).max(), np.abs(RtK @ Q).max(initial=0.0))
+
+    assert want(sm) <= 1e-10
     rng = np.random.default_rng(p)
-    shift = np.where(rng.random(S.shape) < 0.05, rng.standard_normal(S.shape), 0.0)
-    shifted = SimpleNamespace(degree=sm.degree, matrix=sm.matrix + sparse.csr_matrix(shift))
-    for smoother, dense in ((sm, S), (shifted, S + shift)):
-        want = np.abs(RD.T @ K @ (RD - dense)).max()
-        assert abs(orthogonality_residual(sp, smoother) - want) <= 1e-12 * scale
-    assert np.abs(RD.T @ K @ (RD - S)).max() <= 1e-10
-    # the lone p = 0 triangle has R = 0, and both residuals are exactly 0
-    assert want > 1e-3 * scale or scale == 0.0
+    for name, smoother, enters in [("none", sm, False), *planted_defects(sm, rng)]:
+        expected = want(smoother)
+        got = orthogonality_residual(sp, *smoother._factors())
+        assert abs(got - expected) <= 1e-12 * scale, name
+        # the lone p = 0 triangle has R = 0, and both residuals are exactly 0
+        assert expected > 1e-3 * scale or not enters or scale == 0.0, name
+
+
+@pytest.mark.parametrize("variant", AVERAGING_VARIANTS)
+@pytest.mark.parametrize("p", [0, 1, 2, 3])
+@FACTOR_MESHES
+def test_conformity_residual_matches_dense_oracle(make, p, variant):
+    # the sampled jumps and boundary traces of every column of the dense C
+    # and Q, on the smoother and with one smoother block moved at a time
+    sp = HHOSpace(make(), p)
+    sm = Smoother(sp, averaging=variant)
+    jump = jump_matrix(sp.mesh, sm.degree)
+
+    def want(smoother):
+        # the largest sampled jump, and its bound sum |terms| as the scale
+        factors = dense_factor_oracle(smoother)
+        return (max(np.abs(jump @ M).max(initial=0.0) for M in factors),
+                max((abs(jump) @ np.abs(M)).max(initial=0.0) for M in factors))
+
+    assert want(sm)[0] <= 1e-10
+    rng = np.random.default_rng(p)
+    for name, smoother, enters in [("none", sm, False), *planted_defects(sm, rng)]:
+        expected, scale = want(smoother)
+        got = conformity_residual(jump, *smoother._factors())
+        assert abs(got - expected) <= 1e-12 * scale, name
+        assert expected > 1e-3 * scale or not enters, name
 
 
 def test_converge_path_assembles_no_smoother_factor(monkeypatch):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh
 
+import hho.smoothing
 import hho.system
 import hho.verify
 from conftest import jittered_square, single_triangle_mesh
@@ -133,6 +134,19 @@ def test_coercivity_check_factors_only_the_shifted_matrix(monkeypatch):
 def test_default_suite_never_takes_the_dense_eigensolve(monkeypatch):
     monkeypatch.setattr(hho.verify.dla, "eigh", _raise)
     assert run_verification(random_fields=2)["passed"]
+
+
+def test_suite_forms_no_smoother_matrix(monkeypatch):
+    # conformity and orthogonality are checked on the factors C and Q of
+    # S_H = C + Q W; the product S_H is never formed
+    def refuse(self):
+        raise AssertionError("the smoother matrix S_H was formed")
+
+    monkeypatch.setattr(hho.smoothing.Smoother, "matrix", property(refuse))
+    report = run_verification(degrees=[1], resolutions=[2], random_fields=2)
+    assert report["passed"]
+    names = {c["name"] for c in report["checks"]}
+    assert {"conformity", "orthogonality"} <= names
 
 
 def test_one_by_one_grid_passes_at_every_degree(tmp_path):
