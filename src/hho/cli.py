@@ -21,9 +21,9 @@ import numpy as np
 from .analysis import (
     CASES, METHODS, check_levels, first_repeat, get_case, run_convergence, solve_load,
 )
-from .local_ops import P_MAX, HHOSpace
+from .local_ops import P_MAX, HHOSpace, smoother_degree
 from .mesh import MeshError, check_matching, read_mesh_file
-from .polyquad import UnsupportedDegreeError
+from .polyquad import MAX_DEGREE, UnsupportedDegreeError
 from .smoothing import AVERAGING_VARIANTS, lattice_multis
 from .system import SOLVER_METHODS, LoadFunctional, MethodNotApplicableError, SolverError
 from .verify import SUITE_DEFAULTS, run_verification
@@ -31,6 +31,19 @@ from .verify import SUITE_DEFAULTS, run_verification
 EXIT_OK = 0
 EXIT_CHECK_FAILURE = 1
 EXIT_CONFIG_ERROR = 2
+
+
+# the config fields each command reads (README's schemas); any other field
+# is refused, so a misspelt one cannot fall back to its default unseen
+CONFIG_FIELDS = {
+    "verify": ("degrees", "resolutions", "seed", "random_fields", "averaging",
+               "mesh", "out"),
+    "converge": ("case", "degree", "levels", "method", "averaging", "solver",
+                 "quad_extra", "out"),
+    "solve": ("case", "degree", "level", "method", "averaging", "load",
+              "solver", "quad_extra", "out"),
+}
+SOLVER_FIELDS = ("method",)
 
 
 class ConfigError(ValueError):
@@ -50,6 +63,16 @@ def _load_config(path):
     if not isinstance(config, dict):
         raise ConfigError(f"config {path}: the top level must be a JSON object")
     return config
+
+
+def _refuse_unknown(config, fields, prefix=""):
+    """Refuse the first field of `config` outside `fields`."""
+    for key in config:
+        if key not in fields:
+            raise ConfigError(
+                f"unknown config field '{prefix}{key}'; expected one of "
+                f"{', '.join(fields)}"
+            )
 
 
 def _get(config, key, default=None, required=False, kind=None, prefix=""):
@@ -79,7 +102,9 @@ def _choice(config, key, choices, default=None, prefix=""):
     return value
 
 
-def _quad_extra(config):
+def _quad_extra(config, degree):
+    """`quad_extra`, or `HHO_QUAD_EXTRA` when set: at least 0, and small
+    enough that the load rule's degree stays within `MAX_DEGREE`."""
     env = os.environ.get("HHO_QUAD_EXTRA")
     if env is not None:
         try:
@@ -91,6 +116,12 @@ def _quad_extra(config):
         source = "config field 'quad_extra'"
     if value < 0:
         raise ConfigError(f"{source} must be non-negative")
+    star = smoother_degree(degree)
+    if value > MAX_DEGREE - star:
+        raise ConfigError(
+            f"{source} must be at most {MAX_DEGREE - star} at degree {degree} "
+            f"(quadrature degree {star} + quad_extra <= {MAX_DEGREE})"
+        )
     return value
 
 
@@ -229,13 +260,15 @@ def _problem(config):
     work: the case, its degree, `quad_extra` and the options of `solve_load`."""
     case_name = _choice(config, "case", CASES)
     degree = _degree(config)
+    solver = _get(config, "solver", {}, kind=dict)
+    _refuse_unknown(solver, SOLVER_FIELDS, prefix="solver.")
     options = {
         "method": _choice(config, "method", METHODS, "smoothed"),
         "averaging": _choice(config, "averaging", AVERAGING_VARIANTS, "mean"),
-        "solver": _choice(_get(config, "solver", {}, kind=dict), "method",
-                          SOLVER_METHODS, "direct", prefix="solver."),
+        "solver": _choice(solver, "method", SOLVER_METHODS, "direct",
+                          prefix="solver."),
     }
-    quad_extra = _quad_extra(config)
+    quad_extra = _quad_extra(config, degree)
     return get_case(case_name, degree), degree, quad_extra, options
 
 
@@ -329,6 +362,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         config = _load_config(args.config)
+        _refuse_unknown(config, CONFIG_FIELDS[args.command])
         return args.handler(args, config)
     except (ConfigError, UnsupportedDegreeError) as exc:
         print(f"hho: config error: {exc}", file=sys.stderr)

@@ -47,6 +47,12 @@ from .polyquad import (
 P_MAX = 3
 
 
+def smoother_degree(p):
+    """Degree 2 + max(p, 1) of the smoother's broken output at HHO degree p;
+    the load rule integrates it against the load with `quad_extra` more."""
+    return 2 + max(p, 1)
+
+
 class BrokenPoly:
     """Piecewise polynomial on the mesh: per-cell coefficients in the cell basis."""
 
@@ -224,7 +230,7 @@ class HHOSpace:
         self.n1 = space_dimension(p + 1)
         self.nf = p + 1
         self.nloc = self.nc + 3 * self.nf
-        self.degree_star = 2 + max(p, 1)  # smoother output degree
+        self.degree_star = smoother_degree(p)
 
         self.rule_cell = quad_for_degree(2, 2 * (p + 3))
         self.rule_face = quad_for_degree(1, 2 * (p + 3))

@@ -9,13 +9,12 @@ or cell-interior node, so averaging at those nodes would give the same
 operator. Element bubbles are 27*l1*l2*l3, face bubbles 4*la*lb on each of
 the two cells sharing the face; both are 1 at the respective barycenter.
 
-Everything is linear with one-ring-local supports, so the smoother, from
-HHO unknowns to broken polynomial coefficients of degree 2 + max(p, 1), is
-kept as dense per-cell and per-face blocks with their index maps and applied
-entity by entity (forward and transposed). The conformity and orthogonality
-checks read the two sparse factors C and Q of S_H = C + Q W, scattered from
-the same blocks; neither forms the averaging W or S_H itself. Cell and face
-solves are independent per entity.
+The smoother is linear and cell-local once the averaging is done, so it
+is kept, from HHO unknowns to broken coefficients of degree 2 + max(p, 1),
+as one dense block [C_K | Q_K] per cell next to the averaging blocks W.
+Applying it, its transpose, the sparse factors of S_H = C + Q W and the
+conformity and orthogonality checks all read that one table; neither check
+forms W or S_H.
 """
 
 import numpy as np
@@ -120,32 +119,31 @@ def lagrange_interpolant(mesh, degree, func):
 
 
 class Smoother:
-    """Stabilized bubble smoother for one space, kept as per-entity blocks.
+    """Stabilized bubble smoother for one space, kept as one block per cell.
 
-    S_H maps an HHO dof vector x = (x_M, x_Sigma) to the broken degree-D
-    coefficients of the smoothed function in five linear steps:
+    S_H maps an HHO dof vector x = (x_M, x_Sigma) to broken degree-D
+    coefficients. On a cell K it reads only K's dofs x_K and the averaged
+    values a_K at K's corners: W averages the reconstruction G x_K at the
+    interior vertices (per cell the degree-(p+1) corner values times the
+    vertex weight, `avg_blocks` (T, 3, n1), summed at `avg_ids`, read back
+    at `node_ids`), and the cell block [C_K | Q_K] maps [x_K; a_K] to the
+    hat re-expansion of a_K (continuous piecewise P1, zero on the boundary)
+    plus the bubble corrections B_Sigma v_Sigma + B_M (v_M - B_Sigma v_Sigma)
+    of the residuals v_Sigma = x_Sigma - tr a and v_M = x_M - a:
 
-    * the reconstruction r = R x, from ``space.G`` on every cell,
-    * averaging of r at the interior vertices: per cell the degree-(p+1)
-      basis values at the three corners times the vertex weight
-      (`avg_blocks`, (T, 3, n1)), summed at `avg_ids`,
-    * hat re-expansion into the averaged reconstruction a, continuous
-      piecewise P1 and zero on the boundary: one (3, 3) block `hat` on every
-      cell maps the vertex values read at `node_ids` to the three P1
-      coefficients, the leading ones of every larger basis,
-    * the face residual v_Sigma = x_Sigma - tr a, the linear trace taken
-      from the first cell of each interior face (`trace`, (Ei, 2, 3)), and
-      the cell residual v_M = x_M - a, both padded where needed,
-    * a plus the bubble correction B_Sigma v_Sigma + B_M (v_M - B_Sigma v_Sigma):
-      (I - B_M) B_Sigma is one block per interior face and side
-      (`face_bubble`, landing in `face_cells`), B_M one (nD, nD) block on
-      every cell (`cell_block`), zero at p = 0 since P^{-1} = {0}.
+        C_K = [B_M[:, :nc] | (I - B_M) B_Sigma[i, o][:, :nf] per face i],
+        Q_K = (I - B_M)[:, :3] hat
+              - sum_i (I - B_M) B_Sigma[i, o][:, :2] trace[i, o] hat,
 
-    The blocks and their index maps are the one description of S_H.
-    `apply_vector` and `apply_transpose` contract them entity by entity;
-    `_factors` scatters the same blocks into the sparse C and Q of
-    S_H = C + Q W, which the checks read, and `matrix` (read by no solver
-    path or check) multiplies them out on first use only.
+    with o = ``mesh.face_flips[K, i]`` and zero columns for a boundary face.
+    The hat, the trace (taken in K: a is continuous, so both sides of a
+    face agree), the face bubble and B_M (zero at p = 0) are reference
+    tables, gathered once per cell. The cell columns B_M[:, :nc] are kept
+    once (`cell_columns`, (nD, nc)), the rest per cell (`blocks`,
+    (T, nD, 3 nf + 3)). These and W are the one description of S_H:
+    `apply_vector` and `apply_transpose` contract them, `_factors` scatters
+    them into the sparse C and Q of S_H = C + Q W that the checks read, and
+    `matrix` (read by no solver path or check) multiplies those out.
 
     Parameters
     ----------
@@ -164,10 +162,8 @@ class Smoother:
         self.nD = space_dimension(self.degree)
 
         self._build_lattice_tables()
-        self._build_averaging()
-        self._build_face_trace()
-        self.cell_block = self._cell_bubble_block()
-        self.face_bubble = self._face_bubble_blocks(np.eye(self.nD) - self.cell_block)
+        hat = self._build_averaging()
+        self._build_blocks(hat)
         self._matrix = None
 
     # -- blocks ------------------------------------------------------------
@@ -181,7 +177,9 @@ class Smoother:
         self.phiK_lat, self.phiF_lat = _bubbles(self.lat_bary)  # (nD,), (3, nD)
 
     def _build_averaging(self):
-        """Averaging at the interior vertices, then hat re-expansion."""
+        """Averaging at the interior vertices; returns the (3, 3) hat block,
+        vertex values -> the three P1 coefficients, the leading ones of
+        every larger basis."""
         space, mesh = self.space, self.space.mesh
         T, cells = mesh.num_cells, mesh.cells
         interior = ~boundary_vertices(mesh)
@@ -194,7 +192,6 @@ class Smoother:
         # the P1 basis is its prefix, so the leading (3, 3) block inverts to
         # the hat functions
         corners = cell_basis_values(space.p + 1, np.eye(3))  # (3, n1)
-        self.hat = np.linalg.inv(corners[:, :3])
         if self.averaging_variant == "mean":
             counts = np.bincount(cells.ravel(), minlength=mesh.num_vertices)
             weight = 1.0 / counts[cells]
@@ -208,28 +205,53 @@ class Smoother:
                 cell_ids == min_cell[cells], self.node_ids, -1
             )
         self.avg_blocks = corners * weight[:, :, None]  # (T, 3, n1)
+        return np.linalg.inv(corners[:, :3])
 
-    def _build_face_trace(self):
-        """P1 coefficients of the first cell -> linear face coefficients of
-        the trace, one block per interior face."""
-        mesh = self.space.mesh
-        faces = mesh.interior_faces
-        self.face_cells = mesh.face_cells[faces].T  # (2, Ei): first, second
-        # interpolate the trace at the two ends of each face: one reference
-        # matrix per (local face, orientation) of the first cell
+    def _build_blocks(self, hat):
+        """The shared cell columns of C_K and the per-cell rest of
+        [C_K | Q_K], gathered from the reference tables with
+        ``mesh.face_flips``."""
+        space, mesh = self.space, self.space.mesh
+        nc, nf, nloc = space.nc, space.nf, space.nloc
+        cell_block = self._cell_bubble_block()
+        left = np.eye(self.nD) - cell_block
+        face_bubble = self._face_bubble_blocks(left)  # (3, 2, nD, p+2)
+        # interpolate the trace at the two ends of each face: P1
+        # coefficients -> linear face coefficients
         t = np.array([0.0, 1.0])
         vf_inv = np.linalg.inv(face_basis_values(1, t - 0.5))
-        trace_hat = vf_inv @ cell_basis_values(1, face_barycentric(t))
-        self.trace = on_faces(trace_hat, mesh, faces, 0)  # (Ei, 2, 3)
+        trace = vf_inv @ cell_basis_values(1, face_barycentric(t))  # (3, 2, 2, 3)
+        # a enters through (I - B_M), and through the face bubbles of the
+        # trace residual -tr a
+        face_hat = -face_bubble[..., :2] @ (trace @ hat)  # (3, 2, nD, 3)
+
+        # kept once: per cell they are two fifths of the table at p = 3,
+        # enough to lift a converge level's memory peak
+        self.cell_columns = cell_block[:, :nc]
+        # a local face is in one of three states, its orientation or 2 on the
+        # boundary (no face dofs, no face bubble): one reference block per
+        # combination of the three states, gathered once per cell
+        nface = nloc - nc
+        table = np.zeros((3, 3, 3, self.nD, nface + 3))
+        table[..., nface:] = left[:, :3] @ hat
+        for i in range(3):
+            axis = [3 if j == i else 1 for j in range(3)]
+            face = np.zeros((3, self.nD, nf + 3))  # state 2 stays zero
+            face[:2, :, :nf] = face_bubble[i, :, :, :nf]
+            face[:2, :, nf:] = face_hat[i]
+            face = face.reshape(axis + [self.nD, nf + 3])
+            table[..., i * nf: (i + 1) * nf] += face[..., :nf]
+            table[..., nface:] += face[..., nf:]
+        interior = mesh.face_interior_index[mesh.cell_faces] >= 0
+        state = np.where(interior, mesh.face_flips, 2)  # (T, 3)
+        self.blocks = table[state[:, 0], state[:, 1], state[:, 2]]
 
     def _face_bubble_blocks(self, left):
-        """Per-side blocks (2, Ei, nD, p+2) of `left` B_Sigma: degree-(p+1)
-        face data -> broken degree-D coefficients in cell face_cells[side],
+        """Reference blocks (3, 2, nD, p+2) of `left` B_Sigma per (local face,
+        orientation): degree-(p+1) face data -> broken degree-D coefficients,
         for an (nD, nD) matrix `left` acting on every cell (the identity
         gives B_Sigma itself)."""
-        space, mesh = self.space, self.space.mesh
-        p = space.p
-        faces = mesh.interior_faces
+        p = self.space.p
 
         # B_F solve in the scaled arclength coordinate; h_F cancels between
         # the bubble-weighted mass int s^(k+l) (1 - 4 s^2) ds and the moment
@@ -252,8 +274,7 @@ class Smoother:
         zvals = (
             np.moveaxis(lp_lat[:, lpos], 0, 2) * self.phiF_lat[:, None, :, None]
         )  # (3, 2, nD, p+1)
-        bubble_hat = left @ self.invV_D @ zvals @ nodal_mat  # (3, 2, nD, p+2)
-        return np.stack([on_faces(bubble_hat, mesh, faces, s) for s in (0, 1)])
+        return left @ self.invV_D @ zvals @ nodal_mat
 
     def _cell_bubble_block(self):
         """The (nD, nD) block of B_M on every cell: broken degree-D data to
@@ -277,93 +298,61 @@ class Smoother:
 
     def apply_vector(self, vec):
         """Broken degree-D coefficients of S_H applied to a dof vector, or to
-        a (num_dofs, k) block of them (the five steps, entity by entity)."""
+        a (num_dofs, k) block of them: [C_K | Q_K] [x_K; a_K] per cell."""
         space = self.space
-        T, nc, nf = space.mesh.num_cells, space.nc, space.nf
+        nc = space.nc
         vec = np.asarray(vec, dtype=float)
-        X = vec.reshape(len(vec), -1)
-        x_cells, x_faces = space.split(X)
-
-        r = space.G @ space.local_coeffs(X)  # (T, n1, k)
-        nodal = scatter_add(self.avg_blocks @ r, self.avg_ids, self.num_nodes)
-        a = self.hat @ _gather(nodal, self.node_ids)  # (T, 3, k)
-        v_faces = np.zeros((len(self.trace), space.p + 2, X.shape[1]))
-        v_faces[:, :nf] = x_faces
-        v_faces[:, :2] -= self.trace @ a[self.face_cells[0]]
-        out = np.zeros((T, self.nD, X.shape[1]))
-        out[:, :nc] = x_cells
-        out[:, :3] -= a  # v_M = x_M - a
-        out = self.cell_block @ out
-        out[:, :3] += a
-        for side in (0, 1):  # one side at a time halves the largest temporary
-            out += scatter_add(
-                self.face_bubble[side] @ v_faces, self.face_cells[side], T
-            )
-        return out.reshape((T * self.nD,) + vec.shape[1:])
+        x_loc = space.local_coeffs(vec.reshape(len(vec), -1))  # (T, nloc, k)
+        nodal = scatter_add(self.avg_blocks @ (space.G @ x_loc), self.avg_ids,
+                            self.num_nodes)
+        out = self.cell_columns @ x_loc[:, :nc] + self.blocks @ np.concatenate(
+            [x_loc[:, nc:], _gather(nodal, self.node_ids)], axis=1
+        )
+        return out.reshape((len(self.blocks) * self.nD,) + vec.shape[1:])
 
     def apply_transpose(self, fvec):
         """S_H^T applied to a broken functional vector (load pullback), or to
-        a (T nD, k) block of them.
-
-        The steps of :meth:`apply_vector` in reverse order with every block
-        transposed; one-ring local, without forming any global matrix.
-        """
+        a (T nD, k) block of them: the mirror of :meth:`apply_vector`, without
+        forming any global matrix."""
         space = self.space
+        nc, nface = space.nc, space.nloc - space.nc
         fvec = np.asarray(fvec, dtype=float)
-        T, nc, nf = space.mesh.num_cells, space.nc, space.nf
-        Y = fvec.reshape(T, self.nD, -1)
-
-        g_cells = self.cell_block.T @ Y  # adjoint of v_M
-        g_faces = (_t(self.face_bubble) @ Y[self.face_cells]).sum(axis=0)
-        g_a = Y[:, :3] - g_cells[:, :3] - scatter_add(
-            _t(self.trace) @ g_faces[:, :2], self.face_cells[0], T
-        )
-        g_nodal = scatter_add(self.hat.T @ g_a, self.node_ids, self.num_nodes)
-        g_r = _t(self.avg_blocks) @ _gather(g_nodal, self.avg_ids)
-        out = scatter_add(_t(space.G) @ g_r, space.local_dof_ids, space.num_dofs)
-        out_cells, out_faces = space.split(out)
-        out_cells += g_cells[:, :nc]
-        out_faces += g_faces[:, :nf]
+        Y = fvec.reshape(space.mesh.num_cells, self.nD, -1)
+        Z = _t(self.blocks) @ Y  # (T, nface + 3, k)
+        g_nodal = scatter_add(Z[:, nface:], self.node_ids, self.num_nodes)
+        g_r = _t(self.avg_blocks) @ _gather(g_nodal, self.avg_ids)  # (T, n1, k)
+        local = _t(space.G) @ g_r  # (T, nloc, k)
+        local[:, :nc] += self.cell_columns.T @ Y
+        local[:, nc:] += Z[:, :nface]
+        out = scatter_add(local, space.local_dof_ids, space.num_dofs)
         return out.reshape((space.num_dofs,) + fvec.shape[1:])
 
     # -- sparse form ---------------------------------------------------------
 
-    def _factors(self):
-        """The two sparse factors of S_H = C + Q W, scattered from the blocks:
+    def _cell_blocks(self):
+        """C_K (T, nD, nloc) and Q_K (T, nD, 3) of every cell."""
+        T, nD, nc = len(self.blocks), self.nD, self.space.nc
+        cells = np.broadcast_to(self.cell_columns, (T, nD, nc))
+        return (np.concatenate([cells, self.blocks[..., :-3]], axis=2),
+                self.blocks[..., -3:])
 
-        * C (T nD, num_dofs): the parts that read the dofs directly, B_M on
-          the cell dofs and (I - B_M) B_Sigma on the face dofs, both per cell,
-        * Q (T nD, num_nodes): interior vertex values -> broken degree-D
-          coefficients, the hat re-expansion a through (I - B_M) on every
-          cell and through the face bubbles of the trace residual -tr a.
+    def _factors(self):
+        """The two sparse factors of S_H = C + Q W, the cell blocks
+        scattered:
+
+        * C (T nD, num_dofs): C_K, the parts that read the dofs directly, at
+          the cell's `local_dof_ids`,
+        * Q (T nD, num_nodes): Q_K, the averaged values at the cell's corners
+          -> broken degree-D coefficients, at its `node_ids`.
 
         W, the averaging of R x at the vertices, is not formed here.
         """
-        space, mesh = self.space, self.space.mesh
-        T, nD, nc, nf = mesh.num_cells, self.nD, space.nc, space.nf
+        space = self.space
+        T, nD = space.mesh.num_cells, self.nD
         rows = np.arange(T)[:, None] * nD + np.arange(nD)
-        # a enters each cell through (I - B_M), and the trace residual
-        # -tr a, read in the first cell of a face, through both face sides
-        cell_hat = (np.eye(nD) - self.cell_block)[:, :3] @ self.hat
-        face_hat = -self.face_bubble[..., :2] @ (self.trace @ self.hat)
-        first_nodes = self.node_ids[self.face_cells[0]]
-        Q = scatter_blocks(
-            np.concatenate([np.broadcast_to(cell_hat, (T, nD, 3)), *face_hat]),
-            np.concatenate([rows, *rows[self.face_cells]]),
-            np.concatenate([self.node_ids, first_nodes, first_nodes]),
-            (T * nD, self.num_nodes),
-        )
-        # the face blocks land at their cell's local face dofs
-        direct = np.zeros((T, nD, space.nloc))
-        direct[:, :, :nc] = self.cell_block[:, :nc]
-        faces = mesh.interior_faces
-        for side in (0, 1):
-            cols = nc + mesh.face_local[faces, side, None] * nf + np.arange(nf)
-            direct[self.face_cells[side][:, None], :, cols] = _t(
-                self.face_bubble[side][..., :nf]
-            )
-        C = scatter_blocks(direct, rows, space.local_dof_ids,
-                           (T * nD, space.num_dofs))
+        C_K, Q_K = self._cell_blocks()
+        C = scatter_blocks(C_K, rows, space.local_dof_ids, (T * nD, space.num_dofs))
+        Q = scatter_blocks(Q_K, rows, self.node_ids, (T * nD, self.num_nodes))
         return C, Q
 
     @property
@@ -402,10 +391,11 @@ def jump_matrix(mesh, degree):
     """Sparse map from broken coefficients to face jumps and boundary traces.
 
     Each interior face (first cell minus second), then each boundary face,
-    is sampled at 5 equispaced points.
+    is sampled at degree + 1 equispaced points: a degree-`degree` jump that
+    vanishes there vanishes on the whole face.
     """
     n = space_dimension(degree)
-    samples = 5
+    samples = degree + 1
     ts = (np.arange(samples) + 0.5) / samples
     vals_hat = cell_basis_values(degree, face_barycentric(ts))  # (3, 2, s, n)
     blocks, rows, cols = [], [], []
@@ -469,7 +459,7 @@ def _max_entry(matrix):
     return float(np.abs(matrix.data).max()) if matrix.nnz else 0.0
 
 
-def conformity_residual(jump, C, Q):
+def conformity_residual(smoother, jump):
     """Max face jump and boundary trace of every column of C and of Q.
 
     `jump` is :func:`jump_matrix` at the smoother's degree, (C, Q) the pair
@@ -480,35 +470,35 @@ def conformity_residual(jump, C, Q):
     weights (`avg_blocks`, `avg_ids`) passes this check: only the
     convergence orders and `consistency_constant` see it.
     """
+    C, Q = smoother._factors()
     return max(_max_entry(jump @ C), _max_entry(jump @ Q))
 
 
-def orthogonality_residual(space, C, Q):
+def orthogonality_residual(smoother):
     """Max entry of grad(R .)^T grad(R - C) and of grad(R .)^T grad Q over
-    all basis pairs, for the factors (C, Q) of ``Smoother._factors``.
+    all basis pairs, for the factors C and Q of S_H = C + Q W.
 
     The computable content of the algebraic-consistency identity: the broken
     gradient of R is orthogonal to R - S_H for every pair of basis fields.
-    With the degree-D stiffness K per cell and R reading G into its leading
-    n1 coefficients, the check is the assembled G^T K_11 G minus B C, and
-    B Q, with B the per-cell blocks G^T K[:n1, :]. Q a has zero preserved
-    cell and face moments for any vertex vector a, and C x the moments of x,
-    so both vanish exactly; together they imply G^T K (R - S_H) = 0 for
-    every averaging W, without forming W or S_H. So, as for
-    :func:`conformity_residual`, a defect in the averaging weights passes
-    this check.
+    With the degree-D stiffness K and B_K = G^T K[:n1, :] per cell, the check
+    is G^T K_11 G - B_K C_K assembled and B_K Q_K scattered, cell by cell
+    (each cell's rows of C read only its own dofs): no global B and no
+    sparse product. Q a has zero preserved cell and face moments for any
+    vertex vector a, and C x the moments of x, so both vanish exactly;
+    together they imply G^T K (R - S_H) = 0 for every averaging W. So, as
+    for :func:`conformity_residual`, a defect in the averaging weights
+    passes this check.
     """
-    T, n1 = space.mesh.num_cells, space.n1
-    K = stiffness_blocks(space.mesh, space.degree_star, space.rule_cell)
+    space = smoother.space
+    n1 = space.n1
+    K = stiffness_blocks(space.mesh, smoother.degree, space.rule_cell)
     GtK = _t(space.G) @ K[:, :n1]  # (T, nloc, nD)
-    nD = K.shape[1]
-    B = scatter_blocks(
-        GtK, space.local_dof_ids, np.arange(T)[:, None] * nD + np.arange(nD),
-        (space.num_dofs, T * nD),
-    )
+    C_K, Q_K = smoother._cell_blocks()
     return max(
-        _max_entry(assemble_bilinear(space, GtK[..., :n1] @ space.G) - B @ C),
-        _max_entry(B @ Q),
+        _max_entry(assemble_bilinear(space, GtK[..., :n1] @ space.G - GtK @ C_K)),
+        _max_entry(scatter_blocks(GtK @ Q_K, space.local_dof_ids,
+                                  smoother.node_ids,
+                                  (space.num_dofs, smoother.num_nodes))),
     )
 
 

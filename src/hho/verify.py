@@ -142,13 +142,11 @@ def _space_checks(report, space, n, rng, random_fields, variants):
         report.add("moment-face", face_res.max(initial=0.0),
                    degree=p, resolution=n, variant=variant)
 
-        # both identities on the factors of S_H = C + Q W, never on S_H
-        C, Q = smoother._factors()
-        report.add("conformity", conformity_residual(jump, C, Q),
+        # both identities on the cell blocks [C_K | Q_K], never on S_H
+        report.add("conformity", conformity_residual(smoother, jump),
                    degree=p, resolution=n, variant=variant)
-        report.add("orthogonality", orthogonality_residual(space, C, Q),
+        report.add("orthogonality", orthogonality_residual(smoother),
                    degree=p, resolution=n, variant=variant)
-        del C, Q  # not held through the next variant's moment check
 
     # condensation exactness on a smooth load
     system = assemble(space)

@@ -670,6 +670,73 @@ def test_quad_extra_env_override(tmp_path, monkeypatch):
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize("command, work", [("converge", "run_convergence"),
+                                           ("solve", "HHOSpace")])
+@pytest.mark.parametrize("source", ["config", "env"])
+def test_quad_extra_above_the_load_rule_exits_2_before_work(
+        tmp_path, capsys, monkeypatch, command, work, source):
+    # at degree 3 the load rule has degree 5 + quad_extra, and the highest
+    # rule has degree 20: 16 was once refused only by the rule table, as a
+    # bare "quadrature degree 21" message, and by converge only after it
+    # had built the first level's mesh
+    refuse_work(monkeypatch, work)
+    config = {
+        "converge": {"case": "smooth-sine", "degree": 3, "levels": [2, 4]},
+        "solve": {"case": "smooth-sine", "degree": 3, "level": 2},
+    }[command]
+    if source == "config":
+        config["quad_extra"] = 16
+        name = "config field 'quad_extra'"
+    else:
+        monkeypatch.setenv("HHO_QUAD_EXTRA", "16")
+        name = "HHO_QUAD_EXTRA='16'"
+    cfg = write_config(tmp_path / "c.json", **config)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"hho: config error: {name} must be at most 15 at degree 3 "
+        "(quadrature degree 5 + quad_extra <= 20)\n"
+    )
+    assert not out.exists()
+
+
+def test_largest_quad_extra_runs(tmp_path):
+    # degree 0: the load rule has degree 3 + 17 = 20, the highest there is
+    cfg = write_config(tmp_path / "s.json", case="smooth-sine", degree=0,
+                       level=2, quad_extra=17)
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+
+
+@pytest.mark.parametrize("command, config, work, field, fields", [
+    ("verify", {"degrees": [1], "resolutions": [2], "random_fields": 1,
+                "averagng": "mean"}, "run_verification", "averagng",
+     "degrees, resolutions, seed, random_fields, averaging, mesh, out"),
+    ("converge", {"case": "smooth-sine", "degree": 0, "levels": [2, 4],
+                  "level": 4}, "run_convergence", "level",
+     "case, degree, levels, method, averaging, solver, quad_extra, out"),
+    ("solve", {"case": "smooth-sine", "degre": 2, "level": 2}, "HHOSpace",
+     "degre",
+     "case, degree, level, method, averaging, load, solver, quad_extra, out"),
+    ("solve", {"case": "smooth-sine", "degree": 0, "level": 2,
+               "solver": {"method": "cg", "tol": 1e-3}}, "HHOSpace",
+     "solver.tol", "method"),
+], ids=["verify", "converge", "solve", "solve-solver"])
+def test_unknown_config_field_exits_2_before_work(tmp_path, capsys, monkeypatch,
+                                                  command, config, work, field,
+                                                  fields):
+    # a misspelt field once fell back to its default unseen: verify ran both
+    # averagings, solve ran at degree 1
+    refuse_work(monkeypatch, work)
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path / "c.json", **config)
+    assert main([command, "--config", cfg]) == 2
+    assert capsys.readouterr().err == (
+        f"hho: config error: unknown config field '{field}'; "
+        f"expected one of {fields}\n"
+    )
+    assert os.listdir(tmp_path) == ["c.json"]
+
+
 @pytest.mark.parametrize("command", ["converge", "solve"])
 @pytest.mark.parametrize("case", ["poly-consistency", "smooth-sine"])
 @pytest.mark.parametrize("degree", [-1, 4])

@@ -74,23 +74,47 @@ def bubble_poly(sm, cells, lattice_values):
     return BrokenPoly(sm.space.mesh, sm.degree, coeffs)
 
 
-def face_bubble_matrix(sm, blocks=None):
-    """Per-side face-bubble blocks (2, Ei, nD, p+2) scattered into the
-    (T nD, Ei (p+2)) matrix; by default B_Sigma alone."""
-    if blocks is None:
-        blocks = sm._face_bubble_blocks(np.eye(sm.nD))
+def hat_block():
+    """Vertex values -> P1 coefficients, the same (3, 3) block in every cell."""
+    return np.linalg.inv(cell_basis_values(1, np.eye(3)))
+
+
+def first_cell_trace(mesh):
+    """P1 coefficients -> linear face coefficients of the trace, one block
+    (Ei, 2, 3) per interior face, read in the face's first cell."""
+    t = np.array([0.0, 1.0])
+    table = np.linalg.inv(face_basis_values(1, t - 0.5)) @ cell_basis_values(
+        1, face_barycentric(t))
+    return on_faces(table, mesh, mesh.interior_faces, 0)
+
+
+def face_bubble_sides(sm, left):
+    """Per-side blocks (2, Ei, nD, p+2) of `left` B_Sigma, read from the
+    reference blocks in each face's first and second cell."""
+    mesh = sm.space.mesh
+    table = sm._face_bubble_blocks(left)
+    return np.stack([on_faces(table, mesh, mesh.interior_faces, s) for s in (0, 1)])
+
+
+def face_bubble_matrix(sm, left=None):
+    """`left` B_Sigma scattered into the (T nD, Ei (p+2)) matrix, each face
+    from both of its cells; by default B_Sigma alone."""
+    mesh = sm.space.mesh
+    blocks = face_bubble_sides(sm, np.eye(sm.nD) if left is None else left)
     _, Ei, nD, nf1 = blocks.shape
-    rows = sm.face_cells[..., None] * nD + np.arange(nD)
+    rows = mesh.face_cells[mesh.interior_faces].T[..., None] * nD + np.arange(nD)
     cols = np.arange(Ei * nf1).reshape(Ei, nf1)
     return scatter_blocks(
         blocks.reshape(2 * Ei, nD, nf1), rows.reshape(2 * Ei, nD),
-        np.concatenate([cols, cols]), (sm.space.mesh.num_cells * nD, Ei * nf1),
+        np.concatenate([cols, cols]), (mesh.num_cells * nD, Ei * nf1),
     )
 
 
 def five_factor_oracle(sm):
-    """S_H = F5 F4 F3 F2 F1 as sparse factors scattered from the Smoother's
-    blocks, the five steps one at a time:
+    """S_H = F5 F4 F3 F2 F1 as sparse factors, the five steps one at a time,
+    from the averaging blocks and the reference tables (the hat, the trace
+    in each face's first cell, the face bubble and the cell bubble), not
+    from the Smoother's per-cell blocks:
 
     * F1 = [R; I]: the reconstruction R x, with x carried along,
     * F2 = blockdiag(avg, I): averaging at the interior vertices,
@@ -113,12 +137,14 @@ def five_factor_oracle(sm):
     # vertex values (zero on the boundary) to broken P1 coefficients
     hat_ids = np.arange(T)[:, None] * 3 + np.arange(3)
     expand = scatter_blocks(
-        np.broadcast_to(sm.hat, (T, 3, 3)), hat_ids, sm.node_ids, (T * 3, sm.num_nodes)
+        np.broadcast_to(hat_block(), (T, 3, 3)), hat_ids, sm.node_ids,
+        (T * 3, sm.num_nodes),
     )
     # the linear trace fills the leading two of the p+2 face coefficients
+    mesh = space.mesh
     trace = scatter_blocks(
-        sm.trace, np.arange(Ei * nf1).reshape(Ei, nf1)[:, :2],
-        hat_ids[sm.face_cells[0]], (Ei * nf1, T * 3),
+        first_cell_trace(mesh), np.arange(Ei * nf1).reshape(Ei, nf1)[:, :2],
+        hat_ids[mesh.face_cells[mesh.interior_faces, 0]], (Ei * nf1, T * 3),
     )
     pad_1D = pad(T, 3, nD)
     identity = sparse.identity(space.num_dofs, format="csr")
@@ -128,9 +154,10 @@ def five_factor_oracle(sm):
         [-trace, None, pad(Ei, space.nf, nf1)],
         [-pad_1D, pad(T, nc, nD), None],
     ]
+    cell_block = sm._cell_bubble_block()
     bubbles = [sparse.identity(T * nD, format="csr"),
-               face_bubble_matrix(sm, sm.face_bubble),
-               sparse.kron(sparse.identity(T), sm.cell_block, format="csr")]
+               face_bubble_matrix(sm, np.eye(nD) - cell_block),
+               sparse.kron(sparse.identity(T), cell_block, format="csr")]
     return [
         sparse.vstack([reconstruction_oracle(space, p + 1), identity], format="csr"),
         sparse.block_diag([avg, identity], format="csr"),
@@ -196,6 +223,24 @@ def test_lagrange_interpolant_zero_on_boundary_and_continuous(make, q):
     want = 1.0 + interior[:, 0] + np.sin(3.0 * interior[:, 1])
     assert np.abs(values[~boundary] - want).max() <= 1e-13
     assert np.abs(jump_matrix(mesh, q) @ coeffs.ravel()).max() <= 1e-13
+
+
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("degree", [3, 4, 5])
+def test_jump_matrix_kernel_is_the_conforming_space(n, degree):
+    # broken degree-D coefficients with zero sampled jumps and boundary
+    # traces must be continuous and zero on the boundary: the kernel is the
+    # H1_0-conforming P^D space, one dimension per interior Lagrange node
+    # (vertex, edge-interior, cell-interior). Five samples per face once
+    # left a 17-dimensional kernel at D = 5 on the 1 x 1 grid.
+    mesh = build_unit_square(n)
+    jump = jump_matrix(mesh, degree).toarray()
+    kernel = jump.shape[1] - np.linalg.matrix_rank(jump)
+    boundary = np.unique(mesh.faces[mesh.boundary_face_mask])
+    conforming = (mesh.num_vertices - len(boundary)
+                  + (degree - 1) * mesh.num_interior_faces
+                  + mesh.num_cells * (degree - 1) * (degree - 2) // 2)
+    assert kernel == conforming
 
 
 def test_cell_bubble_normalization_and_bounds():
@@ -435,7 +480,7 @@ def test_nodal_average_is_arithmetic_mean():
     coeffs[cells, 0, 0] = np.arange(1.0, 7.0)
     # the averaging blocks summed at avg_ids, re-expanded by the hat matrix
     nodal = scatter_add(sm.avg_blocks @ coeffs, sm.avg_ids, sm.num_nodes)
-    avg = BrokenPoly(mesh, 1, (sm.hat @ _gather(nodal, sm.node_ids))[..., 0])
+    avg = BrokenPoly(mesh, 1, (hat_block() @ _gather(nodal, sm.node_ids))[..., 0])
     vals = avg.values_at(np.full((mesh.num_cells, 1, 2), 0.5))[cells, 0]
     assert vals == pytest.approx(np.full(6, 3.5), rel=1e-13)
 
@@ -531,8 +576,8 @@ def test_smoother_orthogonality_consistency():
     for p in (0, 1, 2):
         sp = HHOSpace(build_unit_square(3), p)
         for variant in ("mean", "scott-zhang"):
-            C, Q = Smoother(sp, averaging=variant)._factors()
-            assert orthogonality_residual(sp, C, Q) < 1e-10
+            sm = Smoother(sp, averaging=variant)
+            assert orthogonality_residual(sm) < 1e-10
 
 
 def test_smoother_locality_one_ring():
@@ -653,9 +698,10 @@ def _assert_close(got, want):
     lambda: jittered_square(4), lambda: build_lshape(2), single_triangle_mesh,
 ], ids=["jittered", "lshape", "single"])
 def test_matrix_free_apply_matches_factor_product(make, p, variant):
-    # apply_vector and apply_transpose contract the blocks entity by entity;
-    # the five-factor oracle scatters the same blocks. On a vector and on a block of
-    # three, both evaluations must give the same operator and its transpose
+    # apply_vector and apply_transpose contract the per-cell blocks; the
+    # five-factor oracle is scattered from the reference tables. On a vector
+    # and on a block of three, both evaluations must give the same operator
+    # and its transpose
     # (the single triangle has no interior face and, at p = 0, no interior
     # Lagrange node)
     sp = HHOSpace(make(), p)
@@ -700,18 +746,40 @@ def dense_factor_oracle(sm):
     return M[:, sm.num_nodes:], M[:, :sm.num_nodes]
 
 
+def dense_scatter(blocks, row_ids, col_ids, shape):
+    """Dense sum of blocks (B, r, c) at rows row_ids[b] and columns
+    col_ids[b], entries with a negative id dropped."""
+    out = np.zeros(shape)
+    for block, rows, cols in zip(blocks, row_ids, col_ids):
+        r, c = rows >= 0, cols >= 0
+        out[np.ix_(rows[r], cols[c])] += block[np.ix_(r, c)]
+    return out
+
+
 def planted_defects(sm, rng):
-    """(block name, copy of sm with that block moved by O(1), whether the
-    block enters C or Q on this mesh) for the hat, face-bubble and
-    cell-bubble blocks. The single triangle has no interior vertex and no
-    interior face, so only its cell block enters the factors."""
-    for name, enters in (("hat", sm.num_nodes > 0),
-                         ("face_bubble", sm.face_bubble.size > 0),
-                         ("cell_block", True)):
-        block = getattr(sm, name)
-        defect = copy.copy(sm)
-        setattr(defect, name, block + rng.standard_normal(block.shape))
-        yield name, defect, enters
+    """(name, copy of sm with its C or its Q columns moved by O(1), the
+    dense moves (dC, dQ) of the two factors, whether the move enters a
+    factor on this mesh): first the C columns (the shared cell columns and
+    each cell's face columns), then the Q columns. The single triangle has
+    no interior vertex, so its Q columns enter no factor."""
+    sp = sm.space
+    T, nD, nc, nloc = sp.mesh.num_cells, sm.nD, sp.nc, sp.nloc
+    rows = np.arange(T)[:, None] * nD + np.arange(nD)
+    cell = rng.standard_normal(sm.cell_columns.shape)
+    face = rng.standard_normal((T, nD, nloc - nc))
+    defect = copy.copy(sm)
+    defect.cell_columns = sm.cell_columns + cell
+    defect.blocks = sm.blocks.copy()
+    defect.blocks[..., :-3] += face
+    noise = np.concatenate([np.broadcast_to(cell, (T, nD, nc)), face], axis=2)
+    move = dense_scatter(noise, rows, sp.local_dof_ids, (T * nD, sp.num_dofs))
+    yield "C", defect, (move, 0.0), True
+    noise = rng.standard_normal((T, nD, 3))
+    defect = copy.copy(sm)
+    defect.blocks = sm.blocks.copy()
+    defect.blocks[..., -3:] += noise
+    move = dense_scatter(noise, rows, sm.node_ids, (T * nD, sm.num_nodes))
+    yield "Q", defect, (0.0, move), sm.num_nodes > 0
 
 
 FACTOR_MESHES = pytest.mark.parametrize("make", [
@@ -725,23 +793,27 @@ FACTOR_MESHES = pytest.mark.parametrize("make", [
 def test_orthogonality_residual_matches_dense_oracle(make, p, variant):
     # dense R_D^T K (R_D - C) and R_D^T K Q, the split identity, with C and Q
     # from the five-factor oracle. On the smoother both are round-off, so the
-    # comparison is repeated with one smoother block moved at a time, which
-    # makes the maximum entry O(1)
+    # comparison is repeated with the C and then the Q columns of the cell
+    # blocks moved, and the oracle moved alike, which makes the maximum
+    # entry O(1)
     sp = HHOSpace(make(), p)
     sm = Smoother(sp, averaging=variant)
     RD = reconstruction_oracle(sp, sm.degree).toarray()
     RtK = RD.T @ dense_broken_stiffness(sp, sm.degree)
     scale = np.abs(RtK @ RD).max()
 
-    def want(smoother):
-        C, Q = dense_factor_oracle(smoother)
+    oracle = dense_factor_oracle(sm)
+
+    def want(dC, dQ):
+        C, Q = oracle[0] + dC, oracle[1] + dQ
         return max(np.abs(RtK @ (RD - C)).max(), np.abs(RtK @ Q).max(initial=0.0))
 
-    assert want(sm) <= 1e-10
+    assert want(0.0, 0.0) <= 1e-10
     rng = np.random.default_rng(p)
-    for name, smoother, enters in [("none", sm, False), *planted_defects(sm, rng)]:
-        expected = want(smoother)
-        got = orthogonality_residual(sp, *smoother._factors())
+    for name, smoother, moves, enters in [("none", sm, (0.0, 0.0), False),
+                                          *planted_defects(sm, rng)]:
+        expected = want(*moves)
+        got = orthogonality_residual(smoother)
         assert abs(got - expected) <= 1e-12 * scale, name
         # the lone p = 0 triangle has R = 0, and both residuals are exactly 0
         assert expected > 1e-3 * scale or not enters or scale == 0.0, name
@@ -752,22 +824,26 @@ def test_orthogonality_residual_matches_dense_oracle(make, p, variant):
 @FACTOR_MESHES
 def test_conformity_residual_matches_dense_oracle(make, p, variant):
     # the sampled jumps and boundary traces of every column of the dense C
-    # and Q, on the smoother and with one smoother block moved at a time
+    # and Q, on the smoother and with the C and then the Q columns of the
+    # cell blocks moved
     sp = HHOSpace(make(), p)
     sm = Smoother(sp, averaging=variant)
     jump = jump_matrix(sp.mesh, sm.degree)
 
-    def want(smoother):
+    oracle = dense_factor_oracle(sm)
+
+    def want(dC, dQ):
         # the largest sampled jump, and its bound sum |terms| as the scale
-        factors = dense_factor_oracle(smoother)
+        factors = (oracle[0] + dC, oracle[1] + dQ)
         return (max(np.abs(jump @ M).max(initial=0.0) for M in factors),
                 max((abs(jump) @ np.abs(M)).max(initial=0.0) for M in factors))
 
-    assert want(sm)[0] <= 1e-10
+    assert want(0.0, 0.0)[0] <= 1e-10
     rng = np.random.default_rng(p)
-    for name, smoother, enters in [("none", sm, False), *planted_defects(sm, rng)]:
-        expected, scale = want(smoother)
-        got = conformity_residual(jump, *smoother._factors())
+    for name, smoother, moves, enters in [("none", sm, (0.0, 0.0), False),
+                                          *planted_defects(sm, rng)]:
+        expected, scale = want(*moves)
+        got = conformity_residual(smoother, jump)
         assert abs(got - expected) <= 1e-12 * scale, name
         assert expected > 1e-3 * scale or not enters, name
 
@@ -961,7 +1037,8 @@ def nodal_averaging_oracle(sm, X):
     node is on the boundary when its only vertex is on a boundary face or its
     two vertices span one. The averaged degree-(p+1) reconstruction is
     interpolated at the lattice, its trace at p+2 points of each face, and
-    S_H is finished with the smoother's own bubble blocks.
+    S_H is finished with the reference bubble blocks, each face read from
+    both of its cells.
     """
     sp, mesh = sm.space, sm.space.mesh
     p, T, nc, nf, n1 = sp.p, mesh.num_cells, sp.nc, sp.nf, sp.n1
@@ -993,16 +1070,19 @@ def nodal_averaging_oracle(sm, X):
         face_basis_values(p + 1, t - 0.5), cell_basis_values(p + 1, face_barycentric(t))
     )
     faces = mesh.interior_faces
+    face_cells = mesh.face_cells[faces].T  # (2, Ei): first, second
     x_cells, x_faces = sp.split(X)
-    v_faces = -(on_faces(trace_hat, mesh, faces, 0) @ a[sm.face_cells[0]])
+    v_faces = -(on_faces(trace_hat, mesh, faces, 0) @ a[face_cells[0]])
     v_faces[:, :nf] += x_faces
     v_cells = np.zeros((T, sm.nD, X.shape[1]))
     v_cells[:, :nc] = x_cells
     v_cells[:, :n1] -= a
-    out = sm.cell_block @ v_cells
+    cell_block = sm._cell_bubble_block()
+    out = cell_block @ v_cells
     out[:, :n1] += a
+    face_bubble = face_bubble_sides(sm, np.eye(sm.nD) - cell_block)
     for side in (0, 1):
-        np.add.at(out, sm.face_cells[side], sm.face_bubble[side] @ v_faces)
+        np.add.at(out, face_cells[side], face_bubble[side] @ v_faces)
     return out.reshape(T * sm.nD, -1)
 
 
