@@ -12,7 +12,7 @@ import os
 
 import numpy as np
 
-from .local_ops import HHOSpace, checked_values
+from .local_ops import HHOSpace, cell_blocks, checked_values
 from .mesh import build_lshape, build_unit_square, refine_red
 from .polyquad import cell_quadrature, quad_for_degree
 from .smoothing import Smoother, lagrange_interpolant
@@ -30,13 +30,22 @@ def _error_rule(p):
     return quad_for_degree(2, 2 * (p + 2) + 4)
 
 
+def _error_norm(space, exact, name, approx, gradient=False):
+    """L2 norm of `exact` minus `approx` on the error rule, summed over cell
+    blocks: `approx(bary, cells)` is a broken polynomial's `values_on` or,
+    with gradient=True, its `gradients_on`."""
+    rule = _error_rule(space.p)
+    total = 0.0
+    for cells in cell_blocks(space.mesh.num_cells):
+        pts, w = cell_quadrature(space.mesh, rule, cells)
+        diff = checked_values(exact, pts, name, gradient) - approx(rule.points, cells)
+        total += np.einsum("tq,tqd->" if gradient else "tq,tq->", w, diff ** 2)
+    return float(np.sqrt(total))
+
+
 def _broken_h1_distance(space, grad_u, bp):
     """Broken H1 seminorm of grad_u minus the broken gradient of `bp`."""
-    rule = _error_rule(space.p)
-    pts, w = cell_quadrature(space.mesh, rule)
-    exact = checked_values(grad_u, pts, "grad_u", gradient=True)
-    diff = exact - bp.gradients_on(rule.points)
-    return float(np.sqrt(np.einsum("tq,tqd->", w, diff ** 2)))
+    return _error_norm(space, grad_u, "grad_u", bp.gradients_on, gradient=True)
 
 
 def error_h1_broken(space, grad_u, vec):
@@ -48,11 +57,7 @@ def error_h1_broken(space, grad_u, vec):
 
 def error_l2(space, u, vec):
     """L2 error of the reconstruction."""
-    recon = space.reconstruct(vec)
-    rule = _error_rule(space.p)
-    pts, w = cell_quadrature(space.mesh, rule)
-    diff = checked_values(u, pts, "u") - recon.values_on(rule.points)
-    return float(np.sqrt(np.einsum("tq,tq->", w, diff ** 2)))
+    return _error_norm(space, u, "u", space.reconstruct(vec).values_on)
 
 
 def supercloseness(space, u, vec):
@@ -366,7 +371,9 @@ def _solve_level(case, p, level, method, averaging, quad_extra, solver):
     """Errors of one level, as a report row without its orders.
 
     Every array of the level dies when this returns; the smoother and the
-    system die inside `solve_load`, before the errors are evaluated.
+    system die inside `solve_load`, before the errors are evaluated. The
+    space's per-cell work runs in fixed-size cell blocks, so the level's
+    peak is the space's held tables plus the factor of the face system.
     """
     mesh = case.mesh_for(level)
     space = HHOSpace(mesh, p, quad_extra=quad_extra)
@@ -406,7 +413,8 @@ def run_convergence(case, p, levels, method="smoothed", averaging="mean",
     """Solve the case on each level and report errors, ratios and orders.
 
     The levels are solved one at a time: at most one level's space, smoother
-    and system are alive at once.
+    and system are alive at once, and its peak is the held tables of its
+    space plus its face factor (`_solve_level`).
     """
     check_levels(case, levels)
     rows = [_solve_level(case, p, level, method, averaging, quad_extra, solver)

@@ -21,7 +21,7 @@ import numpy as np
 from .analysis import (
     CASES, METHODS, check_levels, first_repeat, get_case, run_convergence, solve_load,
 )
-from .local_ops import P_MAX, HHOSpace, smoother_degree
+from .local_ops import P_MAX, HHOSpace, max_quad_extra, smoother_degree
 from .mesh import MeshError, check_matching, read_mesh_file
 from .polyquad import MAX_DEGREE, UnsupportedDegreeError
 from .smoothing import AVERAGING_VARIANTS, lattice_multis
@@ -116,11 +116,11 @@ def _quad_extra(config, degree):
         source = "config field 'quad_extra'"
     if value < 0:
         raise ConfigError(f"{source} must be non-negative")
-    star = smoother_degree(degree)
-    if value > MAX_DEGREE - star:
+    if value > max_quad_extra(degree):
         raise ConfigError(
-            f"{source} must be at most {MAX_DEGREE - star} at degree {degree} "
-            f"(quadrature degree {star} + quad_extra <= {MAX_DEGREE})"
+            f"{source} must be at most {max_quad_extra(degree)} at degree "
+            f"{degree} (quadrature degree {smoother_degree(degree)} + "
+            f"quad_extra <= {MAX_DEGREE})"
         )
     return value
 

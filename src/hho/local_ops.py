@@ -5,7 +5,7 @@ p per cell plus coefficients of degree p per interior face (boundary faces
 carry no unknowns; their data is structurally zero). It is stored as one dof
 vector, the cell blocks first and then the interior-face blocks, each by
 index; this module owns that layout (`HHOSpace.local_dof_ids`,
-`HHOSpace.split`). :class:`HHOSpace` precomputes, for every cell at once,
+`HHOSpace.split`). :class:`HHOSpace` precomputes, for every cell,
 
 * the reconstruction matrix mapping local (cell, face) coefficients to the
   degree-(p+1) reconstruction, obtained from the local Neumann problem solved
@@ -14,12 +14,9 @@ index; this module owns that layout (`HHOSpace.local_dof_ids`,
   h_F^{-1} face weight), built from the stabilization operator, and
 * the local bilinear blocks assembled by the `system` module.
 
-Per cell it stores only these three, the stiffness and integrals of the
-degree-(p+1) basis, the local face diameters and the dof map. A cell table
-that is a reference-triangle table times a per-cell scale (2|K| for the
-cell mass, h_F for the face traces and face masses) is kept once, in its
-reference form; the stabilization operator and the local Neumann data are
-temporaries of the build, freed after their last use.
+Per cell it stores only these three, the local face diameters and the dof
+map; every other cell table is kept in reference form, and per-cell work
+runs over fixed-size cell blocks (:class:`HHOSpace`).
 
 All local matrices are pure functions of immutable mesh/basis data; any set
 of cells may be processed concurrently.
@@ -46,11 +43,26 @@ from .polyquad import (
 
 P_MAX = 3
 
+# cells per block of per-cell work: the temporaries of a block have a fixed
+# size (about 3 MB at p = 3), whatever the number of cells
+CELL_BLOCK = 256
+
 
 def smoother_degree(p):
     """Degree 2 + max(p, 1) of the smoother's broken output at HHO degree p;
     the load rule integrates it against the load with `quad_extra` more."""
     return 2 + max(p, 1)
+
+
+def max_quad_extra(p):
+    """Largest `quad_extra` at HHO degree p: the load rule's degree
+    smoother_degree(p) + quad_extra stays within `MAX_DEGREE`."""
+    return MAX_DEGREE - smoother_degree(p)
+
+
+def cell_blocks(num_cells):
+    """Consecutive slices of at most `CELL_BLOCK` cells covering all cells."""
+    return [slice(s, s + CELL_BLOCK) for s in range(0, num_cells, CELL_BLOCK)]
 
 
 class BrokenPoly:
@@ -67,37 +79,36 @@ class BrokenPoly:
 
     def _pull_back(self, points, cells):
         """Cells (T,) and barycentric coordinates (T, Q, 3) of points (T, Q, 2)."""
-        if cells is None:
-            cells = np.arange(self.mesh.num_cells)
+        cells = np.arange(self.mesh.num_cells)[cells]
         return cells, self.mesh.barycentric_coordinates(cells[:, None], points)
 
-    def values_at(self, points, cells=None):
+    def values_at(self, points, cells=slice(None)):
         """Cell-wise values at physical points (T, Q, 2) aligned with `cells`."""
         cells, bary = self._pull_back(points, cells)
         vals = cell_basis_values(self.degree, bary)
         return (vals @ self.coeffs[cells][..., None])[..., 0]
 
-    def gradients_at(self, points, cells=None):
+    def gradients_at(self, points, cells=slice(None)):
         """Broken gradient at physical points (T, Q, 2) -> (T, Q, 2)."""
         cells, bary = self._pull_back(points, cells)
         grads = cell_basis_gradients(self.degree, bary)
         ref = (self.coeffs[cells][:, None, None, :] @ grads)[..., 0, :]
         return ref @ self.mesh.inverse_jacobians[cells]
 
-    def values_on(self, bary):
-        """Values at the same barycentric points (Q, 3) of every cell -> (T, Q)."""
-        return self.coeffs @ cell_basis_values(self.degree, bary).T
+    def values_on(self, bary, cells=slice(None)):
+        """Values at the same barycentric points (Q, 3) of `cells` -> (T, Q)."""
+        return self.coeffs[cells] @ cell_basis_values(self.degree, bary).T
 
-    def gradients_on(self, bary):
-        """Gradients at the same barycentric points (Q, 3) of every cell -> (T, Q, 2).
+    def gradients_on(self, bary, cells=slice(None)):
+        """Gradients at the same barycentric points (Q, 3) of `cells` -> (T, Q, 2).
 
         The coefficients are contracted with the reference table first; only
         the (T, Q, 2) result is mapped by J_K^{-1}.
         """
         grads = cell_basis_gradients(self.degree, bary)  # (Q, n, 2)
         Q, n, _ = grads.shape
-        ref = self.coeffs @ grads.transpose(1, 0, 2).reshape(n, 2 * Q)
-        return ref.reshape(-1, Q, 2) @ self.mesh.inverse_jacobians
+        ref = self.coeffs[cells] @ grads.transpose(1, 0, 2).reshape(n, 2 * Q)
+        return ref.reshape(-1, Q, 2) @ self.mesh.inverse_jacobians[cells]
 
 
 def checked_values(fn, points, name, gradient=False):
@@ -116,7 +127,7 @@ def checked_values(fn, points, name, gradient=False):
     return vals
 
 
-def _evaluate(v, mesh, points, cells=None):
+def _evaluate(v, mesh, points, cells=slice(None)):
     """Evaluate a callable (vectorized over trailing coordinate axis) or a
     BrokenPoly at points of `mesh`; a BrokenPoly must live on `mesh` (the
     same vertices and cells), since its coefficients are read by cell index."""
@@ -151,32 +162,36 @@ def _tmul(a, b):
     return _t(a) @ b
 
 
-def metric(mesh):
+def metric(mesh, cells=slice(None)):
     """Entries (G11, G12, G22) of the metric G = J^{-1} J^{-T} per cell, (T, 3)."""
-    jinv = mesh.inverse_jacobians
+    jinv = mesh.inverse_jacobians[cells]
     G = jinv @ _t(jinv)
     return G[:, [0, 0, 1], [0, 1, 1]]
 
 
-def stiffness_blocks(mesh, degree, rule):
-    """Stiffness blocks int_K grad phi_i . grad phi_j per cell, (T, n, n).
-
-    2|K| sum_ab G_ab S_ab with the metric G and three reference matrices
-    S_11, S_12 + S_21, S_22 tabulated once on the rule."""
+def reference_stiffness(degree, rule):
+    """The reference matrices S_11, S_12 + S_21, S_22 (3, n, n) of the
+    degree-`degree` stiffness, tabulated on the rule."""
     g = cell_basis_gradients(degree, rule.points)  # (Q, n, 2)
     S = np.einsum("qia,qjb->abij", rule.weights[:, None, None] * g, g)
-    S = np.stack([S[0, 0], S[0, 1] + S[1, 0], S[1, 1]])
-    coef = 2.0 * mesh.volumes[:, None] * metric(mesh)
-    n = g.shape[1]
+    return np.stack([S[0, 0], S[0, 1] + S[1, 0], S[1, 1]])
+
+
+def stiffness_blocks(mesh, S, cells=slice(None)):
+    """Stiffness blocks int_K grad phi_i . grad phi_j of `cells` (all by
+    default), (T, n, n): 2|K| sum_ab G_ab S_ab with the metric G and the
+    reference matrices S of :func:`reference_stiffness`."""
+    coef = 2.0 * mesh.volumes[cells, None] * metric(mesh, cells)
+    n = S.shape[-1]
     return symmetrize((coef @ S.reshape(3, n * n)).reshape(-1, n, n))
 
 
-def gradient_moments(mesh, degree, rule, wg):
-    """int_K g . grad phi_i per cell (T, n) from weighted data wg (T, Q, 2).
+def gradient_moments(mesh, degree, rule, wg, cells=slice(None)):
+    """int_K g . grad phi_i on `cells` (T, n) from weighted data wg (T, Q, 2).
 
     The data is mapped to J_K^{-1} g and contracted with one reference
     gradient table at the rule's points."""
-    mapped = wg @ _t(mesh.inverse_jacobians)
+    mapped = wg @ _t(mesh.inverse_jacobians[cells])
     grads = cell_basis_gradients(degree, rule.points)  # (Q, n, 2)
     Q, n, _ = grads.shape
     return mapped.reshape(-1, 2 * Q) @ grads.transpose(0, 2, 1).reshape(2 * Q, n)
@@ -188,12 +203,15 @@ class HHOSpace:
     Stored per cell (leading axis T) is only what the solver reads: the
     reconstruction `G` (T, n1, nloc), the local bilinear blocks `A_loc`
     (T, nloc, nloc), the face-residual traces `Tmats` (T, 3, nf, nloc), the
-    degree-(p+1) stiffness `stiff1` (T, n1, n1) and integrals `ints1`
-    (T, n1), the local face diameters `hf_loc` (T, 3) and the dof map
-    `local_dof_ids` (T, nloc). Every other cell table is a reference table
-    times a per-cell scale and is kept only in reference form:
+    local face diameters `hf_loc` (T, 3) and the dof map `local_dof_ids`
+    (T, nloc). Every other cell table is a reference table times a per-cell
+    scale and is kept only in reference form:
 
     * the degree-(p+1) cell mass is 2|K| `mass_hat` (n1, n1),
+    * the degree-(p+1) integrals int_K phi_i are 2|K| `ints_hat` (n1,),
+    * the degree-(p+1) stiffness is 2|K| sum_ab G_ab S_ab with the metric G
+      and the reference matrices `stiff_hat` (3, n1, n1), formed for a
+      block of cells where it is read (:func:`stiffness_blocks`),
     * the face trace int_F psi_m phi_j on local face i is
       h_F `ntr_hat[i, face_flips[:, i]]`, with `ntr_hat` (3, 2, nf, n1) per
       (local face, orientation),
@@ -201,8 +219,11 @@ class HHOSpace:
       h_F `fcc_hat[i]`, with `fcc_hat` (3, nc, nc), and
     * the face-basis mass is h_F `mhat_p` (nf, nf).
 
-    The stabilization operator and the local Neumann data behind `G` are
-    temporaries of the construction.
+    The construction, the projections and the error functions of
+    `analysis` run over blocks of `CELL_BLOCK` cells: the stiffness, the
+    stabilization operator and the local Neumann data behind `G` exist one
+    block at a time, so a level's peak memory is the held tables above plus
+    the factor of the face system, whatever the cell count.
 
     Parameters
     ----------
@@ -211,17 +232,22 @@ class HHOSpace:
         Polynomial degree of cell and face unknowns, 0 <= p <= 3.
     quad_extra : int
         Extra quadrature exactness for load integrands (callables are
-        generally non-polynomial), at least 0; the single source of
-        quadrature error in rough-load runs.
+        generally non-polynomial), from 0 to `max_quad_extra(p)`; the single
+        source of quadrature error in rough-load runs.
     """
 
     def __init__(self, mesh, p, quad_extra=2):
         if not 0 <= p <= P_MAX:
             raise UnsupportedDegreeError(f"degree p={p} outside [0, {P_MAX}]")
-        if quad_extra < 0:
+        if not 0 <= quad_extra <= max_quad_extra(p):
             # fewer points than the smoothed test functions need would
-            # under-integrate the load without any visible failure
-            raise ValueError(f"quad_extra={quad_extra} must be non-negative")
+            # under-integrate the load without any visible failure; above
+            # the bound there is no rule
+            raise ValueError(
+                f"quad_extra={quad_extra} must be in [0, {max_quad_extra(p)}] "
+                f"at degree {p} (quadrature degree {smoother_degree(p)} + "
+                f"quad_extra <= {MAX_DEGREE})"
+            )
         self.mesh = mesh
         self.p = p
         self.quad_extra = int(quad_extra)
@@ -248,12 +274,12 @@ class HHOSpace:
     # -- construction ---------------------------------------------------
 
     def _build_cell_tables(self):
-        mesh, rule = self.mesh, self.rule_cell
+        rule = self.rule_cell
         phi1 = cell_basis_values(self.p + 1, rule.points)  # (Q, n1)
         wphi1 = rule.weights[:, None] * phi1
         self.mass_hat = symmetrize(_t(wphi1) @ phi1)
-        self.stiff1 = stiffness_blocks(mesh, self.p + 1, rule)
-        self.ints1 = (2.0 * mesh.volumes)[:, None] * wphi1.sum(axis=0)
+        self.ints_hat = wphi1.sum(axis=0)
+        self.stiff_hat = reference_stiffness(self.p + 1, rule)
 
     def _build_face_tables(self):
         """Reference face tables; returns the flux table only the build reads."""
@@ -274,45 +300,56 @@ class HHOSpace:
         return _t(wpsi) @ np.moveaxis(gphi1, -1, 2)  # (3, 2, 2, nf, n1)
 
     def _build_local_operators(self, flux_hat):
-        mesh = self.mesh
-        T, nc, n1, nf, nloc = mesh.num_cells, self.nc, self.n1, self.nf, self.nloc
-        cols = [slice(nc + i * nf, nc + (i + 1) * nf) for i in range(3)]
-
-        # right-hand side of the local Neumann problem, test function phi_j;
-        # the Laplacian block -int (lap phi_j) q_i from three reference
-        # matrices, the face columns int_F psi_m grad(phi_j) . n_K with
-        # grad phi . n_K = grad_hat phi . (J^{-1} n_K)
+        """Allocate `G`, `Tmats` and `A_loc` and fill them block by block."""
+        T, nc, n1, nf, nloc = self.mesh.num_cells, self.nc, self.n1, self.nf, self.nloc
+        # the Laplacian block of the local Neumann data, -int (lap phi_j)
+        # q_i, from three reference matrices
         rule = self.rule_cell
         wphi_p = rule.weights[:, None] * cell_basis_values(self.p, rule.points)
         lap = cell_basis_laplacians(self.p + 1, rule.points)  # (Q, n1, 3)
         lap_hat = lap.transpose(2, 1, 0) @ wphi_p  # (3, n1, nc)
-        coef = 2.0 * mesh.volumes[:, None] * metric(mesh)
+        # Pi_M is one reference matrix since the mass is 2|K| times mass_hat
+        Pi = np.linalg.solve(self.mass_hat[:nc, :nc], self.mass_hat[:nc, :])
+        self.G = np.empty((T, n1, nloc))
+        self.Tmats = np.empty((T, 3, nf, nloc))
+        self.A_loc = np.empty((T, nloc, nloc))
+        for cells in cell_blocks(T):
+            self._build_block(cells, flux_hat, lap_hat, Pi)
+
+    def _build_block(self, cells, flux_hat, lap_hat, Pi):
+        """Fill the rows `cells` of `G`, `Tmats` and `A_loc` (T cells here)."""
+        mesh = self.mesh
+        nc, n1, nf, nloc = self.nc, self.n1, self.nf, self.nloc
+        cols = [slice(nc + i * nf, nc + (i + 1) * nf) for i in range(3)]
+        vol, hf, flips = mesh.volumes[cells], self.hf_loc[cells], mesh.face_flips[cells]
+        T = len(vol)
+
+        # right-hand side of the local Neumann problem, test function phi_j;
+        # the face columns int_F psi_m grad(phi_j) . n_K with
+        # grad phi . n_K = grad_hat phi . (J^{-1} n_K)
+        coef = 2.0 * vol[:, None] * metric(mesh, cells)
         B = np.zeros((T, n1, nloc))
         B[:, :, :nc] = -(coef @ lap_hat.reshape(3, n1 * nc)).reshape(T, n1, nc)
-        jn = mesh.normals @ _t(mesh.inverse_jacobians)  # (T, 3, 2)
+        jn = mesh.normals[cells] @ _t(mesh.inverse_jacobians[cells])  # (T, 3, 2)
         for i in range(3):
-            o = mesh.face_flips[:, i]
-            h = self.hf_loc[:, i, None, None]
-            flux = jn[:, i, None, :] @ flux_hat[i, o].reshape(T, 2, nf * n1)
+            h = hf[:, i, None, None]
+            flux = jn[:, i, None, :] @ flux_hat[i, flips[:, i]].reshape(T, 2, nf * n1)
             B[:, :, cols[i]] = _t(h * flux.reshape(T, nf, n1))
 
         # solve on the mean-zero complement, then fix the constant by the
         # cell-average condition
-        Gred = np.linalg.solve(self.stiff1[:, 1:, 1:], B[:, 1:, :])
+        stiff = stiffness_blocks(mesh, self.stiff_hat, cells)
+        Gred = np.linalg.solve(stiff[:, 1:, 1:], B[:, 1:, :])
         del B
-        G = np.zeros((T, n1, nloc))
+        ints = (2.0 * vol)[:, None] * self.ints_hat
+        G = self.G[cells]
         G[:, 1:, :] = Gred
         int_row = np.zeros((T, nloc))
-        int_row[:, :nc] = self.ints1[:, :nc]
-        G[:, 0, :] = (
-            int_row - (self.ints1[:, None, 1:] @ Gred)[:, 0]
-        ) / mesh.volumes[:, None]
+        int_row[:, :nc] = ints[:, :nc]
+        G[:, 0, :] = (int_row - (ints[:, None, 1:] @ Gred)[:, 0]) / vol[:, None]
         del Gred
-        self.G = G
 
-        # stabilization operator S = s_M + (Id - Pi_M) R; Pi_M is one
-        # reference matrix since the mass is 2|K| times mass_hat
-        Pi = np.linalg.solve(self.mass_hat[:nc, :nc], self.mass_hat[:nc, :])
+        # stabilization operator S = s_M + (Id - Pi_M) R
         S = G.copy()
         S[:, :nc, :] -= Pi @ G
         idx = np.arange(nc)
@@ -320,28 +357,27 @@ class HHOSpace:
 
         # face-residual traces T_i = FaceSel_i - Pi_Sigma(S .)|_F, from the
         # face trace h_F ntr_hat and the face mass h_F mhat_p
-        Tmats = np.empty((T, 3, nf, nloc))
+        Tmats = self.Tmats[cells]
         for i in range(3):
-            h = self.hf_loc[:, i, None, None]
-            Qi = self.mhat_p_inv @ (h * self.ntr_hat[i, mesh.face_flips[:, i]])
+            h = hf[:, i, None, None]
+            Qi = self.mhat_p_inv @ (h * self.ntr_hat[i, flips[:, i]])
             Qi /= h
             Tmats[:, i] = -(Qi @ S)
             Tmats[:, i, :, cols[i]] += np.eye(nf)
         del S
-        self.Tmats = Tmats
 
         # local bilinear blocks: grad(R .) . grad(R .) plus stabilization;
         # the h_F^{-1} weight cancels the h_F inside the face mass matrix.
         # Sum over the three faces: one (T, 3 nf, nloc) product, added in
         # place; the upper triangle is then mirrored (exact symmetry).
-        A = _t(G) @ (self.stiff1 @ G)
+        A = self.A_loc[cells]
+        np.matmul(_t(G), stiff @ G, out=A)
         A += _tmul(
             Tmats.reshape(T, 3 * nf, nloc),
             (self.mhat_p @ Tmats).reshape(T, 3 * nf, nloc),
         )
         lower = np.tril_indices(nloc, -1)
         A[:, lower[0], lower[1]] = A[:, lower[1], lower[0]]
-        self.A_loc = A
 
     def _build_dof_maps(self):
         mesh = self.mesh
@@ -385,14 +421,15 @@ class HHOSpace:
     # -- projections and local operators ----------------------------------
 
     def project_cell(self, v):
-        """L2 projection onto P^p(M)."""
-        rule = self.rule_cell_proj
-        pts, w = cell_quadrature(self.mesh, rule)
-        fv = _evaluate(v, self.mesh, pts)
-        rhs = (w * fv) @ cell_basis_values(self.p, rule.points)
-        nc = self.nc
-        coeffs = np.linalg.solve(self.mass_hat[:nc, :nc], rhs.T).T
-        return BrokenPoly(self.mesh, self.p, coeffs / (2.0 * self.mesh.volumes[:, None]))
+        """L2 projection onto P^p(M), one cell block at a time."""
+        mesh, rule, nc = self.mesh, self.rule_cell_proj, self.nc
+        phi = cell_basis_values(self.p, rule.points)
+        coeffs = np.empty((mesh.num_cells, nc))
+        for cells in cell_blocks(mesh.num_cells):
+            pts, w = cell_quadrature(mesh, rule, cells)
+            rhs = (w * _evaluate(v, mesh, pts, cells)) @ phi
+            coeffs[cells] = np.linalg.solve(self.mass_hat[:nc, :nc], rhs.T).T
+        return BrokenPoly(mesh, self.p, coeffs / (2.0 * mesh.volumes[:, None]))
 
     def project_face(self, v):
         """L2 projection onto P^p(F) per interior face -> (Ei, p+1)."""
@@ -426,19 +463,22 @@ class HHOSpace:
         return float(np.einsum("tfm,mn,tfn->", ra, self.mhat_p, rb))
 
     def elliptic_project(self, v, grad_v):
-        """Broken elliptic projection onto P^{p+1}(M)."""
-        rule = self.rule_cell_proj
-        pts, w = cell_quadrature(self.mesh, rule)
-        grads = checked_values(grad_v, pts, "gradient grad_v", gradient=True)
-        wg = w[..., None] * grads
-        rhs = gradient_moments(self.mesh, self.p + 1, rule, wg)
-        cred = np.linalg.solve(self.stiff1[:, 1:, 1:], rhs[:, 1:, None])[..., 0]
-        ints_v = (w * _evaluate(v, self.mesh, pts)).sum(axis=1)
-        c0 = (ints_v - np.einsum("ti,ti->t", self.ints1[:, 1:], cred))
-        c0 /= self.mesh.volumes
-        coeffs = np.concatenate([c0[:, None], cred], axis=1)
-        return BrokenPoly(self.mesh, self.p + 1, coeffs)
-
+        """Broken elliptic projection onto P^{p+1}(M), one cell block at a time."""
+        mesh, rule = self.mesh, self.rule_cell_proj
+        coeffs = np.empty((mesh.num_cells, self.n1))
+        for cells in cell_blocks(mesh.num_cells):
+            pts, w = cell_quadrature(mesh, rule, cells)
+            wg = w[..., None] * checked_values(
+                grad_v, pts, "gradient grad_v", gradient=True)
+            rhs = gradient_moments(mesh, self.p + 1, rule, wg, cells)
+            stiff = stiffness_blocks(mesh, self.stiff_hat, cells)
+            cred = np.linalg.solve(stiff[:, 1:, 1:], rhs[:, 1:, None])[..., 0]
+            ints_v = (w * _evaluate(v, mesh, pts, cells)).sum(axis=1)
+            vol = mesh.volumes[cells]
+            ints = (2.0 * vol)[:, None] * self.ints_hat[1:]
+            coeffs[cells, 0] = (ints_v - np.einsum("ti,ti->t", ints, cred)) / vol
+            coeffs[cells, 1:] = cred
+        return BrokenPoly(mesh, self.p + 1, coeffs)
     # -- norms -------------------------------------------------------------
 
     def hho_norm_blocks(self):
@@ -457,7 +497,7 @@ class HHOSpace:
         mesh = self.mesh
         T, nc, nf, nloc = mesh.num_cells, self.nc, self.nf, self.nloc
         H = np.zeros((T, nloc, nloc))
-        H[:, :nc, :nc] = self.stiff1[:, :nc, :nc]
+        H[:, :nc, :nc] = stiffness_blocks(mesh, self.stiff_hat)[:, :nc, :nc]
         for i in range(3):
             cols = slice(nc + i * nf, nc + (i + 1) * nf)
             Ncs = self.ntr_hat[i, mesh.face_flips[:, i], :, :nc]

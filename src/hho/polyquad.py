@@ -124,14 +124,15 @@ def quad_for_degree(dim, degree):
     return rule
 
 
-def cell_quadrature(mesh, rule):
-    """Physical quadrature points and weights on every cell.
+def cell_quadrature(mesh, rule, cells=slice(None)):
+    """Physical quadrature points and weights on `cells` (every cell by
+    default).
 
     Returns ``points`` of shape (T, Q, 2) and ``weights`` of shape (T, Q);
     weights sum to the cell area.
     """
-    points = rule.points @ mesh.cell_vertices()
-    weights = 2.0 * mesh.volumes[:, None] * rule.weights[None, :]
+    points = rule.points @ mesh.vertices[mesh.cells[cells]]
+    weights = 2.0 * mesh.volumes[cells, None] * rule.weights[None, :]
     return points, weights
 
 

@@ -27,6 +27,7 @@ from .local_ops import (
     _t,
     _tmul,
     assemble_bilinear,
+    reference_stiffness,
     scatter_add,
     scatter_blocks,
     stiffness_blocks,
@@ -491,7 +492,8 @@ def orthogonality_residual(smoother):
     """
     space = smoother.space
     n1 = space.n1
-    K = stiffness_blocks(space.mesh, smoother.degree, space.rule_cell)
+    K = stiffness_blocks(
+        space.mesh, reference_stiffness(smoother.degree, space.rule_cell))
     GtK = _t(space.G) @ K[:, :n1]  # (T, nloc, nD)
     C_K, Q_K = smoother._cell_blocks()
     return max(
@@ -512,7 +514,8 @@ def consistency_constant(space, smoother):
     smoother's own blocks give S_H, and the factor `full_lu` gives B^{-1}.
     """
     T, n1, n = space.mesh.num_cells, space.n1, space.num_dofs
-    K = stiffness_blocks(space.mesh, smoother.degree, space.rule_cell)
+    K = stiffness_blocks(
+        space.mesh, reference_stiffness(smoother.degree, space.rule_cell))
     G = space.G
 
     def normal_op(x):  # D^T K D x, on a (num_dofs, 1) block

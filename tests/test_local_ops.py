@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from conftest import basis_at, hat_profile, jittered_square, sine, sine_grad
-from hho.local_ops import BrokenPoly, HHOSpace, assemble_bilinear
+from hho import local_ops
+from hho.analysis import (
+    best_error_h1,
+    error_h1_broken,
+    error_l2,
+    kink_aligned_case,
+)
+from hho.local_ops import BrokenPoly, HHOSpace, assemble_bilinear, stiffness_blocks
 from hho.mesh import build_unit_square, refine_red
 from hho.polyquad import (
     UnsupportedDegreeError,
@@ -59,12 +66,11 @@ def test_space_stores_per_cell_only_what_the_solver_reads():
     finally:
         tracemalloc.stop()
     T = mesh.num_cells
-    assert held <= 12 * 1024 * T, held / T
+    assert held <= 9 * 1024 * T, held / T
     assert peak <= 24 * 1024 * T, peak / T
     per_cell = {name for name, value in vars(space).items()
                 if isinstance(value, np.ndarray) and value.shape[:1] == (T,)}
-    assert per_cell == {"G", "A_loc", "Tmats", "stiff1", "ints1", "hf_loc",
-                        "local_dof_ids"}
+    assert per_cell == {"G", "A_loc", "Tmats", "hf_loc", "local_dof_ids"}
 
 
 def test_degree_guard():
@@ -78,6 +84,78 @@ def test_negative_quad_extra_is_refused():
     with pytest.raises(ValueError, match="quad_extra"):
         HHOSpace(build_unit_square(2), 1, quad_extra=-1)
     assert HHOSpace(build_unit_square(2), 1, quad_extra=0).quad_extra == 0
+
+
+def test_quad_extra_above_the_load_rule_is_refused():
+    # at p = 3 the load rule has degree 5 + quad_extra and the highest rule
+    # degree 20: 16 was once refused only by the rule table, in a message
+    # that named neither quad_extra nor its bound
+    mesh = build_unit_square(2)
+    with pytest.raises(ValueError, match=r"quad_extra=16 must be in \[0, 15\] "
+                                         r"at degree 3 \(quadrature degree 5"):
+        HHOSpace(mesh, 3, quad_extra=16)
+    assert HHOSpace(mesh, 3, quad_extra=15).rule_cell_load.degree == 20
+
+
+@pytest.mark.parametrize("p", [0, 3])
+def test_cell_blocks_do_not_change_the_results(monkeypatch, p):
+    # per-cell work runs over blocks of CELL_BLOCK cells; with blocks of 5
+    # (7 blocks on 32 cells, the last one partial) the build gives the
+    # tables of one block bitwise, and the projections (whose local solves
+    # are conditioned up to about 4e9 at p = 3) and the errors, summed block
+    # by block, agree to round-off: the errors to 1e-14 absolute, since the
+    # fields are of size 1 and an error of 1e-5 loses digits to cancellation
+    mesh = jittered_square(4)
+
+    def run():
+        space = HHOSpace(mesh, p)
+        vec = space.interpolate(sine)
+        tables = [space.G, space.Tmats, space.A_loc]
+        projections = [space.project_cell(sine).coeffs,
+                       space.elliptic_project(sine, sine_grad).coeffs]
+        errors = [*error_h1_broken(space, sine_grad, vec),
+                  error_l2(space, sine, vec),
+                  best_error_h1(space, sine, sine_grad)]
+        return tables, projections, np.array(errors)
+
+    tables, projections, errors = run()
+    monkeypatch.setattr(local_ops, "CELL_BLOCK", 5)
+    assert len(local_ops.cell_blocks(mesh.num_cells)) == 7
+    blocked_tables, blocked_projections, blocked_errors = run()
+    for whole, blocked in zip(tables, blocked_tables):
+        assert np.array_equal(whole, blocked)
+    for whole, blocked in zip(projections, blocked_projections):
+        assert np.abs(whole - blocked).max() <= 1e-12 * np.abs(whole).max()
+    assert np.allclose(blocked_errors, errors, rtol=0.0, atol=1e-14)
+
+
+@pytest.mark.parametrize("work", ["space", "best_error_h1"])
+def test_transient_memory_does_not_grow_with_the_cell_count(work):
+    # p = 3: per-cell work runs in fixed-size cell blocks, so the tracemalloc
+    # transient (peak minus held) of the build and of the best error stays
+    # flat from 512 to 2048 cells (it grew 4x when every temporary had one
+    # row per cell)
+    case = kink_aligned_case()
+
+    def transient(n):
+        mesh = build_unit_square(n)
+        space = HHOSpace(mesh, 3)
+        run = {
+            "space": lambda: HHOSpace(mesh, 3),
+            "best_error_h1": lambda: best_error_h1(space, case.u, case.grad_u),
+        }[work]
+        run()  # fill the rule caches first
+        tracemalloc.start()
+        try:
+            result = run()
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        del result
+        return peak - held
+
+    small, large = transient(16), transient(32)
+    assert large <= 1.2 * small, (small, large)
 
 
 def test_project_cell_idempotent_on_polynomials(space):
@@ -240,7 +318,8 @@ def test_reconstruct_defining_equations_residual(space):
     scale = max(np.abs(lhs).max(), 1.0)
     assert np.abs(lhs - rhs).max() / scale < 1e-11
     means = np.einsum("tq,tq->t", w, recon.values_at(pts))
-    target = np.einsum("ti,ti->t", space.ints1[:, : space.nc], cells)
+    ints = 2.0 * space.mesh.volumes[:, None] * space.ints_hat[: space.nc]
+    target = np.einsum("ti,ti->t", ints, cells)
     assert np.abs(means - target).max() < 1e-12
 
 
@@ -459,7 +538,7 @@ def _einsum_kernels(space):
     """Cell tables and operators: the plain einsum formulas, term by term,
     over basis tables evaluated cell by cell at the physical quadrature points.
 
-    The local solves and the G^T K G product take the space's own `stiff1`
+    The local solves and the G^T K G product take the space's own stiffness
     and cell mass 2|K| `mass_hat`, which are checked against their formulas
     on their own: the local condition numbers (about 1e6 and 4e9 at p = 3)
     would otherwise turn last-bit differences in those tables into 1e-12
@@ -492,7 +571,7 @@ def _einsum_kernels(space):
     B[:, :, :nc] = -np.einsum("tq,tqm,tqj->tjm", w, phi1[..., :nc], lphi1)
     for i in range(3):
         B[:, :, nc + i * nf: nc + (i + 1) * nf] = ref["Bflux"][i].transpose(0, 2, 1)
-    stiff1, mass1 = space.stiff1, cell_mass(space)
+    stiff1, mass1 = stiffness_blocks(mesh, space.stiff_hat), cell_mass(space)
     Gred = np.linalg.solve(stiff1[:, 1:, 1:], B[:, 1:, :])
     ints1 = np.einsum("tq,tqi->ti", w, phi1)
     int_row = np.zeros((T, nloc))
@@ -536,7 +615,9 @@ def test_batched_kernels_match_einsum_on_jittered_mesh(p):
     space = HHOSpace(jittered_square(4), p)
     ref = _einsum_kernels(space)
     _assert_blocks_close(cell_mass(space), ref["mass1"], 1e-12)
-    for name in ("stiff1", "G", "A_loc"):
+    stiff1 = stiffness_blocks(space.mesh, space.stiff_hat)
+    _assert_blocks_close(stiff1, ref["stiff1"], 1e-12)
+    for name in ("G", "A_loc"):
         _assert_blocks_close(getattr(space, name), ref[name], 1e-12)
     # face tables: h_F times one reference table per (local face,
     # orientation); the flux table enters only through G, checked above

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import basis_at, jittered_square
-from hho.local_ops import HHOSpace
+from hho.local_ops import HHOSpace, stiffness_blocks
 from hho.mesh import SimplicialMesh, build_unit_square, refine_red
 from hho.polyquad import (
     MAX_DEGREE,
@@ -172,8 +172,8 @@ def test_basis_laplacians_match_finite_differences():
 
 
 # cell Gram and stiffness matrices are checked on the tables HHOSpace builds:
-# stiff1 per cell and the reference mass mass_hat, both of the degree-(p+1)
-# basis; the Gram matrix of cell K is 2|K| mass_hat
+# the stiffness blocks it forms and the reference mass mass_hat, both of the
+# degree-(p+1) basis; the Gram matrix of cell K is 2|K| mass_hat
 
 
 def _cell_mass(mesh, p):
@@ -227,7 +227,7 @@ def test_face_mass_matrix_matches_reference():
 
 def test_stiffness_constant_row_zero_and_kernel_dimension():
     m = build_unit_square(1)
-    K = HHOSpace(m, 1).stiff1[0]  # degree 2
+    K = stiffness_blocks(m, HHOSpace(m, 1).stiff_hat)[0]  # degree 2
     assert np.allclose(K[0], 0.0) and np.allclose(K[:, 0], 0.0)
     eigs = np.linalg.eigvalsh(K)
     assert np.sum(np.abs(eigs) < 1e-12) == 1
@@ -239,7 +239,7 @@ def test_stiffness_p1_reference_triangle_hand_values():
     # int |grad x|^2 = int |grad y|^2 = |K| = 1/2
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     m = SimplicialMesh(verts, np.array([[0, 1, 2]]))
-    K = HHOSpace(m, 0).stiff1[0]  # degree 1
+    K = stiffness_blocks(m, HHOSpace(m, 0).stiff_hat)[0]  # degree 1
     # coefficients of x and y interpolated at the three vertices
     V = cell_basis_values(1, np.eye(3))
     coeffs = np.linalg.solve(V, verts)  # columns: x, y
