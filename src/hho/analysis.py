@@ -14,7 +14,12 @@ import numpy as np
 
 from .local_ops import HHOSpace, cell_blocks, checked_values
 from .mesh import build_lshape, build_unit_square, refine_red
-from .polyquad import cell_quadrature, quad_for_degree
+from .polyquad import (
+    cell_basis_gradients,
+    cell_basis_values,
+    cell_quadrature,
+    quad_for_degree,
+)
 from .smoothing import Smoother, lagrange_interpolant
 from .system import LoadFunctional, assemble, rhs_classical, rhs_smoothed, solve
 
@@ -30,22 +35,26 @@ def _error_rule(p):
     return quad_for_degree(2, 2 * (p + 2) + 4)
 
 
-def _error_norm(space, exact, name, approx, gradient=False):
-    """L2 norm of `exact` minus `approx` on the error rule, summed over cell
-    blocks: `approx(bary, cells)` is a broken polynomial's `values_on` or,
-    with gradient=True, its `gradients_on`."""
+def _error_norm(space, exact, name, bp, gradient=False):
+    """L2 norm of `exact` minus the broken polynomial `bp` (its broken
+    gradient with gradient=True) on the error rule, summed over cell blocks;
+    the basis is tabulated once on the rule."""
     rule = _error_rule(space.p)
+    if gradient:
+        table, approx = cell_basis_gradients(bp.degree, rule.points), bp.gradients_on
+    else:
+        table, approx = cell_basis_values(bp.degree, rule.points), bp.values_on
     total = 0.0
     for cells in cell_blocks(space.mesh.num_cells):
         pts, w = cell_quadrature(space.mesh, rule, cells)
-        diff = checked_values(exact, pts, name, gradient) - approx(rule.points, cells)
+        diff = checked_values(exact, pts, name, gradient) - approx(table, cells)
         total += np.einsum("tq,tqd->" if gradient else "tq,tq->", w, diff ** 2)
     return float(np.sqrt(total))
 
 
 def _broken_h1_distance(space, grad_u, bp):
     """Broken H1 seminorm of grad_u minus the broken gradient of `bp`."""
-    return _error_norm(space, grad_u, "grad_u", bp.gradients_on, gradient=True)
+    return _error_norm(space, grad_u, "grad_u", bp, gradient=True)
 
 
 def error_h1_broken(space, grad_u, vec):
@@ -57,7 +66,7 @@ def error_h1_broken(space, grad_u, vec):
 
 def error_l2(space, u, vec):
     """L2 error of the reconstruction."""
-    return _error_norm(space, u, "u", space.reconstruct(vec).values_on)
+    return _error_norm(space, u, "u", space.reconstruct(vec))
 
 
 def supercloseness(space, u, vec):
@@ -372,8 +381,11 @@ def _solve_level(case, p, level, method, averaging, quad_extra, solver):
 
     Every array of the level dies when this returns; the smoother and the
     system die inside `solve_load`, before the errors are evaluated. The
-    space's per-cell work runs in fixed-size cell blocks, so the level's
-    peak is the space's held tables plus the factor of the face system.
+    space holds only `G` per cell, and the system only the cell rows of the
+    local blocks, the elimination and the face matrix: the local blocks and
+    every other per-cell temporary exist one fixed-size cell block at a
+    time, so the level's peak is these held tables plus the factor of the
+    face system.
     """
     mesh = case.mesh_for(level)
     space = HHOSpace(mesh, p, quad_extra=quad_extra)
@@ -414,7 +426,7 @@ def run_convergence(case, p, levels, method="smoothed", averaging="mean",
 
     The levels are solved one at a time: at most one level's space, smoother
     and system are alive at once, and its peak is the held tables of its
-    space plus its face factor (`_solve_level`).
+    space (`G`) and system plus its face factor (`_solve_level`).
     """
     check_levels(case, levels)
     rows = [_solve_level(case, p, level, method, averaging, quad_extra, solver)

@@ -23,7 +23,7 @@ from .analysis import (
 )
 from .local_ops import P_MAX, HHOSpace, max_quad_extra, smoother_degree
 from .mesh import MeshError, check_matching, read_mesh_file
-from .polyquad import MAX_DEGREE, UnsupportedDegreeError
+from .polyquad import MAX_DEGREE, UnsupportedDegreeError, cell_basis_values
 from .smoothing import AVERAGING_VARIANTS, lattice_multis
 from .system import SOLVER_METHODS, LoadFunctional, MethodNotApplicableError, SolverError
 from .verify import SUITE_DEFAULTS, run_verification
@@ -324,7 +324,7 @@ def cmd_solve(args, config):
 
     bary = lattice_multis(degree + 1) / (degree + 1)
     pts = np.einsum("la,tad->tld", bary, mesh.cell_vertices())
-    vals = recon.values_on(bary)
+    vals = recon.values_on(cell_basis_values(recon.degree, bary))
 
     os.makedirs(out, exist_ok=True)
     path = os.path.join(out, "solution.csv")

@@ -5,17 +5,21 @@ p per cell plus coefficients of degree p per interior face (boundary faces
 carry no unknowns; their data is structurally zero). It is stored as one dof
 vector, the cell blocks first and then the interior-face blocks, each by
 index; this module owns that layout (`HHOSpace.local_dof_ids`,
-`HHOSpace.split`). :class:`HHOSpace` precomputes, for every cell,
+`HHOSpace.split`). :class:`HHOSpace` precomputes, for every cell, the
+reconstruction matrix mapping local (cell, face) coefficients to the
+degree-(p+1) reconstruction, obtained from the local Neumann problem solved
+on the mean-zero complement with the constant fixed by the cell average.
+Both terms of the HHO form are read from it, for a block of cells where
+they are needed:
 
-* the reconstruction matrix mapping local (cell, face) coefficients to the
-  degree-(p+1) reconstruction, obtained from the local Neumann problem solved
-  on the mean-zero complement with the constant fixed by the cell average,
 * the face-residual trace matrices behind the stabilization form (with the
-  h_F^{-1} face weight), built from the stabilization operator, and
-* the local bilinear blocks assembled by the `system` module.
+  h_F^{-1} face weight), built from the stabilization operator
+  (`HHOSpace.face_traces`), and
+* the local bilinear blocks condensed and assembled by the `system` module
+  (`HHOSpace.local_matrices`).
 
-Per cell it stores only these three, the local face diameters and the dof
-map; every other cell table is kept in reference form, and per-cell work
+Per cell it stores only the reconstruction, the local face diameters and the
+dof map; every other cell table is kept in reference form, and per-cell work
 runs over fixed-size cell blocks (:class:`HHOSpace`).
 
 All local matrices are pure functions of immutable mesh/basis data; any set
@@ -95,17 +99,20 @@ class BrokenPoly:
         ref = (self.coeffs[cells][:, None, None, :] @ grads)[..., 0, :]
         return ref @ self.mesh.inverse_jacobians[cells]
 
-    def values_on(self, bary, cells=slice(None)):
-        """Values at the same barycentric points (Q, 3) of `cells` -> (T, Q)."""
-        return self.coeffs[cells] @ cell_basis_values(self.degree, bary).T
+    def values_on(self, table, cells=slice(None)):
+        """Values of `cells` (T, Q) at the same barycentric points in every
+        cell, from the basis table (Q, n) tabulated there once
+        (`cell_basis_values(self.degree, bary)`)."""
+        return self.coeffs[cells] @ table.T
 
-    def gradients_on(self, bary, cells=slice(None)):
-        """Gradients at the same barycentric points (Q, 3) of `cells` -> (T, Q, 2).
+    def gradients_on(self, grads, cells=slice(None)):
+        """Gradients of `cells` (T, Q, 2) at the same barycentric points in
+        every cell, from the reference gradient table (Q, n, 2) tabulated
+        there once (`cell_basis_gradients(self.degree, bary)`).
 
         The coefficients are contracted with the reference table first; only
         the (T, Q, 2) result is mapped by J_K^{-1}.
         """
-        grads = cell_basis_gradients(self.degree, bary)  # (Q, n, 2)
         Q, n, _ = grads.shape
         ref = self.coeffs[cells] @ grads.transpose(1, 0, 2).reshape(n, 2 * Q)
         return ref.reshape(-1, Q, 2) @ self.mesh.inverse_jacobians[cells]
@@ -186,13 +193,12 @@ def stiffness_blocks(mesh, S, cells=slice(None)):
     return symmetrize((coef @ S.reshape(3, n * n)).reshape(-1, n, n))
 
 
-def gradient_moments(mesh, degree, rule, wg, cells=slice(None)):
+def gradient_moments(mesh, grads, wg, cells=slice(None)):
     """int_K g . grad phi_i on `cells` (T, n) from weighted data wg (T, Q, 2).
 
-    The data is mapped to J_K^{-1} g and contracted with one reference
-    gradient table at the rule's points."""
+    The data is mapped to J_K^{-1} g and contracted with the reference
+    gradient table `grads` (Q, n, 2), tabulated once at the rule's points."""
     mapped = wg @ _t(mesh.inverse_jacobians[cells])
-    grads = cell_basis_gradients(degree, rule.points)  # (Q, n, 2)
     Q, n, _ = grads.shape
     return mapped.reshape(-1, 2 * Q) @ grads.transpose(0, 2, 1).reshape(2 * Q, n)
 
@@ -200,12 +206,15 @@ def gradient_moments(mesh, degree, rule, wg, cells=slice(None)):
 class HHOSpace:
     """Discrete HHO space of degree p on a mesh, with cached local operators.
 
-    Stored per cell (leading axis T) is only what the solver reads: the
-    reconstruction `G` (T, n1, nloc), the local bilinear blocks `A_loc`
-    (T, nloc, nloc), the face-residual traces `Tmats` (T, 3, nf, nloc), the
-    local face diameters `hf_loc` (T, 3) and the dof map `local_dof_ids`
-    (T, nloc). Every other cell table is a reference table times a per-cell
-    scale and is kept only in reference form:
+    Stored per cell (leading axis T) is only the reconstruction `G`
+    (T, n1, nloc), the local face diameters `hf_loc` (T, 3) and the dof map
+    `local_dof_ids` (T, nloc). Both terms of the HHO form
+    a_h = (grad R ., grad R .) + s_h are read from `G`: `face_traces(cells)`
+    forms the face-residual traces T_K (T, 3, nf, nloc) behind s_h and
+    `local_matrices(cells)` the local bilinear blocks A_K (T, nloc, nloc),
+    each for a block of cells where it is read (the static condensation of
+    `system`, `stab_form`). Every other cell table is a reference table
+    times a per-cell scale and is kept only in reference form:
 
     * the degree-(p+1) cell mass is 2|K| `mass_hat` (n1, n1),
     * the degree-(p+1) integrals int_K phi_i are 2|K| `ints_hat` (n1,),
@@ -217,13 +226,15 @@ class HHOSpace:
       (local face, orientation),
     * the degree-p face mass int_F phi_i phi_j on local face i is
       h_F `fcc_hat[i]`, with `fcc_hat` (3, nc, nc), and
-    * the face-basis mass is h_F `mhat_p` (nf, nf).
+    * the face-basis mass is h_F `mhat_p` (nf, nf), and
+    * the cell projection Pi_M onto P^p is `pi_hat` (nc, n1).
 
-    The construction, the projections and the error functions of
-    `analysis` run over blocks of `CELL_BLOCK` cells: the stiffness, the
-    stabilization operator and the local Neumann data behind `G` exist one
-    block at a time, so a level's peak memory is the held tables above plus
-    the factor of the face system, whatever the cell count.
+    The construction, the local operators, the projections and the error
+    functions of `analysis` run over blocks of `CELL_BLOCK` cells: the
+    stiffness, the local Neumann data behind `G`, the stabilization
+    operator, T_K and A_K exist one block at a time, so a level's held
+    memory is `G` plus the tables above and its peak the factor of the
+    face system, whatever the cell count.
 
     Parameters
     ----------
@@ -300,8 +311,8 @@ class HHOSpace:
         return _t(wpsi) @ np.moveaxis(gphi1, -1, 2)  # (3, 2, 2, nf, n1)
 
     def _build_local_operators(self, flux_hat):
-        """Allocate `G`, `Tmats` and `A_loc` and fill them block by block."""
-        T, nc, n1, nf, nloc = self.mesh.num_cells, self.nc, self.n1, self.nf, self.nloc
+        """Allocate `G` and fill it block by block."""
+        T, nc, n1, nloc = self.mesh.num_cells, self.nc, self.n1, self.nloc
         # the Laplacian block of the local Neumann data, -int (lap phi_j)
         # q_i, from three reference matrices
         rule = self.rule_cell
@@ -309,15 +320,13 @@ class HHOSpace:
         lap = cell_basis_laplacians(self.p + 1, rule.points)  # (Q, n1, 3)
         lap_hat = lap.transpose(2, 1, 0) @ wphi_p  # (3, n1, nc)
         # Pi_M is one reference matrix since the mass is 2|K| times mass_hat
-        Pi = np.linalg.solve(self.mass_hat[:nc, :nc], self.mass_hat[:nc, :])
+        self.pi_hat = np.linalg.solve(self.mass_hat[:nc, :nc], self.mass_hat[:nc, :])
         self.G = np.empty((T, n1, nloc))
-        self.Tmats = np.empty((T, 3, nf, nloc))
-        self.A_loc = np.empty((T, nloc, nloc))
         for cells in cell_blocks(T):
-            self._build_block(cells, flux_hat, lap_hat, Pi)
+            self._build_block(cells, flux_hat, lap_hat)
 
-    def _build_block(self, cells, flux_hat, lap_hat, Pi):
-        """Fill the rows `cells` of `G`, `Tmats` and `A_loc` (T cells here)."""
+    def _build_block(self, cells, flux_hat, lap_hat):
+        """Fill the rows `cells` of `G` (T cells here)."""
         mesh = self.mesh
         nc, n1, nf, nloc = self.nc, self.n1, self.nf, self.nloc
         cols = [slice(nc + i * nf, nc + (i + 1) * nf) for i in range(3)]
@@ -347,37 +356,6 @@ class HHOSpace:
         int_row = np.zeros((T, nloc))
         int_row[:, :nc] = ints[:, :nc]
         G[:, 0, :] = (int_row - (ints[:, None, 1:] @ Gred)[:, 0]) / vol[:, None]
-        del Gred
-
-        # stabilization operator S = s_M + (Id - Pi_M) R
-        S = G.copy()
-        S[:, :nc, :] -= Pi @ G
-        idx = np.arange(nc)
-        S[:, idx, idx] += 1.0
-
-        # face-residual traces T_i = FaceSel_i - Pi_Sigma(S .)|_F, from the
-        # face trace h_F ntr_hat and the face mass h_F mhat_p
-        Tmats = self.Tmats[cells]
-        for i in range(3):
-            h = hf[:, i, None, None]
-            Qi = self.mhat_p_inv @ (h * self.ntr_hat[i, flips[:, i]])
-            Qi /= h
-            Tmats[:, i] = -(Qi @ S)
-            Tmats[:, i, :, cols[i]] += np.eye(nf)
-        del S
-
-        # local bilinear blocks: grad(R .) . grad(R .) plus stabilization;
-        # the h_F^{-1} weight cancels the h_F inside the face mass matrix.
-        # Sum over the three faces: one (T, 3 nf, nloc) product, added in
-        # place; the upper triangle is then mirrored (exact symmetry).
-        A = self.A_loc[cells]
-        np.matmul(_t(G), stiff @ G, out=A)
-        A += _tmul(
-            Tmats.reshape(T, 3 * nf, nloc),
-            (self.mhat_p @ Tmats).reshape(T, 3 * nf, nloc),
-        )
-        lower = np.tril_indices(nloc, -1)
-        A[:, lower[0], lower[1]] = A[:, lower[1], lower[0]]
 
     def _build_dof_maps(self):
         mesh = self.mesh
@@ -454,23 +432,75 @@ class HHOSpace:
             self.mesh, self.p + 1, np.einsum("tij,tj->ti", self.G, x)
         )
 
+    def face_traces(self, cells=slice(None)):
+        """Face-residual traces T_i = FaceSel_i - Pi_F(S .)|_F of `cells`
+        (all by default), (T, 3, nf, nloc), read from `G`.
+
+        S = s_M + (Id - Pi_M) R is the stabilization operator, with the
+        reference projection `pi_hat`; the face projection is the face
+        trace h_F `ntr_hat` solved against the face mass h_F `mhat_p`.
+        """
+        mesh, nc, nf = self.mesh, self.nc, self.nf
+        G, hf, flips = self.G[cells], self.hf_loc[cells], mesh.face_flips[cells]
+        S = G.copy()
+        S[:, :nc, :] -= self.pi_hat @ G
+        idx = np.arange(nc)
+        S[:, idx, idx] += 1.0
+        traces = np.empty((len(G), 3, nf, self.nloc))
+        for i in range(3):
+            h = hf[:, i, None, None]
+            Qi = self.mhat_p_inv @ (h * self.ntr_hat[i, flips[:, i]])
+            Qi /= h
+            traces[:, i] = -(Qi @ S)
+            traces[:, i, :, nc + i * nf: nc + (i + 1) * nf] += np.eye(nf)
+        return traces
+
+    def local_matrices(self, cells=slice(None)):
+        """Local bilinear blocks A_K of `cells` (all by default),
+        (T, nloc, nloc): grad(R .) . grad(R .) plus the stabilization.
+
+        The h_F^{-1} weight cancels the h_F inside the face mass matrix. The
+        sum over the three faces is one (T, 3 nf, nloc) product, added in
+        place; the upper triangle is then mirrored (exact symmetry).
+        """
+        G, nf, nloc = self.G[cells], self.nf, self.nloc
+        T = len(G)
+        stiff = stiffness_blocks(self.mesh, self.stiff_hat, cells)
+        A = _t(G) @ (stiff @ G)
+        traces = self.face_traces(cells)
+        A += _tmul(
+            traces.reshape(T, 3 * nf, nloc),
+            (self.mhat_p @ traces).reshape(T, 3 * nf, nloc),
+        )
+        lower = np.tril_indices(nloc, -1)
+        A[:, lower[0], lower[1]] = A[:, lower[1], lower[0]]
+        return A
+
     def stab_form(self, a, b):
-        """Face-penalty stabilization form of two dof vectors (h_F^{-1}-weighted)."""
+        """Face-penalty stabilization form of two dof vectors (h_F^{-1}-weighted).
+
+        The face residuals are read from the traces one cell block at a time.
+        """
         xa = self.local_coeffs(a)
         xb = self.local_coeffs(b)
-        ra = np.einsum("tfml,tl->tfm", self.Tmats, xa)
-        rb = np.einsum("tfml,tl->tfm", self.Tmats, xb)
+        ra = np.empty((self.mesh.num_cells, 3, self.nf))
+        rb = np.empty_like(ra)
+        for cells in cell_blocks(self.mesh.num_cells):
+            traces = self.face_traces(cells)
+            ra[cells] = np.einsum("tfml,tl->tfm", traces, xa[cells])
+            rb[cells] = np.einsum("tfml,tl->tfm", traces, xb[cells])
         return float(np.einsum("tfm,mn,tfn->", ra, self.mhat_p, rb))
 
     def elliptic_project(self, v, grad_v):
         """Broken elliptic projection onto P^{p+1}(M), one cell block at a time."""
         mesh, rule = self.mesh, self.rule_cell_proj
+        grads = cell_basis_gradients(self.p + 1, rule.points)
         coeffs = np.empty((mesh.num_cells, self.n1))
         for cells in cell_blocks(mesh.num_cells):
             pts, w = cell_quadrature(mesh, rule, cells)
             wg = w[..., None] * checked_values(
                 grad_v, pts, "gradient grad_v", gradient=True)
-            rhs = gradient_moments(mesh, self.p + 1, rule, wg, cells)
+            rhs = gradient_moments(mesh, grads, wg, cells)
             stiff = stiffness_blocks(mesh, self.stiff_hat, cells)
             cred = np.linalg.solve(stiff[:, 1:, 1:], rhs[:, 1:, None])[..., 0]
             ints_v = (w * _evaluate(v, mesh, pts, cells)).sum(axis=1)
@@ -479,6 +509,7 @@ class HHOSpace:
             coeffs[cells, 0] = (ints_v - np.einsum("ti,ti->t", ints, cred)) / vol
             coeffs[cells, 1:] = cred
         return BrokenPoly(mesh, self.p + 1, coeffs)
+
     # -- norms -------------------------------------------------------------
 
     def hho_norm_blocks(self):
@@ -489,10 +520,11 @@ class HHOSpace:
 
         The h_F^{-1} face weight cancels the h_F of every face table, so the
         face terms are the reference tables `fcc_hat`, `ntr_hat` and `mhat_p`.
-        Like each `A_loc` block, every H_K vanishes exactly on the local
-        constant (1 at cell dof 0 and at the first dof of each face) and is
-        positive definite on its complement, which is what the element-by-
-        element eigenvalue bound of Fried (J. Sound Vib. 22, 1972) needs.
+        Like each block A_K of `local_matrices`, every H_K vanishes exactly
+        on the local constant (1 at cell dof 0 and at the first dof of each
+        face) and is positive definite on its complement, which is what the
+        element-by-element eigenvalue bound of Fried (J. Sound Vib. 22, 1972)
+        needs.
         """
         mesh = self.mesh
         T, nc, nf, nloc = mesh.num_cells, self.nc, self.nf, self.nloc
@@ -508,8 +540,9 @@ class HHOSpace:
         return H
 
 
-def scatter_blocks(blocks, row_ids, col_ids, shape):
-    """Sum dense blocks (B, r, c) into a CSR matrix of the given shape.
+def scatter_blocks(blocks, row_ids, col_ids, shape, format="csr"):
+    """Sum dense blocks (B, r, c) into a sparse matrix of the given shape,
+    CSR or, with format="csc", CSC.
 
     Block b lands at global rows row_ids[b] (r,) and columns col_ids[b] (c,);
     entries with a negative row or column id (unknowns that do not exist,
@@ -520,7 +553,7 @@ def scatter_blocks(blocks, row_ids, col_ids, shape):
     keep = (rows >= 0) & (cols >= 0)
     return sparse.coo_matrix(
         (blocks[keep], (rows[keep], cols[keep])), shape=shape
-    ).tocsr()
+    ).asformat(format)
 
 
 def scatter_add(values, ids, size):

@@ -21,11 +21,12 @@ from scipy.sparse.linalg import cg, splu
 from .local_ops import (
     _gather,
     assemble_bilinear,
+    cell_blocks,
     checked_values,
     gradient_moments,
     scatter_blocks,
 )
-from .polyquad import cell_basis_values, cell_quadrature
+from .polyquad import cell_basis_gradients, cell_basis_values, cell_quadrature
 
 
 SOLVER_METHODS = ("direct", "cg")
@@ -65,33 +66,52 @@ class LoadFunctional:
 
 
 class CondensedSystem:
-    """SPD face-unknown system plus the per-cell elimination data."""
+    """SPD face-unknown system plus the per-cell elimination data.
+
+    The local blocks A_K of `space.local_matrices` are formed and condensed
+    one cell block at a time. The system keeps their cell rows `A_tt`
+    (T, nc, nc) and `A_tf` (T, nc, 3 nf), the elimination
+    `elim` = A_tt^{-1} A_tf and the face matrix, the sum of the Schur
+    complements A_ff - A_ft elim; no (T, nloc, nloc) array outlives the
+    constructor. `full_matrix` forms the blocks again on first use.
+    """
 
     def __init__(self, space):
         self.space = space
-        nc = space.nc
+        T, nc, nfl = space.mesh.num_cells, space.nc, 3 * space.nf
 
         # cell elimination A_tt^{-1} A_tf by factor-and-solve, no inverse
-        self.A_tt = space.A_loc[:, :nc, :nc]
-        self.A_tf = space.A_loc[:, :nc, nc:]
-        self.elim = np.linalg.solve(self.A_tt, self.A_tf)
-        S_loc = space.A_loc[:, nc:, nc:] - space.A_loc[:, nc:, :nc] @ self.elim
+        self.A_tt = np.empty((T, nc, nc))
+        self.A_tf = np.empty((T, nc, nfl))
+        self.elim = np.empty((T, nc, nfl))
+        S_loc = np.empty((T, nfl, nfl))
+        for cells in cell_blocks(T):
+            A = space.local_matrices(cells)
+            self.A_tt[cells] = A[:, :nc, :nc]
+            self.A_tf[cells] = A[:, :nc, nc:]
+            self.elim[cells] = np.linalg.solve(self.A_tt[cells], self.A_tf[cells])
+            S_loc[cells] = A[:, nc:, nc:] - A[:, nc:, :nc] @ self.elim[cells]
 
+        # assembled in CSC, the format the factor reads; an entry sums the
+        # blocks of at most two cells (a face's dofs with themselves, from
+        # the face's two cells), so its value does not depend on the order
         ids = space.local_dof_ids[:, nc:] - space.num_cell_dofs
         self.face_matrix = scatter_blocks(
-            S_loc, ids, ids, (space.num_face_dofs, space.num_face_dofs)
+            S_loc, ids, ids, (space.num_face_dofs, space.num_face_dofs),
+            format="csc",
         )
         self._face_ids = ids
 
     @cached_property
     def face_lu(self):
         """Symmetric-ordering LU factors of the face matrix, on first use."""
-        return splu(self.face_matrix.tocsc(), **SPD_LU)
+        return splu(self.face_matrix, **SPD_LU)
 
     @cached_property
     def full_matrix(self):
-        """Uncondensed global matrix, assembled on first use."""
-        return assemble_bilinear(self.space, self.space.A_loc)
+        """Uncondensed global matrix, assembled on first use from the local
+        blocks of `space.local_matrices`."""
+        return assemble_bilinear(self.space, self.space.local_matrices())
 
     @cached_property
     def full_lu(self):
@@ -163,7 +183,8 @@ def rhs_smoothed(space, smoother, load):
         fvec += (wf @ cell_basis_values(smoother.degree, rule.points)).ravel()
     if load.g is not None:
         wg = w[..., None] * _load_values(load, "g", pts)
-        fvec += gradient_moments(space.mesh, smoother.degree, rule, wg).ravel()
+        grads = cell_basis_gradients(smoother.degree, rule.points)
+        fvec += gradient_moments(space.mesh, grads, wg).ravel()
     return smoother.apply_transpose(fvec)
 
 

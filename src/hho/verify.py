@@ -174,9 +174,9 @@ def _space_checks(report, space, n, rng, random_fields, variants):
 SHIFT_GAP = 1e-4
 
 
-def _local_coercivity_bound(space, norm_blocks):
+def _local_coercivity_bound(space, local_blocks, norm_blocks):
     """min_K lambda_min(A_K, H_K) on the complement of the local constant,
-    from the blocks A_K of `space.A_loc` and H_K of `norm_blocks`.
+    from the blocks A_K of `local_blocks` and H_K of `norm_blocks`.
 
     With A = sum_K A_K and H = sum_K H_K, both vanishing on the local
     constant c (1 at cell dof 0 and at the first dof of each face), every
@@ -193,7 +193,7 @@ def _local_coercivity_bound(space, norm_blocks):
     w[0] -= 1.0
     Z = (np.eye(nloc) - np.outer(w, w) * (2.0 / (w @ w)))[:, 1:]
     Li = np.linalg.inv(np.linalg.cholesky(Z.T @ norm_blocks @ Z))
-    reduced = Li @ (Z.T @ space.A_loc @ Z) @ Li.swapaxes(-1, -2)
+    reduced = Li @ (Z.T @ local_blocks @ Z) @ Li.swapaxes(-1, -2)
     return float(np.linalg.eigvalsh(reduced)[:, 0].min())
 
 
@@ -210,15 +210,17 @@ def _min_eigenvalue(system):
     (Ericsson & Ruhe, Math. Comp. 35, 1980), is then the smallest, and the
     closeness of the shift makes it converge in a few dozen solves. Without
     the certificate, or when the space has a single dof (too few for
-    ARPACK), the exact value comes from a dense solve.
+    ARPACK), the exact value comes from a dense solve. The blocks A_K and
+    H_K are formed once and feed both the assembled A and H and the bound.
     """
     space = system.space
-    A = system.full_matrix
+    local_blocks = space.local_matrices()
+    A = assemble_bilinear(space, local_blocks)
     norm_blocks = space.hho_norm_blocks()
     H = assemble_bilinear(space, norm_blocks)
     n = A.shape[0]
     if n > 1:
-        bound = _local_coercivity_bound(space, norm_blocks)
+        bound = _local_coercivity_bound(space, local_blocks, norm_blocks)
         sigma = bound - SHIFT_GAP * abs(bound)
         lu = splu((A - sigma * H).tocsc(), **SPD_LU)
         if np.array_equal(lu.perm_r, lu.perm_c) and np.all(lu.U.diagonal() > 0.0):

@@ -15,6 +15,7 @@ from hho.local_ops import BrokenPoly, HHOSpace, assemble_bilinear, stiffness_blo
 from hho.mesh import build_unit_square, refine_red
 from hho.polyquad import (
     UnsupportedDegreeError,
+    cell_basis_gradients,
     cell_basis_values,
     cell_quadrature,
     face_basis_values,
@@ -24,7 +25,7 @@ from hho.polyquad import (
     space_dimension,
 )
 from hho.smoothing import lagrange_interpolant
-from hho.system import assemble
+from hho.system import assemble, solve
 
 
 @pytest.fixture(params=[0, 1, 2], ids=lambda p: f"p{p}")
@@ -36,20 +37,22 @@ def stab_operator(space):
     """Stabilization operator S = s_M + (Id - Pi_M) R per cell (T, n1, nloc).
 
     Rebuilt from the stored `G` and the reference mass `mass_hat` (Pi_M is
-    one reference matrix); it must reproduce the stored face-residual traces
-    T_i = FaceSel_i - Pi_F(S .)|_F, where the face projection is the
-    reference table pair (ntr_hat, mhat_p) since h_F cancels.
+    one reference matrix); it must reproduce the face-residual traces
+    T_i = FaceSel_i - Pi_F(S .)|_F of `face_traces`, where the face
+    projection is the reference table pair (ntr_hat, mhat_p) since h_F
+    cancels.
     """
     nc, nf = space.nc, space.nf
     Pi = np.linalg.solve(space.mass_hat[:nc, :nc], space.mass_hat[:nc, :])
     S = space.G.copy()
     S[:, :nc, :] -= np.einsum("mi,tij->tmj", Pi, space.G)
     S[:, np.arange(nc), np.arange(nc)] += 1.0
+    traces = space.face_traces()
     for i in range(3):
         trace = space.ntr_hat[i, space.mesh.face_flips[:, i]]  # (T, nf, n1)
         Ti = -np.einsum("mn,tnj,tjl->tml", np.linalg.inv(space.mhat_p), trace, S)
         Ti[:, :, nc + i * nf: nc + (i + 1) * nf] += np.eye(nf)
-        _assert_blocks_close(space.Tmats[:, i], Ti, 1e-12)
+        _assert_blocks_close(traces[:, i], Ti, 1e-12)
     return S
 
 
@@ -66,11 +69,11 @@ def test_space_stores_per_cell_only_what_the_solver_reads():
     finally:
         tracemalloc.stop()
     T = mesh.num_cells
-    assert held <= 9 * 1024 * T, held / T
+    assert held <= 3.5 * 1024 * T, held / T
     assert peak <= 24 * 1024 * T, peak / T
     per_cell = {name for name, value in vars(space).items()
                 if isinstance(value, np.ndarray) and value.shape[:1] == (T,)}
-    assert per_cell == {"G", "A_loc", "Tmats", "hf_loc", "local_dof_ids"}
+    assert per_cell == {"G", "hf_loc", "local_dof_ids"}
 
 
 def test_degree_guard():
@@ -100,17 +103,26 @@ def test_quad_extra_above_the_load_rule_is_refused():
 @pytest.mark.parametrize("p", [0, 3])
 def test_cell_blocks_do_not_change_the_results(monkeypatch, p):
     # per-cell work runs over blocks of CELL_BLOCK cells; with blocks of 5
-    # (7 blocks on 32 cells, the last one partial) the build gives the
-    # tables of one block bitwise, and the projections (whose local solves
-    # are conditioned up to about 4e9 at p = 3) and the errors, summed block
-    # by block, agree to round-off: the errors to 1e-14 absolute, since the
-    # fields are of size 1 and an error of 1e-5 loses digits to cancellation
+    # (7 blocks on 32 cells, the last one partial) the build, the local
+    # operators stacked block by block, the condensation and the solution
+    # equal those of one block bitwise, and the projections (whose local
+    # solves are conditioned up to about 4e9 at p = 3) and the errors,
+    # summed block by block, agree to round-off: the errors to 1e-14
+    # absolute, since the fields are of size 1 and an error of 1e-5 loses
+    # digits to cancellation
     mesh = jittered_square(4)
 
     def run():
         space = HHOSpace(mesh, p)
         vec = space.interpolate(sine)
-        tables = [space.G, space.Tmats, space.A_loc]
+        blocks = local_ops.cell_blocks(mesh.num_cells)
+        system = assemble(space)
+        # a right-hand side that no blocked work computes
+        rhs = np.random.default_rng(p).standard_normal(space.num_dofs)
+        tables = [space.G,
+                  np.concatenate([space.local_matrices(c) for c in blocks]),
+                  np.concatenate([space.face_traces(c) for c in blocks]),
+                  system.face_matrix.toarray(), system.elim, solve(system, rhs)]
         projections = [space.project_cell(sine).coeffs,
                        space.elliptic_project(sine, sine_grad).coeffs]
         errors = [*error_h1_broken(space, sine_grad, vec),
@@ -426,7 +438,7 @@ def test_bilinear_b_on_interpolant_equals_gradient_norm(space):
 def test_bilinear_b_positive_definite_tiny_mesh():
     # dense eigensolve oracle on the assembled matrix
     sp = HHOSpace(build_unit_square(1), 0)
-    A = assemble_bilinear(sp, sp.A_loc).toarray()
+    A = assemble_bilinear(sp, sp.local_matrices()).toarray()
     eigs = np.linalg.eigvalsh(A)
     assert eigs.min() > 0.0
 
@@ -434,7 +446,7 @@ def test_bilinear_b_positive_definite_tiny_mesh():
 def test_coercivity_against_hho_norm(space):
     from scipy.linalg import eigh
 
-    B = assemble_bilinear(space, space.A_loc).toarray()
+    B = assemble_bilinear(space, space.local_matrices()).toarray()
     H = assemble_bilinear(space, space.hho_norm_blocks()).toarray()
     lam_min = eigh(B, H, eigvals_only=True, subset_by_index=[0, 0])[0]
     assert lam_min > 1e-8
@@ -447,7 +459,7 @@ def test_coercivity_constant_stable_under_refinement():
     mesh = build_unit_square(2)
     for _ in range(3):
         sp = HHOSpace(mesh, 1)
-        B = assemble_bilinear(sp, sp.A_loc).toarray()
+        B = assemble_bilinear(sp, sp.local_matrices()).toarray()
         H = assemble_bilinear(sp, sp.hho_norm_blocks()).toarray()
         lams.append(eigh(B, H, eigvals_only=True, subset_by_index=[0, 0])[0])
         mesh = refine_red(mesh)
@@ -462,7 +474,7 @@ def test_local_blocks_share_exactly_the_local_constant_kernel(p):
     nc, nf = space.nc, space.nf
     c = np.zeros(space.nloc)
     c[[0, nc, nc + nf, nc + 2 * nf]] = 1.0
-    for blocks in (space.A_loc, space.hho_norm_blocks()):
+    for blocks in (space.local_matrices(), space.hho_norm_blocks()):
         scale = np.abs(blocks).max(axis=(1, 2))
         assert np.abs(blocks @ c).max(axis=1).max() <= 1e-12 * scale.max()
         # and nothing else: one zero eigenvalue per cell
@@ -518,9 +530,10 @@ def test_local_gather_is_transpose_of_assembly_scatter(p):
     sp = HHOSpace(jittered_square(4), p)
     rng = np.random.default_rng(p)
     x, y = rng.standard_normal((2, sp.num_dofs))
-    glob = x @ (assemble_bilinear(sp, sp.A_loc) @ y)
+    blocks = sp.local_matrices()
+    glob = x @ (assemble_bilinear(sp, blocks) @ y)
     xl, yl = sp.local_coeffs(x), sp.local_coeffs(y)
-    loc = np.einsum("ti,tij,tj->", xl, sp.A_loc, yl)
+    loc = np.einsum("ti,tij,tj->", xl, blocks, yl)
     assert loc == pytest.approx(glob, rel=1e-12)
 
 
@@ -586,15 +599,15 @@ def _einsum_kernels(space):
     S[:, :nc, :] -= np.einsum("tmi,tij->tmj", Pi, G)
     S[:, np.arange(nc), np.arange(nc)] += 1.0
     mhat = reference_face_mass(p)
-    Tmats = np.empty((T, 3, nf, nloc))
+    traces = np.empty((T, 3, nf, nloc))
     for i in range(3):
         Qi = np.einsum("mn,tnj->tmj", np.linalg.inv(mhat), ref["Ntr"][i])
-        Tmats[:, i] = -np.einsum("tmj,tjl->tml", Qi, S) \
+        traces[:, i] = -np.einsum("tmj,tjl->tml", Qi, S) \
             / space.hf_loc[:, i, None, None]
-        Tmats[:, i, :, nc + i * nf: nc + (i + 1) * nf] += np.eye(nf)
+        traces[:, i, :, nc + i * nf: nc + (i + 1) * nf] += np.eye(nf)
     ref["G"] = G
-    ref["A_loc"] = (np.einsum("tfml,mn,tfnk->tlk", Tmats, mhat, Tmats)
-                    + np.einsum("til,tij,tjk->tlk", G, stiff1, G))
+    ref["A"] = (np.einsum("tfml,mn,tfnk->tlk", traces, mhat, traces)
+                + np.einsum("til,tij,tjk->tlk", G, stiff1, G))
     return ref
 
 
@@ -617,8 +630,8 @@ def test_batched_kernels_match_einsum_on_jittered_mesh(p):
     _assert_blocks_close(cell_mass(space), ref["mass1"], 1e-12)
     stiff1 = stiffness_blocks(space.mesh, space.stiff_hat)
     _assert_blocks_close(stiff1, ref["stiff1"], 1e-12)
-    for name in ("G", "A_loc"):
-        _assert_blocks_close(getattr(space, name), ref[name], 1e-12)
+    _assert_blocks_close(space.G, ref["G"], 1e-12)
+    _assert_blocks_close(space.local_matrices(), ref["A"], 1e-12)
     # face tables: h_F times one reference table per (local face,
     # orientation); the flux table enters only through G, checked above
     for i in range(3):
@@ -647,5 +660,7 @@ def test_broken_poly_gradients_match_central_differences(degree):
         assert np.abs(grads[..., d] - fd).max() < 1e-7 * max(np.abs(grads).max(), 1.0)
     # the same values and gradients at shared barycentric points
     shared = bary[0] @ mesh.cell_vertices()
-    assert np.abs(bp.values_on(bary[0]) - bp.values_at(shared)).max() < 1e-13
-    assert np.abs(bp.gradients_on(bary[0]) - bp.gradients_at(shared)).max() < 1e-11
+    values = bp.values_on(cell_basis_values(degree, bary[0]))
+    gradients = bp.gradients_on(cell_basis_gradients(degree, bary[0]))
+    assert np.abs(values - bp.values_at(shared)).max() < 1e-13
+    assert np.abs(gradients - bp.gradients_at(shared)).max() < 1e-11

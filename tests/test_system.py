@@ -1,3 +1,6 @@
+import tracemalloc
+import types
+
 import numpy as np
 import pytest
 from scipy.sparse.linalg import splu
@@ -49,6 +52,48 @@ def test_assembled_matrix_symmetry_exact():
     A = assemble(sp).full_matrix
     diff = (A - A.T).tocoo()
     assert np.abs(diff.data).max(initial=0.0) == 0.0
+
+
+def _reachable_arrays(root):
+    """Every numpy array reachable from `root` through instance attributes,
+    containers (sparse matrices included) and the bases of array views."""
+    seen, stack, arrays = set(), [root], []
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType)):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            arrays.append(obj)
+            stack.append(obj.base)
+        elif isinstance(obj, dict):
+            stack.extend(obj.values())
+        elif isinstance(obj, (list, tuple)):
+            stack.extend(obj)
+        elif hasattr(obj, "__dict__"):
+            stack.extend(vars(obj).values())
+    return arrays
+
+
+def test_assembly_keeps_no_local_matrix():
+    # the local blocks A_K exist one cell block at a time: after `assemble`
+    # the system holds only the cell rows A_tt and A_tf, the elimination
+    # and the face matrix (at most 5 KiB per cell at p = 3), and no array
+    # of the system or its space has the shape (T, nloc, nloc)
+    mesh = build_unit_square(16)
+    space = HHOSpace(mesh, 3)
+    assemble(space)  # fill the rule and tabulation caches first
+    tracemalloc.start()
+    try:
+        system = assemble(space)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    T, nloc = mesh.num_cells, space.nloc
+    assert held <= 5 * 1024 * T, held / T
+    shapes = {a.shape for a in _reachable_arrays(system)}
+    assert {space.G.shape, system.elim.shape, system.face_matrix.data.shape} <= shapes
+    assert (T, nloc, nloc) not in shapes
 
 
 def test_condensed_matrix_symmetric_spd():

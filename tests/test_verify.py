@@ -67,12 +67,22 @@ def test_min_eigenvalue_matches_dense_oracle_on_small_meshes(make_mesh, p):
 
 
 @pytest.mark.parametrize("p, n, cell", [(0, 2, 0), (2, 8, 17)])
-def test_min_eigenvalue_of_indefinite_matrix_is_exact(p, n, cell):
+def test_min_eigenvalue_of_indefinite_matrix_is_exact(monkeypatch, p, n, cell):
     # one negated local block makes A indefinite. The local bound is then
     # negative, and the certificate holds at the shift below it: the value
-    # must be the smallest eigenvalue (negative), not the one nearest 0
+    # must be the smallest eigenvalue (negative), not the one nearest 0.
+    # The block is negated where every reader forms the blocks, in
+    # local_matrices, so the condensation, the assembled matrix and the
+    # local bound all see it
     space = HHOSpace(build_unit_square(n), p)
-    space.A_loc[cell] *= -1.0
+    local_matrices = space.local_matrices
+
+    def planted(cells=slice(None)):
+        blocks = local_matrices(cells)
+        blocks[np.arange(space.mesh.num_cells)[cells] == cell] *= -1.0
+        return blocks
+
+    monkeypatch.setattr(space, "local_matrices", planted)
     system = assemble(space)
     want = _dense_min_eigenvalue(system)
     assert want < 0.0
@@ -88,7 +98,8 @@ def test_min_eigenvalue_of_indefinite_matrix_is_exact(p, n, cell):
 def test_local_bound_is_below_the_smallest_eigenvalue(make_mesh, p):
     space = HHOSpace(make_mesh(), p)
     want = _dense_min_eigenvalue(assemble(space))
-    bound = _local_coercivity_bound(space, space.hho_norm_blocks())
+    bound = _local_coercivity_bound(space, space.local_matrices(),
+                                    space.hho_norm_blocks())
     assert bound <= want * (1.0 + 1e-12)
     if p == 0:
         # the bound is attained (on the unit-square grids every eigenvalue
@@ -103,7 +114,7 @@ def test_bound_above_the_smallest_eigenvalue_falls_back_to_dense(monkeypatch):
     system = assemble(space)
     want = _dense_min_eigenvalue(system)
     monkeypatch.setattr(hho.verify, "_local_coercivity_bound",
-                        lambda space, norm_blocks: 1.5 * want)
+                        lambda space, local_blocks, norm_blocks: 1.5 * want)
     dense = []
     eigh_ = hho.verify.dla.eigh
     monkeypatch.setattr(hho.verify.dla, "eigh",
@@ -125,7 +136,8 @@ def test_coercivity_check_factors_only_the_shifted_matrix(monkeypatch):
     system = assemble(space)
     _min_eigenvalue(system)
     assert len(factored) == 1
-    bound = _local_coercivity_bound(space, space.hho_norm_blocks())
+    bound = _local_coercivity_bound(space, space.local_matrices(),
+                                    space.hho_norm_blocks())
     sigma = bound - SHIFT_GAP * abs(bound)
     shifted = system.full_matrix - sigma * _norm_matrix(space)
     assert abs(factored[0] - shifted).max() == 0.0
