@@ -12,9 +12,9 @@ the two cells sharing the face; both are 1 at the respective barycenter.
 The smoother is linear and cell-local once the averaging is done, so it
 is kept, from HHO unknowns to broken coefficients of degree 2 + max(p, 1),
 as one dense block [C_K | Q_K] per cell next to the averaging blocks W.
-Applying it, its transpose, the sparse factors of S_H = C + Q W and the
-conformity and orthogonality checks all read that one table; neither check
-forms W or S_H.
+Applying it and its transpose contract that one table, and the conformity
+and orthogonality checks read it directly, per face side and per cell:
+neither check forms a global factor, a jump matrix, W or S_H.
 """
 
 import numpy as np
@@ -26,7 +26,7 @@ from .local_ops import (
     _gather,
     _t,
     _tmul,
-    assemble_bilinear,
+    cell_blocks,
     reference_stiffness,
     scatter_add,
     scatter_blocks,
@@ -142,9 +142,10 @@ class Smoother:
     tables, gathered once per cell. The cell columns B_M[:, :nc] are kept
     once (`cell_columns`, (nD, nc)), the rest per cell (`blocks`,
     (T, nD, 3 nf + 3)). These and W are the one description of S_H:
-    `apply_vector` and `apply_transpose` contract them, `_factors` scatters
-    them into the sparse C and Q of S_H = C + Q W that the checks read, and
-    `matrix` (read by no solver path or check) multiplies those out.
+    `apply_vector` and `apply_transpose` contract them, `cell_table` joins
+    them into [C_K | Q_K] with global column ids for the two checks, and
+    `matrix` (read by no solver path or check) scatters that table into
+    [C Q] and multiplies it by [I; W].
 
     Parameters
     ----------
@@ -328,45 +329,34 @@ class Smoother:
         out = scatter_add(local, space.local_dof_ids, space.num_dofs)
         return out.reshape((space.num_dofs,) + fvec.shape[1:])
 
-    # -- sparse form ---------------------------------------------------------
+    # -- the table [C_K | Q_K] ----------------------------------------------
 
-    def _cell_blocks(self):
-        """C_K (T, nD, nloc) and Q_K (T, nD, 3) of every cell."""
-        T, nD, nc = len(self.blocks), self.nD, self.space.nc
-        cells = np.broadcast_to(self.cell_columns, (T, nD, nc))
-        return (np.concatenate([cells, self.blocks[..., :-3]], axis=2),
-                self.blocks[..., -3:])
-
-    def _factors(self):
-        """The two sparse factors of S_H = C + Q W, the cell blocks
-        scattered:
-
-        * C (T nD, num_dofs): C_K, the parts that read the dofs directly, at
-          the cell's `local_dof_ids`,
-        * Q (T nD, num_nodes): Q_K, the averaged values at the cell's corners
-          -> broken degree-D coefficients, at its `node_ids`.
-
-        W, the averaging of R x at the vertices, is not formed here.
-        """
+    def cell_table(self, cells=slice(None)):
+        """[C_K | Q_K] (T, nD, nloc + 3) of `cells` (all by default) and its
+        global column ids (T, nloc + 3): the cell's `local_dof_ids`, then its
+        `node_ids` offset by `num_dofs`, -1 where the column does not exist
+        (a boundary face or a boundary vertex)."""
         space = self.space
-        T, nD = space.mesh.num_cells, self.nD
-        rows = np.arange(T)[:, None] * nD + np.arange(nD)
-        C_K, Q_K = self._cell_blocks()
-        C = scatter_blocks(C_K, rows, space.local_dof_ids, (T * nD, space.num_dofs))
-        Q = scatter_blocks(Q_K, rows, self.node_ids, (T * nD, self.num_nodes))
-        return C, Q
+        blocks, nodes = self.blocks[cells], self.node_ids[cells]
+        cell = np.broadcast_to(self.cell_columns, (len(blocks), self.nD, space.nc))
+        ids = np.concatenate(
+            [space.local_dof_ids[cells],
+             np.where(nodes >= 0, nodes + space.num_dofs, -1)], axis=1)
+        return np.concatenate([cell, blocks], axis=2), ids
 
     @property
     def matrix(self):
-        """Full sparse smoother matrix S_H = C + Q W (built on first use and
-        cached), with C and Q from :meth:`_factors` and W: dofs -> averaged
-        values at the interior vertices, the per-cell blocks avg_blocks G.
-        No solver path or check reads it: it stays only because
-        perfbench/spans.py and the test oracles name it.
-        """
+        """Full sparse smoother matrix S_H = C + Q W, built on first use and
+        cached: the table scattered into [C Q] times [I; W], W the averaging
+        blocks avg_blocks G. No solver path or check reads it: it stays only
+        because perfbench/spans.py and the test oracles name it."""
         if self._matrix is None:
             space = self.space
-            C, Q = self._factors()
+            T, nD = len(self.blocks), self.nD
+            table, ids = self.cell_table()
+            rows = np.arange(T)[:, None] * nD + np.arange(nD)
+            CQ = scatter_blocks(table, rows, ids,
+                                (T * nD, space.num_dofs + self.num_nodes))
             W = scatter_blocks(
                 self.avg_blocks @ space.G, self.avg_ids, space.local_dof_ids,
                 (self.num_nodes, space.num_dofs),
@@ -374,9 +364,7 @@ class Smoother:
             # C + Q W as the one product [C Q] [I; W]: no second copy of
             # the full-size result for the sum
             identity = sparse.identity(space.num_dofs, format="csr")
-            self._matrix = sparse.hstack([C, Q], format="csr") @ sparse.vstack(
-                [identity, W], format="csr"
-            )
+            self._matrix = CQ @ sparse.vstack([identity, W], format="csr")
         return self._matrix
 
 
@@ -388,33 +376,44 @@ def on_faces(table, mesh, faces, side):
     return table[local, mesh.face_flips[K, local]]
 
 
-def jump_matrix(mesh, degree):
-    """Sparse map from broken coefficients to face jumps and boundary traces.
+def sampled_jumps(mesh, degree, table, col_ids, num_cols):
+    """Sparse face jumps and boundary traces of the columns of a per-cell
+    table (T, n, c), broken degree-`degree` coefficients per column.
 
     Each interior face (first cell minus second), then each boundary face,
     is sampled at degree + 1 equispaced points: a degree-`degree` jump that
-    vanishes there vanishes on the whole face.
+    vanishes there vanishes on the whole face. The samples of the face's
+    cells are summed at the global ids `col_ids` (T, c) (negative: no such
+    column) of a (rows, num_cols) matrix, so a shared column gets its jump.
     """
-    n = space_dimension(degree)
     samples = degree + 1
     ts = (np.arange(samples) + 0.5) / samples
     vals_hat = cell_basis_values(degree, face_barycentric(ts))  # (3, 2, s, n)
-    blocks, rows, cols = [], [], []
-    row0 = 0
-    for faces, sides in ((mesh.interior_faces, (0, 1)),
-                         (np.nonzero(mesh.boundary_face_mask)[0], (0,))):
-        face_rows = row0 + np.arange(len(faces) * samples).reshape(-1, samples)
-        for side in sides:
-            K = mesh.face_cells[faces, side]
-            vals = on_faces(vals_hat, mesh, faces, side)  # (F, s, n)
-            blocks.append(vals if side == 0 else -vals)
-            rows.append(face_rows)
-            cols.append(K[:, None] * n + np.arange(n))
-        row0 += len(faces) * samples
-    return scatter_blocks(
-        np.concatenate(blocks), np.concatenate(rows), np.concatenate(cols),
-        (row0, mesh.num_cells * n),
-    )
+    # the face sides: each interior face from its first and then its second
+    # cell, then each boundary face
+    interior = mesh.interior_faces
+    boundary = np.nonzero(mesh.boundary_face_mask)[0]
+    Ei, Eb = len(interior), len(boundary)
+    faces = np.concatenate([interior, interior, boundary])
+    sides = np.repeat([0, 1, 0], [Ei, Ei, Eb])
+    K = mesh.face_cells[faces, sides]
+    # every cell's samples on its three local faces (T, 3, s, c), read per
+    # face side and not kept: the scatter below is the memory peak
+    vals = np.stack([vals_hat[i, mesh.face_flips[:, i]] @ table
+                     for i in range(3)], axis=1)[K, mesh.face_local[faces, sides]]
+    vals[Ei:2 * Ei] *= -1.0
+    rows = np.concatenate([np.arange(Ei), np.arange(Ei + Eb)])
+    return scatter_blocks(vals, rows[:, None] * samples + np.arange(samples),
+                          col_ids[K], ((Ei + Eb) * samples, num_cols))
+
+
+def jump_matrix(mesh, degree):
+    """Sparse map from broken coefficients to face jumps and boundary
+    traces: :func:`sampled_jumps` of the identity table, one column per
+    coefficient of each cell."""
+    T, n = mesh.num_cells, space_dimension(degree)
+    return sampled_jumps(mesh, degree, np.broadcast_to(np.eye(n), (T, n, n)),
+                         np.arange(T)[:, None] * n + np.arange(n), T * n)
 
 
 def moment_residuals(smoother, X):
@@ -455,53 +454,49 @@ def moment_residuals(smoother, X):
     return cell_res, face_res
 
 
-def _max_entry(matrix):
-    """Largest absolute entry of a sparse matrix (0 when it has none)."""
-    return float(np.abs(matrix.data).max()) if matrix.nnz else 0.0
+def conformity_residual(smoother):
+    """Max face jump and boundary trace of every column of C and of Q:
+    :func:`sampled_jumps` of the tables [C_K | Q_K] of `Smoother.cell_table`.
 
-
-def conformity_residual(smoother, jump):
-    """Max face jump and boundary trace of every column of C and of Q.
-
-    `jump` is :func:`jump_matrix` at the smoother's degree, (C, Q) the pair
-    of ``Smoother._factors``. For any vertex vector a, Q a (the hat
-    re-expansion and its bubble corrections) is continuous and zero on the
-    boundary, and so is C x; both zero means jump @ (C + Q W) = 0 for every
-    averaging W, without forming W or S_H. So a defect in the averaging
-    weights (`avg_blocks`, `avg_ids`) passes this check: only the
-    convergence orders and `consistency_constant` see it.
+    For any vertex vector a, Q a (the hat re-expansion and its bubble
+    corrections) is continuous and zero on the boundary, and so is C x;
+    both zero means S_H = C + Q W maps into H1_0 for every averaging W,
+    without forming W or S_H. No verify check reads W: a defect in the
+    averaging weights (`avg_blocks`, `avg_ids`) passes this check and
+    every other one.
     """
-    C, Q = smoother._factors()
-    return max(_max_entry(jump @ C), _max_entry(jump @ Q))
+    table, ids = smoother.cell_table()
+    space = smoother.space
+    jumps = sampled_jumps(space.mesh, smoother.degree, table, ids,
+                          space.num_dofs + smoother.num_nodes)
+    return float(np.abs(jumps.data).max()) if jumps.nnz else 0.0
 
 
 def orthogonality_residual(smoother):
-    """Max entry of grad(R .)^T grad(R - C) and of grad(R .)^T grad Q over
-    all basis pairs, for the factors C and Q of S_H = C + Q W.
+    """Max entry over the cells K of G_K^T K_K ([G_K 0] - [C_K | Q_K]), K_K
+    the degree-D stiffness, at the rows and columns that exist.
 
-    The computable content of the algebraic-consistency identity: the broken
-    gradient of R is orthogonal to R - S_H for every pair of basis fields.
-    With the degree-D stiffness K and B_K = G^T K[:n1, :] per cell, the check
-    is G^T K_11 G - B_K C_K assembled and B_K Q_K scattered, cell by cell
-    (each cell's rows of C read only its own dofs): no global B and no
-    sparse product. Q a has zero preserved cell and face moments for any
-    vertex vector a, and C x the moments of x, so both vanish exactly;
-    together they imply G^T K (R - S_H) = 0 for every averaging W. So, as
-    for :func:`conformity_residual`, a defect in the averaging weights
-    passes this check.
+    The computable content of the algebraic-consistency identity, cell by
+    cell: the gradient of R is orthogonal to that of R - S_H for every pair
+    of basis fields. Q a has zero preserved cell and face moments for any
+    vertex vector a, and C x the moments of x, so both column ranges vanish
+    for every averaging W. An assembled entry sums at most two per-cell
+    entries, so this is at least as strict as the assembled check. A defect
+    in the averaging weights passes it, as it passes the conformity check.
     """
     space = smoother.space
-    n1 = space.n1
-    K = stiffness_blocks(
-        space.mesh, reference_stiffness(smoother.degree, space.rule_cell))
-    GtK = _t(space.G) @ K[:, :n1]  # (T, nloc, nD)
-    C_K, Q_K = smoother._cell_blocks()
-    return max(
-        _max_entry(assemble_bilinear(space, GtK[..., :n1] @ space.G - GtK @ C_K)),
-        _max_entry(scatter_blocks(GtK @ Q_K, space.local_dof_ids,
-                                  smoother.node_ids,
-                                  (space.num_dofs, smoother.num_nodes))),
-    )
+    n1, nloc = space.n1, space.nloc
+    S = reference_stiffness(smoother.degree, space.rule_cell)
+    residual = 0.0
+    for cells in cell_blocks(space.mesh.num_cells):
+        G = space.G[cells]
+        GtK = _t(G) @ stiffness_blocks(space.mesh, S, cells)[:, :n1]
+        table, ids = smoother.cell_table(cells)
+        res = -(GtK @ table)  # (B, nloc, nloc + 3)
+        res[..., :nloc] += GtK[..., :n1] @ G
+        keep = (space.local_dof_ids[cells, :, None] >= 0) & (ids[:, None] >= 0)
+        residual = max(residual, np.abs(res[keep]).max(initial=0.0))
+    return float(residual)
 
 
 def consistency_constant(space, smoother):

@@ -24,7 +24,6 @@ from .mesh import (
 from .smoothing import (
     Smoother,
     conformity_residual,
-    jump_matrix,
     moment_residuals,
     orthogonality_residual,
 )
@@ -106,7 +105,6 @@ def _external_mesh_checks(report, mesh_path):
 def _space_checks(report, space, n, rng, random_fields, variants):
     """Record the checks of one space; return its coercivity eigenvalue."""
     p = space.p
-    mesh = space.mesh
     sine = smooth_sine_case()
 
     recon = space.reconstruct(space.interpolate(sine.u))
@@ -132,7 +130,6 @@ def _space_checks(report, space, n, rng, random_fields, variants):
     )
 
     smoothers = {}
-    jump = jump_matrix(mesh, space.degree_star)
     for variant in variants:
         smoother = smoothers[variant] = Smoother(space, averaging=variant)
         X = rng.standard_normal((random_fields, space.num_dofs)).T
@@ -142,8 +139,8 @@ def _space_checks(report, space, n, rng, random_fields, variants):
         report.add("moment-face", face_res.max(initial=0.0),
                    degree=p, resolution=n, variant=variant)
 
-        # both identities on the cell blocks [C_K | Q_K], never on S_H
-        report.add("conformity", conformity_residual(smoother, jump),
+        # both identities on the cell tables [C_K | Q_K], never on S_H
+        report.add("conformity", conformity_residual(smoother),
                    degree=p, resolution=n, variant=variant)
         report.add("orthogonality", orthogonality_residual(smoother),
                    degree=p, resolution=n, variant=variant)
@@ -210,17 +207,18 @@ def _min_eigenvalue(system):
     (Ericsson & Ruhe, Math. Comp. 35, 1980), is then the smallest, and the
     closeness of the shift makes it converge in a few dozen solves. Without
     the certificate, or when the space has a single dof (too few for
-    ARPACK), the exact value comes from a dense solve. The blocks A_K and
-    H_K are formed once and feed both the assembled A and H and the bound.
+    ARPACK), the exact value comes from a dense solve. A is the system's
+    `full_matrix`; the blocks H_K are formed once and feed both the
+    assembled H and the bound, which forms the blocks A_K once more.
     """
     space = system.space
-    local_blocks = space.local_matrices()
-    A = assemble_bilinear(space, local_blocks)
+    A = system.full_matrix
     norm_blocks = space.hho_norm_blocks()
     H = assemble_bilinear(space, norm_blocks)
     n = A.shape[0]
     if n > 1:
-        bound = _local_coercivity_bound(space, local_blocks, norm_blocks)
+        bound = _local_coercivity_bound(space, space.local_matrices(),
+                                        norm_blocks)
         sigma = bound - SHIFT_GAP * abs(bound)
         lu = splu((A - sigma * H).tocsc(), **SPD_LU)
         if np.array_equal(lu.perm_r, lu.perm_c) and np.all(lu.U.diagonal() > 0.0):

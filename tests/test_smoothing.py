@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy import sparse
 from scipy.linalg import block_diag, eigh
 
+import hho.local_ops
 import hho.smoothing
 from conftest import basis_at, hat_profile, jittered_square, single_triangle_mesh
 from hho.analysis import get_case, run_convergence
@@ -793,22 +794,31 @@ FACTOR_MESHES = pytest.mark.parametrize("make", [
 @pytest.mark.parametrize("p", [0, 1, 2, 3])
 @FACTOR_MESHES
 def test_orthogonality_residual_matches_dense_oracle(make, p, variant):
-    # dense R_D^T K (R_D - C) and R_D^T K Q, the split identity, with C and Q
-    # from the five-factor oracle. On the smoother both are round-off, so the
-    # comparison is repeated with the C and then the Q columns of the cell
-    # blocks moved, and the oracle moved alike, which makes the maximum
-    # entry O(1)
+    # per cell K, dense R_K^T K_K (R_K - C_K) and R_K^T K_K Q_K, the split
+    # identity, with R_K, C_K and Q_K the rows of K and the columns of its
+    # dofs and vertices in the dense R_D and in C and Q from the five-factor
+    # oracle. On the smoother both are round-off, so the comparison is
+    # repeated with the C and then the Q columns of the cell blocks moved,
+    # and the oracle moved alike, which makes the maximum entry O(1)
     sp = HHOSpace(make(), p)
     sm = Smoother(sp, averaging=variant)
     RD = reconstruction_oracle(sp, sm.degree).toarray()
-    RtK = RD.T @ dense_broken_stiffness(sp, sm.degree)
-    scale = np.abs(RtK @ RD).max()
+    K = stiffness_blocks(sp.mesh, reference_stiffness(sm.degree, sp.rule_cell))
+    scale = np.abs(RD.T @ block_diag(*K) @ RD).max()
 
     oracle = dense_factor_oracle(sm)
 
     def want(dC, dQ):
         C, Q = oracle[0] + dC, oracle[1] + dQ
-        return max(np.abs(RtK @ (RD - C)).max(), np.abs(RtK @ Q).max(initial=0.0))
+        out = 0.0
+        for k, (dofs, nodes) in enumerate(zip(sp.local_dof_ids, sm.node_ids)):
+            rows = slice(k * sm.nD, (k + 1) * sm.nD)
+            dofs, nodes = dofs[dofs >= 0], nodes[nodes >= 0]
+            R_K = RD[rows][:, dofs]
+            RtK = R_K.T @ K[k]
+            out = max(out, np.abs(RtK @ (R_K - C[rows][:, dofs])).max(),
+                      np.abs(RtK @ Q[rows][:, nodes]).max(initial=0.0))
+        return out
 
     assert want(0.0, 0.0) <= 1e-10
     rng = np.random.default_rng(p)
@@ -819,6 +829,26 @@ def test_orthogonality_residual_matches_dense_oracle(make, p, variant):
         assert abs(got - expected) <= 1e-12 * scale, name
         # the lone p = 0 triangle has R = 0, and both residuals are exactly 0
         assert expected > 1e-3 * scale or not enters or scale == 0.0, name
+
+
+@pytest.mark.parametrize("p", [0, 3])
+def test_orthogonality_residual_over_cell_blocks(monkeypatch, p):
+    # the check runs over blocks of CELL_BLOCK cells, each reading its rows
+    # of the cell table; with blocks of 5 (7 blocks on 32 cells, the last
+    # one partial) the table and the residual, on the smoother and with a
+    # planted defect, equal those of one block bitwise
+    sm = Smoother(HHOSpace(jittered_square(4), p))
+    cases = [sm, *(defect for _, defect, _, _ in
+                   planted_defects(sm, np.random.default_rng(p)))]
+    table, ids = sm.cell_table()
+    one_block = [orthogonality_residual(case) for case in cases]
+    monkeypatch.setattr(hho.local_ops, "CELL_BLOCK", 5)
+    blocks = hho.local_ops.cell_blocks(sm.space.mesh.num_cells)
+    assert len(blocks) == 7
+    parts = [sm.cell_table(c) for c in blocks]
+    assert np.array_equal(np.concatenate([t for t, _ in parts]), table)
+    assert np.array_equal(np.concatenate([i for _, i in parts]), ids)
+    assert [orthogonality_residual(case) for case in cases] == one_block
 
 
 @pytest.mark.parametrize("variant", AVERAGING_VARIANTS)
@@ -845,7 +875,7 @@ def test_conformity_residual_matches_dense_oracle(make, p, variant):
     for name, smoother, moves, enters in [("none", sm, (0.0, 0.0), False),
                                           *planted_defects(sm, rng)]:
         expected, scale = want(*moves)
-        got = conformity_residual(smoother, jump)
+        got = conformity_residual(smoother)
         assert abs(got - expected) <= 1e-12 * scale, name
         assert expected > 1e-3 * scale or not enters, name
 

@@ -149,8 +149,8 @@ def test_default_suite_never_takes_the_dense_eigensolve(monkeypatch):
 
 
 def test_suite_forms_no_smoother_matrix(monkeypatch):
-    # conformity and orthogonality are checked on the factors C and Q of
-    # S_H = C + Q W; the product S_H is never formed
+    # conformity and orthogonality are checked on the cell tables
+    # [C_K | Q_K] of S_H = C + Q W; the product S_H is never formed
     def refuse(self):
         raise AssertionError("the smoother matrix S_H was formed")
 
@@ -159,6 +159,19 @@ def test_suite_forms_no_smoother_matrix(monkeypatch):
     assert report["passed"]
     names = {c["name"] for c in report["checks"]}
     assert {"conformity", "orthogonality"} <= names
+
+
+def test_suite_builds_no_jump_matrix(monkeypatch):
+    # conformity samples each face side of the cell tables: no global jump
+    # matrix of the broken coefficients is built
+    def refuse(*args, **kwargs):
+        raise AssertionError("a jump matrix was built")
+
+    monkeypatch.setattr(hho.smoothing, "jump_matrix", refuse)
+    monkeypatch.setattr(hho.verify, "jump_matrix", refuse, raising=False)
+    report = run_verification(degrees=[1], resolutions=[2], random_fields=2)
+    assert report["passed"]
+    assert "conformity" in {c["name"] for c in report["checks"]}
 
 
 def test_one_by_one_grid_passes_at_every_degree(tmp_path):
