@@ -540,9 +540,8 @@ class HHOSpace:
         return H
 
 
-def scatter_blocks(blocks, row_ids, col_ids, shape, format="csr"):
-    """Sum dense blocks (B, r, c) into a sparse matrix of the given shape,
-    CSR or, with format="csc", CSC.
+def scatter_blocks(blocks, row_ids, col_ids, shape):
+    """Sum dense blocks (B, r, c) into a CSR matrix of the given shape.
 
     Block b lands at global rows row_ids[b] (r,) and columns col_ids[b] (c,);
     entries with a negative row or column id (unknowns that do not exist,
@@ -553,7 +552,7 @@ def scatter_blocks(blocks, row_ids, col_ids, shape, format="csr"):
     keep = (rows >= 0) & (cols >= 0)
     return sparse.coo_matrix(
         (blocks[keep], (rows[keep], cols[keep])), shape=shape
-    ).asformat(format)
+    ).tocsr()
 
 
 def scatter_add(values, ids, size):

@@ -44,6 +44,11 @@ from .system import assemble
 
 AVERAGING_VARIANTS = ("mean", "scott-zhang")
 
+# smoother output entries (cells x degree-D coefficients x dof vectors) of
+# one chunk of `moment_residuals`: all of a verify run's random fields at
+# once set its peak memory
+MOMENT_BLOCK = 2 ** 15
+
 
 def lattice_multis(degree):
     """Barycentric multi-indices (a, b, c), a+b+c = degree, in a fixed order."""
@@ -419,25 +424,22 @@ def jump_matrix(mesh, degree):
 def moment_residuals(smoother, X):
     """Max violation of the preserved cell and face moments, per column of X.
 
-    The k dof vectors of the (num_dofs, k) block X go through the smoother at
-    once and share one tabulation; returns the cell and face residuals as
-    arrays of shape (k,).
+    The k dof vectors of the (num_dofs, k) block X go through the smoother
+    in chunks of columns whose output has at most `MOMENT_BLOCK` entries,
+    and share one tabulation; returns the cell and face residuals as arrays
+    of shape (k,).
     """
     space, mesh = smoother.space, smoother.space.mesh
     p = space.p
-    x_cells, x_faces = space.split(X)
-    Y = smoother.apply_vector(X).reshape(mesh.num_cells, smoother.nD, -1)
 
     # cell moments against P^{p-1}, the leading columns of the graded degree-D
     # basis (none at p = 0): 2|K| times one reference matrix
     rule = space.rule_cell
     npm1 = space_dimension(p - 1)
     phiD = cell_basis_values(smoother.degree, rule.points)
-    mom_hat = _tmul(rule.weights[:, None] * phiD[:, :npm1], phiD)
+    cell_hat = _tmul(rule.weights[:, None] * phiD[:, :npm1], phiD)
     area2 = 2.0 * mesh.volumes[:, None, None]
-    mom_smooth = area2 * (mom_hat @ Y)
-    mom_target = (area2 * space.mass_hat[:npm1, : space.nc]) @ x_cells
-    cell_res = np.abs(mom_smooth - mom_target).max(axis=(0, 1), initial=0.0)
+    cell_mass = area2 * space.mass_hat[:npm1, : space.nc]
 
     # face moments, evaluated from the first adjacent cell: h_F times one
     # reference matrix per (local face, orientation)
@@ -445,12 +447,24 @@ def moment_residuals(smoother, X):
     rule = space.rule_face
     t = rule.points[:, 1]
     wpsi = rule.weights[:, None] * face_basis_values(p, t - 0.5)
-    mom_hat = _tmul(wpsi, cell_basis_values(smoother.degree, face_barycentric(t)))
+    face_hat = on_faces(
+        _tmul(wpsi, cell_basis_values(smoother.degree, face_barycentric(t))),
+        mesh, faces, 0)
     k1 = mesh.face_cells[faces, 0]
     h = mesh.h_face[faces][:, None, None]
-    mom_smooth = h * (on_faces(mom_hat, mesh, faces, 0) @ Y[k1])
-    mom_target = h * (space.mhat_p @ x_faces)
-    face_res = np.abs(mom_smooth - mom_target).max(axis=(0, 1), initial=0.0)
+
+    chunk = max(1, MOMENT_BLOCK // (mesh.num_cells * smoother.nD))
+    cell_res, face_res = np.empty(X.shape[1]), np.empty(X.shape[1])
+    for start in range(0, X.shape[1], chunk):
+        cols = slice(start, start + chunk)
+        x_cells, x_faces = space.split(X[:, cols])
+        Y = smoother.apply_vector(X[:, cols]).reshape(mesh.num_cells, smoother.nD, -1)
+        mom_smooth = area2 * (cell_hat @ Y)
+        cell_res[cols] = np.abs(mom_smooth - cell_mass @ x_cells).max(
+            axis=(0, 1), initial=0.0)
+        mom_smooth = h * (face_hat @ Y[k1])
+        face_res[cols] = np.abs(mom_smooth - h * (space.mhat_p @ x_faces)).max(
+            axis=(0, 1), initial=0.0)
     return cell_res, face_res
 
 

@@ -546,7 +546,7 @@ class _ShiftedSmoother:
         return self._smoother.apply_vector(vec) + self._shift @ vec
 
 
-def test_moment_residuals_batch_matches_per_field_loop():
+def test_moment_residuals_batch_matches_per_field_loop(monkeypatch):
     rng = np.random.default_rng(9)
     for p in (0, 1, 2):
         sp = HHOSpace(build_unit_square(3), p)
@@ -561,6 +561,12 @@ def test_moment_residuals_batch_matches_per_field_loop():
                 cell_j, face_j = moment_residuals(shifted, X[:, j:j + 1])
                 assert cell_j[0] == pytest.approx(cell_res[j], rel=1e-12, abs=0)
                 assert face_j[0] == pytest.approx(face_res[j], rel=1e-12, abs=0)
+            # the 6 fields through the smoother 4, then 2 at a time
+            with monkeypatch.context() as m:
+                m.setattr(hho.smoothing, "MOMENT_BLOCK", 4 * sp.mesh.num_cells * sm.nD)
+                chunked = moment_residuals(shifted, X)
+            assert chunked[0] == pytest.approx(cell_res, rel=1e-12, abs=0)
+            assert chunked[1] == pytest.approx(face_res, rel=1e-12, abs=0)
             empty = moment_residuals(sm, np.empty((sp.num_dofs, 0)))
             assert empty[0].shape == empty[1].shape == (0,)
 

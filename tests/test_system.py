@@ -6,14 +6,18 @@ import pytest
 from scipy.sparse.linalg import splu
 
 from conftest import hat_profile, jittered_square, sine_f0, single_triangle_mesh
+from hho.analysis import get_case
 from hho.local_ops import HHOSpace
-from hho.mesh import build_unit_square
+from hho.mesh import build_lshape, build_unit_square
 from hho.polyquad import cell_basis_values, cell_quadrature, quad_for_degree
 from hho.smoothing import Smoother, lagrange_interpolant
 from hho.system import (
+    DISSECTION_LEAF,
+    SPD_LU,
     LoadFunctional,
     MethodNotApplicableError,
     assemble,
+    dissection_order,
     residual_inf,
     rhs_classical,
     rhs_smoothed,
@@ -77,9 +81,9 @@ def _reachable_arrays(root):
 
 def test_assembly_keeps_no_local_matrix():
     # the local blocks A_K exist one cell block at a time: after `assemble`
-    # the system holds only the cell rows A_tt and A_tf, the elimination
-    # and the face matrix (at most 5 KiB per cell at p = 3), and no array
-    # of the system or its space has the shape (T, nloc, nloc)
+    # the system holds only the cell rows A_tt, the elimination and the face
+    # matrix (at most 4 KiB per cell at p = 3), and no array of the system
+    # or its space has the shape (T, nloc, nloc)
     mesh = build_unit_square(16)
     space = HHOSpace(mesh, 3)
     assemble(space)  # fill the rule and tabulation caches first
@@ -90,7 +94,7 @@ def test_assembly_keeps_no_local_matrix():
     finally:
         tracemalloc.stop()
     T, nloc = mesh.num_cells, space.nloc
-    assert held <= 5 * 1024 * T, held / T
+    assert held <= 4 * 1024 * T, held / T
     shapes = {a.shape for a in _reachable_arrays(system)}
     assert {space.G.shape, system.elim.shape, system.face_matrix.data.shape} <= shapes
     assert (T, nloc, nloc) not in shapes
@@ -128,21 +132,106 @@ def test_face_matrix_is_dense_schur_complement_on_jittered_mesh(p):
     K = system.full_matrix.toarray()
     nt = sp.num_cell_dofs
     schur = K[nt:, nt:] - K[nt:, :nt] @ np.linalg.solve(K[:nt, :nt], K[:nt, nt:])
+    # in the system's face order
+    schur = schur[np.ix_(system.face_perm, system.face_perm)]
     S = system.face_matrix.toarray()
     assert np.abs(S - schur).max() <= 1e-12 * np.abs(schur).max()
 
 
 def test_condensed_solve_symmetric_ordering_p3():
-    # the SPD face matrix is factored with a symmetric minimum-degree
-    # ordering: fewer L+U entries than scipy's default COLAMD, same residual
+    # the SPD face matrix is factored in its dissection numbering, as
+    # numbered, with diagonal pivots: fewer L+U entries than scipy's default
+    # COLAMD, a symmetric permutation, same residual
     sp = HHOSpace(build_unit_square(8), 3)
     system = assemble(sp)
     rhs = rhs_classical(sp, LoadFunctional(f0=sine_f0))
     vec = solve(system, rhs)
     assert residual_inf(system, vec, rhs) < 1e-10
     lu = system.face_lu
+    assert np.array_equal(lu.perm_r, lu.perm_c)
     colamd = splu(system.face_matrix.tocsc())
     assert lu.L.nnz + lu.U.nnz < colamd.L.nnz + colamd.U.nnz
+
+
+def _recursive_dissection(mesh):
+    """The dissection order by plain recursion over the parts, one part at a
+    time, and the pairs of face sets of the two halves of every split."""
+    ends = mesh.face_cells[mesh.interior_faces]
+    centroids = mesh.vertices[mesh.cells].mean(axis=1)
+    splits = []
+
+    def order(cells, faces):
+        if len(faces) <= DISSECTION_LEAF:
+            return sorted(faces)
+        cuts = []
+        for axis in (0, 1):
+            ranked = sorted(cells, key=lambda c: (centroids[c, axis], c))
+            upper = set(ranked[len(ranked) // 2:])
+            cut = [f for f in faces if (ends[f, 0] in upper) != (ends[f, 1] in upper)]
+            cuts.append((len(cut), axis, upper, cut))
+        _, _, upper, cut = min(cuts, key=lambda c: c[:2])
+        lower_faces = [f for f in faces if f not in cut and ends[f, 0] not in upper]
+        upper_faces = [f for f in faces if f not in cut and ends[f, 0] in upper]
+        splits.append((lower_faces, upper_faces))
+        return (order([c for c in cells if c not in upper], lower_faces)
+                + order(sorted(upper), upper_faces) + sorted(cut))
+
+    return order(list(range(mesh.num_cells)), list(range(len(ends)))), splits
+
+
+DISSECTION_MESHES = {
+    "square": lambda: build_unit_square(8),
+    "jittered": lambda: jittered_square(8),
+    "lshape": lambda: build_lshape(4),
+    "two-triangles": lambda: build_unit_square(1),
+    "no-interior-face": single_triangle_mesh,
+}
+
+
+@pytest.mark.parametrize("name", DISSECTION_MESHES)
+def test_dissection_order_is_recursive_bisection(name):
+    mesh = DISSECTION_MESHES[name]()
+    order = dissection_order(mesh)
+    assert np.array_equal(np.sort(order), np.arange(mesh.num_interior_faces))
+    want, splits = _recursive_dissection(mesh)
+    assert order.tolist() == want
+    # no face of one half shares a cell with a face of the other half
+    ends = mesh.face_cells[mesh.interior_faces]
+    for lower, upper in splits:
+        assert not set(ends[lower].ravel()) & set(ends[upper].ravel())
+    # the factor and both solvers run on it
+    sp = HHOSpace(mesh, 1)
+    system = assemble(sp)
+    rhs = rhs_classical(sp, LoadFunctional(f0=sine_f0))
+    for method in ("direct", "cg"):
+        assert residual_inf(system, solve(system, rhs, method), rhs) < 1e-10
+
+
+@pytest.mark.parametrize("p", [1, 3])
+@pytest.mark.parametrize("mesh", [jittered_square(4), build_lshape(4)],
+                         ids=["jittered", "lshape"])
+def test_solve_matches_minimum_degree_factor_in_space_order(mesh, p):
+    # the face matrix back in the `HHOSpace` face order, factored with the
+    # minimum-degree ordering: the same face unknowns as both solvers
+    sp = HHOSpace(mesh, p)
+    system = assemble(sp)
+    back = np.argsort(system.face_perm)
+    S = system.face_matrix[back][:, back].tocsc()
+    rhs = np.random.default_rng(p).standard_normal(sp.num_dofs)
+    want = splu(S, **SPD_LU).solve(system.condense_rhs(rhs)[back])
+    for method in ("direct", "cg"):
+        got = solve(system, rhs, method)[sp.num_cell_dofs:]
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("case", ["kink-aligned", "corner-singular"])
+def test_dissection_factor_fills_less_than_minimum_degree(case):
+    sp = HHOSpace(get_case(case, 3).mesh_for(32), 3)
+    system = assemble(sp)
+    back = np.argsort(system.face_perm)
+    mmd = splu(system.face_matrix[back][:, back].tocsc(), **SPD_LU)
+    lu = system.face_lu
+    assert lu.L.nnz + lu.U.nnz < mmd.L.nnz + mmd.U.nnz
 
 
 def test_rhs_classical_zero_load():
