@@ -3,8 +3,9 @@
 A discrete function of degree p is a pair: polynomial coefficients of degree
 p per cell plus coefficients of degree p per interior face (boundary faces
 carry no unknowns; their data is structurally zero). It is stored as one dof
-vector, the cell blocks first and then the interior-face blocks, each by
-index; this module owns that layout (`HHOSpace.local_dof_ids`,
+vector, the cell blocks first by index, then the interior-face blocks in
+the mesh's order (`SimplicialMesh.interior_faces`, a nested-dissection
+order); this module owns that layout (`HHOSpace.local_dof_ids`,
 `HHOSpace.split`). :class:`HHOSpace` precomputes, for every cell, the
 reconstruction matrix mapping local (cell, face) coefficients to the
 degree-(p+1) reconstruction, obtained from the local Neumann problem solved

@@ -12,8 +12,56 @@ Only d = 2 is implemented; d = 3 input is recognized and rejected with
 import numpy as np
 
 
+# a part of the dissection with at most this many interior faces is a leaf
+DISSECTION_LEAF = 4
+
+
 def _cross2(a, b):
     return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
+
+
+def _upper_halves(part, coord):
+    """1 for the cells in the upper half of their part along coord, 0 for
+    the lower half (floor(n/2) cells; equal coordinates by cell index)."""
+    order = np.lexsort((coord, part))
+    sizes = np.bincount(part)
+    starts = np.cumsum(sizes) - sizes
+    ranked = part[order]
+    side = np.empty(len(part), dtype=np.int64)
+    side[order] = np.arange(len(part)) - starts[ranked] >= sizes[ranked] // 2
+    return side
+
+
+def dissection_order(face_cells, centroids):
+    """Nested-dissection elimination order of the faces with the two cells
+    `face_cells` (F, 2), as a permutation of range(F), for the cells with
+    the given centroids (T, 2) (George, SINUM 1973).
+
+    The cells are split recursively at the median centroid, along the axis
+    whose cut crosses fewer faces of the part (x on a tie). The faces
+    across a cut are its separator and come after every face of both
+    halves; a part with at most `DISSECTION_LEAF` faces is a leaf and keeps
+    them in the given order. All parts of a level are split at once: each
+    face gains one base-3 digit per level (its half, 0 or 1, or 2 once it
+    is placed), and the order sorts these keys.
+    """
+    ends = face_cells.T  # (2, F)
+    part = np.zeros(len(centroids), dtype=np.int64)
+    key = np.zeros(ends.shape[1], dtype=np.int64)
+    active = np.ones(ends.shape[1], dtype=bool)  # in a part, not yet placed
+    while active.any():
+        # a face's cells share its part until the face is placed
+        fpart, nparts = part[ends[0]], part.max() + 1
+        active &= np.bincount(fpart[active], minlength=nparts)[fpart] > DISSECTION_LEAF
+        sides = [_upper_halves(part, centroids[:, axis]) for axis in range(2)]
+        cuts = [np.bincount(fpart[active & (s[ends[0]] != s[ends[1]])],
+                            minlength=nparts) for s in sides]
+        side = np.where((cuts[1] < cuts[0])[part], sides[1], sides[0])
+        halves = side[ends]
+        active &= halves[0] == halves[1]
+        key = 3 * key + np.where(active, halves[0], 2)
+        part = np.unique(2 * part + side, return_inverse=True)[1]
+    return np.argsort(key, kind="stable")
 
 
 class MeshError(ValueError):
@@ -43,7 +91,8 @@ class SimplicialMesh:
         Global face index opposite each local vertex.
     boundary_face_mask : (E,) bool array
     interior_faces : (Ei,) int array
-        Global indices of interior faces, ascending.
+        Global indices of interior faces in the `dissection_order` of the
+        ascending ones: the one numbering of the face unknowns.
     face_interior_index : (E,) int array
         Rank within `interior_faces`, -1 for boundary faces.
     face_local : (E, 2) int array
@@ -138,7 +187,9 @@ class SimplicialMesh:
         ).astype(np.int64)
 
         self.boundary_face_mask = counts == 1
-        self.interior_faces = np.nonzero(counts == 2)[0]
+        interior = np.nonzero(counts == 2)[0]
+        centroids = self.vertices[c].mean(axis=1)
+        self.interior_faces = interior[dissection_order(face_cells[interior], centroids)]
         self.face_interior_index = np.full(num_faces, -1, dtype=np.int64)
         self.face_interior_index[self.interior_faces] = np.arange(
             len(self.interior_faces)
@@ -349,7 +400,7 @@ def check_matching(mesh):
     np.add.at(n_sum, mesh.cell_faces, mesh.normals)  # n_K1 + n_K2 on interior faces
     bad = mesh.interior_faces[np.linalg.norm(n_sum[mesh.interior_faces], axis=1) > tol]
     if len(bad):
-        problems.append(f"normals on interior face {bad[0]} are not opposite")
+        problems.append(f"normals on interior face {bad.min()} are not opposite")
 
     if np.any(mesh.volumes <= 0.0):
         problems.append("non-positive cell volume")

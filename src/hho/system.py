@@ -8,8 +8,11 @@ f0 - div g.
 
 Cell unknowns are eliminated locally (static condensation); the global solve
 acts on interior-face unknowns only. Right-hand sides and solutions are dof
-vectors in the layout of `HHOSpace` (cells, then interior faces, each by
-index), so golden vectors are reproducible.
+vectors in the layout of `HHOSpace`: cells by index, then interior faces in
+the mesh's nested-dissection order (`SimplicialMesh.interior_faces`). Every
+matrix is assembled in that one numbering, and every SPD factor is taken as
+numbered (`SPD_LU`): with the cells first, factoring the full matrix is
+static condensation followed by the face factor.
 """
 
 from functools import cached_property
@@ -30,15 +33,11 @@ from .polyquad import cell_basis_gradients, cell_basis_values, cell_quadrature
 
 SOLVER_METHODS = ("direct", "cg")
 
-# SuperLU settings for an SPD matrix: a minimum-degree ordering of A^T + A
-# applied symmetrically, with the diagonal pivots kept (no row interchanges).
-# `full_lu` and the coercivity check's shifted factor use them; the face
-# system is numbered in `dissection_order` instead and factored as numbered.
-SPD_LU = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+# SuperLU settings for an SPD matrix in the dof numbering: factored as
+# numbered, with the diagonal pivots kept (no row interchanges). `face_lu`,
+# `full_lu` and the coercivity check's shifted factor use them.
+SPD_LU = dict(permc_spec="NATURAL", diag_pivot_thresh=0.0,
               options={"SymmetricMode": True})
-
-# a part of the dissection with at most this many interior faces is a leaf
-DISSECTION_LEAF = 4
 
 
 class MethodNotApplicableError(RuntimeError):
@@ -69,63 +68,19 @@ class LoadFunctional:
         return self.g is not None
 
 
-def _upper_halves(part, coord):
-    """1 for the cells in the upper half of their part along coord, 0 for
-    the lower half (floor(n/2) cells; equal coordinates by cell index)."""
-    order = np.lexsort((coord, part))
-    sizes = np.bincount(part)
-    starts = np.cumsum(sizes) - sizes
-    ranked = part[order]
-    side = np.empty(len(part), dtype=np.int64)
-    side[order] = np.arange(len(part)) - starts[ranked] >= sizes[ranked] // 2
-    return side
-
-
-def dissection_order(mesh):
-    """Nested-dissection elimination order of the interior faces, as ranks
-    in `mesh.interior_faces` (George, SINUM 1973).
-
-    The cells are split recursively at the median centroid, along the axis
-    whose cut crosses fewer interior faces of the part (x on a tie). The
-    faces across a cut are its separator and come after every face of both
-    halves; a part with at most `DISSECTION_LEAF` faces is a leaf and keeps
-    them in index order. All parts of a level are split at once: each face
-    gains one base-3 digit per level (its half, 0 or 1, or 2 once it is
-    placed), and the order sorts these keys.
-    """
-    ends = mesh.face_cells[mesh.interior_faces].T  # (2, Ei)
-    centroids = mesh.vertices[mesh.cells].mean(axis=1)
-    part = np.zeros(mesh.num_cells, dtype=np.int64)
-    key = np.zeros(ends.shape[1], dtype=np.int64)
-    active = np.ones(ends.shape[1], dtype=bool)  # in a part, not yet placed
-    while active.any():
-        # a face's cells share its part until the face is placed
-        fpart, nparts = part[ends[0]], part.max() + 1
-        active &= np.bincount(fpart[active], minlength=nparts)[fpart] > DISSECTION_LEAF
-        sides = [_upper_halves(part, centroids[:, axis]) for axis in range(2)]
-        cuts = [np.bincount(fpart[active & (s[ends[0]] != s[ends[1]])],
-                            minlength=nparts) for s in sides]
-        side = np.where((cuts[1] < cuts[0])[part], sides[1], sides[0])
-        halves = side[ends]
-        active &= halves[0] == halves[1]
-        key = 3 * key + np.where(active, halves[0], 2)
-        part = np.unique(2 * part + side, return_inverse=True)[1]
-    return np.argsort(key, kind="stable")
-
-
 class CondensedSystem:
     """SPD face-unknown system plus the per-cell elimination data.
 
-    The face unknowns are numbered in `dissection_order`: unknown k of the
-    face matrix is face dof `face_perm[k]` of the `HHOSpace` layout.
-    The local blocks A_K of `space.local_matrices` are formed and condensed
-    one cell block at a time, and each block's Schur complements
-    A_ff - A_ft elim are added straight into the CSC data of the face
-    matrix, whose pattern (faces sharing a cell) is known in advance. The
-    system keeps the cell rows `A_tt` (T, nc, nc), the elimination
-    `elim` = A_tt^{-1} A_tf (T, nc, 3 nf) and the face matrix; no
-    (T, nloc, nloc) or (T, 3 nf, 3 nf) array and no level-sized triplet
-    array exists. `full_matrix` forms the blocks again on first use.
+    The face unknowns are the face dofs of the `HHOSpace` layout, in the
+    mesh's order of the interior faces. The local blocks A_K of
+    `space.local_matrices` are formed and condensed one cell block at a
+    time, and each block's Schur complements A_ff - A_ft elim are added
+    straight into the CSC data of the face matrix, whose pattern (faces
+    sharing a cell) is known in advance. The system keeps the cell rows
+    `A_tt` (T, nc, nc), the elimination `elim` = A_tt^{-1} A_tf
+    (T, nc, 3 nf) and the face matrix; no (T, nloc, nloc) or
+    (T, 3 nf, 3 nf) array and no level-sized triplet array exists.
+    `full_matrix` forms the blocks again on first use.
     """
 
     def __init__(self, space):
@@ -134,15 +89,9 @@ class CondensedSystem:
         T, Ei = mesh.num_cells, mesh.num_interior_faces
         local = np.arange(nf)
 
-        # face e of the mesh is face rank[e] of the system, its dof a the
-        # unknown rank[e] nf + a; the trailing -1 keeps boundary faces at -1
-        order = dissection_order(mesh)
-        rank = np.full(Ei + 1, -1)
-        rank[order] = np.arange(Ei)
-        faces = rank[mesh.face_interior_index[mesh.cell_faces]]  # (T, 3)
-        self.face_perm = (order[:, None] * nf + local).ravel()
-        self._face_ids = np.where(faces[..., None] >= 0,
-                                  faces[..., None] * nf + local, -1).reshape(T, 3 * nf)
+        # the face unknowns are the face dofs, negative on boundary faces
+        self._face_ids = space.local_dof_ids[:, nc:] - space.num_cell_dofs
+        faces = mesh.face_interior_index[mesh.cell_faces]  # (T, 3)
 
         # CSC pattern: face G's nf rows in each of the nf columns of face F
         # wherever G and F share a cell, G ascending; pair[K, i, j] ranks
@@ -188,9 +137,9 @@ class CondensedSystem:
 
     @cached_property
     def face_lu(self):
-        """LU factors of the face matrix in its own (dissection) numbering,
-        symmetric with diagonal pivots, on first use."""
-        return splu(self.face_matrix, **{**SPD_LU, "permc_spec": "NATURAL"})
+        """LU factors of the face matrix as numbered (`SPD_LU`), on first
+        use."""
+        return splu(self.face_matrix, **SPD_LU)
 
     @cached_property
     def full_matrix(self):
@@ -200,14 +149,15 @@ class CondensedSystem:
 
     @cached_property
     def full_lu(self):
-        """Symmetric-ordering LU factors of the full matrix, on first use."""
+        """LU factors of the full matrix as numbered (`SPD_LU`), on first
+        use."""
         return splu(self.full_matrix.tocsc(), **SPD_LU)
 
     def condense_rhs(self, rhs):
-        """Eliminate the cell block of a full rhs vector; the result is in
-        the system's face numbering."""
+        """Eliminate the cell block of a full rhs vector; rhs is not
+        written to."""
         b_t, b_f = self.space.split(rhs)
-        b_f = b_f.ravel()[self.face_perm]
+        b_f = b_f.ravel().copy()
         corr = (b_t[:, None, :] @ self.elim)[:, 0]  # elim^T b_t
         ids = self._face_ids
         np.add.at(b_f, ids[ids >= 0], -corr[ids >= 0])
@@ -215,7 +165,7 @@ class CondensedSystem:
 
     def recover_cells(self, rhs, face_vec):
         """Cell unknowns A_tt^{-1} b_t - elim u_f of the face solution
-        `face_vec` (system numbering)."""
+        `face_vec`."""
         b_t = self.space.split(rhs)[0]
         u_loc = _gather(face_vec, self._face_ids)
         u_t = np.linalg.solve(self.A_tt, b_t[..., None])[..., 0]
@@ -279,10 +229,8 @@ def rhs_smoothed(space, smoother, load):
 def solve(system, rhs, method="direct"):
     """Solve via static condensation; return the dof vector.
 
-    The face unknowns are solved for in the system's dissection numbering:
-    `condense_rhs` permutes the face block of rhs in, and the face solution
-    is permuted back out, so rhs and the result are in the `HHOSpace`
-    layout. method 'direct' factorizes the condensed SPD matrix once, as
+    rhs and the result are in the `HHOSpace` layout, and rhs is not written
+    to. method 'direct' factorizes the condensed SPD matrix once, as
     numbered, with diagonal pivots (`face_lu`, reused across right-hand
     sides); 'cg' runs Jacobi-preconditioned conjugate gradients to relative
     residual 1e-12. Any other method raises ValueError.
@@ -300,9 +248,7 @@ def solve(system, rhs, method="direct"):
                        maxiter=20 * max(len(b_f), 1))
         if info != 0:
             raise SolverError(f"CG failed to converge (info={info})")
-    vec = np.concatenate([system.recover_cells(rhs, u_f).ravel(), u_f])
-    vec[system.space.num_cell_dofs + system.face_perm] = u_f
-    return vec
+    return np.concatenate([system.recover_cells(rhs, u_f).ravel(), u_f])
 
 
 def solve_full(system, rhs):

@@ -200,7 +200,7 @@ def _min_eigenvalue(system):
     The local bound b = min_K lambda_min(A_K, H_K) (Fried 1972) lies just
     below lambda_min: 0-4 % on the unit-square grids. The shift
     sigma = b - SHIFT_GAP |b| is certified below every eigenvalue when the
-    symmetric-ordering factor P (A - sigma H) P^T = L U has equal row and
+    as-numbered factor P (A - sigma H) P^T = L U (`SPD_LU`) has equal row and
     column permutations and positive pivots diag(U): then U = D L^T, and
     Sylvester's law of inertia makes A - sigma H positive definite. The
     eigenvalue nearest sigma, found by shift-invert Lanczos on that factor

@@ -255,6 +255,18 @@ def test_check_matching_exact_messages(make, expected):
     assert check_matching(make()) == expected
 
 
+def test_check_matching_names_lowest_bad_interior_face():
+    # four doubled triangles in a row, the first vertices rightmost: all 12
+    # interior faces are bad, and the dissection order of the faces starts
+    # with the leftmost pair, whose faces have the highest indices
+    tri = np.array([[0.0, 0.0], [0.5, 0.0], [0.0, 0.5]])
+    verts = np.concatenate([tri + [3.0 - i, 0.0] for i in range(4)])
+    cells = np.repeat(np.arange(12).reshape(4, 3), 2, axis=0)
+    m = SimplicialMesh(verts, cells)
+    assert m.num_interior_faces == 12 and m.interior_faces[0] != 0
+    assert check_matching(m) == ["normals on interior face 0 are not opposite"]
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_coordinates_rejected(tmp_path, bad):
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])

@@ -8,16 +8,13 @@ from scipy.sparse.linalg import splu
 from conftest import hat_profile, jittered_square, sine_f0, single_triangle_mesh
 from hho.analysis import get_case
 from hho.local_ops import HHOSpace
-from hho.mesh import build_lshape, build_unit_square
+from hho.mesh import DISSECTION_LEAF, build_lshape, build_unit_square
 from hho.polyquad import cell_basis_values, cell_quadrature, quad_for_degree
 from hho.smoothing import Smoother, lagrange_interpolant
 from hho.system import (
-    DISSECTION_LEAF,
-    SPD_LU,
     LoadFunctional,
     MethodNotApplicableError,
     assemble,
-    dissection_order,
     residual_inf,
     rhs_classical,
     rhs_smoothed,
@@ -132,8 +129,6 @@ def test_face_matrix_is_dense_schur_complement_on_jittered_mesh(p):
     K = system.full_matrix.toarray()
     nt = sp.num_cell_dofs
     schur = K[nt:, nt:] - K[nt:, :nt] @ np.linalg.solve(K[:nt, :nt], K[:nt, nt:])
-    # in the system's face order
-    schur = schur[np.ix_(system.face_perm, system.face_perm)]
     S = system.face_matrix.toarray()
     assert np.abs(S - schur).max() <= 1e-12 * np.abs(schur).max()
 
@@ -155,8 +150,9 @@ def test_condensed_solve_symmetric_ordering_p3():
 
 def _recursive_dissection(mesh):
     """The dissection order by plain recursion over the parts, one part at a
-    time, and the pairs of face sets of the two halves of every split."""
-    ends = mesh.face_cells[mesh.interior_faces]
+    time, as ranks among the interior faces by ascending index, and the
+    pairs of face sets (the same ranks) of the two halves of every split."""
+    ends = mesh.face_cells[~mesh.boundary_face_mask]
     centroids = mesh.vertices[mesh.cells].mean(axis=1)
     splits = []
 
@@ -191,12 +187,13 @@ DISSECTION_MESHES = {
 @pytest.mark.parametrize("name", DISSECTION_MESHES)
 def test_dissection_order_is_recursive_bisection(name):
     mesh = DISSECTION_MESHES[name]()
-    order = dissection_order(mesh)
-    assert np.array_equal(np.sort(order), np.arange(mesh.num_interior_faces))
     want, splits = _recursive_dissection(mesh)
-    assert order.tolist() == want
+    ascending = np.flatnonzero(~mesh.boundary_face_mask)
+    assert mesh.interior_faces.tolist() == ascending[want].tolist()
+    Ei = mesh.num_interior_faces
+    assert np.array_equal(mesh.face_interior_index[mesh.interior_faces], np.arange(Ei))
     # no face of one half shares a cell with a face of the other half
-    ends = mesh.face_cells[mesh.interior_faces]
+    ends = mesh.face_cells[ascending]
     for lower, upper in splits:
         assert not set(ends[lower].ravel()) & set(ends[upper].ravel())
     # the factor and both solvers run on it
@@ -207,20 +204,34 @@ def test_dissection_order_is_recursive_bisection(name):
         assert residual_inf(system, solve(system, rhs, method), rhs) < 1e-10
 
 
+# the reference factor: SuperLU's minimum-degree ordering of A^T + A,
+# applied symmetrically, with diagonal pivots
+MMD_LU = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+              options={"SymmetricMode": True})
+
+
+def _ascending_faces(space):
+    """Indices into the face block of the `HHOSpace` layout that list its
+    dofs with the interior faces by ascending global index."""
+    faces = np.argsort(space.mesh.interior_faces)
+    return (faces[:, None] * space.nf + np.arange(space.nf)).ravel()
+
+
 @pytest.mark.parametrize("p", [1, 3])
 @pytest.mark.parametrize("mesh", [jittered_square(4), build_lshape(4)],
                          ids=["jittered", "lshape"])
 def test_solve_matches_minimum_degree_factor_in_space_order(mesh, p):
-    # the face matrix back in the `HHOSpace` face order, factored with the
-    # minimum-degree ordering: the same face unknowns as both solvers
+    # the face matrix with the interior faces by ascending index, factored
+    # with the minimum-degree ordering: the same face unknowns as both
+    # solvers
     sp = HHOSpace(mesh, p)
     system = assemble(sp)
-    back = np.argsort(system.face_perm)
+    back = _ascending_faces(sp)
     S = system.face_matrix[back][:, back].tocsc()
     rhs = np.random.default_rng(p).standard_normal(sp.num_dofs)
-    want = splu(S, **SPD_LU).solve(system.condense_rhs(rhs)[back])
+    want = splu(S, **MMD_LU).solve(system.condense_rhs(rhs)[back])
     for method in ("direct", "cg"):
-        got = solve(system, rhs, method)[sp.num_cell_dofs:]
+        got = solve(system, rhs, method)[sp.num_cell_dofs:][back]
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
@@ -228,10 +239,38 @@ def test_solve_matches_minimum_degree_factor_in_space_order(mesh, p):
 def test_dissection_factor_fills_less_than_minimum_degree(case):
     sp = HHOSpace(get_case(case, 3).mesh_for(32), 3)
     system = assemble(sp)
-    back = np.argsort(system.face_perm)
-    mmd = splu(system.face_matrix[back][:, back].tocsc(), **SPD_LU)
+    back = _ascending_faces(sp)
+    mmd = splu(system.face_matrix[back][:, back].tocsc(), **MMD_LU)
     lu = system.face_lu
     assert lu.L.nnz + lu.U.nnz < mmd.L.nnz + mmd.U.nnz
+
+
+def test_full_factor_is_taken_as_numbered_and_fills_less_than_minimum_degree():
+    # cells first, then the faces in dissection order: the full matrix is
+    # factored as numbered, with fewer L+U entries than the minimum-degree
+    # reference on the same matrix with the faces by ascending index
+    sp = HHOSpace(get_case("kink-aligned", 3).mesh_for(32), 3)
+    system = assemble(sp)
+    lu = system.full_lu
+    n = sp.num_dofs
+    assert np.array_equal(lu.perm_r, np.arange(n))
+    assert np.array_equal(lu.perm_c, np.arange(n))
+    back = np.concatenate([np.arange(sp.num_cell_dofs),
+                           sp.num_cell_dofs + _ascending_faces(sp)])
+    mmd = splu(system.full_matrix[back][:, back].tocsc(), **MMD_LU)
+    assert lu.L.nnz + lu.U.nnz < mmd.L.nnz + mmd.U.nnz
+
+
+def test_solvers_leave_the_rhs_unchanged():
+    sp = HHOSpace(jittered_square(4), 2)
+    system = assemble(sp)
+    rhs = np.random.default_rng(5).standard_normal(sp.num_dofs)
+    before = rhs.copy()
+    for method in ("direct", "cg"):
+        solve(system, rhs, method)
+        assert rhs.tobytes() == before.tobytes()
+    solve_full(system, rhs)
+    assert rhs.tobytes() == before.tobytes()
 
 
 def test_rhs_classical_zero_load():
