@@ -60,7 +60,7 @@ def _broken_h1_distance(space, grad_u, bp):
 def error_h1_broken(space, grad_u, vec):
     """(broken H1 seminorm error of the reconstruction, sqrt of stab form)."""
     seminorm = _broken_h1_distance(space, grad_u, space.reconstruct(vec))
-    stab = float(np.sqrt(max(space.stab_form(vec, vec), 0.0)))
+    stab = float(np.sqrt(max(space.stab_form(vec), 0.0)))
     return seminorm, stab
 
 

@@ -477,20 +477,17 @@ class HHOSpace:
         A[:, lower[0], lower[1]] = A[:, lower[1], lower[0]]
         return A
 
-    def stab_form(self, a, b):
-        """Face-penalty stabilization form of two dof vectors (h_F^{-1}-weighted).
+    def stab_form(self, vec):
+        """Face-penalty stabilization s_h(vec, vec) of a dof vector
+        (h_F^{-1}-weighted).
 
         The face residuals are read from the traces one cell block at a time.
         """
-        xa = self.local_coeffs(a)
-        xb = self.local_coeffs(b)
-        ra = np.empty((self.mesh.num_cells, 3, self.nf))
-        rb = np.empty_like(ra)
+        x = self.local_coeffs(vec)
+        r = np.empty((self.mesh.num_cells, 3, self.nf))
         for cells in cell_blocks(self.mesh.num_cells):
-            traces = self.face_traces(cells)
-            ra[cells] = np.einsum("tfml,tl->tfm", traces, xa[cells])
-            rb[cells] = np.einsum("tfml,tl->tfm", traces, xb[cells])
-        return float(np.einsum("tfm,mn,tfn->", ra, self.mhat_p, rb))
+            r[cells] = np.einsum("tfml,tl->tfm", self.face_traces(cells), x[cells])
+        return float(np.einsum("tfm,mn,tfn->", r, self.mhat_p, r))
 
     def elliptic_project(self, v, grad_v):
         """Broken elliptic projection onto P^{p+1}(M), one cell block at a time."""

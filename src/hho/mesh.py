@@ -60,7 +60,7 @@ def dissection_order(face_cells, centroids):
         halves = side[ends]
         active &= halves[0] == halves[1]
         key = 3 * key + np.where(active, halves[0], 2)
-        part = np.unique(2 * part + side, return_inverse=True)[1]
+        part = 2 * part + side
     return np.argsort(key, kind="stable")
 
 
@@ -74,6 +74,10 @@ class UnsupportedDimensionError(MeshError):
 
 class SimplicialMesh:
     """Immutable matching simplicial mesh.
+
+    Construction orients every cell counter-clockwise (a zero-area cell is
+    refused), numbers the faces with one sort of integer edge keys
+    (`_build_faces`) and measures each edge once (`_build_geometry`).
 
     Attributes
     ----------
@@ -102,11 +106,12 @@ class SimplicialMesh:
         1 where the lower-index global vertex of local face i is local
         vertex i+2, 0 where it is local vertex i+1 (indices mod 3).
     volumes, h_cell, r_cell : (T,) float arrays
-        Cell areas, diameters, inradii.
+        Cell areas, diameters (longest edge), inradii (2 |K| / perimeter).
     h_face : (E,) float array
-        Face diameters.
+        Face diameters; the cell sizes read them through `cell_faces`.
     normals : (T, 3, 2) float array
-        Unit outward normal per (cell, local face).
+        Unit outward normal per (cell, local face): the edge from local
+        vertex i+1 to i+2, turned clockwise, over its length.
     face_midpoints : (E, 2) float array
         Face midpoints.
     inverse_jacobians : (T, 2, 2) float array
@@ -153,47 +158,43 @@ class SimplicialMesh:
         return cells
 
     def _build_faces(self):
-        c = self.cells
-        # local face i is the edge opposite local vertex i
-        edges = np.stack(
-            [c[:, [1, 2]], c[:, [2, 0]], c[:, [0, 1]]], axis=1
-        ).reshape(-1, 2)
-        edges = np.sort(edges, axis=1)
-        faces, inverse = np.unique(edges, axis=0, return_inverse=True)
-        self.faces = faces
-        self.cell_faces = inverse.reshape(-1, 3)
+        """Faces, incidences and the dissection order of the interior faces.
 
-        num_faces = len(faces)
-        counts = np.bincount(inverse, minlength=num_faces)
+        Local face i of a cell is its edge from local vertex i+1 to i+2
+        (mod 3), keyed by the integer lo * N + hi of its sorted vertex pair:
+        one sort of the keys orders the faces as the pairs. Slot 3 t + i is
+        local face i of cell t; one stable sort of the slots by face lists
+        each face's cells in ascending order.
+        """
+        c, nv = self.cells, len(self.vertices)
+        a, b = c[:, [1, 2, 0]], c[:, [2, 0, 1]]
+        keys, inverse = np.unique(
+            (np.minimum(a, b) * nv + np.maximum(a, b)).ravel(), return_inverse=True
+        )
+        self.faces = np.stack([keys // nv, keys % nv], axis=1)
+        self.cell_faces = inverse.reshape(-1, 3)
+        self.face_flips = (a > b).astype(np.int64)
+
+        counts = np.bincount(inverse)
         if counts.max(initial=0) > 2:
             raise MeshError("face shared by more than two cells")
-
-        flat_faces = self.cell_faces.ravel()
-        flat_cells = np.repeat(np.arange(len(c)), 3)
-        order = np.lexsort((flat_cells, flat_faces))
-        ff, fc = flat_faces[order], flat_cells[order]
-        first = np.ones(len(ff), dtype=bool)
-        first[1:] = ff[1:] != ff[:-1]
-        face_cells = np.full((num_faces, 2), -1, dtype=np.int64)
-        face_cells[ff[first], 0] = fc[first]
-        face_cells[ff[~first], 1] = fc[~first]
-        self.face_cells = face_cells
-        face_local = np.full((num_faces, 2), -1, dtype=np.int64)
-        face_local[ff[first], 0] = order[first] % 3
-        face_local[ff[~first], 1] = order[~first] % 3
-        self.face_local = face_local
-        self.face_flips = np.stack(
-            [c[:, (i + 1) % 3] > c[:, (i + 2) % 3] for i in range(3)], axis=1
-        ).astype(np.int64)
-
         self.boundary_face_mask = counts == 1
         interior = np.nonzero(counts == 2)[0]
+
+        slots = np.argsort(inverse, kind="stable")
+        starts = np.cumsum(counts) - counts
+        face_slots = np.full((len(keys), 2), -1, dtype=np.int64)
+        face_slots[:, 0] = slots[starts]
+        face_slots[interior, 1] = slots[starts[interior] + 1]
+        self.face_cells = face_slots // 3  # floor division keeps the -1
+        self.face_local = np.where(face_slots < 0, -1, face_slots % 3)
+
         centroids = self.vertices[c].mean(axis=1)
-        self.interior_faces = interior[dissection_order(face_cells[interior], centroids)]
-        self.face_interior_index = np.full(num_faces, -1, dtype=np.int64)
-        self.face_interior_index[self.interior_faces] = np.arange(
-            len(self.interior_faces)
-        )
+        self.interior_faces = interior[
+            dissection_order(self.face_cells[interior], centroids)
+        ]
+        self.face_interior_index = np.full(len(keys), -1, dtype=np.int64)
+        self.face_interior_index[self.interior_faces] = np.arange(len(interior))
 
     def _build_geometry(self):
         p = self.vertices[self.cells]  # (T, 3, 2)
@@ -210,28 +211,16 @@ class SimplicialMesh:
             raise MeshError("zero-length face")
         self.face_midpoints = 0.5 * (fv[:, 0] + fv[:, 1])
 
-        edge_len = np.stack(
-            [np.linalg.norm(p[:, (i + 2) % 3] - p[:, (i + 1) % 3], axis=1)
-             for i in range(3)],
-            axis=1,
-        )
+        edge_len = self.h_face[self.cell_faces]  # (T, 3)
         self.h_cell = edge_len.max(axis=1)
-        perimeter = edge_len.sum(axis=1)
-        self.r_cell = 2.0 * self.volumes / perimeter
+        self.r_cell = 2.0 * self.volumes / edge_len.sum(axis=1)
         if np.any(self.r_cell <= 0.0):
             raise MeshError("degenerate cell: zero inradius")
 
-        normals = np.empty((len(self.cells), 3, 2))
-        for i in range(3):
-            a = p[:, (i + 1) % 3]
-            b = p[:, (i + 2) % 3]
-            e = b - a
-            n = np.stack([e[:, 1], -e[:, 0]], axis=1)
-            n /= np.linalg.norm(n, axis=1)[:, None]
-            outward = np.einsum("td,td->t", n, 0.5 * (a + b) - p[:, i]) > 0.0
-            n[~outward] *= -1.0
-            normals[:, i] = n
-        self.normals = normals
+        # the edge p[i+2] - p[i+1] of a counter-clockwise cell, turned
+        # clockwise, points away from p[i]
+        e = p[:, [2, 0, 1]] - p[:, [1, 2, 0]]
+        self.normals = np.stack([e[..., 1], -e[..., 0]], axis=-1) / edge_len[..., None]
 
     @property
     def num_vertices(self):
@@ -294,60 +283,44 @@ class SimplicialMesh:
         )
 
 
-def build_unit_square(n):
-    """Uniform n-by-n triangulation of the unit square.
+def _grid(n, width, corner, keep=None):
+    """Triangulated grid of squares of side 1/n, `width` n of them to a side,
+    with lower-left corner (corner, corner); only the squares whose centres
+    (cx, cy) pass `keep(cx, cy)` are kept (all by default), and the vertices
+    of no kept square are dropped.
 
-    Every grid square is split along the same lower-left to upper-right
-    diagonal so that generated tables are reproducible bit-for-bit.
-    Mesh size is sqrt(2)/n.
+    Every square is split along the same lower-left to upper-right diagonal
+    so that generated tables are reproducible bit-for-bit.
     """
     if int(n) != n or n < 1:
         raise MeshError("n must be a positive integer")
     n = int(n)
-    ii, jj = np.meshgrid(np.arange(n + 1), np.arange(n + 1), indexing="ij")
-    vertices = np.stack([ii.ravel() / n, jj.ravel() / n], axis=1)
+    m = width * n
+    ii, jj = np.meshgrid(np.arange(m + 1), np.arange(m + 1), indexing="ij")
+    vertices = np.stack([ii.ravel() / n + corner, jj.ravel() / n + corner], axis=1)
 
-    def vid(i, j):
-        return i * (n + 1) + j
+    i, j = (k.ravel() for k in np.meshgrid(np.arange(m), np.arange(m), indexing="ij"))
+    if keep is not None:
+        inside = keep((i + 0.5) / n + corner, (j + 0.5) / n + corner)
+        i, j = i[inside], j[inside]
+    a = i * (m + 1) + j  # vertex (i, j); b, c, d go counter-clockwise
+    b, c, d = a + m + 1, a + m + 2, a + 1
+    cells = np.concatenate([np.stack([a, b, c], axis=1),
+                            np.stack([a, c, d], axis=1)])
+    used = np.zeros(len(vertices), dtype=bool)
+    used[cells] = True
+    return SimplicialMesh(vertices[used], (np.cumsum(used) - 1)[cells])
 
-    i, j = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    i, j = i.ravel(), j.ravel()
-    a, b, c, d = vid(i, j), vid(i + 1, j), vid(i + 1, j + 1), vid(i, j + 1)
-    lower = np.stack([a, b, c], axis=1)
-    upper = np.stack([a, c, d], axis=1)
-    cells = np.concatenate([lower, upper])
-    return SimplicialMesh(vertices, cells)
+
+def build_unit_square(n):
+    """Uniform n-by-n triangulation of the unit square; mesh size sqrt(2)/n."""
+    return _grid(n, 1, 0.0)
 
 
 def build_lshape(n):
-    """L-shaped domain (-1,1)^2 minus the quadrant x > 0, y < 0.
-
-    `n` squares per unit side, same diagonal convention as
-    :func:`build_unit_square`.
-    """
-    if int(n) != n or n < 1:
-        raise MeshError("n must be a positive integer")
-    n = int(n)
-    m = 2 * n
-    ii, jj = np.meshgrid(np.arange(m + 1), np.arange(m + 1), indexing="ij")
-    vertices = np.stack([ii.ravel() / n - 1.0, jj.ravel() / n - 1.0], axis=1)
-
-    def vid(i, j):
-        return i * (m + 1) + j
-
-    i, j = np.meshgrid(np.arange(m), np.arange(m), indexing="ij")
-    i, j = i.ravel(), j.ravel()
-    cx = (i + 0.5) / n - 1.0
-    cy = (j + 0.5) / n - 1.0
-    keep = ~((cx > 0.0) & (cy < 0.0))
-    i, j = i[keep], j[keep]
-    a, b, c, d = vid(i, j), vid(i + 1, j), vid(i + 1, j + 1), vid(i, j + 1)
-    cells = np.concatenate([np.stack([a, b, c], axis=1),
-                            np.stack([a, c, d], axis=1)])
-    used = np.unique(cells)
-    remap = np.full(len(vertices), -1, dtype=np.int64)
-    remap[used] = np.arange(len(used))
-    return SimplicialMesh(vertices[used], remap[cells])
+    """L-shaped domain (-1,1)^2 minus the quadrant x > 0, y < 0, with `n`
+    squares per unit side, triangulated as :func:`build_unit_square`."""
+    return _grid(n, 2, -1.0, keep=lambda cx, cy: (cx <= 0.0) | (cy >= 0.0))
 
 
 def refine_red(mesh):

@@ -102,8 +102,9 @@ def _external_mesh_checks(report, mesh_path):
                variant=os.path.basename(mesh_path))
 
 
-def _space_checks(report, space, n, rng, random_fields, variants):
-    """Record the checks of one space; return its coercivity eigenvalue."""
+def _space_checks(report, space, case, n, rng, random_fields, variants):
+    """Record the checks of one space on the base mesh of `case`, the
+    poly-consistency case; return its coercivity eigenvalue."""
     p = space.p
     sine = smooth_sine_case()
 
@@ -116,12 +117,10 @@ def _space_checks(report, space, n, rng, random_fields, variants):
         degree=p, resolution=n,
     )
 
-    # the case's piecewise-P^{p+1} hat profile lives on build_unit_square(n),
-    # the mesh of `space`
-    case = poly_consistency_case(p, base_n=n)
+    # the case's piecewise-P^{p+1} hat profile lives on the mesh of `space`
     hat = case.u.bp
     i_hat = space.interpolate(hat)
-    report.add("kernel-stab", space.stab_form(i_hat, i_hat), degree=p, resolution=n)
+    report.add("kernel-stab", space.stab_form(i_hat), degree=p, resolution=n)
     r_hat = space.reconstruct(i_hat)
     report.add(
         "kernel-reconstruction",
@@ -253,8 +252,10 @@ def run_verification(degrees=SUITE_DEFAULTS["degrees"],
         rng = np.random.default_rng(seed + p)
         eigs = []
         for n in resolutions:
-            space = HHOSpace(build_unit_square(n), p)
-            eigs.append(_space_checks(report, space, n, rng, random_fields, variants))
+            case = poly_consistency_case(p, base_n=n)
+            space = HHOSpace(case.mesh_for(0), p)
+            eigs.append(_space_checks(report, space, case, n, rng, random_fields,
+                                      variants))
         spread = (max(eigs) - min(eigs)) / max(eigs)
         report.add("coercivity-stability", spread, degree=p)
     return report.to_dict()

@@ -4,9 +4,11 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hho
-from conftest import jittered_square
+from conftest import jittered_square, single_triangle_mesh
 from hho.mesh import (
     MeshError,
     SimplicialMesh,
@@ -191,6 +193,109 @@ def test_lshape_area():
 def test_unit_square_rejects_bad_n():
     with pytest.raises(MeshError):
         build_unit_square(0)
+
+
+@pytest.mark.parametrize("build", [build_unit_square, build_lshape])
+@pytest.mark.parametrize("n", [0, -2, 1.5])
+def test_grid_builders_reject_bad_n(build, n):
+    with pytest.raises(MeshError, match="n must be a positive integer"):
+        build(n)
+
+
+def _relabelled(mesh, seed):
+    """`mesh` with its vertices and cells permuted and each cell's vertices
+    in a random one of their six orders (so about half turn clockwise).
+    Returns the mesh, the new label of each old vertex and the old cell of
+    each new cell."""
+    rng = np.random.default_rng(seed)
+    vperm = rng.permutation(mesh.num_vertices)
+    label = np.argsort(vperm)
+    order = rng.permutation(mesh.num_cells)
+    orders = np.array([[0, 1, 2], [1, 2, 0], [2, 0, 1], [0, 2, 1], [2, 1, 0], [1, 0, 2]])
+    cells = label[mesh.cells[order]]
+    cells = np.take_along_axis(cells, orders[rng.integers(0, 6, len(cells))], axis=1)
+    return SimplicialMesh(mesh.vertices[vperm], cells), label, order
+
+
+ORACLE_MESHES = {
+    "square-1": lambda: build_unit_square(1),
+    "square-3": lambda: build_unit_square(3),
+    "lshape-1": lambda: build_lshape(1),
+    "lshape-2": lambda: build_lshape(2),
+    "lshape-1-refined-twice": lambda: refine_red(refine_red(build_lshape(1))),
+    "jittered-6": lambda: jittered_square(6),
+    "relabelled-grid-5": lambda: _relabelled(build_unit_square(5), 4)[0],
+    "single-triangle": single_triangle_mesh,
+}
+
+
+def _face_oracle(cells):
+    """faces, cell_faces, face_cells, face_local and boundary_face_mask of
+    the (positively oriented) cells, edge by edge through a dict keyed by
+    sorted vertex pairs."""
+    sides = {}
+    for t, cell in enumerate(cells.tolist()):
+        for i in range(3):
+            pair = tuple(sorted((cell[(i + 1) % 3], cell[(i + 2) % 3])))
+            sides.setdefault(pair, []).append((t, i))
+    faces = sorted(sides)
+    index = {pair: f for f, pair in enumerate(faces)}
+    cell_faces = np.array([
+        [index[tuple(sorted((c[(i + 1) % 3], c[(i + 2) % 3])))] for i in range(3)]
+        for c in cells.tolist()
+    ]).reshape(-1, 3)
+    face_cells = np.full((len(faces), 2), -1)
+    face_local = np.full((len(faces), 2), -1)
+    for f, pair in enumerate(faces):
+        for col, (t, i) in enumerate(sorted(sides[pair])):
+            face_cells[f, col], face_local[f, col] = t, i
+    boundary = np.array([len(sides[pair]) == 1 for pair in faces])
+    return np.array(faces).reshape(-1, 2), cell_faces, face_cells, face_local, boundary
+
+
+@pytest.mark.parametrize("make", ORACLE_MESHES.values(), ids=ORACLE_MESHES.keys())
+def test_faces_match_edge_by_edge_oracle(make):
+    m = make()
+    faces, cell_faces, face_cells, face_local, boundary = _face_oracle(m.cells)
+    assert np.array_equal(m.faces, faces)
+    assert np.array_equal(m.cell_faces, cell_faces)
+    assert np.array_equal(m.face_cells, face_cells)
+    assert np.array_equal(m.face_local, face_local)
+    assert np.array_equal(m.boundary_face_mask, boundary)
+    flips = np.array([[c[(i + 1) % 3] > c[(i + 2) % 3] for i in range(3)]
+                      for c in m.cells.tolist()])
+    assert np.array_equal(m.face_flips, flips)
+
+
+@pytest.mark.parametrize("make", ORACLE_MESHES.values(), ids=ORACLE_MESHES.keys())
+def test_normals_point_out_and_h_cell_is_longest_edge(make):
+    m = make()
+    p = m.vertices[m.cells]  # (T, 3, 2)
+    a, b = p[:, [1, 2, 0]], p[:, [2, 0, 1]]  # ends of local face i
+    assert np.abs(np.linalg.norm(m.normals, axis=-1) - 1.0).max() < 1e-15
+    assert np.all(np.einsum("tid,tid->ti", m.normals, 0.5 * (a + b) - p) > 0.0)
+    edges = np.linalg.norm(b - a, axis=-1)
+    assert np.abs(np.einsum("tid,tid->ti", m.normals, b - a)).max() < 1e-15 * edges.max()
+    assert np.array_equal(m.h_cell, edges.max(axis=1))
+
+
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       base=st.sampled_from(["jittered-6", "lshape-2", "single-triangle"]))
+def test_relabelling_permutes_the_geometry(seed, base):
+    # the volumes, sizes and the normal of each (cell, face as a vertex pair)
+    # follow the cells and vertices to their new labels
+    m = ORACLE_MESHES[base]()
+    r, label, order = _relabelled(m, seed)
+    np.testing.assert_allclose(r.volumes, m.volumes[order], rtol=1e-13)
+    np.testing.assert_allclose(r.h_cell, m.h_cell[order], rtol=1e-15)
+    np.testing.assert_allclose(r.r_cell, m.r_cell[order], rtol=1e-13)
+    # the face opposite vertex v of old cell order[s] is the face opposite
+    # label[v] of new cell s
+    local = np.argmax(r.cells[:, None, :] == label[m.cells[order]][:, :, None], axis=2)
+    np.testing.assert_allclose(np.take_along_axis(r.normals, local[..., None], axis=1),
+                               m.normals[order], rtol=0.0, atol=1e-15)
+    assert check_matching(r) == []
 
 
 def _brute_force_pairs(mesh, points, tol):
