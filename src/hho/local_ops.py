@@ -19,9 +19,10 @@ they are needed:
 * the local bilinear blocks condensed and assembled by the `system` module
   (`HHOSpace.local_matrices`).
 
-Per cell it stores only the reconstruction, the local face diameters and the
-dof map; every other cell table is kept in reference form, and per-cell work
-runs over fixed-size cell blocks (:class:`HHOSpace`).
+Per cell it stores only the reconstruction and the dof map. A cell enters
+the local operators only through its scaled metric 2|K| J^{-1} J^{-T} and
+its face orientations, and per-cell work runs over fixed-size cell blocks
+(:class:`HHOSpace`).
 
 All local matrices are pure functions of immutable mesh/basis data; any set
 of cells may be processed concurrently.
@@ -208,26 +209,27 @@ class HHOSpace:
     """Discrete HHO space of degree p on a mesh, with cached local operators.
 
     Stored per cell (leading axis T) is only the reconstruction `G`
-    (T, n1, nloc), the local face diameters `hf_loc` (T, 3) and the dof map
-    `local_dof_ids` (T, nloc). Both terms of the HHO form
-    a_h = (grad R ., grad R .) + s_h are read from `G`: `face_traces(cells)`
-    forms the face-residual traces T_K (T, 3, nf, nloc) behind s_h and
-    `local_matrices(cells)` the local bilinear blocks A_K (T, nloc, nloc),
-    each for a block of cells where it is read (the static condensation of
-    `system`, `stab_form`). Every other cell table is a reference table
-    times a per-cell scale and is kept only in reference form:
+    (T, n1, nloc) and the dof map `local_dof_ids` (T, nloc). Both terms of
+    the HHO form a_h = (grad R ., grad R .) + s_h are read from `G`:
+    `face_traces(cells)` forms the face-residual traces T_K (T, 3, nf, nloc)
+    behind s_h and `local_matrices(cells)` the local bilinear blocks A_K
+    (T, nloc, nloc), each for a block of cells where it is read (the static
+    condensation of `system`, `stab_form`). A cell enters them, `G` and the
+    norm blocks H_K only through its scaled metric 2|K| J^{-1} J^{-T} and
+    its face orientations `face_flips`; every other cell table is a
+    reference table times a per-cell scale and is kept only in reference
+    form:
 
     * the degree-(p+1) cell mass is 2|K| `mass_hat` (n1, n1),
     * the degree-(p+1) integrals int_K phi_i are 2|K| `ints_hat` (n1,),
     * the degree-(p+1) stiffness is 2|K| sum_ab G_ab S_ab with the metric G
       and the reference matrices `stiff_hat` (3, n1, n1), formed for a
       block of cells where it is read (:func:`stiffness_blocks`),
-    * the face trace int_F psi_m phi_j on local face i is
-      h_F `ntr_hat[i, face_flips[:, i]]`, with `ntr_hat` (3, 2, nf, n1) per
-      (local face, orientation),
-    * the degree-p face mass int_F phi_i phi_j on local face i is
-      h_F `fcc_hat[i]`, with `fcc_hat` (3, nc, nc), and
-    * the face-basis mass is h_F `mhat_p` (nf, nf), and
+    * the face-basis mass is h_F `mhat_p` (nf, nf); the face trace
+      int_F psi_m phi_j carries the same h_F, so the L2 projection onto
+      P^p(F) of a cell polynomial on local face i is
+      `proj_hat[i, face_flips[:, i]]`, with `proj_hat` (3, 2, nf, n1) per
+      (local face, orientation), and
     * the cell projection Pi_M onto P^p is `pi_hat` (nc, n1).
 
     The construction, the local operators, the projections and the error
@@ -295,8 +297,7 @@ class HHOSpace:
 
     def _build_face_tables(self):
         """Reference face tables; returns the flux table only the build reads."""
-        mesh, p, rule = self.mesh, self.p, self.rule_face
-        self.hf_loc = mesh.h_face[mesh.cell_faces]  # (T, 3)
+        p, rule = self.p, self.rule_face
         self.mhat_p = reference_face_mass(p)
         self.mhat_p_inv = np.linalg.inv(self.mhat_p)
         # reference tables per (local face, orientation); rule points run
@@ -304,12 +305,17 @@ class HHOSpace:
         t = rule.points[:, 1]
         bary = face_barycentric(t)  # (3, 2, Q, 3)
         wpsi = rule.weights[:, None] * face_basis_values(p, t - 0.5)  # (Q, nf)
-        phi1 = cell_basis_values(p + 1, bary)  # (3, 2, Q, n1)
-        gphi1 = cell_basis_gradients(p + 1, bary)  # (3, 2, Q, n1, 2)
-        self.ntr_hat = _t(wpsi) @ phi1  # (3, 2, nf, n1)
-        phi_p = phi1[:, 0, :, : self.nc]  # the face integral ignores orientation
-        self.fcc_hat = symmetrize(_tmul(rule.weights[:, None] * phi_p, phi_p))
-        return _t(wpsi) @ np.moveaxis(gphi1, -1, 2)  # (3, 2, 2, nf, n1)
+        # h_F cancels between the face trace and the face mass
+        self.proj_hat = self.mhat_p_inv @ (_t(wpsi) @ cell_basis_values(p + 1, bary))
+        # h_F J^{-1} n_K = 2|K| J^{-1} J^{-T} nu_i on a counter-clockwise
+        # cell, with nu_i the scaled outward normal of reference face i: the
+        # flux is sum_ab G_ab nu_a f_b with f_b = int psi_m d_b phi_j, one
+        # table per metric entry (G11, G12, G22)
+        f = _t(wpsi) @ np.moveaxis(cell_basis_gradients(p + 1, bary), -1, 2)
+        f1, f2 = f[:, :, 0], f[:, :, 1]  # (3, 2, nf, n1)
+        nu = np.array([[1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])  # (3, 2)
+        nu1, nu2 = nu.T[:, :, None, None, None]  # (3, 1, 1, 1) each
+        return np.stack([nu1 * f1, nu2 * f1 + nu1 * f2, nu2 * f2], axis=2)
 
     def _build_local_operators(self, flux_hat):
         """Allocate `G` and fill it block by block."""
@@ -330,33 +336,27 @@ class HHOSpace:
         """Fill the rows `cells` of `G` (T cells here)."""
         mesh = self.mesh
         nc, n1, nf, nloc = self.nc, self.n1, self.nf, self.nloc
-        cols = [slice(nc + i * nf, nc + (i + 1) * nf) for i in range(3)]
-        vol, hf, flips = mesh.volumes[cells], self.hf_loc[cells], mesh.face_flips[cells]
-        T = len(vol)
+        flips = mesh.face_flips[cells]
+        coef = 2.0 * mesh.volumes[cells, None] * metric(mesh, cells)
+        T = len(coef)
 
-        # right-hand side of the local Neumann problem, test function phi_j;
-        # the face columns int_F psi_m grad(phi_j) . n_K with
-        # grad phi . n_K = grad_hat phi . (J^{-1} n_K)
-        coef = 2.0 * vol[:, None] * metric(mesh, cells)
+        # right-hand side of the local Neumann problem, test function phi_j:
+        # the Laplacian columns and the face columns int_F psi_m grad(phi_j) . n_K
         B = np.zeros((T, n1, nloc))
         B[:, :, :nc] = -(coef @ lap_hat.reshape(3, n1 * nc)).reshape(T, n1, nc)
-        jn = mesh.normals[cells] @ _t(mesh.inverse_jacobians[cells])  # (T, 3, 2)
         for i in range(3):
-            h = hf[:, i, None, None]
-            flux = jn[:, i, None, :] @ flux_hat[i, flips[:, i]].reshape(T, 2, nf * n1)
-            B[:, :, cols[i]] = _t(h * flux.reshape(T, nf, n1))
+            flux = coef[:, None, :] @ flux_hat[i, flips[:, i]].reshape(T, 3, nf * n1)
+            B[:, :, nc + i * nf: nc + (i + 1) * nf] = _t(flux.reshape(T, nf, n1))
 
         # solve on the mean-zero complement, then fix the constant by the
-        # cell-average condition
+        # cell-average condition (|K| cancels)
         stiff = stiffness_blocks(mesh, self.stiff_hat, cells)
         Gred = np.linalg.solve(stiff[:, 1:, 1:], B[:, 1:, :])
         del B
-        ints = (2.0 * vol)[:, None] * self.ints_hat
         G = self.G[cells]
         G[:, 1:, :] = Gred
-        int_row = np.zeros((T, nloc))
-        int_row[:, :nc] = ints[:, :nc]
-        G[:, 0, :] = (int_row - (ints[:, None, 1:] @ Gred)[:, 0]) / vol[:, None]
+        G[:, 0, :] = -2.0 * (self.ints_hat[1:] @ Gred)
+        G[:, 0, :nc] += 2.0 * self.ints_hat[:nc]
 
     def _build_dof_maps(self):
         mesh = self.mesh
@@ -433,49 +433,52 @@ class HHOSpace:
             self.mesh, self.p + 1, np.einsum("tij,tj->ti", self.G, x)
         )
 
+    def _face_residuals(self, S, cells):
+        """Face residuals T_i = FaceSel_i - Pi_F(S .)|_F of `cells`,
+        (T, 3, nf, nloc), for a map S (T, n1, nloc) or (n1, nloc) from the
+        local dofs to a degree-(p+1) cell polynomial; the face projection
+        is the reference table `proj_hat`, gathered by orientation."""
+        nc, nf = self.nc, self.nf
+        flips = self.mesh.face_flips[cells]
+        res = np.empty((len(flips), 3, nf, self.nloc))
+        for i in range(3):
+            res[:, i] = -(self.proj_hat[i, flips[:, i]] @ S)
+            res[:, i, :, nc + i * nf: nc + (i + 1) * nf] += np.eye(nf)
+        return res
+
+    def _add_penalty(self, A, res):
+        """A + sum_F T_F^T mhat_p T_F for the face residuals `res` (T, 3, nf,
+        nloc), in place: the h_F^{-1} weight cancels the h_F of the face
+        mass. The sum over the three faces is one (T, 3 nf, nloc) product;
+        the upper triangle is then mirrored (exact symmetry)."""
+        T, nf, nloc = len(A), self.nf, self.nloc
+        A += _tmul(res.reshape(T, 3 * nf, nloc),
+                   (self.mhat_p @ res).reshape(T, 3 * nf, nloc))
+        lower = np.tril_indices(nloc, -1)
+        A[:, lower[0], lower[1]] = A[:, lower[1], lower[0]]
+        return A
+
     def face_traces(self, cells=slice(None)):
         """Face-residual traces T_i = FaceSel_i - Pi_F(S .)|_F of `cells`
         (all by default), (T, 3, nf, nloc), read from `G`.
 
         S = s_M + (Id - Pi_M) R is the stabilization operator, with the
-        reference projection `pi_hat`; the face projection is the face
-        trace h_F `ntr_hat` solved against the face mass h_F `mhat_p`.
+        reference projection `pi_hat`; h_F cancels in the face projection
+        `proj_hat`, so no per-cell scale enters.
         """
-        mesh, nc, nf = self.mesh, self.nc, self.nf
-        G, hf, flips = self.G[cells], self.hf_loc[cells], mesh.face_flips[cells]
+        G, nc = self.G[cells], self.nc
         S = G.copy()
         S[:, :nc, :] -= self.pi_hat @ G
         idx = np.arange(nc)
         S[:, idx, idx] += 1.0
-        traces = np.empty((len(G), 3, nf, self.nloc))
-        for i in range(3):
-            h = hf[:, i, None, None]
-            Qi = self.mhat_p_inv @ (h * self.ntr_hat[i, flips[:, i]])
-            Qi /= h
-            traces[:, i] = -(Qi @ S)
-            traces[:, i, :, nc + i * nf: nc + (i + 1) * nf] += np.eye(nf)
-        return traces
+        return self._face_residuals(S, cells)
 
     def local_matrices(self, cells=slice(None)):
         """Local bilinear blocks A_K of `cells` (all by default),
-        (T, nloc, nloc): grad(R .) . grad(R .) plus the stabilization.
-
-        The h_F^{-1} weight cancels the h_F inside the face mass matrix. The
-        sum over the three faces is one (T, 3 nf, nloc) product, added in
-        place; the upper triangle is then mirrored (exact symmetry).
-        """
-        G, nf, nloc = self.G[cells], self.nf, self.nloc
-        T = len(G)
+        (T, nloc, nloc): grad(R .) . grad(R .) plus the stabilization."""
+        G = self.G[cells]
         stiff = stiffness_blocks(self.mesh, self.stiff_hat, cells)
-        A = _t(G) @ (stiff @ G)
-        traces = self.face_traces(cells)
-        A += _tmul(
-            traces.reshape(T, 3 * nf, nloc),
-            (self.mhat_p @ traces).reshape(T, 3 * nf, nloc),
-        )
-        lower = np.tril_indices(nloc, -1)
-        A[:, lower[0], lower[1]] = A[:, lower[1], lower[0]]
-        return A
+        return self._add_penalty(_t(G) @ (stiff @ G), self.face_traces(cells))
 
     def stab_form(self, vec):
         """Face-penalty stabilization s_h(vec, vec) of a dof vector
@@ -516,26 +519,20 @@ class HHOSpace:
         face penalties ||v_F - v_K||_F^2. The assembled matrix is
         `assemble_bilinear(space, space.hho_norm_blocks())`.
 
-        The h_F^{-1} face weight cancels the h_F of every face table, so the
-        face terms are the reference tables `fcc_hat`, `ntr_hat` and `mhat_p`.
-        Like each block A_K of `local_matrices`, every H_K vanishes exactly
-        on the local constant (1 at cell dof 0 and at the first dof of each
-        face) and is positive definite on its complement, which is what the
-        element-by-element eigenvalue bound of Fried (J. Sound Vib. 22, 1972)
-        needs.
+        The face residuals are those of `face_traces` with S the cell
+        unknown itself (its trace is its face projection), and the penalty
+        is added as in `local_matrices`. Like each block A_K, every H_K
+        vanishes on the local constant (1 at cell dof 0 and at the first dof
+        of each face) and is positive definite on its complement, which is
+        what the element-by-element eigenvalue bound of Fried (J. Sound Vib.
+        22, 1972) needs.
         """
-        mesh = self.mesh
-        T, nc, nf, nloc = mesh.num_cells, self.nc, self.nf, self.nloc
-        H = np.zeros((T, nloc, nloc))
-        H[:, :nc, :nc] = stiffness_blocks(mesh, self.stiff_hat)[:, :nc, :nc]
-        for i in range(3):
-            cols = slice(nc + i * nf, nc + (i + 1) * nf)
-            Ncs = self.ntr_hat[i, mesh.face_flips[:, i], :, :nc]
-            H[:, :nc, :nc] += self.fcc_hat[i]
-            H[:, cols, cols] += self.mhat_p
-            H[:, cols, :nc] -= Ncs
-            H[:, :nc, cols] -= _t(Ncs)
-        return H
+        nc, n1, nloc = self.nc, self.n1, self.nloc
+        embed = np.eye(n1, nloc)
+        embed[nc:] = 0.0  # the cell unknown as a degree-(p+1) polynomial
+        H = np.zeros((self.mesh.num_cells, nloc, nloc))
+        H[:, :nc, :nc] = stiffness_blocks(self.mesh, self.stiff_hat[:, :nc, :nc])
+        return self._add_penalty(H, self._face_residuals(embed, slice(None)))
 
 
 def scatter_blocks(blocks, row_ids, col_ids, shape):

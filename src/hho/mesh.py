@@ -75,9 +75,10 @@ class UnsupportedDimensionError(MeshError):
 class SimplicialMesh:
     """Immutable matching simplicial mesh.
 
-    Construction orients every cell counter-clockwise (a zero-area cell is
-    refused), numbers the faces with one sort of integer edge keys
-    (`_build_faces`) and measures each edge once (`_build_geometry`).
+    Construction orients every cell counter-clockwise with one cross product
+    per cell, which also gives its area (a zero-area cell is refused),
+    numbers the faces with one sort of integer edge keys (`_build_faces`)
+    and measures each edge once (`_build_geometry`).
 
     Attributes
     ----------
@@ -140,7 +141,7 @@ class SimplicialMesh:
 
         self.dim = 2
         self.vertices = vertices
-        self.cells = self._orient_positive(vertices, cells)
+        self.cells, self.volumes = self._orient_positive(vertices, cells)
         self._build_faces()
         self._build_geometry()
         self.vertices.setflags(write=False)
@@ -148,6 +149,7 @@ class SimplicialMesh:
 
     @staticmethod
     def _orient_positive(vertices, cells):
+        """The cells turned counter-clockwise, and their areas."""
         p = vertices[cells]
         area2 = _cross2(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
         if np.any(area2 == 0.0):
@@ -155,7 +157,8 @@ class SimplicialMesh:
         cells = cells.copy()
         flip = area2 < 0.0
         cells[flip] = cells[flip][:, [0, 2, 1]]
-        return cells
+        # the flip negates the cross product exactly
+        return cells, 0.5 * np.abs(area2)
 
     def _build_faces(self):
         """Faces, incidences and the dissection order of the interior faces.
@@ -198,9 +201,6 @@ class SimplicialMesh:
 
     def _build_geometry(self):
         p = self.vertices[self.cells]  # (T, 3, 2)
-        self.volumes = 0.5 * _cross2(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
-        if np.any(self.volumes <= 0.0):
-            raise MeshError("non-positive cell volume after orientation")
         self.inverse_jacobians = np.linalg.inv(
             np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]], axis=-1)
         )

@@ -12,7 +12,7 @@ from hho.analysis import (
     kink_aligned_case,
 )
 from hho.local_ops import BrokenPoly, HHOSpace, assemble_bilinear, stiffness_blocks
-from hho.mesh import build_unit_square, refine_red
+from hho.mesh import SimplicialMesh, build_unit_square, refine_red
 from hho.polyquad import (
     UnsupportedDegreeError,
     cell_basis_gradients,
@@ -33,14 +33,23 @@ def space(request):
     return HHOSpace(build_unit_square(3), request.param)
 
 
+def face_traces_oracle(space, i):
+    """Face traces int_F psi_m phi_j (T, nf, n1) of the degree-(p+1) cell
+    basis on local face i, by physical face quadrature."""
+    mesh = space.mesh
+    fpts, fw = face_quadrature(mesh, space.rule_face, mesh.cell_faces[:, i])
+    fphi1 = basis_at(mesh, space.p + 1, fpts)[0]
+    psi = face_basis_values(space.p, space.rule_face.points[:, 1] - 0.5)
+    return np.einsum("tq,qm,tqj->tmj", fw, psi, fphi1)
+
+
 def stab_operator(space):
     """Stabilization operator S = s_M + (Id - Pi_M) R per cell (T, n1, nloc).
 
     Rebuilt from the stored `G` and the reference mass `mass_hat` (Pi_M is
     one reference matrix); it must reproduce the face-residual traces
-    T_i = FaceSel_i - Pi_F(S .)|_F of `face_traces`, where the face
-    projection is the reference table pair (ntr_hat, mhat_p) since h_F
-    cancels.
+    T_i = FaceSel_i - Pi_F(S .)|_F of `face_traces`, with the face
+    projection from the physical face traces and the face mass h_F `mhat_p`.
     """
     nc, nf = space.nc, space.nf
     Pi = np.linalg.solve(space.mass_hat[:nc, :nc], space.mass_hat[:nc, :])
@@ -48,9 +57,11 @@ def stab_operator(space):
     S[:, :nc, :] -= np.einsum("mi,tij->tmj", Pi, space.G)
     S[:, np.arange(nc), np.arange(nc)] += 1.0
     traces = space.face_traces()
+    hf = space.mesh.h_face[space.mesh.cell_faces]
     for i in range(3):
-        trace = space.ntr_hat[i, space.mesh.face_flips[:, i]]  # (T, nf, n1)
-        Ti = -np.einsum("mn,tnj,tjl->tml", np.linalg.inv(space.mhat_p), trace, S)
+        mass = hf[:, i, None, None] * space.mhat_p
+        proj = np.linalg.solve(mass, face_traces_oracle(space, i))
+        Ti = -np.einsum("tmn,tnl->tml", proj, S)
         Ti[:, :, nc + i * nf: nc + (i + 1) * nf] += np.eye(nf)
         _assert_blocks_close(traces[:, i], Ti, 1e-12)
     return S
@@ -73,7 +84,7 @@ def test_space_stores_per_cell_only_what_the_solver_reads():
     assert peak <= 24 * 1024 * T, peak / T
     per_cell = {name for name, value in vars(space).items()
                 if isinstance(value, np.ndarray) and value.shape[:1] == (T,)}
-    assert per_cell == {"G", "hf_loc", "local_dof_ids"}
+    assert per_cell == {"G", "local_dof_ids"}
 
 
 def test_degree_guard():
@@ -551,7 +562,8 @@ def test_broken_poly_pad_and_shapes(space):
 
 def _einsum_kernels(space):
     """Cell tables and operators: the plain einsum formulas, term by term,
-    over basis tables evaluated cell by cell at the physical quadrature points.
+    over basis tables evaluated cell by cell at the physical quadrature
+    points, with the physical normals and face diameters.
 
     The local solves and the G^T K G product take the space's own stiffness
     and cell mass 2|K| `mass_hat`, which are checked against their formulas
@@ -561,6 +573,7 @@ def _einsum_kernels(space):
     """
     mesh, p, nc, nf = space.mesh, space.p, space.nc, space.nf
     T, n1, nloc = mesh.num_cells, space.n1, space.nloc
+    hf = mesh.h_face[mesh.cell_faces]
     pts, w = cell_quadrature(mesh, space.rule_cell)
     phi1, gphi1, lphi1 = basis_at(mesh, p + 1, pts)
     ref = {
@@ -568,19 +581,24 @@ def _einsum_kernels(space):
         "stiff1": np.einsum("tq,tqid,tqjd->tij", w, gphi1, gphi1),
         "Ntr": [],
         "Bflux": [],
-        "Fcc": [],
     }
+    # the coercivity norm: the broken H1 block of v_K plus
+    # sum_F h_F^{-1} ||v_F - v_K||_F^2
+    H = np.zeros((T, nloc, nloc))
+    H[:, :nc, :nc] = ref["stiff1"][:, :nc, :nc]
+    psi = face_basis_values(p, space.rule_face.points[:, 1] - 0.5)
     for i in range(3):
-        faces_i = mesh.cell_faces[:, i]
-        fpts, fw = face_quadrature(mesh, space.rule_face, faces_i)
+        fpts, fw = face_quadrature(mesh, space.rule_face, mesh.cell_faces[:, i])
         fphi1, fgphi1, _ = basis_at(mesh, p + 1, fpts)
-        psi = face_basis_values(p, space.rule_face.points[:, 1] - 0.5)
-        ref["Ntr"].append(np.einsum("tq,qm,tqj->tmj", fw, psi, fphi1))
+        ref["Ntr"].append(face_traces_oracle(space, i))
         ref["Bflux"].append(np.einsum(
             "tq,qm,tqjd,td->tmj", fw, psi, fgphi1, mesh.normals[:, i]
         ))
-        fphi = fphi1[..., :nc]
-        ref["Fcc"].append(np.einsum("tq,tqi,tqj->tij", fw, fphi, fphi))
+        jump = np.zeros((T, len(psi), nloc))  # v_F - v_K at the face points
+        jump[:, :, :nc] = -fphi1[..., :nc]
+        jump[:, :, nc + i * nf: nc + (i + 1) * nf] = psi
+        H += np.einsum("tq,tqa,tqb->tab", fw / hf[:, i, None], jump, jump)
+    ref["H"] = H
 
     B = np.zeros((T, n1, nloc))
     B[:, :, :nc] = -np.einsum("tq,tqm,tqj->tjm", w, phi1[..., :nc], lphi1)
@@ -604,8 +622,7 @@ def _einsum_kernels(space):
     traces = np.empty((T, 3, nf, nloc))
     for i in range(3):
         Qi = np.einsum("mn,tnj->tmj", np.linalg.inv(mhat), ref["Ntr"][i])
-        traces[:, i] = -np.einsum("tmj,tjl->tml", Qi, S) \
-            / space.hf_loc[:, i, None, None]
+        traces[:, i] = -np.einsum("tmj,tjl->tml", Qi, S) / hf[:, i, None, None]
         traces[:, i, :, nc + i * nf: nc + (i + 1) * nf] += np.eye(nf)
     ref["G"] = G
     ref["A"] = (np.einsum("tfml,mn,tfnk->tlk", traces, mhat, traces)
@@ -634,13 +651,41 @@ def test_batched_kernels_match_einsum_on_jittered_mesh(p):
     _assert_blocks_close(stiff1, ref["stiff1"], 1e-12)
     _assert_blocks_close(space.G, ref["G"], 1e-12)
     _assert_blocks_close(space.local_matrices(), ref["A"], 1e-12)
-    # face tables: h_F times one reference table per (local face,
-    # orientation); the flux table enters only through G, checked above
-    for i in range(3):
-        h = space.hf_loc[:, i, None, None]
-        trace = space.ntr_hat[i, space.mesh.face_flips[:, i]]
-        _assert_blocks_close(h * trace, ref["Ntr"][i], 1e-12)
-        _assert_blocks_close(h * space.fcc_hat[i], ref["Fcc"][i], 1e-12)
+    # the face tables enter only through G, A_K and H_K: the flux (in
+    # metric form) through G, checked above against the physical normals
+    _assert_blocks_close(space.hho_norm_blocks(), ref["H"], 1e-12)
+
+
+def _moved(mesh, move):
+    """The mesh with every vertex mapped by `move`, cells as given."""
+    return SimplicialMesh(move(mesh.vertices), mesh.cells)
+
+
+@pytest.mark.parametrize("p", [0, 1, 2, 3])
+def test_local_operators_are_similarity_invariant(p):
+    # G, A_K and H_K read a cell only through 2|K| J^{-1} J^{-T} and its face
+    # orientations, which a similarity leaves unchanged: bitwise where the
+    # map is exact in floating point (on grid vertices at multiples of 1/4:
+    # scaling by 4, a translation and a quarter turn), to round-off on the
+    # jittered mesh. Translating the jittered vertices rounds them by up to
+    # 6e-17, which the local solve at p = 3 lifts to 1.1e-13 of a cell's
+    # largest entry of G; the whole arrays agree to 3e-14 (Frobenius).
+    def operators(mesh):
+        space = HHOSpace(mesh, p)
+        return space.G, space.local_matrices(), space.hho_norm_blocks()
+
+    shift = np.array([-0.5, 0.25])
+    grid = build_unit_square(4)
+    base = operators(grid)
+    for move in (lambda v: 4.0 * v, lambda v: v + shift,
+                 lambda v: v[:, ::-1] * [-1.0, 1.0]):
+        for want, got in zip(base, operators(_moved(grid, move))):
+            assert np.array_equal(want, got)
+    jittered = jittered_square(4)
+    base = operators(jittered)
+    for move in (lambda v: v + shift, lambda v: v[:, ::-1] * [-1.0, 1.0]):
+        for want, got in zip(base, operators(_moved(jittered, move))):
+            assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
 
 @pytest.mark.parametrize("degree", [1, 2, 4])

@@ -129,6 +129,15 @@ def test_orientation_fixed_on_construction():
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     m = SimplicialMesh(verts, np.array([[0, 2, 1]]))  # clockwise input
     assert m.volumes[0] > 0.0
+    # a grid given with every other cell clockwise: the orientation step's
+    # cross product gives the areas, bitwise those of the counter-clockwise
+    # input (the flip negates it exactly)
+    ccw = jittered_square(6)
+    cells = ccw.cells.copy()
+    cells[::2] = cells[::2][:, [0, 2, 1]]
+    mixed = SimplicialMesh(ccw.vertices.copy(), cells)
+    assert np.array_equal(mixed.cells, ccw.cells)
+    assert mixed.volumes.tobytes() == ccw.volumes.tobytes()
 
 
 def test_three_dimensional_input_rejected():
