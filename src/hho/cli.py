@@ -299,7 +299,7 @@ def cmd_solve(args, config):
         try:
             mesh = read_mesh_file(mesh_path)
         except MeshError as exc:
-            raise ConfigError(f"--mesh {mesh_path}: {exc}") from exc
+            raise ConfigError(f"--mesh {exc}") from exc  # exc names the path
         problems = check_matching(mesh)
         if problems:
             raise ConfigError(f"--mesh {mesh_path}: {problems[0]}")

@@ -42,7 +42,6 @@ from .polyquad import (
     face_basis_values,
     face_quadrature,
     quad_for_degree,
-    reference_face_mass,
     space_dimension,
     symmetrize,
 )
@@ -225,9 +224,9 @@ class HHOSpace:
     * the degree-(p+1) stiffness is 2|K| sum_ab G_ab S_ab with the metric G
       and the reference matrices `stiff_hat` (3, n1, n1), formed for a
       block of cells where it is read (:func:`stiffness_blocks`),
-    * the face-basis mass is h_F `mhat_p` (nf, nf); the face trace
-      int_F psi_m phi_j carries the same h_F, so the L2 projection onto
-      P^p(F) of a cell polynomial on local face i is
+    * the face basis is orthonormal, so the face mass is h_F I and the L2
+      projection onto P^p(F) of a cell polynomial on local face i is its
+      trace int_F psi_m phi_j / h_F, the reference table
       `proj_hat[i, face_flips[:, i]]`, with `proj_hat` (3, 2, nf, n1) per
       (local face, orientation), and
     * the cell projection Pi_M onto P^p is `pi_hat` (nc, n1).
@@ -298,15 +297,13 @@ class HHOSpace:
     def _build_face_tables(self):
         """Reference face tables; returns the flux table only the build reads."""
         p, rule = self.p, self.rule_face
-        self.mhat_p = reference_face_mass(p)
-        self.mhat_p_inv = np.linalg.inv(self.mhat_p)
         # reference tables per (local face, orientation); rule points run
         # from the face's lower-index vertex, so s = t - 1/2
         t = rule.points[:, 1]
         bary = face_barycentric(t)  # (3, 2, Q, 3)
         wpsi = rule.weights[:, None] * face_basis_values(p, t - 0.5)  # (Q, nf)
-        # h_F cancels between the face trace and the face mass
-        self.proj_hat = self.mhat_p_inv @ (_t(wpsi) @ cell_basis_values(p + 1, bary))
+        # the face mass is h_F I: the trace over h_F is the projection
+        self.proj_hat = _t(wpsi) @ cell_basis_values(p + 1, bary)
         # h_F J^{-1} n_K = 2|K| J^{-1} J^{-T} nu_i on a counter-clockwise
         # cell, with nu_i the scaled outward normal of reference face i: the
         # flux is sum_ab G_ab nu_a f_b with f_b = int psi_m d_b phi_j, one
@@ -417,8 +414,7 @@ class HHOSpace:
         pts, w = face_quadrature(self.mesh, rule, faces)
         psi = face_basis_values(self.p, rule.points[:, 1] - 0.5)
         fv = _evaluate(v, self.mesh, pts, cells=self.mesh.face_cells[faces, 0])
-        rhs = (w * fv) @ psi
-        return rhs @ self.mhat_p_inv.T / self.mesh.h_face[faces][:, None]
+        return (w * fv) @ psi / self.mesh.h_face[faces][:, None]
 
     def interpolate(self, v):
         """HHO interpolant: dof vector of the cell and face L2 projections of v."""
@@ -447,13 +443,13 @@ class HHOSpace:
         return res
 
     def _add_penalty(self, A, res):
-        """A + sum_F T_F^T mhat_p T_F for the face residuals `res` (T, 3, nf,
-        nloc), in place: the h_F^{-1} weight cancels the h_F of the face
-        mass. The sum over the three faces is one (T, 3 nf, nloc) product;
-        the upper triangle is then mirrored (exact symmetry)."""
-        T, nf, nloc = len(A), self.nf, self.nloc
-        A += _tmul(res.reshape(T, 3 * nf, nloc),
-                   (self.mhat_p @ res).reshape(T, 3 * nf, nloc))
+        """A + sum_F T_F^T T_F for the face residuals `res` (T, 3, nf, nloc),
+        in place: the h_F^{-1} weight cancels the face mass h_F I. The sum
+        over the three faces is one (T, 3 nf, nloc) product; the upper
+        triangle is then mirrored (exact symmetry)."""
+        T, nloc = len(A), self.nloc
+        res = res.reshape(T, -1, nloc)
+        A += _tmul(res, res)
         lower = np.tril_indices(nloc, -1)
         A[:, lower[0], lower[1]] = A[:, lower[1], lower[0]]
         return A
@@ -490,7 +486,7 @@ class HHOSpace:
         r = np.empty((self.mesh.num_cells, 3, self.nf))
         for cells in cell_blocks(self.mesh.num_cells):
             r[cells] = np.einsum("tfml,tl->tfm", self.face_traces(cells), x[cells])
-        return float(np.einsum("tfm,mn,tfn->", r, self.mhat_p, r))
+        return float(np.einsum("tfm,tfm->", r, r))
 
     def elliptic_project(self, v, grad_v):
         """Broken elliptic projection onto P^{p+1}(M), one cell block at a time."""

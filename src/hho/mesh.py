@@ -409,7 +409,8 @@ def read_mesh_file(path):
 
     Line 1: ``<num_vertices> <num_cells>``; then one vertex per line
     (coordinates), then one cell per line (0-based vertex indices).
-    Blank lines and ``#`` comments are ignored.
+    Blank lines and ``#`` comments are ignored. Every `MeshError` it
+    raises starts with the path.
     """
     try:
         with open(path) as fh:
@@ -462,7 +463,10 @@ def read_mesh_file(path):
             cells[row] = [int(p) for p in parts]
         except ValueError:
             raise MeshError(f"{path}:{lineno}: bad vertex index") from None
-    return SimplicialMesh(vertices, cells)
+    try:
+        return SimplicialMesh(vertices, cells)
+    except MeshError as exc:
+        raise MeshError(f"{path}: {exc}") from None
 
 
 def write_mesh_file(mesh, path):

@@ -9,9 +9,11 @@ every other one vanishes at the barycentre. Tables are tabulated once per
 (degree, rule) at barycentric points and mapped per cell: values need no
 map, gradients are the reference gradients times J_K^{-1} (as rows), and the
 Laplacian contracts the reference second derivatives with the metric
-J_K^{-1} J_K^{-T}. Face bases are monomials in the arclength coordinate
-s = (x - m_F) . t_F / h_F, with the tangent t_F pointing from the
-lower-index vertex to the higher one; s runs over [-1/2, 1/2].
+J_K^{-1} J_K^{-T}. Face bases are the orthonormal Legendre polynomials
+sqrt(2k + 1) P_k(2 s) in the arclength coordinate s = (x - m_F) . t_F / h_F,
+with the tangent t_F pointing from the lower-index vertex to the higher one;
+s runs over [-1/2, 1/2], the first function is the constant 1, the degree-q
+basis is a prefix of the degree-(q+1) basis, and the face mass is h_F I.
 
 Quadrature: Gauss-Legendre on edges, conical-product rules (Gauss-Legendre x
 Gauss-Jacobi on the collapsed square) on triangles. Both have strictly
@@ -21,7 +23,7 @@ one Newton step), so no special-function library is loaded.
 """
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
+from numpy.polynomial.legendre import leggauss, legvander
 
 MAX_DEGREE = 20
 
@@ -224,17 +226,7 @@ def face_barycentric(t):
 
 
 def face_basis_values(degree, s):
-    """Face monomials at arclength coordinates s (...) -> (..., degree+1)."""
-    return np.asarray(s, dtype=float)[..., None] ** np.arange(degree + 1)
-
-
-def reference_face_mass(degree):
-    """Exact integrals int_{-1/2}^{1/2} s^(k+l) ds; face mass is h_F times this."""
-    n = degree + 1
-    M = np.zeros((n, n))
-    for k in range(n):
-        for l in range(n):
-            m = k + l
-            if m % 2 == 0:
-                M[k, l] = 0.5 ** m / (m + 1)
-    return M
+    """Orthonormal Legendre polynomials sqrt(2k + 1) P_k(2 s) at arclength
+    coordinates s (...) -> (..., degree+1)."""
+    scale = np.sqrt(2.0 * np.arange(degree + 1) + 1.0)
+    return legvander(2.0 * np.asarray(s, dtype=float), degree) * scale

@@ -36,7 +36,6 @@ from .polyquad import (
     cell_basis_values,
     face_barycentric,
     face_basis_values,
-    reference_face_mass,
     space_dimension,
     symmetrize,
 )
@@ -254,14 +253,15 @@ class Smoother:
         orientation): degree-(p+1) face data -> broken degree-D coefficients,
         for an (nD, nD) matrix `left` acting on every cell (the identity
         gives B_Sigma itself)."""
-        p = self.space.p
+        p, rule = self.space.p, self.space.rule_face
 
         # B_F solve in the scaled arclength coordinate; h_F cancels between
-        # the bubble-weighted mass int s^(k+l) (1 - 4 s^2) ds and the moment
-        # matrix, both read off the exact monomial integrals
-        mass = reference_face_mass(p + 1)
-        what_inv = np.linalg.inv(mass[:-1, :-1] - 4.0 * mass[1:, 1:])
-        beta_mat = what_inv @ mass[:-1, :]  # (p+1, p+2)
+        # the bubble-weighted mass int (1 - 4 s^2) psi_k psi_l ds and the
+        # moments of the orthonormal basis, [I | 0]
+        s = rule.points[:, 1] - 0.5
+        psi = face_basis_values(p, s)
+        bubble_mass = _tmul((rule.weights * (1.0 - 4.0 * s * s))[:, None] * psi, psi)
+        beta_mat = np.linalg.inv(bubble_mass) @ np.eye(p + 1, p + 2)  # (p+1, p+2)
 
         # B_F v is interpolated at the p+1 equispaced degree-p lattice nodes of
         # the face, ordered from its lower global vertex to its higher one;
@@ -438,7 +438,7 @@ def moment_residuals(smoother, X):
     cell_mass = area2 * space.mass_hat[:npm1, : space.nc]
 
     # face moments, evaluated from the first adjacent cell: h_F times one
-    # reference matrix per (local face, orientation)
+    # reference matrix per (local face, orientation); those of x_F are h_F x_F
     faces = mesh.interior_faces
     rule = space.rule_face
     t = rule.points[:, 1]
@@ -458,8 +458,7 @@ def moment_residuals(smoother, X):
         mom_smooth = area2 * (cell_hat @ Y)
         cell_res[cols] = np.abs(mom_smooth - cell_mass @ x_cells).max(
             axis=(0, 1), initial=0.0)
-        mom_smooth = h * (face_hat @ Y[k1])
-        face_res[cols] = np.abs(mom_smooth - h * (space.mhat_p @ x_faces)).max(
+        face_res[cols] = np.abs(h * (face_hat @ Y[k1] - x_faces)).max(
             axis=(0, 1), initial=0.0)
     return cell_res, face_res
 

@@ -2,7 +2,12 @@ import numpy as np
 
 from hho.analysis import smooth_sine_case
 from hho.mesh import SimplicialMesh, build_unit_square
-from hho.polyquad import cell_basis_gradients, cell_basis_laplacians, cell_basis_values
+from hho.polyquad import (
+    cell_basis_gradients,
+    cell_basis_laplacians,
+    cell_basis_values,
+    face_basis_values,
+)
 
 _SINE = smooth_sine_case()
 sine = _SINE.u
@@ -44,3 +49,12 @@ def basis_at(mesh, degree, points, cells=None):
     grads = cell_basis_gradients(degree, bary) @ jinv
     laps = (cell_basis_laplacians(degree, bary) @ metric[..., None])[..., 0]
     return vals, grads, laps
+
+
+def reference_face_mass(degree):
+    """int_{-1/2}^{1/2} psi_k psi_l ds of the face basis (degree+1, degree+1),
+    by numpy's (degree+1)-point Gauss-Legendre rule, exact for the integrand;
+    a face's mass is h_F times this."""
+    x, w = np.polynomial.legendre.leggauss(degree + 1)
+    psi = face_basis_values(degree, 0.5 * x)
+    return (0.5 * w * psi.T) @ psi

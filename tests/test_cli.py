@@ -599,15 +599,16 @@ def test_non_finite_mesh_file_is_refused(tmp_path, capsys, bad):
     assert main(["solve", "--config", cfg, "--out", str(out),
                  "--mesh", str(mesh_path)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("hho: config error: --mesh") and err.count("\n") == 1
-    assert "finite" in err
+    assert err == (f"hho: config error: --mesh {mesh_path}: "
+                   "vertex coordinates must be finite\n")
     assert not out.exists()
 
     cfg = write_config(tmp_path / "v.json", degrees=[0], resolutions=[2],
                        random_fields=2)
     assert main(["verify", "--config", cfg, "--out", str(out),
                  "--mesh", str(mesh_path)]) == 1
-    assert "verify: mesh check failed" in capsys.readouterr().err
+    assert capsys.readouterr().err == (f"verify: mesh check failed: {mesh_path}: "
+                                       "vertex coordinates must be finite\n")
     assert not out.exists()
 
 
@@ -621,8 +622,7 @@ def test_negative_mesh_header_count_is_refused(tmp_path, capsys, text):
     assert main(["solve", "--config", cfg, "--out", str(out),
                  "--mesh", str(mesh_path)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("hho: config error: --mesh") and err.count("\n") == 1
-    assert f"{mesh_path}:1: negative header counts" in err
+    assert err == f"hho: config error: --mesh {mesh_path}:1: negative header counts\n"
     assert not out.exists()
 
     cfg = write_config(tmp_path / "v.json", degrees=[0], resolutions=[2],
@@ -645,8 +645,7 @@ def test_unreadable_mesh_file_is_refused(tmp_path, capsys, kind):
     assert main(["solve", "--config", cfg, "--out", str(out),
                  "--mesh", str(mesh_path)]) == 2
     err = capsys.readouterr().err
-    assert err == (f"hho: config error: --mesh {mesh_path}: {mesh_path}: "
-                   f"cannot read: {reason}\n")
+    assert err == f"hho: config error: --mesh {mesh_path}: cannot read: {reason}\n"
     assert not out.exists()
 
     cfg = write_config(tmp_path / "v.json", degrees=[0], resolutions=[2],

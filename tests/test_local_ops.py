@@ -3,7 +3,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import basis_at, hat_profile, jittered_square, sine, sine_grad
+from conftest import (
+    basis_at,
+    hat_profile,
+    jittered_square,
+    reference_face_mass,
+    sine,
+    sine_grad,
+)
 from hho import local_ops
 from hho.analysis import (
     best_error_h1,
@@ -21,7 +28,6 @@ from hho.polyquad import (
     face_basis_values,
     face_quadrature,
     quad_for_degree,
-    reference_face_mass,
     space_dimension,
 )
 from hho.smoothing import lagrange_interpolant
@@ -49,7 +55,8 @@ def stab_operator(space):
     Rebuilt from the stored `G` and the reference mass `mass_hat` (Pi_M is
     one reference matrix); it must reproduce the face-residual traces
     T_i = FaceSel_i - Pi_F(S .)|_F of `face_traces`, with the face
-    projection from the physical face traces and the face mass h_F `mhat_p`.
+    projection from the physical face traces and the face mass h_F times
+    the oracle `reference_face_mass`.
     """
     nc, nf = space.nc, space.nf
     Pi = np.linalg.solve(space.mass_hat[:nc, :nc], space.mass_hat[:nc, :])
@@ -59,7 +66,7 @@ def stab_operator(space):
     traces = space.face_traces()
     hf = space.mesh.h_face[space.mesh.cell_faces]
     for i in range(3):
-        mass = hf[:, i, None, None] * space.mhat_p
+        mass = hf[:, i, None, None] * reference_face_mass(space.p)
         proj = np.linalg.solve(mass, face_traces_oracle(space, i))
         Ti = -np.einsum("tmn,tnl->tml", proj, S)
         Ti[:, :, nc + i * nf: nc + (i + 1) * nf] += np.eye(nf)

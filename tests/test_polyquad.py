@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import basis_at, jittered_square
-from hho.local_ops import HHOSpace, stiffness_blocks
+from hho.local_ops import P_MAX, HHOSpace, stiffness_blocks
 from hho.mesh import SimplicialMesh, build_unit_square, refine_red
 from hho.polyquad import (
     MAX_DEGREE,
@@ -18,7 +18,6 @@ from hho.polyquad import (
     face_basis_values,
     face_quadrature,
     quad_for_degree,
-    reference_face_mass,
 )
 
 
@@ -216,13 +215,30 @@ def test_mass_matrix_spd_on_random_triangles():
 
 
 def test_face_mass_matrix_matches_reference():
-    m = build_unit_square(2)
-    f = m.interior_faces[:1]
-    rule = quad_for_degree(1, 4)
-    _, w = face_quadrature(m, rule, f)
-    psi = face_basis_values(2, rule.points[:, 1] - 0.5)
-    M = np.einsum("q,qi,qj->ij", w[0], psi, psi)
-    assert np.allclose(M, m.h_face[f[0]] * reference_face_mass(2), rtol=1e-14)
+    # the basis is orthonormal on the unit interval: the physical face mass,
+    # integrated at the physical points, is h_F I on every face
+    m = jittered_square(4)
+    faces = np.arange(m.num_faces)
+    for degree in range(P_MAX + 2):
+        rule = quad_for_degree(1, 2 * degree)
+        _, w = face_quadrature(m, rule, faces)
+        psi = face_basis_values(degree, rule.points[:, 1] - 0.5)
+        M = np.einsum("fq,qi,qj->fij", w, psi, psi)
+        want = m.h_face[:, None, None] * np.eye(degree + 1)
+        assert np.abs(M - want).max() <= 1e-14 * m.h_face.max()
+
+
+@pytest.mark.parametrize("degree", range(P_MAX + 2))
+def test_face_basis_orthonormal_prefix(degree):
+    # int_{-1/2}^{1/2} psi_k psi_l ds = delta_kl, by an independent
+    # Gauss-Legendre rule, and the degree-q basis is the leading q + 1
+    # columns of every larger one
+    x, w = np.polynomial.legendre.leggauss(degree + 2)
+    psi = face_basis_values(degree, 0.5 * x)
+    gram = (0.5 * w * psi.T) @ psi
+    assert np.abs(gram - np.eye(degree + 1)).max() <= 1e-14
+    for q in range(degree):
+        assert np.array_equal(face_basis_values(q, 0.5 * x), psi[:, : q + 1])
 
 
 def test_stiffness_constant_row_zero_and_kernel_dimension():
@@ -271,9 +287,16 @@ def test_face_basis_arclength_values():
     s = np.einsum("fqd,fd->fq", pts - m.face_midpoints[:, None, :], tangents)
     s /= m.h_face[:, None]
     assert np.allclose(s, rule.points[:, 1] - 0.5, atol=1e-14)
-    vals = face_basis_values(2, rule.points[:, 1] - 0.5)
-    assert np.allclose(vals[:, 1], s[0], atol=1e-14)
-    assert np.allclose(vals[:, 2], s[0] ** 2, atol=1e-14)
+    # psi_k = sqrt(2k + 1) P_k(2 s): sqrt(2k + 1) at the higher vertex,
+    # (-1)^k sqrt(2k + 1) at the lower one, and sqrt(2k + 1) P_k(0) at the
+    # midpoint, with P_k(0) = 1, 0, -1/2, 0, 3/8
+    k = np.arange(P_MAX + 2)
+    vals = face_basis_values(P_MAX + 1, np.array([-0.5, 0.0, 0.5]))
+    scale = np.sqrt(2.0 * k + 1.0)
+    assert np.allclose(vals[2], scale, rtol=1e-15, atol=0.0)
+    assert np.allclose(vals[0], (-1.0) ** k * scale, rtol=1e-15, atol=0.0)
+    assert np.allclose(vals[1], scale * [1.0, 0.0, -0.5, 0.0, 0.375],
+                       rtol=1e-15, atol=1e-15)
 
 
 @pytest.mark.parametrize("p", [0, 1, 2, 3])

@@ -28,7 +28,6 @@ from hho.polyquad import (
     face_basis_values,
     face_quadrature,
     quad_for_degree,
-    reference_face_mass,
     space_dimension,
 )
 from hho.smoothing import (
@@ -981,8 +980,13 @@ def reference_face_bubble_matrix(sm):
     p, nD = sp.p, sm.nD
     faces = mesh.interior_faces
     Ei = len(faces)
-    mass = reference_face_mass(p + 1)
-    beta_mat = np.linalg.inv(mass[:-1, :-1] - 4.0 * mass[1:, 1:]) @ mass[:-1, :]
+    # the arithmetic of `Smoother._face_bubble_blocks`: the bubble-weighted
+    # face mass on the space's face rule, and the moments [I | 0] of the
+    # orthonormal face basis
+    s = sp.rule_face.points[:, 1] - 0.5
+    psi = face_basis_values(p, s)
+    bubble_mass = ((sp.rule_face.weights * (1.0 - 4.0 * s * s))[:, None] * psi).T @ psi
+    beta_mat = np.linalg.inv(bubble_mass) @ np.eye(p + 1, p + 2)
     if p >= 1:
         cell_nodes, table = lattice_node_keys(mesh, p)
         gids_f = np.array([
@@ -992,7 +996,7 @@ def reference_face_bubble_matrix(sm):
         ])
         lp_lat = lagrange_basis_values(p, sm.lat_bary)
         s_nodes = np.arange(p + 1) / p - 0.5
-        nodal_mat = (s_nodes[:, None] ** np.arange(p + 1)) @ beta_mat
+        nodal_mat = face_basis_values(p, s_nodes) @ beta_mat
     dense = np.zeros((mesh.num_cells * nD, Ei * (p + 2)))
     cols = np.arange(Ei * (p + 2)).reshape(Ei, p + 2)
     for side in (0, 1):

@@ -259,6 +259,14 @@ def test_solve_matches_minimum_degree_factor_in_space_order(mesh, p):
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
+def test_face_matrix_condition_number_p3_lshape():
+    # the orthonormal face basis keeps the p = 3 face matrix well scaled: its
+    # 2-norm condition number on the 4-level L-shape is about 2.7e2 (4.9e4
+    # with face monomials)
+    S = assemble(HHOSpace(build_lshape(4), 3)).face_matrix.toarray()
+    assert np.linalg.cond(S) < 1e3
+
+
 @pytest.mark.parametrize("case", ["kink-aligned", "corner-singular"])
 def test_dissection_factor_fills_less_than_minimum_degree(case):
     sp = HHOSpace(get_case(case, 3).mesh_for(32), 3)
