@@ -380,15 +380,16 @@ def _solve_level(case, p, level, method, averaging, quad_extra, solver):
     """Errors of one level, as a report row without its orders.
 
     Every array of the level dies when this returns; the smoother and the
-    system die inside `solve_load`, before the errors are evaluated. The
-    space holds only `G` per cell, and the system only the cell rows A_tt of
-    the local blocks, the elimination and the face matrix, into whose
+    system die inside `solve_load`, before the errors are evaluated. Per
+    cell the space holds only a class id and the dof map, with `G` held
+    once per geometry class, and the system the cell rows A_tt of the local
+    blocks and the elimination per class, and the face matrix, into whose
     face-pair blocks the Schur complements are added one cell block at a
-    time (at p = 3 about 2.8 and 3.3 KiB per cell): the local blocks and
-    every other per-cell temporary exist one fixed-size cell block at a
-    time, so the level's peak is these held tables plus the factor of the
-    face system, which the nested-dissection numbering of the face unknowns
-    keeps small.
+    time (at p = 3 on a grid about 0.3 and 1.4 KiB per cell; on a mesh with
+    one class per cell 2.9 and 3.1 KiB): the local blocks and every other
+    per-cell temporary exist one fixed-size block at a time, so the level's
+    peak is these held tables plus the factor of the face system, which the
+    nested-dissection numbering of the face unknowns keeps small.
     """
     mesh = case.mesh_for(level)
     space = HHOSpace(mesh, p, quad_extra=quad_extra)
@@ -429,8 +430,9 @@ def run_convergence(case, p, levels, method="smoothed", averaging="mean",
 
     The levels are solved one at a time: at most one level's space, smoother
     and system are alive at once, and its peak is the held tables of its
-    space (`G`) and system (A_tt, the elimination and the face matrix) plus
-    the face factor in the dissection numbering (`_solve_level`).
+    space (the class ids, the dof map and `G` per geometry class) and system
+    (A_tt and the elimination per class, and the face matrix) plus the face
+    factor in the dissection numbering (`_solve_level`).
     """
     check_levels(case, levels)
     rows = [_solve_level(case, p, level, method, averaging, quad_extra, solver)

@@ -6,12 +6,12 @@ carry no unknowns; their data is structurally zero). It is stored as one dof
 vector, the cell blocks first by index, then the interior-face blocks in
 the mesh's order (`SimplicialMesh.interior_faces`, a nested-dissection
 order); this module owns that layout (`HHOSpace.local_dof_ids`,
-`HHOSpace.split`). :class:`HHOSpace` precomputes, for every cell, the
-reconstruction matrix mapping local (cell, face) coefficients to the
-degree-(p+1) reconstruction, obtained from the local Neumann problem solved
-on the mean-zero complement with the constant fixed by the cell average.
-Both terms of the HHO form are read from it, for a block of cells where
-they are needed:
+`HHOSpace.split`). :class:`HHOSpace` precomputes, for every geometry
+class of cells, the reconstruction matrix mapping local (cell, face)
+coefficients to the degree-(p+1) reconstruction, obtained from the local
+Neumann problem solved on the mean-zero complement with the constant fixed
+by the cell average. Both terms of the HHO form are read from it, per class
+and gathered to a block of cells where they are needed:
 
 * the face-residual trace matrices behind the stabilization form (with the
   h_F^{-1} face weight), built from the stabilization operator
@@ -19,10 +19,11 @@ they are needed:
 * the local bilinear blocks condensed and assembled by the `system` module
   (`HHOSpace.local_matrices`).
 
-Per cell it stores only the reconstruction and the dof map. A cell enters
-the local operators only through its scaled metric 2|K| J^{-1} J^{-T} and
-its face orientations, and per-cell work runs over fixed-size cell blocks
-(:class:`HHOSpace`).
+A cell enters the local operators only through its scaled metric
+2|K| J^{-1} J^{-T} and its face orientations; the cells that share the exact
+bits of both form a class, whose operators are formed once. Per cell the
+space stores only the class id and the dof map, and per-cell work runs over
+fixed-size cell blocks (:class:`HHOSpace`).
 
 All local matrices are pure functions of immutable mesh/basis data; any set
 of cells may be processed concurrently.
@@ -67,7 +68,8 @@ def max_quad_extra(p):
 
 def cell_blocks(num_cells):
     """Consecutive slices of at most `CELL_BLOCK` cells covering all cells."""
-    return [slice(s, s + CELL_BLOCK) for s in range(0, num_cells, CELL_BLOCK)]
+    return [slice(s, min(s + CELL_BLOCK, num_cells))
+            for s in range(0, num_cells, CELL_BLOCK)]
 
 
 class BrokenPoly:
@@ -190,8 +192,18 @@ def stiffness_blocks(mesh, S, cells=slice(None)):
     default), (T, n, n): 2|K| sum_ab G_ab S_ab with the metric G and the
     reference matrices S of :func:`reference_stiffness`."""
     coef = 2.0 * mesh.volumes[cells, None] * metric(mesh, cells)
-    n = S.shape[-1]
-    return symmetrize((coef @ S.reshape(3, n * n)).reshape(-1, n, n))
+    return symmetrize(_metric_times(coef, S))
+
+
+def _metric_times(coef, tables):
+    """sum_a coef[:, a] tables[a] per row of coef (T, 3), for reference
+    tables (3, ...) -> (T, ...), as one matrix product taken on at least two
+    rows: numpy sends a one-row product to GEMV, which rounds differently
+    from GEMM, so a row's result would depend on the rows it is formed with.
+    """
+    T, flat = len(coef), tables.reshape(len(tables), -1)
+    rows = coef if T > 1 else np.repeat(coef, 2, axis=0)
+    return (rows @ flat)[:T].reshape(T, *tables.shape[1:])
 
 
 def gradient_moments(mesh, grads, wg, cells=slice(None)):
@@ -207,17 +219,24 @@ def gradient_moments(mesh, grads, wg, cells=slice(None)):
 class HHOSpace:
     """Discrete HHO space of degree p on a mesh, with cached local operators.
 
-    Stored per cell (leading axis T) is only the reconstruction `G`
-    (T, n1, nloc) and the dof map `local_dof_ids` (T, nloc). Both terms of
+    A cell enters the local operators only through its scaled metric
+    2|K| J^{-1} J^{-T} and its face orientations `face_flips`. The cells
+    that share the exact bits of both form a geometry class (two on every
+    built-in grid, one per cell on a jittered mesh), numbered in the order
+    of their first cell `class_cells` (C,). Stored per cell (leading axis T)
+    are only the class id `cell_class` (T,) and the dof map `local_dof_ids`
+    (T, nloc); the reconstruction `G` (C, n1, nloc) is held per class, and
+    `gather(table, cells)` reads any class table (C, ...) for a block of
+    cells. Both terms of
     the HHO form a_h = (grad R ., grad R .) + s_h are read from `G`:
-    `face_traces(cells)` forms the face-residual traces T_K (T, 3, nf, nloc)
-    behind s_h and `local_matrices(cells)` the local bilinear blocks A_K
-    (T, nloc, nloc), each for a block of cells where it is read (the static
-    condensation of `system`, `stab_form`). A cell enters them, `G` and the
-    norm blocks H_K only through its scaled metric 2|K| J^{-1} J^{-T} and
-    its face orientations `face_flips`; every other cell table is a
-    reference table times a per-cell scale and is kept only in reference
-    form:
+    `face_traces(cells)` gives the face-residual traces T_K
+    (T, 3, nf, nloc) behind s_h and `local_matrices(cells)` the local
+    bilinear blocks A_K (T, nloc, nloc), each formed for the classes of a
+    block of cells and gathered to its cells (`class_matrices` gives A_K
+    per class, for the static condensation of `system`). Formed from
+    bitwise-equal inputs, a class's tables are bitwise those of each of its
+    cells. Every other cell table is a reference table times a per-cell
+    scale and is kept only in reference form:
 
     * the degree-(p+1) cell mass is 2|K| `mass_hat` (n1, n1),
     * the degree-(p+1) integrals int_K phi_i are 2|K| `ints_hat` (n1,),
@@ -231,11 +250,12 @@ class HHOSpace:
       (local face, orientation), and
     * the cell projection Pi_M onto P^p is `pi_hat` (nc, n1).
 
-    The construction, the local operators, the projections and the error
-    functions of `analysis` run over blocks of `CELL_BLOCK` cells: the
-    stiffness, the local Neumann data behind `G`, the stabilization
-    operator, T_K and A_K exist one block at a time, so a level's held
-    memory is `G` plus the tables above and its peak the factor of the
+    The class key, the construction (over blocks of `CELL_BLOCK` classes),
+    the local operators, the projections and the error functions of
+    `analysis` run over blocks of `CELL_BLOCK` cells: the stiffness, the
+    local Neumann data behind `G`, the stabilization operator, T_K and A_K
+    exist one block at a time, so a level's held memory is the dof map,
+    the class ids, `G` and the tables above, and its peak the factor of the
     face system, whatever the cell count.
 
     Parameters
@@ -281,6 +301,7 @@ class HHOSpace:
 
         self._build_cell_tables()
         flux_hat = self._build_face_tables()
+        self._build_classes()
         self._build_local_operators(flux_hat)
         self._build_dof_maps()
 
@@ -314,9 +335,40 @@ class HHOSpace:
         nu1, nu2 = nu.T[:, :, None, None, None]  # (3, 1, 1, 1) each
         return np.stack([nu1 * f1, nu2 * f1 + nu1 * f2, nu2 * f2], axis=2)
 
+    def _build_classes(self):
+        """Class id of every cell: the cells that share the exact bits of
+        their scaled metric 2|K| J^{-1} J^{-T} and face orientations form a
+        class, numbered in the order of their first cell (`class_cells`).
+        Each cell block is keyed on its own, and only the distinct keys of
+        the blocks are matched across blocks."""
+        mesh, T = self.mesh, self.mesh.num_cells
+        self.cell_class = np.empty(T, dtype=np.int64)
+        keys, firsts, count = [], [], 0
+        for cells in cell_blocks(T):
+            coef = 2.0 * mesh.volumes[cells, None] * metric(mesh, cells)
+            bits = np.ascontiguousarray(
+                np.concatenate([coef.view(np.int64), mesh.face_flips[cells]], axis=1))
+            row = np.dtype((np.void, bits.itemsize * bits.shape[1]))
+            key, first, at = np.unique(bits.view(row)[:, 0],
+                                       return_index=True, return_inverse=True)
+            self.cell_class[cells] = count + at  # an index into the block keys
+            keys.append(key)
+            firsts.append(cells.start + first)
+            count += len(key)
+        # a key's first entry is in the earliest block that holds it, at that
+        # block's first cell with it: the class's first cell
+        _, first, at = np.unique(np.concatenate(keys), return_index=True,
+                                 return_inverse=True)
+        first = np.concatenate(firsts)[first]
+        order = np.argsort(first)
+        self.class_cells = first[order]
+        relabel = np.argsort(order)[at]  # the inverse permutation
+        for cells in cell_blocks(T):
+            self.cell_class[cells] = relabel[self.cell_class[cells]]
+
     def _build_local_operators(self, flux_hat):
-        """Allocate `G` and fill it block by block."""
-        T, nc, n1, nloc = self.mesh.num_cells, self.nc, self.n1, self.nloc
+        """Allocate `G` and fill it for one block of classes at a time."""
+        C, nc, n1, nloc = len(self.class_cells), self.nc, self.n1, self.nloc
         # the Laplacian block of the local Neumann data, -int (lap phi_j)
         # q_i, from three reference matrices
         rule = self.rule_cell
@@ -325,13 +377,20 @@ class HHOSpace:
         lap_hat = lap.transpose(2, 1, 0) @ wphi_p  # (3, n1, nc)
         # Pi_M is one reference matrix since the mass is 2|K| times mass_hat
         self.pi_hat = np.linalg.solve(self.mass_hat[:nc, :nc], self.mass_hat[:nc, :])
-        self.G = np.empty((T, n1, nloc))
-        for cells in cell_blocks(T):
-            self._build_block(cells, flux_hat, lap_hat)
+        self.G = np.empty((C, n1, nloc))
+        for classes in cell_blocks(C):
+            self._build_block(classes, flux_hat, lap_hat)
 
-    def _build_block(self, cells, flux_hat, lap_hat):
-        """Fill the rows `cells` of `G` (T cells here)."""
-        mesh = self.mesh
+    def _build_block(self, classes, flux_hat, lap_hat):
+        """Fill the rows `classes` of `G` from the first cell of each class
+        (T cells here).
+
+        A single class is formed on two copies of its cell: numpy takes
+        the flux product of one cell through BLAS and that of more cells
+        without it, and the two round differently.
+        """
+        mesh, G = self.mesh, self.G[classes]
+        cells = np.resize(self.class_cells[classes], max(len(G), 2))
         nc, n1, nf, nloc = self.nc, self.n1, self.nf, self.nloc
         flips = mesh.face_flips[cells]
         coef = 2.0 * mesh.volumes[cells, None] * metric(mesh, cells)
@@ -340,7 +399,7 @@ class HHOSpace:
         # right-hand side of the local Neumann problem, test function phi_j:
         # the Laplacian columns and the face columns int_F psi_m grad(phi_j) . n_K
         B = np.zeros((T, n1, nloc))
-        B[:, :, :nc] = -(coef @ lap_hat.reshape(3, n1 * nc)).reshape(T, n1, nc)
+        B[:, :, :nc] = -_metric_times(coef, lap_hat)
         for i in range(3):
             flux = coef[:, None, :] @ flux_hat[i, flips[:, i]].reshape(T, 3, nf * n1)
             B[:, :, nc + i * nf: nc + (i + 1) * nf] = _t(flux.reshape(T, nf, n1))
@@ -348,9 +407,8 @@ class HHOSpace:
         # solve on the mean-zero complement, then fix the constant by the
         # cell-average condition (|K| cancels)
         stiff = stiffness_blocks(mesh, self.stiff_hat, cells)
-        Gred = np.linalg.solve(stiff[:, 1:, 1:], B[:, 1:, :])
+        Gred = np.linalg.solve(stiff[:, 1:, 1:], B[:, 1:, :])[:len(G)]
         del B
-        G = self.G[cells]
         G[:, 1:, :] = Gred
         G[:, 0, :] = -2.0 * (self.ints_hat[1:] @ Gred)
         G[:, 0, :nc] += 2.0 * self.ints_hat[:nc]
@@ -362,14 +420,14 @@ class HHOSpace:
         self.num_face_dofs = mesh.num_interior_faces * nf
         self.num_dofs = self.num_cell_dofs + self.num_face_dofs
 
-        ids = np.empty((T, self.nloc), dtype=np.int64)
-        ids[:, :nc] = np.arange(T)[:, None] * nc + np.arange(nc)
-        fidx = mesh.face_interior_index[mesh.cell_faces]  # (T, 3)
-        for i in range(3):
-            block = T * nc + fidx[:, i, None] * nf + np.arange(nf)
-            block[fidx[:, i] < 0] = -1
-            ids[:, nc + i * nf: nc + (i + 1) * nf] = block
-        self.local_dof_ids = ids
+        self.local_dof_ids = np.empty((T, self.nloc), dtype=np.int64)
+        for cells in cell_blocks(T):
+            ids = self.local_dof_ids[cells]
+            ids[:, :nc] = (cells.start + np.arange(len(ids)))[:, None] * nc + np.arange(nc)
+            fidx = mesh.face_interior_index[mesh.cell_faces[cells]]  # (B, 3)
+            face = T * nc + fidx[..., None] * nf + np.arange(nf)
+            face[fidx < 0] = -1
+            ids[:, nc:] = face.reshape(len(ids), -1)
 
     # -- dof-vector layout -------------------------------------------------
 
@@ -423,11 +481,42 @@ class HHOSpace:
         )
 
     def reconstruct(self, vec):
-        """Degree-(p+1) potential reconstruction, cell by cell."""
+        """Degree-(p+1) potential reconstruction, one cell block at a time."""
         x = self.local_coeffs(vec)
-        return BrokenPoly(
-            self.mesh, self.p + 1, np.einsum("tij,tj->ti", self.G, x)
-        )
+        coeffs = np.empty((self.mesh.num_cells, self.n1))
+        for cells in cell_blocks(self.mesh.num_cells):
+            coeffs[cells] = np.einsum("tij,tj->ti", self.gather(self.G, cells),
+                                      x[cells])
+        return BrokenPoly(self.mesh, self.p + 1, coeffs)
+
+    def gather(self, table, cells=slice(None)):
+        """The rows of a class table (C, ...), such as `G`, for `cells` (all
+        by default), (T, ...): a read-only view when the cells' classes are
+        consecutive (as on a mesh with one class per cell), else a copy."""
+        cls = self.cell_class[cells]
+        if len(cls) and np.array_equal(cls, np.arange(cls[0], cls[0] + len(cls))):
+            rows = table[cls[0]:cls[0] + len(cls)]
+            rows.flags.writeable = False
+            return rows
+        return table[cls]
+
+    def _per_cell(self, form, cells):
+        """Blocks of `cells` gathered from `form`, a map from class ids to
+        their blocks, formed for the classes of one cell block at a time;
+        cells of a single block that are each a class of their own (as on
+        a mesh with one class per cell) are formed directly, with no
+        gather."""
+        cls = self.cell_class[cells]
+        out = None
+        for block in cell_blocks(len(cls)):
+            classes, at = np.unique(cls[block], return_inverse=True)
+            if len(classes) == len(cls):
+                return form(cls)
+            blocks = form(classes)
+            if out is None:
+                out = np.empty(cls.shape + blocks.shape[1:])
+            np.take(blocks, at, axis=0, out=out[block])
+        return out
 
     def _face_residuals(self, S, cells):
         """Face residuals T_i = FaceSel_i - Pi_F(S .)|_F of `cells`,
@@ -456,25 +545,37 @@ class HHOSpace:
 
     def face_traces(self, cells=slice(None)):
         """Face-residual traces T_i = FaceSel_i - Pi_F(S .)|_F of `cells`
-        (all by default), (T, 3, nf, nloc), read from `G`.
+        (all by default), (T, 3, nf, nloc), formed per class from `G`.
 
         S = s_M + (Id - Pi_M) R is the stabilization operator, with the
         reference projection `pi_hat`; h_F cancels in the face projection
         `proj_hat`, so no per-cell scale enters.
         """
-        G, nc = self.G[cells], self.nc
+        return self._per_cell(self._class_traces, cells)
+
+    def _class_traces(self, classes):
+        G, nc = self.G[classes], self.nc
         S = G.copy()
         S[:, :nc, :] -= self.pi_hat @ G
         idx = np.arange(nc)
         S[:, idx, idx] += 1.0
-        return self._face_residuals(S, cells)
+        return self._face_residuals(S, self.class_cells[classes])
 
     def local_matrices(self, cells=slice(None)):
         """Local bilinear blocks A_K of `cells` (all by default),
-        (T, nloc, nloc): grad(R .) . grad(R .) plus the stabilization."""
-        G = self.G[cells]
-        stiff = stiffness_blocks(self.mesh, self.stiff_hat, cells)
-        return self._add_penalty(_t(G) @ (stiff @ G), self.face_traces(cells))
+        (T, nloc, nloc), formed per class: grad(R .) . grad(R .) plus the
+        stabilization."""
+        return self._per_cell(self.class_matrices, cells)
+
+    def class_matrices(self, classes):
+        """Local bilinear blocks A_K of the classes `classes`, one per
+        class, formed from `G` and the first cell of each class."""
+        G = self.G[classes]
+        stiff = self._class_stiffness(classes)
+        return self._add_penalty(_t(G) @ (stiff @ G), self._class_traces(classes))
+
+    def _class_stiffness(self, classes):
+        return stiffness_blocks(self.mesh, self.stiff_hat, self.class_cells[classes])
 
     def stab_form(self, vec):
         """Face-penalty stabilization s_h(vec, vec) of a dof vector
@@ -498,7 +599,7 @@ class HHOSpace:
             wg = w[..., None] * checked_values(
                 grad_v, pts, "gradient grad_v", gradient=True)
             rhs = gradient_moments(mesh, grads, wg, cells)
-            stiff = stiffness_blocks(mesh, self.stiff_hat, cells)
+            stiff = self._per_cell(self._class_stiffness, cells)
             cred = np.linalg.solve(stiff[:, 1:, 1:], rhs[:, 1:, None])[..., 0]
             ints_v = (w * _evaluate(v, mesh, pts, cells)).sum(axis=1)
             vol = mesh.volumes[cells]
@@ -521,14 +622,19 @@ class HHOSpace:
         vanishes on the local constant (1 at cell dof 0 and at the first dof
         of each face) and is positive definite on its complement, which is
         what the element-by-element eigenvalue bound of Fried (J. Sound Vib.
-        22, 1972) needs.
+        22, 1972) needs. Like A_K, H_K is formed per class.
         """
+        return self._per_cell(self._class_norm_blocks, slice(None))
+
+    def _class_norm_blocks(self, classes):
         nc, n1, nloc = self.nc, self.n1, self.nloc
+        cells = self.class_cells[classes]
         embed = np.eye(n1, nloc)
         embed[nc:] = 0.0  # the cell unknown as a degree-(p+1) polynomial
-        H = np.zeros((self.mesh.num_cells, nloc, nloc))
-        H[:, :nc, :nc] = stiffness_blocks(self.mesh, self.stiff_hat[:, :nc, :nc])
-        return self._add_penalty(H, self._face_residuals(embed, slice(None)))
+        H = np.zeros((len(cells), nloc, nloc))
+        H[:, :nc, :nc] = stiffness_blocks(self.mesh, self.stiff_hat[:, :nc, :nc],
+                                          cells)
+        return self._add_penalty(H, self._face_residuals(embed, cells))
 
 
 def scatter_blocks(blocks, row_ids, col_ids, shape):

@@ -306,8 +306,11 @@ class Smoother:
         nc = space.nc
         vec = np.asarray(vec, dtype=float)
         x_loc = space.local_coeffs(vec.reshape(len(vec), -1))  # (T, nloc, k)
-        nodal = scatter_add(self.avg_blocks @ (space.G @ x_loc), self.avg_ids,
-                            self.num_nodes)
+        corners = np.empty((len(x_loc), 3, x_loc.shape[-1]))
+        for cells in cell_blocks(len(x_loc)):
+            G = space.gather(space.G, cells)
+            corners[cells] = self.avg_blocks[cells] @ (G @ x_loc[cells])
+        nodal = scatter_add(corners, self.avg_ids, self.num_nodes)
         out = self.cell_columns @ x_loc[:, :nc] + self.blocks @ np.concatenate(
             [x_loc[:, nc:], _gather(nodal, self.node_ids)], axis=1
         )
@@ -324,7 +327,9 @@ class Smoother:
         Z = _t(self.blocks) @ Y  # (T, nface + 3, k)
         g_nodal = scatter_add(Z[:, nface:], self.node_ids, self.num_nodes)
         g_r = _t(self.avg_blocks) @ _gather(g_nodal, self.avg_ids)  # (T, n1, k)
-        local = _t(space.G) @ g_r  # (T, nloc, k)
+        local = np.empty((len(g_r), space.nloc, g_r.shape[-1]))
+        for cells in cell_blocks(len(g_r)):
+            local[cells] = _t(space.gather(space.G, cells)) @ g_r[cells]
         local[:, :nc] += self.cell_columns.T @ Y
         local[:, nc:] += Z[:, :nface]
         out = scatter_add(local, space.local_dof_ids, space.num_dofs)
@@ -359,8 +364,8 @@ class Smoother:
             CQ = scatter_blocks(table, rows, ids,
                                 (T * nD, space.num_dofs + self.num_nodes))
             W = scatter_blocks(
-                self.avg_blocks @ space.G, self.avg_ids, space.local_dof_ids,
-                (self.num_nodes, space.num_dofs),
+                self.avg_blocks @ space.gather(space.G), self.avg_ids,
+                space.local_dof_ids, (self.num_nodes, space.num_dofs),
             )
             # C + Q W as the one product [C Q] [I; W]: no second copy of
             # the full-size result for the sum
@@ -498,7 +503,7 @@ def orthogonality_residual(smoother):
     S = reference_stiffness(smoother.degree, space.rule_cell)
     residual = 0.0
     for cells in cell_blocks(space.mesh.num_cells):
-        G = space.G[cells]
+        G = space.gather(space.G, cells)
         GtK = _t(G) @ stiffness_blocks(space.mesh, S, cells)[:, :n1]
         table, ids = smoother.cell_table(cells)
         res = -(GtK @ table)  # (B, nloc, nloc + 3)
@@ -520,7 +525,7 @@ def consistency_constant(space, smoother):
     T, n1, n = space.mesh.num_cells, space.n1, space.num_dofs
     K = stiffness_blocks(
         space.mesh, reference_stiffness(smoother.degree, space.rule_cell))
-    G = space.G
+    G = space.gather(space.G)
 
     def normal_op(x):  # D^T K D x, on a (num_dofs, 1) block
         x = x.reshape(n, 1)

@@ -73,18 +73,21 @@ class LoadFunctional:
 
 
 class CondensedSystem:
-    """SPD face-unknown system plus the per-cell elimination data.
+    """SPD face-unknown system plus the elimination data of each geometry
+    class.
 
     The face unknowns are the face dofs of the `HHOSpace` layout, in the
-    mesh's order of the interior faces. The local blocks A_K of
-    `space.local_matrices` are formed and condensed one cell block at a
-    time, and each block's Schur complements A_ff - A_ft elim are added
-    into one (nf, nf) block per pair of interior faces sharing a cell: the
-    face matrix is the block-sparse sum of these blocks, converted once to
-    CSC. The system keeps the cell rows `A_tt` (T, nc, nc), the elimination
-    `elim` = A_tt^{-1} A_tf (T, nc, 3 nf) and the face matrix; no
-    (T, nloc, nloc) or (T, 3 nf, 3 nf) array and no level-sized triplet
-    array exists. `full_matrix` forms the blocks again on first use.
+    mesh's order of the interior faces. The local blocks A_K are formed and
+    condensed once per geometry class of the space (`space.class_matrices`,
+    one block of classes at a time), and each cell's Schur complement
+    A_ff - A_ft elim, read from its class, is added into one (nf, nf) block
+    per pair of interior faces sharing the cell, one cell block at a time:
+    the face matrix is the block-sparse sum of these blocks, converted once
+    to CSC. The system keeps the cell rows `A_tt` (C, nc, nc) and the
+    elimination `elim` = A_tt^{-1} A_tf (C, nc, 3 nf) per class, indexed by
+    `space.cell_class`, and the face matrix; no (T, nloc, nloc) or
+    (T, 3 nf, 3 nf) array and no level-sized triplet array exists.
+    `full_matrix` forms the blocks again on first use.
     """
 
     def __init__(self, space):
@@ -106,34 +109,41 @@ class CondensedSystem:
         blocks = np.zeros(len(pairs) * nf * nf)
         entry = np.arange(nf * nf).reshape(nf, nf)
 
-        # cell elimination A_tt^{-1} A_tf by factor-and-solve, no inverse;
-        # an entry sums the blocks of at most two cells (a face's dofs with
-        # themselves, from the face's two cells), so its value does not
-        # depend on the order
-        self.A_tt = np.empty((T, nc, nc))
-        self.elim = np.empty((T, nc, 3 * nf))
-        for cells in cell_blocks(T):
-            A = space.local_matrices(cells)
-            self.A_tt[cells] = A[:, :nc, :nc]
-            self.elim[cells] = np.linalg.solve(A[:, :nc, :nc], A[:, :nc, nc:])
-            S = A[:, nc:, nc:] - A[:, nc:, :nc] @ self.elim[cells]
-            # block (i, j) of A^T: face i's columns of A by face j's rows
-            keep = both[cells]
-            S = S.reshape(-1, 3, nf, 3, nf).transpose(0, 3, 1, 4, 2)[keep]
-            pos = pair[cells][keep][:, None, None] * nf * nf + entry
-            np.add.at(blocks, pos.ravel(), S.ravel())  # 1-d: numpy's fast path
+        # per block of classes, from the blocks A_K of each class's first
+        # cell: the cell elimination A_tt^{-1} A_tf by factor-and-solve, no
+        # inverse, and the Schur complement, which the cells of these
+        # classes then add, one cell block at a time; an entry sums the
+        # blocks of at most two cells (a face's dofs with themselves, from
+        # the face's two cells), so its value does not depend on the order
+        C = len(space.class_cells)
+        self.A_tt = np.empty((C, nc, nc))
+        self.elim = np.empty((C, nc, 3 * nf))
+        # the cells sorted by class: a block of classes owns one slice
+        by_class = np.argsort(space.cell_class, kind="stable")
+        ends = np.concatenate([[0], np.cumsum(np.bincount(space.cell_class))])
+        for classes in cell_blocks(C):
+            A = space.class_matrices(classes)
+            self.A_tt[classes] = A[:, :nc, :nc]
+            self.elim[classes] = np.linalg.solve(A[:, :nc, :nc], A[:, :nc, nc:])
+            schur = A[:, nc:, nc:] - A[:, nc:, :nc] @ self.elim[classes]
+            del A
+            members = by_class[ends[classes.start]:ends[classes.stop]]
+            for block in cell_blocks(len(members)):
+                cells = members[block]
+                S = schur[space.cell_class[cells] - classes.start]
+                # block (i, j) of A^T: face i's columns of A by face j's rows
+                keep = both[cells]
+                S = S.reshape(-1, 3, nf, 3, nf).transpose(0, 3, 1, 4, 2)[keep]
+                pos = pair[cells][keep][:, None, None] * nf * nf + entry
+                np.add.at(blocks, pos.ravel(), S.ravel())  # 1-d: numpy's fast path
         # the CSR arrays of A^T are the CSC arrays of A, with int indices that
         # splu takes without a copy (bsr.tocsc would go through COO)
         n = space.num_face_dofs
         ptr = np.searchsorted(pairs // Ei, np.arange(Ei + 1))
         At = sparse.bsr_matrix((blocks.reshape(-1, nf, nf), pairs % Ei, ptr),
                                shape=(n, n)).tocsr()
-        # copied once the blocks are freed, the face matrix fills their hole
-        # on the heap: left free, the face factor did not always reuse it and
-        # grew the heap by 1.9 MB in about half of the converge-p3-kink runs
-        del blocks
         self.face_matrix = sparse.csc_matrix((At.data, At.indices, At.indptr),
-                                             shape=(n, n), copy=True)
+                                             shape=(n, n))
 
     @cached_property
     def face_lu(self):
@@ -158,18 +168,27 @@ class CondensedSystem:
         written to."""
         b_t, b_f = self.space.split(rhs)
         b_f = b_f.ravel().copy()
-        corr = (b_t[:, None, :] @ self.elim)[:, 0]  # elim^T b_t
+        corr = np.empty((len(b_t), self.elim.shape[-1]))  # elim^T b_t
+        for cells in cell_blocks(len(b_t)):
+            elim = self.space.gather(self.elim, cells)
+            corr[cells] = (b_t[cells, None, :] @ elim)[:, 0]
         ids = self._face_ids
         np.add.at(b_f, ids[ids >= 0], -corr[ids >= 0])
         return b_f
 
     def recover_cells(self, rhs, face_vec):
         """Cell unknowns A_tt^{-1} b_t - elim u_f of the face solution
-        `face_vec`."""
+        `face_vec`, with each cell's class tables gathered one cell block at
+        a time."""
         b_t = self.space.split(rhs)[0]
         u_loc = _gather(face_vec, self._face_ids)
-        u_t = np.linalg.solve(self.A_tt, b_t[..., None])[..., 0]
-        return u_t - (self.elim @ u_loc[..., None])[..., 0]
+        u_t = np.empty(b_t.shape)
+        for cells in cell_blocks(len(b_t)):
+            A_tt, elim = (self.space.gather(table, cells)
+                          for table in (self.A_tt, self.elim))
+            u_t[cells] = (np.linalg.solve(A_tt, b_t[cells, :, None])
+                          - elim @ u_loc[cells, :, None])[..., 0]
+        return u_t
 
 
 def assemble(space):

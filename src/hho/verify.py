@@ -208,7 +208,9 @@ def _min_eigenvalue(system):
     the certificate, or when the space has a single dof (too few for
     ARPACK), the exact value comes from a dense solve. A is the system's
     `full_matrix`; the blocks H_K are formed once and feed both the
-    assembled H and the bound, which forms the blocks A_K once more.
+    assembled H and the bound. The members of a geometry class have
+    bitwise-equal blocks, so the bound reads the blocks of each class's
+    first cell only, and forms A_K once more per class.
     """
     space = system.space
     A = system.full_matrix
@@ -216,8 +218,9 @@ def _min_eigenvalue(system):
     H = assemble_bilinear(space, norm_blocks)
     n = A.shape[0]
     if n > 1:
-        bound = _local_coercivity_bound(space, space.local_matrices(),
-                                        norm_blocks)
+        first = space.class_cells
+        bound = _local_coercivity_bound(space, space.local_matrices(first),
+                                        norm_blocks[first])
         sigma = bound - SHIFT_GAP * abs(bound)
         lu = splu((A - sigma * H).tocsc(), **SPD_LU)
         if np.array_equal(lu.perm_r, lu.perm_c) and np.all(lu.U.diagonal() > 0.0):

@@ -10,16 +10,18 @@ from conftest import (
     reference_face_mass,
     sine,
     sine_grad,
+    single_triangle_mesh,
 )
 from hho import local_ops
 from hho.analysis import (
     best_error_h1,
     error_h1_broken,
     error_l2,
+    get_case,
     kink_aligned_case,
 )
 from hho.local_ops import BrokenPoly, HHOSpace, assemble_bilinear, stiffness_blocks
-from hho.mesh import SimplicialMesh, build_unit_square, refine_red
+from hho.mesh import SimplicialMesh, build_lshape, build_unit_square, refine_red
 from hho.polyquad import (
     UnsupportedDegreeError,
     cell_basis_gradients,
@@ -52,16 +54,18 @@ def face_traces_oracle(space, i):
 def stab_operator(space):
     """Stabilization operator S = s_M + (Id - Pi_M) R per cell (T, n1, nloc).
 
-    Rebuilt from the stored `G` and the reference mass `mass_hat` (Pi_M is
-    one reference matrix); it must reproduce the face-residual traces
+    Rebuilt from the reconstruction matrices, gathered per cell from the
+    class table `G`, and the reference mass `mass_hat` (Pi_M is one
+    reference matrix); it must reproduce the face-residual traces
     T_i = FaceSel_i - Pi_F(S .)|_F of `face_traces`, with the face
     projection from the physical face traces and the face mass h_F times
     the oracle `reference_face_mass`.
     """
     nc, nf = space.nc, space.nf
     Pi = np.linalg.solve(space.mass_hat[:nc, :nc], space.mass_hat[:nc, :])
-    S = space.G.copy()
-    S[:, :nc, :] -= np.einsum("mi,tij->tmj", Pi, space.G)
+    G = space.gather(space.G)
+    S = G.copy()
+    S[:, :nc, :] -= np.einsum("mi,tij->tmj", Pi, G)
     S[:, np.arange(nc), np.arange(nc)] += 1.0
     traces = space.face_traces()
     hf = space.mesh.h_face[space.mesh.cell_faces]
@@ -76,8 +80,10 @@ def stab_operator(space):
 
 def test_space_stores_per_cell_only_what_the_solver_reads():
     # p = 3: held and peak memory of the build per cell, and the per-cell
-    # arrays (leading axis T) it keeps; every other cell table is a
-    # reference table times a per-cell scale
+    # arrays (leading axis T) it keeps, the class id and the dof map; `G`
+    # is held once per geometry class (2 on this grid), and every other
+    # cell table is a reference table times a per-cell scale. Measured:
+    # 0.33 KiB per cell held (2.85 KiB when `G` was held per cell)
     mesh = build_unit_square(8)
     HHOSpace(mesh, 3)  # fill the rule and tabulation caches first
     tracemalloc.start()
@@ -87,11 +93,95 @@ def test_space_stores_per_cell_only_what_the_solver_reads():
     finally:
         tracemalloc.stop()
     T = mesh.num_cells
-    assert held <= 3.5 * 1024 * T, held / T
+    assert held <= 0.4 * 1024 * T, held / T
     assert peak <= 24 * 1024 * T, peak / T
     per_cell = {name for name, value in vars(space).items()
                 if isinstance(value, np.ndarray) and value.shape[:1] == (T,)}
-    assert per_cell == {"G", "local_dof_ids"}
+    assert per_cell == {"cell_class", "local_dof_ids"}
+    assert space.G.shape == (2, space.n1, space.nloc)
+
+
+def per_cell_space(monkeypatch, mesh, p):
+    """The space of degree p on `mesh` with every cell in a class of its
+    own: the local operators built cell by cell."""
+    def own_classes(space):
+        space.cell_class = np.arange(space.mesh.num_cells)
+        space.class_cells = np.arange(space.mesh.num_cells)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(HHOSpace, "_build_classes", own_classes)
+        return HHOSpace(mesh, p)
+
+
+def assert_class_tables_equal(space, per_cell, cells=slice(None)):
+    """The class tables `G`, `A_tt` and `elim` of `space`, gathered to
+    `cells`, equal the per-cell ones bitwise, and so do the face matrices."""
+    system, reference = assemble(space), assemble(per_cell)
+    for name, tables, want in [("G", space.G, per_cell.G),
+                               ("A_tt", system.A_tt, reference.A_tt),
+                               ("elim", system.elim, reference.elim)]:
+        assert np.array_equal(tables[space.cell_class[cells]], want[cells]), name
+    assert np.array_equal(system.face_matrix.toarray(),
+                          reference.face_matrix.toarray())
+
+
+CLASS_MESHES = {
+    "square": lambda: build_unit_square(4),
+    "jittered": lambda: jittered_square(4),
+    "lshape": lambda: build_lshape(2),
+    "triangle": single_triangle_mesh,
+}
+
+
+@pytest.mark.parametrize("p", [0, 1, 2, 3])
+@pytest.mark.parametrize("name", CLASS_MESHES)
+def test_class_tables_equal_the_per_cell_build(monkeypatch, name, p):
+    # a cell enters G, A_K and the elimination only through its scaled
+    # metric and face orientations, and the members of a class share their
+    # exact bits: the tables formed once per class are every member's
+    mesh = CLASS_MESHES[name]()
+    assert_class_tables_equal(HHOSpace(mesh, p), per_cell_space(monkeypatch, mesh, p))
+
+
+@pytest.mark.parametrize("level", [8, 16, 32])
+def test_kink_aligned_levels_have_two_classes(level):
+    space = HHOSpace(get_case("kink-aligned", 0).mesh_for(level), 0)
+    assert len(space.class_cells) == 2
+    # each class's first cell is its lowest-index member
+    assert np.array_equal(space.cell_class[space.class_cells], [0, 1])
+
+
+def test_jittered_mesh_has_one_class_per_cell():
+    space = HHOSpace(jittered_square(8), 0)
+    assert len(space.class_cells) == space.mesh.num_cells
+
+
+def test_gather_reads_consecutive_classes_without_a_copy():
+    # with a class per cell, a block of cells reads a block of class rows:
+    # a read-only view of the class table; on a grid it is a copy
+    space = HHOSpace(jittered_square(4), 1)
+    rows = space.gather(space.G, slice(3, 9))
+    assert np.shares_memory(rows, space.G) and not rows.flags.writeable
+    assert np.array_equal(rows, space.G[3:9])
+    grid = HHOSpace(build_unit_square(4), 1)
+    rows = grid.gather(grid.G, slice(3, 9))
+    assert not np.shares_memory(rows, grid.G)
+    assert np.array_equal(rows, grid.G[grid.cell_class[3:9]])
+
+
+def test_one_ulp_gives_a_cell_its_own_class(monkeypatch):
+    # one cell's J^{-1} moved by one unit in the last place: its metric
+    # changes in the last bits, so it leaves its class for one of its own,
+    # and its operators are those of a per-cell computation
+    mesh = build_unit_square(4)
+    jinv = mesh.inverse_jacobians
+    jinv[5, 0, 0] = np.nextafter(jinv[5, 0, 0], np.inf)
+    space = HHOSpace(mesh, 3)
+    assert len(space.class_cells) == 3
+    assert np.flatnonzero(space.cell_class == space.cell_class[5]).tolist() == [5]
+    per_cell = per_cell_space(monkeypatch, mesh, 3)
+    assert_class_tables_equal(space, per_cell, cells=[5])
+    assert np.array_equal(space.local_matrices([5]), per_cell.local_matrices([5]))
 
 
 def test_degree_guard():
@@ -120,27 +210,29 @@ def test_quad_extra_above_the_load_rule_is_refused():
 
 @pytest.mark.parametrize("p", [0, 3])
 def test_cell_blocks_do_not_change_the_results(monkeypatch, p):
-    # per-cell work runs over blocks of CELL_BLOCK cells; with blocks of 5
-    # (7 blocks on 32 cells, the last one partial) the build, the local
-    # operators stacked block by block, the condensation and the solution
-    # equal those of one block bitwise, and the projections (whose local
-    # solves are conditioned up to about 4e9 at p = 3) and the errors,
-    # summed block by block, agree to round-off: the errors to 1e-14
-    # absolute, since the fields are of size 1 and an error of 1e-5 loses
-    # digits to cancellation
-    mesh = jittered_square(4)
+    # per-cell work runs over blocks of CELL_BLOCK cells, and the classes
+    # are keyed and their operators formed over blocks of as many: with
+    # blocks of 5 (7 blocks on the 32 jittered cells, one class each, and
+    # 58 on the 288 of the 12 x 12 grid with its 41 classes, the last block
+    # partial) the classes, the build, the local operators stacked block by
+    # block, the condensation and the solution equal those of one block
+    # bitwise, and the projections (whose local solves are conditioned up
+    # to about 4e9 at p = 3) and the errors, summed block by block, agree
+    # to round-off: the errors to 1e-14 absolute, since the fields are of
+    # size 1 and an error of 1e-5 loses digits to cancellation
 
-    def run():
+    def run(mesh):
         space = HHOSpace(mesh, p)
         vec = space.interpolate(sine)
         blocks = local_ops.cell_blocks(mesh.num_cells)
         system = assemble(space)
         # a right-hand side that no blocked work computes
         rhs = np.random.default_rng(p).standard_normal(space.num_dofs)
-        tables = [space.G,
+        tables = [space.cell_class, space.G,
                   np.concatenate([space.local_matrices(c) for c in blocks]),
                   np.concatenate([space.face_traces(c) for c in blocks]),
-                  system.face_matrix.toarray(), system.elim, solve(system, rhs)]
+                  system.face_matrix.toarray(), system.A_tt, system.elim,
+                  solve(system, rhs)]
         projections = [space.project_cell(sine).coeffs,
                        space.elliptic_project(sine, sine_grad).coeffs]
         errors = [*error_h1_broken(space, sine_grad, vec),
@@ -148,15 +240,18 @@ def test_cell_blocks_do_not_change_the_results(monkeypatch, p):
                   best_error_h1(space, sine, sine_grad)]
         return tables, projections, np.array(errors)
 
-    tables, projections, errors = run()
-    monkeypatch.setattr(local_ops, "CELL_BLOCK", 5)
-    assert len(local_ops.cell_blocks(mesh.num_cells)) == 7
-    blocked_tables, blocked_projections, blocked_errors = run()
-    for whole, blocked in zip(tables, blocked_tables):
-        assert np.array_equal(whole, blocked)
-    for whole, blocked in zip(projections, blocked_projections):
-        assert np.abs(whole - blocked).max() <= 1e-12 * np.abs(whole).max()
-    assert np.allclose(blocked_errors, errors, rtol=0.0, atol=1e-14)
+    whole = local_ops.CELL_BLOCK
+    for mesh in (jittered_square(4), build_unit_square(12)):
+        monkeypatch.setattr(local_ops, "CELL_BLOCK", whole)
+        tables, projections, errors = run(mesh)
+        monkeypatch.setattr(local_ops, "CELL_BLOCK", 5)
+        assert len(local_ops.cell_blocks(mesh.num_cells)) == -(-mesh.num_cells // 5)
+        blocked_tables, blocked_projections, blocked_errors = run(mesh)
+        for table, blocked in zip(tables, blocked_tables):
+            assert np.array_equal(table, blocked)
+        for table, blocked in zip(projections, blocked_projections):
+            assert np.abs(table - blocked).max() <= 1e-12 * np.abs(table).max()
+        assert np.allclose(blocked_errors, errors, rtol=0.0, atol=1e-14)
 
 
 @pytest.mark.parametrize("work", ["space", "best_error_h1"])
@@ -656,7 +751,7 @@ def test_batched_kernels_match_einsum_on_jittered_mesh(p):
     _assert_blocks_close(cell_mass(space), ref["mass1"], 1e-12)
     stiff1 = stiffness_blocks(space.mesh, space.stiff_hat)
     _assert_blocks_close(stiff1, ref["stiff1"], 1e-12)
-    _assert_blocks_close(space.G, ref["G"], 1e-12)
+    _assert_blocks_close(space.gather(space.G), ref["G"], 1e-12)
     _assert_blocks_close(space.local_matrices(), ref["A"], 1e-12)
     # the face tables enter only through G, A_K and H_K: the flux (in
     # metric form) through G, checked above against the physical normals
@@ -679,7 +774,8 @@ def test_local_operators_are_similarity_invariant(p):
     # largest entry of G; the whole arrays agree to 3e-14 (Frobenius).
     def operators(mesh):
         space = HHOSpace(mesh, p)
-        return space.G, space.local_matrices(), space.hho_norm_blocks()
+        return (space.gather(space.G), space.local_matrices(),
+                space.hho_norm_blocks())
 
     shift = np.array([-0.5, 0.25])
     grid = build_unit_square(4)

@@ -57,7 +57,7 @@ def reconstruction_oracle(space, degree):
     in the leading n1 coefficients of each cell (degree >= p+1)."""
     T, n = space.mesh.num_cells, space_dimension(degree)
     return scatter_blocks(
-        space.G, np.arange(T)[:, None] * n + np.arange(space.n1),
+        space.gather(space.G), np.arange(T)[:, None] * n + np.arange(space.n1),
         space.local_dof_ids, (T * n, space.num_dofs),
     )
 
@@ -1101,7 +1101,7 @@ def nodal_averaging_oracle(sm, X):
         weight = (np.arange(T)[:, None] == first[keys]).astype(float)
 
     V1 = cell_basis_values(p + 1, lattice_multis(p + 1) / (p + 1))
-    r = sp.G @ sp.local_coeffs(X)  # (T, n1, k)
+    r = sp.gather(sp.G) @ sp.local_coeffs(X)  # (T, n1, k)
     nodal = np.zeros((len(table), X.shape[1]))
     np.add.at(nodal, keys, weight[..., None] * (V1 @ r))
     nodal[boundary] = 0.0

@@ -78,24 +78,30 @@ def _reachable_arrays(root):
 
 
 def test_assembly_keeps_no_local_matrix():
-    # the local blocks A_K exist one cell block at a time: after `assemble`
-    # the system holds only the cell rows A_tt, the elimination and the face
-    # matrix (at most 4 KiB per cell at p = 3), and no array of the system
-    # or its space has the shape (T, nloc, nloc)
-    mesh = build_unit_square(16)
-    space = HHOSpace(mesh, 3)
-    assemble(space)  # fill the rule and tabulation caches first
-    tracemalloc.start()
-    try:
-        system = assemble(space)
-        held, _ = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    T, nloc = mesh.num_cells, space.nloc
-    assert held <= 4 * 1024 * T, held / T
-    shapes = {a.shape for a in _reachable_arrays(system)}
-    assert {space.G.shape, system.elim.shape, system.face_matrix.data.shape} <= shapes
-    assert (T, nloc, nloc) not in shapes
+    # the local blocks A_K exist one block of geometry classes at a time:
+    # after `assemble` the system holds only the cell rows A_tt and the
+    # elimination per class, and the face matrix, and no array of the
+    # system or its space has the shape (T, nloc, nloc). At p = 3 it holds
+    # 1.43 KiB per cell on the grid (2 classes; the face matrix) and 3.14
+    # KiB on the jittered mesh (one class per cell)
+    for mesh, kib_per_cell in [(build_unit_square(16), 1.6),
+                               (jittered_square(16), 4.0)]:
+        space = HHOSpace(mesh, 3)
+        assemble(space)  # fill the rule and tabulation caches first
+        tracemalloc.start()
+        try:
+            system = assemble(space)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        T, nc, nf, nloc = mesh.num_cells, space.nc, space.nf, space.nloc
+        assert held <= kib_per_cell * 1024 * T, held / T
+        C = len(space.class_cells)
+        assert system.A_tt.shape == (C, nc, nc)
+        assert system.elim.shape == (C, nc, 3 * nf)
+        shapes = {a.shape for a in _reachable_arrays(system)}
+        assert {space.G.shape, system.face_matrix.data.shape} <= shapes
+        assert (T, nloc, nloc) not in shapes
 
 
 def test_condensed_matrix_symmetric_spd():

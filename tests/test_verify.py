@@ -70,22 +70,30 @@ def test_min_eigenvalue_matches_dense_oracle_on_small_meshes(make_mesh, p):
 def test_min_eigenvalue_of_indefinite_matrix_is_exact(monkeypatch, p, n, cell):
     # one negated local block makes A indefinite. The local bound is then
     # negative, and the certificate holds at the shift below it: the value
-    # must be the smallest eigenvalue (negative), not the one nearest 0.
-    # The block is negated where every reader forms the blocks, in
-    # local_matrices, so the condensation, the assembled matrix and the
-    # local bound all see it
-    space = HHOSpace(build_unit_square(n), p)
-    local_matrices = space.local_matrices
+    # must be the smallest eigenvalue (negative), not the one nearest 0, and
+    # Lanczos must give it, not the dense solve. The cell's J^{-1} is moved
+    # by one unit in the last place, which gives it a class of its own, and
+    # the block of that class is negated where every reader forms the
+    # blocks, in class_matrices, so the condensation, the assembled matrix
+    # and the local bound all see it
+    mesh = build_unit_square(n)
+    jinv = mesh.inverse_jacobians
+    jinv[cell, 0, 0] = np.nextafter(jinv[cell, 0, 0], np.inf)
+    space = HHOSpace(mesh, p)
+    own = space.cell_class[cell]
+    assert np.flatnonzero(space.cell_class == own).tolist() == [cell]
+    class_matrices = space.class_matrices
 
-    def planted(cells=slice(None)):
-        blocks = local_matrices(cells)
-        blocks[np.arange(space.mesh.num_cells)[cells] == cell] *= -1.0
+    def planted(classes):
+        blocks = class_matrices(classes)
+        blocks[np.arange(len(space.class_cells))[classes] == own] *= -1.0
         return blocks
 
-    monkeypatch.setattr(space, "local_matrices", planted)
+    monkeypatch.setattr(space, "class_matrices", planted)
     system = assemble(space)
     want = _dense_min_eigenvalue(system)
     assert want < 0.0
+    monkeypatch.setattr(hho.verify.dla, "eigh", _raise)
     assert _min_eigenvalue(system) == pytest.approx(want, rel=1e-12)
 
 
