@@ -364,8 +364,10 @@ def solve_load(space, load, method="smoothed", averaging="mean", solver="direct"
 
     The method only decides the right-hand side: `classical` integrates f0
     against the cell unknowns, `smoothed` evaluates the load on the smoothed
-    test functions. The right-hand side is computed first, so the smoother
-    is freed before the system is assembled and its face matrix factored.
+    test functions, one cell block at a time. The right-hand side is
+    computed first, so the smoother (per cell a state id and the averaging
+    blocks) is freed before the system is assembled and its face matrix
+    factored.
     """
     if method == "classical":
         rhs = rhs_classical(space, load)
@@ -382,14 +384,17 @@ def _solve_level(case, p, level, method, averaging, quad_extra, solver):
     Every array of the level dies when this returns; the smoother and the
     system die inside `solve_load`, before the errors are evaluated. Per
     cell the space holds only a class id and the dof map, with `G` held
-    once per geometry class, and the system the cell rows A_tt of the local
-    blocks and the elimination per class, and the face matrix, into whose
-    face-pair blocks the Schur complements are added one cell block at a
-    time (at p = 3 on a grid about 0.3 and 1.4 KiB per cell; on a mesh with
-    one class per cell 2.9 and 3.1 KiB): the local blocks and every other
-    per-cell temporary exist one fixed-size block at a time, so the level's
-    peak is these held tables plus the factor of the face system, which the
-    nested-dissection numbering of the face unknowns keeps small.
+    once per geometry class, the smoother a face-state id and the averaging
+    blocks, with its blocks held once per combination of face states, and
+    the system the cell rows A_tt of the local blocks and the elimination
+    per class, and the face matrix, into whose face-pair blocks the Schur
+    complements are added one cell block at a time (at p = 3 on a grid
+    about 0.3, 0.3 and 1.4 KiB per cell; on a mesh with one class per cell
+    2.9, 0.3 and 3.1 KiB): the local blocks, the load's values and every
+    other per-cell temporary exist one fixed-size block at a time, so the
+    level's peak is these held tables plus the factor of the face system,
+    which the nested-dissection numbering of the face unknowns and
+    SuperLU's 4-column panel (`SPD_LU`) keep small.
     """
     mesh = case.mesh_for(level)
     space = HHOSpace(mesh, p, quad_extra=quad_extra)
@@ -428,15 +433,21 @@ def run_convergence(case, p, levels, method="smoothed", averaging="mean",
                     quad_extra=2, solver="direct"):
     """Solve the case on each level and report errors, ratios and orders.
 
-    The levels are solved one at a time: at most one level's space, smoother
-    and system are alive at once, and its peak is the held tables of its
-    space (the class ids, the dof map and `G` per geometry class) and system
-    (A_tt and the elimination per class, and the face matrix) plus the face
-    factor in the dissection numbering (`_solve_level`).
+    The levels are solved one at a time, from the largest to the smallest
+    (every case's mesh grows with its level), and reported in the given
+    order. At most one level's space, smoother and system are alive at
+    once, and its peak is the held tables of its space (the class ids, the
+    dof map and `G` per geometry class) and system (A_tt and the
+    elimination per class, and the face matrix) plus the face factor in the
+    dissection numbering (`_solve_level`). The smaller levels then run in
+    the memory the largest one has freed, so the study's peak is its
+    largest level's own.
     """
     check_levels(case, levels)
-    rows = [_solve_level(case, p, level, method, averaging, quad_extra, solver)
-            for level in levels]
+    solved = {level: _solve_level(case, p, level, method, averaging,
+                                  quad_extra, solver)
+              for level in sorted(levels, reverse=True)}
+    rows = [solved[level] for level in levels]
     report = ConvergenceReport(case.name, p, method, averaging, rows)
     hs = report.column("h")
     orders = zip(eoc(report.energy_errors(), hs), eoc(report.column("e_L2"), hs))

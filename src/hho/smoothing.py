@@ -11,7 +11,9 @@ the two cells sharing the face; both are 1 at the respective barycenter.
 
 The smoother is linear and cell-local once the averaging is done, so it
 is kept, from HHO unknowns to broken coefficients of degree 2 + max(p, 1),
-as one dense block [C_K | Q_K] per cell next to the averaging blocks W.
+as one dense block [C_K | Q_K] per cell next to the averaging blocks W;
+the block depends only on the states of the cell's faces, so one table of
+the 27 combinations serves every mesh.
 Applying it and its transpose contract that one table, and the conformity
 and orthogonality checks read it directly, per face side and per cell:
 neither check forms a global factor, a jump matrix, W or S_H.
@@ -124,7 +126,8 @@ def lagrange_interpolant(mesh, degree, func):
 
 
 class Smoother:
-    """Stabilized bubble smoother for one space, kept as one block per cell.
+    """Stabilized bubble smoother for one space, kept as one block per
+    combination of face states.
 
     S_H maps an HHO dof vector x = (x_M, x_Sigma) to broken degree-D
     coefficients. On a cell K it reads only K's dofs x_K and the averaged
@@ -143,13 +146,17 @@ class Smoother:
     with o = ``mesh.face_flips[K, i]`` and zero columns for a boundary face.
     The hat, the trace (taken in K: a is continuous, so both sides of a
     face agree), the face bubble and B_M (zero at p = 0) are reference
-    tables, gathered once per cell. The cell columns B_M[:, :nc] are kept
-    once (`cell_columns`, (nD, nc)), the rest per cell (`blocks`,
-    (T, nD, 3 nf + 3)). These and W are the one description of S_H:
-    `apply_vector` and `apply_transpose` contract them, `cell_table` joins
-    them into [C_K | Q_K] with global column ids for the two checks, and
-    `matrix` (read by no solver path or check) scatters that table into
-    [C Q] and multiplies it by [I; W].
+    tables, so a block depends only on the states of K's three faces, each
+    its orientation or boundary. The cell columns B_M[:, :nc] are kept
+    once (`cell_columns`, (nD, nc)), the rest once per combination of face
+    states (`blocks`, (27, nD, 3 nf + 3)), and a cell keeps only its state
+    id (`cell_state`, (T,)). These and W are the one description of S_H:
+    `apply_vector` and `apply_transpose` contract them, gathering `blocks`
+    one cell block at a time, `cell_table` joins them into [C_K | Q_K] with
+    global column ids for the two checks, and `matrix` (read by no solver
+    path or check) scatters that table into [C Q] and multiplies it by
+    [I; W]. Per cell the smoother holds only the state id and the
+    averaging blocks and ids (0.29 KiB at p = 3).
 
     Parameters
     ----------
@@ -214,9 +221,9 @@ class Smoother:
         return np.linalg.inv(corners[:, :3])
 
     def _build_blocks(self, hat):
-        """The shared cell columns of C_K and the per-cell rest of
-        [C_K | Q_K], gathered from the reference tables with
-        ``mesh.face_flips``."""
+        """The shared cell columns of C_K, the rest of [C_K | Q_K] per
+        combination of face states, and each cell's state id, read from
+        ``mesh.face_flips`` and the boundary faces."""
         space, mesh = self.space, self.space.mesh
         nc, nf, nloc = space.nc, space.nf, space.nloc
         cell_block = self._cell_bubble_block()
@@ -231,22 +238,23 @@ class Smoother:
         # trace residual -tr a
         face_hat = -face_bubble[..., :2] @ (trace @ hat)  # (3, 2, nD, 3)
 
-        # kept once: per cell they are two fifths of the table at p = 3,
-        # enough to lift a converge level's memory peak
+        # the same in every cell: kept once
         self.cell_columns = cell_block[:, :nc]
         # a local face is in one of three states, its orientation or 2 on the
         # boundary (no face dofs, no face bubble): per local face and state,
         # its columns of the block, with the cell's own part on face 0; their
-        # sums over the 27 combinations of states are gathered once per cell
+        # sums over the 27 combinations of states are the whole table, and a
+        # cell keeps only the id 9 s0 + 3 s1 + s2 of its states
         face = np.zeros((3, 3, self.nD, nloc - nc + 3))  # state 2 stays zero
         for i in range(3):
             face[i, :2, :, i * nf: (i + 1) * nf] = face_bubble[i, ..., :nf]
             face[i, :2, :, -3:] = face_hat[i]
         face[0, ..., -3:] += left[:, :3] @ hat
         table = face[0, :, None, None] + face[1, None, :, None] + face[2, None, None]
+        self.blocks = table.reshape(27, self.nD, nloc - nc + 3)
         interior = mesh.face_interior_index[mesh.cell_faces] >= 0
         state = np.where(interior, mesh.face_flips, 2)  # (T, 3)
-        self.blocks = table[state[:, 0], state[:, 1], state[:, 2]]
+        self.cell_state = state @ np.array([9, 3, 1])
 
     def _face_bubble_blocks(self, left):
         """Reference blocks (3, 2, nD, p+2) of `left` B_Sigma per (local face,
@@ -306,15 +314,20 @@ class Smoother:
         nc = space.nc
         vec = np.asarray(vec, dtype=float)
         x_loc = space.local_coeffs(vec.reshape(len(vec), -1))  # (T, nloc, k)
-        corners = np.empty((len(x_loc), 3, x_loc.shape[-1]))
-        for cells in cell_blocks(len(x_loc)):
+        T, k = len(x_loc), x_loc.shape[-1]
+        corners = np.empty((T, 3, k))
+        for cells in cell_blocks(T):
             G = space.gather(space.G, cells)
             corners[cells] = self.avg_blocks[cells] @ (G @ x_loc[cells])
         nodal = scatter_add(corners, self.avg_ids, self.num_nodes)
-        out = self.cell_columns @ x_loc[:, :nc] + self.blocks @ np.concatenate(
-            [x_loc[:, nc:], _gather(nodal, self.node_ids)], axis=1
-        )
-        return out.reshape((len(self.blocks) * self.nD,) + vec.shape[1:])
+        out = np.empty((T, self.nD, k))
+        for cells in cell_blocks(T):
+            rest = np.concatenate(
+                [x_loc[cells, nc:], _gather(nodal, self.node_ids[cells])], axis=1)
+            # summed in place: a block-sized temporary fewer
+            out[cells] = self.cell_columns @ x_loc[cells, :nc]
+            out[cells] += self.blocks[self.cell_state[cells]] @ rest
+        return out.reshape((T * self.nD,) + vec.shape[1:])
 
     def apply_transpose(self, fvec):
         """S_H^T applied to a broken functional vector (load pullback), or to
@@ -323,12 +336,15 @@ class Smoother:
         space = self.space
         nc, nface = space.nc, space.nloc - space.nc
         fvec = np.asarray(fvec, dtype=float)
-        Y = fvec.reshape(space.mesh.num_cells, self.nD, -1)
-        Z = _t(self.blocks) @ Y  # (T, nface + 3, k)
+        T = space.mesh.num_cells
+        Y = fvec.reshape(T, self.nD, -1)
+        Z = np.empty((T, nface + 3, Y.shape[-1]))
+        for cells in cell_blocks(T):
+            Z[cells] = _t(self.blocks[self.cell_state[cells]]) @ Y[cells]
         g_nodal = scatter_add(Z[:, nface:], self.node_ids, self.num_nodes)
         g_r = _t(self.avg_blocks) @ _gather(g_nodal, self.avg_ids)  # (T, n1, k)
-        local = np.empty((len(g_r), space.nloc, g_r.shape[-1]))
-        for cells in cell_blocks(len(g_r)):
+        local = np.empty((T, space.nloc, Y.shape[-1]))
+        for cells in cell_blocks(T):
             local[cells] = _t(space.gather(space.G, cells)) @ g_r[cells]
         local[:, :nc] += self.cell_columns.T @ Y
         local[:, nc:] += Z[:, :nface]
@@ -342,13 +358,16 @@ class Smoother:
         global column ids (T, nloc + 3): the cell's `local_dof_ids`, then its
         `node_ids` offset by `num_dofs`, -1 where the column does not exist
         (a boundary face or a boundary vertex)."""
-        space = self.space
-        blocks, nodes = self.blocks[cells], self.node_ids[cells]
-        cell = np.broadcast_to(self.cell_columns, (len(blocks), self.nD, space.nc))
+        space, nc = self.space, self.space.nc
+        state, nodes = self.cell_state[cells], self.node_ids[cells]
+        table = np.empty((len(state), self.nD, space.nloc + 3))
+        table[..., :nc] = self.cell_columns
+        for block in cell_blocks(len(state)):
+            table[block, :, nc:] = self.blocks[state[block]]
         ids = np.concatenate(
             [space.local_dof_ids[cells],
              np.where(nodes >= 0, nodes + space.num_dofs, -1)], axis=1)
-        return np.concatenate([cell, blocks], axis=2), ids
+        return table, ids
 
     @property
     def matrix(self):
@@ -358,7 +377,7 @@ class Smoother:
         because perfbench/spans.py and the test oracles name it."""
         if self._matrix is None:
             space = self.space
-            T, nD = len(self.blocks), self.nD
+            T, nD = space.mesh.num_cells, self.nD
             table, ids = self.cell_table()
             rows = np.arange(T)[:, None] * nD + np.arange(nD)
             CQ = scatter_blocks(table, rows, ids,

@@ -39,8 +39,13 @@ CG_RTOL = 1e-13
 
 # SuperLU settings for an SPD matrix in the dof numbering: factored as
 # numbered, with the diagonal pivots kept (no row interchanges). `face_lu`,
-# `full_lu` and the coercivity check's shifted factor use them.
-SPD_LU = dict(permc_spec="NATURAL", diag_pivot_thresh=0.0,
+# `full_lu` and the coercivity check's shifted factor use them. Besides L
+# and U, SuperLU keeps a working store that grows with `panel_size`, the
+# columns it factors as one panel: about 2 panel_size ints and panel_size
+# doubles per unknown. At 4, not its default 20, the face factor of a
+# p = 3 converge level raises maxrss by 9.0 MB, not 11.0, at level 32 and
+# by 207 MB, not 259, at level 128, in less time at both.
+SPD_LU = dict(permc_spec="NATURAL", diag_pivot_thresh=0.0, panel_size=4,
               options={"SymmetricMode": True})
 
 
@@ -229,20 +234,23 @@ def rhs_smoothed(space, smoother, load):
 
     The load functional is evaluated on the broken basis underlying the
     smoother output (against reference tables; the divergence part g is
-    mapped to J^{-1} g) and pulled back by S_H^T, applied block by block
-    without forming any smoother matrix.
+    mapped to J^{-1} g), one cell block at a time: the points, f0, g and
+    their moments exist for one block only. The moments (T, nD) are pulled
+    back by S_H^T, applied block by block without forming any smoother
+    matrix.
     """
     rule = space.rule_cell_load
-    pts, w = cell_quadrature(space.mesh, rule)
-    fvec = np.zeros(space.mesh.num_cells * smoother.nD)
-    if load.f0 is not None:
-        wf = w * _load_values(load, "f0", pts)
-        fvec += (wf @ cell_basis_values(smoother.degree, rule.points)).ravel()
-    if load.g is not None:
-        wg = w[..., None] * _load_values(load, "g", pts)
-        grads = cell_basis_gradients(smoother.degree, rule.points)
-        fvec += gradient_moments(space.mesh, grads, wg).ravel()
-    return smoother.apply_transpose(fvec)
+    values = cell_basis_values(smoother.degree, rule.points)
+    grads = cell_basis_gradients(smoother.degree, rule.points)
+    fvec = np.zeros((space.mesh.num_cells, smoother.nD))
+    for cells in cell_blocks(space.mesh.num_cells):
+        pts, w = cell_quadrature(space.mesh, rule, cells)
+        if load.f0 is not None:
+            fvec[cells] += (w * _load_values(load, "f0", pts)) @ values
+        if load.g is not None:
+            wg = w[..., None] * _load_values(load, "g", pts)
+            fvec[cells] += gradient_moments(space.mesh, grads, wg, cells)
+    return smoother.apply_transpose(fvec.ravel())
 
 
 def solve(system, rhs, method="direct"):

@@ -6,6 +6,7 @@ import pytest
 from conftest import jittered_square, sine, sine_grad
 from hho.analysis import (
     CASES,
+    REPORT_COLUMNS,
     PiecewisePolyFunction,
     best_error_h1,
     builtin_cases,
@@ -307,6 +308,38 @@ def test_run_convergence_keeps_one_level_alive(monkeypatch):
         gc.enable()
     assert len(built) == 6
     assert alive_at_build == [0, 0, 0]
+
+
+def test_run_convergence_solves_the_largest_level_first(monkeypatch):
+    # the levels are solved from the largest down, so the smaller ones run
+    # in memory the largest has freed; the report keeps the given order and
+    # equals, bitwise, the rows solved in ascending order
+    import hho.analysis
+
+    case, levels = smooth_sine_case(), [8, 4, 16]
+    solve_level = hho.analysis._solve_level
+    ascending = {level: solve_level(case, 1, level, "smoothed", "mean", 2, "direct")
+                 for level in sorted(levels)}
+    order = []
+
+    def recording(case, p, level, *rest):
+        order.append(level)
+        return solve_level(case, p, level, *rest)
+
+    monkeypatch.setattr(hho.analysis, "_solve_level", recording)
+    report = run_convergence(case, 1, levels)
+    assert order == [16, 8, 4]
+    assert report.column("level") == levels
+    rows = [ascending[level] for level in levels]
+    hs = [row["h"] for row in rows]
+    orders = {
+        "eoc_H1": eoc([np.hypot(row["e_H1"], row["e_stab"]) for row in rows], hs),
+        "eoc_L2": eoc([row["e_L2"] for row in rows], hs),
+    }
+    for key in REPORT_COLUMNS:
+        want = ([np.nan, *orders[key]] if key in orders
+                else [row[key] for row in rows])
+        np.testing.assert_array_equal(report.column(key), want, err_msg=key)
 
 
 def test_report_outputs_deterministic(tmp_path):

@@ -1,4 +1,5 @@
 import copy
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from hho.local_ops import (
     BrokenPoly,
     HHOSpace,
     _gather,
+    gradient_moments,
     reference_stiffness,
     scatter_add,
     scatter_blocks,
@@ -22,6 +24,7 @@ from hho.local_ops import (
 )
 from hho.mesh import SimplicialMesh, build_lshape, build_unit_square, refine_red
 from hho.polyquad import (
+    cell_basis_gradients,
     cell_basis_values,
     cell_quadrature,
     face_barycentric,
@@ -116,7 +119,7 @@ def five_factor_oracle(sm):
     """S_H = F5 F4 F3 F2 F1 as sparse factors, the five steps one at a time,
     from the averaging blocks and the reference tables (the hat, the trace
     in each face's first cell, the face bubble and the cell bubble), not
-    from the Smoother's per-cell blocks:
+    from the Smoother's state table:
 
     * F1 = [R; I]: the reconstruction R x, with x carried along,
     * F2 = blockdiag(avg, I): averaging at the interior vertices,
@@ -706,7 +709,7 @@ def _assert_close(got, want):
     lambda: jittered_square(4), lambda: build_lshape(2), single_triangle_mesh,
 ], ids=["jittered", "lshape", "single"])
 def test_matrix_free_apply_matches_factor_product(make, p, variant):
-    # apply_vector and apply_transpose contract the per-cell blocks; the
+    # apply_vector and apply_transpose contract the state table; the
     # five-factor oracle is scattered from the reference tables. On a vector
     # and on a block of three, both evaluations must give the same operator
     # and its transpose
@@ -768,25 +771,28 @@ def planted_defects(sm, rng):
     """(name, copy of sm with its C or its Q columns moved by O(1), the
     dense moves (dC, dQ) of the two factors, whether the move enters a
     factor on this mesh): first the C columns (the shared cell columns and
-    each cell's face columns), then the Q columns. The single triangle has
-    no interior vertex, so its Q columns enter no factor."""
+    the face columns of each face state in the state table), then the Q
+    columns of each face state. A cell's move is its state's. The single
+    triangle has no interior vertex, so its Q columns enter no factor."""
     sp = sm.space
     T, nD, nc, nloc = sp.mesh.num_cells, sm.nD, sp.nc, sp.nloc
     rows = np.arange(T)[:, None] * nD + np.arange(nD)
     cell = rng.standard_normal(sm.cell_columns.shape)
-    face = rng.standard_normal((T, nD, nloc - nc))
+    face = rng.standard_normal((len(sm.blocks), nD, nloc - nc))
     defect = copy.copy(sm)
     defect.cell_columns = sm.cell_columns + cell
     defect.blocks = sm.blocks.copy()
     defect.blocks[..., :-3] += face
-    noise = np.concatenate([np.broadcast_to(cell, (T, nD, nc)), face], axis=2)
+    noise = np.concatenate([np.broadcast_to(cell, (T, nD, nc)),
+                            face[sm.cell_state]], axis=2)
     move = dense_scatter(noise, rows, sp.local_dof_ids, (T * nD, sp.num_dofs))
     yield "C", defect, (move, 0.0), True
-    noise = rng.standard_normal((T, nD, 3))
+    noise = rng.standard_normal((len(sm.blocks), nD, 3))
     defect = copy.copy(sm)
     defect.blocks = sm.blocks.copy()
     defect.blocks[..., -3:] += noise
-    move = dense_scatter(noise, rows, sm.node_ids, (T * nD, sm.num_nodes))
+    move = dense_scatter(noise[sm.cell_state], rows, sm.node_ids,
+                         (T * nD, sm.num_nodes))
     yield "Q", defect, (0.0, move), sm.num_nodes > 0
 
 
@@ -803,7 +809,7 @@ def test_orthogonality_residual_matches_dense_oracle(make, p, variant):
     # identity, with R_K, C_K and Q_K the rows of K and the columns of its
     # dofs and vertices in the dense R_D and in C and Q from the five-factor
     # oracle. On the smoother both are round-off, so the comparison is
-    # repeated with the C and then the Q columns of the cell blocks moved,
+    # repeated with the C and then the Q columns of the state table moved,
     # and the oracle moved alike, which makes the maximum entry O(1)
     sp = HHOSpace(make(), p)
     sm = Smoother(sp, averaging=variant)
@@ -856,13 +862,137 @@ def test_orthogonality_residual_over_cell_blocks(monkeypatch, p):
     assert [orthogonality_residual(case) for case in cases] == one_block
 
 
+def state_table_oracle(sm):
+    """[C_K | Q_K] of every cell, built cell by cell from the reference
+    tables and the cell's face states (its orientation on an interior face,
+    no columns on a boundary face), summed in the order of the Smoother's
+    state table."""
+    sp, mesh = sm.space, sm.space.mesh
+    nc, nf = sp.nc, sp.nf
+    cell_block = sm._cell_bubble_block()
+    left = np.eye(sm.nD) - cell_block
+    bubble = sm._face_bubble_blocks(left)
+    hat = np.linalg.inv(cell_basis_values(sp.p + 1, np.eye(3))[:, :3])
+    t = np.array([0.0, 1.0])
+    trace = np.linalg.inv(face_basis_values(1, t - 0.5)) @ cell_basis_values(
+        1, face_barycentric(t))
+    out = np.zeros((mesh.num_cells, sm.nD, sp.nloc + 3))
+    for K in range(mesh.num_cells):
+        out[K, :, :nc] = cell_block[:, :nc]
+        q = left[:, :3] @ hat
+        for i in range(3):
+            if mesh.face_interior_index[mesh.cell_faces[K, i]] < 0:
+                continue
+            o = mesh.face_flips[K, i]
+            out[K, :, nc + i * nf: nc + (i + 1) * nf] = bubble[i, o][:, :nf]
+            q = q + -bubble[i, o][:, :2] @ (trace[i, o] @ hat)
+        out[K, :, -3:] = q
+    return out
+
+
+@pytest.mark.parametrize("variant", AVERAGING_VARIANTS)
+@pytest.mark.parametrize("p", [0, 1, 2, 3])
+@pytest.mark.parametrize("make", [
+    lambda: build_unit_square(3), lambda: jittered_square(4),
+    lambda: build_lshape(2), single_triangle_mesh,
+], ids=["square", "jittered", "lshape", "single"])
+def test_cell_table_matches_per_cell_state_oracle(make, p, variant):
+    # the state table holds the 27 combinations of face states whatever the
+    # number of cells; each cell's row of it, gathered by its state id, is
+    # bitwise the block built for that cell alone
+    sm = Smoother(HHOSpace(make(), p), averaging=variant)
+    sp = sm.space
+    T = sp.mesh.num_cells
+    assert sm.blocks.shape == (27, sm.nD, 3 * sp.nf + 3)
+    assert sm.cell_state.shape == (T,)
+    table, ids = sm.cell_table()
+    assert np.array_equal(table, state_table_oracle(sm))
+    nodes = np.where(sm.node_ids >= 0, sm.node_ids + sp.num_dofs, -1)
+    assert np.array_equal(ids, np.concatenate([sp.local_dof_ids, nodes], axis=1))
+
+
+@pytest.mark.parametrize("p", [0, 1, 2, 3])
+@pytest.mark.parametrize("make", [
+    lambda: build_unit_square(4), lambda: jittered_square(4),
+    lambda: build_lshape(1),
+], ids=["square", "jittered", "lshape"])
+def test_state_table_reads_are_equal_over_cell_blocks(monkeypatch, make, p):
+    # apply_vector, apply_transpose and cell_table gather the state table
+    # one block of CELL_BLOCK cells at a time; with blocks of 5 (the last
+    # one partial: two of the 32 grid cells, one of the 6 L-shape cells)
+    # each equals its result on one block bitwise. The smoothed load is
+    # evaluated per block too, but its moments are one matrix product per
+    # block, and OpenBLAS rounds a row of a small product by its place in
+    # the block: it agrees to round-off at any block size (bitwise at the
+    # default size, see the next test)
+    sp = HHOSpace(make(), p)
+    sm = Smoother(sp, averaging="scott-zhang")
+    rng = np.random.default_rng(p)
+    X = rng.standard_normal((sp.num_dofs, 3))
+    Y = rng.standard_normal((sp.mesh.num_cells * sm.nD, 3))
+    loads = [get_case(name, p).load for name in ("kink-aligned", "smooth-sine")]
+
+    def run():
+        return ([sm.apply_vector(X), sm.apply_vector(X[:, 0]),
+                 sm.apply_transpose(Y), sm.apply_transpose(Y[:, 0]),
+                 *sm.cell_table()],
+                [rhs_smoothed(sp, sm, load) for load in loads])
+
+    whole, whole_rhs = run()
+    monkeypatch.setattr(hho.local_ops, "CELL_BLOCK", 5)
+    assert len(hho.local_ops.cell_blocks(sp.mesh.num_cells)) > 1
+    blocked, blocked_rhs = run()
+    for got, want in zip(blocked, whole):
+        assert np.array_equal(got, want)
+    for got, want in zip(blocked_rhs, whole_rhs):
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_smoothed_load_over_default_cell_blocks_is_bitwise_whole():
+    # the benchmark's load (kink-aligned, p = 3, Scott-Zhang) on 512 cells:
+    # over two blocks of the default CELL_BLOCK it equals the whole-level
+    # evaluation bitwise, so blocking it moved no converge output
+    sp = HHOSpace(build_unit_square(16), 3)
+    sm = Smoother(sp, averaging="scott-zhang")
+    load = get_case("kink-aligned", 3).load
+    assert len(hho.local_ops.cell_blocks(sp.mesh.num_cells)) == 2
+    blocked = rhs_smoothed(sp, sm, load)
+    rule = sp.rule_cell_load
+    pts, w = cell_quadrature(sp.mesh, rule)
+    wg = w[..., None] * load.g(pts)
+    grads = cell_basis_gradients(sm.degree, rule.points)
+    whole = sm.apply_transpose(gradient_moments(sp.mesh, grads, wg).ravel())
+    assert np.array_equal(blocked, whole)
+
+
+@pytest.mark.parametrize("variant", AVERAGING_VARIANTS)
+def test_smoother_holds_a_state_id_per_cell(variant):
+    # p = 3: the blocks are held once per combination of face states, so
+    # per cell the smoother holds the state id and the averaging blocks and
+    # ids (0.29 KiB), and the 27-entry table is shared. Measured: 0.53 and
+    # 0.42 KiB per cell at n = 16 and 32 (mean; Scott-Zhang 0.02 more),
+    # 2.9 KiB when the blocks were held per cell
+    for n in (16, 32):
+        space = HHOSpace(build_unit_square(n), 3)
+        Smoother(space, averaging=variant)  # fill the rule caches first
+        tracemalloc.start()
+        try:
+            smoother = Smoother(space, averaging=variant)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        T = space.mesh.num_cells
+        assert held <= 0.75 * 1024 * T, held / T
+        assert smoother.blocks.shape[0] == 27
+
+
 @pytest.mark.parametrize("variant", AVERAGING_VARIANTS)
 @pytest.mark.parametrize("p", [0, 1, 2, 3])
 @FACTOR_MESHES
 def test_conformity_residual_matches_dense_oracle(make, p, variant):
     # the sampled jumps and boundary traces of every column of the dense C
     # and Q, on the smoother and with the C and then the Q columns of the
-    # cell blocks moved
+    # state table moved
     sp = HHOSpace(make(), p)
     sm = Smoother(sp, averaging=variant)
     jump = jump_matrix(sp.mesh, sm.degree)
