@@ -366,7 +366,7 @@ def solve_load(space, load, method="smoothed", averaging="mean", solver="direct"
     against the cell unknowns, `smoothed` evaluates the load on the smoothed
     test functions, one cell block at a time. The right-hand side is
     computed first, so the smoother (per cell a state id and the averaging
-    blocks) is freed before the system is assembled and its face matrix
+    blocks) is freed before the system is assembled and its face system
     factored.
     """
     if method == "classical":
@@ -386,15 +386,14 @@ def _solve_level(case, p, level, method, averaging, quad_extra, solver):
     cell the space holds only a class id and the dof map, with `G` held
     once per geometry class, the smoother a face-state id and the averaging
     blocks, with its blocks held once per combination of face states, and
-    the system the cell rows A_tt of the local blocks and the elimination
-    per class, and the face matrix, into whose face-pair blocks the Schur
-    complements are added one cell block at a time (at p = 3 on a grid
-    about 0.3, 0.3 and 1.4 KiB per cell; on a mesh with one class per cell
-    2.9, 0.3 and 3.1 KiB): the local blocks, the load's values and every
-    other per-cell temporary exist one fixed-size block at a time, so the
-    level's peak is these held tables plus the factor of the face system,
-    which the nested-dissection numbering of the face unknowns and
-    SuperLU's 4-column panel (`SPD_LU`) keep small.
+    the system the cell rows A_tt of the local blocks, the elimination and
+    the Schur complement per class (at p = 3 on a grid about 0.3, 0.3 and
+    0.1 KiB per cell; on a mesh with one class per cell 2.9, 0.3 and 2.9
+    KiB): the local blocks, the load's values and every other per-cell
+    temporary exist one fixed-size block at a time, and no face matrix is
+    assembled, so the level's peak is these held tables plus the face
+    factor, a Cholesky factor on the mesh's dissection tree formed from the
+    class Schur blocks one batch of fronts at a time (`FaceFactor`).
     """
     mesh = case.mesh_for(level)
     space = HHOSpace(mesh, p, quad_extra=quad_extra)
@@ -437,11 +436,11 @@ def run_convergence(case, p, levels, method="smoothed", averaging="mean",
     (every case's mesh grows with its level), and reported in the given
     order. At most one level's space, smoother and system are alive at
     once, and its peak is the held tables of its space (the class ids, the
-    dof map and `G` per geometry class) and system (A_tt and the
-    elimination per class, and the face matrix) plus the face factor in the
-    dissection numbering (`_solve_level`). The smaller levels then run in
-    the memory the largest one has freed, so the study's peak is its
-    largest level's own.
+    dof map and `G` per geometry class) and system (A_tt, the elimination
+    and the Schur complement per class) plus the face factor on the
+    dissection tree (`_solve_level`). The smaller levels then run in the
+    memory the largest one has freed, so the study's peak is its largest
+    level's own.
     """
     check_levels(case, levels)
     solved = {level: _solve_level(case, p, level, method, averaging,

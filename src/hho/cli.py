@@ -8,7 +8,7 @@ flags override the corresponding config keys. All file outputs use '.' as the
 decimal separator and 17 significant digits, and fixed iteration orders make
 reruns byte-identical for a given seed. Exit codes: 0 success, 1 check
 failure, 2 config error, inapplicable method or solver error (CG did not
-converge).
+converge, or the face system is not positive definite).
 """
 
 import argparse

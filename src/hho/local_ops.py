@@ -137,19 +137,24 @@ def checked_values(fn, points, name, gradient=False):
     return vals
 
 
+def _check_mesh(v, mesh):
+    """Refuse a BrokenPoly that does not live on `mesh` (the same vertices
+    and cells): its coefficients are read by cell index."""
+    if v.mesh is not mesh and not (
+        np.array_equal(v.mesh.vertices, mesh.vertices)
+        and np.array_equal(v.mesh.cells, mesh.cells)
+    ):
+        raise ValueError(
+            f"BrokenPoly is defined on another mesh ({v.mesh.num_cells} "
+            f"cells) than the space ({mesh.num_cells} cells)"
+        )
+
+
 def _evaluate(v, mesh, points, cells=slice(None)):
     """Evaluate a callable (vectorized over trailing coordinate axis) or a
-    BrokenPoly at points of `mesh`; a BrokenPoly must live on `mesh` (the
-    same vertices and cells), since its coefficients are read by cell index."""
+    BrokenPoly on `mesh` (`_check_mesh`) at points of `mesh`."""
     if isinstance(v, BrokenPoly):
-        if v.mesh is not mesh and not (
-            np.array_equal(v.mesh.vertices, mesh.vertices)
-            and np.array_equal(v.mesh.cells, mesh.cells)
-        ):
-            raise ValueError(
-                f"BrokenPoly is defined on another mesh ({v.mesh.num_cells} "
-                f"cells) than the space ({mesh.num_cells} cells)"
-            )
+        _check_mesh(v, mesh)
         return v.values_at(points, cells=cells)
     return checked_values(v, points, "function v")
 
@@ -455,13 +460,21 @@ class HHOSpace:
     # -- projections and local operators ----------------------------------
 
     def project_cell(self, v):
-        """L2 projection onto P^p(M), one cell block at a time."""
+        """L2 projection onto P^p(M), one cell block at a time. A BrokenPoly
+        is read from its basis tabulated once at the rule's points, not
+        pulled back from the physical points of every cell."""
         mesh, rule, nc = self.mesh, self.rule_cell_proj, self.nc
         phi = cell_basis_values(self.p, rule.points)
+        if isinstance(v, BrokenPoly):
+            _check_mesh(v, mesh)
+            table = cell_basis_values(v.degree, rule.points)
+            values = lambda pts, cells: v.values_on(table, cells)
+        else:
+            values = lambda pts, cells: _evaluate(v, mesh, pts, cells)
         coeffs = np.empty((mesh.num_cells, nc))
         for cells in cell_blocks(mesh.num_cells):
             pts, w = cell_quadrature(mesh, rule, cells)
-            rhs = (w * _evaluate(v, mesh, pts, cells)) @ phi
+            rhs = (w * values(pts, cells)) @ phi
             coeffs[cells] = np.linalg.solve(self.mass_hat[:nc, :nc], rhs.T).T
         return BrokenPoly(mesh, self.p, coeffs / (2.0 * mesh.volumes[:, None]))
 

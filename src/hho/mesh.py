@@ -20,48 +20,76 @@ def _cross2(a, b):
     return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
 
 
-def _upper_halves(part, coord):
-    """1 for the cells in the upper half of their part along coord, 0 for
-    the lower half (floor(n/2) cells; equal coordinates by cell index)."""
-    order = np.lexsort((coord, part))
-    sizes = np.bincount(part)
-    starts = np.cumsum(sizes) - sizes
-    ranked = part[order]
-    side = np.empty(len(part), dtype=np.int64)
-    side[order] = np.arange(len(part)) - starts[ranked] >= sizes[ranked] // 2
-    return side
+def _split(ranked, upper, first, upper_first):
+    """The cells `ranked` in runs by part, reordered so that each run lists
+    its lower half, then its upper half (the cells marked `upper`), each in
+    the order it had: a stable counting sort. `first` and `upper_first`
+    give, per position, where its run and its run's upper half start."""
+    s = upper[ranked]
+    ones = np.cumsum(s) - s  # upper-half cells before each position
+    d = ones - ones[first]  # ... in the position's run
+    out = np.empty_like(ranked)
+    out[np.where(s, upper_first + d, np.arange(len(s)) - d)] = ranked
+    return out
 
 
 def dissection_order(face_cells, centroids):
     """Nested-dissection elimination order of the faces with the two cells
     `face_cells` (F, 2), as a permutation of range(F), for the cells with
-    the given centroids (T, 2) (George, SINUM 1973).
+    the given centroids (T, 2) (George, SINUM 1973), and its tree.
 
     The cells are split recursively at the median centroid, along the axis
-    whose cut crosses fewer faces of the part (x on a tie). The faces
+    whose cut crosses fewer faces of the part (x on a tie), with floor(n/2)
+    cells in the lower half (equal coordinates by cell index). The faces
     across a cut are its separator and come after every face of both
     halves; a part with at most `DISSECTION_LEAF` faces is a leaf and keeps
     them in the given order. All parts of a level are split at once: each
     face gains one base-3 digit per level (its half, 0 or 1, or 2 once it
-    is placed), and the order sorts these keys.
+    is placed), and the order sorts these keys. The cells are sorted along
+    each axis once and stay in that order within their parts.
+
+    The tree is, for each face in the order, the heap index of the part
+    that places it: the whole mesh is 0, and the lower and upper halves of
+    part i are 2 i + 1 and 2 i + 2. A face's part places it as a separator
+    face or as a leaf face; a part may place no face.
     """
     ends = face_cells.T  # (2, F)
-    part = np.zeros(len(centroids), dtype=np.int64)
+    T = len(centroids)
+    part = np.zeros(T, dtype=np.int64)
     key = np.zeros(ends.shape[1], dtype=np.int64)
+    node = np.zeros(ends.shape[1], dtype=np.int64)
     active = np.ones(ends.shape[1], dtype=bool)  # in a part, not yet placed
+    ranked = [np.argsort(centroids[:, axis], kind="stable") for axis in range(2)]
+    level = 0
     while active.any():
         # a face's cells share its part until the face is placed
-        fpart, nparts = part[ends[0]], part.max() + 1
+        fpart, nparts = part[ends[0]], 1 << level
+        was = active.copy()
         active &= np.bincount(fpart[active], minlength=nparts)[fpart] > DISSECTION_LEAF
-        sides = [_upper_halves(part, centroids[:, axis]) for axis in range(2)]
+        # both orders list the parts in runs of equal sizes, so a position's
+        # run and half are the same along both axes
+        sizes = np.bincount(part, minlength=nparts)
+        first = np.repeat(np.cumsum(sizes) - sizes, sizes)
+        upper_first = first + np.repeat(sizes // 2, sizes)
+        upper = np.arange(T) >= upper_first
+        sides = []
+        for r in ranked:
+            side = np.empty(T, dtype=bool)
+            side[r] = upper
+            sides.append(side)
         cuts = [np.bincount(fpart[active & (s[ends[0]] != s[ends[1]])],
                             minlength=nparts) for s in sides]
         side = np.where((cuts[1] < cuts[0])[part], sides[1], sides[0])
         halves = side[ends]
         active &= halves[0] == halves[1]
+        placed = was & ~active
+        node[placed] = nparts - 1 + fpart[placed]
         key = 3 * key + np.where(active, halves[0], 2)
+        ranked = [_split(r, side, first, upper_first) for r in ranked]
         part = 2 * part + side
-    return np.argsort(key, kind="stable")
+        level += 1
+    order = np.argsort(key, kind="stable")
+    return order, node[order]
 
 
 class MeshError(ValueError):
@@ -100,6 +128,10 @@ class SimplicialMesh:
         ascending ones: the one numbering of the face unknowns.
     face_interior_index : (E,) int array
         Rank within `interior_faces`, -1 for boundary faces.
+    dissection_tree : (Ei,) int array
+        The dissection-tree node that places each face of `interior_faces`,
+        by heap index: 0 is the whole mesh, 2 i + 1 and 2 i + 2 the lower
+        and upper halves of node i. A node's faces follow its descendants'.
     face_local : (E, 2) int array
         Local index of the face in each cell of `face_cells`, -1 where that
         cell is missing.
@@ -193,9 +225,9 @@ class SimplicialMesh:
         self.face_local = np.where(face_slots < 0, -1, face_slots % 3)
 
         centroids = self.vertices[c].mean(axis=1)
-        self.interior_faces = interior[
-            dissection_order(self.face_cells[interior], centroids)
-        ]
+        order, self.dissection_tree = dissection_order(self.face_cells[interior],
+                                                       centroids)
+        self.interior_faces = interior[order]
         self.face_interior_index = np.full(len(keys), -1, dtype=np.int64)
         self.face_interior_index[self.interior_faces] = np.arange(len(interior))
 

@@ -10,9 +10,10 @@ Cell unknowns are eliminated locally (static condensation); the global solve
 acts on interior-face unknowns only. Right-hand sides and solutions are dof
 vectors in the layout of `HHOSpace`: cells by index, then interior faces in
 the mesh's nested-dissection order (`SimplicialMesh.interior_faces`). Every
-matrix is assembled in that one numbering, and every SPD factor is taken as
-numbered (`SPD_LU`): with the cells first, factoring the full matrix is
-static condensation followed by the face factor.
+matrix is assembled in that one numbering. The face system is factored on
+the dissection tree itself (`FaceFactor`), from the class Schur blocks; the
+full matrix and the coercivity check's shifted matrix are factored as
+numbered with SuperLU (`SPD_LU`), an engine independent of the face factor.
 """
 
 from functools import cached_property
@@ -38,13 +39,13 @@ SOLVER_METHODS = ("direct", "cg")
 CG_RTOL = 1e-13
 
 # SuperLU settings for an SPD matrix in the dof numbering: factored as
-# numbered, with the diagonal pivots kept (no row interchanges). `face_lu`,
-# `full_lu` and the coercivity check's shifted factor use them. Besides L
-# and U, SuperLU keeps a working store that grows with `panel_size`, the
-# columns it factors as one panel: about 2 panel_size ints and panel_size
-# doubles per unknown. At 4, not its default 20, the face factor of a
-# p = 3 converge level raises maxrss by 9.0 MB, not 11.0, at level 32 and
-# by 207 MB, not 259, at level 128, in less time at both.
+# numbered, with the diagonal pivots kept (no row interchanges). Only
+# `full_lu` and the coercivity check's shifted factor use them; the face
+# system has its own factor (`FaceFactor`). Besides L and U, SuperLU keeps a
+# working store that grows with `panel_size`, the columns it factors as one
+# panel: about 2 panel_size ints and panel_size doubles per unknown; 4, not
+# its default 20, kept the face factor of a p = 3 converge level 2 MB
+# smaller at level 32 and 52 MB at level 128, in less time at both.
 SPD_LU = dict(permc_spec="NATURAL", diag_pivot_thresh=0.0, panel_size=4,
               options={"SymmetricMode": True})
 
@@ -54,7 +55,8 @@ class MethodNotApplicableError(RuntimeError):
 
 
 class SolverError(RuntimeError):
-    """The iterative solver stopped before reaching its tolerance."""
+    """The face solve failed: CG stopped before reaching its tolerance, or
+    the face factor met a front that is not positive definite."""
 
 
 class LoadFunctional:
@@ -77,35 +79,195 @@ class LoadFunctional:
         return self.g is not None
 
 
+# doubles of fronts, before padding, that `FaceFactor` fills and factors
+# as one batch: at p = 3, level 32 the deepest depth runs in 10 batches
+FRONT_BATCH = 2 ** 16
+
+
+def _ranges(starts, lengths):
+    """The ranges [s, s + l) for each start s and length l, concatenated."""
+    offsets = np.cumsum(lengths) - lengths
+    return np.repeat(starts - offsets, lengths) + np.arange(lengths.sum())
+
+
+def _bounds(labels):
+    """Starts of the runs of equal labels, and the end."""
+    return np.flatnonzero(np.diff(labels, prepend=-1, append=-1))
+
+
+class FaceFactor:
+    """Cholesky factor of the face matrix on the mesh's dissection tree, in
+    multifrontal form (Duff & Reid, ACM TOMS 9, 1983; Liu, SIAM Review 34,
+    1992), formed from the class Schur blocks, not from the face matrix.
+
+    A front is a node of `tree` (each face's node by heap index, as
+    `mesh.dissection_tree`) that places faces. Its rows are the node's
+    faces, its pivots, then the later faces coupled to them, its update
+    set. A cell's face blocks, read from its class's Schur complement in
+    `schur` (C, 3 nf, 3 nf), go to the front of its first face; a front's
+    update F22 - L21 L21^T goes to the front of its nearest ancestor that
+    has one. From the deepest depth up, the fronts of a depth, which are
+    independent, are padded to one size (identity pivots, zero update
+    rows), filled by one scatter and factored together, up to
+    `FRONT_BATCH` doubles of fronts at a time. A batch keeps its rows,
+    L11^{-1} and L21, so `solve` is matrix products. A front with no
+    Cholesky factor raises `SolverError`.
+    """
+
+    def __init__(self, space, schur, tree):
+        nf, Ei, eye = space.nf, len(tree), np.arange(space.nf)
+        self.n = n = Ei * nf
+        faces = space.mesh.face_interior_index[space.mesh.cell_faces]  # (T, 3)
+        # the fronts, deepest first, then by heap index
+        nodes, first, count = np.unique(tree, return_index=True, return_counts=True)
+        depth = np.frexp(nodes + 1)[1] - 1
+        order = np.lexsort((nodes, -depth))
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        first, count, depth = first[order], count[order], depth[order]
+        parent = np.full(len(nodes), -1)  # the nearest ancestor with a front
+        up, todo = (nodes[order] - 1) // 2, np.ones(len(nodes), dtype=bool)
+        while (todo := todo & (up >= 0)).any():
+            at = np.minimum(np.searchsorted(nodes, up), len(nodes) - 1)
+            hit = todo & (nodes[at] == up)
+            parent[hit] = rank[at[hit]]
+            todo &= ~hit
+            up = (up - 1) // 2
+        # a cell goes to the front of its first face (no face: past the last)
+        first_face = np.where(faces >= 0, faces, Ei).min(axis=1)
+        cell_front = np.append(rank[np.searchsorted(nodes, tree)], len(nodes))[first_face]
+        by_front = np.argsort(cell_front, kind="stable")
+        cells_at = np.searchsorted(cell_front[by_front], np.arange(len(nodes) + 1))
+
+        self.batches, pending = [], []  # pending: (update, parent, update faces)
+        depths = _bounds(depth)
+        for a, b in zip(depths[:-1], depths[1:]):
+            # each front's rows, sorted, as front Ei + face: its own faces,
+            # its cells' faces and its children's update faces
+            cs = by_front[cells_at[a]:cells_at[b]]
+            keys = np.unique(np.concatenate(
+                [np.repeat(np.arange(a, b), count[a:b]) * Ei
+                 + _ranges(first[a:b], count[a:b]),
+                 (cell_front[cs, None] * Ei + faces[cs])[faces[cs] >= 0]]
+                + [(p[:, None] * Ei + uf)[uf >= 0] for _, p, uf in pending]))
+            start = np.searchsorted(keys, np.arange(a, b + 1) * Ei)
+            size = np.diff(start)
+            cost = np.cumsum(size ** 2) - size ** 2
+            batches = a + _bounds(cost * nf * nf // FRONT_BATCH)
+            for ca, cb in zip(batches[:-1], batches[1:]):
+                k, P = cb - ca, count[ca:cb]
+                Uf = size[ca - a:cb - a] - P
+                Pm, Um = P.max(), Uf.max()
+                Pn, Mn = Pm * nf, (Pm + Um) * nf
+
+                def add(front, face, blocks):
+                    """Add the blocks (K, m nf, m nf) on the faces (K, m) to
+                    their fronts (K,); a negative face (a boundary face, or
+                    padding) lands on row 0, its block rows being zero."""
+                    r = (np.searchsorted(keys, front[:, None] * Ei + face)
+                         - start[front - a, None])
+                    own = count[front, None]
+                    r = np.maximum(np.where(r < own, r, r - own + Pm), 0)
+                    r = (r[..., None] * nf + eye).reshape(len(r), r.shape[1] * nf)
+                    pos = ((front - ca)[:, None, None] * Mn * Mn
+                           + r[:, :, None] * Mn + r[:, None])
+                    np.add.at(F.ravel(), pos.ravel(), blocks.ravel())
+
+                F = np.zeros((k, Mn, Mn))
+                pad = np.arange(Pn) >= P[:, None] * nf
+                i, j = np.nonzero(pad)
+                F[i, j, j] = 1.0
+                cs = by_front[cells_at[ca]:cells_at[cb]]
+                S = schur[space.cell_class[cs]]
+                inner = np.repeat(faces[cs] >= 0, nf, axis=1)
+                S *= inner[:, :, None] & inner[:, None]
+                add(cell_front[cs], faces[cs], S)
+                for U, p, uf in pending:
+                    s = np.flatnonzero((p >= ca) & (p < cb))
+                    if len(s):
+                        add(p[s], uf[s], U if len(s) == len(U) else U[s])
+                try:
+                    L11 = np.linalg.cholesky(F[:, :Pn, :Pn])
+                except np.linalg.LinAlgError:
+                    raise SolverError(
+                        "the face matrix is not positive definite: a front at "
+                        f"dissection depth {depth[a]} has no Cholesky factor"
+                    ) from None
+                Linv = np.linalg.inv(L11)
+                L21 = F[:, Pn:, :Pn] @ Linv.swapaxes(1, 2)
+                U = F[:, Pn:, Pn:] - L21 @ L21.swapaxes(1, 2)
+                del F
+                uf = np.full((k, Um), -1)
+                held = np.arange(Um) < Uf[:, None]
+                uf[held] = keys[_ranges(start[ca - a:cb - a] + P, Uf)] % Ei
+                upd = np.where(held[..., None], uf[..., None] * nf + eye, n)
+                piv = np.where(pad, n, first[ca:cb, None] * nf + np.arange(Pn))
+                self.batches.append((piv, upd.reshape(k, -1), Linv, L21))
+                # an update is freed once its last parent has taken it
+                pending = [e for e in pending if (e[1] >= cb).any()]
+                pending.append((U, parent[ca:cb], uf))
+
+    def solve(self, b):
+        """The solution x of A x = b for the face matrix A."""
+        x = np.zeros(self.n + 1)  # the last entry: padded rows, kept at 0
+        x[:-1] = b
+        for piv, upd, Linv, L21 in self.batches:
+            y = (Linv @ x[piv][..., None])[..., 0]
+            x[piv] = y
+            np.subtract.at(x, upd.ravel(), (L21 @ y[..., None]).ravel())
+        for piv, upd, Linv, L21 in reversed(self.batches):
+            z = x[piv] - (x[upd][:, None] @ L21)[:, 0]
+            x[piv] = (z[:, None] @ Linv)[:, 0]
+        return x[:-1]
+
+
 class CondensedSystem:
-    """SPD face-unknown system plus the elimination data of each geometry
-    class.
+    """SPD face-unknown system as the elimination data and the Schur
+    complement of each geometry class.
 
     The face unknowns are the face dofs of the `HHOSpace` layout, in the
     mesh's order of the interior faces. The local blocks A_K are formed and
     condensed once per geometry class of the space (`space.class_matrices`,
-    one block of classes at a time), and each cell's Schur complement
-    A_ff - A_ft elim, read from its class, is added into one (nf, nf) block
-    per pair of interior faces sharing the cell, one cell block at a time:
-    the face matrix is the block-sparse sum of these blocks, converted once
-    to CSC. The system keeps the cell rows `A_tt` (C, nc, nc) and the
-    elimination `elim` = A_tt^{-1} A_tf (C, nc, 3 nf) per class, indexed by
-    `space.cell_class`, and the face matrix; no (T, nloc, nloc) or
-    (T, 3 nf, 3 nf) array and no level-sized triplet array exists.
-    `full_matrix` forms the blocks again on first use.
+    one block of classes at a time). The system keeps, per class and
+    indexed by `space.cell_class`, the cell rows `A_tt` (C, nc, nc), the
+    elimination `elim` = A_tt^{-1} A_tf (C, nc, 3 nf) and the Schur
+    complement `schur` = A_ff - A_ft elim (C, 3 nf, 3 nf); no
+    (T, nloc, nloc) or (T, 3 nf, 3 nf) array and no level-sized triplet
+    array exists. The face factor `face_lu` reads the Schur blocks
+    directly. `face_matrix`, which CG and the checks read, and
+    `full_matrix` are assembled on first use.
     """
 
     def __init__(self, space):
         self.space = space
-        mesh, nc, nf = space.mesh, space.nc, space.nf
-        T, Ei = mesh.num_cells, mesh.num_interior_faces
-
+        nc, nf = space.nc, space.nf
         # the face unknowns are the face dofs, negative on boundary faces
         self._face_ids = space.local_dof_ids[:, nc:] - space.num_cell_dofs
-        faces = mesh.face_interior_index[mesh.cell_faces]  # (T, 3)
+        # per block of classes, from the blocks A_K of each class's first
+        # cell: the cell elimination A_tt^{-1} A_tf by factor-and-solve, no
+        # inverse, and the Schur complement
+        C = len(space.class_cells)
+        self.A_tt = np.empty((C, nc, nc))
+        self.elim = np.empty((C, nc, 3 * nf))
+        self.schur = np.empty((C, 3 * nf, 3 * nf))
+        for classes in cell_blocks(C):
+            A = space.class_matrices(classes)
+            self.A_tt[classes] = A[:, :nc, :nc]
+            self.elim[classes] = np.linalg.solve(A[:, :nc, :nc], A[:, :nc, nc:])
+            self.schur[classes] = A[:, nc:, nc:] - A[:, nc:, :nc] @ self.elim[classes]
 
-        # one (nf, nf) block per pair of interior faces sharing a cell; pair
-        # ranks cell K's pair (face i, face j) by face i, then face j
+    @cached_property
+    def face_matrix(self):
+        """The face matrix, CSC, assembled on first use: each cell's Schur
+        block is added into one (nf, nf) block per pair of interior faces
+        sharing the cell, one cell block at a time; an entry sums the blocks
+        of at most two cells (a face's dofs with themselves, from the face's
+        two cells), so its value does not depend on the order."""
+        space = self.space
+        mesh, nf = space.mesh, space.nf
+        T, Ei = mesh.num_cells, mesh.num_interior_faces
+        faces = mesh.face_interior_index[mesh.cell_faces]  # (T, 3)
+        # pair ranks cell K's pair (face i, face j) by face i, then face j
         both = (faces[:, :, None] >= 0) & (faces[:, None, :] >= 0)
         pairs, at = np.unique((faces[:, :, None] * Ei + faces[:, None, :])[both],
                               return_inverse=True)
@@ -113,48 +275,26 @@ class CondensedSystem:
         pair[both] = at
         blocks = np.zeros(len(pairs) * nf * nf)
         entry = np.arange(nf * nf).reshape(nf, nf)
-
-        # per block of classes, from the blocks A_K of each class's first
-        # cell: the cell elimination A_tt^{-1} A_tf by factor-and-solve, no
-        # inverse, and the Schur complement, which the cells of these
-        # classes then add, one cell block at a time; an entry sums the
-        # blocks of at most two cells (a face's dofs with themselves, from
-        # the face's two cells), so its value does not depend on the order
-        C = len(space.class_cells)
-        self.A_tt = np.empty((C, nc, nc))
-        self.elim = np.empty((C, nc, 3 * nf))
-        # the cells sorted by class: a block of classes owns one slice
-        by_class = np.argsort(space.cell_class, kind="stable")
-        ends = np.concatenate([[0], np.cumsum(np.bincount(space.cell_class))])
-        for classes in cell_blocks(C):
-            A = space.class_matrices(classes)
-            self.A_tt[classes] = A[:, :nc, :nc]
-            self.elim[classes] = np.linalg.solve(A[:, :nc, :nc], A[:, :nc, nc:])
-            schur = A[:, nc:, nc:] - A[:, nc:, :nc] @ self.elim[classes]
-            del A
-            members = by_class[ends[classes.start]:ends[classes.stop]]
-            for block in cell_blocks(len(members)):
-                cells = members[block]
-                S = schur[space.cell_class[cells] - classes.start]
-                # block (i, j) of A^T: face i's columns of A by face j's rows
-                keep = both[cells]
-                S = S.reshape(-1, 3, nf, 3, nf).transpose(0, 3, 1, 4, 2)[keep]
-                pos = pair[cells][keep][:, None, None] * nf * nf + entry
-                np.add.at(blocks, pos.ravel(), S.ravel())  # 1-d: numpy's fast path
+        for cells in cell_blocks(T):
+            # block (i, j) of A^T: face i's columns of A by face j's rows
+            keep = both[cells]
+            S = space.gather(self.schur, cells)
+            S = S.reshape(-1, 3, nf, 3, nf).transpose(0, 3, 1, 4, 2)[keep]
+            pos = pair[cells][keep][:, None, None] * nf * nf + entry
+            np.add.at(blocks, pos.ravel(), S.ravel())  # 1-d: numpy's fast path
         # the CSR arrays of A^T are the CSC arrays of A, with int indices that
         # splu takes without a copy (bsr.tocsc would go through COO)
         n = space.num_face_dofs
         ptr = np.searchsorted(pairs // Ei, np.arange(Ei + 1))
         At = sparse.bsr_matrix((blocks.reshape(-1, nf, nf), pairs % Ei, ptr),
                                shape=(n, n)).tocsr()
-        self.face_matrix = sparse.csc_matrix((At.data, At.indices, At.indptr),
-                                             shape=(n, n))
+        return sparse.csc_matrix((At.data, At.indices, At.indptr), shape=(n, n))
 
     @cached_property
     def face_lu(self):
-        """LU factors of the face matrix as numbered (`SPD_LU`), on first
-        use."""
-        return splu(self.face_matrix, **SPD_LU)
+        """Cholesky factor of the face matrix on the mesh's dissection tree
+        (`FaceFactor`), formed on first use from the class Schur blocks."""
+        return FaceFactor(self.space, self.schur, self.space.mesh.dissection_tree)
 
     @cached_property
     def full_matrix(self):
@@ -257,10 +397,13 @@ def solve(system, rhs, method="direct"):
     """Solve via static condensation; return the dof vector.
 
     rhs and the result are in the `HHOSpace` layout, and rhs is not written
-    to. method 'direct' factorizes the condensed SPD matrix once, as
-    numbered, with diagonal pivots (`face_lu`, reused across right-hand
-    sides); 'cg' runs Jacobi-preconditioned conjugate gradients to relative
-    residual `CG_RTOL` = 1e-13. Any other method raises ValueError.
+    to. method 'direct' factors the condensed SPD system once, by Cholesky
+    on the mesh's dissection tree from the class Schur blocks (`face_lu`,
+    reused across right-hand sides), without assembling the face matrix;
+    'cg' runs Jacobi-preconditioned conjugate gradients on `face_matrix` to
+    relative residual `CG_RTOL` = 1e-13. Any other method raises
+    ValueError; a face system that is not positive definite raises
+    `SolverError`.
     """
     if method not in SOLVER_METHODS:
         raise ValueError(f"unknown solver method {method!r}")

@@ -303,6 +303,29 @@ def test_cg_non_convergence_is_one_solver_error_line(tmp_path, capsys, monkeypat
     assert "Traceback" not in err
 
 
+def test_indefinite_face_system_is_one_solver_error_line(tmp_path, capsys,
+                                                        monkeypatch):
+    # every class Schur block negated: the deepest front fails first, with
+    # the exit code of a CG failure
+    import hho.system
+
+    factor_init = hho.system.FaceFactor.__init__
+    monkeypatch.setattr(
+        hho.system.FaceFactor, "__init__",
+        lambda self, space, schur, tree: factor_init(self, space, -schur, tree),
+    )
+    cfg = write_config(tmp_path / "s.json", case="smooth-sine", degree=1, level=4)
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 2
+    tree = get_case("smooth-sine", 1).mesh_for(4).dissection_tree
+    depth = int(tree.max() + 1).bit_length() - 1
+    assert capsys.readouterr().err == (
+        "hho: solver error: the face matrix is not positive definite: a front "
+        f"at dissection depth {depth} has no Cholesky factor\n"
+    )
+    assert not out.exists()
+
+
 def test_solve_cg_non_convergence_is_one_solver_error_line(tmp_path, capsys,
                                                           monkeypatch):
     monkeypatch.setattr(hho.system, "cg", lambda A, b, **kw: (np.zeros_like(b), 1))

@@ -114,12 +114,14 @@ def per_cell_space(monkeypatch, mesh, p):
 
 
 def assert_class_tables_equal(space, per_cell, cells=slice(None)):
-    """The class tables `G`, `A_tt` and `elim` of `space`, gathered to
-    `cells`, equal the per-cell ones bitwise, and so do the face matrices."""
+    """The class tables `G`, `A_tt`, `elim` and `schur` of `space`,
+    gathered to `cells`, equal the per-cell ones bitwise, and so do the face
+    matrices."""
     system, reference = assemble(space), assemble(per_cell)
     for name, tables, want in [("G", space.G, per_cell.G),
                                ("A_tt", system.A_tt, reference.A_tt),
-                               ("elim", system.elim, reference.elim)]:
+                               ("elim", system.elim, reference.elim),
+                               ("schur", system.schur, reference.schur)]:
         assert np.array_equal(tables[space.cell_class[cells]], want[cells]), name
     assert np.array_equal(system.face_matrix.toarray(),
                           reference.face_matrix.toarray())
@@ -369,6 +371,22 @@ def test_broken_poly_on_another_mesh_is_refused(make_mesh, apply):
     bp = HHOSpace(build_unit_square(2), 2).project_cell(sine)
     with pytest.raises(ValueError, match="another mesh"):
         apply(HHOSpace(make_mesh(), 1), bp)
+
+
+def test_project_cell_reads_a_broken_poly_from_one_table(monkeypatch):
+    # the projection reads a BrokenPoly from its basis tabulated once at the
+    # rule's points, and agrees with its values pulled back from the
+    # physical points of every cell (one block: the mesh has 32 cells)
+    sp = HHOSpace(jittered_square(4), 2)
+    bp = HHOSpace(sp.mesh, 3).project_cell(sine)
+    pulled = sp.project_cell(lambda pts: bp.values_at(pts)).coeffs
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("pulled back")
+
+    monkeypatch.setattr(BrokenPoly, "values_at", refuse)
+    got = sp.project_cell(bp).coeffs
+    assert np.abs(got - pulled).max() <= 1e-14 * np.abs(pulled).max()
 
 
 def test_broken_poly_on_an_equal_mesh_is_accepted():

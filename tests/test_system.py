@@ -9,12 +9,21 @@ from scipy.sparse.linalg import splu
 from conftest import hat_profile, jittered_square, sine_f0, single_triangle_mesh
 from hho.analysis import get_case
 from hho.local_ops import HHOSpace
-from hho.mesh import DISSECTION_LEAF, build_lshape, build_unit_square
+from hho.mesh import (
+    DISSECTION_LEAF,
+    build_lshape,
+    build_unit_square,
+    read_mesh_file,
+    write_mesh_file,
+)
 from hho.polyquad import cell_basis_values, cell_quadrature, quad_for_degree
 from hho.smoothing import Smoother, lagrange_interpolant
 from hho.system import (
+    SPD_LU,
+    FaceFactor,
     LoadFunctional,
     MethodNotApplicableError,
+    SolverError,
     assemble,
     residual_inf,
     rhs_classical,
@@ -79,13 +88,14 @@ def _reachable_arrays(root):
 
 def test_assembly_keeps_no_local_matrix():
     # the local blocks A_K exist one block of geometry classes at a time:
-    # after `assemble` the system holds only the cell rows A_tt and the
-    # elimination per class, and the face matrix, and no array of the
-    # system or its space has the shape (T, nloc, nloc). At p = 3 it holds
-    # 1.43 KiB per cell on the grid (2 classes; the face matrix) and 3.14
-    # KiB on the jittered mesh (one class per cell)
-    for mesh, kib_per_cell in [(build_unit_square(16), 1.6),
-                               (jittered_square(16), 4.0)]:
+    # after `assemble` the system holds only the cell rows A_tt, the
+    # elimination and the Schur complement per class, no face matrix, and
+    # no array of the system or its space has the shape (T, nloc, nloc) or
+    # (T, 3 nf, 3 nf). At p = 3 it holds 0.11 KiB per cell on the grid (2
+    # classes; the face dof map) and 2.94 KiB on the jittered mesh (one
+    # class per cell)
+    for mesh, kib_per_cell in [(build_unit_square(16), 0.2),
+                               (jittered_square(16), 3.2)]:
         space = HHOSpace(mesh, 3)
         assemble(space)  # fill the rule and tabulation caches first
         tracemalloc.start()
@@ -99,9 +109,13 @@ def test_assembly_keeps_no_local_matrix():
         C = len(space.class_cells)
         assert system.A_tt.shape == (C, nc, nc)
         assert system.elim.shape == (C, nc, 3 * nf)
+        assert system.schur.shape == (C, 3 * nf, 3 * nf)
+        assert "face_matrix" not in vars(system)
         shapes = {a.shape for a in _reachable_arrays(system)}
-        assert {space.G.shape, system.face_matrix.data.shape} <= shapes
+        assert space.G.shape in shapes
         assert (T, nloc, nloc) not in shapes
+        if C < T:  # with one class per cell the class tables have T rows
+            assert (T, 3 * nf, 3 * nf) not in shapes
 
 
 def test_condensed_matrix_symmetric_spd():
@@ -140,31 +154,35 @@ def test_face_matrix_is_dense_schur_complement_on_jittered_mesh(p):
     assert np.abs(S - schur).max() <= 1e-12 * np.abs(schur).max()
 
 
+def _stored(factor):
+    """Entries a `FaceFactor` stores, padding included: L11^{-1} and L21."""
+    return sum(Linv.size + L21.size for _, _, Linv, L21 in factor.batches)
+
+
 def test_condensed_solve_symmetric_ordering_p3():
-    # the SPD face matrix is factored in its dissection numbering, as
-    # numbered, with diagonal pivots: fewer L+U entries than scipy's default
-    # COLAMD, a symmetric permutation, same residual
+    # the SPD face system is factored on the dissection tree: fewer stored
+    # entries than the L+U of scipy's default COLAMD, same residual
     sp = HHOSpace(build_unit_square(8), 3)
     system = assemble(sp)
     rhs = rhs_classical(sp, LoadFunctional(f0=sine_f0))
     vec = solve(system, rhs)
     assert residual_inf(system, vec, rhs) < 1e-10
-    lu = system.face_lu
-    assert np.array_equal(lu.perm_r, lu.perm_c)
     colamd = splu(system.face_matrix.tocsc())
-    assert lu.L.nnz + lu.U.nnz < colamd.L.nnz + colamd.U.nnz
+    assert _stored(system.face_lu) < colamd.L.nnz + colamd.U.nnz
 
 
 def _recursive_dissection(mesh):
     """The dissection order by plain recursion over the parts, one part at a
-    time, as ranks among the interior faces by ascending index, and the
-    pairs of face sets (the same ranks) of the two halves of every split."""
+    time, as ranks among the interior faces by ascending index, the heap
+    index of the part that places each face (the same ranks), and the pairs
+    of face sets of the two halves of every split."""
     ends = mesh.face_cells[~mesh.boundary_face_mask]
     centroids = mesh.vertices[mesh.cells].mean(axis=1)
-    splits = []
+    splits, node = [], {}
 
-    def order(cells, faces):
+    def order(cells, faces, part):
         if len(faces) <= DISSECTION_LEAF:
+            node.update(dict.fromkeys(faces, part))
             return sorted(faces)
         cuts = []
         for axis in (0, 1):
@@ -176,10 +194,11 @@ def _recursive_dissection(mesh):
         lower_faces = [f for f in faces if f not in cut and ends[f, 0] not in upper]
         upper_faces = [f for f in faces if f not in cut and ends[f, 0] in upper]
         splits.append((lower_faces, upper_faces))
-        return (order([c for c in cells if c not in upper], lower_faces)
-                + order(sorted(upper), upper_faces) + sorted(cut))
+        node.update(dict.fromkeys(cut, part))
+        return (order([c for c in cells if c not in upper], lower_faces, 2 * part + 1)
+                + order(sorted(upper), upper_faces, 2 * part + 2) + sorted(cut))
 
-    return order(list(range(mesh.num_cells)), list(range(len(ends)))), splits
+    return order(list(range(mesh.num_cells)), list(range(len(ends))), 0), node, splits
 
 
 DISSECTION_MESHES = {
@@ -194,9 +213,10 @@ DISSECTION_MESHES = {
 @pytest.mark.parametrize("name", DISSECTION_MESHES)
 def test_dissection_order_is_recursive_bisection(name):
     mesh = DISSECTION_MESHES[name]()
-    want, splits = _recursive_dissection(mesh)
+    want, node, splits = _recursive_dissection(mesh)
     ascending = np.flatnonzero(~mesh.boundary_face_mask)
     assert mesh.interior_faces.tolist() == ascending[want].tolist()
+    assert mesh.dissection_tree.tolist() == [node[f] for f in want]
     Ei = mesh.num_interior_faces
     assert np.array_equal(mesh.face_interior_index[mesh.interior_faces], np.arange(Ei))
     # no face of one half shares a cell with a face of the other half
@@ -247,22 +267,82 @@ def _ascending_faces(space):
     return (faces[:, None] * space.nf + np.arange(space.nf)).ravel()
 
 
-@pytest.mark.parametrize("p", [1, 3])
-@pytest.mark.parametrize("mesh", [jittered_square(4), build_lshape(4)],
-                         ids=["jittered", "lshape"])
-def test_solve_matches_minimum_degree_factor_in_space_order(mesh, p):
-    # the face matrix with the interior faces by ascending index, factored
-    # with the minimum-degree ordering: the same face unknowns as both
-    # solvers
-    sp = HHOSpace(mesh, p)
+def _mesh_file(tmp_path):
+    """A jittered mesh through the node/element file, as `--mesh` reads it."""
+    path = tmp_path / "jittered.msh"
+    write_mesh_file(jittered_square(5, seed=3), path)
+    return read_mesh_file(path)
+
+
+SOLVE_MESHES = {
+    "jittered": lambda tmp_path: jittered_square(4),
+    "lshape": lambda tmp_path: build_lshape(4),
+    "two-triangles": lambda tmp_path: build_unit_square(1),
+    "one-triangle": lambda tmp_path: single_triangle_mesh(),
+    "mesh-file": _mesh_file,
+}
+
+
+@pytest.mark.parametrize("p", [0, 1, 2, 3])
+@pytest.mark.parametrize("mesh", SOLVE_MESHES)
+def test_solve_matches_minimum_degree_factor_in_space_order(mesh, p, tmp_path):
+    # the face matrix factored by SuperLU, as numbered and with the
+    # minimum-degree ordering of the interior faces by ascending index: the
+    # same face unknowns as both solvers; a rerun repeats the direct solve
+    # bit for bit
+    sp = HHOSpace(SOLVE_MESHES[mesh](tmp_path), p)
     system = assemble(sp)
-    back = _ascending_faces(sp)
-    S = system.face_matrix[back][:, back].tocsc()
     rhs = np.random.default_rng(p).standard_normal(sp.num_dofs)
-    want = splu(S, **MMD_LU).solve(system.condense_rhs(rhs)[back])
+    b_f = system.condense_rhs(rhs)
+    if len(b_f):
+        back = _ascending_faces(sp)
+        S = system.face_matrix[back][:, back].tocsc()
+        wants = [splu(S, **MMD_LU).solve(b_f[back]),
+                 splu(system.face_matrix, **SPD_LU).solve(b_f)[back]]
+    else:
+        back, wants = [], [np.zeros(0)]
     for method in ("direct", "cg"):
         got = solve(system, rhs, method)[sp.num_cell_dofs:][back]
-        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        for want in wants:
+            assert np.abs(got - want).max(initial=0.0) <= 1e-12 * np.abs(want).max(initial=0.0)
+    again = solve(assemble(sp), rhs)
+    assert again.tobytes() == solve(system, rhs).tobytes()
+
+
+def _spread(tree):
+    """`tree` with a node that places no face between every node and its
+    parent: the halves b1 b2 ... bd taken from the root to a node become
+    0 b1 0 b2 ... 0 bd."""
+    out = []
+    for node in tree.tolist():
+        path = "".join("0" + b for b in format(node + 1, "b")[1:])
+        out.append((1 << len(path)) - 1 + int(path or "0", 2))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("p", [0, 3])
+def test_front_without_faces_passes_its_updates_to_the_nearest_front(p):
+    # no built-in mesh has a cut that crosses no face: on the spread tree
+    # every front's parent places none, and its updates go to the front two
+    # levels up; the solve still agrees with SuperLU's
+    sp = HHOSpace(jittered_square(4), p)
+    system = assemble(sp)
+    tree = _spread(sp.mesh.dissection_tree)
+    assert not set(((tree[tree > 0] - 1) // 2).tolist()) & set(tree.tolist())
+    b = np.random.default_rng(p).standard_normal(sp.num_face_dofs)
+    want = splu(system.face_matrix, **SPD_LU).solve(b)
+    got = FaceFactor(sp, system.schur, tree).solve(b)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_indefinite_schur_block_is_a_solver_error():
+    # one class's Schur complement, negated, makes a front indefinite
+    sp = HHOSpace(build_unit_square(4), 1)
+    system = assemble(sp)
+    system.schur[0] *= -1.0
+    with pytest.raises(SolverError,
+                       match=r"not positive definite: a front at dissection depth \d+ "):
+        solve(system, np.ones(sp.num_dofs))
 
 
 def test_face_matrix_condition_number_p3_lshape():
@@ -275,12 +355,17 @@ def test_face_matrix_condition_number_p3_lshape():
 
 @pytest.mark.parametrize("case", ["kink-aligned", "corner-singular"])
 def test_dissection_factor_fills_less_than_minimum_degree(case):
+    # the tree factor stores L11^{-1} and L21 per front, padding included:
+    # at most 0.7 of SuperLU's L+U as numbered (0.68 on kink-aligned), and
+    # fewer than the minimum-degree L+U
     sp = HHOSpace(get_case(case, 3).mesh_for(32), 3)
     system = assemble(sp)
     back = _ascending_faces(sp)
     mmd = splu(system.face_matrix[back][:, back].tocsc(), **MMD_LU)
-    lu = system.face_lu
-    assert lu.L.nnz + lu.U.nnz < mmd.L.nnz + mmd.U.nnz
+    numbered = splu(system.face_matrix, **SPD_LU)
+    stored = _stored(system.face_lu)
+    assert stored <= 0.7 * (numbered.L.nnz + numbered.U.nnz)
+    assert stored < mmd.L.nnz + mmd.U.nnz
 
 
 def test_full_factor_is_taken_as_numbered_and_fills_less_than_minimum_degree():
