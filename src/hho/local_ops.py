@@ -670,16 +670,15 @@ def scatter_add(values, ids, size):
 
     The counterpart of :func:`scatter_blocks` for applying blocks to data:
     entries with a negative id are dropped and repeated ids are summed in
-    a fixed order, as one product with the (size, ids.size) 0/1 incidence
-    matrix of ids (one entry per row of values, not per block entry).
+    the order of ids, by one `np.add.at` on flattened positions (1-d:
+    numpy's fast path).
     """
     rest = values.shape[ids.ndim:]
-    flat = ids.ravel()
-    keep = np.flatnonzero(flat >= 0)
-    incidence = sparse.csr_matrix(
-        (np.ones(len(keep)), (flat[keep], keep)), shape=(size, flat.size)
-    )
-    out = incidence @ values.reshape(flat.size, int(np.prod(rest)))
+    m, flat = int(np.prod(rest)), ids.ravel()
+    keep = flat >= 0
+    pos = flat[keep, None] * m + np.arange(m)
+    out = np.zeros(size * m)
+    np.add.at(out, pos.ravel(), values.reshape(flat.size, m)[keep].ravel())
     return out.reshape((size,) + rest)
 
 

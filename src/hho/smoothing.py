@@ -41,7 +41,7 @@ from .polyquad import (
     space_dimension,
     symmetrize,
 )
-from .system import assemble
+from .system import assemble, solve
 
 AVERAGING_VARIANTS = ("mean", "scott-zhang")
 
@@ -539,7 +539,8 @@ def consistency_constant(space, smoother):
     the broken degree-D stiffness, B the matrix of the HHO form b. One
     Lanczos run (ARPACK, default tolerance) finds it from blocks alone, with
     no matrix for D or K: G and the per-cell K give R and its transpose, the
-    smoother's own blocks give S_H, and the factor `full_lu` gives B^{-1}.
+    smoother's own blocks give S_H, and the condensed solve `solve` gives
+    B^{-1}.
     """
     T, n1, n = space.mesh.num_cells, space.n1, space.num_dofs
     K = stiffness_blocks(
@@ -561,7 +562,8 @@ def consistency_constant(space, smoother):
         lam = eigsh(
             LinearOperator((n, n), matvec=normal_op, dtype=float), k=1,
             M=system.full_matrix, which="LA", v0=np.ones(n),
-            Minv=LinearOperator((n, n), matvec=system.full_lu.solve, dtype=float),
+            Minv=LinearOperator((n, n), matvec=lambda x: solve(system, x),
+                                dtype=float),
             return_eigenvectors=False,
         )[0]
     return float(np.sqrt(max(lam, 0.0)))

@@ -10,10 +10,9 @@ Cell unknowns are eliminated locally (static condensation); the global solve
 acts on interior-face unknowns only. Right-hand sides and solutions are dof
 vectors in the layout of `HHOSpace`: cells by index, then interior faces in
 the mesh's nested-dissection order (`SimplicialMesh.interior_faces`). Every
-matrix is assembled in that one numbering. The face system is factored on
-the dissection tree itself (`FaceFactor`), from the class Schur blocks; the
-full matrix and the coercivity check's shifted matrix are factored as
-numbered with SuperLU (`SPD_LU`), an engine independent of the face factor.
+matrix is assembled in that one numbering. The face system, of the HHO
+matrix or of a shift A - sigma H, is factored on the dissection tree itself
+(`FaceFactor`), from the class Schur blocks: the package's one factor.
 """
 
 from functools import cached_property
@@ -37,17 +36,6 @@ SOLVER_METHODS = ("direct", "cg")
 # CG's relative residual: it does not bound the forward error, so CG stops
 # one order below the 1e-12 agreement with the direct solve asked of it
 CG_RTOL = 1e-13
-
-# SuperLU settings for an SPD matrix in the dof numbering: factored as
-# numbered, with the diagonal pivots kept (no row interchanges). Only
-# `full_lu` and the coercivity check's shifted factor use them; the face
-# system has its own factor (`FaceFactor`). Besides L and U, SuperLU keeps a
-# working store that grows with `panel_size`, the columns it factors as one
-# panel: about 2 panel_size ints and panel_size doubles per unknown; 4, not
-# its default 20, kept the face factor of a p = 3 converge level 2 MB
-# smaller at level 32 and 52 MB at level 128, in less time at both.
-SPD_LU = dict(permc_spec="NATURAL", diag_pivot_thresh=0.0, panel_size=4,
-              options={"SymmetricMode": True})
 
 
 class MethodNotApplicableError(RuntimeError):
@@ -223,23 +211,24 @@ class FaceFactor:
 
 class CondensedSystem:
     """SPD face-unknown system as the elimination data and the Schur
-    complement of each geometry class.
+    complement of each geometry class, of the HHO matrix A or its `shift`
+    A - sigma H by the coercivity norm.
 
     The face unknowns are the face dofs of the `HHOSpace` layout, in the
-    mesh's order of the interior faces. The local blocks A_K are formed and
-    condensed once per geometry class of the space (`space.class_matrices`,
-    one block of classes at a time). The system keeps, per class and
-    indexed by `space.cell_class`, the cell rows `A_tt` (C, nc, nc), the
-    elimination `elim` = A_tt^{-1} A_tf (C, nc, 3 nf) and the Schur
-    complement `schur` = A_ff - A_ft elim (C, 3 nf, 3 nf); no
-    (T, nloc, nloc) or (T, 3 nf, 3 nf) array and no level-sized triplet
-    array exists. The face factor `face_lu` reads the Schur blocks
+    mesh's order of the interior faces. The local blocks A_K - sigma H_K
+    are formed and condensed once per geometry class of the space
+    (`space.class_matrices`, `space._class_norm_blocks`, one block of
+    classes at a time). The system keeps, per class and indexed by
+    `space.cell_class`, the cell rows `A_tt` (C, nc, nc), the elimination
+    `elim` = A_tt^{-1} A_tf (C, nc, 3 nf) and the Schur complement
+    `schur` = A_ff - A_ft elim (C, 3 nf, 3 nf); no (T, nloc, nloc) or
+    (T, 3 nf, 3 nf) array and no level-sized triplet array exists. The face factor `face_lu` reads the Schur blocks
     directly. `face_matrix`, which CG and the checks read, and
-    `full_matrix` are assembled on first use.
+    `full_matrix`, which the residuals read, are assembled on first use.
     """
 
-    def __init__(self, space):
-        self.space = space
+    def __init__(self, space, shift=0.0):
+        self.space, self.shift = space, shift
         nc, nf = space.nc, space.nf
         # the face unknowns are the face dofs, negative on boundary faces
         self._face_ids = space.local_dof_ids[:, nc:] - space.num_cell_dofs
@@ -252,6 +241,8 @@ class CondensedSystem:
         self.schur = np.empty((C, 3 * nf, 3 * nf))
         for classes in cell_blocks(C):
             A = space.class_matrices(classes)
+            if shift:
+                A -= shift * space._class_norm_blocks(classes)
             self.A_tt[classes] = A[:, :nc, :nc]
             self.elim[classes] = np.linalg.solve(A[:, :nc, :nc], A[:, :nc, nc:])
             self.schur[classes] = A[:, nc:, nc:] - A[:, nc:, :nc] @ self.elim[classes]
@@ -299,14 +290,12 @@ class CondensedSystem:
     @cached_property
     def full_matrix(self):
         """Uncondensed global matrix, assembled on first use from the local
-        blocks of `space.local_matrices`."""
-        return assemble_bilinear(self.space, self.space.local_matrices())
-
-    @cached_property
-    def full_lu(self):
-        """LU factors of the full matrix as numbered (`SPD_LU`), on first
-        use."""
-        return splu(self.full_matrix.tocsc(), **SPD_LU)
+        blocks of `space.local_matrices`, less `shift` times those of
+        `space.hho_norm_blocks`."""
+        blocks = self.space.local_matrices()
+        if self.shift:
+            blocks -= self.shift * self.space.hho_norm_blocks()
+        return assemble_bilinear(self.space, blocks)
 
     def condense_rhs(self, rhs):
         """Eliminate the cell block of a full rhs vector; rhs is not
@@ -336,9 +325,10 @@ class CondensedSystem:
         return u_t
 
 
-def assemble(space):
-    """Assemble the HHO system with static-condensation data."""
-    return CondensedSystem(space)
+def assemble(space, shift=0.0):
+    """Assemble the HHO system, or its shift A - shift H by the coercivity
+    norm, with static-condensation data."""
+    return CondensedSystem(space, shift)
 
 
 def _load_values(load, name, pts):
@@ -422,9 +412,11 @@ def solve(system, rhs, method="direct"):
 
 
 def solve_full(system, rhs):
-    """Solve the uncondensed system directly with `full_lu`; return the dof
-    vector."""
-    return system.full_lu.solve(rhs)
+    """Solve the uncondensed system by SuperLU, as numbered with diagonal
+    pivots; return the dof vector. No solver path calls it."""
+    lu = splu(system.full_matrix.tocsc(), permc_spec="NATURAL", diag_pivot_thresh=0.0,
+              panel_size=4, options={"SymmetricMode": True})
+    return lu.solve(rhs)
 
 
 def residual_inf(system, vec, rhs):

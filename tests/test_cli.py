@@ -281,6 +281,31 @@ def test_converge_writes_reports(tmp_path):
     assert csv_path.read_bytes() == first
 
 
+def test_no_command_runs_superlu(tmp_path, monkeypatch):
+    # the dissection-tree Cholesky is the one factor engine: verify (the
+    # default suite plus a mesh file), converge and the direct solve all run
+    # with SuperLU's factor routines refused
+    from scipy.sparse.linalg._dsolve import _superlu
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("SuperLU ran")
+
+    for name in ("gstrf", "gssv"):
+        monkeypatch.setattr(_superlu, name, refuse)
+    mesh = tmp_path / "square.mesh"
+    mesh.write_text(SQUARE_MESH)
+    runs = [
+        ("verify", write_config(tmp_path / "v.json"), ["--mesh", str(mesh)]),
+        ("converge", write_config(tmp_path / "c.json", case="kink-aligned",
+                                  degree=3, levels=[4, 8]), []),
+        ("solve", write_config(tmp_path / "s.json", case="corner-singular",
+                               degree=3, level=8), []),
+    ]
+    for command, cfg, extra in runs:
+        out = str(tmp_path / command)
+        assert main([command, "--config", cfg, "--out", out, *extra]) == 0
+
+
 def test_converge_classical_on_divergence_load_is_config_error(tmp_path):
     cfg = write_config(
         tmp_path / "c.json", case="kink-aligned", degree=0, levels=[2, 4],

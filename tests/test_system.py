@@ -19,7 +19,6 @@ from hho.mesh import (
 from hho.polyquad import cell_basis_values, cell_quadrature, quad_for_degree
 from hho.smoothing import Smoother, lagrange_interpolant
 from hho.system import (
-    SPD_LU,
     FaceFactor,
     LoadFunctional,
     MethodNotApplicableError,
@@ -254,9 +253,11 @@ def test_face_matrix_pattern_is_the_face_pairs_sharing_a_cell(name, p):
     assert len(got) == len(set(got)) and set(got) == want
 
 
-# the reference factor: SuperLU's minimum-degree ordering of A^T + A,
-# applied symmetrically, with diagonal pivots
+# the reference factors: SuperLU's minimum-degree ordering of A^T + A,
+# applied symmetrically, and the matrix as numbered, both with diagonal pivots
 MMD_LU = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+              options={"SymmetricMode": True})
+SPD_LU = dict(permc_spec="NATURAL", diag_pivot_thresh=0.0,
               options={"SymmetricMode": True})
 
 
@@ -366,22 +367,6 @@ def test_dissection_factor_fills_less_than_minimum_degree(case):
     stored = _stored(system.face_lu)
     assert stored <= 0.7 * (numbered.L.nnz + numbered.U.nnz)
     assert stored < mmd.L.nnz + mmd.U.nnz
-
-
-def test_full_factor_is_taken_as_numbered_and_fills_less_than_minimum_degree():
-    # cells first, then the faces in dissection order: the full matrix is
-    # factored as numbered, with fewer L+U entries than the minimum-degree
-    # reference on the same matrix with the faces by ascending index
-    sp = HHOSpace(get_case("kink-aligned", 3).mesh_for(32), 3)
-    system = assemble(sp)
-    lu = system.full_lu
-    n = sp.num_dofs
-    assert np.array_equal(lu.perm_r, np.arange(n))
-    assert np.array_equal(lu.perm_c, np.arange(n))
-    back = np.concatenate([np.arange(sp.num_cell_dofs),
-                           sp.num_cell_dofs + _ascending_faces(sp)])
-    mmd = splu(system.full_matrix[back][:, back].tocsc(), **MMD_LU)
-    assert lu.L.nnz + lu.U.nnz < mmd.L.nnz + mmd.U.nnz
 
 
 def test_solvers_leave_the_rhs_unchanged():

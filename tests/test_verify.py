@@ -11,9 +11,10 @@ from conftest import jittered_square, single_triangle_mesh
 from hho.cli import main
 from hho.local_ops import HHOSpace, assemble_bilinear
 from hho.mesh import SimplicialMesh, build_lshape, build_unit_square
-from hho.system import assemble
+from hho.system import SolverError, assemble, solve
 from hho.verify import (
     SHIFT_GAP,
+    TOLERANCES,
     _local_coercivity_bound,
     _min_eigenvalue,
     run_verification,
@@ -132,25 +133,105 @@ def test_bound_above_the_smallest_eigenvalue_falls_back_to_dense(monkeypatch):
 
 
 def test_coercivity_check_factors_only_the_shifted_matrix(monkeypatch):
-    # SuperLU runs only on the shifted matrix; no factor of the system
-    # (`full_lu`, the tree factor `face_lu`) is formed
-    factored = []
-    splu = hho.verify.splu
+    # one tree factor is formed, of the system condensed at the shift, and
+    # no factor of the system itself; the shifted solve inverts the
+    # assembled A - sigma H
+    factored, shifted = [], []
+    face_factor = hho.system.FaceFactor
     monkeypatch.setattr(
-        hho.verify, "splu",
-        lambda M, *a, **kw: factored.append(M) or splu(M, *a, **kw),
+        hho.system, "FaceFactor",
+        lambda space, schur, tree: factored.append(schur)
+        or face_factor(space, schur, tree),
+    )
+    assemble_ = hho.verify.assemble
+    monkeypatch.setattr(
+        hho.verify, "assemble",
+        lambda space, shift=0.0: shifted.append(assemble_(space, shift))
+        or shifted[-1],
     )
     monkeypatch.setattr(hho.verify.dla, "eigh", _raise)
     space = HHOSpace(build_unit_square(4), 1)
     system = assemble(space)
     _min_eigenvalue(system)
-    assert len(factored) == 1
-    assert not {"full_lu", "face_lu"} & set(vars(system))
     bound = _local_coercivity_bound(space, space.local_matrices(),
                                     space.hho_norm_blocks())
     sigma = bound - SHIFT_GAP * abs(bound)
-    shifted = system.full_matrix - sigma * _norm_matrix(space)
-    assert abs(factored[0] - shifted).max() == 0.0
+    assert len(shifted) == 1 and shifted[0].shift == sigma
+    assert len(factored) == 1 and factored[0] is shifted[0].schur
+    assert not {"full_lu", "face_lu"} & set(vars(system))
+    M = system.full_matrix - sigma * _norm_matrix(space)
+    assert abs(shifted[0].full_matrix - M).max() <= 1e-14 * abs(M).max()
+    b = np.random.default_rng(1).standard_normal(space.num_dofs)
+    x = solve(shifted[0], b)
+    assert np.abs(M @ x - b).max() <= 1e-10 * np.abs(b).max()
+
+
+@pytest.mark.parametrize("where", ["cell-block", "schur-complement"])
+def test_shift_that_fails_the_cholesky_certificate_falls_back_to_dense(
+        monkeypatch, where):
+    # a shift above lambda_min leaves A - sigma H indefinite. Above the
+    # smallest eigenvalue of a class's cell pencil (A_tt, H_tt) as well,
+    # that class's (A - sigma H)_tt has no Cholesky factor; between the
+    # two, the cell blocks have one and the face factor of the shifted
+    # Schur complement fails. Either way the dense solve gives the value
+    space = HHOSpace(build_unit_square(4), 1)
+    system = assemble(space)
+    want = _dense_min_eigenvalue(system)
+    classes, nc = np.arange(len(space.class_cells)), space.nc
+    A_tt = space.class_matrices(classes)[:, :nc, :nc]
+    H_tt = space._class_norm_blocks(classes)[:, :nc, :nc]
+    cell_min = min(eigh(a, h, eigvals_only=True)[0] for a, h in zip(A_tt, H_tt))
+    assert 0.0 < want < cell_min
+    sigma = 1.5 * cell_min if where == "cell-block" else 0.5 * (want + cell_min)
+    shifted = assemble(space, shift=sigma)
+    if where == "cell-block":
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(shifted.A_tt)
+    else:
+        np.linalg.cholesky(shifted.A_tt)
+        with pytest.raises(SolverError):
+            shifted.face_lu
+    monkeypatch.setattr(hho.verify, "_local_coercivity_bound",
+                        lambda space, local_blocks, norm_blocks:
+                        sigma / (1.0 - SHIFT_GAP))
+    dense = []
+    eigh_ = hho.verify.dla.eigh
+    monkeypatch.setattr(hho.verify.dla, "eigh",
+                        lambda *a, **kw: dense.append(1) or eigh_(*a, **kw))
+    assert _min_eigenvalue(system) == pytest.approx(want, rel=1e-12)
+    assert len(dense) == 1
+
+
+def _scale_first(system, table):
+    """Scale class 0's `table`, or the first front's stored L21 of the face
+    factor, by 1 + 1e-6."""
+    if table == "L21":
+        L21 = system.face_lu.batches[0][3][0]
+        assert np.abs(L21).max() > 0.0
+        L21 *= 1.0 + 1e-6
+    else:
+        getattr(system, table)[0] *= 1.0 + 1e-6
+
+
+@pytest.mark.parametrize("p, n", [(1, 4), (3, 2)])
+@pytest.mark.parametrize("table", ["schur", "elim", "A_tt", "L21"])
+def test_condensation_check_sees_a_planted_defect(monkeypatch, table, p, n):
+    # the condensed solve's residual in the uncondensed system reads a
+    # relative defect of 1e-6 in any table the condensed solve reads
+    assemble_ = hho.verify.assemble
+
+    def planted(space, shift=0.0):
+        system = assemble_(space, shift)
+        if not shift:
+            _scale_first(system, table)
+        return system
+
+    monkeypatch.setattr(hho.verify, "assemble", planted)
+    report = run_verification(degrees=[p], resolutions=[n], random_fields=2,
+                              variants=("mean",))
+    [check] = [c for c in report["checks"] if c["name"] == "condensation"]
+    assert check["residual"] >= 1e3 * TOLERANCES["condensation"]
+    assert not check["passed"]
 
 
 def test_default_suite_never_takes_the_dense_eigensolve(monkeypatch):
