@@ -637,9 +637,9 @@ class HHOSpace:
         what the element-by-element eigenvalue bound of Fried (J. Sound Vib.
         22, 1972) needs. Like A_K, H_K is formed per class.
         """
-        return self._per_cell(self._class_norm_blocks, slice(None))
+        return self._per_cell(self.class_norm_blocks, slice(None))
 
-    def _class_norm_blocks(self, classes):
+    def class_norm_blocks(self, classes):
         nc, n1, nloc = self.nc, self.n1, self.nloc
         cells = self.class_cells[classes]
         embed = np.eye(n1, nloc)

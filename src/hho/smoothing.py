@@ -12,11 +12,12 @@ the two cells sharing the face; both are 1 at the respective barycenter.
 The smoother is linear and cell-local once the averaging is done, so it
 is kept, from HHO unknowns to broken coefficients of degree 2 + max(p, 1),
 as one dense block [C_K | Q_K] per cell next to the averaging blocks W;
-the block depends only on the states of the cell's faces, so one table of
-the 27 combinations serves every mesh.
-Applying it and its transpose contract that one table, and the conformity
-and orthogonality checks read it directly, per face side and per cell:
-neither check forms a global factor, a jump matrix, W or S_H.
+the block, its cell columns included, depends only on the states of the
+cell's faces, so one table of the 27 combinations serves every mesh.
+Applying it and its transpose contract that one table, one product per cell
+block, and the conformity and orthogonality checks read it directly, per
+face side and per cell: neither check forms a global factor, a jump matrix,
+W or S_H.
 """
 
 import numpy as np
@@ -147,16 +148,16 @@ class Smoother:
     The hat, the trace (taken in K: a is continuous, so both sides of a
     face agree), the face bubble and B_M (zero at p = 0) are reference
     tables, so a block depends only on the states of K's three faces, each
-    its orientation or boundary. The cell columns B_M[:, :nc] are kept
-    once (`cell_columns`, (nD, nc)), the rest once per combination of face
-    states (`blocks`, (27, nD, 3 nf + 3)), and a cell keeps only its state
-    id (`cell_state`, (T,)). These and W are the one description of S_H:
-    `apply_vector` and `apply_transpose` contract them, gathering `blocks`
-    one cell block at a time, `cell_table` joins them into [C_K | Q_K] with
-    global column ids for the two checks, and `matrix` (read by no solver
-    path or check) scatters that table into [C Q] and multiplies it by
-    [I; W]. Per cell the smoother holds only the state id and the
-    averaging blocks and ids (0.29 KiB at p = 3).
+    its orientation or boundary. The whole block [C_K | Q_K] is kept once
+    per combination of face states (`blocks`, (27, nD, nloc + 3)), and a
+    cell keeps only its state id (`cell_state`, (T,)). This table and W
+    are the one description of S_H: `apply_vector` and `apply_transpose`
+    contract it, gathering `blocks` one cell block at a time, one product
+    per block, `cell_table` gathers it with global column ids for the two
+    checks, and `matrix` (read by no solver path or check) scatters that
+    table into [C Q] and multiplies it by [I; W]. Per cell the smoother
+    holds only the state id and the averaging blocks and ids (0.29 KiB at
+    p = 3).
 
     Parameters
     ----------
@@ -221,9 +222,8 @@ class Smoother:
         return np.linalg.inv(corners[:, :3])
 
     def _build_blocks(self, hat):
-        """The shared cell columns of C_K, the rest of [C_K | Q_K] per
-        combination of face states, and each cell's state id, read from
-        ``mesh.face_flips`` and the boundary faces."""
+        """[C_K | Q_K] per combination of face states, and each cell's state
+        id, read from ``mesh.face_flips`` and the boundary faces."""
         space, mesh = self.space, self.space.mesh
         nc, nf, nloc = space.nc, space.nf, space.nloc
         cell_block = self._cell_bubble_block()
@@ -238,20 +238,20 @@ class Smoother:
         # trace residual -tr a
         face_hat = -face_bubble[..., :2] @ (trace @ hat)  # (3, 2, nD, 3)
 
-        # the same in every cell: kept once
-        self.cell_columns = cell_block[:, :nc]
         # a local face is in one of three states, its orientation or 2 on the
         # boundary (no face dofs, no face bubble): per local face and state,
-        # its columns of the block, with the cell's own part on face 0; their
+        # its columns of the block, with the cell's own part (the cell
+        # columns B_M[:, :nc] and the hat re-expansion) on face 0; their
         # sums over the 27 combinations of states are the whole table, and a
         # cell keeps only the id 9 s0 + 3 s1 + s2 of its states
-        face = np.zeros((3, 3, self.nD, nloc - nc + 3))  # state 2 stays zero
+        face = np.zeros((3, 3, self.nD, nloc + 3))  # state 2 stays zero
         for i in range(3):
-            face[i, :2, :, i * nf: (i + 1) * nf] = face_bubble[i, ..., :nf]
+            face[i, :2, :, nc + i * nf: nc + (i + 1) * nf] = face_bubble[i, ..., :nf]
             face[i, :2, :, -3:] = face_hat[i]
+        face[0, ..., :nc] = cell_block[:, :nc]
         face[0, ..., -3:] += left[:, :3] @ hat
         table = face[0, :, None, None] + face[1, None, :, None] + face[2, None, None]
-        self.blocks = table.reshape(27, self.nD, nloc - nc + 3)
+        self.blocks = table.reshape(27, self.nD, nloc + 3)
         interior = mesh.face_interior_index[mesh.cell_faces] >= 0
         state = np.where(interior, mesh.face_flips, 2)  # (T, 3)
         self.cell_state = state @ np.array([9, 3, 1])
@@ -311,7 +311,6 @@ class Smoother:
         """Broken degree-D coefficients of S_H applied to a dof vector, or to
         a (num_dofs, k) block of them: [C_K | Q_K] [x_K; a_K] per cell."""
         space = self.space
-        nc = space.nc
         vec = np.asarray(vec, dtype=float)
         x_loc = space.local_coeffs(vec.reshape(len(vec), -1))  # (T, nloc, k)
         T, k = len(x_loc), x_loc.shape[-1]
@@ -322,11 +321,9 @@ class Smoother:
         nodal = scatter_add(corners, self.avg_ids, self.num_nodes)
         out = np.empty((T, self.nD, k))
         for cells in cell_blocks(T):
-            rest = np.concatenate(
-                [x_loc[cells, nc:], _gather(nodal, self.node_ids[cells])], axis=1)
-            # summed in place: a block-sized temporary fewer
-            out[cells] = self.cell_columns @ x_loc[cells, :nc]
-            out[cells] += self.blocks[self.cell_state[cells]] @ rest
+            x_a = np.concatenate(
+                [x_loc[cells], _gather(nodal, self.node_ids[cells])], axis=1)
+            out[cells] = self.blocks[self.cell_state[cells]] @ x_a
         return out.reshape((T * self.nD,) + vec.shape[1:])
 
     def apply_transpose(self, fvec):
@@ -334,40 +331,33 @@ class Smoother:
         a (T nD, k) block of them: the mirror of :meth:`apply_vector`, without
         forming any global matrix."""
         space = self.space
-        nc, nface = space.nc, space.nloc - space.nc
+        nloc = space.nloc
         fvec = np.asarray(fvec, dtype=float)
         T = space.mesh.num_cells
         Y = fvec.reshape(T, self.nD, -1)
-        Z = np.empty((T, nface + 3, Y.shape[-1]))
+        Z = np.empty((T, nloc + 3, Y.shape[-1]))
         for cells in cell_blocks(T):
             Z[cells] = _t(self.blocks[self.cell_state[cells]]) @ Y[cells]
-        g_nodal = scatter_add(Z[:, nface:], self.node_ids, self.num_nodes)
+        g_nodal = scatter_add(Z[:, nloc:], self.node_ids, self.num_nodes)
         g_r = _t(self.avg_blocks) @ _gather(g_nodal, self.avg_ids)  # (T, n1, k)
-        local = np.empty((T, space.nloc, Y.shape[-1]))
         for cells in cell_blocks(T):
-            local[cells] = _t(space.gather(space.G, cells)) @ g_r[cells]
-        local[:, :nc] += self.cell_columns.T @ Y
-        local[:, nc:] += Z[:, :nface]
-        out = scatter_add(local, space.local_dof_ids, space.num_dofs)
+            Z[cells, :nloc] += _t(space.gather(space.G, cells)) @ g_r[cells]
+        out = scatter_add(Z[:, :nloc], space.local_dof_ids, space.num_dofs)
         return out.reshape((space.num_dofs,) + fvec.shape[1:])
 
     # -- the table [C_K | Q_K] ----------------------------------------------
 
     def cell_table(self, cells=slice(None)):
-        """[C_K | Q_K] (T, nD, nloc + 3) of `cells` (all by default) and its
-        global column ids (T, nloc + 3): the cell's `local_dof_ids`, then its
-        `node_ids` offset by `num_dofs`, -1 where the column does not exist
-        (a boundary face or a boundary vertex)."""
-        space, nc = self.space, self.space.nc
-        state, nodes = self.cell_state[cells], self.node_ids[cells]
-        table = np.empty((len(state), self.nD, space.nloc + 3))
-        table[..., :nc] = self.cell_columns
-        for block in cell_blocks(len(state)):
-            table[block, :, nc:] = self.blocks[state[block]]
+        """[C_K | Q_K] (T, nD, nloc + 3) of `cells` (all by default), gathered
+        from `blocks` by state id, and its global column ids (T, nloc + 3):
+        the cell's `local_dof_ids`, then its `node_ids` offset by
+        `num_dofs`, -1 where the column does not exist (a boundary face or a
+        boundary vertex)."""
+        space, nodes = self.space, self.node_ids[cells]
         ids = np.concatenate(
             [space.local_dof_ids[cells],
              np.where(nodes >= 0, nodes + space.num_dofs, -1)], axis=1)
-        return table, ids
+        return self.blocks[self.cell_state[cells]], ids
 
     @property
     def matrix(self):

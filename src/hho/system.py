@@ -1,10 +1,11 @@
 """Global assembly, load discretizations, static condensation, linear solve.
 
-Two right-hand sides are supported: the classical one integrates an L2 load
-density against the cell unknowns and refuses divergence-form loads (the
-duality is not defined there, a designed failure); the smoothed one evaluates
-the load on the smoothed test functions and accepts any load of the form
-f0 - div g.
+Two right-hand sides are supported, both from the one routine
+`load_moments`, the load's moments on a broken basis: the classical one
+writes the degree-p moments of an L2 load density into the cell unknowns and
+refuses divergence-form loads (the duality is not defined there, a designed
+failure); the smoothed one pulls the moments on the smoother's broken output
+back by S_H^T and accepts any load of the form f0 - div g.
 
 Cell unknowns are eliminated locally (static condensation); the global solve
 acts on interior-face unknowns only. Right-hand sides and solutions are dof
@@ -211,24 +212,25 @@ class FaceFactor:
 
 class CondensedSystem:
     """SPD face-unknown system as the elimination data and the Schur
-    complement of each geometry class, of the HHO matrix A or its `shift`
+    complement of each geometry class, of the HHO matrix A or its shift
     A - sigma H by the coercivity norm.
 
     The face unknowns are the face dofs of the `HHOSpace` layout, in the
     mesh's order of the interior faces. The local blocks A_K - sigma H_K
     are formed and condensed once per geometry class of the space
-    (`space.class_matrices`, `space._class_norm_blocks`, one block of
+    (`space.class_matrices`, `space.class_norm_blocks`, one block of
     classes at a time). The system keeps, per class and indexed by
     `space.cell_class`, the cell rows `A_tt` (C, nc, nc), the elimination
     `elim` = A_tt^{-1} A_tf (C, nc, 3 nf) and the Schur complement
     `schur` = A_ff - A_ft elim (C, 3 nf, 3 nf); no (T, nloc, nloc) or
-    (T, 3 nf, 3 nf) array and no level-sized triplet array exists. The face factor `face_lu` reads the Schur blocks
-    directly. `face_matrix`, which CG and the checks read, and
-    `full_matrix`, which the residuals read, are assembled on first use.
+    (T, 3 nf, 3 nf) array and no level-sized triplet array exists. The
+    face factor `face_factor` reads the Schur blocks directly.
+    `face_matrix`, which CG reads, and `full_matrix`, the unshifted A that
+    the residuals read, are assembled on first use.
     """
 
     def __init__(self, space, shift=0.0):
-        self.space, self.shift = space, shift
+        self.space = space
         nc, nf = space.nc, space.nf
         # the face unknowns are the face dofs, negative on boundary faces
         self._face_ids = space.local_dof_ids[:, nc:] - space.num_cell_dofs
@@ -242,7 +244,7 @@ class CondensedSystem:
         for classes in cell_blocks(C):
             A = space.class_matrices(classes)
             if shift:
-                A -= shift * space._class_norm_blocks(classes)
+                A -= shift * space.class_norm_blocks(classes)
             self.A_tt[classes] = A[:, :nc, :nc]
             self.elim[classes] = np.linalg.solve(A[:, :nc, :nc], A[:, :nc, nc:])
             self.schur[classes] = A[:, nc:, nc:] - A[:, nc:, :nc] @ self.elim[classes]
@@ -282,20 +284,16 @@ class CondensedSystem:
         return sparse.csc_matrix((At.data, At.indices, At.indptr), shape=(n, n))
 
     @cached_property
-    def face_lu(self):
+    def face_factor(self):
         """Cholesky factor of the face matrix on the mesh's dissection tree
         (`FaceFactor`), formed on first use from the class Schur blocks."""
         return FaceFactor(self.space, self.schur, self.space.mesh.dissection_tree)
 
     @cached_property
     def full_matrix(self):
-        """Uncondensed global matrix, assembled on first use from the local
-        blocks of `space.local_matrices`, less `shift` times those of
-        `space.hho_norm_blocks`."""
-        blocks = self.space.local_matrices()
-        if self.shift:
-            blocks -= self.shift * self.space.hho_norm_blocks()
-        return assemble_bilinear(self.space, blocks)
+        """Uncondensed global matrix A, assembled on first use from the local
+        blocks of `space.local_matrices`, whatever the shift."""
+        return assemble_bilinear(self.space, self.space.local_matrices())
 
     def condense_rhs(self, rhs):
         """Eliminate the cell block of a full rhs vector; rhs is not
@@ -331,56 +329,54 @@ def assemble(space, shift=0.0):
     return CondensedSystem(space, shift)
 
 
-def _load_values(load, name, pts):
-    """load.f0 or load.g at the points (T, Q, 2), checked before use.
+def load_moments(space, load, degree):
+    """Moments <f, phi> = int f0 phi + int g . grad phi (T, n) of the load
+    against the broken basis of `degree`, on the load rule (reference
+    tables; g is mapped to J^{-1} g), one cell block at a time: the points,
+    f0, g and their moments exist for one block only.
 
-    f0 must return shape (T, Q) and g shape (T, Q, 2), all values finite.
+    f0 must return shape (T, Q) and g shape (T, Q, 2) at the points
+    (T, Q, 2), all values finite.
     """
-    return checked_values(getattr(load, name), pts, f"load {name}",
-                          gradient=name == "g")
+    rule = space.rule_cell_load
+    values = cell_basis_values(degree, rule.points)
+    if load.g is not None:
+        grads = cell_basis_gradients(degree, rule.points)
+    out = np.zeros((space.mesh.num_cells, values.shape[1]))
+    for cells in cell_blocks(space.mesh.num_cells):
+        pts, w = cell_quadrature(space.mesh, rule, cells)
+        if load.f0 is not None:
+            out[cells] += (w * checked_values(load.f0, pts, "load f0")) @ values
+        if load.g is not None:
+            wg = w[..., None] * checked_values(load.g, pts, "load g", gradient=True)
+            out[cells] += gradient_moments(space.mesh, grads, wg, cells)
+    return out
 
 
 def rhs_classical(space, load):
-    """Right-hand side of the classical method: int f0 sigma_M.
+    """Right-hand side of the classical method: the degree-p `load_moments`
+    int f0 sigma_M in the cell unknowns, zero face entries.
 
-    Face-basis entries are zero. Divergence-form loads are rejected: the
-    classical duality cannot be extended to them.
+    Divergence-form loads are rejected: the classical duality cannot be
+    extended to them.
     """
     if load.has_divergence_part:
         raise MethodNotApplicableError(
             "classical right-hand side is undefined for divergence-form loads; "
             "use the smoothed method"
         )
-    rule = space.rule_cell_load
-    pts, w = cell_quadrature(space.mesh, rule)
-    wf = w * _load_values(load, "f0", pts)
     rhs = np.zeros(space.num_dofs)
-    space.split(rhs)[0][:] = wf @ cell_basis_values(space.p, rule.points)
+    space.split(rhs)[0][:] = load_moments(space, load, space.p)
     return rhs
 
 
 def rhs_smoothed(space, smoother, load):
-    """Right-hand side of the smoothed method: <f, S_H sigma>.
-
-    The load functional is evaluated on the broken basis underlying the
-    smoother output (against reference tables; the divergence part g is
-    mapped to J^{-1} g), one cell block at a time: the points, f0, g and
-    their moments exist for one block only. The moments (T, nD) are pulled
-    back by S_H^T, applied block by block without forming any smoother
-    matrix.
-    """
-    rule = space.rule_cell_load
-    values = cell_basis_values(smoother.degree, rule.points)
-    grads = cell_basis_gradients(smoother.degree, rule.points)
-    fvec = np.zeros((space.mesh.num_cells, smoother.nD))
-    for cells in cell_blocks(space.mesh.num_cells):
-        pts, w = cell_quadrature(space.mesh, rule, cells)
-        if load.f0 is not None:
-            fvec[cells] += (w * _load_values(load, "f0", pts)) @ values
-        if load.g is not None:
-            wg = w[..., None] * _load_values(load, "g", pts)
-            fvec[cells] += gradient_moments(space.mesh, grads, wg, cells)
-    return smoother.apply_transpose(fvec.ravel())
+    """Right-hand side of the smoothed method: <f, S_H sigma>, the
+    degree-D `load_moments` (T, nD) on the broken basis underlying the
+    smoother output, pulled back by S_H^T block by block without forming
+    any smoother matrix."""
+    moments = load_moments(space, load, smoother.degree)
+    return smoother.apply_transpose(moments.ravel())
 
 
 def solve(system, rhs, method="direct"):
@@ -388,7 +384,7 @@ def solve(system, rhs, method="direct"):
 
     rhs and the result are in the `HHOSpace` layout, and rhs is not written
     to. method 'direct' factors the condensed SPD system once, by Cholesky
-    on the mesh's dissection tree from the class Schur blocks (`face_lu`,
+    on the mesh's dissection tree from the class Schur blocks (`face_factor`,
     reused across right-hand sides), without assembling the face matrix;
     'cg' runs Jacobi-preconditioned conjugate gradients on `face_matrix` to
     relative residual `CG_RTOL` = 1e-13. Any other method raises
@@ -401,7 +397,7 @@ def solve(system, rhs, method="direct"):
     if system.space.num_face_dofs == 0:
         u_f = np.zeros(0)
     elif method == "direct":
-        u_f = system.face_lu.solve(b_f)
+        u_f = system.face_factor.solve(b_f)
     else:
         M = sparse.diags(1.0 / system.face_matrix.diagonal())
         u_f, info = cg(system.face_matrix, b_f, rtol=CG_RTOL, atol=0.0, M=M,

@@ -224,7 +224,7 @@ def _min_eigenvalue(system):
         try:
             shifted = assemble(space, shift=sigma)
             np.linalg.cholesky(shifted.A_tt)
-            shifted.face_lu  # factored now: its success is the certificate
+            shifted.face_factor  # factored now: its success is the certificate
         except (np.linalg.LinAlgError, SolverError):
             pass
         else:

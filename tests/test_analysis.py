@@ -3,9 +3,13 @@ import json
 import numpy as np
 import pytest
 
+import hho.analysis
+import hho.local_ops
+import hho.system
 from conftest import jittered_square, sine, sine_grad
 from hho.analysis import (
     CASES,
+    METHODS,
     REPORT_COLUMNS,
     PiecewisePolyFunction,
     best_error_h1,
@@ -19,8 +23,9 @@ from hho.analysis import (
     run_convergence,
     smooth_sine_case,
     solve_load,
+    supercloseness,
 )
-from hho.local_ops import BrokenPoly, HHOSpace
+from hho.local_ops import CELL_BLOCK, BrokenPoly, HHOSpace
 from hho.mesh import build_unit_square
 from hho.polyquad import cell_quadrature, quad_for_degree
 from hho.smoothing import Smoother, lagrange_interpolant
@@ -387,3 +392,30 @@ def test_supercloseness_column_decays_faster():
     super_rate = eoc(rep.column("e_super"), hs)[-1]
     energy_rate = eoc(rep.energy_errors(), hs)[-1]
     assert super_rate - energy_rate >= 0.8
+
+
+@pytest.mark.parametrize("p", [0, 3])
+def test_no_load_or_error_evaluation_covers_more_than_a_cell_block(monkeypatch, p):
+    # the load and the error integrands are evaluated one block of
+    # CELL_BLOCK cells at a time: on 2,048 cells (8 blocks) no cell
+    # quadrature of the space, of either right-hand side, of the solve or
+    # of the four error functions covers more cells
+    covered = []
+
+    def recorded(mesh, rule, cells=slice(None)):
+        pts, w = cell_quadrature(mesh, rule, cells)
+        covered.append(len(w))
+        return pts, w
+
+    for module in (hho.system, hho.analysis, hho.local_ops):
+        monkeypatch.setattr(module, "cell_quadrature", recorded)
+    case = get_case("smooth-sine", p)
+    space = HHOSpace(build_unit_square(32), p)
+    for method in METHODS:
+        vec = solve_load(space, case.load, method)
+        error_h1_broken(space, case.grad_u, vec)
+        error_l2(space, case.u, vec)
+        supercloseness(space, case.u, vec)
+        best_error_h1(space, case.u, case.grad_u)
+    assert space.mesh.num_cells == 8 * CELL_BLOCK
+    assert covered and max(covered) <= CELL_BLOCK, max(covered)

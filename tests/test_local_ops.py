@@ -256,19 +256,21 @@ def test_cell_blocks_do_not_change_the_results(monkeypatch, p):
         assert np.allclose(blocked_errors, errors, rtol=0.0, atol=1e-14)
 
 
+@pytest.mark.parametrize("p", [0, 1, 2, 3])
 @pytest.mark.parametrize("work", ["space", "best_error_h1"])
-def test_transient_memory_does_not_grow_with_the_cell_count(work):
-    # p = 3: per-cell work runs in fixed-size cell blocks, so the tracemalloc
+def test_transient_memory_does_not_grow_with_the_cell_count(work, p):
+    # per-cell work runs in fixed-size cell blocks, so the tracemalloc
     # transient (peak minus held) of the build and of the best error stays
-    # flat from 512 to 2048 cells (it grew 4x when every temporary had one
-    # row per cell)
+    # flat from 512 to 2048 cells at every degree (at p = 3 it grew 4x when
+    # every temporary had one row per cell; at p = 0 a class key formed
+    # over the whole mesh at once grows the build's 4x)
     case = kink_aligned_case()
 
     def transient(n):
         mesh = build_unit_square(n)
-        space = HHOSpace(mesh, 3)
+        space = HHOSpace(mesh, p)
         run = {
-            "space": lambda: HHOSpace(mesh, 3),
+            "space": lambda: HHOSpace(mesh, p),
             "best_error_h1": lambda: best_error_h1(space, case.u, case.grad_u),
         }[work]
         run()  # fill the rule caches first

@@ -770,22 +770,19 @@ def dense_scatter(blocks, row_ids, col_ids, shape):
 def planted_defects(sm, rng):
     """(name, copy of sm with its C or its Q columns moved by O(1), the
     dense moves (dC, dQ) of the two factors, whether the move enters a
-    factor on this mesh): first the C columns (the shared cell columns and
-    the face columns of each face state in the state table), then the Q
-    columns of each face state. A cell's move is its state's. The single
-    triangle has no interior vertex, so its Q columns enter no factor."""
+    factor on this mesh): first the C columns (the cell and face columns),
+    then the Q columns of each face state in the state table. A cell's move
+    is its state's. The single triangle has no interior vertex, so its Q
+    columns enter no factor."""
     sp = sm.space
-    T, nD, nc, nloc = sp.mesh.num_cells, sm.nD, sp.nc, sp.nloc
+    T, nD = sp.mesh.num_cells, sm.nD
     rows = np.arange(T)[:, None] * nD + np.arange(nD)
-    cell = rng.standard_normal(sm.cell_columns.shape)
-    face = rng.standard_normal((len(sm.blocks), nD, nloc - nc))
+    noise = rng.standard_normal((len(sm.blocks), nD, sp.nloc))
     defect = copy.copy(sm)
-    defect.cell_columns = sm.cell_columns + cell
     defect.blocks = sm.blocks.copy()
-    defect.blocks[..., :-3] += face
-    noise = np.concatenate([np.broadcast_to(cell, (T, nD, nc)),
-                            face[sm.cell_state]], axis=2)
-    move = dense_scatter(noise, rows, sp.local_dof_ids, (T * nD, sp.num_dofs))
+    defect.blocks[..., :-3] += noise
+    move = dense_scatter(noise[sm.cell_state], rows, sp.local_dof_ids,
+                         (T * nD, sp.num_dofs))
     yield "C", defect, (move, 0.0), True
     noise = rng.standard_normal((len(sm.blocks), nD, 3))
     defect = copy.copy(sm)
@@ -897,13 +894,14 @@ def state_table_oracle(sm):
     lambda: build_lshape(2), single_triangle_mesh,
 ], ids=["square", "jittered", "lshape", "single"])
 def test_cell_table_matches_per_cell_state_oracle(make, p, variant):
-    # the state table holds the 27 combinations of face states whatever the
-    # number of cells; each cell's row of it, gathered by its state id, is
-    # bitwise the block built for that cell alone
+    # the state table holds the whole [C_K | Q_K] of the 27 combinations of
+    # face states whatever the number of cells; each cell's row of it,
+    # gathered by its state id, is bitwise the block built for that cell
+    # alone (the cell columns enter the sum over the faces as x + 0 + 0)
     sm = Smoother(HHOSpace(make(), p), averaging=variant)
     sp = sm.space
     T = sp.mesh.num_cells
-    assert sm.blocks.shape == (27, sm.nD, 3 * sp.nf + 3)
+    assert sm.blocks.shape == (27, sm.nD, sp.nloc + 3)
     assert sm.cell_state.shape == (T,)
     table, ids = sm.cell_table()
     assert np.array_equal(table, state_table_oracle(sm))
@@ -917,10 +915,10 @@ def test_cell_table_matches_per_cell_state_oracle(make, p, variant):
     lambda: build_lshape(1),
 ], ids=["square", "jittered", "lshape"])
 def test_state_table_reads_are_equal_over_cell_blocks(monkeypatch, make, p):
-    # apply_vector, apply_transpose and cell_table gather the state table
-    # one block of CELL_BLOCK cells at a time; with blocks of 5 (the last
-    # one partial: two of the 32 grid cells, one of the 6 L-shape cells)
-    # each equals its result on one block bitwise. The smoothed load is
+    # apply_vector and apply_transpose gather the state table one block of
+    # CELL_BLOCK cells at a time, one product per block; with blocks of 5
+    # (the last one partial: two of the 32 grid cells, one of the 6 L-shape
+    # cells) each, and cell_table, equals its result on one block bitwise. The smoothed load is
     # evaluated per block too, but its moments are one matrix product per
     # block, and OpenBLAS rounds a row of a small product by its place in
     # the block: it agrees to round-off at any block size (bitwise at the

@@ -167,7 +167,7 @@ def test_condensed_solve_symmetric_ordering_p3():
     vec = solve(system, rhs)
     assert residual_inf(system, vec, rhs) < 1e-10
     colamd = splu(system.face_matrix.tocsc())
-    assert _stored(system.face_lu) < colamd.L.nnz + colamd.U.nnz
+    assert _stored(system.face_factor) < colamd.L.nnz + colamd.U.nnz
 
 
 def _recursive_dissection(mesh):
@@ -364,7 +364,7 @@ def test_dissection_factor_fills_less_than_minimum_degree(case):
     back = _ascending_faces(sp)
     mmd = splu(system.face_matrix[back][:, back].tocsc(), **MMD_LU)
     numbered = splu(system.face_matrix, **SPD_LU)
-    stored = _stored(system.face_lu)
+    stored = _stored(system.face_factor)
     assert stored <= 0.7 * (numbered.L.nnz + numbered.U.nnz)
     assert stored < mmd.L.nnz + mmd.U.nnz
 
