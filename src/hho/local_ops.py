@@ -30,8 +30,8 @@ of cells may be processed concurrently.
 """
 
 import numpy as np
-from scipy import sparse
 
+from . import lazy_module
 from .polyquad import (
     MAX_DEGREE,
     UnsupportedDegreeError,
@@ -46,6 +46,8 @@ from .polyquad import (
     space_dimension,
     symmetrize,
 )
+
+sparse = lazy_module("scipy.sparse")
 
 P_MAX = 3
 

@@ -21,9 +21,8 @@ W or S_H.
 """
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import LinearOperator, eigsh
 
+from . import lazy_module
 from .local_ops import (
     BrokenPoly,
     _gather,
@@ -43,6 +42,9 @@ from .polyquad import (
     symmetrize,
 )
 from .system import assemble, solve
+
+sparse = lazy_module("scipy.sparse")
+sla = lazy_module("scipy.sparse.linalg")
 
 AVERAGING_VARIANTS = ("mean", "scott-zhang")
 
@@ -549,11 +551,11 @@ def consistency_constant(space, smoother):
     if n == 1:  # too few dofs for ARPACK: the pencil is 1 x 1
         lam = normal_op(np.ones(1))[0, 0] / system.full_matrix[0, 0]
     else:
-        lam = eigsh(
-            LinearOperator((n, n), matvec=normal_op, dtype=float), k=1,
+        lam = sla.eigsh(
+            sla.LinearOperator((n, n), matvec=normal_op, dtype=float), k=1,
             M=system.full_matrix, which="LA", v0=np.ones(n),
-            Minv=LinearOperator((n, n), matvec=lambda x: solve(system, x),
-                                dtype=float),
+            Minv=sla.LinearOperator((n, n), matvec=lambda x: solve(system, x),
+                                    dtype=float),
             return_eigenvectors=False,
         )[0]
     return float(np.sqrt(max(lam, 0.0)))

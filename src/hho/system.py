@@ -19,9 +19,8 @@ matrix or of a shift A - sigma H, is factored on the dissection tree itself
 from functools import cached_property
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import cg, splu
 
+from . import lazy_module
 from .local_ops import (
     _gather,
     assemble_bilinear,
@@ -31,6 +30,8 @@ from .local_ops import (
 )
 from .polyquad import cell_basis_gradients, cell_basis_values, cell_quadrature
 
+sparse = lazy_module("scipy.sparse")
+sla = lazy_module("scipy.sparse.linalg")
 
 SOLVER_METHODS = ("direct", "cg")
 
@@ -225,12 +226,13 @@ class CondensedSystem:
     `schur` = A_ff - A_ft elim (C, 3 nf, 3 nf); no (T, nloc, nloc) or
     (T, 3 nf, 3 nf) array and no level-sized triplet array exists. The
     face factor `face_factor` reads the Schur blocks directly.
-    `face_matrix`, which CG reads, and `full_matrix`, the unshifted A that
-    the residuals read, are assembled on first use.
+    `face_matrix`, which CG reads, and `full_matrix`, the A that the
+    residuals read, are assembled on first use; a shifted system has no
+    `full_matrix`.
     """
 
     def __init__(self, space, shift=0.0):
-        self.space = space
+        self.space, self.shift = space, shift
         nc, nf = space.nc, space.nf
         # the face unknowns are the face dofs, negative on boundary faces
         self._face_ids = space.local_dof_ids[:, nc:] - space.num_cell_dofs
@@ -292,7 +294,11 @@ class CondensedSystem:
     @cached_property
     def full_matrix(self):
         """Uncondensed global matrix A, assembled on first use from the local
-        blocks of `space.local_matrices`, whatever the shift."""
+        blocks of `space.local_matrices`. A shifted system raises
+        ValueError: its solve is of A - shift H, not of A."""
+        if self.shift:
+            raise ValueError(f"the system is shifted by {self.shift}: its "
+                             "full_matrix would not be the matrix it solves")
         return assemble_bilinear(self.space, self.space.local_matrices())
 
     def condense_rhs(self, rhs):
@@ -400,8 +406,8 @@ def solve(system, rhs, method="direct"):
         u_f = system.face_factor.solve(b_f)
     else:
         M = sparse.diags(1.0 / system.face_matrix.diagonal())
-        u_f, info = cg(system.face_matrix, b_f, rtol=CG_RTOL, atol=0.0, M=M,
-                       maxiter=20 * max(len(b_f), 1))
+        u_f, info = sla.cg(system.face_matrix, b_f, rtol=CG_RTOL, atol=0.0, M=M,
+                           maxiter=20 * max(len(b_f), 1))
         if info != 0:
             raise SolverError(f"CG failed to converge (info={info})")
     return np.concatenate([system.recover_cells(rhs, u_f).ravel(), u_f])
@@ -410,8 +416,8 @@ def solve(system, rhs, method="direct"):
 def solve_full(system, rhs):
     """Solve the uncondensed system by SuperLU, as numbered with diagonal
     pivots; return the dof vector. No solver path calls it."""
-    lu = splu(system.full_matrix.tocsc(), permc_spec="NATURAL", diag_pivot_thresh=0.0,
-              panel_size=4, options={"SymmetricMode": True})
+    lu = sla.splu(system.full_matrix.tocsc(), permc_spec="NATURAL",
+                  diag_pivot_thresh=0.0, panel_size=4, options={"SymmetricMode": True})
     return lu.solve(rhs)
 
 

@@ -9,9 +9,8 @@ given seed.
 import os
 
 import numpy as np
-from scipy import linalg as dla
-from scipy.sparse.linalg import LinearOperator, eigsh
 
+from . import lazy_module
 from .analysis import poly_consistency_case, smooth_sine_case
 from .local_ops import HHOSpace, assemble_bilinear
 from .mesh import (
@@ -28,6 +27,9 @@ from .smoothing import (
     orthogonality_residual,
 )
 from .system import SolverError, assemble, residual_inf, rhs_smoothed, solve
+
+dla = lazy_module("scipy.linalg")
+sla = lazy_module("scipy.sparse.linalg")
 
 TOLERANCES = {
     "mesh-matching": 0.0,
@@ -228,9 +230,10 @@ def _min_eigenvalue(system):
         except (np.linalg.LinAlgError, SolverError):
             pass
         else:
-            op = LinearOperator((n, n), matvec=lambda x: solve(shifted, x), dtype=float)
-            return float(eigsh(A, k=1, M=H, sigma=sigma, OPinv=op,
-                               v0=np.ones(n), return_eigenvectors=False)[0])
+            op = sla.LinearOperator((n, n), matvec=lambda x: solve(shifted, x),
+                                    dtype=float)
+            return float(sla.eigsh(A, k=1, M=H, sigma=sigma, OPinv=op,
+                                   v0=np.ones(n), return_eigenvectors=False)[0])
     return float(dla.eigh(A.toarray(), H.toarray(), eigvals_only=True,
                           subset_by_index=[0, 0])[0])
 

@@ -1,6 +1,8 @@
 import inspect
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -306,6 +308,81 @@ def test_no_command_runs_superlu(tmp_path, monkeypatch):
         assert main([command, "--config", cfg, "--out", out, *extra]) == 0
 
 
+def run_fresh(code, *args):
+    """Run `code` in a fresh interpreter that imports hho from this tree;
+    return the JSON object it prints."""
+    src = os.path.dirname(os.path.dirname(hho.cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env,
+                         check=True, capture_output=True, text=True, timeout=120)
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+SCIPY_RUN = """\
+import json, sys, types
+import hho.cli
+
+def loaded():  # scipy modules whose code ran; a lazy one is a _LazyModule
+    return sorted(n for n, m in sys.modules.items()
+                  if n.split(".")[0] == "scipy" and type(m) is types.ModuleType)
+
+def run(command, i):
+    return hho.cli.main([command, "--config", sys.argv[i],
+                         "--out", f"{sys.argv[1]}/out{i}"])
+
+codes = [run("converge", 2), run("solve", 3)]
+before = {"lib": "scipy._lib" in sys.modules, "loaded": loaded()}
+codes += [run("verify", 4), run("solve", 5)]
+print(json.dumps({"codes": codes, "before": before, "after": loaded()}))
+"""
+
+
+def test_converge_and_direct_solve_run_no_scipy_code(tmp_path):
+    # scipy's modules are registered lazily: converge (the benchmark's p = 3
+    # kink study at small levels) and the direct solve run no scipy code,
+    # and verify and CG load it in the same interpreter afterwards
+    configs = [
+        write_config(tmp_path / "c.json", case="kink-aligned", degree=3,
+                     levels=[4, 8], method="smoothed", averaging="scott-zhang"),
+        write_config(tmp_path / "s.json", case="corner-singular", degree=3, level=4),
+        write_config(tmp_path / "v.json", degrees=[1], resolutions=[2]),
+        write_config(tmp_path / "g.json", case="corner-singular", degree=3,
+                     level=4, solver={"method": "cg"}),
+    ]
+    report = run_fresh(SCIPY_RUN, tmp_path, *configs)
+    assert report["codes"] == [0, 0, 0, 0]
+    assert report["before"] == {"lib": False, "loaded": []}
+    assert {"scipy.linalg", "scipy.sparse.linalg"} <= set(report["after"])
+    direct, cg = (np.genfromtxt(tmp_path / f"out{i}" / "solution.csv", delimiter=",",
+                                names=True)["value"] for i in (3, 5))
+    assert np.abs(direct - cg).max() <= 1e-8 * np.abs(direct).max()
+
+
+@pytest.mark.parametrize("scipy_first", [True, False], ids=["scipy-first", "hho-first"])
+def test_lazy_scipy_aliases_are_the_scipy_modules(scipy_first):
+    code = f"""\
+import json, sys
+if {scipy_first}:
+    import scipy.linalg, scipy.sparse.linalg
+import hho.local_ops, hho.system, hho.verify
+import scipy.linalg, scipy.sparse, scipy.sparse.linalg
+print(json.dumps([
+    hho.system.sla is sys.modules["scipy.sparse.linalg"] is scipy.sparse.linalg,
+    hho.system.sla.splu is scipy.sparse.linalg.splu,
+    hho.verify.dla is sys.modules["scipy.linalg"] is scipy.linalg,
+    hho.verify.dla.eigh is scipy.linalg.eigh,
+    hho.local_ops.sparse is sys.modules["scipy.sparse"] is scipy.sparse,
+]))
+"""
+    assert run_fresh(code) == [True] * 5
+
+
+def test_lazy_module_refuses_a_missing_module():
+    with pytest.raises(ModuleNotFoundError, match="scipy.no_such_module"):
+        hho.lazy_module("scipy.no_such_module")
+    assert "scipy.no_such_module" not in sys.modules
+
+
 def test_converge_classical_on_divergence_load_is_config_error(tmp_path):
     cfg = write_config(
         tmp_path / "c.json", case="kink-aligned", degree=0, levels=[2, 4],
@@ -317,7 +394,7 @@ def test_converge_classical_on_divergence_load_is_config_error(tmp_path):
 def test_cg_non_convergence_is_one_solver_error_line(tmp_path, capsys, monkeypatch):
     import hho.system
 
-    monkeypatch.setattr(hho.system, "cg", lambda A, b, **kw: (np.zeros_like(b), 1))
+    monkeypatch.setattr(hho.system.sla, "cg", lambda A, b, **kw: (np.zeros_like(b), 1))
     cfg = write_config(
         tmp_path / "c.json", case="smooth-sine", degree=0, levels=[2, 4],
         method="classical", solver={"method": "cg"},
@@ -353,7 +430,7 @@ def test_indefinite_face_system_is_one_solver_error_line(tmp_path, capsys,
 
 def test_solve_cg_non_convergence_is_one_solver_error_line(tmp_path, capsys,
                                                           monkeypatch):
-    monkeypatch.setattr(hho.system, "cg", lambda A, b, **kw: (np.zeros_like(b), 1))
+    monkeypatch.setattr(hho.system.sla, "cg", lambda A, b, **kw: (np.zeros_like(b), 1))
     cfg = write_config(
         tmp_path / "s.json", case="smooth-sine", degree=0, level=2,
         method="classical", solver={"method": "cg"},

@@ -434,6 +434,22 @@ def test_discrete_residual_small_smooth_problem():
     assert residual_inf(system, vec, rhs) < 1e-10
 
 
+def test_shifted_system_has_no_full_matrix():
+    # a shifted system solves A - sigma H: a residual against the unshifted A
+    # would mix the two matrices, so full_matrix and every reader refuse
+    sp = HHOSpace(build_unit_square(4), 1)
+    rhs = rhs_classical(sp, LoadFunctional(f0=sine_f0))
+    shifted = assemble(sp, shift=0.1)
+    assert shifted.shift == 0.1
+    vec = solve(shifted, rhs)
+    for read in (lambda: shifted.full_matrix, lambda: residual_inf(shifted, vec, rhs),
+                 lambda: solve_full(shifted, rhs)):
+        with pytest.raises(ValueError, match="shifted by 0.1"):
+            read()
+    unshifted = assemble(sp, shift=0.0)
+    assert residual_inf(unshifted, solve(unshifted, rhs), rhs) < 1e-12
+
+
 def test_cg_solver_matches_direct():
     sp = HHOSpace(build_unit_square(4), 1)
     system = assemble(sp)
