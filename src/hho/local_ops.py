@@ -688,3 +688,12 @@ def assemble_bilinear(space, local_mats):
     """Scatter per-cell local matrices (T, nloc, nloc) into a global CSR matrix."""
     ids = space.local_dof_ids
     return scatter_blocks(local_mats, ids, ids, (space.num_dofs, space.num_dofs))
+
+
+def apply_bilinear(space, local_mats, vec):
+    """The product of `assemble_bilinear(space, local_mats)` with a dof
+    vector, from the blocks: each block times the cell's local dofs, summed
+    by `scatter_add`, with no global matrix."""
+    ids = space.local_dof_ids
+    return scatter_add((local_mats @ _gather(vec, ids)[..., None])[..., 0], ids,
+                       space.num_dofs)

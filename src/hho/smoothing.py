@@ -20,6 +20,8 @@ face side and per cell: neither check forms a global factor, a jump matrix,
 W or S_H.
 """
 
+from functools import partial
+
 import numpy as np
 
 from . import lazy_module
@@ -28,6 +30,7 @@ from .local_ops import (
     _gather,
     _t,
     _tmul,
+    apply_bilinear,
     cell_blocks,
     reference_stiffness,
     scatter_add,
@@ -41,10 +44,9 @@ from .polyquad import (
     space_dimension,
     symmetrize,
 )
-from .system import assemble, solve
+from .system import assemble, lanczos_max, solve
 
 sparse = lazy_module("scipy.sparse")
-sla = lazy_module("scipy.sparse.linalg")
 
 AVERAGING_VARIANTS = ("mean", "scott-zhang")
 
@@ -393,44 +395,40 @@ def on_faces(table, mesh, faces, side):
     return table[local, mesh.face_flips[K, local]]
 
 
-def sampled_jumps(mesh, degree, table, col_ids, num_cols):
-    """Sparse face jumps and boundary traces of the columns of a per-cell
-    table (T, n, c), broken degree-`degree` coefficients per column.
-
-    Each interior face (first cell minus second), then each boundary face,
-    is sampled at degree + 1 equispaced points: a degree-`degree` jump that
-    vanishes there vanishes on the whole face. The samples of the face's
-    cells are summed at the global ids `col_ids` (T, c) (negative: no such
-    column) of a (rows, num_cols) matrix, so a shared column gets its jump.
-    """
+def face_samples(mesh, degree, table):
+    """Every cell's samples (T, 3, s, c) on its three local faces of the
+    columns of a per-cell table (T, n, c) of broken degree-`degree`
+    coefficients, at s = degree + 1 equispaced points per face, ordered
+    along the face from its lower global vertex: a degree-`degree` jump
+    that vanishes there vanishes on the whole face."""
     samples = degree + 1
     ts = (np.arange(samples) + 0.5) / samples
     vals_hat = cell_basis_values(degree, face_barycentric(ts))  # (3, 2, s, n)
-    # the face sides: each interior face from its first and then its second
-    # cell, then each boundary face
+    out = np.empty((len(table), 3, samples, table.shape[-1]))
+    for i in range(3):
+        np.matmul(vals_hat[i, mesh.face_flips[:, i]], table, out=out[:, i])
+    return out
+
+
+def jump_matrix(mesh, degree):
+    """Sparse map from broken coefficients to face jumps and boundary
+    traces, sampled by :func:`face_samples`: a row per sample of each
+    interior face (first cell minus second), then of each boundary face."""
+    T, n = mesh.num_cells, space_dimension(degree)
+    samples = degree + 1
     interior = mesh.interior_faces
     boundary = np.nonzero(mesh.boundary_face_mask)[0]
     Ei, Eb = len(interior), len(boundary)
     faces = np.concatenate([interior, interior, boundary])
     sides = np.repeat([0, 1, 0], [Ei, Ei, Eb])
     K = mesh.face_cells[faces, sides]
-    # every cell's samples on its three local faces (T, 3, s, c), read per
-    # face side and not kept: the scatter below is the memory peak
-    vals = np.stack([vals_hat[i, mesh.face_flips[:, i]] @ table
-                     for i in range(3)], axis=1)[K, mesh.face_local[faces, sides]]
+    vals = face_samples(mesh, degree, np.broadcast_to(np.eye(n), (T, n, n)))
+    vals = vals[K, mesh.face_local[faces, sides]]
     vals[Ei:2 * Ei] *= -1.0
     rows = np.concatenate([np.arange(Ei), np.arange(Ei + Eb)])
+    cols = np.arange(T)[:, None] * n + np.arange(n)
     return scatter_blocks(vals, rows[:, None] * samples + np.arange(samples),
-                          col_ids[K], ((Ei + Eb) * samples, num_cols))
-
-
-def jump_matrix(mesh, degree):
-    """Sparse map from broken coefficients to face jumps and boundary
-    traces: :func:`sampled_jumps` of the identity table, one column per
-    coefficient of each cell."""
-    T, n = mesh.num_cells, space_dimension(degree)
-    return sampled_jumps(mesh, degree, np.broadcast_to(np.eye(n), (T, n, n)),
-                         np.arange(T)[:, None] * n + np.arange(n), T * n)
+                          cols[K], ((Ei + Eb) * samples, T * n))
 
 
 def moment_residuals(smoother, X):
@@ -481,7 +479,9 @@ def moment_residuals(smoother, X):
 
 def conformity_residual(smoother):
     """Max face jump and boundary trace of every column of C and of Q:
-    :func:`sampled_jumps` of the tables [C_K | Q_K] of `Smoother.cell_table`.
+    :func:`face_samples` of the tables [C_K | Q_K] of `Smoother.cell_table`
+    at the columns that exist, the two sides of a face subtracted at the
+    columns they share (its dofs and its two vertices), with no matrix.
 
     For any vertex vector a, Q a (the hat re-expansion and its bubble
     corrections) is continuous and zero on the boundary, and so is C x;
@@ -490,11 +490,23 @@ def conformity_residual(smoother):
     averaging weights (`avg_blocks`, `avg_ids`) passes this check and
     every other one.
     """
+    space, mesh = smoother.space, smoother.space.mesh
+    nc, nf, nloc = space.nc, space.nf, space.nloc
     table, ids = smoother.cell_table()
-    space = smoother.space
-    jumps = sampled_jumps(space.mesh, smoother.degree, table, ids,
-                          space.num_dofs + smoother.num_nodes)
-    return float(np.abs(jumps.data).max()) if jumps.nnz else 0.0
+    jumps = face_samples(mesh, smoother.degree, table)  # (T, 3, s, nloc + 3)
+    jumps *= (ids >= 0)[:, None, None, :]
+    # a face's two sides (cell, local face): the second side's face dofs
+    # and vertices, found among the first side's columns by global id; a
+    # column that does not exist is zero, so its pairing subtracts zero
+    faces = mesh.interior_faces
+    (K0, K1), (i0, i1) = mesh.face_cells[faces].T, mesh.face_local[faces].T
+    c1 = np.concatenate([nc + i1[:, None] * nf + np.arange(nf),
+                         nloc + (i1[:, None] + [1, 2]) % 3], axis=1)
+    c0 = np.argmax(ids[K0, None, :] == ids[K1[:, None], c1][..., None], axis=-1)
+    side1 = (K1[:, None], i1[:, None], slice(None), c1)
+    jumps[K0[:, None], i0[:, None], :, c0] -= jumps[side1]
+    jumps[side1] = 0.0
+    return float(max(jumps.max(initial=0.0), -jumps.min(initial=0.0)))
 
 
 def orthogonality_residual(smoother):
@@ -529,33 +541,28 @@ def consistency_constant(space, smoother):
 
     C^2 is the largest eigenvalue of the pencil (D^T K D, B): D = R - S_H, K
     the broken degree-D stiffness, B the matrix of the HHO form b. One
-    Lanczos run (ARPACK, default tolerance) finds it from blocks alone, with
-    no matrix for D or K: G and the per-cell K give R and its transpose, the
-    smoother's own blocks give S_H, and the condensed solve `solve` gives
-    B^{-1}.
+    Lanczos run on B^{-1} D^T K D (`lanczos_max`; a seeded random start, as
+    the constant one is symmetric on the unit-square grids and misses the
+    top eigenvector) finds it from blocks alone, with no matrix: G and the
+    per-cell K give R and its transpose, the smoother's own blocks give
+    S_H, the condensed solve B^{-1} and the local blocks B. An unconverged
+    run raises `SolverError`.
     """
     T, n1, n = space.mesh.num_cells, space.n1, space.num_dofs
     K = stiffness_blocks(
         space.mesh, reference_stiffness(smoother.degree, space.rule_cell))
     G = space.gather(space.G)
 
-    def normal_op(x):  # D^T K D x, on a (num_dofs, 1) block
+    def normal_op(x):  # D^T K D x
         x = x.reshape(n, 1)
         d = -smoother.apply_vector(x).reshape(T, smoother.nD, 1)
         d[:, :n1] += G @ space.local_coeffs(x)
         y = K @ d
         return (scatter_add(_t(G) @ y[:, :n1], space.local_dof_ids, n)
-                - smoother.apply_transpose(y.reshape(-1, 1)))
+                - smoother.apply_transpose(y.reshape(-1, 1))).ravel()
 
     system = assemble(space)
-    if n == 1:  # too few dofs for ARPACK: the pencil is 1 x 1
-        lam = normal_op(np.ones(1))[0, 0] / system.full_matrix[0, 0]
-    else:
-        lam = sla.eigsh(
-            sla.LinearOperator((n, n), matvec=normal_op, dtype=float), k=1,
-            M=system.full_matrix, which="LA", v0=np.ones(n),
-            Minv=sla.LinearOperator((n, n), matvec=lambda x: solve(system, x),
-                                    dtype=float),
-            return_eigenvectors=False,
-        )[0]
+    lam = lanczos_max(lambda x: solve(system, normal_op(x)),
+                      partial(apply_bilinear, space, space.local_matrices()),
+                      np.random.default_rng(0).standard_normal(n), 1e-13)
     return float(np.sqrt(max(lam, 0.0)))

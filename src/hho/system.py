@@ -23,6 +23,7 @@ import numpy as np
 from . import lazy_module
 from .local_ops import (
     _gather,
+    apply_bilinear,
     assemble_bilinear,
     cell_blocks,
     checked_values,
@@ -38,6 +39,9 @@ SOLVER_METHODS = ("direct", "cg")
 # CG's relative residual: it does not bound the forward error, so CG stops
 # one order below the 1e-12 agreement with the direct solve asked of it
 CG_RTOL = 1e-13
+
+# Lanczos steps after which `lanczos_max` gives up
+LANCZOS_STEPS = 500
 
 
 class MethodNotApplicableError(RuntimeError):
@@ -226,9 +230,9 @@ class CondensedSystem:
     `schur` = A_ff - A_ft elim (C, 3 nf, 3 nf); no (T, nloc, nloc) or
     (T, 3 nf, 3 nf) array and no level-sized triplet array exists. The
     face factor `face_factor` reads the Schur blocks directly.
-    `face_matrix`, which CG reads, and `full_matrix`, the A that the
-    residuals read, are assembled on first use; a shifted system has no
-    `full_matrix`.
+    `face_matrix`, which CG reads, and `full_matrix`, the A of the dense
+    eigenvalue fallback, are assembled on first use; a shifted system has
+    no `full_matrix`, and `residual_inf` refuses it.
     """
 
     def __init__(self, space, shift=0.0):
@@ -296,9 +300,7 @@ class CondensedSystem:
         """Uncondensed global matrix A, assembled on first use from the local
         blocks of `space.local_matrices`. A shifted system raises
         ValueError: its solve is of A - shift H, not of A."""
-        if self.shift:
-            raise ValueError(f"the system is shifted by {self.shift}: its "
-                             "full_matrix would not be the matrix it solves")
+        _refuse_shift(self)
         return assemble_bilinear(self.space, self.space.local_matrices())
 
     def condense_rhs(self, rhs):
@@ -421,6 +423,45 @@ def solve_full(system, rhs):
     return lu.solve(rhs)
 
 
+def _refuse_shift(system):
+    if system.shift:
+        raise ValueError(f"the system is shifted by {system.shift}: it solves "
+                         "A - shift H, not A")
+
+
 def residual_inf(system, vec, rhs):
-    """Max-norm discrete residual ||b_H(U, .) - rhs||_inf of a dof vector."""
-    return float(np.abs(system.full_matrix @ vec - rhs).max())
+    """Max-norm discrete residual ||b_H(U, .) - rhs||_inf of a dof vector,
+    A applied from the local blocks; a shifted system raises ValueError."""
+    _refuse_shift(system)
+    A = system.space.local_matrices()
+    return float(np.abs(apply_bilinear(system.space, A, vec) - rhs).max())
+
+
+def lanczos_max(op, mul, v0, tol):
+    """Largest eigenvalue of `op`, self-adjoint in x . M y for the SPD M
+    applied by `mul`: Lanczos from `v0`, fully reorthogonalised (Parlett,
+    The Symmetric Eigenvalue Problem, ch. 13), one op and one M product a
+    step. It stops when the top Ritz pair (theta, s) has beta |s_last| <=
+    tol |theta| or the basis spans the space, else raises `SolverError`
+    after `LANCZOS_STEPS` steps."""
+    n, mv = len(v0), mul(v0)
+    norm = np.sqrt(v0 @ mv)
+    # the basis q_0 .. q_k and M q_0 .. M q_k, in rows grown by doubling
+    Q, MQ = np.empty((2, 16, n))
+    Q[0], MQ[0] = v0 / norm, mv / norm
+    alpha, beta = [], []
+    for k in range(n):
+        w = op(Q[k])
+        alpha.append(MQ[k] @ w)
+        for _ in range(2):  # Gram-Schmidt twice: orthogonal to round-off
+            w -= (MQ[:k + 1] @ w) @ Q[:k + 1]
+        mw = mul(w)
+        beta.append(np.sqrt(max(w @ mw, 0.0)))
+        theta, s = np.linalg.eigh(np.diag(alpha) + np.diag(beta[:-1], -1))
+        if beta[-1] * abs(s[-1, -1]) <= tol * abs(theta[-1]) or k + 1 == n:
+            return float(theta[-1])
+        if k + 1 >= LANCZOS_STEPS:
+            raise SolverError(f"Lanczos did not converge in {k + 1} steps")
+        if k + 1 == len(Q):
+            Q, MQ = (np.concatenate([B, np.empty_like(B)]) for B in (Q, MQ))
+        Q[k + 1], MQ[k + 1] = w / beta[-1], mw / beta[-1]

@@ -7,12 +7,13 @@ given seed.
 """
 
 import os
+from functools import partial
 
 import numpy as np
 
 from . import lazy_module
 from .analysis import poly_consistency_case, smooth_sine_case
-from .local_ops import HHOSpace, assemble_bilinear
+from .local_ops import HHOSpace, apply_bilinear, assemble_bilinear
 from .mesh import (
     build_unit_square,
     check_matching,
@@ -26,10 +27,9 @@ from .smoothing import (
     moment_residuals,
     orthogonality_residual,
 )
-from .system import SolverError, assemble, residual_inf, rhs_smoothed, solve
+from .system import SolverError, assemble, lanczos_max, residual_inf, rhs_smoothed, solve
 
 dla = lazy_module("scipy.linalg")
-sla = lazy_module("scipy.sparse.linalg")
 
 TOLERANCES = {
     "mesh-matching": 0.0,
@@ -203,37 +203,37 @@ def _min_eigenvalue(system):
     per class, and on its Schur complement, the face factor `FaceFactor` of
     the system condensed at sigma: a symmetric matrix is positive definite
     exactly when both are (Golub & Van Loan, Matrix Computations, 4th ed.,
-    sec. 4.2). The eigenvalue nearest sigma, found by shift-invert Lanczos
-    on that condensed solve (Ericsson & Ruhe, Math. Comp. 35, 1980), is
-    then the smallest, and the closeness of the shift makes it converge in
-    a few dozen solves. Without the certificate, or when the space has a
-    single dof (too few for ARPACK), the exact value comes from a dense
-    solve. A is the system's `full_matrix`; the blocks H_K are formed once
-    and feed both the assembled H and the bound. The members of a geometry
-    class have bitwise-equal blocks, so the bound reads the blocks of each
-    class's first cell only, and forms A_K once more per class.
+    sec. 4.2). The eigenvalue nearest sigma, sigma + 1 / theta for the top
+    eigenvalue theta of (A - sigma H)^{-1} H, is then the smallest: shift-
+    invert Lanczos (`lanczos_max`) on that condensed solve (Ericsson & Ruhe,
+    Math. Comp. 35, 1980) finds it in a few dozen solves, the closer the
+    shift the fewer. Without the certificate, when Lanczos does not
+    converge, or when the space has a single dof, the exact value comes
+    from a dense solve of the assembled A (`full_matrix`) and H. The blocks
+    H_K are formed once and feed both H and the bound. The members of a
+    geometry class have bitwise-equal blocks, so the bound reads the blocks
+    of each class's first cell only, and forms A_K once more per class.
     """
     space = system.space
-    A = system.full_matrix
     norm_blocks = space.hho_norm_blocks()
-    H = assemble_bilinear(space, norm_blocks)
-    n = A.shape[0]
+    n = space.num_dofs
     if n > 1:
         first = space.class_cells
         bound = _local_coercivity_bound(space, space.local_matrices(first),
                                         norm_blocks[first])
         sigma = bound - SHIFT_GAP * abs(bound)
+        H = partial(apply_bilinear, space, norm_blocks)
         try:
             shifted = assemble(space, shift=sigma)
             np.linalg.cholesky(shifted.A_tt)
             shifted.face_factor  # factored now: its success is the certificate
+            # a residual bound of 1e-15 relative: the value to round-off
+            theta = lanczos_max(lambda x: solve(shifted, H(x)), H, np.ones(n), 1e-15)
         except (np.linalg.LinAlgError, SolverError):
             pass
         else:
-            op = sla.LinearOperator((n, n), matvec=lambda x: solve(shifted, x),
-                                    dtype=float)
-            return float(sla.eigsh(A, k=1, M=H, sigma=sigma, OPinv=op,
-                                   v0=np.ones(n), return_eigenvectors=False)[0])
+            return float(sigma + 1.0 / theta)
+    A, H = system.full_matrix, assemble_bilinear(space, norm_blocks)
     return float(dla.eigh(A.toarray(), H.toarray(), eigvals_only=True,
                           subset_by_index=[0, 0])[0])
 

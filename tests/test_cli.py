@@ -326,21 +326,24 @@ def loaded():  # scipy modules whose code ran; a lazy one is a _LazyModule
     return sorted(n for n, m in sys.modules.items()
                   if n.split(".")[0] == "scipy" and type(m) is types.ModuleType)
 
-def run(command, i):
+def run(command, i, *extra):
     return hho.cli.main([command, "--config", sys.argv[i],
-                         "--out", f"{sys.argv[1]}/out{i}"])
+                         "--out", f"{sys.argv[1]}/out{i}", *extra])
 
-codes = [run("converge", 2), run("solve", 3)]
+codes = [run("converge", 2), run("solve", 3), run("verify", 4, "--mesh", sys.argv[6])]
 before = {"lib": "scipy._lib" in sys.modules, "loaded": loaded()}
-codes += [run("verify", 4), run("solve", 5)]
+codes += [run("solve", 5)]
 print(json.dumps({"codes": codes, "before": before, "after": loaded()}))
 """
 
 
-def test_converge_and_direct_solve_run_no_scipy_code(tmp_path):
+def test_converge_direct_solve_and_verify_run_no_scipy_code(tmp_path):
     # scipy's modules are registered lazily: converge (the benchmark's p = 3
-    # kink study at small levels) and the direct solve run no scipy code,
-    # and verify and CG load it in the same interpreter afterwards
+    # kink study at small levels), the direct solve and verify with a mesh
+    # file run no scipy code, and CG loads it in the same interpreter
+    # afterwards
+    mesh = tmp_path / "square.mesh"
+    mesh.write_text(SQUARE_MESH)
     configs = [
         write_config(tmp_path / "c.json", case="kink-aligned", degree=3,
                      levels=[4, 8], method="smoothed", averaging="scott-zhang"),
@@ -348,6 +351,7 @@ def test_converge_and_direct_solve_run_no_scipy_code(tmp_path):
         write_config(tmp_path / "v.json", degrees=[1], resolutions=[2]),
         write_config(tmp_path / "g.json", case="corner-singular", degree=3,
                      level=4, solver={"method": "cg"}),
+        mesh,
     ]
     report = run_fresh(SCIPY_RUN, tmp_path, *configs)
     assert report["codes"] == [0, 0, 0, 0]

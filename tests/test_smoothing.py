@@ -1013,6 +1013,45 @@ def test_conformity_residual_matches_dense_oracle(make, p, variant):
         assert expected > 1e-3 * scale or not enters, name
 
 
+def sparse_conformity_oracle(sm):
+    """The largest entry of the sparse sum of every face side's samples of
+    the tables [C_K | Q_K] at their global column ids, in the rows of
+    `jump_matrix` (each interior face from its first and then its second
+    cell, negated, then each boundary face): the scatter sums the two sides
+    of each column a face's cells share."""
+    sp, mesh, degree = sm.space, sm.space.mesh, sm.degree
+    table, ids = sm.cell_table()
+    samples = degree + 1
+    vals_hat = cell_basis_values(degree, face_barycentric(
+        (np.arange(samples) + 0.5) / samples))
+    vals = np.stack([vals_hat[i, mesh.face_flips[:, i]] @ table for i in range(3)],
+                    axis=1)
+    interior, boundary = mesh.interior_faces, np.flatnonzero(mesh.boundary_face_mask)
+    Ei, Eb = len(interior), len(boundary)
+    faces = np.concatenate([interior, interior, boundary])
+    sides = np.repeat([0, 1, 0], [Ei, Ei, Eb])
+    K = mesh.face_cells[faces, sides]
+    vals = vals[K, mesh.face_local[faces, sides]]
+    vals[Ei:2 * Ei] *= -1.0
+    rows = np.concatenate([np.arange(Ei), np.arange(Ei + Eb)])
+    jumps = scatter_blocks(vals, rows[:, None] * samples + np.arange(samples), ids[K],
+                           ((Ei + Eb) * samples, sp.num_dofs + sm.num_nodes))
+    return np.abs(jumps.data).max(initial=0.0)
+
+
+@pytest.mark.parametrize("p", [0, 1, 2, 3])
+@pytest.mark.parametrize("make", [lambda: jittered_square(4), lambda: build_lshape(2)],
+                         ids=["jittered", "lshape"])
+def test_conformity_residual_is_the_sparse_scatter_bitwise(make, p):
+    # pairing the columns a face's two cells share sums the same two addends
+    # as the sparse scatter of every face side, so the residual is bitwise
+    # the same: on the smoother, and with its C or its Q columns moved
+    sm = Smoother(HHOSpace(make(), p))
+    rng = np.random.default_rng(p)
+    for name, smoother, *_ in [("none", sm), *planted_defects(sm, rng)]:
+        assert conformity_residual(smoother) == sparse_conformity_oracle(smoother), name
+
+
 def test_converge_path_assembles_no_smoother_factor(monkeypatch):
     # the smoothed load needs S_H^T on one vector: neither a converge run nor
     # a direct pullback may scatter the sparse matrix

@@ -4,6 +4,7 @@ import types
 import numpy as np
 import pytest
 from scipy import sparse
+from scipy.linalg import eigh
 from scipy.sparse.linalg import splu
 
 from conftest import hat_profile, jittered_square, sine_f0, single_triangle_mesh
@@ -24,6 +25,7 @@ from hho.system import (
     MethodNotApplicableError,
     SolverError,
     assemble,
+    lanczos_max,
     residual_inf,
     rhs_classical,
     rhs_smoothed,
@@ -432,6 +434,32 @@ def test_discrete_residual_small_smooth_problem():
     rhs = rhs_classical(sp, LoadFunctional(f0=sine_f0))
     vec = solve(system, rhs)
     assert residual_inf(system, vec, rhs) < 1e-10
+
+
+def test_residual_inf_is_the_assembled_residual():
+    # the residual applies A from the local blocks: it agrees with the
+    # assembled matrix to round-off, on a vector that is not a solution
+    sp = HHOSpace(jittered_square(4), 2)
+    system = assemble(sp)
+    rng = np.random.default_rng(3)
+    vec, rhs = rng.standard_normal((2, sp.num_dofs))
+    want = np.abs(system.full_matrix @ vec - rhs).max()
+    assert residual_inf(system, vec, rhs) == pytest.approx(want, rel=1e-14)
+
+
+@pytest.mark.parametrize("n", [1, 3, 60])
+def test_lanczos_max_matches_dense_pencil(n):
+    # the largest eigenvalue of M^{-1} N, self-adjoint in the M inner
+    # product: from the start vector of ones, and within n steps
+    rng = np.random.default_rng(n)
+    X, Y = rng.standard_normal((2, n, n))
+    M, N = X @ X.T + n * np.eye(n), Y + Y.T
+    ops = []
+    got = lanczos_max(lambda x: ops.append(1) or np.linalg.solve(M, N @ x),
+                      lambda x: M @ x, np.ones(n), 1e-14)
+    want = eigh(N, M, eigvals_only=True)[-1]
+    assert got == pytest.approx(want, rel=1e-12)
+    assert len(ops) <= n
 
 
 def test_shifted_system_has_no_full_matrix():

@@ -11,6 +11,7 @@ from conftest import jittered_square, single_triangle_mesh
 from hho.cli import main
 from hho.local_ops import HHOSpace, assemble_bilinear
 from hho.mesh import SimplicialMesh, build_lshape, build_unit_square
+from hho.smoothing import Smoother, consistency_constant
 from hho.system import SolverError, assemble, solve
 from hho.verify import (
     SHIFT_GAP,
@@ -231,6 +232,24 @@ def test_condensation_check_sees_a_planted_defect(monkeypatch, table, p, n):
     [check] = [c for c in report["checks"] if c["name"] == "condensation"]
     assert check["residual"] >= 1e3 * TOLERANCES["condensation"]
     assert not check["passed"]
+
+
+def test_unconverged_lanczos_value_is_refused(monkeypatch):
+    # with the Lanczos cap at 2 steps neither eigenvalue converges: the
+    # coercivity eigenvalue comes from the dense solve, and the smoother
+    # constant raises rather than return an unconverged value
+    space = HHOSpace(build_unit_square(4), 1)
+    system = assemble(space)
+    want = _dense_min_eigenvalue(system)
+    monkeypatch.setattr(hho.system, "LANCZOS_STEPS", 2)
+    dense = []
+    eigh_ = hho.verify.dla.eigh
+    monkeypatch.setattr(hho.verify.dla, "eigh",
+                        lambda *a, **kw: dense.append(1) or eigh_(*a, **kw))
+    assert _min_eigenvalue(system) == pytest.approx(want, rel=1e-12)
+    assert len(dense) == 1
+    with pytest.raises(SolverError, match="did not converge in 2 steps"):
+        consistency_constant(space, Smoother(space))
 
 
 def test_default_suite_never_takes_the_dense_eigensolve(monkeypatch):
